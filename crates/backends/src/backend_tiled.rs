@@ -54,7 +54,7 @@ impl TiledBackend {
     }
 
     /// Star-aligned global row tiles covering `sys`, constraint rows folded
-    /// into the last tile — the same split `gaia-tiles/v1` spills to disk.
+    /// into the last tile — the same split `gaia-tiles/v2` spills to disk.
     fn row_tiles(&self, sys: &SparseSystem) -> Vec<Range<usize>> {
         let n_stars = sys.layout().n_stars as usize;
         let obs_per_star = sys.layout().obs_per_star as usize;

@@ -4,7 +4,7 @@
 //! problem size; this harness asks the follow-up the out-of-core path
 //! exists to answer: what does a solve cost when the observation matrix
 //! does **not** fit, and does the tile cache actually respect its budget?
-//! For each layout it spills the system to a `gaia-tiles/v1` directory,
+//! For each layout it spills the system to a `gaia-tiles/v2` directory,
 //! then solves it at budgets {unbounded, 2×, 1.25×, 0.75×} of the
 //! resident matrix bytes, recording per-iteration time, tile
 //! loads/hits/evictions, and the measured peak resident bytes.
@@ -13,7 +13,9 @@
 //!
 //! * every bounded cell must keep `peak_resident_bytes <= budget`;
 //! * every under-provisioned cell (factor < 1) must record >= 1 eviction
-//!   (a cache that never evicts under-budget is not being exercised);
+//!   (a cache that never evicts under-budget is not being exercised) and
+//!   at least one hit (a cache that holds most of the matrix and still
+//!   reloads every tile of every scan is thrashing);
 //! * on the `tiny` layout the tiled solution must be bitwise identical
 //!   to the resident solve with the same backend.
 //!
@@ -135,8 +137,16 @@ fn main() {
                 ));
             }
             let must_evict = factor.is_some_and(|f| f < 1.0);
-            if must_evict && stats.evictions == 0 {
+            let never_evicted = must_evict && stats.evictions == 0;
+            if never_evicted {
                 violations.push(format!("{group}: under-provisioned cell never evicted"));
+            }
+            let thrashed = must_evict && stats.hits == 0;
+            if thrashed {
+                violations.push(format!(
+                    "{group}: {} loads and not one hit — the cache is thrashing",
+                    stats.loads
+                ));
             }
             let bitwise = resident_x.as_ref().map(|want| {
                 want.len() == sol.x.len()
@@ -148,8 +158,7 @@ fn main() {
             if bitwise == Some(false) {
                 violations.push(format!("{group}: tiled solve diverged from resident solve"));
             }
-            let cell_ok =
-                peak_ok && !(must_evict && stats.evictions == 0) && bitwise != Some(false);
+            let cell_ok = peak_ok && !never_evicted && !thrashed && bitwise != Some(false);
 
             let iter_seconds: Vec<f64> = sol.history.iter().map(|h| h.seconds).collect();
             println!(

@@ -90,7 +90,7 @@ pub trait Operator {
     }
 
     /// Tile-set provenance, when the matrix is backed by an on-disk
-    /// `gaia-tiles/v1` spill directory — recorded into checkpoints so a
+    /// `gaia-tiles/v2` spill directory — recorded into checkpoints so a
     /// resume can verify it is reading the same matrix.
     fn provenance(&self) -> Option<TileProvenance> {
         None

@@ -268,7 +268,7 @@ impl Generator {
         (system, truth)
     }
 
-    /// Streamed (chunk-at-a-time) generation straight to a `gaia-tiles/v1`
+    /// Streamed (chunk-at-a-time) generation straight to a `gaia-tiles/v2`
     /// spill directory with `tile_stars` stars per tile: the full system is
     /// never materialized in memory, yet the tiles are bit-identical to
     /// tiling the in-memory [`Generator::generate`] output (same seed ⇒

@@ -6,8 +6,9 @@
 //! capacity gating). This module adds the storage layer that makes that
 //! regime measurable on any machine: the observation matrix is split into
 //! fixed-size **row tiles** spilled to an on-disk directory
-//! (`gaia-tiles/v1`), and solves stream tiles through a bounded LRU cache
-//! whose every load and evict is accounted by a [`CapacityBudget`].
+//! (`gaia-tiles/v2`), and solves stream tiles through a bounded,
+//! scan-aware cache ([`TileCache`]) whose every load and evict is
+//! accounted by a [`CapacityBudget`].
 //!
 //! Key invariants:
 //!
@@ -21,16 +22,20 @@
 //!   array-for-array, and streamed generation
 //!   ([`crate::Generator::generate_tiled`]) writes byte-identical files
 //!   to [`write_tiles`] over the in-memory generator's output.
-//! * **Tamper evidence.** Every tile file carries an FNV-1a checksum in
-//!   the manifest; a corrupted tile is a hard error naming the tile path.
+//! * **Tamper evidence.** Every tile file carries a four-lane FNV-1a
+//!   checksum in the manifest, verified on **every** load; a corrupted
+//!   tile is a hard error naming the tile path.
 //!   The manifest also records a fingerprint of the *source* arrays, so a
 //!   mutate-after-tile-write ([`SparseSystem::scale_column`] and friends)
 //!   is detected by [`TileManifest::verify_matches`] instead of silently
 //!   solving stale data.
-//! * **The budget binds.** The cache evicts (oldest first) *before*
-//!   loading, so resident bytes never exceed the budget at any instant; a
-//!   budget smaller than a single tile is a typed error
-//!   ([`TileError::BudgetTooSmall`]), not a thrash loop.
+//! * **The budget binds.** The cache evicts *before* loading, so its
+//!   ledger never exceeds the budget at any instant; a budget smaller
+//!   than a single tile is a typed error
+//!   ([`TileError::BudgetTooSmall`]), not a thrash loop. Eviction takes
+//!   the tile used last (see [`TileCache`]), so the ledger is the memory
+//!   actually held only while callers drop tile `t - 1` before asking for
+//!   tile `t` — which every scan in this workspace does.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -45,21 +50,21 @@ use crate::constraints::build_constraint_rows;
 use crate::generator::{draw_coeff, gaussian, sample_distinct_sorted, GeneratorConfig};
 use crate::generator::{AttitudePattern, InstrumentPattern, Rhs};
 use crate::io::{
-    read_f64_array, read_u32, read_u32_array, read_u64, read_u64_array, write_f64_array, write_u32,
-    write_u64, write_u64_array,
+    read_f64_array, read_f64_array_into, read_u32, read_u32_array, read_u64, read_u64_array,
+    read_u64_array_into, write_f64_array, write_u32, write_u32_array, write_u64, write_u64_array,
 };
 use crate::layout::SystemLayout;
 use crate::system::{SparseSystem, ASTRO_NNZ_PER_ROW, ATT_NNZ_PER_ROW, INSTR_NNZ_PER_ROW};
 use crate::ASTRO_PARAMS_PER_STAR;
 
 /// On-disk format identifier recorded in every manifest.
-pub const TILE_FORMAT: &str = "gaia-tiles/v1";
+pub const TILE_FORMAT: &str = "gaia-tiles/v2";
 /// Magic of a tile file.
 pub const TILE_MAGIC: [u8; 4] = *b"GTIL";
 /// Magic of the known-terms file.
 pub const KNOWN_MAGIC: [u8; 4] = *b"GTKB";
 /// Version of the tile container format.
-pub const TILE_VERSION: u32 = 1;
+pub const TILE_VERSION: u32 = 2;
 /// Name of the manifest file inside a tile directory.
 pub const MANIFEST_NAME: &str = "manifest.json";
 /// Name of the known-terms file inside a tile directory.
@@ -117,7 +122,7 @@ pub enum TileError {
         tile_bytes: u64,
     },
     /// A charge would push resident bytes past the limit — the caller
-    /// must evict first (the LRU cache always does).
+    /// must evict first (the tile cache always does).
     BudgetExceeded {
         /// Budget limit in bytes.
         limit: u64,
@@ -195,6 +200,23 @@ fn io_err(path: &Path) -> impl Fn(io::Error) -> TileError + '_ {
     }
 }
 
+/// An older spill is refused, not read: spill directories are regenerable
+/// (and a checkpoint taken against one is already rejected by its matrix
+/// fingerprint), so there is exactly one reader.
+fn stale_format(
+    path: PathBuf,
+    found: impl std::fmt::Debug,
+    expected: impl std::fmt::Debug,
+) -> TileError {
+    TileError::Format {
+        path,
+        message: format!(
+            "format {found:?} (expected {expected:?}): spill directories are \
+             regenerable — delete this one and regenerate it"
+        ),
+    }
+}
+
 fn from_io_error(path: &Path, e: crate::io::IoError) -> TileError {
     match e {
         crate::io::IoError::Io(source) => TileError::Io {
@@ -227,10 +249,18 @@ impl Fnv {
         Fnv(FNV_OFFSET)
     }
 
+    /// One xor-then-multiply step over a whole word. The multiplier is
+    /// odd, so for a fixed state the step is a bijection of `word` (and
+    /// for a fixed word, of the state): two inputs that differ in one
+    /// word can never meet again.
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(FNV_PRIME);
+    }
+
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+            self.mix(u64::from(b));
         }
     }
 
@@ -251,10 +281,86 @@ fn hex(h: u64) -> String {
     format!("{h:016x}")
 }
 
+/// Bytes per checksum block: one little-endian `u64` word for each lane.
+const BLOCK: usize = 32;
+
+/// The `gaia-tiles/v2` file checksum. Byte-at-a-time FNV-1a is one serial
+/// multiply chain (0.8 GB/s measured); this runs four independent chains,
+/// lane `k` taking word `k` of every 32-byte block, so the multiplies
+/// overlap and a file hashes at memory speed. [`TileHasher::finish`]
+/// folds the four lane digests word-wise, then the `< 32`-byte tail
+/// byte-wise, into one [`Fnv`]. Every step on the way is [`Fnv::mix`], so
+/// a file that differs from the recorded one in any single word (hence
+/// any single bit or byte) always hashes differently — the detection v1
+/// gave per byte. Bytes may arrive in any split: a partial block waits in
+/// `carry`.
+#[derive(Debug, Clone, Copy)]
+struct TileHasher {
+    lanes: [Fnv; 4],
+    carry: [u8; BLOCK],
+    carried: usize,
+}
+
+impl TileHasher {
+    fn new() -> Self {
+        TileHasher {
+            lanes: [Fnv::new(); 4],
+            carry: [0; BLOCK],
+            carried: 0,
+        }
+    }
+
+    fn write(&mut self, mut bytes: &[u8]) {
+        if self.carried > 0 {
+            let take = bytes.len().min(BLOCK - self.carried);
+            self.carry[self.carried..self.carried + take].copy_from_slice(&bytes[..take]);
+            self.carried += take;
+            bytes = &bytes[take..];
+            if self.carried < BLOCK {
+                return;
+            }
+            Self::mix_blocks(&mut self.lanes, &self.carry);
+        }
+        let tail = Self::mix_blocks(&mut self.lanes, bytes);
+        self.carry[..tail.len()].copy_from_slice(tail);
+        self.carried = tail.len();
+    }
+
+    /// Mix every whole block of `bytes` into the lanes; returns the rest.
+    fn mix_blocks<'a>(lanes: &mut [Fnv; 4], bytes: &'a [u8]) -> &'a [u8] {
+        // The lanes enter and leave the loop through `black_box`, one
+        // scalar at a time. Left alone, LLVM sees four identical chains
+        // between a 32-byte load and a 32-byte store and emits SSE2 vector
+        // code, where each 64-bit multiply is three `pmuludq` plus shifts:
+        // 9 GB/s measured, against 26 GB/s for four scalar `imul` chains.
+        // Only speed depends on the hint.
+        let mut local = lanes.map(std::hint::black_box);
+        let mut blocks = bytes.chunks_exact(BLOCK);
+        for block in &mut blocks {
+            for (lane, word) in local.iter_mut().zip(block.chunks_exact(8)) {
+                let mut raw = [0u8; 8];
+                raw.copy_from_slice(word);
+                lane.mix(u64::from_le_bytes(raw));
+            }
+        }
+        *lanes = local.map(std::hint::black_box);
+        blocks.remainder()
+    }
+
+    fn finish(self) -> u64 {
+        let mut h = Fnv::new();
+        for lane in self.lanes {
+            h.mix(lane.finish());
+        }
+        h.write(&self.carry[..self.carried]);
+        h.finish()
+    }
+}
+
 /// A `Write` adapter that hashes and counts everything written through it.
 struct HashingWriter<W: Write> {
     inner: W,
-    hash: Fnv,
+    hash: TileHasher,
     bytes: u64,
 }
 
@@ -262,7 +368,7 @@ impl<W: Write> HashingWriter<W> {
     fn new(inner: W) -> Self {
         HashingWriter {
             inner,
-            hash: Fnv::new(),
+            hash: TileHasher::new(),
             bytes: 0,
         }
     }
@@ -282,7 +388,7 @@ impl<W: Write> Write for HashingWriter<W> {
 }
 
 fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = TileHasher::new();
     h.write(bytes);
     h.finish()
 }
@@ -470,7 +576,7 @@ impl CapacityBudget {
 }
 
 // ---------------------------------------------------------------------------
-// LRU tile cache
+// Scan-aware tile cache
 // ---------------------------------------------------------------------------
 
 /// Outcome of one cache access, reported to the caller so telemetry can
@@ -485,6 +591,9 @@ pub struct TileAccess {
     pub evictions: u64,
     /// Bytes released by those evictions.
     pub evicted_bytes: u64,
+    /// High-water mark of resident bytes after this access, read under
+    /// the lock the access already holds.
+    pub peak_resident_bytes: u64,
 }
 
 /// Cumulative counters of a [`TileCache`].
@@ -508,13 +617,23 @@ pub struct TileCacheStats {
     pub resident_tiles: usize,
 }
 
-/// Least-recently-used cache of loaded tiles, bounded by a
-/// [`CapacityBudget`]. Generic over the cached value so the eviction
-/// policy can be tested without touching the filesystem.
+/// Cache of loaded tiles, bounded by a [`CapacityBudget`], that evicts
+/// the **most** recently used tile.
+///
+/// Every caller of [`TiledSystem::tile`] scans `0..n_tiles` ascending,
+/// over and over. Under that traffic the resident tile whose next use is
+/// farthest away is always the one just used, so evicting it is Belady's
+/// optimal choice: with room for `C` of `N` equal tiles a steady-state
+/// scan hits `C - 1` times in every `N - 1` accesses, where evicting the
+/// least recently used tile never hits at all. The policy only decides
+/// *which* tiles are resident, never the order they are visited in.
+///
+/// Generic over the cached value so the policy can be tested without
+/// touching the filesystem.
 #[derive(Debug)]
 pub struct TileCache<T> {
     budget: CapacityBudget,
-    /// Resident tiles, oldest first.
+    /// Resident tiles, least recently used first.
     entries: VecDeque<(usize, u64, Arc<T>)>,
     loads: u64,
     hits: u64,
@@ -538,9 +657,12 @@ impl<T> TileCache<T> {
     }
 
     /// Fetch tile `id`, loading it via `load` on a miss. Eviction happens
-    /// *before* the load so the budget is never exceeded, even
-    /// transiently. A failed load leaves the cache unchanged (beyond any
-    /// evictions already performed).
+    /// *before* the load so the ledger never exceeds the budget, even
+    /// transiently. The ledger equals the memory actually held on one
+    /// condition: the caller has dropped the `Arc` of its previous access
+    /// by now, because the previous tile is the first one evicted. A
+    /// failed load leaves the cache unchanged (beyond any evictions
+    /// already performed).
     pub fn get_or_load(
         &mut self,
         id: usize,
@@ -560,6 +682,7 @@ impl<T> TileCache<T> {
                     value,
                     TileAccess {
                         hit: true,
+                        peak_resident_bytes: self.budget.peak(),
                         ..TileAccess::default()
                     },
                 ));
@@ -568,7 +691,7 @@ impl<T> TileCache<T> {
 
         let mut access = TileAccess::default();
         while !self.budget.fits(bytes) {
-            let Some((_, evicted, _)) = self.entries.pop_front() else {
+            let Some((_, evicted, _)) = self.entries.pop_back() else {
                 // Nothing left to evict: the tile alone exceeds the limit.
                 return Err(TileError::BudgetTooSmall {
                     limit: self.budget.limit().unwrap_or(0),
@@ -586,6 +709,7 @@ impl<T> TileCache<T> {
         self.loads += 1;
         self.loaded_bytes += bytes;
         access.loaded_bytes = bytes;
+        access.peak_resident_bytes = self.budget.peak();
         self.entries.push_back((id, bytes, Arc::clone(&value)));
         Ok((value, access))
     }
@@ -627,11 +751,11 @@ pub struct TileMeta {
     pub constraint_rows: u64,
     /// Size of the tile file in bytes.
     pub bytes: u64,
-    /// FNV-1a checksum of the tile file bytes, hex-encoded.
+    /// Four-lane FNV-1a checksum of the tile file bytes, hex-encoded.
     pub checksum: String,
 }
 
-/// The `gaia-tiles/v1` manifest: shape, provenance, and checksums of a
+/// The `gaia-tiles/v2` manifest: shape, provenance, and checksums of a
 /// tile directory.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TileManifest {
@@ -647,7 +771,7 @@ pub struct TileManifest {
     pub n_tiles: usize,
     /// Per-tile metadata in tile order.
     pub tiles: Vec<TileMeta>,
-    /// FNV-1a checksum of the known-terms file, hex-encoded.
+    /// Four-lane FNV-1a checksum of the known-terms file, hex-encoded.
     pub known_terms_checksum: String,
     /// Combined fingerprint of all tile checksums + known terms — the
     /// identity of the on-disk matrix, recorded in checkpoints.
@@ -800,16 +924,18 @@ impl TileShard {
         }
     }
 
-    /// Gather the tile's view of a parent-length column vector: the
-    /// tile's astrometric slice followed by the shared blocks.
-    pub fn gather_cols(&self, x: &[f64]) -> Vec<f64> {
+    /// Gather the tile's view of a parent-length column vector — the
+    /// tile's astrometric slice followed by the shared blocks — into a
+    /// caller-owned buffer (cleared first), so a scan over many tiles
+    /// allocates once.
+    pub fn gather_cols_into(&self, x: &[f64], out: &mut Vec<f64>) {
         let a0 = (self.star0 * u64::from(ASTRO_PARAMS_PER_STAR)) as usize;
         let a1 = (self.star1 * u64::from(ASTRO_PARAMS_PER_STAR)) as usize;
         let shared = self.parent_astro_cols as usize;
-        let mut out = Vec::with_capacity((a1 - a0) + (x.len() - shared));
+        out.clear();
+        out.reserve((a1 - a0) + (x.len() - shared));
         out.extend_from_slice(&x[a0..a1]);
         out.extend_from_slice(&x[shared..]);
-        out
     }
 
     /// Scatter a tile-local column vector back into the parent vector
@@ -869,15 +995,7 @@ impl TileFileWriter {
     }
 
     fn write_u32s(&mut self, vals: &[u32]) -> Result<(), TileError> {
-        // u32 arrays use a u64 length prefix like the other arrays.
-        (|| -> io::Result<()> {
-            write_u64(&mut self.w, vals.len() as u64)?;
-            for &v in vals {
-                write_u32(&mut self.w, v)?;
-            }
-            Ok(())
-        })()
-        .map_err(io_err(&self.path))
+        write_u32_array(&mut self.w, vals).map_err(io_err(&self.path))
     }
 
     fn finish(mut self, span: &TileSpan) -> Result<TileMeta, TileError> {
@@ -918,10 +1036,7 @@ fn read_tile(dir: &Path, parent: &SystemLayout, meta: &TileMeta) -> Result<TileS
     }
     let version = read_u32(&mut r).map_err(io_err(&path))?;
     if version != TILE_VERSION {
-        return Err(TileError::Format {
-            path,
-            message: format!("tile version {version} (expected {TILE_VERSION})"),
-        });
+        return Err(stale_format(path, version, TILE_VERSION));
     }
     let index = read_u64(&mut r).map_err(io_err(&path))?;
     let star0 = read_u64(&mut r).map_err(io_err(&path))?;
@@ -938,16 +1053,6 @@ fn read_tile(dir: &Path, parent: &SystemLayout, meta: &TileMeta) -> Result<TileS
         });
     }
 
-    let values_astro = read_f64_array(&mut r).map_err(|e| from_io_error(&path, e))?;
-    let values_att_obs = read_f64_array(&mut r).map_err(|e| from_io_error(&path, e))?;
-    let values_instr = read_f64_array(&mut r).map_err(|e| from_io_error(&path, e))?;
-    let values_glob = read_f64_array(&mut r).map_err(|e| from_io_error(&path, e))?;
-    let idx_astro = read_u64_array(&mut r).map_err(|e| from_io_error(&path, e))?;
-    let idx_att_obs = read_u64_array(&mut r).map_err(|e| from_io_error(&path, e))?;
-    let instr_col = read_u32_array(&mut r).map_err(|e| from_io_error(&path, e))?;
-    let constr_vals = read_f64_array(&mut r).map_err(|e| from_io_error(&path, e))?;
-    let constr_offs = read_u64_array(&mut r).map_err(|e| from_io_error(&path, e))?;
-
     let span = TileSpan {
         index: meta.index,
         star0,
@@ -956,10 +1061,20 @@ fn read_tile(dir: &Path, parent: &SystemLayout, meta: &TileMeta) -> Result<TileS
     };
     let local = local_layout(parent, &span);
     let n_rows_local = local.n_rows() as usize;
-    let mut values_att = values_att_obs;
-    values_att.extend_from_slice(&constr_vals);
-    let mut idx_att = idx_att_obs;
-    idx_att.extend_from_slice(&constr_offs);
+    // The attitude arrays sit in two sections of the file (observation
+    // rows, then the constraint tail): sized once here, filled by both.
+    let mut values_att = Vec::with_capacity(n_rows_local * ATT_NNZ_PER_ROW);
+    let mut idx_att = Vec::with_capacity(n_rows_local);
+    let bad = |e| from_io_error(&path, e);
+    let values_astro = read_f64_array(&mut r).map_err(bad)?;
+    read_f64_array_into(&mut r, &mut values_att).map_err(bad)?;
+    let values_instr = read_f64_array(&mut r).map_err(bad)?;
+    let values_glob = read_f64_array(&mut r).map_err(bad)?;
+    let idx_astro = read_u64_array(&mut r).map_err(bad)?;
+    read_u64_array_into(&mut r, &mut idx_att).map_err(bad)?;
+    let instr_col = read_u32_array(&mut r).map_err(bad)?;
+    read_f64_array_into(&mut r, &mut values_att).map_err(bad)?;
+    read_u64_array_into(&mut r, &mut idx_att).map_err(bad)?;
     let system = SparseSystem::from_parts_shard(
         local,
         values_astro,
@@ -1022,10 +1137,7 @@ fn read_known_terms(dir: &Path, expected_checksum: &str) -> Result<Vec<f64>, Til
     }
     let version = read_u32(&mut r).map_err(io_err(&path))?;
     if version != TILE_VERSION {
-        return Err(TileError::Format {
-            path,
-            message: format!("known-terms version {version} (expected {TILE_VERSION})"),
-        });
+        return Err(stale_format(path, version, TILE_VERSION));
     }
     read_f64_array(&mut r).map_err(|e| from_io_error(&path, e))
 }
@@ -1047,13 +1159,7 @@ fn read_manifest(dir: &Path) -> Result<TileManifest, TileError> {
         message: format!("cannot parse manifest: {e}"),
     })?;
     if manifest.format != TILE_FORMAT {
-        return Err(TileError::Format {
-            path,
-            message: format!(
-                "manifest format {:?} (expected {TILE_FORMAT:?})",
-                manifest.format
-            ),
-        });
+        return Err(stale_format(path, manifest.format, TILE_FORMAT));
     }
     if manifest.tiles.len() != manifest.n_tiles {
         return Err(TileError::Format {
@@ -1076,7 +1182,7 @@ fn read_manifest(dir: &Path) -> Result<TileManifest, TileError> {
 // Writing tiles from an in-memory system
 // ---------------------------------------------------------------------------
 
-/// Spill an in-memory system into a `gaia-tiles/v1` directory with
+/// Spill an in-memory system into a `gaia-tiles/v2` directory with
 /// `tile_stars` stars per tile. Uses the same writer as streamed
 /// generation, so the tile files (and their checksums) are byte-identical
 /// to what [`crate::Generator::generate_tiled`] would produce for the
@@ -1300,9 +1406,10 @@ pub(crate) fn generate_tiled_impl(
             let x_true: Vec<f64> = (0..layout.n_cols())
                 .map(|_| rng.gen_range(-1.0..1.0))
                 .collect();
+            let mut x_local = Vec::new();
             for (span, meta) in spans.iter().zip(metas.iter()) {
                 let shard = read_tile(dir, &layout, meta)?;
-                let x_local = shard.gather_cols(&x_true);
+                shard.gather_cols_into(&x_true, &mut x_local);
                 let row0 = span.star0 as usize * obs;
                 for local_row in 0..shard.system.n_rows() {
                     b[row0 + local_row] = shard.system.row_dot(local_row, &x_local)
@@ -1338,7 +1445,8 @@ pub(crate) fn generate_tiled_impl(
 // ---------------------------------------------------------------------------
 
 /// An on-disk tiled system: manifest + known terms in memory (vectors
-/// are small), matrix tiles streamed through a budget-bounded LRU cache.
+/// are small), matrix tiles streamed through a budget-bounded
+/// [`TileCache`].
 #[derive(Debug)]
 pub struct TiledSystem {
     dir: PathBuf,
@@ -1648,25 +1756,156 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Flip one bit of `victim`, load `tile` through a fresh
+    /// [`TiledSystem`], restore the file, and return the error.
+    fn load_with_flipped_bit(dir: &Path, victim: &Path, byte: usize, tile: usize) -> TileError {
+        let good = std::fs::read(victim).unwrap();
+        let mut bad = good.clone();
+        bad[byte] ^= 0x10;
+        std::fs::write(victim, bad).unwrap();
+        let err = TiledSystem::open(dir).and_then(|t| t.tile(tile).map(|_| ()));
+        std::fs::write(victim, good).unwrap();
+        err.expect_err("a flipped bit must not load")
+    }
+
     #[test]
-    fn corrupted_tile_is_a_hard_error_naming_the_path() {
+    fn a_flipped_bit_anywhere_in_a_tile_file_is_a_checksum_mismatch_naming_the_path() {
         let dir = tmp_dir("corrupt");
         let sys = tiny_sys(13);
-        write_tiles(&sys, &dir, 2).unwrap();
-        let victim = dir.join(TileManifest::tile_file_name(1));
-        let mut bytes = std::fs::read(&victim).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&victim, bytes).unwrap();
-        let tiled = TiledSystem::open(&dir).unwrap();
-        let err = tiled.tile(1).unwrap_err();
-        match &err {
-            TileError::ChecksumMismatch { path, .. } => {
-                assert_eq!(path, &victim, "error must name the corrupted tile");
-            }
-            other => panic!("expected ChecksumMismatch, got {other}"),
+        let manifest = write_tiles(&sys, &dir, 2).unwrap();
+        // The last tile carries the constraint rows, so none of its nine
+        // array sections is empty.
+        let last = manifest.n_tiles - 1;
+        let victim = dir.join(TileManifest::tile_file_name(last));
+        let bytes = std::fs::read(&victim).unwrap();
+        let tail = bytes.len() % BLOCK;
+        assert!(tail > 0, "fixture must end in a partial checksum block");
+
+        // One byte in the header, then the length prefix and the middle
+        // of the payload of every array section, found by walking the file.
+        let header = 4 + 4 + 4 * 8;
+        let mut targets = vec![("header", 9)];
+        let mut at = header;
+        for (section, width) in [8, 8, 8, 8, 8, 8, 4, 8, 8].into_iter().enumerate() {
+            let mut len = [0u8; 8];
+            len.copy_from_slice(&bytes[at..at + 8]);
+            let payload = u64::from_le_bytes(len) as usize * width;
+            assert!(payload > 0, "section {section} of the last tile is empty");
+            targets.push(("length prefix", at));
+            targets.push(("payload", at + 8 + payload / 2));
+            at += 8 + payload;
         }
-        assert!(err.to_string().contains("tile-00001.bin"));
+        assert_eq!(
+            at,
+            bytes.len(),
+            "section walk must end at the end of the file"
+        );
+        targets.push(("tail block", bytes.len() - tail));
+        targets.push(("last byte", bytes.len() - 1));
+
+        for (what, byte) in targets {
+            let err = load_with_flipped_bit(&dir, &victim, byte, last);
+            match &err {
+                TileError::ChecksumMismatch { path, .. } => {
+                    assert_eq!(path, &victim, "{what}: error must name the corrupted tile");
+                }
+                other => panic!("{what} (byte {byte}): expected ChecksumMismatch, got {other}"),
+            }
+            assert!(err
+                .to_string()
+                .contains(&TileManifest::tile_file_name(last)));
+        }
+        // The file was restored after every flip: it loads again.
+        TiledSystem::open(&dir).unwrap().tile(last).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_tile_file_changes_the_checksum() {
+        let dir = tmp_dir("every-bit");
+        write_tiles(&tiny_sys(19), &dir, 2).unwrap();
+        let mut bytes = std::fs::read(dir.join(TileManifest::tile_file_name(0))).unwrap();
+        // Both code paths of the hasher: whole blocks and a byte-wise tail.
+        bytes.truncate(bytes.len() - bytes.len() % BLOCK + 7);
+        let clean = hash_bytes(&bytes);
+        for bit in 0..bytes.len() * 8 {
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(
+                hash_bytes(&bytes),
+                clean,
+                "flipping bit {bit} went unnoticed"
+            );
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What a `gaia-tiles/v1` writer left behind: same manifest shape,
+    /// older format string, byte-wise FNV-1a checksums.
+    const V1_MANIFEST: &str = r#"{
+  "format": "gaia-tiles/v1",
+  "layout": {"n_stars": 6, "obs_per_star": 8, "n_deg_freedom_att": 16,
+             "n_instr_params": 12, "n_glob_params": 1, "n_constraint_rows": 3},
+  "seed": 13,
+  "tile_stars": 6,
+  "n_tiles": 1,
+  "tiles": [{"index": 0, "star0": 0, "star1": 6, "constraint_rows": 3,
+             "bytes": 10512, "checksum": "8c1f0a6d2b3e4f50"}],
+  "known_terms_checksum": "1d2c3b4a59687766",
+  "matrix_fingerprint": "0123456789abcdef",
+  "source_fingerprint": "fedcba9876543210"
+}"#;
+
+    fn assert_refused_as_stale(err: &TileError, at: &Path, found: &str, expected: &str) {
+        match err {
+            TileError::Format { path, message } => {
+                assert_eq!(path, at, "error must name the stale file");
+                for needle in [found, expected, "regenerate"] {
+                    assert!(message.contains(needle), "{message:?} lacks {needle:?}");
+                }
+            }
+            other => panic!("expected a Format error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn a_v1_manifest_is_refused_with_a_regenerate_hint() {
+        let dir = tmp_dir("v1-manifest");
+        let manifest_path = dir.join(MANIFEST_NAME);
+        std::fs::write(&manifest_path, V1_MANIFEST).unwrap();
+        let err = TiledSystem::open(&dir).unwrap_err();
+        assert_refused_as_stale(&err, &manifest_path, "gaia-tiles/v1", TILE_FORMAT);
+        assert_eq!(
+            std::fs::read_to_string(&manifest_path).unwrap(),
+            V1_MANIFEST,
+            "a refused spill must be left as it was"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn version_1_tile_and_known_terms_files_are_refused_by_version() {
+        // A v2 manifest pointing at version-1 containers whose checksums
+        // match: the version field, not the checksum, must refuse them.
+        fn downgrade(path: &Path) -> String {
+            let mut bytes = std::fs::read(path).unwrap();
+            bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+            std::fs::write(path, &bytes).unwrap();
+            hex(hash_bytes(&bytes))
+        }
+        let dir = tmp_dir("v1-files");
+        let mut manifest = write_tiles(&tiny_sys(20), &dir, 2).unwrap();
+        let tile_path = dir.join(TileManifest::tile_file_name(0));
+        manifest.tiles[0].checksum = downgrade(&tile_path);
+        write_manifest(&dir, &manifest).unwrap();
+        let err = TiledSystem::open(&dir).unwrap().tile(0).unwrap_err();
+        assert_refused_as_stale(&err, &tile_path, "1", "2");
+
+        let known_path = dir.join(KNOWN_TERMS_NAME);
+        manifest.known_terms_checksum = downgrade(&known_path);
+        write_manifest(&dir, &manifest).unwrap();
+        let err = TiledSystem::open(&dir).unwrap_err();
+        assert_refused_as_stale(&err, &known_path, "1", "2");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1698,31 +1937,45 @@ mod tests {
             "peak {} over budget {budget}",
             stats.peak_resident_bytes
         );
-        // Second pass over all tiles: everything was evicted in order, so
-        // the LRU sees misses again (streaming pattern), yet peak holds.
+        // Second pass over all tiles: the first pass evicted only the tile
+        // it had just used, so the early tiles are still there to be hit,
+        // and the peak holds.
         for t in 0..tiled.n_tiles() {
             tiled.tile(t).unwrap();
         }
-        assert!(tiled.stats().peak_resident_bytes <= budget);
+        let again = tiled.stats();
+        assert!(again.hits > stats.hits, "second scan never hit: {again:?}");
+        assert!(again.peak_resident_bytes <= budget);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn cache_hit_refreshes_recency() {
+    fn eviction_takes_the_tile_used_last() {
         let mut cache: TileCache<u64> = TileCache::new(CapacityBudget::limited(20));
         cache.get_or_load(0, 10, || Ok(0)).unwrap();
         cache.get_or_load(1, 10, || Ok(1)).unwrap();
-        // Touch 0 so it becomes most-recent; loading 2 must evict 1.
-        let (_, acc) = cache
-            .get_or_load(0, 10, || panic!("must be a hit"))
+        // Loading 2 makes room by dropping 1, the tile used last; 0, whose
+        // next use in a cyclic scan is nearest, stays.
+        let (_, acc) = cache.get_or_load(2, 10, || Ok(2)).unwrap();
+        assert_eq!((acc.evictions, acc.evicted_bytes), (1, 10));
+        assert_eq!(acc.peak_resident_bytes, 20);
+        // A tile just returned is resident: asking again is a hit.
+        let (_, acc2) = cache
+            .get_or_load(2, 10, || panic!("2 was just loaded"))
             .unwrap();
-        assert!(acc.hit);
-        cache.get_or_load(2, 10, || Ok(2)).unwrap();
-        let (_, acc0) = cache.get_or_load(0, 10, || Ok(99)).unwrap();
-        assert!(acc0.hit, "0 was refreshed, must still be resident");
+        assert!(acc2.hit);
+        let (_, acc0) = cache
+            .get_or_load(0, 10, || panic!("0 must have survived"))
+            .unwrap();
+        assert!(acc0.hit);
+        // The hit made 0 the tile used last, so reloading 1 drops 0.
+        cache.get_or_load(1, 10, || Ok(1)).unwrap();
+        let (_, acc0) = cache.get_or_load(0, 10, || Ok(0)).unwrap();
+        assert!(!acc0.hit, "0 was the tile used last when 1 came back");
         let stats = cache.stats();
-        assert_eq!(stats.evictions, 1, "only 1 (the LRU entry) was evicted");
+        assert_eq!((stats.loads, stats.hits, stats.evictions), (5, 2, 3));
         assert_eq!(stats.resident_tiles, 2);
+        assert!(stats.peak_resident_bytes <= 20);
     }
 
     #[test]
@@ -1785,7 +2038,8 @@ mod tests {
         let tiled = TiledSystem::open(&dir).unwrap();
         let (shard, _) = tiled.tile(1).unwrap();
         let x: Vec<f64> = (0..sys.n_cols()).map(|i| i as f64 + 0.5).collect();
-        let local = shard.gather_cols(&x);
+        let mut local = Vec::new();
+        shard.gather_cols_into(&x, &mut local);
         assert_eq!(local.len(), shard.system.n_cols());
         for (l, &v) in local.iter().enumerate() {
             assert_eq!(v, x[shard.global_col(l as u64) as usize]);
@@ -1794,5 +2048,28 @@ mod tests {
         shard.scatter_cols(&local, &mut back);
         assert_eq!(back, x);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    proptest::proptest! {
+        /// Streamed generation writes a tile in many pieces of any size;
+        /// a load hashes it in one. Both must produce the same digest
+        /// wherever the pieces happen to end.
+        #[test]
+        fn streamed_checksum_equals_the_one_shot_digest_for_any_write_split(
+            bytes in proptest::collection::vec(0u8..=255, 0..600),
+            cuts in proptest::collection::vec(0usize..80, 0..40),
+        ) {
+            let mut w = HashingWriter::new(Vec::new());
+            let mut rest: &[u8] = &bytes;
+            for cut in cuts {
+                let (piece, tail) = rest.split_at(cut.min(rest.len()));
+                w.write_all(piece).unwrap();
+                rest = tail;
+            }
+            w.write_all(rest).unwrap();
+            proptest::prop_assert_eq!(w.bytes, bytes.len() as u64);
+            proptest::prop_assert_eq!(w.hash.finish(), hash_bytes(&bytes));
+            proptest::prop_assert_eq!(&w.inner, &bytes);
+        }
     }
 }

@@ -1,9 +1,11 @@
-//! Property tests over the capacity accountant and the LRU tile cache:
-//! under adversarial charge/release and access interleavings the budget
-//! is never exceeded, errors never corrupt the ledger, and eviction
-//! happens exactly when (and only when) an access would go over budget.
+//! Property tests over the capacity accountant and the scan-aware tile
+//! cache: under adversarial charge/release and access interleavings the
+//! budget is never exceeded, errors never corrupt the ledger, eviction
+//! happens exactly when (and only when) an access would go over budget,
+//! and a cyclic scan — the only traffic the solvers generate — misses as
+//! rarely as any policy can.
 
-use gaia_sparse::{fuzz, CapacityBudget, Generator, TileError, TiledSystem};
+use gaia_sparse::{fuzz, CapacityBudget, Generator, TileCache, TileError, TiledSystem};
 use proptest::prelude::*;
 
 /// One accountant operation: `Charge(bytes)` or `Release` (of the most
@@ -77,11 +79,11 @@ proptest! {
 
     /// Against a real spilled system: any access sequence keeps resident
     /// and peak bytes within the budget, hits never load or evict, and a
-    /// miss evicts **iff** the incoming tile would not have fit — the LRU
-    /// evicts exactly when over budget, never preemptively. The most
-    /// recently touched tile is always still resident afterwards.
+    /// miss evicts **iff** the incoming tile would not have fit — the
+    /// cache evicts exactly when over budget, never preemptively. The
+    /// tile just returned is always still resident afterwards.
     #[test]
-    fn lru_evicts_exactly_when_an_access_would_exceed_the_budget(
+    fn cache_evicts_exactly_when_an_access_would_exceed_the_budget(
         seed in 0u64..64,
         slack_pct in 0u64..100,
         accesses in proptest::collection::vec(0usize..32usize, 1..40),
@@ -124,10 +126,58 @@ proptest! {
                     pre.resident_bytes
                 );
             }
-            // Recency: the tile just touched must still be resident.
+            // The tile just returned must still be resident.
             let (_, again) = tiles.tile(t).expect("re-access");
-            prop_assert!(again.hit, "most recently used tile {t} was evicted");
+            prop_assert!(again.hit, "tile {t} was evicted by its own access");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `N` equal tiles, room for `1 <= C < N`, scanned `0..N` over and
+    /// over. Evicting the tile used last is Belady's choice for this
+    /// traffic: once warm, every run of `N - 1` accesses holds exactly
+    /// `N - C` misses (one evicted tile per miss, and each comes due
+    /// `N - 1` accesses later), so a scan misses `N - C` or `N - C + 1`
+    /// times where evicting the least recently used tile misses `N`
+    /// times. The ledger never passes the limit, and a tile just
+    /// returned is still there when asked for again.
+    #[test]
+    fn cyclic_scan_misses_only_the_tiles_that_cannot_fit(
+        n_tiles in 2usize..24,
+        capacity_pick in 0usize..23,
+        tile_bytes in 1u64..1000,
+    ) {
+        let capacity = 1 + capacity_pick % (n_tiles - 1);
+        let limit = capacity as u64 * tile_bytes + tile_bytes / 2;
+        let mut cache: TileCache<usize> = TileCache::new(CapacityBudget::limited(limit));
+        let mut misses_per_scan = Vec::new();
+        for _scan in 0..2 * n_tiles {
+            let mut misses = 0usize;
+            for t in 0..n_tiles {
+                let (value, access) = cache.get_or_load(t, tile_bytes, || Ok(t)).expect("fits");
+                prop_assert_eq!(*value, t);
+                misses += usize::from(!access.hit);
+                prop_assert!(access.peak_resident_bytes <= limit);
+                prop_assert!(cache.stats().resident_bytes <= limit);
+                let (_, again) = cache
+                    .get_or_load(t, tile_bytes, || Ok(usize::MAX))
+                    .expect("re-access");
+                prop_assert!(again.hit, "tile {t} was evicted by its own access");
+            }
+            misses_per_scan.push(misses);
+        }
+        prop_assert_eq!(misses_per_scan[0], n_tiles, "a cold scan loads every tile");
+        let warm = &misses_per_scan[1..];
+        for &m in warm {
+            prop_assert!(
+                m == n_tiles - capacity || m == n_tiles - capacity + 1,
+                "{m} misses in a warm scan of {n_tiles} tiles with room for {capacity}"
+            );
+        }
+        // The miss pattern repeats every N - 1 scans, holding N misses
+        // for each of the N - C tiles that cannot stay.
+        let period: usize = warm[..n_tiles - 1].iter().sum();
+        prop_assert_eq!(period, n_tiles * (n_tiles - capacity));
+        prop_assert_eq!(cache.stats().peak_resident_bytes, capacity as u64 * tile_bytes);
     }
 }

@@ -376,7 +376,7 @@ impl ServeCell {
 /// Out-of-core tile accounting — what the tiled solve path
 /// (`gaia-sparse`'s `TiledSystem` driven by `gaia-lsqr`'s `TiledOperator`)
 /// loaded, hit, and evicted while streaming the matrix through its
-/// capacity-budgeted LRU cache. The memory-capacity analogue of the
+/// capacity-budgeted tile cache. The memory-capacity analogue of the
 /// per-kernel cells: those count FLOP-side traffic, this one counts the
 /// spill traffic paid to stay under a resident-bytes budget (the paper's
 /// T4-vs-H100 capacity gating, §V-B).

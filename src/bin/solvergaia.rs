@@ -15,12 +15,12 @@
 //! ```
 //!
 //! `--tiles DIR` switches to the out-of-core path of §V-B capacity
-//! framing: if `DIR` holds a `gaia-tiles/v1` spill (a manifest plus
+//! framing: if `DIR` holds a `gaia-tiles/v2` spill (a manifest plus
 //! per-tile binaries) it is opened as-is; otherwise the preset/seed
 //! system is *stream-generated* into it — bit-identical to the in-memory
 //! generator without ever materializing the full matrix. `--tile-stars`
 //! sets the stars per tile at generation time and `--budget-bytes` caps
-//! resident matrix bytes during the solve (the LRU tile cache evicts to
+//! resident matrix bytes during the solve (the tile cache evicts to
 //! stay under it). Checkpoints taken on this path record the spill
 //! directory and matrix fingerprint as provenance, so a resume refuses a
 //! regenerated or foreign tile set; a relocated spill directory is found
@@ -587,7 +587,7 @@ fn run_tune() -> ! {
     exit(0)
 }
 
-/// The out-of-core path (`--tiles DIR`): open an existing `gaia-tiles/v1`
+/// The out-of-core path (`--tiles DIR`): open an existing `gaia-tiles/v2`
 /// spill directory — or stream-generate the preset/seed system into it —
 /// and run LSQR through the tiled operator under the requested capacity
 /// budget. Checkpoints taken here carry tile provenance (the spill

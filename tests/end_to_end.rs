@@ -91,3 +91,48 @@ fn solutions_are_deterministic_per_backend_and_seed() {
         assert_eq!(s1.x, s2.x, "{name} is not deterministic");
     }
 }
+
+/// A spill written by an older `gaia-tiles` format is regenerable, so the
+/// CLI refuses it by name and leaves it alone — it neither reads it with
+/// a second decoder nor streams a fresh system over it.
+#[test]
+fn solvergaia_refuses_an_old_spill_directory_and_leaves_it_untouched() {
+    let dir = std::env::temp_dir().join(format!("gaia-cli-v1-spill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("manifest.json");
+    let v1 = r#"{"format": "gaia-tiles/v1",
+  "layout": {"n_stars": 6, "obs_per_star": 8, "n_deg_freedom_att": 16,
+             "n_instr_params": 12, "n_glob_params": 1, "n_constraint_rows": 3},
+  "seed": 1, "tile_stars": 6, "n_tiles": 1,
+  "tiles": [{"index": 0, "star0": 0, "star1": 6, "constraint_rows": 3,
+             "bytes": 10512, "checksum": "8c1f0a6d2b3e4f50"}],
+  "known_terms_checksum": "1d2c3b4a59687766",
+  "matrix_fingerprint": "0123456789abcdef",
+  "source_fingerprint": "fedcba9876543210"}"#;
+    std::fs::write(&manifest, v1).unwrap();
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_solvergaia"))
+        .args(["--preset", "tiny", "--iterations", "2", "--tiles"])
+        .arg(&dir)
+        .output()
+        .expect("run solvergaia");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for needle in [
+        "manifest.json",
+        "gaia-tiles/v1",
+        "gaia-tiles/v2",
+        "regenerate",
+    ] {
+        assert!(stderr.contains(needle), "stderr lacks {needle:?}: {stderr}");
+    }
+    assert_eq!(std::fs::read_to_string(&manifest).unwrap(), v1);
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert_eq!(
+        left.len(),
+        1,
+        "nothing may be written next to the old manifest"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
