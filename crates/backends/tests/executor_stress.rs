@@ -50,8 +50,12 @@ fn concurrent_callers_share_one_pool_without_losing_jobs() {
     const CALLERS: usize = 12;
     const LAUNCHES: usize = 25;
     const JOBS: usize = 8;
+    // The shared pools are process-global and the tests of this binary run
+    // concurrently: the exact counter deltas below hold only on a budget
+    // no sibling test launches on (they use 2, 3 and 4).
+    const BUDGET: usize = 5;
 
-    let pool = ExecutorPool::shared(4);
+    let pool = ExecutorPool::shared(BUDGET);
     let launches_before = pool.launch_count();
     let jobs_before = pool.jobs_run_count();
 
@@ -62,7 +66,7 @@ fn concurrent_callers_share_one_pool_without_losing_jobs() {
             let executed = Arc::clone(&executed);
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                let pool = ExecutorPool::shared(4);
+                let pool = ExecutorPool::shared(BUDGET);
                 barrier.wait();
                 for _ in 0..LAUNCHES {
                     // Per-launch completion sum proves `run` returned only

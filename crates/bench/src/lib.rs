@@ -15,7 +15,6 @@
 //! | `tuning_ablation` | §V-B "up to 40 % reduction" kernel-tuning claim |
 //! | `spmv_labnotes` | §V-B amd-lab-notes SpMV cross-check on A100/MI250X |
 //! | `cpu_portability` | measured `P` of the real Rust backends (this repo's own hardware study) |
-//! | `executor_overhead` | pooled launches vs legacy spawn-per-call (the `ExecutorPool` win) |
 //! | `calibrate` | raw model grids (development tool) |
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -5,7 +5,12 @@
 //! star-aligned *shard* of the rows as a real [`SparseSystem`] of its own
 //! (so any [`Backend`] — the per-rank "GPU" — can drive it, exactly the
 //! MPI+CUDA hybrid of the paper), while the unknown-sized vectors `v`,
-//! `w`, `x` are replicated. Per iteration:
+//! `w`, `x` are replicated. There is no distributed copy of the LSQR
+//! iteration: a rank runs [`OperatorLsqr`] — the recurrence, stop rules,
+//! health guards and cancellation of [`crate::lsqr`] — over a private
+//! [`Operator`] of its shard, and this file adds only that operator and
+//! the checkpoint assembly. Per iteration the operator computes one
+//! local product and makes three collectives:
 //!
 //! * `aprod1` is purely local (each rank computes its own rows on its
 //!   backend);
@@ -13,7 +18,10 @@
 //!   `MPI_Allreduce`-summed — the deterministic rank-ordered reduction of
 //!   [`gaia_mpi_sim`] makes the replicated state bit-identical on every
 //!   rank;
-//! * the norm of the sharded `u` is an allreduce of local sums of squares.
+//! * the norm of the sharded `u` is an allreduce of local sums of squares;
+//! * the iteration's wall time and stop verdict are max-allreduced, so
+//!   every rank records "the iteration time maximized among all MPI
+//!   processes" and stops at the same iteration for the same reason.
 //!
 //! Shards renumber the astrometric columns locally (stars are
 //! partitioned), so the only index translation is a fixed offset for the
@@ -22,18 +30,19 @@
 //! solve on any rank count equals the single-rank solve to
 //! reduction-order noise — the integration tests assert this.
 
-use gaia_backends::blas::{self, d2norm};
-use gaia_backends::{Backend, SeqBackend};
+use std::cell::RefCell;
+use std::sync::OnceLock;
+
+use gaia_backends::{blas, Backend, SeqBackend};
 use gaia_mpi_sim::{try_run, Communicator, FaultError, ReduceOp, WorldOptions};
 use gaia_sparse::system::{ASTRO_NNZ_PER_ROW, ATT_NNZ_PER_ROW, INSTR_NNZ_PER_ROW};
 use gaia_sparse::{RowPartition, SparseSystem, SystemLayout};
 
 use crate::cancel::CancellationToken;
 use crate::config::LsqrConfig;
-use crate::health;
-use crate::lsqr::LsqrState;
-use crate::precond::ColumnScaling;
-use crate::solution::{IterationStats, Solution, StopReason};
+use crate::lsqr::{LsqrState, OperatorLsqr};
+use crate::operator::{Operator, OperatorError};
+use crate::solution::{Solution, StopReason};
 
 /// One rank's slice of the system: a self-contained [`SparseSystem`] over
 /// the rank's stars (astro columns renumbered locally) plus the shared
@@ -115,14 +124,19 @@ impl Shard {
     /// Gather this shard's view of a global unknown vector: the shard's
     /// astro columns followed by the shared sections.
     pub fn local_x(&self, global: &[f64], full_layout: &SystemLayout) -> Vec<f64> {
+        let mut local = vec![0.0; self.sys.n_cols()];
+        self.gather(global, &mut local, full_layout);
+        local
+    }
+
+    /// [`Shard::local_x`] into a caller-owned buffer of `sys.n_cols()`.
+    fn gather(&self, global: &[f64], local: &mut [f64], full_layout: &SystemLayout) {
+        debug_assert_eq!(local.len(), self.sys.n_cols());
         let astro0 = (self.star0 * ASTRO_NNZ_PER_ROW as u64) as usize;
         let astro_len = (self.sys.layout().n_stars * ASTRO_NNZ_PER_ROW as u64) as usize;
         let shared0 = full_layout.n_astro_cols() as usize;
-        let mut local = Vec::with_capacity(self.sys.n_cols());
-        local.extend_from_slice(&global[astro0..astro0 + astro_len]);
-        local.extend_from_slice(&global[shared0..]);
-        debug_assert_eq!(local.len(), self.sys.n_cols());
-        local
+        local[..astro_len].copy_from_slice(&global[astro0..astro0 + astro_len]);
+        local[astro_len..].copy_from_slice(&global[shared0..]);
     }
 
     /// Scatter-add this shard's local column vector into a global one.
@@ -212,496 +226,165 @@ where
 {
     config.validate().expect("invalid LSQR configuration");
     let partition = RowPartition::new(sys.layout(), n_ranks);
+    // One scan of the full matrix, shared by every rank that asks.
+    let column_norms = OnceLock::new();
     let mut results = try_run(n_ranks, opts.world.clone(), |comm| {
         let backend = backend_for(comm.rank());
-        let shard = make_shard(sys, &partition, comm.rank());
-        rank_solve(sys, shard, backend.as_ref(), config, opts, comm)
+        let op = ShardOperator {
+            full: sys,
+            column_norms: &column_norms,
+            shard: make_shard(sys, &partition, comm.rank()),
+            backend: backend.as_ref(),
+            comm,
+            scratch: RefCell::default(),
+        };
+        rank_solve(op, config, opts)
     })?;
     Ok(results.swap_remove(0))
 }
 
-/// Local squared norm, reduced to the global Euclidean norm.
-fn distributed_nrm2(comm: &Communicator, local: &[f64]) -> f64 {
-    let local_sq: f64 = local.iter().map(|x| x * x).sum();
-    let global_sq = {
-        let _t = gaia_telemetry::collective_scope();
-        comm.allreduce_scalar(ReduceOp::Sum, local_sq)
-    };
-    global_sq.sqrt()
+/// One rank's view of the full system as an [`Operator`]: the rows of its
+/// shard, the columns of the whole system. Row-space vectors (`u`, `b`)
+/// are sharded, column-space vectors replicated; the three methods that
+/// cross the shard boundary — `aprod2`, `row_nrm2`, `agree` — are the
+/// three collectives of an iteration. The rank-ordered reductions of
+/// [`gaia_mpi_sim`] return the same bits on every rank, so the replicated
+/// state never diverges.
+struct ShardOperator<'a> {
+    full: &'a SparseSystem,
+    column_norms: &'a OnceLock<Vec<f64>>,
+    shard: Shard,
+    backend: &'a dyn Backend,
+    comm: Communicator,
+    scratch: RefCell<Scratch>,
 }
 
-#[allow(clippy::needless_range_loop)]
-fn rank_solve(
-    full: &SparseSystem,
-    shard: Shard,
-    backend: &dyn Backend,
-    cfg: &LsqrConfig,
-    opts: &DistOptions<'_>,
-    comm: Communicator,
-) -> Solution {
-    let full_layout = *full.layout();
-    let n = full.n_cols();
-    let m = full.n_rows();
-    let local_m = shard.sys.n_rows();
+/// Buffers reused by every product of a [`ShardOperator`].
+#[derive(Default)]
+struct Scratch {
+    /// A vector over the shard's own columns.
+    local: Vec<f64>,
+    /// This rank's `Aᵀy` over the full column space, then the sum of all.
+    partial: Vec<f64>,
+}
 
-    let scaling = if cfg.precondition {
-        ColumnScaling::from_system(full)
-    } else {
-        ColumnScaling::identity(n)
-    };
-    let d = scaling.inv_norms();
+impl Operator for ShardOperator<'_> {
+    fn n_rows(&self) -> usize {
+        self.shard.sys.n_rows()
+    }
 
-    // Sharded u; replicated v, w, x (global column space).
-    let mut u: Vec<f64> = shard.sys.known_terms().to_vec();
-    debug_assert_eq!(u.len(), local_m);
-    let mut x = vec![0.0f64; n];
-    let mut v = vec![0.0f64; n];
-    let mut w = vec![0.0f64; n];
-    let mut var = vec![0.0f64; if cfg.compute_var { n } else { 0 }];
-    let mut tmp_n = vec![0.0f64; n];
-    let mut partial = vec![0.0f64; n];
-    let mut local_cols = vec![0.0f64; shard.sys.n_cols()];
+    fn n_cols(&self) -> usize {
+        self.full.n_cols()
+    }
 
-    let damp = cfg.damp;
-    let dampsq = damp * damp;
-    let eps = f64::EPSILON;
-    let ctol = if cfg.conlim.is_finite() && cfg.conlim > 0.0 {
-        1.0 / cfg.conlim
-    } else {
-        0.0
-    };
+    fn known_terms(&self) -> &[f64] {
+        self.shard.sys.known_terms()
+    }
 
-    // Local aprod2 through the backend, scattered into the global partial
-    // and allreduce-summed.
-    let aprod2_global =
-        |u: &[f64], partial: &mut Vec<f64>, local_cols: &mut Vec<f64>, comm: &Communicator| {
-            partial.iter_mut().for_each(|p| *p = 0.0);
-            local_cols.iter_mut().for_each(|p| *p = 0.0);
-            backend.aprod2(&shard.sys, u, local_cols);
-            shard.add_to_global(local_cols, partial, &full_layout);
+    fn column_norms(&self) -> Result<Vec<f64>, OperatorError> {
+        Ok(self
+            .column_norms
+            .get_or_init(|| self.full.column_norms())
+            .clone())
+    }
+
+    fn aprod1(&self, x: &[f64], out: &mut [f64]) -> Result<(), OperatorError> {
+        let local = &mut self.scratch.borrow_mut().local;
+        local.resize(self.shard.sys.n_cols(), 0.0);
+        self.shard.gather(x, local, self.full.layout());
+        self.backend.aprod1(&self.shard.sys, local, out);
+        Ok(())
+    }
+
+    fn aprod2(&self, y: &[f64], out: &mut [f64]) -> Result<(), OperatorError> {
+        let Scratch { local, partial } = &mut *self.scratch.borrow_mut();
+        local.clear();
+        local.resize(self.shard.sys.n_cols(), 0.0);
+        partial.clear();
+        partial.resize(self.full.n_cols(), 0.0);
+        self.backend.aprod2(&self.shard.sys, y, local);
+        self.shard.add_to_global(local, partial, self.full.layout());
+        {
             let mut t = gaia_telemetry::collective_scope();
             t.add_bytes(partial.len() as u64 * 8);
-            comm.allreduce(ReduceOp::Sum, partial);
-        };
-
-    let bnorm;
-    let mut history;
-    let mut beta;
-    let mut alfa;
-    let mut arnorm;
-    let mut rhobar;
-    let mut phibar;
-    let mut rnorm;
-    let mut anorm;
-    let mut acond;
-    let mut ddnorm;
-    let mut res2;
-    let mut xnorm;
-    let mut xxnorm;
-    let mut z;
-    let mut cs2;
-    let mut sn2;
-    let mut itn;
-
-    if let Some(st) = opts.resume {
-        // Resume a checkpoint-restored global state: slice the sharded u,
-        // copy the replicated sections, and continue the recurrence from
-        // st.itn. Because the reductions are rank-ordered deterministic,
-        // the resumed trajectory is bit-identical to the uninterrupted one
-        // at the same rank count.
-        debug_assert_eq!(st.u.len(), m, "resume state must carry the full u");
-        u.copy_from_slice(&st.u[shard.rows.clone()]);
-        x.copy_from_slice(&st.x);
-        v.copy_from_slice(&st.v);
-        w.copy_from_slice(&st.w);
-        if cfg.compute_var {
-            var.copy_from_slice(&st.var);
+            self.comm.allreduce(ReduceOp::Sum, partial);
         }
-        bnorm = st.bnorm;
-        history = st.history.clone();
-        alfa = st.alfa;
-        arnorm = st.arnorm;
-        rhobar = st.rhobar;
-        phibar = st.phibar;
-        rnorm = st.rnorm;
-        anorm = st.anorm;
-        acond = st.acond;
-        ddnorm = st.ddnorm;
-        res2 = st.res2;
-        xxnorm = st.xxnorm;
-        z = st.z;
-        cs2 = st.cs2;
-        sn2 = st.sn2;
-        itn = st.itn;
-        if let Some(reason) = st.stopped {
-            scaling.unscale_solution(&mut x);
-            if cfg.compute_var {
-                scaling.unscale_variance(&mut var);
-            }
-            return Solution {
-                xnorm: blas::nrm2(&x),
-                x,
-                var,
-                stop: reason,
-                iterations: itn,
-                rnorm,
-                arnorm,
-                anorm,
-                acond,
-                bnorm,
-                n_rows: m,
-                history,
-            };
-        }
-    } else {
-        bnorm = distributed_nrm2(&comm, &u);
-        history = Vec::new();
-
-        beta = bnorm;
-        alfa = 0.0;
-        if beta > 0.0 {
-            blas::scal(&mut u, 1.0 / beta);
-            aprod2_global(&u, &mut partial, &mut local_cols, &comm);
-            for i in 0..n {
-                v[i] = partial[i] * d[i];
-            }
-            alfa = blas::nrm2(&v);
-        }
-        if alfa > 0.0 {
-            blas::scal(&mut v, 1.0 / alfa);
-            w.copy_from_slice(&v);
-        }
-
-        arnorm = alfa * beta;
-        if arnorm == 0.0 {
-            return Solution {
-                x,
-                var,
-                stop: StopReason::TrivialSolution,
-                iterations: 0,
-                rnorm: bnorm,
-                arnorm: 0.0,
-                anorm: 0.0,
-                acond: 0.0,
-                xnorm: 0.0,
-                bnorm,
-                n_rows: m,
-                history,
-            };
-        }
-
-        rhobar = alfa;
-        phibar = beta;
-        rnorm = beta;
-        anorm = 0.0f64;
-        acond = 0.0f64;
-        ddnorm = 0.0f64;
-        res2 = 0.0f64;
-        xxnorm = 0.0f64;
-        z = 0.0f64;
-        cs2 = -1.0f64;
-        sn2 = 0.0f64;
-        itn = 0usize;
+        blas::axpy(out, 1.0, partial);
+        Ok(())
     }
-    let mut istop = StopReason::IterationLimit;
 
-    // Assemble the replicated state plus the allgathered u into a global
-    // snapshot (every rank computes it; rank 0 hands it to the sink).
-    let snapshot = |itn: usize,
-                    u_full: Vec<f64>,
-                    x: &[f64],
-                    v: &[f64],
-                    w: &[f64],
-                    var: &[f64],
-                    history: &[IterationStats],
-                    scalars: &[f64; 16]| {
-        LsqrState {
-            itn,
-            x: x.to_vec(),
-            v: v.to_vec(),
-            w: w.to_vec(),
-            u: u_full,
-            var: var.to_vec(),
-            alfa: scalars[0],
-            beta: scalars[1],
-            rhobar: scalars[2],
-            phibar: scalars[3],
-            anorm: scalars[4],
-            acond: scalars[5],
-            ddnorm: scalars[6],
-            res2: scalars[7],
-            rnorm: scalars[8],
-            arnorm: scalars[9],
-            xnorm: scalars[10],
-            xxnorm: scalars[11],
-            z: scalars[12],
-            cs2: scalars[13],
-            sn2: scalars[14],
-            bnorm: scalars[15],
-            stopped: None,
-            history: history.to_vec(),
+    fn row_nrm2(&self, u: &[f64]) -> f64 {
+        let local_sq: f64 = u.iter().map(|x| x * x).sum();
+        let _t = gaia_telemetry::collective_scope();
+        self.comm.allreduce_scalar(ReduceOp::Sum, local_sq).sqrt()
+    }
+
+    fn agree(&self, seconds: f64, flag: f64) -> (f64, f64) {
+        let mut payload = [seconds, flag];
+        let _t = gaia_telemetry::collective_scope();
+        self.comm.allreduce(ReduceOp::Max, &mut payload);
+        (payload[0], payload[1])
+    }
+}
+
+/// Drive the shared recurrence on one rank: start or resume, step, and
+/// assemble a global checkpoint when one is due.
+fn rank_solve(op: ShardOperator<'_>, cfg: &LsqrConfig, opts: &DistOptions<'_>) -> Solution {
+    const INFALLIBLE: &str = "a shard operator cannot fail";
+    let m = op.full.n_rows();
+    let rows = op.shard.rows.clone();
+    let mut solver = OperatorLsqr::new(op, *cfg).expect(INFALLIBLE);
+    if let Some(token) = &opts.cancel {
+        solver = solver.with_cancel(token.clone());
+    }
+    let mut state = match opts.resume {
+        // Resume a checkpoint-restored global state: slice the sharded u,
+        // keep the replicated rest. Because the reductions are rank-ordered
+        // deterministic, the resumed trajectory is bit-identical to the
+        // uninterrupted one at the same rank count.
+        Some(st) => {
+            debug_assert_eq!(st.u.len(), m, "resume state must carry the full u");
+            LsqrState {
+                u: st.u[rows].to_vec(),
+                ..st.clone()
+            }
         }
+        None => solver.try_init_state().expect(INFALLIBLE),
     };
-
-    while itn < cfg.max_iters {
-        itn += 1;
-        // gaia-analyze: allow(timing): per-iteration wall time is solver
-        // output (convergence traces), recorded via telemetry when enabled.
-        let t_iter = std::time::Instant::now();
-
-        // u ← (A D) v − α u, local rows via the backend.
-        blas::scal(&mut u, -alfa);
-        for i in 0..n {
-            tmp_n[i] = v[i] * d[i];
-        }
-        let local_v = shard.local_x(&tmp_n, &full_layout);
-        backend.aprod1(&shard.sys, &local_v, &mut u);
-        beta = distributed_nrm2(&comm, &u);
-
-        if beta > 0.0 {
-            blas::scal(&mut u, 1.0 / beta);
-            anorm = (anorm * anorm + alfa * alfa + beta * beta + dampsq).sqrt();
-            blas::scal(&mut v, -beta);
-            aprod2_global(&u, &mut partial, &mut local_cols, &comm);
-            for i in 0..n {
-                v[i] += partial[i] * d[i];
-            }
-            alfa = blas::nrm2(&v);
-            if alfa > 0.0 {
-                blas::scal(&mut v, 1.0 / alfa);
-            }
-        }
-
-        let rhobar1 = d2norm(rhobar, damp);
-        let cs1 = rhobar / rhobar1;
-        let sn1 = damp / rhobar1;
-        let psi = sn1 * phibar;
-        phibar *= cs1;
-
-        let rho = d2norm(rhobar1, beta);
-        let cs = rhobar1 / rho;
-        let sn = beta / rho;
-        let theta = sn * alfa;
-        rhobar = -cs * alfa;
-        let phi = cs * phibar;
-        phibar *= sn;
-        let tau = sn * phi;
-
-        let t1 = phi / rho;
-        let t2 = -theta / rho;
-        let t3 = 1.0 / rho;
-        let mut dknorm_sq = 0.0;
-        for i in 0..n {
-            let wi = w[i];
-            let dk = t3 * wi;
-            dknorm_sq += dk * dk;
-            if cfg.compute_var {
-                var[i] += dk * dk;
-            }
-            x[i] += t1 * wi;
-            w[i] = v[i] + t2 * wi;
-        }
-        ddnorm += dknorm_sq;
-
-        let delta = sn2 * rho;
-        let gambar = -cs2 * rho;
-        let rhs = phi - delta * z;
-        let zbar = rhs / gambar;
-        xnorm = (xxnorm + zbar * zbar).sqrt();
-        let gamma = d2norm(gambar, theta);
-        cs2 = gambar / gamma;
-        sn2 = theta / gamma;
-        z = rhs / gamma;
-        xxnorm += z * z;
-
-        acond = anorm * ddnorm.sqrt();
-        let res1 = phibar * phibar;
-        res2 += psi * psi;
-        rnorm = (res1 + res2).sqrt();
-        arnorm = alfa * tau.abs();
-
-        let test1 = rnorm / bnorm;
-        let test2 = if anorm * rnorm > 0.0 {
-            arnorm / (anorm * rnorm)
-        } else {
-            f64::INFINITY
-        };
-        let test3 = 1.0 / acond.max(eps);
-        let t1c = test1 / (1.0 + anorm * xnorm / bnorm);
-        let rtol = cfg.btol + cfg.atol * anorm * xnorm / bnorm;
-
-        // The paper measures "the iteration time maximized among all MPI
-        // processes"; reproduce that in the recorded history. With the
-        // health guards on, the per-rank breakdown flag rides in the same
-        // Max-allreduce, so every rank takes the same stop decision with
-        // no extra collective.
-        history.push(IterationStats {
-            iteration: itn,
-            rnorm,
-            arnorm,
-            anorm,
-            acond,
-            xnorm,
-            seconds: 0.0, // patched with the reduced max below
-        });
-        let local_secs = t_iter.elapsed().as_secs_f64();
-        // The stop flag rides the seconds Max-allreduce: 2.0 = cancelled
-        // (a deadline observed by *any* rank cancels all of them at this
-        // iteration), 1.0 = health breakdown, 0.0 = keep going. Encoding
-        // both in one payload keeps the collective schedule identical on
-        // every rank even when ranks observe the token at different times.
-        let cancel_flag: f64 = if opts.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-            2.0
-        } else {
-            0.0
-        };
-        let stop_flag = if cfg.health.enabled {
-            let issue = health::check_components(
-                &cfg.health,
-                &[alfa, beta, rnorm, arnorm, xnorm],
-                &[('x', &x), ('v', &v), ('u', &u)],
-                &history,
-            );
-            let health_flag = if issue.is_some() { 1.0 } else { 0.0 };
-            let mut payload = [local_secs, cancel_flag.max(health_flag)];
-            {
-                let _t = gaia_telemetry::collective_scope();
-                comm.allreduce(ReduceOp::Max, &mut payload);
-            }
-            history.last_mut().expect("just pushed").seconds = payload[0];
-            payload[1]
-        } else if opts.cancel.is_some() {
-            let mut payload = [local_secs, cancel_flag];
-            {
-                let _t = gaia_telemetry::collective_scope();
-                comm.allreduce(ReduceOp::Max, &mut payload);
-            }
-            history.last_mut().expect("just pushed").seconds = payload[0];
-            payload[1]
-        } else {
-            let max_secs = {
-                let _t = gaia_telemetry::collective_scope();
-                comm.allreduce_scalar(ReduceOp::Max, local_secs)
+    while !state.is_done() {
+        let stop = solver.try_step(&mut state).expect(INFALLIBLE);
+        // A checkpoint is due every `checkpoint_every` iterations that go
+        // on, and at the iteration a cancellation stops, so that recovery
+        // resumes exactly where the deadline struck. The allgather is a
+        // collective and every rank holds the same `stop`, so every rank
+        // takes part whether or not it consumes the snapshot.
+        let every = opts.checkpoint_every;
+        let due = every > 0
+            && match stop {
+                None => state.itn % every == 0,
+                Some(reason) => reason == StopReason::Cancelled,
             };
-            history.last_mut().expect("just pushed").seconds = max_secs;
-            0.0
-        };
-        if stop_flag >= 2.0 {
-            istop = StopReason::Cancelled;
-            // Final checkpoint at the cancellation iteration so recovery
-            // resumes exactly where the deadline struck. Every rank got
-            // the same reduced flag, so all of them reach this allgather.
-            if opts.checkpoint_every > 0 {
-                let gathered = {
-                    let mut t = gaia_telemetry::collective_scope();
-                    t.add_bytes(u.len() as u64 * 8);
-                    comm.allgather(&u)
-                };
-                if comm.rank() == 0 {
-                    if let Some(sink) = opts.checkpoint_sink {
-                        let u_full: Vec<f64> = gathered.concat();
-                        debug_assert_eq!(u_full.len(), m);
-                        sink(&snapshot(
-                            itn,
-                            u_full,
-                            &x,
-                            &v,
-                            &w,
-                            &var,
-                            &history,
-                            &[
-                                alfa, beta, rhobar, phibar, anorm, acond, ddnorm, res2, rnorm,
-                                arnorm, xnorm, xxnorm, z, cs2, sn2, bnorm,
-                            ],
-                        ));
-                    }
-                }
-            }
-            break;
-        }
-        if stop_flag >= 1.0 {
-            istop = StopReason::NumericalBreakdown;
-            break;
-        }
-
-        let mut stop = None;
-        if itn >= cfg.max_iters {
-            stop = Some(StopReason::IterationLimit);
-        }
-        if 1.0 + test3 <= 1.0 {
-            stop = Some(StopReason::ConditionMachinePrecision);
-        }
-        if 1.0 + test2 <= 1.0 {
-            stop = Some(StopReason::LeastSquaresMachinePrecision);
-        }
-        if 1.0 + t1c <= 1.0 {
-            stop = Some(StopReason::ResidualMachinePrecision);
-        }
-        if test3 <= ctol {
-            stop = Some(StopReason::ConditionLimit);
-        }
-        if test2 <= cfg.atol {
-            stop = Some(StopReason::LeastSquaresConverged);
-        }
-        if test1 <= rtol {
-            stop = Some(StopReason::ResidualSmall);
-        }
-        if let Some(reason) = stop {
-            istop = reason;
-            break;
-        }
-
-        // Periodic checkpoint: allgather the sharded u into the global
-        // vector and hand the assembled state to the sink on rank 0. The
-        // allgather is a collective, so every rank participates whether or
-        // not it consumes the snapshot.
-        if opts.checkpoint_every > 0 && itn % opts.checkpoint_every == 0 {
+        if due {
+            let comm = &solver.operator().comm;
             let gathered = {
                 let mut t = gaia_telemetry::collective_scope();
-                t.add_bytes(u.len() as u64 * 8);
-                comm.allgather(&u)
+                t.add_bytes(state.u.len() as u64 * 8);
+                comm.allgather(&state.u)
             };
-            if comm.rank() == 0 {
-                if let Some(sink) = opts.checkpoint_sink {
-                    let u_full: Vec<f64> = gathered.concat();
-                    debug_assert_eq!(u_full.len(), m);
-                    sink(&snapshot(
-                        itn,
-                        u_full,
-                        &x,
-                        &v,
-                        &w,
-                        &var,
-                        &history,
-                        &[
-                            alfa, beta, rhobar, phibar, anorm, acond, ddnorm, res2, rnorm, arnorm,
-                            xnorm, xxnorm, z, cs2, sn2, bnorm,
-                        ],
-                    ));
-                }
+            if let (0, Some(sink)) = (comm.rank(), opts.checkpoint_sink) {
+                let u = gathered.concat();
+                debug_assert_eq!(u.len(), m);
+                sink(&LsqrState {
+                    u,
+                    stopped: None,
+                    ..state.clone()
+                });
             }
         }
     }
-
-    scaling.unscale_solution(&mut x);
-    if cfg.compute_var {
-        scaling.unscale_variance(&mut var);
-    }
-    xnorm = blas::nrm2(&x);
-
     Solution {
-        x,
-        var,
-        stop: istop,
-        iterations: itn,
-        rnorm,
-        arnorm,
-        anorm,
-        acond,
-        xnorm,
-        bnorm,
         n_rows: m,
-        history,
+        ..solver.finish(state)
     }
 }
 
@@ -875,11 +558,62 @@ mod tests {
         assert_eq!(resumed.x, reference.x, "resume must be bit-identical");
     }
 
+    /// Run `f` on each of three ranks' operators; results in rank order.
+    fn on_three_ranks<R: Send>(
+        sys: &SparseSystem,
+        f: impl Fn(ShardOperator<'_>) -> R + Sync,
+    ) -> Vec<R> {
+        let partition = RowPartition::new(sys.layout(), 3);
+        let column_norms = OnceLock::new();
+        gaia_mpi_sim::run(3, |comm| {
+            f(ShardOperator {
+                full: sys,
+                column_norms: &column_norms,
+                shard: make_shard(sys, &partition, comm.rank()),
+                backend: &SeqBackend,
+                comm,
+                scratch: RefCell::default(),
+            })
+        })
+    }
+
     #[test]
-    fn fixed_iteration_distributed_run_records_max_rank_time() {
+    fn shard_operator_aprod2_accumulates_the_reduced_product_on_every_rank() {
+        let sys = system(306);
+        let y: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.17).cos()).collect();
+        let out0: Vec<f64> = (0..sys.n_cols()).map(|i| 1.0 + i as f64 * 0.5).collect();
+        let mut want = out0.clone();
+        SeqBackend.aprod2(&sys, &y, &mut want);
+
+        let outs = on_three_ranks(&sys, |op| {
+            let mut out = out0.clone();
+            // Twice over, so a partial left over from the first product
+            // would show in the second.
+            for _ in 0..2 {
+                out.copy_from_slice(&out0);
+                op.aprod2(&y[op.shard.rows.clone()], &mut out).unwrap();
+            }
+            out
+        });
+        for (g, w) in outs[0].iter().zip(&want) {
+            assert!((g - w).abs() < 1e-11, "{g} vs {w}");
+        }
+        assert_eq!(outs[1], outs[0], "ranks must hold identical bits");
+        assert_eq!(outs[2], outs[0], "ranks must hold identical bits");
+    }
+
+    #[test]
+    fn every_rank_records_the_max_rank_time_and_the_full_row_count() {
         let sys = system(304);
-        let sol = solve_distributed(&sys, 3, &LsqrConfig::fixed_iterations(5));
-        assert_eq!(sol.iterations, 5);
-        assert!(sol.history.iter().all(|s| s.seconds >= 0.0));
+        let cfg = LsqrConfig::fixed_iterations(5);
+        let sols = on_three_ranks(&sys, |op| rank_solve(op, &cfg, &DistOptions::default()));
+        for sol in &sols {
+            assert_eq!(sol.iterations, 5);
+            assert_eq!(sol.n_rows, sys.n_rows());
+            assert!(sol.history.iter().all(|s| s.seconds > 0.0));
+            // Equal on every rank because it is the reduced maximum.
+            assert_eq!(sol.history, sols[0].history);
+            assert_eq!(sol.x, sols[0].x);
+        }
     }
 }

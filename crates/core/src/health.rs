@@ -108,45 +108,29 @@ fn all_finite(v: &[f64]) -> bool {
 /// Run every enabled guard against `state` (called after an iteration has
 /// updated it). Returns the first issue found, or `None` when healthy.
 pub fn check_state(cfg: &HealthConfig, state: &LsqrState) -> Option<HealthIssue> {
-    check_components(
-        cfg,
-        &[
-            state.alfa,
-            state.beta,
-            state.rnorm,
-            state.arnorm,
-            state.xnorm,
-        ],
-        &[('x', &state.x), ('u', &state.u), ('v', &state.v)],
-        &state.history,
-    )
-}
-
-/// Guard a solve whose state lives in loose components rather than an
-/// [`LsqrState`] — the distributed rank loop uses this with its sharded
-/// `u`. Semantics are identical to [`check_state`].
-pub fn check_components(
-    cfg: &HealthConfig,
-    scalars: &[f64],
-    vectors: &[(char, &[f64])],
-    history: &[IterationStats],
-) -> Option<HealthIssue> {
     if !cfg.enabled {
         return None;
     }
     // Recurrence scalars first: cheapest, and a broken α/β implicates the
     // vectors anyway.
+    let scalars = [
+        state.alfa,
+        state.beta,
+        state.rnorm,
+        state.arnorm,
+        state.xnorm,
+    ];
     if !scalars.iter().all(|s| s.is_finite()) {
         return Some(HealthIssue::NonFiniteScalar);
     }
     if cfg.scan_vectors {
-        for &(which, v) in vectors {
+        for (which, v) in [('x', &state.x), ('u', &state.u), ('v', &state.v)] {
             if !all_finite(v) {
                 return Some(HealthIssue::NonFiniteVector { which });
             }
         }
     }
-    divergence(cfg, history)
+    divergence(cfg, &state.history)
 }
 
 /// The residual-divergence watchdog, recomputed statelessly from the
@@ -171,16 +155,6 @@ fn divergence(cfg: &HealthConfig, h: &[IterationStats]) -> Option<HealthIssue> {
         });
     }
     None
-}
-
-/// Distributed helper: reduce a state to one "is broken" flag suitable for
-/// piggybacking on an existing Max-allreduce (1.0 = breakdown somewhere).
-pub fn breakdown_flag(cfg: &HealthConfig, state: &LsqrState) -> f64 {
-    if check_state(cfg, state).is_some() {
-        1.0
-    } else {
-        0.0
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +207,6 @@ mod tests {
     fn healthy_state_passes() {
         let cfg = HealthConfig::default_on();
         assert_eq!(check_state(&cfg, &healthy_state(4, 8)), None);
-        assert_eq!(breakdown_flag(&cfg, &healthy_state(4, 8)), 0.0);
     }
 
     #[test]
@@ -250,7 +223,6 @@ mod tests {
                 check_state(&cfg, &s),
                 Some(HealthIssue::NonFiniteVector { which })
             );
-            assert_eq!(breakdown_flag(&cfg, &s), 1.0);
         }
     }
 
@@ -326,7 +298,6 @@ mod tests {
         s.x[0] = f64::NAN;
         s.alfa = f64::NAN;
         assert_eq!(check_state(&cfg, &s), None);
-        assert_eq!(breakdown_flag(&cfg, &s), 0.0);
     }
 
     #[test]

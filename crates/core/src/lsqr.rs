@@ -4,8 +4,12 @@
 //! paper): one `aprod1` (`u ← A v − α u`, paper Eq. 3), one `aprod2`
 //! (`v ← Aᵀ u − β v`, paper Eq. 4), two norms, and the plane-rotation
 //! bookkeeping that updates `x`, `w`, and the convergence estimates.
-//! The sparse products are delegated to a [`Backend`]; the BLAS-1 work uses
-//! the backend's (possibly parallel) vector ops.
+//! The sparse products, the BLAS-1 work and the two reductions a sharded
+//! matrix needs are delegated to an [`Operator`]; this file holds the only
+//! copy of the recurrence, its stopping rules, and the hook where health
+//! guards and cancellation stop it, so resident ([`Lsqr`]), out-of-core
+//! ([`crate::ooc`]) and distributed ([`crate::distributed`]) solves differ
+//! in their operator and in nothing else.
 //!
 //! With preconditioning enabled the solver works on `min ‖(A D) y − b‖`
 //! (`D` from [`ColumnScaling`]) and maps `y`, `var` back to the original
@@ -32,7 +36,8 @@ use crate::precond::ColumnScaling;
 use crate::solution::{IterationStats, Solution, StopReason};
 
 /// LSQR solver bound to a generic [`Operator`] — the numerics core every
-/// entry point (resident [`Lsqr`], out-of-core [`crate::ooc`]) runs on.
+/// entry point (resident [`Lsqr`], out-of-core [`crate::ooc`], each rank
+/// of [`crate::distributed`]) runs on.
 /// Products are fallible, so every driver method returns `Result`; the
 /// resident wrapper unwraps them (its operator cannot fail).
 pub struct OperatorLsqr<O: Operator> {
@@ -166,6 +171,11 @@ pub struct TrajectorySample {
     pub arnorm: f64,
 }
 
+/// Stop flags [`Operator::agree`] takes the maximum of: the higher one wins
+/// when shards disagree, or when both hold in one iteration.
+const CANCEL: f64 = 1.0;
+const BREAKDOWN: f64 = 2.0;
+
 impl<O: Operator> OperatorLsqr<O> {
     /// Create a solver instance. Panics on invalid configuration; fails
     /// when the operator cannot produce its column norms.
@@ -213,7 +223,7 @@ impl<O: Operator> OperatorLsqr<O> {
         let var = vec![0.0f64; if cfg.compute_var { n } else { 0 }];
         let mut tmp_n = vec![0.0f64; n];
 
-        let bnorm = op.nrm2(&u);
+        let bnorm = op.row_nrm2(&u);
         let beta = bnorm;
         let mut alfa = 0.0;
         if beta > 0.0 {
@@ -291,7 +301,7 @@ impl<O: Operator> OperatorLsqr<O> {
             tmp_n[i] = s.v[i] * d[i];
         }
         op.aprod1(&tmp_n, &mut s.u)?;
-        s.beta = op.nrm2(&s.u);
+        s.beta = op.row_nrm2(&s.u);
 
         if s.beta > 0.0 {
             op.scal(&mut s.u, 1.0 / s.beta);
@@ -390,18 +400,33 @@ impl<O: Operator> OperatorLsqr<O> {
             seconds: t_iter.elapsed().as_secs_f64(),
         });
 
-        // Health guards run before the convergence tests: a poisoned state
-        // must stop as NumericalBreakdown within the iteration that broke
-        // it, not fall through tests whose NaN comparisons are all false.
-        if crate::health::check_state(&cfg.health, s).is_some() {
+        // Health guards and cancellation share one hook point, after the
+        // iterate is fully updated and before the convergence tests: a
+        // poisoned state must stop as NumericalBreakdown within the
+        // iteration that broke it, not fall through tests whose NaN
+        // comparisons are all false, and a cancelled state is always a
+        // checkpoint of a complete iteration. Breakdown outranks
+        // cancellation, so a poisoned state is never reported as
+        // `Cancelled` and never reaches a checkpoint sink. The verdict and
+        // the iteration's wall time pass through `Operator::agree`: every
+        // shard of a sharded operator stops at the same iteration for the
+        // same reason, and records "the iteration time maximized among
+        // all MPI processes", which is what the paper measures.
+        let verdict = if crate::health::check_state(&cfg.health, s).is_some() {
+            BREAKDOWN
+        } else if self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
+            CANCEL
+        } else {
+            0.0
+        };
+        let stats = s.history.last_mut().expect("just pushed");
+        let (seconds, verdict) = op.agree(stats.seconds, verdict);
+        stats.seconds = seconds;
+        if verdict >= BREAKDOWN {
             s.stopped = Some(StopReason::NumericalBreakdown);
             return Ok(s.stopped);
         }
-
-        // Cancellation shares the health-guard hook point: checked once
-        // per iteration, after the iterate is fully updated, so a
-        // cancelled state is always a checkpoint of a complete iteration.
-        if self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
+        if verdict >= CANCEL {
             s.stopped = Some(StopReason::Cancelled);
             return Ok(s.stopped);
         }

@@ -8,7 +8,9 @@
 //! the column norms the Jacobi preconditioner scales by — however it
 //! stores the matrix. [`SystemOperator`] is the resident adapter;
 //! [`crate::ooc::TiledOperator`] streams spilled row tiles under a
-//! capacity budget.
+//! capacity budget; the rank-local operator of [`crate::distributed`]
+//! holds one shard of the rows and reduces over the ranks
+//! ([`Operator::row_nrm2`], [`Operator::agree`]).
 //!
 //! Operator products are *fallible* (an out-of-core operator can hit I/O
 //! errors or checksum mismatches mid-product); the resident adapter never
@@ -58,7 +60,8 @@ impl From<gaia_sparse::TileError> for OperatorError {
 
 /// A linear operator LSQR can run against: shape, right-hand side,
 /// column norms for preconditioning, the two accumulating sparse
-/// products, and the backend's BLAS-1 kernels.
+/// products, the backend's BLAS-1 kernels, and the two reductions a
+/// row-sharded operator needs.
 pub trait Operator {
     /// Number of rows (observations + constraints).
     fn n_rows(&self) -> usize;
@@ -87,6 +90,20 @@ pub trait Operator {
     /// `v *= s` (backend-overridable).
     fn scal(&self, v: &mut [f64], s: f64) {
         blas::scal(v, s);
+    }
+
+    /// Euclidean norm of a row-space vector (`u`, `b`). An operator that
+    /// holds only a shard of the rows reduces this over all shards.
+    fn row_nrm2(&self, u: &[f64]) -> f64 {
+        self.nrm2(u)
+    }
+
+    /// Agree on one iteration's wall time and stop flag: the maximum of
+    /// each over every shard of the operator, so all shards record the
+    /// same time and take the same stop decision. One shard agrees with
+    /// itself.
+    fn agree(&self, seconds: f64, flag: f64) -> (f64, f64) {
+        (seconds, flag)
     }
 
     /// Tile-set provenance, when the matrix is backed by an on-disk

@@ -236,6 +236,58 @@ fn distributed_nan_breakdown_stops_all_ranks() {
     assert_eq!(sol.iterations, poisoned_call);
 }
 
+/// A deadline that fires in the very iteration a kernel poisons must not
+/// win: the stop is a breakdown on every path, and the poisoned state is
+/// never handed to the checkpoint sink a supervisor would resume from.
+#[test]
+fn breakdown_outranks_cancellation_in_the_same_iteration() {
+    use gaia_lsqr::CancellationToken;
+
+    let sys = system(606);
+    let cfg = LsqrConfig::new();
+    // aprod2 call 1 is iteration 1, where the pre-cancelled token is
+    // first looked at.
+    let poisoned = || ChaosBackend::new(SeqBackend, ChaosTarget::Aprod2, ChaosMode::Nan, 1);
+    let token = CancellationToken::new();
+    token.cancel();
+
+    let chaos = poisoned();
+    let resident = Lsqr::new(&sys, &chaos, cfg).with_cancel(token.clone());
+    assert_eq!(resident.run().stop, StopReason::NumericalBreakdown);
+
+    let sunk: Mutex<Vec<LsqrState>> = Mutex::new(Vec::new());
+    let sink = |st: &LsqrState| sunk.lock().unwrap().push(st.clone());
+    let sol = try_solve_hybrid(
+        &sys,
+        3,
+        &cfg,
+        |rank| {
+            if rank == 1 {
+                Box::new(poisoned()) as Box<dyn Backend>
+            } else {
+                Box::new(SeqBackend)
+            }
+        },
+        &DistOptions {
+            checkpoint_every: 1,
+            checkpoint_sink: Some(&sink),
+            cancel: Some(token),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(sol.stop, StopReason::NumericalBreakdown);
+    assert_eq!(sol.iterations, 1);
+    for st in sunk.into_inner().unwrap() {
+        let vectors = [&st.x, &st.v, &st.w, &st.u];
+        assert!(
+            vectors.iter().all(|v| v.iter().all(|e| e.is_finite())),
+            "a poisoned state reached the checkpoint sink at iteration {}",
+            st.itn
+        );
+    }
+}
+
 /// With health guards off, the supervisor still recovers a poisoned rank
 /// via the degrade path when the kernel panics outright.
 #[test]

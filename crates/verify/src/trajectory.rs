@@ -86,6 +86,18 @@ pub fn compare_with_seq(seed: u64, backend_name: &str, threads: usize) -> Trajec
     let be = backend_by_name(backend_name, threads)
         .unwrap_or_else(|| panic!("unknown backend {backend_name:?}"));
     let got = Lsqr::new(&sys, &be, cfg).trajectory(TRAJECTORY_ITERS);
+    divergence(backend_name, seed, &reference, &got)
+}
+
+/// Worst per-scalar ULP divergence between two trajectories of the system
+/// of `seed`, sample by sample; `subject` names the path that produced
+/// `got` (a backend, or any other way of running the recurrence).
+pub fn divergence(
+    subject: &str,
+    seed: u64,
+    reference: &[TrajectorySample],
+    got: &[TrajectorySample],
+) -> TrajectoryDivergence {
     assert_eq!(
         reference.len(),
         got.len(),
@@ -93,22 +105,23 @@ pub fn compare_with_seq(seed: u64, backend_name: &str, threads: usize) -> Trajec
     );
 
     let mut worst: (u64, &'static str, usize) = (0, "none", 0);
-    for (i, (r, g)) in reference.iter().zip(&got).enumerate() {
+    for (r, g) in reference.iter().zip(got) {
+        assert_eq!(r.itn, g.itn, "samples must pair up by iteration");
         for ((label, a), (_, b)) in scalars(r).into_iter().zip(scalars(g)) {
             if (a - b).abs() <= ABS_FLOOR {
                 continue;
             }
             let d = ulp::ulp_distance(a, b);
             if d > worst.0 {
-                worst = (d, label, i);
+                worst = (d, label, r.itn);
             }
         }
     }
     gaia_telemetry::record_verify_ulp(worst.0);
     TrajectoryDivergence {
-        backend: backend_name.into(),
+        backend: subject.into(),
         seed,
-        iterations: got.len().saturating_sub(1),
+        iterations: got.last().map_or(0, |s| s.itn),
         max_ulp: worst.0,
         worst_scalar: worst.1.into(),
         worst_iteration: worst.2,

@@ -5,6 +5,13 @@
 //! properties subsample it (every third seed) to keep the suite's wall
 //! time reasonable — the `verify` binary covers the full cross product.
 
+use std::sync::Mutex;
+
+use gaia_backends::SeqBackend;
+use gaia_lsqr::distributed::{try_solve_hybrid, DistOptions};
+use gaia_lsqr::lsqr::{Lsqr, LsqrState};
+use gaia_lsqr::{LsqrConfig, TrajectorySample};
+use gaia_sparse::fuzz;
 use gaia_verify::metamorphic::{self, PropertyOutcome, BACKENDS, THREADS};
 use gaia_verify::{corpus, trajectory};
 
@@ -97,6 +104,52 @@ fn lsqr_trajectories_stay_within_the_ulp_budget_on_every_backend() {
     for backend in BACKENDS.iter().filter(|b| **b != "seq") {
         for &seed in &full_corpus() {
             let t = trajectory::compare_with_seq(seed, backend, THREADS);
+            if !t.within_budget() {
+                failures.push(format!(
+                    "{} / seed {}: {} ulp on {} at iteration {}",
+                    t.backend, t.seed, t.max_ulp, t.worst_scalar, t.worst_iteration
+                ));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "trajectory divergence exceeded {} ulp:\n{}",
+        trajectory::TRAJECTORY_ULP_BUDGET,
+        failures.join("\n")
+    );
+}
+
+/// The distributed row of the differential matrix: a solve sharded over
+/// 1–4 ranks (`seq` on each) runs the same recurrence as the resident one,
+/// with `‖u‖` and `Aᵀu` summed rank by rank instead of row by row. Its
+/// per-iteration scalars, read off a checkpoint taken at every iteration,
+/// must stay within the budget every backend is held to.
+#[test]
+fn distributed_trajectories_stay_within_the_ulp_budget_at_every_rank_count() {
+    let iters = trajectory::TRAJECTORY_ITERS;
+    let cfg = LsqrConfig::fixed_iterations(iters);
+    let mut failures = Vec::new();
+    for &seed in &full_corpus() {
+        let sys = fuzz::system_from_seed(seed);
+        let reference = Lsqr::new(&sys, &SeqBackend, cfg).trajectory(iters);
+        // A rank holds at least one star; the smallest corpus systems
+        // have two.
+        let max_ranks = sys.layout().n_stars.min(4) as usize;
+        for ranks in 1..=max_ranks {
+            let got: Mutex<Vec<TrajectorySample>> = Mutex::new(Vec::new());
+            let sink = |st: &LsqrState| got.lock().unwrap().push(st.sample());
+            let opts = DistOptions {
+                checkpoint_every: 1,
+                checkpoint_sink: Some(&sink),
+                ..Default::default()
+            };
+            try_solve_hybrid(&sys, ranks, &cfg, |_| Box::new(SeqBackend), &opts).unwrap();
+            // No checkpoint follows the iteration that stops the solve.
+            let got = got.into_inner().unwrap();
+            assert_eq!(got.len(), iters - 1, "seed {seed}, {ranks} ranks");
+            let subject = format!("distributed-r{ranks}");
+            let t = trajectory::divergence(&subject, seed, &reference[1..iters], &got);
             if !t.within_budget() {
                 failures.push(format!(
                     "{} / seed {}: {} ulp on {} at iteration {}",

@@ -1,7 +1,8 @@
 //! Distributed LSQR: shard the observations across simulated MPI ranks
 //! (threads + deterministic collectives), solve, and verify the result is
 //! identical to a single-rank solve — the §IV decomposition of the
-//! production code.
+//! production code. Every rank runs the same LSQR recurrence as `solve`
+//! does, over an operator that holds its shard and allreduces.
 //!
 //! ```sh
 //! cargo run --release --example distributed_solve -- 4
