@@ -658,7 +658,7 @@ mod tests {
             vec!["hot-unwrap"]
         );
         assert_eq!(
-            rules_of("crates/backends/src/backend_atomic.rs", bad),
+            rules_of("crates/backends/src/backend_planned.rs", bad),
             vec!["hot-unwrap"]
         );
         // The serve request path is held to kernel standards: a panic in

@@ -10,17 +10,24 @@
 //! reproduces the framework axis on the CPU with strategies that exercise
 //! the same algorithmic trade-offs the paper discusses in §IV:
 //!
-//! | Backend | Paper analogue | `aprod2` conflict strategy |
+//! | Registry name | Paper analogue | `aprod2` conflict strategy |
 //! |---|---|---|
-//! | [`SeqBackend`] | reference / oracle | none (serial) |
-//! | [`ChunkedBackend`] | OpenMP target teams (owner-computes) | column-range ownership |
-//! | [`AtomicBackend`] | CUDA/HIP atomicAdd (RMW) | hardware atomics on `f64` |
-//! | [`CasLoopBackend`] | compilers that emit CAS loops instead of RMW (§V-B, MI250X discussion) | compare-and-swap retry loops |
-//! | [`ReplicatedBackend`] | privatization + reduction | per-thread buffers |
-//! | [`StripedBackend`] | lock-based fallback | striped mutexes |
-//! | [`RayonBackend`] | C++ PSTL (tuning-oblivious runtime) | star-chunk split + fold/reduce |
-//! | [`StreamedBackend`] | CUDA streams overlapping the four `aprod2` kernels | disjoint block sections on concurrent threads |
-//! | [`HybridBackend`] | the production composition: per-block strategy mix in streams | star-chunks + privatized attitude + owner-computes instrumental |
+//! | `seq` | reference / oracle | none (serial) |
+//! | `chunked` | OpenMP target teams (owner-computes) | column-range ownership |
+//! | `atomic` | CUDA/HIP atomicAdd (RMW) | hardware atomics on `f64` |
+//! | `casloop` | compilers that emit CAS loops instead of RMW (§V-B, MI250X discussion) | compare-and-swap retry loops |
+//! | `replicated` | privatization + reduction | per-chunk buffers |
+//! | `striped` | lock-based fallback | striped mutexes |
+//! | `rayon` | C++ PSTL (tuning-oblivious runtime) | star-chunk split + fold/reduce |
+//! | `streamed` | CUDA streams overlapping the four `aprod2` kernels | disjoint block sections on concurrent threads |
+//! | `hybrid` | the production composition: per-block strategy mix in streams | star-chunks + privatized attitude + owner-computes instrumental |
+//! | `unrolled` / `blocked` / `ell` | hand-tuned kernel interiors and value layouts | as `chunked` |
+//! | `tiled` | the out-of-core launch shape, one row tile at a time | as `chunked` |
+//! | `tuned` | the launch configuration pinned per platform after the §V-B search | whatever the persisted profile for the system's shape says |
+//!
+//! Every name but `seq` ([`SeqBackend`]) and `rayon` ([`RayonBackend`]) is
+//! one [`PlannedBackend`] over the [`LaunchPlan`] in its row of the
+//! [`registry`] table; [`backend_by_name`] builds them.
 //!
 //! All backends implement [`Backend`] and are validated against each other
 //! and against a dense oracle; the astrometric part of `aprod2` is always
@@ -44,29 +51,15 @@ pub mod registry;
 pub mod traits;
 pub mod tuning;
 
-mod backend_atomic;
-mod backend_chunked;
 mod backend_csr;
-mod backend_hybrid;
+mod backend_planned;
 mod backend_rayon;
-mod backend_replicated;
 mod backend_seq;
-mod backend_streamed;
-mod backend_striped;
-mod backend_tiled;
-mod backend_tuned;
 
-pub use backend_atomic::{AtomicBackend, CasLoopBackend};
-pub use backend_chunked::ChunkedBackend;
 pub use backend_csr::CsrBackend;
-pub use backend_hybrid::HybridBackend;
+pub use backend_planned::PlannedBackend;
 pub use backend_rayon::RayonBackend;
-pub use backend_replicated::ReplicatedBackend;
 pub use backend_seq::SeqBackend;
-pub use backend_streamed::StreamedBackend;
-pub use backend_striped::StripedBackend;
-pub use backend_tiled::TiledBackend;
-pub use backend_tuned::TunedBackend;
 pub use chaos::{ChaosBackend, ChaosMode, ChaosTarget};
 pub use exec::ExecutorPool;
 pub use instrumented::InstrumentedBackend;

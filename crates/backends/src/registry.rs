@@ -6,33 +6,164 @@
 //! [`crate::traits::Backend::name`] emits into telemetry reports — parse
 //! back to an equivalent backend, so every reported name round-trips.
 
-use crate::backend_chunked::VariantBackend;
+use std::sync::LazyLock;
+
+use gaia_sparse::MatrixLayout;
+
 use crate::instrumented::InstrumentedBackend;
+use crate::launch::{Aprod2Spec, Aprod2Strategy, KernelVariant, LaunchPlan};
 use crate::traits::Backend;
 use crate::tuning::Tuning;
-use crate::{
-    AtomicBackend, CasLoopBackend, ChunkedBackend, RayonBackend, ReplicatedBackend, SeqBackend,
-    StreamedBackend, StripedBackend, TiledBackend, TunedBackend,
-};
+use crate::{profile, PlannedBackend, RayonBackend, SeqBackend};
+
+/// A plan column: the launch plan a policy lowers to at a given tuning.
+type PlanFn = fn(Tuning) -> LaunchPlan;
+
+/// How a registry name is built.
+enum Build {
+    /// A tuning-oblivious engine: no plan, no `-t/-c` suffix in its name.
+    Oblivious(fn() -> Box<dyn Backend>),
+    /// A [`PlannedBackend`] over the plan.
+    Plan(PlanFn),
+    /// The same, walked over star-aligned row tiles
+    /// ([`PlannedBackend::with_tile_stars`], a quarter of the stars each).
+    Tiled(PlanFn),
+    /// The same, overridden per system shape by the persisted tuning
+    /// profiles ([`PlannedBackend::with_profiles`]).
+    Tuned(PlanFn),
+}
+
+/// One registered strategy. Adding a plan-driven policy is one row.
+struct Row {
+    name: &'static str,
+    description: &'static str,
+    build: Build,
+}
+
+fn uniform(tuning: Tuning, strategy: Aprod2Strategy) -> LaunchPlan {
+    LaunchPlan::new(tuning, Aprod2Spec::uniform(strategy))
+}
+
+fn owner_computes(tuning: Tuning) -> LaunchPlan {
+    uniform(tuning, Aprod2Strategy::OwnerComputes)
+}
+
+/// Every registered strategy, in report order. What sets the paper's
+/// frameworks apart — kernel tuning, atomics code generation, streams —
+/// is the plan column; everything else about a policy is its name.
+static TABLE: [Row; 14] = [
+    Row {
+        name: "seq",
+        description: "sequential reference (oracle)",
+        build: Build::Oblivious(|| Box::new(SeqBackend)),
+    },
+    // OpenMP `target teams distribute`: each job owns a column range per
+    // block and rescans the rows — no atomics, no locks.
+    Row {
+        name: "chunked",
+        description: "pooled workers, owner-computes columns (OpenMP-teams analogue)",
+        build: Build::Plan(owner_computes),
+    },
+    // CUDA/HIP `atomicAdd`: relaxed RMW adds into the shared sections.
+    Row {
+        name: "atomic",
+        description: "row-parallel, atomic f64 RMW updates (CUDA/HIP analogue)",
+        build: Build::Plan(|t| uniform(t, Aprod2Strategy::Atomic)),
+    },
+    // The CAS loop some compilers emit instead of an RMW (§V-B, MI250X).
+    Row {
+        name: "casloop",
+        description: "row-parallel, SeqCst CAS-loop updates (non-RMW compiler fallback)",
+        build: Build::Plan(|t| uniform(t, Aprod2Strategy::CasLoop)),
+    },
+    // Privatization: one private copy of the shared sections per chunk,
+    // summed in a column-parallel reduction wave.
+    Row {
+        name: "replicated",
+        description: "row-parallel, per-chunk private buffers + reduction",
+        build: Build::Plan(|t| uniform(t, Aprod2Strategy::Replicated)),
+    },
+    // Software-managed atomics: batch locally, take each of the
+    // `4 × threads` stripe locks once.
+    Row {
+        name: "striped",
+        description: "row-parallel, striped-mutex batched updates",
+        build: Build::Plan(|t| {
+            let stripes = t.threads * 4;
+            uniform(t, Aprod2Strategy::LockStriped { stripes })
+        }),
+    },
+    Row {
+        name: "rayon",
+        description: "rayon parallel iterators, runtime-chosen split (C++ PSTL analogue)",
+        build: Build::Oblivious(|| Box::new(RayonBackend)),
+    },
+    // CUDA streams (§IV): the four `aprod2` block kernels write disjoint
+    // sections of x̃, so they launch together with per-stream worker shares.
+    Row {
+        name: "streamed",
+        description: "four concurrent aprod2 block streams over disjoint x̃ sections",
+        build: Build::Plan(|t| {
+            LaunchPlan::new(t, Aprod2Spec::streamed(Aprod2Strategy::OwnerComputes))
+        }),
+    },
+    // The production composition: the strategy that suits each block —
+    // privatized attitude (small, hot), owner-computes instrumental and
+    // global (small, irregular) — overlapped in streams.
+    Row {
+        name: "hybrid",
+        description: "per-block strategy mix: star-chunks + privatized attitude + owner-computes instrumental, overlapped",
+        build: Build::Plan(|t| {
+            let spec = Aprod2Spec {
+                att: Aprod2Strategy::Replicated,
+                ..Aprod2Spec::streamed(Aprod2Strategy::OwnerComputes)
+            };
+            LaunchPlan::new(t, spec)
+        }),
+    },
+    // The kernel-interior and value-layout axes the auto-tuner searches:
+    // `chunked`'s write-sets, a different loop shape or gather source.
+    Row {
+        name: "unrolled",
+        description: "owner-computes columns, unrolled 5/12/6-wide kernel interiors",
+        build: Build::Plan(|t| owner_computes(t).with_variant(KernelVariant::Unrolled)),
+    },
+    Row {
+        name: "blocked",
+        description: "owner-computes columns, cache-blocked attitude accumulation",
+        build: Build::Plan(|t| owner_computes(t).with_variant(KernelVariant::Blocked)),
+    },
+    Row {
+        name: "ell",
+        description: "owner-computes columns over the slot-major ELL value layout",
+        build: Build::Plan(|t| owner_computes(t).with_matrix_layout(MatrixLayout::Ell)),
+    },
+    Row {
+        name: "tiled",
+        description:
+            "star-aligned row tiles through owner-computes interiors (out-of-core launch shape)",
+        build: Build::Tiled(owner_computes),
+    },
+    Row {
+        name: "tuned",
+        description: "persisted tuner winner per layout (falls back to owner-computes)",
+        build: Build::Tuned(owner_computes),
+    },
+];
 
 /// Names of all registered backend strategies.
 pub fn backend_names() -> &'static [&'static str] {
-    &[
-        "seq",
-        "chunked",
-        "atomic",
-        "casloop",
-        "replicated",
-        "striped",
-        "rayon",
-        "streamed",
-        "hybrid",
-        "unrolled",
-        "blocked",
-        "ell",
-        "tiled",
-        "tuned",
-    ]
+    static NAMES: LazyLock<Vec<&'static str>> =
+        LazyLock::new(|| TABLE.iter().map(|row| row.name).collect());
+    &NAMES
+}
+
+/// Names of the plan-driven policies: the ones that take a tuning.
+fn planned_names() -> impl Iterator<Item = &'static str> {
+    TABLE
+        .iter()
+        .filter(|row| !matches!(row.build, Build::Oblivious(_)))
+        .map(|row| row.name)
 }
 
 /// The canonical tuned name for a policy: `<policy>-t<threads>` with a
@@ -45,27 +176,30 @@ pub fn tuned_name(policy: &str, tuning: Tuning) -> String {
     }
 }
 
-/// Parse `<policy>[-t<threads>[-c<chunks>]]` into its components.
-/// Returns `None` on malformed suffixes (wrong marker, empty or
-/// non-numeric digits, trailing segments).
-fn parse_name(name: &str) -> Option<(&str, Option<usize>, Option<usize>)> {
+/// Parse `<policy>[-t<threads>[-c<chunks>]]` into its table row and
+/// tuning; `threads` fills in for a missing `-t` suffix. Returns `None`
+/// for an unknown policy and for malformed suffixes: wrong marker, empty
+/// or non-numeric digits, trailing segments, and a zero — which the
+/// profile loader rejects too, and which would come back under the name
+/// of a different tuning if it were clamped.
+fn parse_name(name: &str, threads: usize) -> Option<(&'static Row, Tuning)> {
+    fn count(seg: &str, marker: char) -> Option<usize> {
+        seg.strip_prefix(marker)?.parse().ok().filter(|&n| n > 0)
+    }
     let mut parts = name.split('-');
     let policy = parts.next()?;
-    if policy.is_empty() {
-        return None;
-    }
-    let mut threads = None;
-    let mut chunks = None;
+    let row = TABLE.iter().find(|row| row.name == policy)?;
+    let mut tuning = Tuning::with_threads(threads);
     if let Some(seg) = parts.next() {
-        threads = Some(seg.strip_prefix('t')?.parse().ok()?);
+        tuning.threads = count(seg, 't')?;
         if let Some(seg) = parts.next() {
-            chunks = Some(seg.strip_prefix('c')?.parse().ok()?);
+            tuning.chunks_per_thread = count(seg, 'c')?;
             if parts.next().is_some() {
                 return None;
             }
         }
     }
-    Some((policy, threads, chunks))
+    Some((row, tuning))
 }
 
 /// Instantiate every backend with the given thread budget.
@@ -82,10 +216,7 @@ pub fn grid_backends(threads: &[usize], chunks_per_thread: &[usize]) -> Vec<Box<
     let mut grid = Vec::new();
     for &t in threads {
         for &c in chunks_per_thread {
-            for name in backend_names() {
-                if matches!(*name, "seq" | "rayon") {
-                    continue; // tuning-oblivious: one instance is enough
-                }
+            for name in planned_names() {
                 let tuned = tuned_name(
                     name,
                     Tuning {
@@ -100,6 +231,17 @@ pub fn grid_backends(threads: &[usize], chunks_per_thread: &[usize]) -> Vec<Box<
     grid
 }
 
+/// The one plan `name` always executes: `None` for an unknown name, for
+/// the tuning-oblivious engines, which have no plan, and for `tuned`,
+/// whose plan is chosen per system shape.
+pub fn fixed_plan(name: &str, threads: usize) -> Option<LaunchPlan> {
+    let (row, tuning) = parse_name(name, threads)?;
+    match row.build {
+        Build::Plan(plan) | Build::Tiled(plan) => Some(plan(tuning)),
+        Build::Oblivious(_) | Build::Tuned(_) => None,
+    }
+}
+
 /// Instantiate a backend by name. `threads` is the default thread budget,
 /// used when the name carries no `-t<threads>` suffix.
 ///
@@ -109,34 +251,20 @@ pub fn grid_backends(threads: &[usize], chunks_per_thread: &[usize]) -> Vec<Box<
 /// panics with the checker's diagnostic rather than returning a backend
 /// that would race or drop output columns at solve time.
 pub fn backend_by_name(name: &str, threads: usize) -> Option<Box<dyn Backend>> {
-    let (policy, t, c) = parse_name(name)?;
-    let tuning = Tuning {
-        threads: t.unwrap_or(threads).max(1),
-        chunks_per_thread: c.unwrap_or(1).max(1),
-    };
-    let backend: Box<dyn Backend> = match policy {
-        "seq" => Box::new(SeqBackend),
-        "chunked" => Box::new(ChunkedBackend::new(tuning)),
-        "atomic" => Box::new(AtomicBackend::new(tuning)),
-        "casloop" => Box::new(CasLoopBackend::new(tuning)),
-        "replicated" => Box::new(ReplicatedBackend::new(tuning)),
-        "striped" => Box::new(StripedBackend::new(tuning, tuning.threads * 4)),
-        "rayon" => Box::new(RayonBackend),
-        "streamed" => Box::new(StreamedBackend::new(tuning)),
-        "hybrid" => Box::new(crate::HybridBackend::new(tuning)),
-        "unrolled" => Box::new(VariantBackend::unrolled(tuning)),
-        "blocked" => Box::new(VariantBackend::blocked(tuning)),
-        "ell" => Box::new(VariantBackend::ell(tuning)),
-        "tiled" => Box::new(TiledBackend::new(tuning)),
-        "tuned" => Box::new(TunedBackend::new(tuning)),
-        _ => return None,
-    };
-    if let Some(plan) = backend.launch_plan() {
+    let (row, tuning) = parse_name(name, threads)?;
+    let planned = |plan: PlanFn| {
+        let plan = plan(tuning);
         if let Err(e) = plan.analyze_canonical() {
             panic!("registry produced an unsound launch plan for `{name}`: {e}");
         }
-    }
-    Some(backend)
+        PlannedBackend::new(row.name, row.description, plan)
+    };
+    Some(match row.build {
+        Build::Oblivious(build) => build(),
+        Build::Plan(plan) => Box::new(planned(plan)),
+        Build::Tiled(plan) => Box::new(planned(plan).with_tile_stars(0)),
+        Build::Tuned(plan) => Box::new(planned(plan).with_profiles(&profile::load_profiles().0)),
+    })
 }
 
 /// Instantiate a backend by name, wrapped in an [`InstrumentedBackend`] so
@@ -153,9 +281,10 @@ mod tests {
 
     #[test]
     fn registry_instantiates_every_name() {
-        for name in backend_names() {
+        for (row, name) in TABLE.iter().zip(backend_names()) {
             let b = backend_by_name(name, 2).unwrap();
             assert!(!b.description().is_empty());
+            assert_eq!(b.description(), row.description, "{name}");
         }
         assert_eq!(all_backends(2).len(), backend_names().len());
     }
@@ -164,6 +293,7 @@ mod tests {
     fn unknown_name_is_none() {
         assert!(backend_by_name("cuda", 2).is_none());
         assert!(instrumented_by_name("cuda", 2).is_none());
+        assert!(fixed_plan("cuda", 2).is_none());
     }
 
     #[test]
@@ -176,6 +306,10 @@ mod tests {
             "chunked-t4-c",
             "chunked-t4-c2-extra",
             "-t4",
+            // Zero counts are rejected like the profile loader rejects
+            // them, not clamped to a differently named backend.
+            "chunked-t0",
+            "chunked-t4-c0",
         ] {
             assert!(backend_by_name(name, 2).is_none(), "{name}");
         }
@@ -228,9 +362,11 @@ mod tests {
         assert_eq!(b.name(), "chunked-t6");
         let b = backend_by_name("atomic-t3-c5", 64).unwrap();
         assert_eq!(b.name(), "atomic-t3-c5");
-        // Bare names keep using the argument.
+        // Bare names keep using the argument, which is still clamped.
         let b = backend_by_name("chunked", 7).unwrap();
         assert_eq!(b.name(), "chunked-t7");
+        let b = backend_by_name("chunked", 0).unwrap();
+        assert_eq!(b.name(), "chunked-t1");
     }
 
     #[test]
@@ -238,11 +374,37 @@ mod tests {
         let threads = [1usize, 3];
         let chunks = [1usize, 4];
         let grid = grid_backends(&threads, &chunks);
-        let tuned_policies = backend_names()
-            .iter()
-            .filter(|n| !matches!(**n, "seq" | "rayon"))
-            .count();
-        assert_eq!(grid.len(), tuned_policies * threads.len() * chunks.len());
+        assert_eq!(
+            grid.len(),
+            planned_names().count() * threads.len() * chunks.len()
+        );
+    }
+
+    /// What a row's plan says it differs in is what it differs in: the
+    /// stripe count scales with the threads, the variant-interior names
+    /// carry their axis, and only `tuned` has no fixed plan.
+    #[test]
+    fn rows_carry_their_axis_in_the_plan() {
+        let plan = |name: &str| fixed_plan(name, 2).unwrap_or_else(|| panic!("{name}"));
+        assert_eq!(plan("unrolled").variant, KernelVariant::Unrolled);
+        assert_eq!(plan("blocked").variant, KernelVariant::Blocked);
+        assert_eq!(plan("ell").matrix_layout, MatrixLayout::Ell);
+        assert_eq!(plan("ell").variant, KernelVariant::Scalar);
+        assert_eq!(
+            plan("striped-t3").spec.att,
+            Aprod2Strategy::LockStriped { stripes: 12 }
+        );
+        assert_eq!(plan("tiled-t5-c2"), plan("chunked-t5-c2"));
+        for name in planned_names() {
+            let b = backend_by_name(name, 2).unwrap();
+            assert_eq!(
+                fixed_plan(name, 2),
+                b.launch_plan().filter(|_| name != "tuned"),
+                "{name}"
+            );
+        }
+        assert_eq!(fixed_plan("seq", 2), None);
+        assert_eq!(fixed_plan("rayon", 2), None);
     }
 
     /// Every plan-driven backend the registry hands out must carry a plan
@@ -261,7 +423,7 @@ mod tests {
                         .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
                 }
             }
-            assert_eq!(with_plan, backend_names().len() - 2, "threads={threads}");
+            assert_eq!(with_plan, planned_names().count(), "threads={threads}");
         }
         // Wrappers forward the inner plan.
         let wrapped = instrumented_by_name("hybrid", 3).unwrap();
@@ -294,10 +456,7 @@ mod tests {
         seq.aprod1(&sys, &x, &mut want1);
         let mut want2 = vec![0.0; sys.n_cols()];
         seq.aprod2(&sys, &y, &mut want2);
-        for policy in backend_names()
-            .iter()
-            .filter(|n| !matches!(**n, "seq" | "rayon"))
-        {
+        for policy in planned_names() {
             let name = format!("{policy}-t3-c{}", usize::MAX);
             let b = backend_by_name(&name, 2).unwrap_or_else(|| panic!("{name} must parse"));
             let mut got1 = vec![0.0; sys.n_rows()];

@@ -2,9 +2,10 @@
 //! with the sequential oracle on arbitrary systems, inputs, thread counts,
 //! and prior output contents (the accumulate contract).
 
-use gaia_backends::{all_backends, backend_by_name, Backend, SeqBackend};
+use gaia_backends::{all_backends, backend_by_name, backend_names, Backend, SeqBackend};
 use gaia_sparse::{Generator, GeneratorConfig, SystemLayout};
 use proptest::prelude::*;
+use std::sync::LazyLock;
 
 fn layouts() -> impl Strategy<Value = SystemLayout> {
     (3u64..10, 12u64..20, 4u64..12, 6u64..12, 0u32..2, 0u64..4)
@@ -19,18 +20,17 @@ fn layouts() -> impl Strategy<Value = SystemLayout> {
         .prop_filter("overdetermined", |l| l.validate().is_ok())
 }
 
-/// The tuned policies and the (threads, chunks_per_thread) grid the sweep
-/// covers — the table-driven replacement for the per-backend copies of
-/// the matches-seq test that used to live in every `backend_*.rs`.
-const POLICIES: &[&str] = &[
-    "chunked",
-    "atomic",
-    "casloop",
-    "replicated",
-    "striped",
-    "streamed",
-    "hybrid",
-];
+/// The plan-driven policies — every registry name whose backend carries a
+/// launch plan, so a new table row enters the sweep without being listed —
+/// and the (threads, chunks_per_thread) grid the sweep covers. This is the
+/// one matches-seq test for all of them.
+static POLICIES: LazyLock<Vec<&'static str>> = LazyLock::new(|| {
+    backend_names()
+        .iter()
+        .copied()
+        .filter(|n| backend_by_name(n, 1).is_some_and(|b| b.launch_plan().is_some()))
+        .collect()
+});
 const THREAD_GRID: &[usize] = &[1, 3, 8];
 const CHUNK_GRID: &[usize] = &[1, 4];
 
@@ -117,6 +117,13 @@ proptest! {
         let lhs: f64 = ax.iter().zip(&y).map(|(a, b)| a * b).sum();
         let rhs: f64 = x.iter().zip(&aty).map(|(a, b)| a * b).sum();
         prop_assert!((lhs - rhs).abs() < 1e-9 * (1.0 + lhs.abs()), "{lhs} vs {rhs}");
+    }
+}
+
+#[test]
+fn the_sweep_draws_every_plan_driven_policy() {
+    for name in ["unrolled", "blocked", "ell", "tiled", "tuned"] {
+        assert!(POLICIES.contains(&name), "{name}");
     }
 }
 

@@ -17,7 +17,7 @@
 use gaia_avugsr_fig6::run;
 
 mod gaia_avugsr_fig6 {
-    use gaia_backends::{AtomicBackend, Backend, SeqBackend, StreamedBackend};
+    use gaia_backends::{backend_by_name, Backend, SeqBackend};
     use gaia_lsqr::{compare_solutions, solve, LsqrConfig, Solution, MICRO_ARCSEC_RAD};
     use gaia_sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
 
@@ -62,11 +62,11 @@ mod gaia_avugsr_fig6 {
         let ports: Vec<(&str, Box<dyn Backend>)> = vec![
             (
                 "HIP-on-H100 role (atomic backend)",
-                Box::new(AtomicBackend::with_threads(4)),
+                backend_by_name("atomic", 4).expect("registered backend"),
             ),
             (
                 "HIP-on-MI250X role (streamed backend)",
-                Box::new(StreamedBackend::with_threads(4)),
+                backend_by_name("streamed", 4).expect("registered backend"),
             ),
         ];
 

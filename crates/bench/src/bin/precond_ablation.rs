@@ -8,7 +8,7 @@
 //! convergence and the condition estimate with and without the
 //! preconditioner across problem shapes, on a real backend.
 
-use gaia_backends::AtomicBackend;
+use gaia_backends::backend_by_name;
 use gaia_lsqr::{solve, LsqrConfig};
 use gaia_sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
 
@@ -40,7 +40,7 @@ fn main() {
         ),
     ];
 
-    let backend = AtomicBackend::with_threads(4);
+    let backend = backend_by_name("atomic", 4).expect("registered backend");
     println!(
         "{:<18} {:>8} {:>8} | {:>12} {:>12} | {:>12} {:>12}",
         "shape", "rows", "cols", "iters (prec)", "iters (none)", "cond (prec)", "cond (none)"

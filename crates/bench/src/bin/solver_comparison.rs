@@ -8,12 +8,12 @@
 
 use std::time::Instant;
 
-use gaia_backends::AtomicBackend;
+use gaia_backends::backend_by_name;
 use gaia_lsqr::{solve, solve_lsmr, LsqrConfig};
 use gaia_sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
 
 fn main() {
-    let backend = AtomicBackend::with_threads(4);
+    let backend = backend_by_name("atomic", 4).expect("registered backend");
     println!(
         "{:<10} {:>9} | {:>12} {:>12} | {:>12} {:>12} | {:>14}",
         "noise", "rows", "LSQR iters", "LSMR iters", "LSQR ms", "LSMR ms", "ΔX (max abs)"

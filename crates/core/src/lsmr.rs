@@ -280,7 +280,7 @@ pub fn solve_lsmr<B: Backend + ?Sized>(
 mod tests {
     use super::*;
     use crate::lsqr::solve;
-    use gaia_backends::{AtomicBackend, SeqBackend};
+    use gaia_backends::{backend_by_name, SeqBackend};
     use gaia_sparse::dense::DenseMatrix;
     use gaia_sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
 
@@ -346,7 +346,8 @@ mod tests {
     fn lsmr_runs_on_parallel_backends() {
         let sys = system(504, 1e-8);
         let seq = solve_lsmr(&sys, &SeqBackend, &LsqrConfig::new());
-        let par = solve_lsmr(&sys, &AtomicBackend::with_threads(4), &LsqrConfig::new());
+        let atomic = backend_by_name("atomic", 4).unwrap();
+        let par = solve_lsmr(&sys, &atomic, &LsqrConfig::new());
         let max_diff = seq
             .x
             .iter()

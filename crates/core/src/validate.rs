@@ -115,7 +115,7 @@ mod tests {
     use super::*;
     use crate::config::LsqrConfig;
     use crate::lsqr::solve;
-    use gaia_backends::{AtomicBackend, SeqBackend, StreamedBackend};
+    use gaia_backends::{backend_by_name, SeqBackend};
     use gaia_sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
 
     fn noisy_system() -> gaia_sparse::SparseSystem {
@@ -139,10 +139,8 @@ mod tests {
     fn different_backends_validate_like_fig6() {
         let sys = noisy_system();
         let reference = solve(&sys, &SeqBackend, &LsqrConfig::new());
-        for backend in [
-            Box::new(AtomicBackend::with_threads(4)) as Box<dyn gaia_backends::Backend>,
-            Box::new(StreamedBackend::with_threads(4)),
-        ] {
+        for name in ["atomic", "streamed"] {
+            let backend = backend_by_name(name, 4).unwrap();
             let sol = solve(&sys, &backend, &LsqrConfig::new());
             let agr = compare_solutions(&reference, &sol);
             assert!(

@@ -8,12 +8,15 @@
 //! reduction-order-nondeterministic backends they hold within
 //! [`NONDET_TOLERANCE`].
 
+use gaia_backends::registry::fixed_plan;
 use gaia_backends::{backend_by_name, Backend};
 use gaia_lsqr::checkpoint::Checkpoint;
 use gaia_lsqr::lsqr::Lsqr;
 use gaia_lsqr::{solve, LsqrConfig};
 use gaia_sparse::{fuzz, Generator, GeneratorConfig, Rhs, ASTRO_PARAMS_PER_STAR};
 use serde::Serialize;
+
+use crate::schedule::expect_bitwise;
 
 /// Backends exercised by the suite: the sequential reference plus every
 /// conflict strategy the paper's ports map onto, the stream-overlapped
@@ -58,12 +61,18 @@ pub const RESIDUAL_TOLERANCE: f64 = 1e-6;
 pub const RESUME_RNORM_TOLERANCE: f64 = 1e-3;
 
 /// Whether `backend` reduces in a fixed order, making whole runs
-/// bitwise-reproducible (see the determinism table in `gaia-backends`).
+/// bitwise-reproducible. Classified by policy, not by spelling: the
+/// sequential reference, plus every registry name — suffixed or not —
+/// whose one plan resolves all three colliding blocks by a strategy that
+/// [`expect_bitwise`] holds to bitwise stability. `tuned` picks its plan
+/// per system shape, so it promises nothing.
 pub fn is_deterministic(backend: &str) -> bool {
-    matches!(
-        backend,
-        "seq" | "chunked" | "replicated" | "streamed" | "hybrid" | "unrolled" | "blocked" | "ell"
-    )
+    backend == "seq"
+        || fixed_plan(backend, THREADS).is_some_and(|plan| {
+            [plan.spec.att, plan.spec.instr, plan.spec.glob]
+                .into_iter()
+                .all(expect_bitwise)
+        })
 }
 
 /// A property checker: (seed, backend name) → outcome.
@@ -316,4 +325,44 @@ pub fn all_checks() -> Vec<(&'static str, PropertyCheck)> {
         ("known-solution", check_known_solution),
         ("checkpoint-resume", check_checkpoint_resume),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn determinism_follows_the_policy_not_the_spelling() {
+        // Suffixed and newer names used to fall through a literal list
+        // into the nondeterministic class and its 1e-7 tolerance.
+        for name in ["chunked-t4", "tiled", "tiled-t2-c3", "hybrid-t8", "ell-t1"] {
+            assert!(is_deterministic(name), "{name}");
+        }
+        for name in [
+            "atomic-t2",
+            "casloop-t4-c2",
+            "striped-t3",
+            "tuned",
+            "tuned-t4",
+        ] {
+            assert!(!is_deterministic(name), "{name}");
+        }
+        for name in ["cuda", "chunked-t0", "chunked-x4"] {
+            assert!(!is_deterministic(name), "{name}");
+        }
+        // Bare names answer as the literal list did.
+        let fixed_order = [
+            "seq",
+            "chunked",
+            "replicated",
+            "streamed",
+            "hybrid",
+            "unrolled",
+            "blocked",
+            "ell",
+        ];
+        for name in BACKENDS.iter().chain(["chunked", "rayon"].iter()) {
+            assert_eq!(is_deterministic(name), fixed_order.contains(name), "{name}");
+        }
+    }
 }

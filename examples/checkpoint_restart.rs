@@ -7,7 +7,7 @@
 //! cargo run --release --example checkpoint_restart
 //! ```
 
-use gaia_avugsr::backends::ReplicatedBackend;
+use gaia_avugsr::backends::backend_by_name;
 use gaia_avugsr::lsqr::checkpoint::Checkpoint;
 use gaia_avugsr::lsqr::{Lsqr, LsqrConfig};
 use gaia_avugsr::sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
@@ -21,7 +21,7 @@ fn main() {
     )
     .generate();
     let cfg = LsqrConfig::new();
-    let backend = ReplicatedBackend::with_threads(4);
+    let backend = backend_by_name("replicated", 4).expect("registered backend");
     let solver = Lsqr::new(&sys, &backend, cfg);
 
     // Reference: one uninterrupted run.

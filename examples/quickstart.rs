@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use gaia_avugsr::backends::AtomicBackend;
+use gaia_avugsr::backends::backend_by_name;
 use gaia_avugsr::lsqr::{solve, LsqrConfig};
 use gaia_avugsr::sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
 
@@ -31,7 +31,7 @@ fn main() {
 
     // 3. Solve with the CUDA-analogue backend (row-parallel, atomic f64
     //    updates for the colliding aprod2 blocks).
-    let backend = AtomicBackend::with_threads(4);
+    let backend = backend_by_name("atomic", 4).expect("registered backend");
     let solution = solve(&system, &backend, &LsqrConfig::new());
 
     println!(

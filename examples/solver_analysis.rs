@@ -7,7 +7,7 @@
 //! cargo run --release --example solver_analysis
 //! ```
 
-use gaia_avugsr::backends::HybridBackend;
+use gaia_avugsr::backends::backend_by_name;
 use gaia_avugsr::lsqr::analysis::{convergence_profile, iterations_to_tolerance, profile_text};
 use gaia_avugsr::lsqr::{solve, solve_lsmr, LsqrConfig};
 use gaia_avugsr::sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
@@ -20,7 +20,7 @@ fn main() {
             .rhs(Rhs::FromTrueSolution { noise_sigma: 1e-9 }),
     )
     .generate_with_truth();
-    let backend = HybridBackend::with_threads(4);
+    let backend = backend_by_name("hybrid", 4).expect("registered backend");
     println!(
         "system: {} rows x {} cols; backend: {}\n",
         sys.n_rows(),
