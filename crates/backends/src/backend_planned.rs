@@ -379,6 +379,68 @@ mod tests {
         assert_eq!(b.plan_for(&SystemLayout::tiny()), owner(2));
     }
 
+    /// The resolution cache holds one shape, and two tenants solving
+    /// different systems on one `tuned` backend flip it on every call
+    /// (what `served-mix` does). Each round both threads leave a barrier
+    /// together, so every round resolves both shapes against a cache the
+    /// other thread is overwriting: neither may ever run the other's plan
+    /// or the policy's fallback, and every product must be bit-for-bit
+    /// what its profile's own plan computes.
+    #[test]
+    fn tuned_alternating_shapes_never_get_each_others_plan() {
+        // Two deterministic plans, so their products compare bitwise.
+        let tiny_plan = LaunchPlan::new(
+            Tuning {
+                threads: 3,
+                chunks_per_thread: 2,
+            },
+            Aprod2Spec::uniform(Aprod2Strategy::Replicated),
+        )
+        .with_matrix_layout(MatrixLayout::Ell);
+        let small_plan = owner(2).with_variant(KernelVariant::Blocked);
+        let profiles = [
+            LaunchProfile::from_plan("tiny", SystemLayout::tiny(), &tiny_plan),
+            LaunchProfile::from_plan("small", SystemLayout::small(), &small_plan),
+        ];
+        let b = tuned(2, &profiles);
+        assert_eq!(b.profile_count(), 2);
+        let small = Generator::new(GeneratorConfig::new(SystemLayout::small()).seed(6)).generate();
+        let round = std::sync::Barrier::new(2);
+        let mismatches: Vec<String> = std::thread::scope(|s| {
+            let tenants: Vec<_> = [(tiny(5), tiny_plan), (small, small_plan)]
+                .into_iter()
+                .map(|(sys, own)| {
+                    let (b, round) = (&b, &round);
+                    s.spawn(move || {
+                        let (x, y) = probe(&sys);
+                        let alone = PlannedBackend::new("own", "test", own);
+                        let want = products(&alone, &sys, &x, &y);
+                        // Keep in step with the other tenant whatever is
+                        // found: a panic here would leave it at the barrier.
+                        let mut first = None;
+                        for call in 0..200 {
+                            round.wait();
+                            let resolved = b.plan_for(sys.layout());
+                            let got = products(b, &sys, &x, &y);
+                            if resolved != own || got != want {
+                                first.get_or_insert(format!(
+                                    "call {call} on {:?} resolved {resolved:?}",
+                                    sys.layout()
+                                ));
+                            }
+                        }
+                        first
+                    })
+                })
+                .collect();
+            tenants
+                .into_iter()
+                .filter_map(|t| t.join().expect("tenant thread"))
+                .collect()
+        });
+        assert!(mismatches.is_empty(), "{mismatches:?}");
+    }
+
     #[test]
     fn tuned_products_match_seq() {
         let sys = tiny(5);

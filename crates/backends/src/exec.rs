@@ -115,7 +115,14 @@ pub mod sched {
         pub starve_ns: u64,
         launches: AtomicU64,
         decisions: AtomicU64,
+        /// Probe calls seen, by `tag % PROBE_SLOTS`.
+        probes: [AtomicU64; PROBE_SLOTS],
     }
+
+    /// Slots of the per-tag probe counter. The launch layer's tags are
+    /// 1–4 and the `gaia-verify` canary's `0xBAD` lands in slot 5, so no
+    /// two tags in use share a slot.
+    const PROBE_SLOTS: usize = 8;
 
     impl ScheduleController {
         /// A controller with every perturbation off (identity schedule).
@@ -131,7 +138,15 @@ pub mod sched {
                 starve_ns: 0,
                 launches: AtomicU64::new(0),
                 decisions: AtomicU64::new(0),
+                probes: Default::default(),
             }
+        }
+
+        /// How many times jobs governed by this controller reached the
+        /// [`preempt_point`] tagged `tag` — the evidence that an
+        /// exploration actually entered the code it claims to perturb.
+        pub fn probe_count(&self, tag: u32) -> u64 {
+            self.probes[tag as usize % PROBE_SLOTS].load(Ordering::Relaxed)
         }
 
         /// The seeded mixed scenario the exploration driver replays: the
@@ -206,6 +221,7 @@ pub mod sched {
 
         /// One probe decision: yield/spin with the configured probability.
         fn maybe_preempt(&self, launch: u64, job: usize, tag: u32) {
+            self.probes[tag as usize % PROBE_SLOTS].fetch_add(1, Ordering::Relaxed);
             if self.preempt_permille == 0 {
                 return;
             }
@@ -433,10 +449,16 @@ impl ExecutorPool {
 
     /// Install (or clear, with `None`) a schedule-exploration controller:
     /// subsequent launches on this pool run under its seeded permutation
-    /// and perturbation. Only compiled with the `sched-test` feature.
+    /// and perturbation. Returns the controller it replaces, whose
+    /// counters say what the launches under it reached. Only compiled with
+    /// the `sched-test` feature.
     #[cfg(feature = "sched-test")]
-    pub fn set_schedule(&self, ctrl: Option<sched::ScheduleController>) {
-        *self.schedule.lock().unwrap_or_else(PoisonError::into_inner) = ctrl.map(Arc::new);
+    pub fn set_schedule(
+        &self,
+        ctrl: Option<sched::ScheduleController>,
+    ) -> Option<Arc<sched::ScheduleController>> {
+        let mut slot = self.schedule.lock().unwrap_or_else(PoisonError::into_inner);
+        std::mem::replace(&mut *slot, ctrl.map(Arc::new))
     }
 
     /// A process-wide shared pool for the given thread budget. Backends

@@ -21,12 +21,24 @@
 //! | `CasLoop` | CAS-retry codegen (MI250X without `-munsafe-fp-atomics`) |
 //! | `Replicated` | privatization + reduction |
 //! | `LockStriped` | software mutual exclusion (lock-based fallback) |
+//!
+//! A GPU combines colliding FP64 `atomicAdd`s in its L2; a CPU has nothing
+//! that does, and one locked instruction per non-zero made an iteration
+//! 3.5× the sequential one on a single thread, where nothing contends
+//! (EXPERIMENTS.md). So an `Atomic` / `CasLoop` job combines in software
+//! before it publishes: it accumulates its row chunk into a job-private
+//! copy of the section with the plan's ordinary full-section kernel, then
+//! adds that copy into the shared section with one FP64 atomic add per
+//! column it touched. Collisions are still resolved by concurrent atomic
+//! adds into the shared output, in an order the schedule decides, inside
+//! wave 1. That is what separates it from `Replicated`, which keeps every
+//! private buffer alive across a barrier and sums them in a fixed order in
+//! a second wave — the paper's `atomicAdd` versus privatise-and-reduce.
 
 use std::ops::Range;
 use std::sync::atomic::AtomicU64;
 
-use gaia_sparse::system::{ATT_NNZ_PER_ROW, INSTR_NNZ_PER_ROW};
-use gaia_sparse::{MatrixLayout, SparseSystem, ATT_AXES, ATT_PARAMS_PER_AXIS};
+use gaia_sparse::{MatrixLayout, SparseSystem};
 use gaia_telemetry::{Block, Phase};
 use parking_lot::Mutex;
 
@@ -39,10 +51,11 @@ use crate::tuning::Tuning;
 /// Probe tags for [`sched::preempt_point`], one per call site inside the
 /// colliding `aprod2` paths. With the `sched-test` feature off the probe
 /// is an empty `#[inline(always)]` function, so production kernels keep
-/// their exact shape.
-const PROBE_ATT_ATOMIC: u32 = 1;
-/// Instrumental atomic-update row loop.
-const PROBE_INSTR_ATOMIC: u32 = 2;
+/// their exact shape. This one sits between the atomic adds of an attitude
+/// publish.
+pub const PROBE_ATT_ATOMIC: u32 = 1;
+/// Between the atomic adds of an instrumental publish.
+pub const PROBE_INSTR_ATOMIC: u32 = 2;
 /// Lock-striped batched apply, between local accumulation and each lock.
 const PROBE_STRIPED_APPLY: u32 = 3;
 /// Wave-2 reduction of privatized buffers.
@@ -113,11 +126,13 @@ pub enum Aprod2Strategy {
     /// Each job owns a contiguous column range and rescans all rows
     /// (OpenMP-teams analogue: redundant reads, zero synchronization).
     OwnerComputes,
-    /// Row-parallel jobs with relaxed atomic f64 RMW updates
-    /// (CUDA/HIP `atomicAdd` analogue).
+    /// Row-parallel jobs that combine their chunk privately and publish it
+    /// into the shared section with relaxed atomic f64 RMW adds, one per
+    /// touched column, unordered and within the wave (CUDA/HIP `atomicAdd`
+    /// analogue).
     Atomic,
-    /// Row-parallel jobs with SeqCst CAS-retry updates (the slow compiler
-    /// fallback the paper observes on MI250X).
+    /// As `Atomic`, publishing with SeqCst CAS-retry adds (the slow
+    /// compiler fallback the paper observes on MI250X).
     CasLoop,
     /// Row-parallel jobs into per-job private buffers, then a parallel
     /// reduction (privatization).
@@ -193,12 +208,11 @@ impl Aprod2Spec {
 /// axis (§V): same arithmetic, different loop shape.
 ///
 /// Composition with [`MatrixLayout`]: the layout decides which value
-/// arrays the *non-atomic* kernels read (`Ell` selects the slot-major
-/// readers for `aprod1`, the astrometric `aprod2`, and the full /
-/// owner-computes section kernels), while the variant picks the interior
-/// shape of the row-major paths. Atomic section kernels always read
-/// row-major (their cost is the RMW traffic, not the gather), so under
-/// `Ell` they fall back to the variant-selected row-major interior.
+/// arrays the kernels read (`Ell` selects the slot-major readers for
+/// `aprod1`, the astrometric `aprod2`, and the full / owner-computes
+/// section kernels every strategy dispatches to), while the variant picks
+/// the interior shape of the row-major paths. Only the single-column
+/// global kernels read row-major under either layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelVariant {
     /// The reference scalar interiors.
@@ -257,7 +271,7 @@ pub struct LaunchPlan {
     pub spec: Aprod2Spec,
     /// Kernel interior shape (scalar / unrolled / blocked).
     pub variant: KernelVariant,
-    /// Value layout the non-atomic kernels read (row-major / ELL).
+    /// Value layout the kernels read (row-major / ELL).
     pub matrix_layout: MatrixLayout,
 }
 
@@ -265,15 +279,12 @@ pub struct LaunchPlan {
 type FullKernel = fn(&SparseSystem, &[f64], Range<usize>, &mut [f64]);
 /// Owner-computes over an owned block-local column range.
 type OwnedKernel = fn(&SparseSystem, &[f64], Range<usize>, Range<usize>, &mut [f64]);
-/// Atomic accumulation into a shared section view.
-type AtomicKernel = fn(&SparseSystem, &[f64], Range<usize>, &[AtomicU64], AtomicFlavor);
 
-/// The three per-section kernel forms a strategy can dispatch to.
+/// The two per-section kernel forms a strategy can dispatch to.
 #[derive(Clone, Copy)]
 struct SectionKernels {
     full: FullKernel,
     owned: OwnedKernel,
-    atomic: AtomicKernel,
 }
 
 /// Attitude section kernels for a (variant, layout) pair — the dispatch
@@ -297,16 +308,7 @@ fn att_kernels(variant: KernelVariant, layout: MatrixLayout) -> SectionKernels {
             kernels::aprod2_att_owned_blocked as OwnedKernel,
         ),
     };
-    let atomic = match variant {
-        KernelVariant::Scalar => aprod2_att_atomic as AtomicKernel,
-        KernelVariant::Unrolled => aprod2_att_atomic_unrolled as AtomicKernel,
-        KernelVariant::Blocked => aprod2_att_atomic_blocked as AtomicKernel,
-    };
-    SectionKernels {
-        full,
-        owned,
-        atomic,
-    }
+    SectionKernels { full, owned }
 }
 
 /// Instrumental section kernels for a (variant, layout) pair. The blocked
@@ -328,17 +330,7 @@ fn instr_kernels(variant: KernelVariant, layout: MatrixLayout) -> SectionKernels
             kernels::aprod2_instr_owned_unrolled as OwnedKernel,
         ),
     };
-    let atomic = match variant {
-        KernelVariant::Scalar => aprod2_instr_atomic as AtomicKernel,
-        KernelVariant::Unrolled | KernelVariant::Blocked => {
-            aprod2_instr_atomic_unrolled as AtomicKernel
-        }
-    };
-    SectionKernels {
-        full,
-        owned,
-        atomic,
-    }
+    SectionKernels { full, owned }
 }
 
 /// Astrometric `aprod2` kernel for a (variant, layout) pair.
@@ -377,7 +369,7 @@ impl LaunchPlan {
         self
     }
 
-    /// Select the value layout the non-atomic kernels read.
+    /// Select the value layout the kernels read.
     pub fn with_matrix_layout(mut self, layout: MatrixLayout) -> Self {
         self.matrix_layout = layout;
         self
@@ -657,11 +649,21 @@ impl LaunchPlan {
                 } else {
                     AtomicFlavor::CasLoop
                 };
+                let (block, probe) = match stream {
+                    Stream::Att => (Block::Att, PROBE_ATT_ATOMIC),
+                    _ => (Block::Instr, PROBE_INSTR_ATOMIC),
+                };
                 let view: &'a [AtomicU64] = as_atomic(section);
                 let chunks = self.section_chunks(stream, rows.len());
                 for chunk in split_span(rows, chunks) {
                     jobs.push(Box::new(move || {
-                        (kerns.atomic)(sys, y, chunk, view, flavor)
+                        // A CPU has no hardware that combines FP64 atomics,
+                        // so combine the chunk in a job-private copy of the
+                        // section first, then publish it — still in wave 1,
+                        // racing every other job's publish.
+                        let mut local = vec![0.0; section_len];
+                        (kerns.full)(sys, y, chunk, &mut local);
+                        publish_atomic(block, probe, &local, view, flavor);
                     }));
                 }
                 None
@@ -810,165 +812,28 @@ impl LaunchPlan {
     }
 }
 
-/// Attitude `aprod2` over a row range with atomic updates into the shared
-/// block-local attitude section.
-fn aprod2_att_atomic(
-    sys: &SparseSystem,
-    y: &[f64],
-    rows: Range<usize>,
-    out: &[AtomicU64],
+/// Publish a job's privately combined section into the shared one: one
+/// atomic add per column the job touched, in whatever order the schedule
+/// interleaves it with the other jobs' publishes. Recorded as its own scope
+/// in the section's telemetry cell, with the adds actually issued.
+fn publish_atomic(
+    block: Block,
+    probe: u32,
+    local: &[f64],
+    shared: &[AtomicU64],
     flavor: AtomicFlavor,
 ) {
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Att);
-    t.add_bytes(rows.len() as u64 * (3 * ATT_NNZ_PER_ROW as u64 + 1) * 8);
-    t.add_rmws(rows.len() as u64 * ATT_NNZ_PER_ROW as u64);
-    let dof = sys.layout().n_deg_freedom_att as usize;
-    for row in rows {
-        sched::preempt_point(PROBE_ATT_ATOMIC);
-        let yr = y[row];
-        if yr == 0.0 {
-            continue;
-        }
-        let (vals, off) = sys.att_row(row);
-        for axis in 0..ATT_AXES as usize {
-            let base = axis * dof + off as usize;
-            for k in 0..ATT_PARAMS_PER_AXIS as usize {
-                atomic_add(flavor, &out[base + k], vals[axis * 4 + k] * yr);
-            }
+    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, block);
+    let mut rmws = 0u64;
+    for (slot, &v) in shared.iter().zip(local) {
+        if v != 0.0 {
+            sched::preempt_point(probe);
+            atomic_add(flavor, slot, v);
+            rmws += 1;
         }
     }
-    debug_assert_eq!(ATT_NNZ_PER_ROW, 12);
-}
-
-/// Instrumental `aprod2` over a row range with atomic updates.
-fn aprod2_instr_atomic(
-    sys: &SparseSystem,
-    y: &[f64],
-    rows: Range<usize>,
-    out: &[AtomicU64],
-    flavor: AtomicFlavor,
-) {
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Instr);
-    t.add_bytes(rows.len() as u64 * (3 * INSTR_NNZ_PER_ROW as u64 + 1) * 8);
-    t.add_rmws(rows.len() as u64 * INSTR_NNZ_PER_ROW as u64);
-    for row in rows {
-        sched::preempt_point(PROBE_INSTR_ATOMIC);
-        let yr = y[row];
-        if yr == 0.0 {
-            continue;
-        }
-        let (vals, cols) = sys.instr_row(row);
-        for k in 0..INSTR_NNZ_PER_ROW {
-            atomic_add(flavor, &out[cols[k] as usize], vals[k] * yr);
-        }
-    }
-}
-
-/// Unrolled [`aprod2_att_atomic`]: the twelve RMWs spelled out per row.
-fn aprod2_att_atomic_unrolled(
-    sys: &SparseSystem,
-    y: &[f64],
-    rows: Range<usize>,
-    out: &[AtomicU64],
-    flavor: AtomicFlavor,
-) {
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Att);
-    t.add_bytes(rows.len() as u64 * (3 * ATT_NNZ_PER_ROW as u64 + 1) * 8);
-    t.add_rmws(rows.len() as u64 * ATT_NNZ_PER_ROW as u64);
-    let dof = sys.layout().n_deg_freedom_att as usize;
-    for row in rows {
-        sched::preempt_point(PROBE_ATT_ATOMIC);
-        let yr = y[row];
-        if yr == 0.0 {
-            continue;
-        }
-        let (vals, off) = sys.att_row(row);
-        let &[a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3] = vals else {
-            continue;
-        };
-        let base0 = off as usize;
-        let base1 = base0 + dof;
-        let base2 = base1 + dof;
-        atomic_add(flavor, &out[base0], a0 * yr);
-        atomic_add(flavor, &out[base0 + 1], a1 * yr);
-        atomic_add(flavor, &out[base0 + 2], a2 * yr);
-        atomic_add(flavor, &out[base0 + 3], a3 * yr);
-        atomic_add(flavor, &out[base1], b0 * yr);
-        atomic_add(flavor, &out[base1 + 1], b1 * yr);
-        atomic_add(flavor, &out[base1 + 2], b2 * yr);
-        atomic_add(flavor, &out[base1 + 3], b3 * yr);
-        atomic_add(flavor, &out[base2], c0 * yr);
-        atomic_add(flavor, &out[base2 + 1], c1 * yr);
-        atomic_add(flavor, &out[base2 + 2], c2 * yr);
-        atomic_add(flavor, &out[base2 + 3], c3 * yr);
-    }
-}
-
-/// Cache-blocked [`aprod2_att_atomic`]: rows in tiles, each tile swept
-/// axis-by-axis, so consecutive RMWs land in one axis segment.
-fn aprod2_att_atomic_blocked(
-    sys: &SparseSystem,
-    y: &[f64],
-    rows: Range<usize>,
-    out: &[AtomicU64],
-    flavor: AtomicFlavor,
-) {
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Att);
-    t.add_bytes(rows.len() as u64 * (3 * ATT_NNZ_PER_ROW as u64 + 1) * 8);
-    t.add_rmws(rows.len() as u64 * ATT_NNZ_PER_ROW as u64);
-    let dof = sys.layout().n_deg_freedom_att as usize;
-    let mut start = rows.start;
-    while start < rows.end {
-        let end = (start + kernels::ATT_BLOCK_TILE).min(rows.end);
-        for axis in 0..ATT_AXES as usize {
-            for (row, &yr) in (start..end).zip(&y[start..end]) {
-                sched::preempt_point(PROBE_ATT_ATOMIC);
-                if yr == 0.0 {
-                    continue;
-                }
-                let (vals, off) = sys.att_row(row);
-                let base = axis * dof + off as usize;
-                for k in 0..ATT_PARAMS_PER_AXIS as usize {
-                    atomic_add(
-                        flavor,
-                        &out[base + k],
-                        vals[axis * ATT_PARAMS_PER_AXIS as usize + k] * yr,
-                    );
-                }
-            }
-        }
-        start = end;
-    }
-}
-
-/// Unrolled [`aprod2_instr_atomic`]: the six RMWs spelled out per row.
-fn aprod2_instr_atomic_unrolled(
-    sys: &SparseSystem,
-    y: &[f64],
-    rows: Range<usize>,
-    out: &[AtomicU64],
-    flavor: AtomicFlavor,
-) {
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Instr);
-    t.add_bytes(rows.len() as u64 * (3 * INSTR_NNZ_PER_ROW as u64 + 1) * 8);
-    t.add_rmws(rows.len() as u64 * INSTR_NNZ_PER_ROW as u64);
-    for row in rows {
-        sched::preempt_point(PROBE_INSTR_ATOMIC);
-        let yr = y[row];
-        if yr == 0.0 {
-            continue;
-        }
-        let (vals, cols) = sys.instr_row(row);
-        let (&[v0, v1, v2, v3, v4, v5], &[c0, c1, c2, c3, c4, c5]) = (vals, cols) else {
-            continue;
-        };
-        atomic_add(flavor, &out[c0 as usize], v0 * yr);
-        atomic_add(flavor, &out[c1 as usize], v1 * yr);
-        atomic_add(flavor, &out[c2 as usize], v2 * yr);
-        atomic_add(flavor, &out[c3 as usize], v3 * yr);
-        atomic_add(flavor, &out[c4 as usize], v4 * yr);
-        atomic_add(flavor, &out[c5 as usize], v5 * yr);
-    }
+    t.add_bytes((local.len() as u64 + 2 * rmws) * 8);
+    t.add_rmws(rmws);
 }
 
 /// Global `aprod2` over a row range: local reduction, single atomic add.
@@ -1284,6 +1149,7 @@ mod tests {
         let strategies = [
             Aprod2Strategy::OwnerComputes,
             Aprod2Strategy::Atomic,
+            Aprod2Strategy::CasLoop,
             Aprod2Strategy::Replicated,
             Aprod2Strategy::LockStriped { stripes: 5 },
         ];

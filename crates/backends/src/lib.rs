@@ -14,9 +14,9 @@
 //! |---|---|---|
 //! | `seq` | reference / oracle | none (serial) |
 //! | `chunked` | OpenMP target teams (owner-computes) | column-range ownership |
-//! | `atomic` | CUDA/HIP atomicAdd (RMW) | hardware atomics on `f64` |
-//! | `casloop` | compilers that emit CAS loops instead of RMW (§V-B, MI250X discussion) | compare-and-swap retry loops |
-//! | `replicated` | privatization + reduction | per-chunk buffers |
+//! | `atomic` | CUDA/HIP atomicAdd (RMW) | each job combines its rows privately, then one relaxed atomic `f64` add per touched column into the shared section, unordered, no reduction wave |
+//! | `casloop` | compilers that emit CAS loops instead of RMW (§V-B, MI250X discussion) | as `atomic`, publishing with SeqCst compare-and-swap retry loops |
+//! | `replicated` | privatization + reduction | per-chunk buffers kept across a barrier, summed in fixed order in a second wave |
 //! | `striped` | lock-based fallback | striped mutexes |
 //! | `rayon` | C++ PSTL (tuning-oblivious runtime) | star-chunk split + fold/reduce |
 //! | `streamed` | CUDA streams overlapping the four `aprod2` kernels | disjoint block sections on concurrent threads |

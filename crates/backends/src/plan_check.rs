@@ -732,12 +732,11 @@ fn check_read_write_races(sections: &[SectionModel], violations: &mut Vec<PlanVi
     }
 }
 
-/// The matrix space a non-atomic kernel reads under `plan`'s layout.
-/// Atomic section kernels always read row-major (their cost is the RMW
-/// traffic, not the gather), so they bypass the ELL mirror even when the
-/// plan selects it; the global kernels are row-major unconditionally.
-fn matrix_space(plan: &LaunchPlan, atomic_kernel: bool) -> ReadSpace {
-    if plan.matrix_layout == MatrixLayout::Ell && !atomic_kernel {
+/// The matrix space a kernel reads under `plan`'s layout: the ELL mirror
+/// when the plan selects it, except for the single-column global kernels,
+/// which are row-major unconditionally.
+fn matrix_space(plan: &LaunchPlan, glob_kernel: bool) -> ReadSpace {
+    if plan.matrix_layout == MatrixLayout::Ell && !glob_kernel {
         ReadSpace::EllMirror
     } else {
         ReadSpace::MatrixRows
@@ -801,6 +800,8 @@ fn lower_section(
                 SectionModel::new(wave1, WriteAccess::Owned, section_len, writes).with_reads(reads),
             );
         }
+        // Each job combines its chunk privately with the plan's full
+        // kernel, then atomically adds into whichever columns it touched.
         Aprod2Strategy::Atomic | Aprod2Strategy::CasLoop => {
             let chunks = plan.section_chunks(stream, rows.len());
             let spans = split_span(rows, chunks);
@@ -809,7 +810,7 @@ fn lower_section(
                 .map(|chunk| {
                     vec![
                         ReadAccess::plain(ReadSpace::Input, chunk.clone()),
-                        ReadAccess::plain(matrix_space(plan, true), chunk.clone()),
+                        ReadAccess::plain(matrix_space(plan, glob_stream), chunk.clone()),
                         ReadAccess::atomic(ReadSpace::Section(wave1), 0..section_len),
                     ]
                 })
@@ -1131,18 +1132,12 @@ mod tests {
     /// Kernel variant and value layout change loop shape and gather
     /// source, never access-sets: every variant × layout combination must
     /// lower to the same sound model as the scalar row-major plan, up to
-    /// the matrix space non-atomic kernels gather from (`Ell` redirects
-    /// those reads to the mirror; identical rows either way).
+    /// the matrix space the kernels gather from (`Ell` redirects those
+    /// reads to the mirror; identical rows either way).
     #[test]
     fn every_variant_and_layout_is_sound_on_canonical_dims() {
         use gaia_sparse::MatrixLayout;
-        let strategies = [
-            Aprod2Strategy::OwnerComputes,
-            Aprod2Strategy::Atomic,
-            Aprod2Strategy::Replicated,
-            Aprod2Strategy::LockStriped { stripes: 8 },
-        ];
-        for strategy in strategies {
+        for strategy in STRATEGIES {
             for streamed in [false, true] {
                 let base = plan(strategy, streamed);
                 let scalar_model: Vec<_> = PlanDims::canonical()
@@ -1169,39 +1164,74 @@ mod tests {
         }
     }
 
-    /// Under the ELL layout, every non-atomic kernel's matrix read must
-    /// come from the mirror, and atomic kernels must keep reading
-    /// row-major (they bypass the mirror by design).
+    /// Under the ELL layout every kernel's matrix read comes from the
+    /// mirror, under every strategy — the atomic ones included, now that
+    /// their jobs run the plan's full kernel. Only the single-column global
+    /// kernels stay row-major.
     #[test]
-    fn ell_layout_redirects_exactly_the_non_atomic_matrix_reads() {
+    fn ell_layout_redirects_every_matrix_read_but_the_global_ones() {
         use gaia_sparse::MatrixLayout;
         let dims = &PlanDims::canonical()[0];
         for strategy in STRATEGIES {
             let p = plan(strategy, false).with_matrix_layout(MatrixLayout::Ell);
-            let atomic_strategy =
-                matches!(strategy, Aprod2Strategy::Atomic | Aprod2Strategy::CasLoop);
             for s in write_model(&p, dims) {
+                let glob = matches!(s.id, SectionId::Glob | SectionId::GlobCombine);
                 for rd in s.reads.iter().flatten() {
                     match rd.space {
-                        ReadSpace::EllMirror => assert!(
-                            !(atomic_strategy
-                                && matches!(
-                                    s.id,
-                                    SectionId::Att | SectionId::Instr | SectionId::Glob
-                                )),
-                            "[{}] atomic kernels must not read the mirror",
-                            s.id
-                        ),
-                        ReadSpace::MatrixRows => assert!(
-                            s.id == SectionId::Glob
-                                || s.id == SectionId::GlobCombine
-                                || (atomic_strategy
-                                    && matches!(s.id, SectionId::Att | SectionId::Instr)),
-                            "[{}] non-atomic kernel read row-major under Ell",
-                            s.id
-                        ),
+                        ReadSpace::EllMirror => {
+                            assert!(!glob, "[{}] global kernels are row-major", s.id)
+                        }
+                        ReadSpace::MatrixRows => {
+                            assert!(glob, "[{}] {strategy:?} read row-major under Ell", s.id)
+                        }
                         _ => {}
                     }
+                }
+            }
+        }
+    }
+
+    /// The model and the launcher agree for the atomic strategies under
+    /// ELL: the attitude and instrumental jobs are modelled as mirror
+    /// readers, the plan is sound on the canonical shapes, and what it
+    /// executes matches `seq`.
+    #[test]
+    fn atomic_strategies_read_the_mirror_under_ell_and_match_seq() {
+        use crate::{Backend, ExecutorPool, SeqBackend};
+        use gaia_sparse::{Generator, GeneratorConfig, MatrixLayout, SystemLayout};
+        let sys = Generator::new(GeneratorConfig::new(SystemLayout::small()).seed(5)).generate();
+        let y: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut want = vec![0.0; sys.n_cols()];
+        SeqBackend.aprod2(&sys, &y, &mut want);
+        let scale = want.iter().fold(1.0f64, |m, w| m.max(w.abs()));
+        for strategy in [Aprod2Strategy::Atomic, Aprod2Strategy::CasLoop] {
+            for threads in [1usize, 3, 8] {
+                let p =
+                    LaunchPlan::new(Tuning::with_threads(threads), Aprod2Spec::uniform(strategy))
+                        .with_matrix_layout(MatrixLayout::Ell);
+                p.analyze_canonical()
+                    .unwrap_or_else(|e| panic!("{strategy:?} t{threads} judged unsound:\n{e}"));
+                for s in write_model(&p, &PlanDims::for_system(&sys)) {
+                    if !matches!(s.id, SectionId::Att | SectionId::Instr) {
+                        continue;
+                    }
+                    assert_eq!(s.access, WriteAccess::Atomic);
+                    for reads in &s.reads {
+                        assert!(
+                            reads.iter().any(|r| r.space == ReadSpace::EllMirror),
+                            "[{}] {strategy:?} job does not read the mirror",
+                            s.id
+                        );
+                        assert!(reads.iter().all(|r| r.space != ReadSpace::MatrixRows));
+                    }
+                }
+                let mut got = vec![0.0; sys.n_cols()];
+                p.aprod2(&ExecutorPool::new(threads), &sys, &y, &mut got);
+                for (g, w) in got.iter().zip(&want) {
+                    assert!(
+                        (g - w).abs() <= 1e-12 * scale,
+                        "{strategy:?} t{threads}: {g} vs {w}"
+                    );
                 }
             }
         }

@@ -64,16 +64,22 @@ static TABLE: [Row; 14] = [
         description: "pooled workers, owner-computes columns (OpenMP-teams analogue)",
         build: Build::Plan(owner_computes),
     },
-    // CUDA/HIP `atomicAdd`: relaxed RMW adds into the shared sections.
+    // CUDA/HIP `atomicAdd`: each job combines its rows privately (a CPU has
+    // no L2 that combines FP64 atomics), then publishes with relaxed RMW
+    // adds into the shared sections — unordered, no reduction wave, which
+    // is what `replicated` has instead.
     Row {
         name: "atomic",
-        description: "row-parallel, atomic f64 RMW updates (CUDA/HIP analogue)",
+        description:
+            "row-parallel, job-combined atomic f64 RMW adds into the shared sections (CUDA/HIP analogue)",
         build: Build::Plan(|t| uniform(t, Aprod2Strategy::Atomic)),
     },
-    // The CAS loop some compilers emit instead of an RMW (§V-B, MI250X).
+    // The CAS loop some compilers emit instead of an RMW (§V-B, MI250X):
+    // `atomic`'s shape, publishing with the fully fenced retry loop.
     Row {
         name: "casloop",
-        description: "row-parallel, SeqCst CAS-loop updates (non-RMW compiler fallback)",
+        description:
+            "row-parallel, job-combined SeqCst CAS-loop adds into the shared sections (non-RMW compiler fallback)",
         build: Build::Plan(|t| uniform(t, Aprod2Strategy::CasLoop)),
     },
     // Privatization: one private copy of the shared sections per chunk,

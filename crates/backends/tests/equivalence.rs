@@ -5,7 +5,12 @@
 use gaia_backends::{all_backends, backend_by_name, backend_names, Backend, SeqBackend};
 use gaia_sparse::{Generator, GeneratorConfig, SystemLayout};
 use proptest::prelude::*;
-use std::sync::LazyLock;
+use std::sync::{LazyLock, PoisonError, RwLock};
+
+/// The telemetry registry is process-global and the tests of this file run
+/// side by side: every test that can run an atomic strategy's `aprod2`
+/// holds this shared, and the RMW-count test holds it alone.
+static RMW_CELLS: RwLock<()> = RwLock::new(());
 
 fn layouts() -> impl Strategy<Value = SystemLayout> {
     (3u64..10, 12u64..20, 4u64..12, 6u64..12, 0u32..2, 0u64..4)
@@ -50,6 +55,7 @@ proptest! {
         chunks_idx in 0usize..CHUNK_GRID.len(),
         bias in -2.0f64..2.0,
     ) {
+        let _shared = RMW_CELLS.read().unwrap_or_else(PoisonError::into_inner);
         let sys = Generator::new(GeneratorConfig::new(layout).seed(seed)).generate();
         let x: Vec<f64> = (0..sys.n_cols()).map(|i| ((i + 1) as f64 * 0.37).sin()).collect();
         let y: Vec<f64> = (0..sys.n_rows()).map(|i| ((i + 2) as f64 * 0.41).cos()).collect();
@@ -104,6 +110,7 @@ proptest! {
     fn aprod2_transpose_identity(seed in 0u64..100, threads in 1usize..5) {
         // ⟨A x, y⟩ == ⟨x, Aᵀ y⟩ — the adjoint identity both products must
         // satisfy together; LSQR's convergence theory depends on it.
+        let _shared = RMW_CELLS.read().unwrap_or_else(PoisonError::into_inner);
         let sys = Generator::new(
             GeneratorConfig::new(SystemLayout::tiny()).seed(seed),
         ).generate();
@@ -129,6 +136,7 @@ fn the_sweep_draws_every_plan_driven_policy() {
 
 #[test]
 fn zero_input_leaves_output_untouched() {
+    let _shared = RMW_CELLS.read().unwrap_or_else(PoisonError::into_inner);
     let sys = Generator::new(GeneratorConfig::new(SystemLayout::tiny()).seed(1)).generate();
     for backend in all_backends(4) {
         let x = vec![0.0; sys.n_cols()];
@@ -178,5 +186,74 @@ fn repeated_application_accumulates() {
                 backend.name()
             );
         }
+    }
+}
+
+/// The `atomic_rmws` column counts the atomic adds a publish issued — at
+/// most one per column per job — not one per matrix non-zero as the
+/// deleted per-element interiors reported, and nothing for `seq`.
+#[cfg(feature = "telemetry")]
+#[test]
+fn rmw_counter_reports_the_atomic_adds_issued() {
+    use gaia_backends::launch::Stream;
+    let _alone = RMW_CELLS.write().unwrap_or_else(PoisonError::into_inner);
+    let sys = Generator::new(GeneratorConfig::new(SystemLayout::small()).seed(4)).generate();
+    let y: Vec<f64> = (0..sys.n_rows())
+        .map(|i| (i as f64 * 0.41).cos() + 1.5)
+        .collect();
+    // (attitude, instrumental) RMWs recorded so far in the `aprod2` cells.
+    let recorded = || {
+        let snap = gaia_telemetry::snapshot();
+        ["att", "instr"].map(|block| {
+            snap.kernels
+                .iter()
+                .find(|c| c.phase == "aprod2" && c.block == block)
+                .map_or(0, |c| c.atomic_rmws)
+        })
+    };
+    let issued_by = |name: &str| {
+        let backend = backend_by_name(name, 1).unwrap();
+        let before = recorded();
+        let mut out = vec![0.0; sys.n_cols()];
+        backend.aprod2(&sys, &y, &mut out);
+        let after = recorded();
+        [after[0] - before[0], after[1] - before[1]]
+    };
+
+    assert_eq!(issued_by("seq"), [0, 0]);
+    let atomic = issued_by("atomic-t2");
+    assert_eq!(
+        issued_by("casloop-t2"),
+        atomic,
+        "same publish, other flavor"
+    );
+
+    let plan = backend_by_name("atomic-t2", 1)
+        .unwrap()
+        .launch_plan()
+        .expect("atomic carries a plan");
+    let c = sys.columns();
+    let sections = [
+        (
+            plan.section_chunks(Stream::Att, sys.n_rows()),
+            (c.instr - c.att) as usize,
+            sys.n_rows() * 12,
+        ),
+        (
+            plan.section_chunks(Stream::Instr, sys.n_obs_rows()),
+            (c.glob - c.instr) as usize,
+            sys.n_obs_rows() * 6,
+        ),
+    ];
+    for (rmws, (jobs, section_len, nonzeros)) in atomic.into_iter().zip(sections) {
+        assert!(rmws > 0, "a publish that issued no atomic add");
+        assert!(
+            rmws <= (jobs * section_len) as u64,
+            "{rmws} adds from {jobs} jobs over {section_len} columns"
+        );
+        assert!(
+            rmws * 50 < nonzeros as u64,
+            "{rmws} adds is not far below the {nonzeros} non-zeros"
+        );
     }
 }

@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use gaia_backends::{backend_by_name, Backend};
+use gaia_backends::{backend_by_name, Backend, Tuning};
 use gaia_lsqr::{solve, LsqrConfig};
 use gaia_p3::{report, Cascade, MeasurementSet, Normalization};
 use gaia_sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
@@ -45,14 +45,17 @@ fn main() {
         ITERATIONS
     );
 
-    let max_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let mut budgets = vec![1usize, 2, 4];
-    if max_threads > 4 {
+    // Platforms are thread budgets the host can actually run side by
+    // side — never more threads than cores: the powers of two up to its
+    // parallelism, plus the parallelism itself.
+    let max_threads = Tuning::auto().threads;
+    let mut budgets: Vec<usize> = std::iter::successors(Some(1usize), |b| b.checked_mul(2))
+        .take_while(|&b| b <= max_threads)
+        .collect();
+    if budgets.last() != Some(&max_threads) {
         budgets.push(max_threads);
     }
-    budgets.dedup();
+    println!("host parallelism {max_threads}: thread budgets {budgets:?}\n");
 
     // rayon's global pool is fixed at startup, so the tuning-oblivious
     // backend (like PSTL) uses whatever the runtime decides — we still
@@ -93,6 +96,7 @@ fn main() {
         "cpu_portability.json",
         &serde_json::json!({
             "iterations": ITERATIONS,
+            "available_parallelism": max_threads,
             "budgets": budgets,
             "pp": matrix.apps().iter().map(|a| {
                 serde_json::json!({"backend": a, "pp": matrix.pp(a, &platforms)})
@@ -103,13 +107,12 @@ fn main() {
     // Per-kernel telemetry of representative strategies at the largest
     // budget: where inside aprod1/aprod2 each conflict strategy spends its
     // time (JSON artifacts under results/telemetry/).
-    let top_budget = *budgets.last().unwrap_or(&4);
-    println!("\nper-kernel telemetry at threads-{top_budget}:\n");
+    println!("\nper-kernel telemetry at threads-{max_threads}:\n");
     for name in ["seq", "atomic", "replicated", "streamed"] {
         let report = gaia_bench::measured_run(
             &format!("cpu_portability_{name}"),
             name,
-            top_budget,
+            max_threads,
             &sys,
             ITERATIONS,
         );

@@ -4,9 +4,10 @@
 //! rarely visits the bad orderings. This module drives the executor pool
 //! through **seeded adversarial schedules** (`gaia_backends::exec::sched`,
 //! compiled in via the `sched-test` feature): job pickup order is permuted,
-//! workers are forcibly preempted at the probe points inside the atomic,
-//! CAS, lock-striped, and reduction kernels, section barriers are skewed,
-//! and individual worker lanes are starved. Each strategy is replayed under
+//! workers are forcibly preempted at the probe points between the atomic
+//! adds of the atomic and CAS publish loops, in the lock-striped apply and
+//! in the reduction, section barriers are skewed, and individual worker
+//! lanes are starved. Each strategy is replayed under
 //! many seeds and compared against the sequential oracle:
 //!
 //! * `OwnerComputes` and `Replicated` reduce in a fixed order, so their
@@ -23,6 +24,7 @@ use std::sync::atomic::Ordering;
 
 use gaia_backends::exec::sched::{self, ScheduleController};
 use gaia_backends::exec::{ExecutorPool, Job};
+use gaia_backends::launch::{PROBE_ATT_ATOMIC, PROBE_INSTR_ATOMIC};
 use gaia_backends::{atomicf64, kernels};
 use gaia_backends::{
     check_sections, Aprod2Spec, Aprod2Strategy, Backend, KernelVariant, LaunchPlan, PlanDims,
@@ -68,14 +70,26 @@ pub fn expect_bitwise(strategy: Aprod2Strategy) -> bool {
 
 /// The kernel-variant axis the auto-tuner searches, with the stable name
 /// used in reports: every non-scalar (interior, layout) point, each run
-/// under the contended [`Aprod2Strategy::Atomic`] strategy so the variant
-/// atomic interiors actually execute under adversarial preemption.
+/// under the contended [`Aprod2Strategy::Atomic`] strategy, so the variant's
+/// *full-section* interior executes inside every job and its result reaches
+/// the output through the atomic publish, under adversarial preemption.
 pub fn variants() -> Vec<(&'static str, KernelVariant, MatrixLayout)> {
     vec![
         ("unrolled", KernelVariant::Unrolled, MatrixLayout::RowMajor),
         ("blocked", KernelVariant::Blocked, MatrixLayout::RowMajor),
         ("ell", KernelVariant::Scalar, MatrixLayout::Ell),
     ]
+}
+
+/// The exploration plan for `spec`: [`THREADS`] workers, two chunks each.
+fn exploration_plan(spec: Aprod2Spec) -> LaunchPlan {
+    LaunchPlan::new(
+        Tuning {
+            threads: THREADS,
+            chunks_per_thread: 2,
+        },
+        spec,
+    )
 }
 
 /// Replay a kernel-variant plan under `seeds` adversarial schedules:
@@ -88,60 +102,16 @@ pub fn explore_variant(
     layout: MatrixLayout,
     seeds: &[u64],
 ) -> ScheduleReport {
-    let sys = test_system();
-    let y = probe_vector(sys.n_rows());
-
-    let mut want = vec![0.0f64; sys.n_cols()];
-    SeqBackend.aprod2(&sys, &y, &mut want);
-
-    let plan = LaunchPlan::new(
-        Tuning {
-            threads: THREADS,
-            chunks_per_thread: 2,
-        },
-        Aprod2Spec::uniform(Aprod2Strategy::Atomic),
+    let plan = exploration_plan(Aprod2Spec::uniform(Aprod2Strategy::Atomic))
+        .with_variant(variant)
+        .with_matrix_layout(layout);
+    replay(
+        format!("atomic+{name}"),
+        plan,
+        false,
+        seeds,
+        ScheduleController::from_seed,
     )
-    .with_variant(variant)
-    .with_matrix_layout(layout);
-    let analysis = plan.analyze(&PlanDims::for_system(&sys));
-    let (statically_flagged, write_model_flagged, read_model_flagged) = static_flags(&analysis);
-
-    let pool = ExecutorPool::new(THREADS);
-    let mut baseline = vec![0.0f64; sys.n_cols()];
-    plan.aprod2(&pool, &sys, &y, &mut baseline);
-
-    let mut failures = 0usize;
-    let mut max_abs_error = 0.0f64;
-    let mut bitwise_stable = true;
-    for &seed in seeds {
-        pool.set_schedule(Some(ScheduleController::from_seed(seed)));
-        let mut got = vec![0.0f64; sys.n_cols()];
-        plan.aprod2(&pool, &sys, &y, &mut got);
-        pool.set_schedule(None);
-
-        let err = max_abs_diff(&got, &want);
-        max_abs_error = max_abs_error.max(err);
-        let failed = !err.is_finite() || err > SCHEDULE_TOLERANCE;
-        if failed {
-            failures += 1;
-        }
-        if bits_differ(&got, &baseline) {
-            bitwise_stable = false;
-        }
-        gaia_telemetry::record_verify_schedule(failed);
-    }
-
-    ScheduleReport {
-        subject: format!("atomic+{name}"),
-        schedules: seeds.len(),
-        failures,
-        max_abs_error,
-        expect_bitwise: false,
-        bitwise_stable,
-        statically_flagged,
-        write_model_flagged,
-        read_model_flagged,
-    }
 }
 
 /// Outcome of replaying one subject under a batch of seeded schedules.
@@ -173,6 +143,12 @@ pub struct ScheduleReport {
     /// wave). Together with `write_model_flagged` and the dynamic
     /// `failures`, the canary must trip all three independent layers.
     pub read_model_flagged: bool,
+    /// Fewest atomic-publish probe hits any schedule's launch saw, taking
+    /// the rarer of the attitude and instrumental sections (the
+    /// controller's own count). Zero means some launch never reached a
+    /// publish loop, so its schedule perturbed nothing there; always zero
+    /// for a subject that has no atomic publish.
+    pub publish_probes_min: u64,
 }
 
 /// Split a static analysis result into (any, write-layer, read-layer)
@@ -255,24 +231,52 @@ pub fn explore_strategy(
     streamed: bool,
     seeds: &[u64],
 ) -> ScheduleReport {
+    let spec = if streamed {
+        Aprod2Spec::streamed(strategy)
+    } else {
+        Aprod2Spec::uniform(strategy)
+    };
+    replay(
+        format!("{name}{}", if streamed { "+streamed" } else { "" }),
+        exploration_plan(spec),
+        expect_bitwise(strategy),
+        seeds,
+        ScheduleController::from_seed,
+    )
+}
+
+/// Replay an atomic-publish `strategy` under the controller the canary is
+/// caught with ([`ScheduleController::race_window`]: every probe preempts,
+/// with a wide spin), so the atomic adds of different jobs' publishes
+/// interleave on every schedule. The report's `publish_probes_min` says
+/// whether every launch actually got there.
+pub fn explore_publish(name: &str, strategy: Aprod2Strategy, seeds: &[u64]) -> ScheduleReport {
+    replay(
+        format!("{name}+race-window"),
+        exploration_plan(Aprod2Spec::uniform(strategy)),
+        false,
+        seeds,
+        ScheduleController::race_window,
+    )
+}
+
+/// The loop behind every `explore_*` of a real plan: run `plan`'s `aprod2`
+/// on the exploration system once unperturbed, then once per seed under
+/// `controller(seed)`, and compare every run to the sequential oracle and
+/// to the unperturbed run.
+fn replay(
+    subject: String,
+    plan: LaunchPlan,
+    expect_bitwise: bool,
+    seeds: &[u64],
+    controller: fn(u64) -> ScheduleController,
+) -> ScheduleReport {
     let sys = test_system();
     let y = probe_vector(sys.n_rows());
 
     let mut want = vec![0.0f64; sys.n_cols()];
     SeqBackend.aprod2(&sys, &y, &mut want);
 
-    let spec = if streamed {
-        Aprod2Spec::streamed(strategy)
-    } else {
-        Aprod2Spec::uniform(strategy)
-    };
-    let plan = LaunchPlan::new(
-        Tuning {
-            threads: THREADS,
-            chunks_per_thread: 2,
-        },
-        spec,
-    );
     // Cross-check with the static layer: every real strategy's plan must
     // pass the checker on this very system's shape.
     let analysis = plan.analyze(&PlanDims::for_system(&sys));
@@ -288,11 +292,18 @@ pub fn explore_strategy(
     let mut failures = 0usize;
     let mut max_abs_error = 0.0f64;
     let mut bitwise_stable = true;
+    let mut publish_probes_min: Option<u64> = None;
     for &seed in seeds {
-        pool.set_schedule(Some(ScheduleController::from_seed(seed)));
+        pool.set_schedule(Some(controller(seed)));
         let mut got = vec![0.0f64; sys.n_cols()];
         plan.aprod2(&pool, &sys, &y, &mut got);
-        pool.set_schedule(None);
+        let ctrl = pool
+            .set_schedule(None)
+            .expect("the controller installed above");
+        let hits = ctrl
+            .probe_count(PROBE_ATT_ATOMIC)
+            .min(ctrl.probe_count(PROBE_INSTR_ATOMIC));
+        publish_probes_min = Some(publish_probes_min.map_or(hits, |m| m.min(hits)));
 
         let err = max_abs_diff(&got, &want);
         max_abs_error = max_abs_error.max(err);
@@ -307,15 +318,16 @@ pub fn explore_strategy(
     }
 
     ScheduleReport {
-        subject: format!("{name}{}", if streamed { "+streamed" } else { "" }),
+        subject,
         schedules: seeds.len(),
         failures,
         max_abs_error,
-        expect_bitwise: expect_bitwise(strategy),
+        expect_bitwise,
         bitwise_stable,
         statically_flagged,
         write_model_flagged,
         read_model_flagged,
+        publish_probes_min: publish_probes_min.unwrap_or(0),
     }
 }
 
@@ -415,5 +427,6 @@ pub fn explore_broken(seeds: &[u64]) -> ScheduleReport {
         statically_flagged,
         write_model_flagged,
         read_model_flagged,
+        publish_probes_min: 0,
     }
 }

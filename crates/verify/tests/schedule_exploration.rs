@@ -39,6 +39,12 @@ fn every_strategy_survives_200_seeded_schedules() {
         let rep = schedule::explore_strategy(name, strategy, false, &seeds);
         assert_eq!(rep.schedules, 200);
         assert_clean(&rep);
+        assert_eq!(
+            rep.publish_probes_min > 0,
+            matches!(name, "atomic" | "casloop"),
+            "{}: only the atomic strategies publish",
+            rep.subject
+        );
     }
 }
 
@@ -79,6 +85,36 @@ fn kernel_variants_survive_seeded_schedules() {
         let rep = schedule::explore_variant(name, variant, layout, &seeds);
         assert_clean(&rep);
     }
+}
+
+/// The atomic strategies issue one atomic add per touched column a job now,
+/// not one per non-zero, so an exploration that never reached them would pass
+/// vacuously. Under the canary's own race-hostile controller every launch,
+/// on every seed of the committed corpus, must hit the publish probes of
+/// both colliding sections and still agree with the oracle — while the
+/// same controller and seeds still expose the canary.
+#[test]
+fn atomic_publish_is_explored_on_every_launch_and_survives_the_race_window() {
+    let seeds = corpus::corpus_seeds();
+    for (name, strategy) in schedule::strategies() {
+        if !matches!(name, "atomic" | "casloop") {
+            continue;
+        }
+        let rep = schedule::explore_publish(name, strategy, &seeds);
+        assert_eq!(rep.schedules, seeds.len());
+        assert_clean(&rep);
+        assert!(
+            rep.publish_probes_min > 0,
+            "{}: some launch never reached the publish loop of a colliding section",
+            rep.subject
+        );
+    }
+    let canary = schedule::explore_broken(&seeds);
+    assert!(
+        canary.failures > 0,
+        "the race window no longer exposes the canary"
+    );
+    assert_eq!(canary.publish_probes_min, 0, "the canary has no publish");
 }
 
 /// The must-fail canary: a correct harness flags the lost-update fixture.
