@@ -7,7 +7,10 @@ use rayon::prelude::*;
 use crate::kernels;
 use crate::traits::Backend;
 
-/// Work-stealing parallel-iterator backend.
+/// Parallel-iterator backend. The `rayon` it runs on is this workspace's
+/// offline stand-in (`vendor/rayon`): items are split into contiguous
+/// batches, one per core, on scoped threads — no work stealing — so that
+/// is what the `rayon` row of any measurement here measures.
 ///
 /// C++ PSTL "completely mask\[s\] any low-level parallel runtime library" and
 /// offers "no specific directive to tune the number of threads and blocks"
@@ -34,7 +37,7 @@ impl Backend for RayonBackend {
     }
 
     fn description(&self) -> &'static str {
-        "rayon parallel iterators, runtime-chosen split (C++ PSTL analogue)"
+        "parallel iterators on vendor/rayon: contiguous batches on scoped threads, no work stealing (C++ PSTL analogue)"
     }
 
     fn aprod1(&self, sys: &SparseSystem, x: &[f64], out: &mut [f64]) {

@@ -147,12 +147,13 @@ pub fn aprod2_att(sys: &SparseSystem, y: &[f64], rows: Range<usize>, out: &mut [
     let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Att);
     t.add_bytes(rows.len() as u64 * (3 * ATT_NNZ_PER_ROW as u64 + 1) * F64);
     let dof = sys.layout().n_deg_freedom_att as usize;
+    let att_row = sys.att_rows();
     for row in rows {
         let yr = y[row];
         if yr == 0.0 {
             continue;
         }
-        let (vals, off) = sys.att_row(row);
+        let (vals, off) = att_row(row);
         for axis in 0..ATT_AXES as usize {
             let base = axis * dof + off as usize;
             for k in 0..ATT_PARAMS_PER_AXIS as usize {
@@ -177,12 +178,13 @@ pub fn aprod2_att_owned(
         rows.len() as u64 * (ATT_NNZ_PER_ROW as u64 + 1) * F64 + own.len() as u64 * 2 * F64,
     );
     let dof = sys.layout().n_deg_freedom_att as usize;
+    let att_row = sys.att_rows();
     for row in rows {
         let yr = y[row];
         if yr == 0.0 {
             continue;
         }
-        let (vals, off) = sys.att_row(row);
+        let (vals, off) = att_row(row);
         for axis in 0..ATT_AXES as usize {
             let base = axis * dof + off as usize;
             for k in 0..ATT_PARAMS_PER_AXIS as usize {
@@ -202,12 +204,13 @@ pub fn aprod2_instr(sys: &SparseSystem, y: &[f64], rows: Range<usize>, out: &mut
     debug_assert_eq!(out.len() as u64, sys.layout().n_instr_params);
     let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Instr);
     t.add_bytes(rows.len() as u64 * (3 * INSTR_NNZ_PER_ROW as u64 + 1) * F64);
+    let instr_row = sys.instr_rows();
     for row in rows {
         let yr = y[row];
         if yr == 0.0 {
             continue;
         }
-        let (vals, cols) = sys.instr_row(row);
+        let (vals, cols) = instr_row(row);
         for k in 0..INSTR_NNZ_PER_ROW {
             out[cols[k] as usize] += vals[k] * yr;
         }
@@ -228,12 +231,13 @@ pub fn aprod2_instr_owned(
     t.add_bytes(
         rows.len() as u64 * (INSTR_NNZ_PER_ROW as u64 + 1) * F64 + own.len() as u64 * 2 * F64,
     );
+    let instr_row = sys.instr_rows();
     for row in rows {
         let yr = y[row];
         if yr == 0.0 {
             continue;
         }
-        let (vals, cols) = sys.instr_row(row);
+        let (vals, cols) = instr_row(row);
         for k in 0..INSTR_NNZ_PER_ROW {
             let col = cols[k] as usize;
             if col >= own.start && col < own.end {
@@ -548,12 +552,13 @@ pub fn aprod2_att_unrolled(sys: &SparseSystem, y: &[f64], rows: Range<usize>, ou
     let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Att);
     t.add_bytes(rows.len() as u64 * (3 * ATT_NNZ_PER_ROW as u64 + 1) * F64);
     let dof = sys.layout().n_deg_freedom_att as usize;
+    let att_row = sys.att_rows();
     for row in rows {
         let yr = y[row];
         if yr == 0.0 {
             continue;
         }
-        let (vals, off) = sys.att_row(row);
+        let (vals, off) = att_row(row);
         let &[a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3] = vals else {
             continue;
         };
@@ -589,12 +594,13 @@ pub fn aprod2_att_owned_unrolled(
         rows.len() as u64 * (ATT_NNZ_PER_ROW as u64 + 1) * F64 + own.len() as u64 * 2 * F64,
     );
     let dof = sys.layout().n_deg_freedom_att as usize;
+    let att_row = sys.att_rows();
     for row in rows {
         let yr = y[row];
         if yr == 0.0 {
             continue;
         }
-        let (vals, off) = sys.att_row(row);
+        let (vals, off) = att_row(row);
         let &[a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3] = vals else {
             continue;
         };
@@ -681,6 +687,7 @@ pub fn aprod2_att_blocked(sys: &SparseSystem, y: &[f64], rows: Range<usize>, out
     let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Att);
     t.add_bytes(rows.len() as u64 * (3 * ATT_NNZ_PER_ROW as u64 + 1) * F64);
     let dof = sys.layout().n_deg_freedom_att as usize;
+    let att_row = sys.att_rows();
     let mut start = rows.start;
     while start < rows.end {
         let end = (start + ATT_BLOCK_TILE).min(rows.end);
@@ -689,7 +696,7 @@ pub fn aprod2_att_blocked(sys: &SparseSystem, y: &[f64], rows: Range<usize>, out
                 if yr == 0.0 {
                     continue;
                 }
-                let (vals, off) = sys.att_row(row);
+                let (vals, off) = att_row(row);
                 let base = axis * dof + off as usize;
                 let v = &vals[axis * ATT_PARAMS_PER_AXIS as usize..];
                 let &[v0, v1, v2, v3, ..] = v else {
@@ -720,6 +727,7 @@ pub fn aprod2_att_owned_blocked(
         rows.len() as u64 * (ATT_NNZ_PER_ROW as u64 + 1) * F64 + own.len() as u64 * 2 * F64,
     );
     let dof = sys.layout().n_deg_freedom_att as usize;
+    let att_row = sys.att_rows();
     let mut start = rows.start;
     while start < rows.end {
         let end = (start + ATT_BLOCK_TILE).min(rows.end);
@@ -728,7 +736,7 @@ pub fn aprod2_att_owned_blocked(
                 if yr == 0.0 {
                     continue;
                 }
-                let (vals, off) = sys.att_row(row);
+                let (vals, off) = att_row(row);
                 let base = axis * dof + off as usize;
                 let lo = base.max(own.start);
                 let hi = (base + ATT_PARAMS_PER_AXIS as usize).min(own.end);
@@ -748,12 +756,13 @@ pub fn aprod2_instr_unrolled(sys: &SparseSystem, y: &[f64], rows: Range<usize>, 
     debug_assert_eq!(out.len() as u64, sys.layout().n_instr_params);
     let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Instr);
     t.add_bytes(rows.len() as u64 * (3 * INSTR_NNZ_PER_ROW as u64 + 1) * F64);
+    let instr_row = sys.instr_rows();
     for row in rows {
         let yr = y[row];
         if yr == 0.0 {
             continue;
         }
-        let (vals, cols) = sys.instr_row(row);
+        let (vals, cols) = instr_row(row);
         let (&[v0, v1, v2, v3, v4, v5], &[c0, c1, c2, c3, c4, c5]) = (vals, cols) else {
             continue;
         };
@@ -780,12 +789,13 @@ pub fn aprod2_instr_owned_unrolled(
     t.add_bytes(
         rows.len() as u64 * (INSTR_NNZ_PER_ROW as u64 + 1) * F64 + own.len() as u64 * 2 * F64,
     );
+    let instr_row = sys.instr_rows();
     for row in rows {
         let yr = y[row];
         if yr == 0.0 {
             continue;
         }
-        let (vals, cols) = sys.instr_row(row);
+        let (vals, cols) = instr_row(row);
         let (&[v0, v1, v2, v3, v4, v5], &[c0, c1, c2, c3, c4, c5]) = (vals, cols) else {
             continue;
         };

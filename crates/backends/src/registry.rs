@@ -101,7 +101,7 @@ static TABLE: [Row; 14] = [
     },
     Row {
         name: "rayon",
-        description: "rayon parallel iterators, runtime-chosen split (C++ PSTL analogue)",
+        description: "parallel iterators on vendor/rayon: contiguous batches on scoped threads, no work stealing (C++ PSTL analogue)",
         build: Build::Oblivious(|| Box::new(RayonBackend)),
     },
     // CUDA streams (§IV): the four `aprod2` block kernels write disjoint

@@ -2,13 +2,16 @@
 //! of the production solver.
 //!
 //! Mirrors the production decomposition (§IV): each rank owns a
-//! star-aligned *shard* of the rows as a real [`SparseSystem`] of its own
-//! (so any [`Backend`] — the per-rank "GPU" — can drive it, exactly the
-//! MPI+CUDA hybrid of the paper), while the unknown-sized vectors `v`,
-//! `w`, `x` are replicated. There is no distributed copy of the LSQR
+//! star-aligned block of the rows as a [`RowBlock`] — a [`SparseSystem`]
+//! any [`Backend`] (the per-rank "GPU") can drive, exactly the MPI+CUDA
+//! hybrid of the paper, that is a *view* of the caller's matrix: it shares
+//! the coefficient, index and known-term storage and allocates only its
+//! renumbered astrometric index (8 B a row), so a solve holds the matrix
+//! once however many ranks run it. The unknown-sized vectors `v`, `w`,
+//! `x` are replicated. There is no distributed copy of the LSQR
 //! iteration: a rank runs [`OperatorLsqr`] — the recurrence, stop rules,
 //! health guards and cancellation of [`crate::lsqr`] — over a private
-//! [`Operator`] of its shard, and this file adds only that operator and
+//! [`Operator`] of its block, and this file adds only that operator and
 //! the checkpoint assembly. Per iteration the operator computes one
 //! local product and makes three collectives:
 //!
@@ -23,7 +26,7 @@
 //!   every rank records "the iteration time maximized among all MPI
 //!   processes" and stops at the same iteration for the same reason.
 //!
-//! Shards renumber the astrometric columns locally (stars are
+//! Blocks renumber the astrometric columns locally (stars are
 //! partitioned), so the only index translation is a fixed offset for the
 //! astro section; the attitude / instrumental / global columns are shared
 //! verbatim. Because the collectives are deterministic, a distributed
@@ -34,9 +37,8 @@ use std::cell::RefCell;
 use std::sync::OnceLock;
 
 use gaia_backends::{blas, Backend, SeqBackend};
-use gaia_mpi_sim::{try_run, Communicator, FaultError, ReduceOp, WorldOptions};
-use gaia_sparse::system::{ASTRO_NNZ_PER_ROW, ATT_NNZ_PER_ROW, INSTR_NNZ_PER_ROW};
-use gaia_sparse::{RowPartition, SparseSystem, SystemLayout};
+use gaia_mpi_sim::{try_run, AbortCause, Communicator, FaultError, ReduceOp, WorldOptions};
+use gaia_sparse::{RowBlock, RowPartition, SparseSystem};
 
 use crate::cancel::CancellationToken;
 use crate::config::LsqrConfig;
@@ -44,117 +46,21 @@ use crate::lsqr::{LsqrState, OperatorLsqr};
 use crate::operator::{Operator, OperatorError};
 use crate::solution::{Solution, StopReason};
 
-/// One rank's slice of the system: a self-contained [`SparseSystem`] over
-/// the rank's stars (astro columns renumbered locally) plus the shared
-/// attitude / instrumental / global columns.
-pub struct Shard {
-    /// Owning rank.
-    pub rank: usize,
-    /// First global star owned by this shard.
-    pub star0: u64,
-    /// Global row range owned by this shard.
-    pub rows: std::ops::Range<usize>,
-    /// The shard as a standalone system.
-    pub sys: SparseSystem,
-}
-
-/// Build rank `rank`'s shard of `full` under `partition`.
-pub fn make_shard(full: &SparseSystem, partition: &RowPartition, rank: usize) -> Shard {
-    let layout = *full.layout();
+/// Rank `rank`'s rows under `partition`: a [`RowBlock`] that shares
+/// `full`'s storage. The last rank's block ends with the constraint rows.
+///
+/// # Panics
+/// If the partition gives the rank no star (more ranks than stars), which
+/// [`try_solve_hybrid`] refuses before it launches anything.
+pub fn rank_block(full: &SparseSystem, partition: &RowPartition, rank: usize) -> RowBlock {
     let range = partition.range(rank);
-    let rows = range.start as usize..range.end as usize;
-    let is_last = rank == partition.n_ranks() - 1;
-    let obs_rows = rows.start..rows.end.min(full.n_obs_rows());
-    let star0 = if obs_rows.is_empty() {
-        0
-    } else {
-        layout.star_of_row(obs_rows.start as u64)
-    };
-    let shard_stars = (obs_rows.len() as u64) / layout.obs_per_star;
-    debug_assert_eq!(
-        obs_rows.len() as u64,
-        shard_stars * layout.obs_per_star,
-        "partition must be star-aligned"
-    );
-
-    let shard_layout = SystemLayout {
-        n_stars: shard_stars,
-        obs_per_star: layout.obs_per_star,
-        n_deg_freedom_att: layout.n_deg_freedom_att,
-        n_instr_params: layout.n_instr_params,
-        n_glob_params: layout.n_glob_params,
-        n_constraint_rows: if is_last { layout.n_constraint_rows } else { 0 },
-    };
-
-    // Slice the arrays; astro indices are renumbered to local stars.
-    let a = obs_rows.start * ASTRO_NNZ_PER_ROW..obs_rows.end * ASTRO_NNZ_PER_ROW;
-    let t = rows.start * ATT_NNZ_PER_ROW..rows.end * ATT_NNZ_PER_ROW;
-    let i = obs_rows.start * INSTR_NNZ_PER_ROW..obs_rows.end * INSTR_NNZ_PER_ROW;
-    let g = if layout.n_glob_params > 0 {
-        obs_rows.clone()
-    } else {
-        0..0
-    };
-    let matrix_index_astro: Vec<u64> = full.matrix_index_astro()[obs_rows.clone()]
-        .iter()
-        .map(|&idx| idx - star0 * ASTRO_NNZ_PER_ROW as u64)
-        .collect();
-    let sys = SparseSystem::from_parts_shard(
-        shard_layout,
-        full.values_astro()[a].to_vec(),
-        full.values_att()[t].to_vec(),
-        full.values_instr()[i.clone()].to_vec(),
-        full.values_glob()[g].to_vec(),
-        matrix_index_astro,
-        full.matrix_index_att()[rows.clone()].to_vec(),
-        full.instr_col()[i].to_vec(),
-        full.known_terms()[rows.clone()].to_vec(),
+    let obs_per_star = full.layout().obs_per_star;
+    // The last rank's range runs on over the constraint rows.
+    let obs_end = range.end.min(full.n_obs_rows() as u64);
+    full.row_block(
+        range.start / obs_per_star..obs_end / obs_per_star,
+        rank + 1 == partition.n_ranks(),
     )
-    .expect("shard construction preserves invariants");
-
-    Shard {
-        rank,
-        star0,
-        rows,
-        sys,
-    }
-}
-
-impl Shard {
-    /// Gather this shard's view of a global unknown vector: the shard's
-    /// astro columns followed by the shared sections.
-    pub fn local_x(&self, global: &[f64], full_layout: &SystemLayout) -> Vec<f64> {
-        let mut local = vec![0.0; self.sys.n_cols()];
-        self.gather(global, &mut local, full_layout);
-        local
-    }
-
-    /// [`Shard::local_x`] into a caller-owned buffer of `sys.n_cols()`.
-    fn gather(&self, global: &[f64], local: &mut [f64], full_layout: &SystemLayout) {
-        debug_assert_eq!(local.len(), self.sys.n_cols());
-        let astro0 = (self.star0 * ASTRO_NNZ_PER_ROW as u64) as usize;
-        let astro_len = (self.sys.layout().n_stars * ASTRO_NNZ_PER_ROW as u64) as usize;
-        let shared0 = full_layout.n_astro_cols() as usize;
-        local[..astro_len].copy_from_slice(&global[astro0..astro0 + astro_len]);
-        local[astro_len..].copy_from_slice(&global[shared0..]);
-    }
-
-    /// Scatter-add this shard's local column vector into a global one.
-    pub fn add_to_global(&self, local: &[f64], global: &mut [f64], full_layout: &SystemLayout) {
-        debug_assert_eq!(local.len(), self.sys.n_cols());
-        let astro0 = (self.star0 * ASTRO_NNZ_PER_ROW as u64) as usize;
-        let astro_len = (self.sys.layout().n_stars * ASTRO_NNZ_PER_ROW as u64) as usize;
-        let shared0 = full_layout.n_astro_cols() as usize;
-        for (slot, &v) in global[astro0..astro0 + astro_len]
-            .iter_mut()
-            .zip(&local[..astro_len])
-        {
-            *slot += v;
-        }
-        for (slot, &v) in global[shared0..].iter_mut().zip(&local[astro_len..]) {
-            *slot += v;
-        }
-    }
 }
 
 /// Checkpoint sink invoked on rank 0 with the assembled global state.
@@ -186,7 +92,7 @@ pub struct DistOptions<'a> {
 }
 
 /// Solve `sys` on `n_ranks` simulated MPI ranks, each running the
-/// sequential reference backend on its shard; returns rank 0's solution
+/// sequential reference backend on its rows; returns rank 0's solution
 /// (all ranks produce identical results by construction).
 pub fn solve_distributed(sys: &SparseSystem, n_ranks: usize, config: &LsqrConfig) -> Solution {
     solve_hybrid(sys, n_ranks, config, |_| Box::new(SeqBackend))
@@ -206,14 +112,16 @@ where
     F: Fn(usize) -> Box<dyn Backend> + Sync,
 {
     try_solve_hybrid(sys, n_ranks, config, backend_for, &DistOptions::default())
-        .expect("rank panicked")
+        .expect("distributed solve failed")
 }
 
 /// Fault-aware hybrid solve: run under `opts` (fault plan, collective
 /// timeout, resume state, periodic checkpoint sink). Rank failures and
 /// collective timeouts — injected or real — surface as `Err(FaultError)`
 /// instead of hanging or crashing the caller; the resilient supervisor
-/// ([`crate::resilient`]) builds its retry loop on this.
+/// ([`crate::resilient`]) builds its retry loop on this. A rank owns whole
+/// stars, so more ranks than stars is refused before any rank is spawned
+/// ([`AbortCause::WorldTooLarge`]): no retry of that launch can succeed.
 pub fn try_solve_hybrid<F>(
     sys: &SparseSystem,
     n_ranks: usize,
@@ -225,6 +133,17 @@ where
     F: Fn(usize) -> Box<dyn Backend> + Sync,
 {
     config.validate().expect("invalid LSQR configuration");
+    let max_ranks = sys.layout().n_stars as usize;
+    if n_ranks > max_ranks {
+        return Err(FaultError {
+            cause: Some(AbortCause::WorldTooLarge {
+                ranks: n_ranks,
+                max_ranks,
+            }),
+            panicked: Vec::new(),
+            message: format!("{n_ranks} ranks cannot each own one of {max_ranks} star(s)"),
+        });
+    }
     let partition = RowPartition::new(sys.layout(), n_ranks);
     // One scan of the full matrix, shared by every rank that asks.
     let column_norms = OnceLock::new();
@@ -233,7 +152,7 @@ where
         let op = ShardOperator {
             full: sys,
             column_norms: &column_norms,
-            shard: make_shard(sys, &partition, comm.rank()),
+            block: rank_block(sys, &partition, comm.rank()),
             backend: backend.as_ref(),
             comm,
             scratch: RefCell::default(),
@@ -244,7 +163,8 @@ where
 }
 
 /// One rank's view of the full system as an [`Operator`]: the rows of its
-/// shard, the columns of the whole system. Row-space vectors (`u`, `b`)
+/// block — borrowed from `full`, never copied — and the columns of the
+/// whole system. Row-space vectors (`u`, `b`)
 /// are sharded, column-space vectors replicated; the three methods that
 /// cross the shard boundary — `aprod2`, `row_nrm2`, `agree` — are the
 /// three collectives of an iteration. The rank-ordered reductions of
@@ -253,7 +173,7 @@ where
 struct ShardOperator<'a> {
     full: &'a SparseSystem,
     column_norms: &'a OnceLock<Vec<f64>>,
-    shard: Shard,
+    block: RowBlock,
     backend: &'a dyn Backend,
     comm: Communicator,
     scratch: RefCell<Scratch>,
@@ -262,7 +182,7 @@ struct ShardOperator<'a> {
 /// Buffers reused by every product of a [`ShardOperator`].
 #[derive(Default)]
 struct Scratch {
-    /// A vector over the shard's own columns.
+    /// A vector over the block's own columns.
     local: Vec<f64>,
     /// This rank's `Aᵀy` over the full column space, then the sum of all.
     partial: Vec<f64>,
@@ -270,7 +190,7 @@ struct Scratch {
 
 impl Operator for ShardOperator<'_> {
     fn n_rows(&self) -> usize {
-        self.shard.sys.n_rows()
+        self.block.system.n_rows()
     }
 
     fn n_cols(&self) -> usize {
@@ -278,7 +198,7 @@ impl Operator for ShardOperator<'_> {
     }
 
     fn known_terms(&self) -> &[f64] {
-        self.shard.sys.known_terms()
+        self.block.system.known_terms()
     }
 
     fn column_norms(&self) -> Result<Vec<f64>, OperatorError> {
@@ -290,20 +210,19 @@ impl Operator for ShardOperator<'_> {
 
     fn aprod1(&self, x: &[f64], out: &mut [f64]) -> Result<(), OperatorError> {
         let local = &mut self.scratch.borrow_mut().local;
-        local.resize(self.shard.sys.n_cols(), 0.0);
-        self.shard.gather(x, local, self.full.layout());
-        self.backend.aprod1(&self.shard.sys, local, out);
+        self.block.gather_cols_into(x, local);
+        self.backend.aprod1(&self.block.system, local, out);
         Ok(())
     }
 
     fn aprod2(&self, y: &[f64], out: &mut [f64]) -> Result<(), OperatorError> {
         let Scratch { local, partial } = &mut *self.scratch.borrow_mut();
         local.clear();
-        local.resize(self.shard.sys.n_cols(), 0.0);
+        local.resize(self.block.system.n_cols(), 0.0);
         partial.clear();
         partial.resize(self.full.n_cols(), 0.0);
-        self.backend.aprod2(&self.shard.sys, y, local);
-        self.shard.add_to_global(local, partial, self.full.layout());
+        self.backend.aprod2(&self.block.system, y, local);
+        self.block.add_cols_into(local, partial);
         {
             let mut t = gaia_telemetry::collective_scope();
             t.add_bytes(partial.len() as u64 * 8);
@@ -330,9 +249,9 @@ impl Operator for ShardOperator<'_> {
 /// Drive the shared recurrence on one rank: start or resume, step, and
 /// assemble a global checkpoint when one is due.
 fn rank_solve(op: ShardOperator<'_>, cfg: &LsqrConfig, opts: &DistOptions<'_>) -> Solution {
-    const INFALLIBLE: &str = "a shard operator cannot fail";
+    const INFALLIBLE: &str = "a rank's operator cannot fail";
     let m = op.full.n_rows();
-    let rows = op.shard.rows.clone();
+    let rows = op.block.rows.clone();
     let mut solver = OperatorLsqr::new(op, *cfg).expect(INFALLIBLE);
     if let Some(token) = &opts.cancel {
         solver = solver.with_cancel(token.clone());
@@ -403,22 +322,26 @@ mod tests {
     }
 
     #[test]
-    fn shards_tile_the_full_system() {
+    fn rank_blocks_tile_the_full_system_without_copying_it() {
         let sys = system(300);
         let partition = RowPartition::new(sys.layout(), 3);
         let mut covered_rows = 0usize;
         let mut covered_stars = 0u64;
+        let x: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.31).sin()).collect();
+        let mut local_x = Vec::new();
         for rank in 0..3 {
-            let shard = make_shard(&sys, &partition, rank);
-            covered_rows += shard.sys.n_rows();
-            covered_stars += shard.sys.layout().n_stars;
-            // The shard's rows reproduce the full system's row dots.
-            let x: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.31).sin()).collect();
-            let local_x = shard.local_x(&x, sys.layout());
-            for (li, gi) in shard.rows.clone().enumerate() {
+            let block = rank_block(&sys, &partition, rank);
+            assert!(block.system.shares_storage_with(&sys), "rank {rank}");
+            assert_eq!(block.rows.start, covered_rows);
+            covered_rows += block.system.n_rows();
+            covered_stars += block.system.layout().n_stars;
+            // The block's rows reproduce the full system's row dots.
+            block.gather_cols_into(&x, &mut local_x);
+            for (li, gi) in block.rows.clone().enumerate() {
                 let want = sys.row_dot(gi, &x);
-                let got = shard.sys.row_dot(li, &local_x);
-                assert!((want - got).abs() < 1e-12, "rank {rank} row {gi}");
+                let got = block.system.row_dot(li, &local_x);
+                assert_eq!(want.to_bits(), got.to_bits(), "rank {rank} row {gi}");
+                assert_eq!(block.system.known_terms()[li], sys.known_terms()[gi]);
             }
         }
         assert_eq!(covered_rows, sys.n_rows());
@@ -426,24 +349,48 @@ mod tests {
     }
 
     #[test]
-    fn shard_scatter_gather_round_trip() {
+    fn per_block_aprod2_sums_to_the_full_product() {
         let sys = system(301);
         let partition = RowPartition::new(sys.layout(), 4);
-        // Sum of per-shard aprod2 equals the full aprod2.
         let y: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.17).cos()).collect();
         let mut want = vec![0.0; sys.n_cols()];
         SeqBackend.aprod2(&sys, &y, &mut want);
         let mut got = vec![0.0; sys.n_cols()];
         for rank in 0..4 {
-            let shard = make_shard(&sys, &partition, rank);
-            let mut local = vec![0.0; shard.sys.n_cols()];
-            let local_y = &y[shard.rows.clone()];
-            SeqBackend.aprod2(&shard.sys, local_y, &mut local);
-            shard.add_to_global(&local, &mut got, sys.layout());
+            let block = rank_block(&sys, &partition, rank);
+            let mut local = vec![0.0; block.system.n_cols()];
+            SeqBackend.aprod2(&block.system, &y[block.rows.clone()], &mut local);
+            block.add_cols_into(&local, &mut got);
         }
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 1e-11);
         }
+    }
+
+    #[test]
+    fn more_ranks_than_stars_is_refused_before_any_rank_is_spawned() {
+        let sys = system(307);
+        let n_stars = sys.layout().n_stars as usize;
+        let err = try_solve_hybrid(
+            &sys,
+            n_stars + 1,
+            &LsqrConfig::new(),
+            |rank| -> Box<dyn Backend> { panic!("rank {rank} was spawned") },
+            &DistOptions::default(),
+        )
+        .expect_err("a rank without a star has nothing to run");
+        assert_eq!(
+            err.cause,
+            Some(AbortCause::WorldTooLarge {
+                ranks: n_stars + 1,
+                max_ranks: n_stars
+            })
+        );
+        assert!(err.panicked.is_empty(), "{err}");
+        assert!(err.message.contains("star"), "{err}");
+        // One star per rank is the largest world that runs.
+        let sol = solve_distributed(&sys, n_stars, &LsqrConfig::new());
+        assert!(sol.stop.converged(), "{:?}", sol.stop);
     }
 
     #[test]
@@ -569,7 +516,7 @@ mod tests {
             f(ShardOperator {
                 full: sys,
                 column_norms: &column_norms,
-                shard: make_shard(sys, &partition, comm.rank()),
+                block: rank_block(sys, &partition, comm.rank()),
                 backend: &SeqBackend,
                 comm,
                 scratch: RefCell::default(),
@@ -591,7 +538,7 @@ mod tests {
             // would show in the second.
             for _ in 0..2 {
                 out.copy_from_slice(&out0);
-                op.aprod2(&y[op.shard.rows.clone()], &mut out).unwrap();
+                op.aprod2(&y[op.block.rows.clone()], &mut out).unwrap();
             }
             out
         });

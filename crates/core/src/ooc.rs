@@ -6,9 +6,11 @@
 //! [`Operator`] by streaming star-aligned row tiles from a `gaia-tiles/v2`
 //! spill directory through an ordinary [`Backend`], holding at most
 //! `budget / tile_bytes` tiles resident via the scan-aware cache inside
-//! [`TiledSystem`]. The cache evicts the tile used last, which is the
-//! optimal choice for the ascending scans below and requires only that
-//! each loop iteration drops its shard before the next asks for one.
+//! [`TiledSystem`]. A resident tile is a [`gaia_sparse::RowBlock`] — the
+//! type a distributed rank's rows are, here over storage read from disk.
+//! The cache evicts the tile used last, which is the optimal choice for
+//! the ascending scans below and requires only that each loop iteration
+//! drops its block before the next asks for one.
 //!
 //! **Bit-identity**: tiles are processed sequentially in global row
 //! order — whichever of them the cache happens to hold — and every
@@ -97,13 +99,12 @@ impl<B: Backend + ?Sized> Operator for TiledOperator<'_, B> {
     fn aprod1(&self, x: &[f64], out: &mut [f64]) -> Result<(), OperatorError> {
         let mut x_local = self.scratch.borrow_mut();
         for t in 0..self.tiles.n_tiles() {
-            let (shard, access) = self.tiles.tile(t)?;
+            let (block, access) = self.tiles.tile(t)?;
             self.record(&access);
-            let rows = shard.global_rows();
-            let rows = rows.start as usize..rows.end as usize;
-            shard.gather_cols_into(x, &mut x_local);
+            block.gather_cols_into(x, &mut x_local);
             // Rows are tile-disjoint: accumulate straight into the slice.
-            self.backend.aprod1(&shard.system, &x_local, &mut out[rows]);
+            self.backend
+                .aprod1(&block.system, &x_local, &mut out[block.rows.clone()]);
         }
         Ok(())
     }
@@ -111,15 +112,14 @@ impl<B: Backend + ?Sized> Operator for TiledOperator<'_, B> {
     fn aprod2(&self, y: &[f64], out: &mut [f64]) -> Result<(), OperatorError> {
         let mut out_local = self.scratch.borrow_mut();
         for t in 0..self.tiles.n_tiles() {
-            let (shard, access) = self.tiles.tile(t)?;
+            let (block, access) = self.tiles.tile(t)?;
             self.record(&access);
-            let rows = shard.global_rows();
-            let rows = rows.start as usize..rows.end as usize;
             // Columns are shared across tiles: copy the running values in,
             // let the backend accumulate this tile's rows, copy back out.
-            shard.gather_cols_into(out, &mut out_local);
-            self.backend.aprod2(&shard.system, &y[rows], &mut out_local);
-            shard.scatter_cols(&out_local, out);
+            block.gather_cols_into(out, &mut out_local);
+            self.backend
+                .aprod2(&block.system, &y[block.rows.clone()], &mut out_local);
+            block.scatter_cols(&out_local, out);
         }
         Ok(())
     }

@@ -8,7 +8,9 @@
 //! campaign needs:
 //!
 //! * **detect** — rank panics and collective timeouts surface as
-//!   [`gaia_mpi_sim::FaultError`]; corrupted arithmetic trips the
+//!   [`gaia_mpi_sim::FaultError`] (and so does a world refused for having
+//!   more ranks than stars, which is never retried at that size, only
+//!   degraded); corrupted arithmetic trips the
 //!   per-iteration health
 //!   guards ([`crate::health`]) and stops the solve with
 //!   [`StopReason::NumericalBreakdown`];
@@ -334,8 +336,12 @@ where
                 drop(sol);
             }
             Err(err) => {
-                if matches!(err.cause, Some(AbortCause::CollectiveTimeout { .. })) {
-                    cell.timeouts += 1;
+                match err.cause {
+                    Some(AbortCause::CollectiveTimeout { .. }) => cell.timeouts += 1,
+                    // Refused, not failed: the same world would be refused
+                    // again, so this tier has no retry worth its backoff.
+                    Some(AbortCause::WorldTooLarge { .. }) => retries_left = 0,
+                    _ => {}
                 }
                 recovery_seconds += seconds;
                 attempts.push(AttemptRecord {
@@ -539,6 +545,62 @@ mod tests {
             }),
             "jitter never moved off the ceiling: {ds:?}"
         );
+    }
+
+    #[test]
+    fn a_world_with_more_ranks_than_stars_is_degraded_or_given_up_never_retried() {
+        let sys = system(506);
+        let cfg = LsqrConfig::new();
+        let too_many = sys.layout().n_stars as usize + 1;
+        let policy = |on_unrecoverable| ResilienceOptions {
+            policy: RecoveryPolicy {
+                max_retries: 3,
+                backoff: Duration::from_secs(3600),
+                backoff_cap: Duration::from_secs(3600),
+                on_unrecoverable,
+                ..RecoveryPolicy::default()
+            },
+            ..Default::default()
+        };
+        let refused = |a: &AttemptRecord| {
+            matches!(
+                a.outcome,
+                AttemptOutcome::Failed {
+                    cause: Some(AbortCause::WorldTooLarge { .. }),
+                    ..
+                }
+            )
+        };
+
+        // An hour of back-off per retry: this returns only if none is taken.
+        let report = solve_resilient(
+            &sys,
+            too_many,
+            &cfg,
+            seq_backends(),
+            &policy(OnUnrecoverable::Degrade),
+        )
+        .expect("half the ranks is a world that runs");
+        assert_eq!(report.attempts.len(), 2, "{:?}", report.attempts);
+        assert!(refused(&report.attempts[0]));
+        assert_eq!(report.final_ranks, too_many / 2);
+        assert_eq!(report.telemetry.retries, 0);
+        assert_eq!(report.telemetry.degradations, 1);
+        assert!(report.solution.stop.converged());
+        let reference = solve_distributed(&sys, too_many / 2, &cfg);
+        assert_eq!(report.solution.x, reference.x);
+
+        let err = solve_resilient(
+            &sys,
+            too_many,
+            &cfg,
+            seq_backends(),
+            &policy(OnUnrecoverable::Fail),
+        )
+        .expect_err("nothing may run at a refused size under Fail");
+        assert_eq!(err.attempts.len(), 1, "{:?}", err.attempts);
+        assert!(refused(&err.attempts[0]));
+        assert!(err.message.contains("star"), "{err}");
     }
 
     #[test]

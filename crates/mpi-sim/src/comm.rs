@@ -7,7 +7,8 @@ use std::time::{Duration, Instant};
 use crate::collectives::{combine, CollOp, ReduceOp};
 use crate::fault::{FaultKind, FaultPlan};
 
-/// Why a world was torn down before every rank finished.
+/// Why a world was torn down before every rank finished — or never
+/// launched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbortCause {
     /// A rank panicked (injected fault or real bug) mid-run.
@@ -19,6 +20,15 @@ pub enum AbortCause {
     CollectiveTimeout {
         /// The rank whose wait expired.
         rank: usize,
+    },
+    /// The caller refused to launch: the work splits into `max_ranks`
+    /// parts at most, so some of the `ranks` asked for would own nothing.
+    /// Launching the same world again cannot succeed; a smaller one can.
+    WorldTooLarge {
+        /// The world size asked for.
+        ranks: usize,
+        /// The largest world the work can be split across.
+        max_ranks: usize,
     },
 }
 

@@ -260,6 +260,34 @@ fn scripted_rank_panic_is_contained_and_recovered() {
 }
 
 #[test]
+fn a_request_for_more_ranks_than_stars_degrades_without_a_retry() {
+    let sys = system(33);
+    let too_many = sys.layout().n_stars as usize + 1;
+    // An hour between the supervisor's retries: the request resolves only
+    // if the refused launch is degraded at once, never relaunched.
+    let mut cfg = ServiceConfig::default();
+    cfg.supervisor.backoff = Duration::from_secs(3600);
+    cfg.supervisor.backoff_cap = Duration::from_secs(3600);
+    let service = SolveService::start(cfg);
+    let mut request = SolveRequest::new("greedy", sys);
+    request.ranks = too_many;
+    let (id, ticket) = service.submit(request);
+    let outcome = ticket.wait();
+    assert_eq!(outcome.kind(), OutcomeKind::Degraded);
+    let summary = outcome.summary().expect("a degraded solve has a summary");
+    assert_eq!(summary.retries, 0);
+    assert_eq!(summary.attempts, 2, "one refusal, one solve");
+    assert_eq!(summary.ranks, too_many / 2);
+    let events = service.shutdown();
+    assert!(
+        !events
+            .iter()
+            .any(|e| matches!(e, ServiceEvent::Retried { id: retried, .. } if *retried == id)),
+        "{events:?}"
+    );
+}
+
+#[test]
 fn overload_sheds_with_queue_full_and_every_admitted_request_resolves() {
     let service = SolveService::start(ServiceConfig {
         workers: 1,

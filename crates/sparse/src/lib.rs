@@ -63,10 +63,10 @@ pub use ell::{EllSystem, MatrixLayout};
 pub use generator::{AttitudePattern, Generator, GeneratorConfig, InstrumentPattern, Rhs};
 pub use layout::{BlockKind, ColumnBlocks, SystemLayout};
 pub use partition::{RowPartition, RowRange};
-pub use system::SparseSystem;
+pub use system::{RowBlock, SparseSystem};
 pub use tiled::{
     resolve_tiles_dir, source_fingerprint, write_tiles, CapacityBudget, TileAccess, TileCache,
-    TileCacheStats, TileError, TileManifest, TileMeta, TileShard, TiledSystem, TILES_DIR_ENV,
+    TileCacheStats, TileError, TileManifest, TileMeta, TiledSystem, TILES_DIR_ENV,
 };
 
 /// Number of astrometric parameters solved per star (right ascension,

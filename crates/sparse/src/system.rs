@@ -13,7 +13,8 @@
 //! Constraint rows (appended after the `n_stars × obs_per_star` observation
 //! rows) carry only attitude coefficients; see [`crate::constraints`].
 
-use std::sync::OnceLock;
+use std::ops::{Deref, Range};
+use std::sync::{Arc, OnceLock};
 
 use crate::ell::EllSystem;
 #[cfg(test)]
@@ -28,38 +29,96 @@ pub const ASTRO_NNZ_PER_ROW: usize = ASTRO_PARAMS_PER_STAR as usize;
 /// Number of instrumental coefficients stored per observation row.
 pub const INSTR_NNZ_PER_ROW: usize = INSTR_PARAMS_PER_ROW as usize;
 
+/// A range of a reference-counted array. Cloning and slicing copy nothing,
+/// so a cloned system shares its original's storage and a
+/// [`SparseSystem::row_block`] its parent's; [`Shared::make_mut`] is where a
+/// mutator stops sharing.
+#[derive(Debug, Clone)]
+struct Shared<T> {
+    buf: Arc<Vec<T>>,
+    range: Range<usize>,
+}
+
+impl<T> From<Vec<T>> for Shared<T> {
+    fn from(vec: Vec<T>) -> Self {
+        Shared {
+            range: 0..vec.len(),
+            buf: Arc::new(vec),
+        }
+    }
+}
+
+impl<T> Deref for Shared<T> {
+    type Target = [T];
+
+    /// Never panics (a range outside its buffer, which no constructor
+    /// makes, would read as empty): the per-row accessors deref two arrays
+    /// each, and only loads that no possible panic precedes are hoisted
+    /// out of a kernel's row loop.
+    #[inline]
+    fn deref(&self) -> &[T] {
+        self.buf.get(self.range.clone()).unwrap_or_default()
+    }
+}
+
+impl<T: Clone> Shared<T> {
+    /// The sub-range `range` of this one, over the same buffer.
+    fn slice(&self, range: Range<usize>) -> Self {
+        assert!(range.start <= range.end && range.end <= self.len());
+        Shared {
+            buf: Arc::clone(&self.buf),
+            range: self.range.start + range.start..self.range.start + range.end,
+        }
+    }
+
+    /// Exclusive access to the elements: a partial range is copied out of
+    /// its buffer first, and so is a whole one somebody else still holds.
+    fn make_mut(&mut self) -> &mut [T] {
+        if self.range.len() != self.buf.len() {
+            *self = self.to_vec().into();
+        }
+        Arc::make_mut(&mut self.buf).as_mut_slice()
+    }
+}
+
 /// The reduced sparse system `A x = b`.
 ///
 /// All index arrays use *block-local* offsets; absolute columns are obtained
 /// through [`ColumnBlocks`]. Invariants are enforced by
 /// [`SparseSystem::from_parts`] and preserved by the read-only API.
+///
+/// The eight arrays are reference-counted: `clone()` and
+/// [`SparseSystem::row_block`] share them, and the three mutators copy what
+/// they change before they change it, so no system ever sees another's
+/// mutation.
 #[derive(Debug, Clone)]
 pub struct SparseSystem {
     layout: SystemLayout,
     cols: ColumnBlocks,
     /// Astrometric coefficients, `n_obs_rows × 5`, row-major.
-    values_astro: Vec<f64>,
+    values_astro: Shared<f64>,
     /// Attitude coefficients, `n_rows × 12`, row-major
     /// (axis-major within a row: `[axis0 k0..k3, axis1 k0..k3, axis2 ...]`).
-    values_att: Vec<f64>,
+    values_att: Shared<f64>,
     /// Instrumental coefficients, `n_obs_rows × 6`, row-major.
-    values_instr: Vec<f64>,
+    values_instr: Shared<f64>,
     /// Global coefficients, `n_obs_rows × n_glob_params`.
-    values_glob: Vec<f64>,
+    values_glob: Shared<f64>,
     /// Start column of the astrometric block of each observation row
     /// (always `5 × star`, stored explicitly as in production).
-    matrix_index_astro: Vec<u64>,
+    matrix_index_astro: Shared<u64>,
     /// Offset of the first attitude non-zero inside each axis segment,
     /// per row (observations and constraints), in `0..=dof-4`.
-    matrix_index_att: Vec<u64>,
+    matrix_index_att: Shared<u64>,
     /// Instrument-block-local columns of the 6 instrumental non-zeros,
     /// `n_obs_rows × 6`, strictly increasing within a row.
-    instr_col: Vec<u32>,
+    instr_col: Shared<u32>,
     /// Known terms `b`, `n_rows`.
-    known_terms: Vec<f64>,
+    known_terms: Shared<f64>,
     /// Lazily built ELL (slot-major) mirror, shared by layout-aware
-    /// kernels. Reset by every mutating method so it can never go stale.
-    ell: OnceLock<EllSystem>,
+    /// kernels and by clones. Reset by every mutating method so it can
+    /// never go stale.
+    ell: OnceLock<Arc<EllSystem>>,
 }
 
 impl SparseSystem {
@@ -78,7 +137,7 @@ impl SparseSystem {
         known_terms: Vec<f64>,
     ) -> Result<Self, SystemError> {
         layout.validate().map_err(SystemError::Layout)?;
-        Self::from_parts_impl(
+        Self::from_parts_shard(
             layout,
             values_astro,
             values_att,
@@ -91,12 +150,13 @@ impl SparseSystem {
         )
     }
 
-    /// Assemble a *shard* of a larger system (an MPI rank's slice of the
-    /// observations). Identical validation to [`SparseSystem::from_parts`]
-    /// except the overdetermined check: a shard shares the attitude /
-    /// instrumental / global columns with the other ranks, so locally it
-    /// may have fewer rows than columns — the global system remains
-    /// overdetermined.
+    /// Assemble a row block of a larger system from arrays of its own (a
+    /// tile read back from disk; a block of a resident system is
+    /// [`SparseSystem::row_block`], which copies nothing). Identical
+    /// validation to [`SparseSystem::from_parts`] except the overdetermined
+    /// check: a block shares the attitude / instrumental / global columns
+    /// with the other blocks, so locally it may have fewer rows than
+    /// columns — the whole system remains overdetermined.
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts_shard(
         layout: SystemLayout,
@@ -113,69 +173,55 @@ impl SparseSystem {
             Ok(()) | Err(crate::layout::LayoutError::Underdetermined { .. }) => {}
             Err(e) => return Err(SystemError::Layout(e)),
         }
-        Self::from_parts_impl(
+        let sys = SparseSystem {
+            cols: layout.columns(),
             layout,
-            values_astro,
-            values_att,
-            values_instr,
-            values_glob,
-            matrix_index_astro,
-            matrix_index_att,
-            instr_col,
-            known_terms,
-        )
+            values_astro: values_astro.into(),
+            values_att: values_att.into(),
+            values_instr: values_instr.into(),
+            values_glob: values_glob.into(),
+            matrix_index_astro: matrix_index_astro.into(),
+            matrix_index_att: matrix_index_att.into(),
+            instr_col: instr_col.into(),
+            known_terms: known_terms.into(),
+            ell: OnceLock::new(),
+        };
+        sys.validate()?;
+        Ok(sys)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn from_parts_impl(
-        layout: SystemLayout,
-        values_astro: Vec<f64>,
-        values_att: Vec<f64>,
-        values_instr: Vec<f64>,
-        values_glob: Vec<f64>,
-        matrix_index_astro: Vec<u64>,
-        matrix_index_att: Vec<u64>,
-        instr_col: Vec<u32>,
-        known_terms: Vec<f64>,
-    ) -> Result<Self, SystemError> {
+    /// Every structural invariant of the arrays against the layout:
+    /// lengths, index bounds, instrument column ordering.
+    fn validate(&self) -> Result<(), SystemError> {
+        let layout = &self.layout;
         let n_obs = layout.n_obs_rows() as usize;
         let n_rows = layout.n_rows() as usize;
-        let expect = |name: &'static str, got: usize, want: usize| {
-            if got == want {
-                Ok(())
-            } else {
-                Err(SystemError::ArrayLength { name, got, want })
+        let (astro, att) = (n_obs * ASTRO_NNZ_PER_ROW, n_rows * ATT_NNZ_PER_ROW);
+        let instr = n_obs * INSTR_NNZ_PER_ROW;
+        let glob = n_obs * layout.n_glob_params as usize;
+        for (name, got, want) in [
+            ("values_astro", self.values_astro.len(), astro),
+            ("values_att", self.values_att.len(), att),
+            ("values_instr", self.values_instr.len(), instr),
+            ("values_glob", self.values_glob.len(), glob),
+            ("matrix_index_astro", self.matrix_index_astro.len(), n_obs),
+            ("matrix_index_att", self.matrix_index_att.len(), n_rows),
+            ("instr_col", self.instr_col.len(), instr),
+            ("known_terms", self.known_terms.len(), n_rows),
+        ] {
+            if got != want {
+                return Err(SystemError::ArrayLength { name, got, want });
             }
-        };
-        expect(
-            "values_astro",
-            values_astro.len(),
-            n_obs * ASTRO_NNZ_PER_ROW,
-        )?;
-        expect("values_att", values_att.len(), n_rows * ATT_NNZ_PER_ROW)?;
-        expect(
-            "values_instr",
-            values_instr.len(),
-            n_obs * INSTR_NNZ_PER_ROW,
-        )?;
-        expect(
-            "values_glob",
-            values_glob.len(),
-            n_obs * layout.n_glob_params as usize,
-        )?;
-        expect("matrix_index_astro", matrix_index_astro.len(), n_obs)?;
-        expect("matrix_index_att", matrix_index_att.len(), n_rows)?;
-        expect("instr_col", instr_col.len(), n_obs * INSTR_NNZ_PER_ROW)?;
-        expect("known_terms", known_terms.len(), n_rows)?;
+        }
 
-        for (row, &start) in matrix_index_astro.iter().enumerate() {
+        for (row, &start) in self.matrix_index_astro.iter().enumerate() {
             let star = layout.star_of_row(row as u64);
             if start != star * ASTRO_PARAMS_PER_STAR as u64 {
                 return Err(SystemError::AstroIndex { row, start, star });
             }
         }
         let max_att_off = layout.n_deg_freedom_att - ATT_PARAMS_PER_AXIS as u64;
-        for (row, &off) in matrix_index_att.iter().enumerate() {
+        for (row, &off) in self.matrix_index_att.iter().enumerate() {
             if off > max_att_off {
                 return Err(SystemError::AttIndex {
                     row,
@@ -184,8 +230,7 @@ impl SparseSystem {
                 });
             }
         }
-        for row in 0..n_obs {
-            let cols = &instr_col[row * INSTR_NNZ_PER_ROW..(row + 1) * INSTR_NNZ_PER_ROW];
+        for (row, cols) in self.instr_col.chunks_exact(INSTR_NNZ_PER_ROW).enumerate() {
             for w in cols.windows(2) {
                 if w[0] >= w[1] {
                     return Err(SystemError::InstrColumnOrder { row });
@@ -195,20 +240,87 @@ impl SparseSystem {
                 return Err(SystemError::InstrColumnRange { row });
             }
         }
+        Ok(())
+    }
 
-        Ok(SparseSystem {
+    /// The rows of the stars `stars` — and, `with_constraints`, the
+    /// constraint rows, which follow the last star's — as a system of its
+    /// own that *shares* this one's coefficient, attitude-index,
+    /// instrument-column and known-term storage. Only the astrometric
+    /// index is new: 8 B a row, renumbered to the block's own stars so any
+    /// backend can run the block as it runs a whole system. The rows were
+    /// validated with their parent and are not scanned again.
+    ///
+    /// # Panics
+    /// If `stars` is empty or reaches past the last star, or if
+    /// `with_constraints` is asked of a range that does not end there.
+    pub fn row_block(&self, stars: Range<u64>, with_constraints: bool) -> RowBlock {
+        let parent = &self.layout;
+        assert!(
+            stars.start < stars.end && stars.end <= parent.n_stars,
+            "stars {stars:?} are not a non-empty range of {} stars",
+            parent.n_stars
+        );
+        assert!(
+            !with_constraints || stars.end == parent.n_stars,
+            "constraint rows follow the last star's rows only"
+        );
+        let layout = SystemLayout {
+            n_stars: stars.end - stars.start,
+            n_constraint_rows: if with_constraints {
+                parent.n_constraint_rows
+            } else {
+                0
+            },
+            ..*parent
+        };
+        let obs_per_star = parent.obs_per_star as usize;
+        let obs = stars.start as usize * obs_per_star..stars.end as usize * obs_per_star;
+        let rows = obs.start..obs.end + layout.n_constraint_rows as usize;
+        let per_obs = |width: usize| obs.start * width..obs.end * width;
+        let astro0 = stars.start * ASTRO_PARAMS_PER_STAR as u64;
+        let local_index_astro: Vec<u64> = self.matrix_index_astro[obs.clone()]
+            .iter()
+            .map(|&start| start - astro0)
+            .collect();
+        let system = SparseSystem {
             cols: layout.columns(),
             layout,
-            values_astro,
-            values_att,
-            values_instr,
-            values_glob,
-            matrix_index_astro,
-            matrix_index_att,
-            instr_col,
-            known_terms,
+            values_astro: self.values_astro.slice(per_obs(ASTRO_NNZ_PER_ROW)),
+            values_att: self
+                .values_att
+                .slice(rows.start * ATT_NNZ_PER_ROW..rows.end * ATT_NNZ_PER_ROW),
+            values_instr: self.values_instr.slice(per_obs(INSTR_NNZ_PER_ROW)),
+            values_glob: self
+                .values_glob
+                .slice(per_obs(layout.n_glob_params as usize)),
+            matrix_index_astro: local_index_astro.into(),
+            matrix_index_att: self.matrix_index_att.slice(rows.clone()),
+            instr_col: self.instr_col.slice(per_obs(INSTR_NNZ_PER_ROW)),
+            known_terms: self.known_terms.slice(rows.clone()),
             ell: OnceLock::new(),
-        })
+        };
+        debug_assert_eq!(system.validate(), Ok(()));
+        RowBlock {
+            star0: stars.start,
+            rows,
+            parent_astro_cols: parent.n_astro_cols(),
+            system,
+        }
+    }
+
+    /// True when `self` reads its coefficients, attitude indices,
+    /// instrument columns and known terms out of `other`'s buffers — it is
+    /// a clone or a [`SparseSystem::row_block`] of it that no mutator has
+    /// touched since.
+    pub fn shares_storage_with(&self, other: &SparseSystem) -> bool {
+        Arc::ptr_eq(&self.values_astro.buf, &other.values_astro.buf)
+            && Arc::ptr_eq(&self.values_att.buf, &other.values_att.buf)
+            && Arc::ptr_eq(&self.values_instr.buf, &other.values_instr.buf)
+            && Arc::ptr_eq(&self.values_glob.buf, &other.values_glob.buf)
+            && Arc::ptr_eq(&self.matrix_index_att.buf, &other.matrix_index_att.buf)
+            && Arc::ptr_eq(&self.instr_col.buf, &other.instr_col.buf)
+            && Arc::ptr_eq(&self.known_terms.buf, &other.known_terms.buf)
     }
 
     /// The ELL (slot-major) mirror, built on first use and cached.
@@ -217,7 +329,8 @@ impl SparseSystem {
     /// paid once per system (and re-paid only after a mutation, which
     /// resets the cache).
     pub fn ell(&self) -> &EllSystem {
-        self.ell.get_or_init(|| EllSystem::from_system(self))
+        self.ell
+            .get_or_init(|| Arc::new(EllSystem::from_system(self)))
     }
 
     /// The layout this system was built from.
@@ -254,7 +367,7 @@ impl SparseSystem {
     /// `b = A x_true + noise`). Length must match.
     pub fn set_known_terms(&mut self, b: Vec<f64>) {
         assert_eq!(b.len(), self.n_rows(), "known terms length mismatch");
-        self.known_terms = b;
+        self.known_terms = b.into();
         self.ell = OnceLock::new();
     }
 
@@ -263,8 +376,9 @@ impl SparseSystem {
     #[inline]
     pub fn astro_row(&self, row: usize) -> (&[f64], u64) {
         debug_assert!(row < self.n_obs_rows());
-        let vals = &self.values_astro[row * ASTRO_NNZ_PER_ROW..(row + 1) * ASTRO_NNZ_PER_ROW];
-        (vals, self.cols.astro + self.matrix_index_astro[row])
+        let (values, index): (&[f64], &[u64]) = (&self.values_astro, &self.matrix_index_astro);
+        let vals = &values[row * ASTRO_NNZ_PER_ROW..(row + 1) * ASTRO_NNZ_PER_ROW];
+        (vals, self.cols.astro + index[row])
     }
 
     /// Attitude coefficients of any row (observation or constraint), and the
@@ -272,8 +386,18 @@ impl SparseSystem {
     #[inline]
     pub fn att_row(&self, row: usize) -> (&[f64], u64) {
         debug_assert!(row < self.n_rows());
-        let vals = &self.values_att[row * ATT_NNZ_PER_ROW..(row + 1) * ATT_NNZ_PER_ROW];
-        (vals, self.matrix_index_att[row])
+        self.att_rows()(row)
+    }
+
+    /// [`SparseSystem::att_row`] with the two arrays taken once: the
+    /// arrays sit behind a shared pointer, and a row loop that reaches its
+    /// row only after a test (`aprod2` skips zero `y`) cannot hoist their
+    /// loads out by itself, so it takes this before it starts.
+    #[inline]
+    pub fn att_rows<'a>(&'a self) -> impl Fn(usize) -> (&'a [f64], u64) + Copy + 'a {
+        let (values, index): (&[f64], &[u64]) = (&self.values_att, &self.matrix_index_att);
+        const N: usize = ATT_NNZ_PER_ROW;
+        move |row| (&values[row * N..(row + 1) * N], index[row])
     }
 
     /// Absolute column of attitude entry (`axis`, `k`) for a row whose
@@ -288,8 +412,18 @@ impl SparseSystem {
     #[inline]
     pub fn instr_row(&self, row: usize) -> (&[f64], &[u32]) {
         debug_assert!(row < self.n_obs_rows());
-        let r = row * INSTR_NNZ_PER_ROW..(row + 1) * INSTR_NNZ_PER_ROW;
-        (&self.values_instr[r.clone()], &self.instr_col[r])
+        self.instr_rows()(row)
+    }
+
+    /// [`SparseSystem::instr_row`] with the two arrays taken once (see
+    /// [`SparseSystem::att_rows`]).
+    #[inline]
+    pub fn instr_rows<'a>(&'a self) -> impl Fn(usize) -> (&'a [f64], &'a [u32]) + Copy + 'a {
+        let (values, cols): (&[f64], &[u32]) = (&self.values_instr, &self.instr_col);
+        move |row| {
+            let r = row * INSTR_NNZ_PER_ROW..(row + 1) * INSTR_NNZ_PER_ROW;
+            (&values[r.clone()], &cols[r])
+        }
     }
 
     /// Global coefficient of an observation row, if the layout solves the
@@ -357,12 +491,48 @@ impl SparseSystem {
     /// preconditioner of the customized LSQR.
     pub fn column_norms(&self) -> Vec<f64> {
         let mut sq = vec![0.0f64; self.n_cols()];
-        for row in 0..self.n_rows() {
-            for (col, val) in self.row_entries(row) {
-                sq[col as usize] += val * val;
+        self.add_column_squares(&mut sq, 0, self.cols.att as usize);
+        sq.iter().map(|&s| s.sqrt()).collect()
+    }
+
+    /// Add the square of every stored coefficient to its column's slot of
+    /// `sq`, where this system's astrometric columns start at `astro0` and
+    /// its attitude, instrumental and global columns at `shared0` (a
+    /// [`RowBlock`] accumulating into a parent-length buffer passes its
+    /// parent's offsets). One pass per block, each in ascending row order —
+    /// the order a row-by-row walk adds a column's entries in, so the sums
+    /// carry the same bits, over one system or a sequence of row blocks.
+    pub(crate) fn add_column_squares(&self, sq: &mut [f64], astro0: usize, shared0: usize) {
+        fn add_squares(slots: &mut [f64], vals: &[f64]) {
+            for (slot, v) in slots.iter_mut().zip(vals) {
+                *slot += v * v;
             }
         }
-        sq.iter().map(|&s| s.sqrt()).collect()
+        let astro_rows = self.values_astro.chunks_exact(ASTRO_NNZ_PER_ROW);
+        for (vals, &start) in astro_rows.zip(self.matrix_index_astro.iter()) {
+            add_squares(
+                &mut sq[astro0 + start as usize..][..ASTRO_NNZ_PER_ROW],
+                vals,
+            );
+        }
+        let dof = self.layout.n_deg_freedom_att as usize;
+        let per_axis = ATT_PARAMS_PER_AXIS as usize;
+        let att_rows = self.values_att.chunks_exact(ATT_NNZ_PER_ROW);
+        for (vals, &off) in att_rows.zip(self.matrix_index_att.iter()) {
+            for (axis, axis_vals) in vals.chunks_exact(per_axis).enumerate() {
+                let seg = shared0 + axis * dof + off as usize;
+                add_squares(&mut sq[seg..seg + per_axis], axis_vals);
+            }
+        }
+        let instr0 = shared0 + (self.cols.instr - self.cols.att) as usize;
+        for (v, &col) in self.values_instr.iter().zip(self.instr_col.iter()) {
+            sq[instr0 + col as usize] += v * v;
+        }
+        // At most one global column (`GLOBAL_PARAMS_PER_ROW`).
+        let glob = shared0 + (self.cols.glob - self.cols.att) as usize;
+        for v in self.values_glob.iter() {
+            sq[glob] += v * v;
+        }
     }
 
     /// Raw astrometric value array (row-major, 5 per observation row).
@@ -414,37 +584,38 @@ impl SparseSystem {
         self.ell = OnceLock::new();
         let mut touched = 0usize;
         if col < self.cols.att {
-            for row in 0..self.n_obs_rows() {
-                let start = self.cols.astro + self.matrix_index_astro[row];
+            let values = self.values_astro.make_mut();
+            for (row, &index) in self.matrix_index_astro.iter().enumerate() {
+                let start = self.cols.astro + index;
                 if (start..start + ASTRO_NNZ_PER_ROW as u64).contains(&col) {
-                    self.values_astro[row * ASTRO_NNZ_PER_ROW + (col - start) as usize] *= factor;
+                    values[row * ASTRO_NNZ_PER_ROW + (col - start) as usize] *= factor;
                     touched += 1;
                 }
             }
         } else if col < self.cols.instr {
             let dof = self.layout.n_deg_freedom_att;
-            for row in 0..self.n_rows() {
-                let off = self.matrix_index_att[row];
+            let values = self.values_att.make_mut();
+            for (row, &off) in self.matrix_index_att.iter().enumerate() {
                 for axis in 0..ATT_AXES as usize {
                     let seg = self.cols.att + axis as u64 * dof + off;
                     if (seg..seg + ATT_PARAMS_PER_AXIS as u64).contains(&col) {
                         let k = axis * ATT_PARAMS_PER_AXIS as usize + (col - seg) as usize;
-                        self.values_att[row * ATT_NNZ_PER_ROW + k] *= factor;
+                        values[row * ATT_NNZ_PER_ROW + k] *= factor;
                         touched += 1;
                     }
                 }
             }
         } else if col < self.cols.glob {
             let local = (col - self.cols.instr) as u32;
-            for row in 0..self.n_obs_rows() {
-                let r = row * INSTR_NNZ_PER_ROW..(row + 1) * INSTR_NNZ_PER_ROW;
-                if let Some(k) = self.instr_col[r.clone()].iter().position(|&c| c == local) {
-                    self.values_instr[r.start + k] *= factor;
+            let values = self.values_instr.make_mut();
+            for (v, &c) in values.iter_mut().zip(self.instr_col.iter()) {
+                if c == local {
+                    *v *= factor;
                     touched += 1;
                 }
             }
         } else {
-            for v in &mut self.values_glob {
+            for v in self.values_glob.make_mut() {
                 *v *= factor;
                 touched += 1;
             }
@@ -486,12 +657,14 @@ impl SparseSystem {
                 return Err(SystemError::Permutation { row: new });
             }
         }
-        fn gather<T: Copy>(src: &[T], perm: &[usize], rows: usize, stride: usize) -> Vec<T> {
+        // Each array is replaced by a freshly gathered one, so nothing a
+        // clone or a parent still reads is written.
+        fn gather<T: Copy>(src: &[T], perm: &[usize], rows: usize, stride: usize) -> Shared<T> {
             let mut out = Vec::with_capacity(rows * stride);
             for &old in &perm[..rows] {
                 out.extend_from_slice(&src[old * stride..(old + 1) * stride]);
             }
-            out
+            out.into()
         }
         self.values_astro = gather(&self.values_astro, perm, n_obs, ASTRO_NNZ_PER_ROW);
         self.values_att = gather(&self.values_att, perm, n_rows, ATT_NNZ_PER_ROW);
@@ -506,6 +679,75 @@ impl SparseSystem {
         self.known_terms = gather(&self.known_terms, perm, n_rows, 1);
         self.ell = OnceLock::new();
         Ok(())
+    }
+}
+
+/// A star-aligned range of a parent system's rows as a system of its own
+/// — one MPI rank's rows ([`SparseSystem::row_block`], a view of the
+/// caller's matrix) or one tile read back from disk (over storage it owns)
+/// — with the mapping back into the parent's row and column spaces. The
+/// block's columns are its own stars' astrometric columns followed by the
+/// attitude, instrumental and global columns every block shares.
+#[derive(Debug)]
+pub struct RowBlock {
+    /// First parent star covered.
+    pub star0: u64,
+    /// Parent rows covered: the stars' observation rows and, on the last
+    /// block, the constraint rows that follow them.
+    pub rows: Range<usize>,
+    /// Astrometric columns of the parent (`n_stars × 5`): where the shared
+    /// columns start in a parent-length vector.
+    pub parent_astro_cols: u64,
+    /// The block-local system (astrometric indices count from `star0`).
+    pub system: SparseSystem,
+}
+
+impl RowBlock {
+    /// The parent's astrometric columns this block covers.
+    fn astro_cols(&self) -> Range<usize> {
+        let start = (self.star0 * u64::from(ASTRO_PARAMS_PER_STAR)) as usize;
+        start..start + self.system.cols.att as usize
+    }
+
+    /// Map a block-local column to the parent column.
+    #[inline]
+    pub fn global_col(&self, local: u64) -> u64 {
+        let astro = self.system.cols.att;
+        if local < astro {
+            self.star0 * u64::from(ASTRO_PARAMS_PER_STAR) + local
+        } else {
+            self.parent_astro_cols + (local - astro)
+        }
+    }
+
+    /// Gather the block's view of a parent-length column vector — its
+    /// astrometric slice followed by the shared columns — into a
+    /// caller-owned buffer (cleared first), so a scan over many blocks
+    /// allocates once.
+    pub fn gather_cols_into(&self, x: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        out.extend_from_slice(&x[self.astro_cols()]);
+        out.extend_from_slice(&x[self.parent_astro_cols as usize..]);
+    }
+
+    /// Write a block-local column vector over the segments of the parent
+    /// vector it was gathered from.
+    pub fn scatter_cols(&self, local: &[f64], x: &mut [f64]) {
+        let (astro, shared) = local.split_at(self.system.cols.att as usize);
+        x[self.astro_cols()].copy_from_slice(astro);
+        x[self.parent_astro_cols as usize..].copy_from_slice(shared);
+    }
+
+    /// Add a block-local column vector to the same segments.
+    pub fn add_cols_into(&self, local: &[f64], x: &mut [f64]) {
+        let (astro, shared) = local.split_at(self.system.cols.att as usize);
+        let (x_astro, x_shared) = x.split_at_mut(self.parent_astro_cols as usize);
+        for (slot, v) in x_astro[self.astro_cols()].iter_mut().zip(astro) {
+            *slot += v;
+        }
+        for (slot, v) in x_shared.iter_mut().zip(shared) {
+            *slot += v;
+        }
     }
 }
 

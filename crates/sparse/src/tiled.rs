@@ -17,6 +17,10 @@
 //!   global row range and its astrometric block is tile-local
 //!   block-diagonal. Constraint rows fold into the last tile (their
 //!   global rows follow the last tile's observation rows contiguously).
+//!   A resident tile is therefore a [`RowBlock`] — the type
+//!   [`SparseSystem::row_block`] returns for a distributed rank's rows —
+//!   here over storage read from the tile file instead of shared with a
+//!   resident parent.
 //! * **Bit-exact round trips.** Tile files store raw IEEE-754 bits; a
 //!   [`TiledSystem::assemble`] of the tiles equals the source system
 //!   array-for-array, and streamed generation
@@ -47,6 +51,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::constraints::build_constraint_rows;
+use crate::footprint::device_bytes;
 use crate::generator::{draw_coeff, gaussian, sample_distinct_sorted, GeneratorConfig};
 use crate::generator::{AttitudePattern, InstrumentPattern, Rhs};
 use crate::io::{
@@ -54,7 +59,9 @@ use crate::io::{
     read_u64_array_into, write_f64_array, write_u32, write_u32_array, write_u64, write_u64_array,
 };
 use crate::layout::SystemLayout;
-use crate::system::{SparseSystem, ASTRO_NNZ_PER_ROW, ATT_NNZ_PER_ROW, INSTR_NNZ_PER_ROW};
+use crate::system::{
+    RowBlock, SparseSystem, ASTRO_NNZ_PER_ROW, ATT_NNZ_PER_ROW, INSTR_NNZ_PER_ROW,
+};
 use crate::ASTRO_PARAMS_PER_STAR;
 
 /// On-disk format identifier recorded in every manifest.
@@ -853,105 +860,11 @@ fn tile_spans(layout: &SystemLayout, tile_stars: u64) -> Vec<TileSpan> {
         .collect()
 }
 
-fn local_layout(parent: &SystemLayout, span: &TileSpan) -> SystemLayout {
+fn local_layout(parent: &SystemLayout, meta: &TileMeta) -> SystemLayout {
     SystemLayout {
-        n_stars: span.star1 - span.star0,
-        obs_per_star: parent.obs_per_star,
-        n_deg_freedom_att: parent.n_deg_freedom_att,
-        n_instr_params: parent.n_instr_params,
-        n_glob_params: parent.n_glob_params,
-        n_constraint_rows: span.constraint_rows,
-    }
-}
-
-/// In-memory bytes of a resident tile shard, computed a priori from its
-/// shape (value arrays + index arrays + known terms). This — not the
-/// on-disk file size — is what the capacity budget accounts.
-fn shard_resident_bytes(local: &SystemLayout) -> u64 {
-    let n_obs = local.n_obs_rows();
-    let n_rows = local.n_rows();
-    let f64s = n_obs * ASTRO_NNZ_PER_ROW as u64
-        + n_rows * ATT_NNZ_PER_ROW as u64
-        + n_obs * INSTR_NNZ_PER_ROW as u64
-        + n_obs * u64::from(local.n_glob_params)
-        + n_rows; // known terms
-    let u64s = n_obs + n_rows; // astro + att indices
-    let u32s = n_obs * INSTR_NNZ_PER_ROW as u64;
-    f64s * 8 + u64s * 8 + u32s * 4
-}
-
-// ---------------------------------------------------------------------------
-// Tile shard
-// ---------------------------------------------------------------------------
-
-/// One resident tile: a tile-local [`SparseSystem`] plus the mapping
-/// back into the parent's row and column spaces.
-#[derive(Debug)]
-pub struct TileShard {
-    /// Tile index.
-    pub index: usize,
-    /// First parent star covered.
-    pub star0: u64,
-    /// One past the last parent star covered.
-    pub star1: u64,
-    /// First parent row covered (`star0 * obs_per_star`); the shard's
-    /// rows are the contiguous parent range `row0 .. row0 + n_rows`.
-    pub row0: u64,
-    /// Constraint rows folded into this tile.
-    pub n_constraint_rows: u64,
-    /// Astrometric columns of the parent (`n_stars * 5`), needed to map
-    /// shared-block columns.
-    pub parent_astro_cols: u64,
-    /// The tile-local system (astrometric indices remapped to the local
-    /// star range; attitude/instrument/global blocks shared as-is).
-    pub system: SparseSystem,
-}
-
-impl TileShard {
-    /// Local astrometric column count (`(star1 - star0) * 5`).
-    pub fn local_astro_cols(&self) -> u64 {
-        (self.star1 - self.star0) * u64::from(ASTRO_PARAMS_PER_STAR)
-    }
-
-    /// Map a tile-local column to the parent column.
-    #[inline]
-    pub fn global_col(&self, local: u64) -> u64 {
-        let astro = self.local_astro_cols();
-        if local < astro {
-            self.star0 * u64::from(ASTRO_PARAMS_PER_STAR) + local
-        } else {
-            self.parent_astro_cols + (local - astro)
-        }
-    }
-
-    /// Gather the tile's view of a parent-length column vector — the
-    /// tile's astrometric slice followed by the shared blocks — into a
-    /// caller-owned buffer (cleared first), so a scan over many tiles
-    /// allocates once.
-    pub fn gather_cols_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        let a0 = (self.star0 * u64::from(ASTRO_PARAMS_PER_STAR)) as usize;
-        let a1 = (self.star1 * u64::from(ASTRO_PARAMS_PER_STAR)) as usize;
-        let shared = self.parent_astro_cols as usize;
-        out.clear();
-        out.reserve((a1 - a0) + (x.len() - shared));
-        out.extend_from_slice(&x[a0..a1]);
-        out.extend_from_slice(&x[shared..]);
-    }
-
-    /// Scatter a tile-local column vector back into the parent vector
-    /// (overwrites the corresponding segments).
-    pub fn scatter_cols(&self, local: &[f64], x: &mut [f64]) {
-        let a0 = (self.star0 * u64::from(ASTRO_PARAMS_PER_STAR)) as usize;
-        let a1 = (self.star1 * u64::from(ASTRO_PARAMS_PER_STAR)) as usize;
-        let astro = a1 - a0;
-        let shared = self.parent_astro_cols as usize;
-        x[a0..a1].copy_from_slice(&local[..astro]);
-        x[shared..].copy_from_slice(&local[astro..]);
-    }
-
-    /// Parent rows covered by this tile.
-    pub fn global_rows(&self) -> std::ops::Range<u64> {
-        self.row0..self.row0 + self.system.n_rows() as u64
+        n_stars: meta.star1 - meta.star0,
+        n_constraint_rows: meta.constraint_rows,
+        ..*parent
     }
 }
 
@@ -1012,8 +925,8 @@ impl TileFileWriter {
 }
 
 /// Read and checksum-verify one tile file, assembling the tile-local
-/// shard. A checksum mismatch is a hard error naming the tile path.
-fn read_tile(dir: &Path, parent: &SystemLayout, meta: &TileMeta) -> Result<TileShard, TileError> {
+/// block. A checksum mismatch is a hard error naming the tile path.
+fn read_tile(dir: &Path, parent: &SystemLayout, meta: &TileMeta) -> Result<RowBlock, TileError> {
     let path = dir.join(TileManifest::tile_file_name(meta.index));
     let bytes = std::fs::read(&path).map_err(io_err(&path))?;
     let actual = hex(hash_bytes(&bytes));
@@ -1053,13 +966,7 @@ fn read_tile(dir: &Path, parent: &SystemLayout, meta: &TileMeta) -> Result<TileS
         });
     }
 
-    let span = TileSpan {
-        index: meta.index,
-        star0,
-        star1,
-        constraint_rows,
-    };
-    let local = local_layout(parent, &span);
+    let local = local_layout(parent, meta);
     let n_rows_local = local.n_rows() as usize;
     // The attitude arrays sit in two sections of the file (observation
     // rows, then the constraint tail): sized once here, filled by both.
@@ -1090,12 +997,10 @@ fn read_tile(dir: &Path, parent: &SystemLayout, meta: &TileMeta) -> Result<TileS
         message: format!("tile {} at {}: {e}", meta.index, path.display()),
     })?;
 
-    Ok(TileShard {
-        index: meta.index,
+    let row0 = (star0 * parent.obs_per_star) as usize;
+    Ok(RowBlock {
         star0,
-        star1,
-        row0: star0 * parent.obs_per_star,
-        n_constraint_rows: constraint_rows,
+        rows: row0..row0 + n_rows_local,
         parent_astro_cols: parent.n_astro_cols(),
         system,
     })
@@ -1194,34 +1099,29 @@ pub fn write_tiles(
 ) -> Result<TileManifest, TileError> {
     std::fs::create_dir_all(dir).map_err(io_err(dir))?;
     let layout = *sys.layout();
-    let obs = layout.obs_per_star as usize;
-    let glob = layout.n_glob_params as usize;
-    let n_obs = sys.n_obs_rows();
     let spans = tile_spans(&layout, tile_stars);
 
     let mut metas = Vec::with_capacity(spans.len());
     for span in &spans {
-        let r0 = span.star0 as usize * obs;
-        let r1 = span.star1 as usize * obs;
+        // A tile's sections are the arrays of the row block it will be
+        // read back as; the attitude arrays go out in two pieces, the
+        // constraint tail last (empty on every tile but the last).
+        let block = sys
+            .row_block(span.star0..span.star1, span.constraint_rows > 0)
+            .system;
+        let n_obs = block.n_obs_rows();
+        let (att_obs, att_constr) = block.values_att().split_at(n_obs * ATT_NNZ_PER_ROW);
+        let (idx_obs, idx_constr) = block.matrix_index_att().split_at(n_obs);
         let mut w = TileFileWriter::create(dir, span)?;
-        w.write_f64s(&sys.values_astro()[r0 * ASTRO_NNZ_PER_ROW..r1 * ASTRO_NNZ_PER_ROW])?;
-        w.write_f64s(&sys.values_att()[r0 * ATT_NNZ_PER_ROW..r1 * ATT_NNZ_PER_ROW])?;
-        w.write_f64s(&sys.values_instr()[r0 * INSTR_NNZ_PER_ROW..r1 * INSTR_NNZ_PER_ROW])?;
-        w.write_f64s(&sys.values_glob()[r0 * glob..r1 * glob])?;
-        let local_idx: Vec<u64> = sys.matrix_index_astro()[r0..r1]
-            .iter()
-            .map(|&g| g - span.star0 * u64::from(ASTRO_PARAMS_PER_STAR))
-            .collect();
-        w.write_u64s(&local_idx)?;
-        w.write_u64s(&sys.matrix_index_att()[r0..r1])?;
-        w.write_u32s(&sys.instr_col()[r0 * INSTR_NNZ_PER_ROW..r1 * INSTR_NNZ_PER_ROW])?;
-        if span.constraint_rows > 0 {
-            w.write_f64s(&sys.values_att()[n_obs * ATT_NNZ_PER_ROW..])?;
-            w.write_u64s(&sys.matrix_index_att()[n_obs..])?;
-        } else {
-            w.write_f64s(&[])?;
-            w.write_u64s(&[])?;
-        }
+        w.write_f64s(block.values_astro())?;
+        w.write_f64s(att_obs)?;
+        w.write_f64s(block.values_instr())?;
+        w.write_f64s(block.values_glob())?;
+        w.write_u64s(block.matrix_index_astro())?;
+        w.write_u64s(idx_obs)?;
+        w.write_u32s(block.instr_col())?;
+        w.write_f64s(att_constr)?;
+        w.write_u64s(idx_constr)?;
         metas.push(w.finish(span)?);
     }
 
@@ -1408,11 +1308,11 @@ pub(crate) fn generate_tiled_impl(
                 .collect();
             let mut x_local = Vec::new();
             for (span, meta) in spans.iter().zip(metas.iter()) {
-                let shard = read_tile(dir, &layout, meta)?;
-                shard.gather_cols_into(&x_true, &mut x_local);
+                let block = read_tile(dir, &layout, meta)?;
+                block.gather_cols_into(&x_true, &mut x_local);
                 let row0 = span.star0 as usize * obs;
-                for local_row in 0..shard.system.n_rows() {
-                    b[row0 + local_row] = shard.system.row_dot(local_row, &x_local)
+                for local_row in 0..block.system.n_rows() {
+                    b[row0 + local_row] = block.system.row_dot(local_row, &x_local)
                         + if noise_sigma > 0.0 {
                             noise_sigma * gaussian(&mut rng)
                         } else {
@@ -1452,7 +1352,7 @@ pub struct TiledSystem {
     dir: PathBuf,
     manifest: TileManifest,
     known_terms: Vec<f64>,
-    cache: Mutex<TileCache<TileShard>>,
+    cache: Mutex<TileCache<RowBlock>>,
 }
 
 impl TiledSystem {
@@ -1498,14 +1398,10 @@ impl TiledSystem {
         })
     }
 
+    /// In-memory bytes of a resident tile, known a priori from its shape:
+    /// this — not the on-disk file size — is what the budget accounts.
     fn tile_resident_bytes_of(layout: &SystemLayout, meta: &TileMeta) -> u64 {
-        let span = TileSpan {
-            index: meta.index,
-            star0: meta.star0,
-            star1: meta.star1,
-            constraint_rows: meta.constraint_rows,
-        };
-        shard_resident_bytes(&local_layout(layout, &span))
+        device_bytes(&local_layout(layout, meta))
     }
 
     /// The manifest describing this tile directory.
@@ -1571,7 +1467,7 @@ impl TiledSystem {
     /// Fetch tile `t`, loading (and possibly evicting) through the
     /// budget-bounded cache. The returned [`TileAccess`] reports what
     /// the access cost so callers can record telemetry.
-    pub fn tile(&self, t: usize) -> Result<(Arc<TileShard>, TileAccess), TileError> {
+    pub fn tile(&self, t: usize) -> Result<(Arc<RowBlock>, TileAccess), TileError> {
         let bytes = self.tile_bytes(t);
         let mut cache = match self.cache.lock() {
             Ok(c) => c,
@@ -1597,12 +1493,10 @@ impl TiledSystem {
     pub fn column_norms(&self) -> Result<Vec<f64>, TileError> {
         let mut sq = vec![0.0f64; self.n_cols()];
         for t in 0..self.n_tiles() {
-            let (shard, _) = self.tile(t)?;
-            for row in 0..shard.system.n_rows() {
-                for (local_col, val) in shard.system.row_entries(row) {
-                    sq[shard.global_col(local_col) as usize] += val * val;
-                }
-            }
+            let (block, _) = self.tile(t)?;
+            let astro0 = (block.star0 * u64::from(ASTRO_PARAMS_PER_STAR)) as usize;
+            let shared0 = block.parent_astro_cols as usize;
+            block.system.add_column_squares(&mut sq, astro0, shared0);
         }
         Ok(sq.iter().map(|&s| s.sqrt()).collect())
     }
@@ -1621,30 +1515,24 @@ impl TiledSystem {
         let mut idx_astro = Vec::with_capacity(n_obs);
         let mut idx_att = Vec::with_capacity(n_rows);
         let mut instr_col = Vec::with_capacity(n_obs * INSTR_NNZ_PER_ROW);
-        let mut constr_vals = Vec::new();
-        let mut constr_offs = Vec::new();
         for t in 0..self.n_tiles() {
-            let (shard, _) = self.tile(t)?;
-            let s = &shard.system;
-            let obs_local = s.n_obs_rows();
+            let (block, _) = self.tile(t)?;
+            let s = &block.system;
+            // Only the last tile has constraint rows, after its observation
+            // rows: tile after tile, the attitude arrays come out in parent
+            // row order.
             values_astro.extend_from_slice(s.values_astro());
-            values_att.extend_from_slice(&s.values_att()[..obs_local * ATT_NNZ_PER_ROW]);
+            values_att.extend_from_slice(s.values_att());
             values_instr.extend_from_slice(s.values_instr());
             values_glob.extend_from_slice(s.values_glob());
             idx_astro.extend(
                 s.matrix_index_astro()
                     .iter()
-                    .map(|&l| l + shard.star0 * u64::from(ASTRO_PARAMS_PER_STAR)),
+                    .map(|&l| l + block.star0 * u64::from(ASTRO_PARAMS_PER_STAR)),
             );
-            idx_att.extend_from_slice(&s.matrix_index_att()[..obs_local]);
+            idx_att.extend_from_slice(s.matrix_index_att());
             instr_col.extend_from_slice(s.instr_col());
-            if shard.n_constraint_rows > 0 {
-                constr_vals.extend_from_slice(&s.values_att()[obs_local * ATT_NNZ_PER_ROW..]);
-                constr_offs.extend_from_slice(&s.matrix_index_att()[obs_local..]);
-            }
         }
-        values_att.extend_from_slice(&constr_vals);
-        idx_att.extend_from_slice(&constr_offs);
         SparseSystem::from_parts(
             layout,
             values_astro,
@@ -2031,22 +1919,26 @@ mod tests {
     }
 
     #[test]
-    fn shard_gather_scatter_round_trip() {
+    fn tile_gather_scatter_round_trip() {
         let dir = tmp_dir("gather");
         let sys = tiny_sys(18);
         write_tiles(&sys, &dir, 2).unwrap();
         let tiled = TiledSystem::open(&dir).unwrap();
-        let (shard, _) = tiled.tile(1).unwrap();
+        let (block, _) = tiled.tile(1).unwrap();
         let x: Vec<f64> = (0..sys.n_cols()).map(|i| i as f64 + 0.5).collect();
         let mut local = Vec::new();
-        shard.gather_cols_into(&x, &mut local);
-        assert_eq!(local.len(), shard.system.n_cols());
+        block.gather_cols_into(&x, &mut local);
+        assert_eq!(local.len(), block.system.n_cols());
         for (l, &v) in local.iter().enumerate() {
-            assert_eq!(v, x[shard.global_col(l as u64) as usize]);
+            assert_eq!(v, x[block.global_col(l as u64) as usize]);
         }
         let mut back = x.clone();
-        shard.scatter_cols(&local, &mut back);
+        block.scatter_cols(&local, &mut back);
         assert_eq!(back, x);
+        block.add_cols_into(&local, &mut back);
+        for (l, &v) in local.iter().enumerate() {
+            assert_eq!(back[block.global_col(l as u64) as usize], 2.0 * v);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -3,6 +3,10 @@
 //! tile manifest spilled from the pre-mutation arrays. A mutator that
 //! misses either leaves a consumer (auto-tuned ELL kernels, an
 //! out-of-core resume) silently computing on stale data.
+//!
+//! The arrays are reference-counted, so a mutator must also copy what it
+//! writes: a clone or a `row_block` view that is mutated never changes
+//! the system it shares storage with.
 
 use std::path::PathBuf;
 
@@ -67,12 +71,10 @@ fn every_mutator_invalidates_the_ell_mirror() {
     );
 }
 
-/// Spill the system to tiles, then mutate the resident copy each way:
-/// the manifest must flag every mutation as stale rather than letting a
-/// resume stream pre-mutation coefficients.
-#[test]
-fn every_mutator_is_detected_by_the_tile_manifest() {
-    let mutators: Vec<(&str, Box<dyn Fn(&mut SparseSystem)>)> = vec![
+type Mutator = Box<dyn Fn(&mut SparseSystem)>;
+
+fn mutators() -> Vec<(&'static str, Mutator)> {
+    vec![
         (
             "set_known_terms",
             Box::new(|s: &mut SparseSystem| {
@@ -94,8 +96,15 @@ fn every_mutator_is_detected_by_the_tile_manifest() {
                 s.permute_rows(&perm).expect("valid permutation");
             }),
         ),
-    ];
-    for (name, mutate) in mutators {
+    ]
+}
+
+/// Spill the system to tiles, then mutate the resident copy each way:
+/// the manifest must flag every mutation as stale rather than letting a
+/// resume stream pre-mutation coefficients.
+#[test]
+fn every_mutator_is_detected_by_the_tile_manifest() {
+    for (name, mutate) in mutators() {
         let mut sys = system(504);
         let dir = scratch(name);
         let manifest = write_tiles(&sys, &dir, 2).expect("spill");
@@ -110,6 +119,70 @@ fn every_mutator_is_detected_by_the_tile_manifest() {
             matches!(err, TileError::StaleManifest { .. }),
             "{name}: expected StaleManifest, got {err:?}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Bit patterns of the eight arrays.
+fn arrays(s: &SparseSystem) -> [Vec<u64>; 8] {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    [
+        bits(s.values_astro()),
+        bits(s.values_att()),
+        bits(s.values_instr()),
+        bits(s.values_glob()),
+        s.matrix_index_astro().to_vec(),
+        s.matrix_index_att().to_vec(),
+        s.instr_col().iter().map(|&c| u64::from(c)).collect(),
+        bits(s.known_terms()),
+    ]
+}
+
+/// The eight arrays the ELL mirror currently stands for.
+fn mirrored(s: &SparseSystem) -> [Vec<u64>; 8] {
+    arrays(&s.ell().to_system().expect("ell round-trip"))
+}
+
+/// Copy-on-write: mutate a clone and a row-block view of a parent whose
+/// mirror is warm. The parent keeps its bits, its mirror and its manifest;
+/// the mutant stops sharing, changes, and rebuilds its own mirror.
+#[test]
+fn a_mutated_clone_or_view_never_changes_its_parent() {
+    for (name, mutate) in mutators() {
+        let parent = system(506);
+        let dir = scratch(&format!("cow-{name}"));
+        let manifest = write_tiles(&parent, &dir, 2).expect("spill");
+        let parent_before = arrays(&parent);
+        assert_eq!(mirrored(&parent), parent_before);
+        let n_stars = parent.layout().n_stars;
+        let mutants = [
+            ("clone", parent.clone()),
+            ("view", parent.row_block(1..n_stars, true).system),
+        ];
+        for (kind, mut mutant) in mutants {
+            let what = format!("{name} on a {kind}");
+            assert!(mutant.shares_storage_with(&parent), "{what}");
+            let before = arrays(&mutant);
+            assert_eq!(mirrored(&mutant), before, "{what}");
+            mutate(&mut mutant);
+
+            assert_ne!(arrays(&mutant), before, "{what}: nothing changed");
+            assert_eq!(mirrored(&mutant), arrays(&mutant), "{what}: stale mirror");
+            assert!(!mutant.shares_storage_with(&parent), "{what}");
+            assert!(
+                matches!(
+                    manifest.verify_matches(&mutant),
+                    Err(TileError::StaleManifest { .. })
+                ),
+                "{what}: the parent's manifest must not vouch for the mutant"
+            );
+
+            assert_eq!(arrays(&parent), parent_before, "{what}: parent arrays");
+            assert_eq!(mirrored(&parent), parent_before, "{what}: parent mirror");
+            manifest
+                .verify_matches(&parent)
+                .unwrap_or_else(|e| panic!("{what}: parent went stale: {e}"));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }
