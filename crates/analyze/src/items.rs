@@ -164,14 +164,12 @@ impl Flat {
         while j < self.chars.len() {
             match self.ch(j) {
                 '<' => depth += 1,
-                '>' => {
-                    // `->` arrows inside generics never appear at depth
-                    // bookkeeping level: `-` precedes the `>`.
-                    if self.ch(j.wrapping_sub(1)) != '-' {
-                        depth -= 1;
-                        if depth == 0 {
-                            return j + 1;
-                        }
+                // `->` arrows inside generics never appear at depth
+                // bookkeeping level: `-` precedes the `>`.
+                '>' if self.ch(j.wrapping_sub(1)) != '-' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return j + 1;
                     }
                 }
                 '{' | ';' => return j, // malformed; bail at the block
@@ -426,11 +424,7 @@ fn next_top_level_comma(flat: &Flat, from: usize, end: usize) -> usize {
             '(' | '[' | '{' => depth += 1,
             ')' | ']' | '}' => depth -= 1,
             '<' => depth += 1,
-            '>' => {
-                if flat.ch(i.wrapping_sub(1)) != '-' {
-                    depth -= 1;
-                }
-            }
+            '>' if flat.ch(i.wrapping_sub(1)) != '-' => depth -= 1,
             ',' if depth <= 0 => return i + 1,
             _ => {}
         }

@@ -13,7 +13,7 @@
 //!   visited in row order, so results stay bitwise identical to `seq`.
 //! * `tuned` runs the persisted tuner winner per system shape: the paper
 //!   pins a tuned launch configuration per platform after its §V-B
-//!   search, and a `gaia-tune-profile/v1` file is that pinning. Shapes the
+//!   search, and a `gaia-tune-profile/v2` file is that pinning. Shapes the
 //!   tuner never saw run the policy's own plan, and the miss is recorded in
 //!   telemetry so a silent mismatch shows up in run reports.
 
@@ -197,7 +197,7 @@ impl Backend for PlannedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::launch::{Aprod2Spec, Aprod2Strategy, KernelVariant, WorkerBudget};
+    use crate::launch::{Aprod2Spec, Aprod2Strategy, WorkerBudget};
     use crate::tuning::Tuning;
     use crate::{backend_by_name, SeqBackend};
     use gaia_sparse::{Generator, GeneratorConfig, MatrixLayout};
@@ -343,7 +343,6 @@ mod tests {
                 budget: WorkerBudget::Uniform,
             },
         )
-        .with_variant(KernelVariant::Unrolled)
         .with_matrix_layout(MatrixLayout::Ell);
         LaunchProfile::from_plan("tiny", SystemLayout::tiny(), &plan)
     }
@@ -358,7 +357,7 @@ mod tests {
         assert_eq!(b.profile_count(), 1);
         let plan = b.plan_for(&SystemLayout::tiny());
         assert_eq!(plan, tiny_profile().to_plan().unwrap());
-        assert_eq!(plan.variant, KernelVariant::Unrolled);
+        assert_eq!(plan.matrix_layout, MatrixLayout::Ell);
         assert_eq!(plan.tuning.threads, 3);
         // The shape-independent answer stays the backend's own plan.
         assert_eq!(b.launch_plan(), Some(owner(2)));
@@ -397,7 +396,7 @@ mod tests {
             Aprod2Spec::uniform(Aprod2Strategy::Replicated),
         )
         .with_matrix_layout(MatrixLayout::Ell);
-        let small_plan = owner(2).with_variant(KernelVariant::Blocked);
+        let small_plan = owner(2).with_matrix_layout(MatrixLayout::Ell);
         let profiles = [
             LaunchProfile::from_plan("tiny", SystemLayout::tiny(), &tiny_plan),
             LaunchProfile::from_plan("small", SystemLayout::small(), &small_plan),

@@ -273,129 +273,16 @@ pub fn aprod2_glob(sys: &SparseSystem, y: &[f64], rows: Range<usize>, out: &mut 
 }
 
 // ---------------------------------------------------------------------------
-// Kernel variants.
+// ELL layout.
 //
-// The scalar kernels above are the reference. The paper's tuning study
-// (§V) shows the fixed 5/12/6-nnz row patterns reward interiors shaped
-// for the hardware; these variants exploit that structure three ways,
-// all selectable per launch plan (`KernelVariant` / `MatrixLayout` in
-// `crate::launch`):
-//
-// * `*_unrolled` — explicit unroll of the fixed-width inner loops via
-//   slice patterns. The accumulation chain is kept in exactly the scalar
-//   order, so on deterministic schedules the results are bit-identical
-//   to the scalar kernels (asserted by the equivalence tests).
-// * `*_ell` — read the slot-major ELL mirror (`SparseSystem::ell`)
-//   instead of the row-major arrays: slot `k` of consecutive rows is
-//   contiguous, turning each inner loop into 5/12/6 parallel sequential
-//   streams. Arithmetic order is unchanged → also bit-identical.
-// * `aprod2_att_blocked*` — cache-blocked attitude accumulation: rows
-//   are processed in tiles and each tile sweeps axis-by-axis, so one
-//   axis segment of `out` stays hot while the tile's `y` values are
-//   reused from L1. This reassociates the per-column sums (tile-order
-//   instead of row-order), so it is deterministic but *not* bitwise
-//   equal to scalar; equivalence is asserted to 1e-12.
+// The scalar kernels above are the reference and the row-major layout.
+// The `*_ell` kernels read the slot-major ELL mirror (`SparseSystem::ell`)
+// instead: slot `k` of consecutive rows is contiguous, turning each inner
+// loop into 5/12/6 parallel sequential streams. The accumulation order is
+// the scalar one, so on deterministic schedules the results are
+// bit-identical (asserted by the equivalence tests). A launch plan picks
+// between the two by its `MatrixLayout` alone (`crate::launch`).
 // ---------------------------------------------------------------------------
-
-/// Row tile for the cache-blocked attitude `aprod2` variants: big enough
-/// to amortize the per-tile axis sweep, small enough that a tile's `y`
-/// slice (1 KiB) and its 12 coefficient rows stay in L1.
-pub const ATT_BLOCK_TILE: usize = 128;
-
-/// Unrolled [`aprod1_astro`]: the 5-wide contiguous gather as one slice
-/// pattern. Bitwise-identical accumulation order.
-pub fn aprod1_astro_unrolled(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: &mut [f64]) {
-    debug_assert!(rows.end <= sys.n_obs_rows());
-    debug_assert_eq!(out.len(), rows.len());
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod1, Block::Astro);
-    t.add_bytes(rows.len() as u64 * (2 * ASTRO_NNZ_PER_ROW as u64 + 2) * F64);
-    for (i, row) in rows.enumerate() {
-        let (vals, start) = sys.astro_row(row);
-        let xs = &x[start as usize..start as usize + ASTRO_NNZ_PER_ROW];
-        // Row slices are exactly 5 wide by construction.
-        let (&[v0, v1, v2, v3, v4], &[x0, x1, x2, x3, x4]) = (vals, xs) else {
-            continue;
-        };
-        let mut acc = 0.0;
-        acc += v0 * x0;
-        acc += v1 * x1;
-        acc += v2 * x2;
-        acc += v3 * x3;
-        acc += v4 * x4;
-        out[i] += acc;
-    }
-}
-
-/// Unrolled [`aprod1_att`]: the 3×4 strided gather with all twelve
-/// products spelled out in scalar order.
-pub fn aprod1_att_unrolled(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: &mut [f64]) {
-    debug_assert!(rows.end <= sys.n_rows());
-    debug_assert_eq!(out.len(), rows.len());
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod1, Block::Att);
-    t.add_bytes(rows.len() as u64 * (2 * ATT_NNZ_PER_ROW as u64 + 2) * F64);
-    let dof = sys.layout().n_deg_freedom_att as usize;
-    let att_base = sys.columns().att as usize;
-    for (i, row) in rows.enumerate() {
-        let (vals, off) = sys.att_row(row);
-        let &[a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3] = vals else {
-            continue;
-        };
-        let base0 = att_base + off as usize;
-        let base1 = base0 + dof;
-        let base2 = base1 + dof;
-        let mut acc = 0.0;
-        acc += a0 * x[base0];
-        acc += a1 * x[base0 + 1];
-        acc += a2 * x[base0 + 2];
-        acc += a3 * x[base0 + 3];
-        acc += b0 * x[base1];
-        acc += b1 * x[base1 + 1];
-        acc += b2 * x[base1 + 2];
-        acc += b3 * x[base1 + 3];
-        acc += c0 * x[base2];
-        acc += c1 * x[base2 + 1];
-        acc += c2 * x[base2 + 2];
-        acc += c3 * x[base2 + 3];
-        out[i] += acc;
-    }
-}
-
-/// Unrolled [`aprod1_instr`]: the 6 irregular gathers spelled out.
-pub fn aprod1_instr_unrolled(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: &mut [f64]) {
-    debug_assert!(rows.end <= sys.n_obs_rows());
-    debug_assert_eq!(out.len(), rows.len());
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod1, Block::Instr);
-    t.add_bytes(rows.len() as u64 * (2 * INSTR_NNZ_PER_ROW as u64 + 2) * F64);
-    let instr_base = sys.columns().instr as usize;
-    for (i, row) in rows.enumerate() {
-        let (vals, cols) = sys.instr_row(row);
-        let (&[v0, v1, v2, v3, v4, v5], &[c0, c1, c2, c3, c4, c5]) = (vals, cols) else {
-            continue;
-        };
-        let mut acc = 0.0;
-        acc += v0 * x[instr_base + c0 as usize];
-        acc += v1 * x[instr_base + c1 as usize];
-        acc += v2 * x[instr_base + c2 as usize];
-        acc += v3 * x[instr_base + c3 as usize];
-        acc += v4 * x[instr_base + c4 as usize];
-        acc += v5 * x[instr_base + c5 as usize];
-        out[i] += acc;
-    }
-}
-
-/// Full unrolled `aprod1` over a row range (glob reuses the scalar kernel:
-/// one multiply per row leaves nothing to unroll).
-pub fn aprod1_range_unrolled(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: &mut [f64]) {
-    let obs_end = rows.end.min(sys.n_obs_rows());
-    if rows.start < obs_end {
-        let obs = rows.start..obs_end;
-        let n = obs.len();
-        aprod1_astro_unrolled(sys, x, obs.clone(), &mut out[..n]);
-        aprod1_instr_unrolled(sys, x, obs.clone(), &mut out[..n]);
-        aprod1_glob(sys, x, obs, &mut out[..n]);
-    }
-    aprod1_att_unrolled(sys, x, rows, out);
-}
 
 /// ELL-layout [`aprod1_astro`]: five slot-major streams instead of one
 /// row-major gather. Same accumulation order as scalar.
@@ -482,41 +369,6 @@ pub fn aprod1_range_ell(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: 
     aprod1_att_ell(sys, x, rows, out);
 }
 
-/// Unrolled [`aprod2_astro`].
-pub fn aprod2_astro_unrolled(sys: &SparseSystem, y: &[f64], stars: Range<usize>, out: &mut [f64]) {
-    debug_assert_eq!(out.len(), stars.len() * ASTRO_NNZ_PER_ROW);
-    let layout = *sys.layout();
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Astro);
-    let rows_covered = if stars.is_empty() {
-        0
-    } else {
-        layout.rows_of_star(stars.end as u64 - 1).end
-            - layout.rows_of_star(stars.start as u64).start
-    };
-    t.add_bytes(
-        rows_covered * (ASTRO_NNZ_PER_ROW as u64 + 1) * F64
-            + stars.len() as u64 * 2 * ASTRO_NNZ_PER_ROW as u64 * F64,
-    );
-    for (si, star) in stars.enumerate() {
-        let slot = &mut out[si * ASTRO_NNZ_PER_ROW..(si + 1) * ASTRO_NNZ_PER_ROW];
-        let &mut [ref mut o0, ref mut o1, ref mut o2, ref mut o3, ref mut o4] = slot else {
-            continue;
-        };
-        for row in layout.rows_of_star(star as u64) {
-            let (vals, _) = sys.astro_row(row as usize);
-            let &[v0, v1, v2, v3, v4] = vals else {
-                continue;
-            };
-            let yr = y[row as usize];
-            *o0 += v0 * yr;
-            *o1 += v1 * yr;
-            *o2 += v2 * yr;
-            *o3 += v3 * yr;
-            *o4 += v4 * yr;
-        }
-    }
-}
-
 /// ELL-layout [`aprod2_astro`]: the five per-slot streams are read
 /// column-major while the per-star accumulation order stays scalar.
 pub fn aprod2_astro_ell(sys: &SparseSystem, y: &[f64], stars: Range<usize>, out: &mut [f64]) {
@@ -541,78 +393,6 @@ pub fn aprod2_astro_ell(sys: &SparseSystem, y: &[f64], stars: Range<usize>, out:
             let yr = y[row as usize];
             for k in 0..ASTRO_NNZ_PER_ROW {
                 slot[k] += slots[k][row as usize] * yr;
-            }
-        }
-    }
-}
-
-/// Unrolled [`aprod2_att`] (full section, exclusive access).
-pub fn aprod2_att_unrolled(sys: &SparseSystem, y: &[f64], rows: Range<usize>, out: &mut [f64]) {
-    debug_assert_eq!(out.len() as u64, sys.layout().n_att_cols());
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Att);
-    t.add_bytes(rows.len() as u64 * (3 * ATT_NNZ_PER_ROW as u64 + 1) * F64);
-    let dof = sys.layout().n_deg_freedom_att as usize;
-    let att_row = sys.att_rows();
-    for row in rows {
-        let yr = y[row];
-        if yr == 0.0 {
-            continue;
-        }
-        let (vals, off) = att_row(row);
-        let &[a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3] = vals else {
-            continue;
-        };
-        let base0 = off as usize;
-        let base1 = base0 + dof;
-        let base2 = base1 + dof;
-        out[base0] += a0 * yr;
-        out[base0 + 1] += a1 * yr;
-        out[base0 + 2] += a2 * yr;
-        out[base0 + 3] += a3 * yr;
-        out[base1] += b0 * yr;
-        out[base1 + 1] += b1 * yr;
-        out[base1 + 2] += b2 * yr;
-        out[base1 + 3] += b3 * yr;
-        out[base2] += c0 * yr;
-        out[base2 + 1] += c1 * yr;
-        out[base2 + 2] += c2 * yr;
-        out[base2 + 3] += c3 * yr;
-    }
-}
-
-/// Unrolled [`aprod2_att_owned`].
-pub fn aprod2_att_owned_unrolled(
-    sys: &SparseSystem,
-    y: &[f64],
-    rows: Range<usize>,
-    own: Range<usize>,
-    out: &mut [f64],
-) {
-    debug_assert_eq!(out.len(), own.len());
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Att);
-    t.add_bytes(
-        rows.len() as u64 * (ATT_NNZ_PER_ROW as u64 + 1) * F64 + own.len() as u64 * 2 * F64,
-    );
-    let dof = sys.layout().n_deg_freedom_att as usize;
-    let att_row = sys.att_rows();
-    for row in rows {
-        let yr = y[row];
-        if yr == 0.0 {
-            continue;
-        }
-        let (vals, off) = att_row(row);
-        let &[a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3] = vals else {
-            continue;
-        };
-        let axes = [[a0, a1, a2, a3], [b0, b1, b2, b3], [c0, c1, c2, c3]];
-        for (axis, vs) in axes.iter().enumerate() {
-            let base = axis * dof + off as usize;
-            // An axis window is 4 contiguous columns: clip it against the
-            // owned range once instead of testing each column.
-            let lo = base.max(own.start);
-            let hi = (base + ATT_PARAMS_PER_AXIS as usize).min(own.end);
-            for col in lo..hi {
-                out[col - own.start] += vs[col - base] * yr;
             }
         }
     }
@@ -673,143 +453,6 @@ pub fn aprod2_att_owned_ell(
                     out[col - own.start] +=
                         slots[axis * ATT_PARAMS_PER_AXIS as usize + k][row] * yr;
                 }
-            }
-        }
-    }
-}
-
-/// Cache-blocked [`aprod2_att`]: rows in [`ATT_BLOCK_TILE`]-sized tiles,
-/// each tile swept axis-by-axis so one axis segment of `out` stays hot.
-/// Deterministic but reassociated (tile-order sums) — 1e-12-equivalent to
-/// scalar, not bitwise.
-pub fn aprod2_att_blocked(sys: &SparseSystem, y: &[f64], rows: Range<usize>, out: &mut [f64]) {
-    debug_assert_eq!(out.len() as u64, sys.layout().n_att_cols());
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Att);
-    t.add_bytes(rows.len() as u64 * (3 * ATT_NNZ_PER_ROW as u64 + 1) * F64);
-    let dof = sys.layout().n_deg_freedom_att as usize;
-    let att_row = sys.att_rows();
-    let mut start = rows.start;
-    while start < rows.end {
-        let end = (start + ATT_BLOCK_TILE).min(rows.end);
-        for axis in 0..ATT_AXES as usize {
-            for (row, &yr) in (start..end).zip(&y[start..end]) {
-                if yr == 0.0 {
-                    continue;
-                }
-                let (vals, off) = att_row(row);
-                let base = axis * dof + off as usize;
-                let v = &vals[axis * ATT_PARAMS_PER_AXIS as usize..];
-                let &[v0, v1, v2, v3, ..] = v else {
-                    continue;
-                };
-                out[base] += v0 * yr;
-                out[base + 1] += v1 * yr;
-                out[base + 2] += v2 * yr;
-                out[base + 3] += v3 * yr;
-            }
-        }
-        start = end;
-    }
-}
-
-/// Cache-blocked [`aprod2_att_owned`]: tile + axis sweep with the owned
-/// column filter.
-pub fn aprod2_att_owned_blocked(
-    sys: &SparseSystem,
-    y: &[f64],
-    rows: Range<usize>,
-    own: Range<usize>,
-    out: &mut [f64],
-) {
-    debug_assert_eq!(out.len(), own.len());
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Att);
-    t.add_bytes(
-        rows.len() as u64 * (ATT_NNZ_PER_ROW as u64 + 1) * F64 + own.len() as u64 * 2 * F64,
-    );
-    let dof = sys.layout().n_deg_freedom_att as usize;
-    let att_row = sys.att_rows();
-    let mut start = rows.start;
-    while start < rows.end {
-        let end = (start + ATT_BLOCK_TILE).min(rows.end);
-        for axis in 0..ATT_AXES as usize {
-            for (row, &yr) in (start..end).zip(&y[start..end]) {
-                if yr == 0.0 {
-                    continue;
-                }
-                let (vals, off) = att_row(row);
-                let base = axis * dof + off as usize;
-                let lo = base.max(own.start);
-                let hi = (base + ATT_PARAMS_PER_AXIS as usize).min(own.end);
-                for col in lo..hi {
-                    out[col - own.start] +=
-                        vals[axis * ATT_PARAMS_PER_AXIS as usize + (col - base)] * yr;
-                }
-            }
-        }
-        start = end;
-    }
-}
-
-/// Unrolled [`aprod2_instr`] (full section, exclusive access).
-pub fn aprod2_instr_unrolled(sys: &SparseSystem, y: &[f64], rows: Range<usize>, out: &mut [f64]) {
-    debug_assert!(rows.end <= sys.n_obs_rows());
-    debug_assert_eq!(out.len() as u64, sys.layout().n_instr_params);
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Instr);
-    t.add_bytes(rows.len() as u64 * (3 * INSTR_NNZ_PER_ROW as u64 + 1) * F64);
-    let instr_row = sys.instr_rows();
-    for row in rows {
-        let yr = y[row];
-        if yr == 0.0 {
-            continue;
-        }
-        let (vals, cols) = instr_row(row);
-        let (&[v0, v1, v2, v3, v4, v5], &[c0, c1, c2, c3, c4, c5]) = (vals, cols) else {
-            continue;
-        };
-        out[c0 as usize] += v0 * yr;
-        out[c1 as usize] += v1 * yr;
-        out[c2 as usize] += v2 * yr;
-        out[c3 as usize] += v3 * yr;
-        out[c4 as usize] += v4 * yr;
-        out[c5 as usize] += v5 * yr;
-    }
-}
-
-/// Unrolled [`aprod2_instr_owned`].
-pub fn aprod2_instr_owned_unrolled(
-    sys: &SparseSystem,
-    y: &[f64],
-    rows: Range<usize>,
-    own: Range<usize>,
-    out: &mut [f64],
-) {
-    debug_assert!(rows.end <= sys.n_obs_rows());
-    debug_assert_eq!(out.len(), own.len());
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Instr);
-    t.add_bytes(
-        rows.len() as u64 * (INSTR_NNZ_PER_ROW as u64 + 1) * F64 + own.len() as u64 * 2 * F64,
-    );
-    let instr_row = sys.instr_rows();
-    for row in rows {
-        let yr = y[row];
-        if yr == 0.0 {
-            continue;
-        }
-        let (vals, cols) = instr_row(row);
-        let (&[v0, v1, v2, v3, v4, v5], &[c0, c1, c2, c3, c4, c5]) = (vals, cols) else {
-            continue;
-        };
-        let pairs = [
-            (c0 as usize, v0),
-            (c1 as usize, v1),
-            (c2 as usize, v2),
-            (c3 as usize, v3),
-            (c4 as usize, v4),
-            (c5 as usize, v5),
-        ];
-        for (col, v) in pairs {
-            if col >= own.start && col < own.end {
-                out[col - own.start] += v * yr;
             }
         }
     }
@@ -1021,32 +664,24 @@ mod tests {
         }
     }
 
-    /// The unrolled and ELL aprod1 paths keep the scalar accumulation
-    /// order, so on a fixed schedule they are bit-identical to the
-    /// reference kernel.
+    /// The ELL aprod1 path keeps the scalar accumulation order, so on a
+    /// fixed schedule it is bit-identical to the reference kernel.
     #[test]
-    fn aprod1_variants_are_bitwise_equal_to_scalar() {
+    fn aprod1_ell_is_bitwise_equal_to_scalar() {
         let s = sys();
         let x = x_for(&s);
         let mut want = vec![0.0; s.n_rows()];
         aprod1_range(&s, &x, 0..s.n_rows(), &mut want);
-        for (name, kernel) in [
-            ("unrolled", aprod1_range_unrolled as fn(_, _, _, &mut [f64])),
-            ("ell", aprod1_range_ell),
-        ] {
-            let mut got = vec![0.0; s.n_rows()];
-            kernel(&s, &x, 0..s.n_rows(), &mut got);
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(g.to_bits(), w.to_bits(), "{name} row {i}: {g} vs {w}");
-            }
+        let mut got = vec![0.0; s.n_rows()];
+        aprod1_range_ell(&s, &x, 0..s.n_rows(), &mut got);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "row {i}: {g} vs {w}");
         }
     }
 
-    /// Same bitwise guarantee for the full-section and owner-computes
-    /// aprod2 variants; the cache-blocked attitude kernels reassociate the
-    /// sums and are held to 1e-12 instead.
+    /// Same bitwise guarantee for the full-section ELL aprod2 kernels.
     #[test]
-    fn aprod2_variants_match_scalar() {
+    fn aprod2_ell_is_bitwise_equal_to_scalar() {
         let s = sys();
         let y = y_for(&s);
         let n_stars = s.layout().n_stars as usize;
@@ -1055,111 +690,57 @@ mod tests {
 
         let mut astro_want = vec![0.0; n_stars * ASTRO_NNZ_PER_ROW];
         aprod2_astro(&s, &y, 0..n_stars, &mut astro_want);
-        for (name, kernel) in [
-            ("unrolled", aprod2_astro_unrolled as fn(_, _, _, &mut [f64])),
-            ("ell", aprod2_astro_ell),
-        ] {
-            let mut got = vec![0.0; astro_want.len()];
-            kernel(&s, &y, 0..n_stars, &mut got);
-            for (g, w) in got.iter().zip(&astro_want) {
-                assert_eq!(g.to_bits(), w.to_bits(), "astro {name}");
-            }
+        let mut got = vec![0.0; astro_want.len()];
+        aprod2_astro_ell(&s, &y, 0..n_stars, &mut got);
+        for (g, w) in got.iter().zip(&astro_want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "astro");
         }
 
         let mut att_want = vec![0.0; natt];
         aprod2_att(&s, &y, 0..s.n_rows(), &mut att_want);
-        for (name, kernel) in [
-            ("unrolled", aprod2_att_unrolled as fn(_, _, _, &mut [f64])),
-            ("ell", aprod2_att_ell),
-        ] {
-            let mut got = vec![0.0; natt];
-            kernel(&s, &y, 0..s.n_rows(), &mut got);
-            for (g, w) in got.iter().zip(&att_want) {
-                assert_eq!(g.to_bits(), w.to_bits(), "att {name}");
-            }
-        }
-        let mut blocked = vec![0.0; natt];
-        aprod2_att_blocked(&s, &y, 0..s.n_rows(), &mut blocked);
-        for (g, w) in blocked.iter().zip(&att_want) {
-            assert!((g - w).abs() <= 1e-12 * w.abs().max(1.0), "att blocked");
+        let mut got = vec![0.0; natt];
+        aprod2_att_ell(&s, &y, 0..s.n_rows(), &mut got);
+        for (g, w) in got.iter().zip(&att_want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "att");
         }
 
         let mut instr_want = vec![0.0; ninstr];
         aprod2_instr(&s, &y, 0..s.n_obs_rows(), &mut instr_want);
-        for (name, kernel) in [
-            ("unrolled", aprod2_instr_unrolled as fn(_, _, _, &mut [f64])),
-            ("ell", aprod2_instr_ell),
-        ] {
-            let mut got = vec![0.0; ninstr];
-            kernel(&s, &y, 0..s.n_obs_rows(), &mut got);
-            for (g, w) in got.iter().zip(&instr_want) {
-                assert_eq!(g.to_bits(), w.to_bits(), "instr {name}");
-            }
+        let mut got = vec![0.0; ninstr];
+        aprod2_instr_ell(&s, &y, 0..s.n_obs_rows(), &mut got);
+        for (g, w) in got.iter().zip(&instr_want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "instr");
         }
     }
 
-    /// Every owned variant, split across disjoint owned ranges, covers the
-    /// full section exactly once — the owner-computes soundness property.
+    /// The owned ELL kernels, split across disjoint owned ranges, cover the
+    /// full section exactly once — the owner-computes soundness property —
+    /// in the scalar order, so bitwise.
     #[test]
-    fn owned_variants_cover_all_columns() {
-        type Owned =
-            fn(&SparseSystem, &[f64], std::ops::Range<usize>, std::ops::Range<usize>, &mut [f64]);
+    fn owned_ell_kernels_cover_all_columns() {
         let s = sys();
         let y = y_for(&s);
         let natt = s.layout().n_att_cols() as usize;
         let mut att_want = vec![0.0; natt];
         aprod2_att(&s, &y, 0..s.n_rows(), &mut att_want);
-        for (name, owned) in [
-            ("unrolled", aprod2_att_owned_unrolled as Owned),
-            ("ell", aprod2_att_owned_ell),
-            ("blocked", aprod2_att_owned_blocked),
-        ] {
-            let mut pieces = vec![0.0; natt];
-            for own in split_ranges(natt, 5) {
-                let (a, b) = (own.start, own.end);
-                owned(&s, &y, 0..s.n_rows(), own, &mut pieces[a..b]);
-            }
-            for (g, w) in pieces.iter().zip(&att_want) {
-                assert!(
-                    (g - w).abs() <= 1e-12 * w.abs().max(1.0),
-                    "att owned {name}: {g} vs {w}"
-                );
-            }
+        let mut pieces = vec![0.0; natt];
+        for own in split_ranges(natt, 5) {
+            let (a, b) = (own.start, own.end);
+            aprod2_att_owned_ell(&s, &y, 0..s.n_rows(), own, &mut pieces[a..b]);
+        }
+        for (g, w) in pieces.iter().zip(&att_want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "att owned: {g} vs {w}");
         }
         let ninstr = s.layout().n_instr_params as usize;
         let mut instr_want = vec![0.0; ninstr];
         aprod2_instr(&s, &y, 0..s.n_obs_rows(), &mut instr_want);
-        for (name, owned) in [
-            ("unrolled", aprod2_instr_owned_unrolled as Owned),
-            ("ell", aprod2_instr_owned_ell),
-        ] {
-            let mut pieces = vec![0.0; ninstr];
-            for own in split_ranges(ninstr, 4) {
-                let (a, b) = (own.start, own.end);
-                owned(&s, &y, 0..s.n_obs_rows(), own, &mut pieces[a..b]);
-            }
-            for (g, w) in pieces.iter().zip(&instr_want) {
-                assert_eq!(g.to_bits(), w.to_bits(), "instr owned {name}");
-            }
+        let mut pieces = vec![0.0; ninstr];
+        for own in split_ranges(ninstr, 4) {
+            let (a, b) = (own.start, own.end);
+            aprod2_instr_owned_ell(&s, &y, 0..s.n_obs_rows(), own, &mut pieces[a..b]);
         }
-    }
-
-    /// Blocked tiles must compose: a row range split at non-tile-aligned
-    /// boundaries gives the same 1e-12 result as one call over the whole
-    /// range.
-    #[test]
-    fn blocked_att_tiles_compose_across_odd_splits() {
-        let s = sys();
-        let y = y_for(&s);
-        let natt = s.layout().n_att_cols() as usize;
-        let mut whole = vec![0.0; natt];
-        aprod2_att_blocked(&s, &y, 0..s.n_rows(), &mut whole);
-        let mut parts = vec![0.0; natt];
-        let mid = s.n_rows() / 3 + 1;
-        aprod2_att_blocked(&s, &y, 0..mid, &mut parts);
-        aprod2_att_blocked(&s, &y, mid..s.n_rows(), &mut parts);
-        for (g, w) in parts.iter().zip(&whole) {
-            assert!((g - w).abs() <= 1e-12 * w.abs().max(1.0));
+        for (g, w) in pieces.iter().zip(&instr_want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "instr owned");
         }
     }
 

@@ -204,73 +204,21 @@ impl Aprod2Spec {
     }
 }
 
-/// Which kernel interior a plan launches — the paper's per-kernel tuning
-/// axis (§V): same arithmetic, different loop shape.
+/// A backend's launch configuration: tuning + strategy spec + the value
+/// layout the kernels read. Owns all range computation and output
+/// partitioning for both products.
 ///
-/// Composition with [`MatrixLayout`]: the layout decides which value
-/// arrays the kernels read (`Ell` selects the slot-major readers for
-/// `aprod1`, the astrometric `aprod2`, and the full / owner-computes
-/// section kernels every strategy dispatches to), while the variant picks
-/// the interior shape of the row-major paths. Only the single-column
-/// global kernels read row-major under either layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelVariant {
-    /// The reference scalar interiors.
-    #[default]
-    Scalar,
-    /// Explicitly unrolled 5/12/6-wide interiors, bitwise-equal to scalar.
-    Unrolled,
-    /// Cache-blocked attitude `aprod2` accumulation (tile + axis sweep);
-    /// other sections use the unrolled interiors. Deterministic,
-    /// 1e-12-equivalent to scalar (reassociated sums).
-    Blocked,
-}
-
-impl KernelVariant {
-    /// Stable name used in profiles and CLI flags.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            KernelVariant::Scalar => "scalar",
-            KernelVariant::Unrolled => "unrolled",
-            KernelVariant::Blocked => "blocked",
-        }
-    }
-
-    /// Parse a profile / CLI name.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "scalar" => Some(KernelVariant::Scalar),
-            "unrolled" => Some(KernelVariant::Unrolled),
-            "blocked" => Some(KernelVariant::Blocked),
-            _ => None,
-        }
-    }
-
-    /// All variants, for tuner sweeps.
-    pub const ALL: [KernelVariant; 3] = [
-        KernelVariant::Scalar,
-        KernelVariant::Unrolled,
-        KernelVariant::Blocked,
-    ];
-}
-
-impl std::fmt::Display for KernelVariant {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// A backend's launch configuration: tuning + strategy spec + kernel
-/// interior selection. Owns all range computation and output partitioning
-/// for both products.
+/// The layout alone picks the kernels: `Ell` selects the slot-major readers
+/// for `aprod1`, the astrometric `aprod2`, and the full / owner-computes
+/// section kernels every strategy dispatches to; `RowMajor` the scalar
+/// reference kernels. Only the single-column global kernels read row-major
+/// under either layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchPlan {
     /// Thread count and chunk granularity.
     pub tuning: Tuning,
     /// Conflict strategies and stream budget for `aprod2`.
     pub spec: Aprod2Spec,
-    /// Kernel interior shape (scalar / unrolled / blocked).
-    pub variant: KernelVariant,
     /// Value layout the kernels read (row-major / ELL).
     pub matrix_layout: MatrixLayout,
 }
@@ -287,86 +235,60 @@ struct SectionKernels {
     owned: OwnedKernel,
 }
 
-/// Attitude section kernels for a (variant, layout) pair — the dispatch
-/// seam every `aprod2` strategy routes through.
-fn att_kernels(variant: KernelVariant, layout: MatrixLayout) -> SectionKernels {
-    let (full, owned) = match (layout, variant) {
-        (MatrixLayout::Ell, _) => (
-            kernels::aprod2_att_ell as FullKernel,
-            kernels::aprod2_att_owned_ell as OwnedKernel,
-        ),
-        (_, KernelVariant::Scalar) => (
-            kernels::aprod2_att as FullKernel,
-            kernels::aprod2_att_owned as OwnedKernel,
-        ),
-        (_, KernelVariant::Unrolled) => (
-            kernels::aprod2_att_unrolled as FullKernel,
-            kernels::aprod2_att_owned_unrolled as OwnedKernel,
-        ),
-        (_, KernelVariant::Blocked) => (
-            kernels::aprod2_att_blocked as FullKernel,
-            kernels::aprod2_att_owned_blocked as OwnedKernel,
-        ),
-    };
-    SectionKernels { full, owned }
-}
-
-/// Instrumental section kernels for a (variant, layout) pair. The blocked
-/// variant has no dedicated instrumental interior (the columns are
-/// irregular, so there is no axis segment to tile) and shares the
-/// unrolled one.
-fn instr_kernels(variant: KernelVariant, layout: MatrixLayout) -> SectionKernels {
-    let (full, owned) = match (layout, variant) {
-        (MatrixLayout::Ell, _) => (
-            kernels::aprod2_instr_ell as FullKernel,
-            kernels::aprod2_instr_owned_ell as OwnedKernel,
-        ),
-        (_, KernelVariant::Scalar) => (
-            kernels::aprod2_instr as FullKernel,
-            kernels::aprod2_instr_owned as OwnedKernel,
-        ),
-        (_, KernelVariant::Unrolled | KernelVariant::Blocked) => (
-            kernels::aprod2_instr_unrolled as FullKernel,
-            kernels::aprod2_instr_owned_unrolled as OwnedKernel,
-        ),
-    };
-    SectionKernels { full, owned }
-}
-
-/// Astrometric `aprod2` kernel for a (variant, layout) pair.
-fn astro_kernel(variant: KernelVariant, layout: MatrixLayout) -> FullKernel {
-    match (layout, variant) {
-        (MatrixLayout::Ell, _) => kernels::aprod2_astro_ell,
-        (_, KernelVariant::Scalar) => kernels::aprod2_astro,
-        (_, KernelVariant::Unrolled | KernelVariant::Blocked) => kernels::aprod2_astro_unrolled,
+/// Attitude section kernels for a layout — the dispatch seam every
+/// `aprod2` strategy routes through.
+fn att_kernels(layout: MatrixLayout) -> SectionKernels {
+    match layout {
+        MatrixLayout::Ell => SectionKernels {
+            full: kernels::aprod2_att_ell,
+            owned: kernels::aprod2_att_owned_ell,
+        },
+        MatrixLayout::RowMajor => SectionKernels {
+            full: kernels::aprod2_att,
+            owned: kernels::aprod2_att_owned,
+        },
     }
 }
 
-/// `aprod1` range kernel for a (variant, layout) pair.
-fn aprod1_kernel(variant: KernelVariant, layout: MatrixLayout) -> FullKernel {
-    match (layout, variant) {
-        (MatrixLayout::Ell, _) => kernels::aprod1_range_ell,
-        (_, KernelVariant::Scalar) => kernels::aprod1_range,
-        (_, KernelVariant::Unrolled | KernelVariant::Blocked) => kernels::aprod1_range_unrolled,
+/// Instrumental section kernels for a layout.
+fn instr_kernels(layout: MatrixLayout) -> SectionKernels {
+    match layout {
+        MatrixLayout::Ell => SectionKernels {
+            full: kernels::aprod2_instr_ell,
+            owned: kernels::aprod2_instr_owned_ell,
+        },
+        MatrixLayout::RowMajor => SectionKernels {
+            full: kernels::aprod2_instr,
+            owned: kernels::aprod2_instr_owned,
+        },
+    }
+}
+
+/// Astrometric `aprod2` kernel for a layout.
+fn astro_kernel(layout: MatrixLayout) -> FullKernel {
+    match layout {
+        MatrixLayout::Ell => kernels::aprod2_astro_ell,
+        MatrixLayout::RowMajor => kernels::aprod2_astro,
+    }
+}
+
+/// `aprod1` range kernel for a layout.
+fn aprod1_kernel(layout: MatrixLayout) -> FullKernel {
+    match layout {
+        MatrixLayout::Ell => kernels::aprod1_range_ell,
+        MatrixLayout::RowMajor => kernels::aprod1_range,
     }
 }
 
 impl LaunchPlan {
-    /// Build a plan from tuning and a strategy spec, with the default
-    /// scalar interiors over the row-major layout.
+    /// Build a plan from tuning and a strategy spec over the default
+    /// row-major layout.
     pub fn new(tuning: Tuning, spec: Aprod2Spec) -> Self {
         LaunchPlan {
             tuning,
             spec,
-            variant: KernelVariant::default(),
             matrix_layout: MatrixLayout::default(),
         }
-    }
-
-    /// Select a kernel interior variant.
-    pub fn with_variant(mut self, variant: KernelVariant) -> Self {
-        self.variant = variant;
-        self
     }
 
     /// Select the value layout the kernels read.
@@ -466,7 +388,7 @@ impl LaunchPlan {
             // lazy init (OnceLock would serialize the workers against it).
             let _ = sys.ell();
         }
-        let kernel = aprod1_kernel(self.variant, self.matrix_layout);
+        let kernel = aprod1_kernel(self.matrix_layout);
         let ranges = split_span(rows.clone(), self.aprod1_chunks(rows.len()));
         let mut jobs: Vec<Job<'_>> = Vec::with_capacity(ranges.len());
         let mut rest = out;
@@ -551,7 +473,7 @@ impl LaunchPlan {
 
         // Astrometric stream: star-aligned split, collision-free — each
         // star chunk owns an exactly matching slice of the astro section.
-        let astro_k = astro_kernel(self.variant, self.matrix_layout);
+        let astro_k = astro_kernel(self.matrix_layout);
         let mut astro_rest = &mut astro[stars.start * 5..stars.end * 5];
         for chunk in split_span(
             stars.clone(),
@@ -569,7 +491,7 @@ impl LaunchPlan {
             att_rows,
             att,
             self.spec.att,
-            att_kernels(self.variant, self.matrix_layout),
+            att_kernels(self.matrix_layout),
             &mut att_privates,
             &mut att_stripes,
             &mut jobs,
@@ -581,7 +503,7 @@ impl LaunchPlan {
             obs_rows.clone(),
             instr,
             self.spec.instr,
-            instr_kernels(self.variant, self.matrix_layout),
+            instr_kernels(self.matrix_layout),
             &mut instr_privates,
             &mut instr_stripes,
             &mut jobs,
@@ -1123,11 +1045,11 @@ mod tests {
         }
     }
 
-    /// Every kernel variant × matrix layout must match the serial scalar
-    /// kernels on every strategy chassis — the dispatch-seam property the
-    /// tuner relies on to search the space safely.
+    /// Every matrix layout must match the serial scalar kernels on every
+    /// strategy chassis — the dispatch-seam property the tuner relies on to
+    /// search the space safely.
     #[test]
-    fn every_variant_and_layout_matches_the_serial_kernels() {
+    fn every_layout_matches_the_serial_kernels() {
         use gaia_sparse::{Generator, GeneratorConfig, SystemLayout};
         let sys = Generator::new(GeneratorConfig::new(SystemLayout::tiny()).seed(13)).generate();
         let x: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.17).sin()).collect();
@@ -1153,32 +1075,25 @@ mod tests {
             Aprod2Strategy::Replicated,
             Aprod2Strategy::LockStriped { stripes: 5 },
         ];
-        for variant in KernelVariant::ALL {
-            for layout in MatrixLayout::ALL {
-                for strategy in strategies {
-                    for spec in [
-                        Aprod2Spec::uniform(strategy),
-                        Aprod2Spec::streamed(strategy),
-                    ] {
-                        let plan = LaunchPlan::new(tuning_2x4(), spec)
-                            .with_variant(variant)
-                            .with_matrix_layout(layout);
-                        let mut got1 = vec![0.0; sys.n_rows()];
-                        plan.aprod1(&pool, &sys, &x, &mut got1);
-                        for (g, w) in got1.iter().zip(&want1) {
-                            assert!(
-                                (g - w).abs() < 1e-10,
-                                "aprod1 {variant:?} {layout:?}: {g} vs {w}"
-                            );
-                        }
-                        let mut got2 = vec![0.0; sys.n_cols()];
-                        plan.aprod2(&pool, &sys, &y, &mut got2);
-                        for (g, w) in got2.iter().zip(&want2) {
-                            assert!(
-                                (g - w).abs() < 1e-10,
-                                "aprod2 {variant:?} {layout:?} {strategy:?} {spec:?}: {g} vs {w}"
-                            );
-                        }
+        for layout in MatrixLayout::ALL {
+            for strategy in strategies {
+                for spec in [
+                    Aprod2Spec::uniform(strategy),
+                    Aprod2Spec::streamed(strategy),
+                ] {
+                    let plan = LaunchPlan::new(tuning_2x4(), spec).with_matrix_layout(layout);
+                    let mut got1 = vec![0.0; sys.n_rows()];
+                    plan.aprod1(&pool, &sys, &x, &mut got1);
+                    for (g, w) in got1.iter().zip(&want1) {
+                        assert!((g - w).abs() < 1e-10, "aprod1 {layout:?}: {g} vs {w}");
+                    }
+                    let mut got2 = vec![0.0; sys.n_cols()];
+                    plan.aprod2(&pool, &sys, &y, &mut got2);
+                    for (g, w) in got2.iter().zip(&want2) {
+                        assert!(
+                            (g - w).abs() < 1e-10,
+                            "aprod2 {layout:?} {strategy:?} {spec:?}: {g} vs {w}"
+                        );
                     }
                 }
             }
@@ -1186,15 +1101,13 @@ mod tests {
     }
 
     #[test]
-    fn variant_and_layout_names_round_trip() {
-        for v in KernelVariant::ALL {
-            assert_eq!(KernelVariant::parse(v.as_str()), Some(v));
+    fn layout_names_round_trip() {
+        for l in MatrixLayout::ALL {
+            assert_eq!(MatrixLayout::parse(l.as_str()), Some(l));
         }
-        assert_eq!(KernelVariant::parse("simd"), None);
-        assert_eq!(KernelVariant::default(), KernelVariant::Scalar);
-        // A plan built by `new` is the scalar/row-major default.
+        assert_eq!(MatrixLayout::parse("unrolled"), None);
+        // A plan built by `new` reads the row-major default.
         let plan = LaunchPlan::new(tuning_2x4(), Aprod2Spec::uniform(Aprod2Strategy::Atomic));
-        assert_eq!(plan.variant, KernelVariant::Scalar);
         assert_eq!(plan.matrix_layout, MatrixLayout::RowMajor);
     }
 }

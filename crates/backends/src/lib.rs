@@ -21,7 +21,8 @@
 //! | `rayon` | C++ PSTL (tuning-oblivious runtime) | star-chunk split + fold/reduce |
 //! | `streamed` | CUDA streams overlapping the four `aprod2` kernels | disjoint block sections on concurrent threads |
 //! | `hybrid` | the production composition: per-block strategy mix in streams | star-chunks + privatized attitude + owner-computes instrumental |
-//! | `unrolled` / `blocked` / `ell` | hand-tuned kernel interiors and value layouts | as `chunked` |
+//! | `ell` | the slot-major (ELL) value layout the tuner searches | as `chunked` |
+//! | `unrolled` / `blocked` | aliases of `chunked`, kept for the names of a deleted kernel-interior axis | as `chunked` |
 //! | `tiled` | the out-of-core launch shape, one row tile at a time | as `chunked` |
 //! | `tuned` | the launch configuration pinned per platform after the §V-B search | whatever the persisted profile for the system's shape says |
 //!
@@ -63,9 +64,7 @@ pub use backend_seq::SeqBackend;
 pub use chaos::{ChaosBackend, ChaosMode, ChaosTarget};
 pub use exec::ExecutorPool;
 pub use instrumented::InstrumentedBackend;
-pub use launch::{
-    Aprod2Spec, Aprod2Strategy, AtomicFlavor, KernelVariant, LaunchPlan, WorkerBudget,
-};
+pub use launch::{Aprod2Spec, Aprod2Strategy, AtomicFlavor, LaunchPlan, WorkerBudget};
 pub use plan_check::{
     access_model_rows, check_sections, PlanDims, PlanError, PlanProof, PlanViolation, ReadAccess,
     ReadSpace, ReadSync, SectionId, SectionModel, WriteAccess,

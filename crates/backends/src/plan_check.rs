@@ -1076,7 +1076,7 @@ pub fn analyze_plan(plan: &LaunchPlan, dims: &PlanDims) -> Result<PlanProof, Pla
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::launch::{Aprod2Spec, KernelVariant};
+    use crate::launch::Aprod2Spec;
     use crate::tuning::Tuning;
 
     fn plan(strategy: Aprod2Strategy, streamed: bool) -> LaunchPlan {
@@ -1129,36 +1129,32 @@ mod tests {
         model
     }
 
-    /// Kernel variant and value layout change loop shape and gather
-    /// source, never access-sets: every variant × layout combination must
-    /// lower to the same sound model as the scalar row-major plan, up to
-    /// the matrix space the kernels gather from (`Ell` redirects those
+    /// The value layout changes the gather source, never access-sets: every
+    /// layout must lower to the same sound model as the row-major plan, up
+    /// to the matrix space the kernels gather from (`Ell` redirects those
     /// reads to the mirror; identical rows either way).
     #[test]
-    fn every_variant_and_layout_is_sound_on_canonical_dims() {
+    fn every_layout_is_sound_on_canonical_dims() {
         use gaia_sparse::MatrixLayout;
         for strategy in STRATEGIES {
             for streamed in [false, true] {
                 let base = plan(strategy, streamed);
-                let scalar_model: Vec<_> = PlanDims::canonical()
+                let row_major_model: Vec<_> = PlanDims::canonical()
                     .iter()
                     .map(|d| write_model(&base, d))
                     .collect();
-                for variant in KernelVariant::ALL {
-                    for layout in MatrixLayout::ALL {
-                        let p = base.with_variant(variant).with_matrix_layout(layout);
-                        p.analyze_canonical().unwrap_or_else(|e| {
-                            panic!("{variant}/{layout:?} {strategy:?} judged unsound:\n{e}")
-                        });
-                        let model: Vec<_> = PlanDims::canonical()
-                            .iter()
-                            .map(|d| normalize_layout(write_model(&p, d)))
-                            .collect();
-                        assert_eq!(
-                            model, scalar_model,
-                            "{variant}/{layout:?} changed the access model"
-                        );
-                    }
+                for layout in MatrixLayout::ALL {
+                    let p = base.with_matrix_layout(layout);
+                    p.analyze_canonical()
+                        .unwrap_or_else(|e| panic!("{layout:?} {strategy:?} judged unsound:\n{e}"));
+                    let model: Vec<_> = PlanDims::canonical()
+                        .iter()
+                        .map(|d| normalize_layout(write_model(&p, d)))
+                        .collect();
+                    assert_eq!(
+                        model, row_major_model,
+                        "{layout:?} changed the access model"
+                    );
                 }
             }
         }
@@ -1470,11 +1466,14 @@ mod tests {
         // A hypothetical gather section reading attitude columns another
         // section's jobs own-write in the same wave.
         let writer = SectionModel::new(SectionId::Att, WriteAccess::Owned, 90, vec![0..45, 45..90]);
-        let reader = SectionModel::new(SectionId::Instr, WriteAccess::Owned, 10, vec![0..10])
-            .with_reads(vec![vec![
-                ReadAccess::plain(ReadSpace::Section(SectionId::Att), 30..60),
-                ReadAccess::plain(ReadSpace::Section(SectionId::Instr), 0..10),
-            ]]);
+        let whole = std::iter::once(0..10).collect();
+        let reader =
+            SectionModel::new(SectionId::Instr, WriteAccess::Owned, 10, whole).with_reads(vec![
+                vec![
+                    ReadAccess::plain(ReadSpace::Section(SectionId::Att), 30..60),
+                    ReadAccess::plain(ReadSpace::Section(SectionId::Instr), 0..10),
+                ],
+            ]);
         let err = check_sections(&[writer, reader]).unwrap_err();
         assert!(
             err.violations.iter().any(|v| matches!(

@@ -1,4 +1,4 @@
-//! Persisted launch profiles — the `gaia-tune-profile/v1` schema.
+//! Persisted launch profiles — the `gaia-tune-profile/v2` schema.
 //!
 //! The paper's §V-B tuning study ("up to 40 % reduction in iteration
 //! time") is a *search* over launch configurations followed by pinning the
@@ -16,6 +16,10 @@
 //! additionally proven sound against the canonical shape battery before it
 //! is ever handed to a backend — an unsound profile on disk must never
 //! become a racing launch.
+//!
+//! v2 dropped v1's `variant` field (the kernel interior axis is gone; a
+//! plan's kernels follow its `matrix_layout` alone). A v1 file is refused
+//! with [`ProfileError::Schema`], never read silently: re-run the tuner.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -24,11 +28,11 @@ use serde::{Deserialize, Serialize};
 
 use gaia_sparse::{MatrixLayout, SystemLayout};
 
-use crate::launch::{Aprod2Spec, Aprod2Strategy, KernelVariant, LaunchPlan, WorkerBudget};
+use crate::launch::{Aprod2Spec, Aprod2Strategy, LaunchPlan, WorkerBudget};
 use crate::tuning::Tuning;
 
 /// Schema tag stamped into every profile artifact.
-pub const PROFILE_SCHEMA: &str = "gaia-tune-profile/v1";
+pub const PROFILE_SCHEMA: &str = "gaia-tune-profile/v2";
 
 /// Environment variable overriding the profile directory (mirrors
 /// `GAIA_RESULTS_DIR` for bench artifacts).
@@ -99,15 +103,13 @@ pub struct LaunchProfile {
     pub glob: String,
     /// Worker budget (`uniform`/`streamed`).
     pub budget: String,
-    /// Kernel interior variant (`scalar`/`unrolled`/`blocked`).
-    pub variant: String,
     /// Value layout (`row-major`/`ell`).
     pub matrix_layout: String,
     /// Median per-iteration seconds of the winning configuration.
     #[serde(default)]
     pub tuned_median_s: f64,
-    /// Median per-iteration seconds of the default (scalar row-major
-    /// chunked) configuration on the same layout, same run.
+    /// Median per-iteration seconds of the default (row-major chunked)
+    /// configuration on the same layout, same run.
     #[serde(default)]
     pub baseline_median_s: f64,
     /// Fractional improvement over the baseline:
@@ -168,7 +170,6 @@ impl LaunchProfile {
             instr: strategy_name(plan.spec.instr),
             glob: strategy_name(plan.spec.glob),
             budget: budget_name(plan.spec.budget).to_string(),
-            variant: plan.variant.as_str().to_string(),
             matrix_layout: plan.matrix_layout.as_str().to_string(),
             tuned_median_s: 0.0,
             baseline_median_s: 0.0,
@@ -192,8 +193,6 @@ impl LaunchProfile {
         let instr = parse_strategy(&self.instr).ok_or_else(|| field("instr", &self.instr))?;
         let glob = parse_strategy(&self.glob).ok_or_else(|| field("glob", &self.glob))?;
         let budget = parse_budget(&self.budget).ok_or_else(|| field("budget", &self.budget))?;
-        let variant =
-            KernelVariant::parse(&self.variant).ok_or_else(|| field("variant", &self.variant))?;
         let matrix_layout = MatrixLayout::parse(&self.matrix_layout)
             .ok_or_else(|| field("matrix_layout", &self.matrix_layout))?;
         if self.threads == 0 {
@@ -214,7 +213,6 @@ impl LaunchProfile {
                 budget,
             },
         )
-        .with_variant(variant)
         .with_matrix_layout(matrix_layout);
         plan.analyze_canonical()
             .map_err(|e| ProfileError::Unsound(e.to_string()))?;
@@ -309,7 +307,6 @@ mod tests {
                 budget: WorkerBudget::Streamed,
             },
         )
-        .with_variant(KernelVariant::Unrolled)
         .with_matrix_layout(MatrixLayout::Ell)
     }
 
@@ -372,11 +369,11 @@ mod tests {
         );
 
         let mut p = LaunchProfile::from_plan("tiny", SystemLayout::tiny(), &plan);
-        p.variant = "simd".into();
+        p.matrix_layout = "blocked".into();
         assert!(matches!(
             p.to_plan(),
             Err(ProfileError::Field {
-                field: "variant",
+                field: "matrix_layout",
                 ..
             })
         ));
@@ -390,6 +387,33 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// A v1 file (which still carries the dropped `variant` field) is
+    /// refused by schema, and the message names both versions.
+    #[test]
+    fn v1_profile_file_is_refused_by_schema() {
+        let dir = std::env::temp_dir().join(format!("gaia-tune-profile-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let v2 = LaunchProfile::from_plan("tiny", SystemLayout::tiny(), &sample_plan());
+        let v1 = serde_json::to_string_pretty(&v2)
+            .unwrap()
+            .replace(PROFILE_SCHEMA, "gaia-tune-profile/v1")
+            .replace(
+                "\"matrix_layout\"",
+                "\"variant\": \"blocked\", \"matrix_layout\"",
+            );
+        let path = dir.join("tiny.json");
+        std::fs::write(&path, v1).unwrap();
+
+        let err = load_profile_file(&path).unwrap_err();
+        assert!(matches!(err, ProfileError::Schema(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(msg.contains("gaia-tune-profile/v1"), "{msg}");
+        assert!(msg.contains("gaia-tune-profile/v2"), "{msg}");
+
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

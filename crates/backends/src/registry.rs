@@ -11,7 +11,7 @@ use std::sync::LazyLock;
 use gaia_sparse::MatrixLayout;
 
 use crate::instrumented::InstrumentedBackend;
-use crate::launch::{Aprod2Spec, Aprod2Strategy, KernelVariant, LaunchPlan};
+use crate::launch::{Aprod2Spec, Aprod2Strategy, LaunchPlan};
 use crate::traits::Backend;
 use crate::tuning::Tuning;
 use crate::{profile, PlannedBackend, RayonBackend, SeqBackend};
@@ -127,18 +127,20 @@ static TABLE: [Row; 14] = [
             LaunchPlan::new(t, spec)
         }),
     },
-    // The kernel-interior and value-layout axes the auto-tuner searches:
-    // `chunked`'s write-sets, a different loop shape or gather source.
+    // Names of the deleted kernel-interior axis, kept so reports and
+    // scripts that name them still resolve: both run `chunked`'s plan.
     Row {
         name: "unrolled",
-        description: "owner-computes columns, unrolled 5/12/6-wide kernel interiors",
-        build: Build::Plan(|t| owner_computes(t).with_variant(KernelVariant::Unrolled)),
+        description: "alias of chunked, kept for the name: its unrolled interiors were deleted because the tuner found the value layout, not the loop shape, sets the time",
+        build: Build::Plan(owner_computes),
     },
     Row {
         name: "blocked",
-        description: "owner-computes columns, cache-blocked attitude accumulation",
-        build: Build::Plan(|t| owner_computes(t).with_variant(KernelVariant::Blocked)),
+        description: "alias of chunked, kept for the name: its cache-blocked attitude interior was deleted because the tuner found the value layout, not the loop shape, sets the time",
+        build: Build::Plan(owner_computes),
     },
+    // The value-layout axis the auto-tuner searches: `chunked`'s
+    // write-sets over the slot-major gather source.
     Row {
         name: "ell",
         description: "owner-computes columns over the slot-major ELL value layout",
@@ -387,15 +389,20 @@ mod tests {
     }
 
     /// What a row's plan says it differs in is what it differs in: the
-    /// stripe count scales with the threads, the variant-interior names
-    /// carry their axis, and only `tuned` has no fixed plan.
+    /// stripe count scales with the threads, `unrolled` and `blocked` are
+    /// `chunked` under another name, `ell` differs from `chunked` in its
+    /// layout alone, and only `tuned` has no fixed plan.
     #[test]
     fn rows_carry_their_axis_in_the_plan() {
         let plan = |name: &str| fixed_plan(name, 2).unwrap_or_else(|| panic!("{name}"));
-        assert_eq!(plan("unrolled").variant, KernelVariant::Unrolled);
-        assert_eq!(plan("blocked").variant, KernelVariant::Blocked);
-        assert_eq!(plan("ell").matrix_layout, MatrixLayout::Ell);
-        assert_eq!(plan("ell").variant, KernelVariant::Scalar);
+        for t in [1usize, 3, 8] {
+            let chunked = fixed_plan("chunked", t).unwrap();
+            assert_eq!(fixed_plan("unrolled", t), Some(chunked), "t={t}");
+            assert_eq!(fixed_plan("blocked", t), Some(chunked), "t={t}");
+            let ell = fixed_plan("ell", t).unwrap();
+            assert_eq!(ell.matrix_layout, MatrixLayout::Ell);
+            assert_eq!(ell.with_matrix_layout(chunked.matrix_layout), chunked);
+        }
         assert_eq!(
             plan("striped-t3").spec.att,
             Aprod2Strategy::LockStriped { stripes: 12 }
@@ -415,7 +422,7 @@ mod tests {
 
     /// Every plan-driven backend the registry hands out must carry a plan
     /// the static checker accepts — and every policy struct except seq /
-    /// rayon is plan-driven (including the variant-interior names and the
+    /// rayon is plan-driven (including the layout and alias names and the
     /// profile-driven `tuned` backend, whose default plan is checked here
     /// and whose per-shape profile plans are checked at load time).
     #[test]

@@ -1,6 +1,6 @@
 //! The launch-profile auto-tuner: coordinate descent over the
 //! [`gaia_backends::LaunchPlan`] axis set per layout, persisting each
-//! winner as a `gaia-tune-profile/v1` JSON the `tuned` backend loads.
+//! winner as a `gaia-tune-profile/v2` JSON the `tuned` backend loads.
 //!
 //! ```text
 //! cargo run --release -p gaia-bench --bin tune                 # tune tiny,small,medium
@@ -161,14 +161,13 @@ fn main() {
         let p = &outcome.profile;
         println!(
             "tune: {layout}: {} configs explored ({} unsound skipped), \
-             winner att={} instr={} glob={} budget={} variant={} layout={} c={}",
+             winner att={} instr={} glob={} budget={} layout={} c={}",
             outcome.telemetry.configs_explored,
             outcome.skipped_unsound,
             p.att,
             p.instr,
             p.glob,
             p.budget,
-            p.variant,
             p.matrix_layout,
             p.chunks_per_thread,
         );

@@ -5,9 +5,8 @@
 //! the CUDA launch configuration per kernel and platform. The CPU mirror
 //! of that search space is the [`LaunchPlan`] axis set: the per-block
 //! conflict strategy (`att`/`instr`/`glob`), the worker budget
-//! (uniform/streamed), the kernel interior variant
-//! (scalar/unrolled/blocked), the value layout (row-major/ELL), and the
-//! chunk granularity. [`tune_layout`] runs deterministic coordinate
+//! (uniform/streamed), the value layout (row-major/ELL), and the chunk
+//! granularity. [`tune_layout`] runs deterministic coordinate
 //! descent over those axes — measure every candidate value of one axis
 //! with the others held at the incumbent, adopt the best, move to the
 //! next axis, repeat until a full pass improves nothing — and returns the
@@ -25,8 +24,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gaia_backends::{
-    Aprod2Spec, Aprod2Strategy, ExecutorPool, KernelVariant, LaunchPlan, LaunchProfile, Tuning,
-    WorkerBudget,
+    Aprod2Spec, Aprod2Strategy, ExecutorPool, LaunchPlan, LaunchProfile, Tuning, WorkerBudget,
 };
 use gaia_sparse::{Generator, GeneratorConfig, MatrixLayout, SparseSystem};
 use gaia_telemetry::TuneCell;
@@ -87,7 +85,6 @@ struct Config {
     instr: Aprod2Strategy,
     glob: Aprod2Strategy,
     budget: WorkerBudget,
-    variant: KernelVariant,
     matrix_layout: MatrixLayout,
     chunks_per_thread: usize,
 }
@@ -99,7 +96,6 @@ impl Config {
             instr: Aprod2Strategy::OwnerComputes,
             glob: Aprod2Strategy::OwnerComputes,
             budget: WorkerBudget::Uniform,
-            variant: KernelVariant::Scalar,
             matrix_layout: MatrixLayout::RowMajor,
             chunks_per_thread: 1,
         }
@@ -118,18 +114,16 @@ impl Config {
                 budget: self.budget,
             },
         )
-        .with_variant(self.variant)
         .with_matrix_layout(self.matrix_layout)
     }
 
     fn label(&self) -> String {
         format!(
-            "att={} instr={} glob={} budget={} variant={} layout={} c={}",
+            "att={} instr={} glob={} budget={} layout={} c={}",
             gaia_backends::profile::strategy_name(self.att),
             gaia_backends::profile::strategy_name(self.instr),
             gaia_backends::profile::strategy_name(self.glob),
             gaia_backends::profile::budget_name(self.budget),
-            self.variant,
             self.matrix_layout.as_str(),
             self.chunks_per_thread,
         )
@@ -137,14 +131,12 @@ impl Config {
 }
 
 /// The candidate values per axis. Smoke mode trims the strategy axes to
-/// the cheap representatives but keeps the full variant/layout axes —
-/// those are what this tuner exists to explore.
+/// the cheap representatives but keeps the full layout axis.
 struct Axes {
     att: Vec<Aprod2Strategy>,
     instr: Vec<Aprod2Strategy>,
     glob: Vec<Aprod2Strategy>,
     budget: Vec<WorkerBudget>,
-    variant: Vec<KernelVariant>,
     matrix_layout: Vec<MatrixLayout>,
     chunks_per_thread: Vec<usize>,
 }
@@ -157,7 +149,6 @@ impl Axes {
                 instr: vec![Aprod2Strategy::OwnerComputes],
                 glob: vec![Aprod2Strategy::OwnerComputes],
                 budget: vec![WorkerBudget::Uniform],
-                variant: KernelVariant::ALL.to_vec(),
                 matrix_layout: MatrixLayout::ALL.to_vec(),
                 chunks_per_thread: vec![1, 2],
             }
@@ -178,7 +169,6 @@ impl Axes {
                     Aprod2Strategy::Replicated,
                 ],
                 budget: vec![WorkerBudget::Uniform, WorkerBudget::Streamed],
-                variant: KernelVariant::ALL.to_vec(),
                 matrix_layout: MatrixLayout::ALL.to_vec(),
                 chunks_per_thread: vec![1, 2, 4, 8],
             }
@@ -309,9 +299,6 @@ pub fn tune_layout(spec: &TuneSpec) -> Result<TuneOutcome, String> {
 
     for _pass in 0..MAX_PASSES {
         let mut improved = false;
-        for &v in &axes.variant {
-            improved |= search.consider(Config { variant: v, ..best }, &mut best, &mut best_m);
-        }
         for &ml in &axes.matrix_layout {
             improved |= search.consider(
                 Config {
@@ -411,17 +398,14 @@ mod tests {
         let axes = Axes::new(true);
         let mut labels = std::collections::HashSet::new();
         let base = Config::default_plan();
-        for &v in &axes.variant {
-            for &ml in &axes.matrix_layout {
-                for &c in &axes.chunks_per_thread {
-                    let cfg = Config {
-                        variant: v,
-                        matrix_layout: ml,
-                        chunks_per_thread: c,
-                        ..base
-                    };
-                    assert!(labels.insert(cfg.label()), "{}", cfg.label());
-                }
+        for &ml in &axes.matrix_layout {
+            for &c in &axes.chunks_per_thread {
+                let cfg = Config {
+                    matrix_layout: ml,
+                    chunks_per_thread: c,
+                    ..base
+                };
+                assert!(labels.insert(cfg.label()), "{}", cfg.label());
             }
         }
     }

@@ -7,7 +7,7 @@
 //! Environment-variable manipulation is confined to this file (one test,
 //! `#[serial]`-style by being the only env-touching test in the binary).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use gaia_backends::SeqBackend;
 use gaia_lsqr::checkpoint::{Checkpoint, CheckpointError, CheckpointRotation};
@@ -22,7 +22,7 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn spill(dir: &PathBuf, seed: u64) {
+fn spill(dir: &Path, seed: u64) {
     Generator::new(
         GeneratorConfig::new(SystemLayout::tiny())
             .seed(seed)
@@ -34,7 +34,7 @@ fn spill(dir: &PathBuf, seed: u64) {
 
 /// Budget that holds exactly one tile: every access after the first tile
 /// evicts, so resume correctness is tested under live cache pressure.
-fn open_tight(dir: &PathBuf) -> TiledSystem {
+fn open_tight(dir: &Path) -> TiledSystem {
     let probe = TiledSystem::open(dir).expect("probe");
     let min = probe.min_budget();
     drop(probe);

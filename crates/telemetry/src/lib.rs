@@ -1683,6 +1683,14 @@ pub fn kernel_table(snap: &TelemetrySnapshot) -> String {
 mod tests {
     use super::*;
 
+    /// The registry is process-global and the tests that record into it
+    /// also `reset()` it, so they take turns rather than race.
+    #[cfg(feature = "enabled")]
+    fn registry() -> std::sync::MutexGuard<'static, ()> {
+        static REGISTRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        REGISTRY.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     #[test]
     fn phase_and_block_names_are_stable() {
         assert_eq!(Phase::Aprod1.as_str(), "aprod1");
@@ -1694,6 +1702,7 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn scopes_accumulate_into_the_registry() {
+        let _registry = registry();
         reset();
         {
             let mut s = kernel_scope(Phase::Aprod2, Block::Att);
@@ -1769,6 +1778,7 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn resilience_deltas_accumulate_and_reset() {
+        let _registry = registry();
         reset();
         record_resilience(&ResilienceCell {
             rank_panics: 1,
@@ -1799,6 +1809,7 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn verify_counters_accumulate_and_reset() {
+        let _registry = registry();
         reset();
         record_verify_schedule(false);
         record_verify_schedule(true);
@@ -1823,6 +1834,7 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn analyze_counters_accumulate_and_reset() {
+        let _registry = registry();
         reset();
         record_analyze_plan(6, 0);
         record_analyze_plan(4, 2);
@@ -1849,6 +1861,7 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn gate_counters_accumulate_and_reset() {
+        let _registry = registry();
         reset();
         record_gate(&GateCell {
             cells_measured: 15,
@@ -1880,6 +1893,7 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn serve_deltas_accumulate_merge_tenants_and_reset() {
+        let _registry = registry();
         reset();
         record_serve(&ServeCell {
             submitted: 4,
@@ -1946,6 +1960,7 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn tile_counters_accumulate_peak_is_a_max_and_reset() {
+        let _registry = registry();
         reset();
         record_tile(&TileCell {
             loads: 3,

@@ -20,8 +20,8 @@ use crate::schedule::expect_bitwise;
 
 /// Backends exercised by the suite: the sequential reference plus every
 /// conflict strategy the paper's ports map onto, the stream-overlapped
-/// budget, the production-style hybrid composition, and the kernel
-/// variant / matrix-layout axes the auto-tuner searches over.
+/// budget, the production-style hybrid composition, and both value
+/// layouts of the owner-computes plan the auto-tuner searches over.
 pub const BACKENDS: &[&str] = &[
     "seq",
     "atomic",
@@ -30,8 +30,7 @@ pub const BACKENDS: &[&str] = &[
     "striped",
     "streamed",
     "hybrid",
-    "unrolled",
-    "blocked",
+    "chunked",
     "ell",
 ];
 
@@ -361,7 +360,10 @@ mod tests {
             "blocked",
             "ell",
         ];
-        for name in BACKENDS.iter().chain(["chunked", "rayon"].iter()) {
+        for name in BACKENDS
+            .iter()
+            .chain(["rayon", "unrolled", "blocked"].iter())
+        {
             assert_eq!(is_deterministic(name), fixed_order.contains(name), "{name}");
         }
     }

@@ -27,8 +27,8 @@ use gaia_backends::exec::{ExecutorPool, Job};
 use gaia_backends::launch::{PROBE_ATT_ATOMIC, PROBE_INSTR_ATOMIC};
 use gaia_backends::{atomicf64, kernels};
 use gaia_backends::{
-    check_sections, Aprod2Spec, Aprod2Strategy, Backend, KernelVariant, LaunchPlan, PlanDims,
-    PlanError, ReadAccess, ReadSpace, SectionId, SectionModel, SeqBackend, Tuning, WriteAccess,
+    check_sections, Aprod2Spec, Aprod2Strategy, Backend, LaunchPlan, PlanDims, PlanError,
+    ReadAccess, ReadSpace, SectionId, SectionModel, SeqBackend, Tuning, WriteAccess,
 };
 use gaia_sparse::{
     AttitudePattern, Generator, GeneratorConfig, MatrixLayout, Rhs, SparseSystem, SystemLayout,
@@ -68,19 +68,6 @@ pub fn expect_bitwise(strategy: Aprod2Strategy) -> bool {
     )
 }
 
-/// The kernel-variant axis the auto-tuner searches, with the stable name
-/// used in reports: every non-scalar (interior, layout) point, each run
-/// under the contended [`Aprod2Strategy::Atomic`] strategy, so the variant's
-/// *full-section* interior executes inside every job and its result reaches
-/// the output through the atomic publish, under adversarial preemption.
-pub fn variants() -> Vec<(&'static str, KernelVariant, MatrixLayout)> {
-    vec![
-        ("unrolled", KernelVariant::Unrolled, MatrixLayout::RowMajor),
-        ("blocked", KernelVariant::Blocked, MatrixLayout::RowMajor),
-        ("ell", KernelVariant::Scalar, MatrixLayout::Ell),
-    ]
-}
-
 /// The exploration plan for `spec`: [`THREADS`] workers, two chunks each.
 fn exploration_plan(spec: Aprod2Spec) -> LaunchPlan {
     LaunchPlan::new(
@@ -92,21 +79,16 @@ fn exploration_plan(spec: Aprod2Spec) -> LaunchPlan {
     )
 }
 
-/// Replay a kernel-variant plan under `seeds` adversarial schedules:
-/// the atomic strategy with a non-default interior must stay within
-/// [`SCHEDULE_TOLERANCE`] of the sequential oracle on every schedule,
-/// exactly like the scalar interiors.
-pub fn explore_variant(
-    name: &str,
-    variant: KernelVariant,
-    layout: MatrixLayout,
-    seeds: &[u64],
-) -> ScheduleReport {
-    let plan = exploration_plan(Aprod2Spec::uniform(Aprod2Strategy::Atomic))
-        .with_variant(variant)
-        .with_matrix_layout(layout);
+/// Replay the contended [`Aprod2Strategy::Atomic`] plan over a value
+/// layout under `seeds` adversarial schedules, so the layout's
+/// *full-section* kernels execute inside every job and reach the output
+/// through the atomic publish: it must stay within [`SCHEDULE_TOLERANCE`]
+/// of the sequential oracle on every schedule, exactly like row-major.
+pub fn explore_layout(layout: MatrixLayout, seeds: &[u64]) -> ScheduleReport {
+    let plan =
+        exploration_plan(Aprod2Spec::uniform(Aprod2Strategy::Atomic)).with_matrix_layout(layout);
     replay(
-        format!("atomic+{name}"),
+        format!("atomic+{layout}"),
         plan,
         false,
         seeds,

@@ -1,44 +1,50 @@
-//! Kernel-variant equivalence over the committed seed corpus: every
-//! interior the auto-tuner can select (`KernelVariant` × `MatrixLayout`)
-//! must agree with the scalar row-major reference under every conflict
-//! strategy the tuner pairs it with.
+//! Layout equivalence over the committed seed corpus: both value layouts
+//! the auto-tuner can select (`MatrixLayout` {row-major, ELL}) must agree
+//! with the sequential row-major reference under every conflict strategy
+//! the tuner pairs them with.
 //!
-//! Determinism classes (see the kernel-variant table in
-//! `gaia_backends::launch`):
+//! Determinism classes:
 //!
-//! * `Unrolled` and the ELL interiors keep the scalar accumulation order
-//!   exactly, so under a fixed-reduction-order configuration the match is
-//!   **bitwise** — any reassociation sneaking into an "equivalent"
-//!   unrolling is caught at the ULP level;
-//! * `Blocked` tiles the attitude accumulation (deliberate
-//!   reassociation) and nondeterministic strategies reduce in
-//!   schedule-dependent order, so those matches are bounded by
-//!   [`TOLERANCE`] instead.
+//! * the ELL kernels keep the scalar accumulation order exactly, and
+//!   owner-computes sums every column in row order at any thread count, so
+//!   every owner-computes cell matches `seq` **bitwise** — any
+//!   reassociation sneaking into a kernel or a partition is caught at the
+//!   ULP level;
+//! * the atomic and lock-striped strategies reduce in schedule-dependent
+//!   order, so their matches are bounded by [`TOLERANCE`] instead.
 //!
-//! `aprod1` never races (each row is owned by exactly one worker and
-//! every interior preserves the scalar per-row order), so it must be
-//! bitwise for every variant, layout, and strategy.
+//! `aprod1` never races (each row is owned by exactly one worker and both
+//! layouts preserve the scalar per-row order), so it must be bitwise for
+//! every layout and strategy.
 
 use gaia_backends::exec::ExecutorPool;
-use gaia_backends::{Aprod2Spec, Aprod2Strategy, KernelVariant, LaunchPlan, Tuning};
+use gaia_backends::{Aprod2Spec, Aprod2Strategy, LaunchPlan, Tuning};
 use gaia_sparse::{fuzz, MatrixLayout};
 use gaia_verify::corpus;
 use proptest::prelude::*;
 
-/// |variant − scalar| bound where bitwise identity is not required:
+/// |plan − seq| bound where bitwise identity is not required:
 /// far above reduction-order rounding noise on the corpus systems,
 /// far below any real kernel defect (a dropped or doubled `a·y` term).
 const TOLERANCE: f64 = 1e-12;
 
-/// The strategy configurations the tuner pairs variants with: the
-/// sequential reference shape plus the two contended multi-thread
-/// strategies (by their registry names).
+/// The strategy configurations the tuner pairs layouts with: the
+/// sequential reference shape, owner-computes across threads, and the two
+/// contended multi-thread strategies (by their registry names).
 fn configs() -> Vec<(&'static str, Tuning, Aprod2Strategy)> {
     vec![
         (
             "seq",
             Tuning {
                 threads: 1,
+                chunks_per_thread: 1,
+            },
+            Aprod2Strategy::OwnerComputes,
+        ),
+        (
+            "chunked-t3",
+            Tuning {
+                threads: 3,
                 chunks_per_thread: 1,
             },
             Aprod2Strategy::OwnerComputes,
@@ -62,23 +68,6 @@ fn configs() -> Vec<(&'static str, Tuning, Aprod2Strategy)> {
     ]
 }
 
-/// The non-scalar (variant, layout) points of the tuner's kernel axis.
-fn variant_axis() -> Vec<(KernelVariant, MatrixLayout)> {
-    vec![
-        (KernelVariant::Unrolled, MatrixLayout::RowMajor),
-        (KernelVariant::Blocked, MatrixLayout::RowMajor),
-        (KernelVariant::Scalar, MatrixLayout::Ell),
-        (KernelVariant::Unrolled, MatrixLayout::Ell),
-    ]
-}
-
-/// Whether (config, variant, layout) must match the scalar row-major
-/// reference bit-for-bit in `aprod2`: a fixed reduction order on both
-/// sides, and an order-preserving interior.
-fn expect_bitwise(config: &str, variant: KernelVariant) -> bool {
-    config == "seq" && variant != KernelVariant::Blocked
-}
-
 fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
         .zip(b)
@@ -93,11 +82,11 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Sweep the full corpus × configuration × variant grid with
+    /// Sweep the full corpus × configuration × layout grid with
     /// randomized probe vectors and prior output contents (the
     /// accumulate contract).
     #[test]
-    fn variants_match_scalar_reference_over_the_corpus(
+    fn layouts_match_seq_reference_over_the_corpus(
         bias in -2.0f64..2.0,
         xk in 0.07f64..0.9,
         yk in 0.07f64..0.9,
@@ -110,20 +99,18 @@ proptest! {
             let y: Vec<f64> =
                 (0..sys.n_rows()).map(|i| ((i + 2) as f64 * yk).cos()).collect();
 
-            for (cfg_name, tuning, strategy) in configs() {
-                let scalar = LaunchPlan::new(tuning, Aprod2Spec::uniform(strategy));
-                let mut want1 = vec![bias; sys.n_rows()];
-                scalar.aprod1(&pool, &sys, &x, &mut want1);
-                let mut want2 = vec![bias; sys.n_cols()];
-                scalar.aprod2(&pool, &sys, &y, &mut want2);
+            let (_, seq_tuning, seq_strategy) = configs()[0];
+            let seq = LaunchPlan::new(seq_tuning, Aprod2Spec::uniform(seq_strategy));
+            let mut want1 = vec![bias; sys.n_rows()];
+            seq.aprod1(&pool, &sys, &x, &mut want1);
+            let mut want2 = vec![bias; sys.n_cols()];
+            seq.aprod2(&pool, &sys, &y, &mut want2);
 
-                for (variant, layout) in variant_axis() {
+            for (cfg_name, tuning, strategy) in configs() {
+                for layout in MatrixLayout::ALL {
                     let plan = LaunchPlan::new(tuning, Aprod2Spec::uniform(strategy))
-                        .with_variant(variant)
                         .with_matrix_layout(layout);
-                    let tag = format!(
-                        "seed {seed} / {cfg_name} / {variant:?} / {layout:?}"
-                    );
+                    let tag = format!("seed {seed} / {cfg_name} / {layout:?}");
 
                     let mut got1 = vec![bias; sys.n_rows()];
                     plan.aprod1(&pool, &sys, &x, &mut got1);
@@ -135,7 +122,7 @@ proptest! {
 
                     let mut got2 = vec![bias; sys.n_cols()];
                     plan.aprod2(&pool, &sys, &y, &mut got2);
-                    if expect_bitwise(cfg_name, variant) {
+                    if strategy == Aprod2Strategy::OwnerComputes {
                         prop_assert!(
                             bits_equal(&got2, &want2),
                             "{tag}: aprod2 not bitwise (max |Δ| {:.3e})",

@@ -19,7 +19,7 @@
 //! assembling the spill directory reproduces the in-memory generator's
 //! arrays bit for bit, index for index.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use gaia_backends::{backend_by_name, Backend};
 use gaia_lsqr::{solve, solve_tiled, LsqrConfig};
@@ -59,13 +59,13 @@ fn with_tiles<R>(seed: u64, tag: &str, f: impl FnOnce(&PathBuf) -> R) -> R {
 /// The two capacity budgets each solve runs under: everything resident,
 /// and half the matrix (clamped up to the largest tile so the cache can
 /// still operate), which forces evictions mid-solve.
-fn budgets(tiles_dir: &PathBuf) -> Vec<(&'static str, Option<u64>)> {
+fn budgets(tiles_dir: &Path) -> Vec<(&'static str, Option<u64>)> {
     let probe = TiledSystem::open(tiles_dir).expect("probe open");
     let half = (probe.matrix_bytes() / 2).max(probe.min_budget());
     vec![("unbounded", None), ("half-matrix", Some(half))]
 }
 
-fn open_at(dir: &PathBuf, budget_bytes: Option<u64>) -> TiledSystem {
+fn open_at(dir: &Path, budget_bytes: Option<u64>) -> TiledSystem {
     match budget_bytes {
         None => TiledSystem::open(dir),
         Some(b) => TiledSystem::open_with_budget(dir, gaia_sparse::CapacityBudget::limited(b)),

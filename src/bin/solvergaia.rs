@@ -38,7 +38,7 @@
 //!
 //! The `tune` subcommand runs the launch-profile auto-tuner (see
 //! `crates/bench/src/tune/`) and persists each layout's winning
-//! `gaia-tune-profile/v1` JSON under `results/tuning/`, where the
+//! `gaia-tune-profile/v2` JSON under `results/tuning/`, where the
 //! `tuned` backend picks it up:
 //!
 //! ```text
@@ -564,13 +564,12 @@ fn run_tune() -> ! {
         let p = &outcome.profile;
         println!(
             "tune {layout}: {} configs, winner att={} instr={} glob={} budget={} \
-             variant={} layout={} c={} ({:+.1} % vs default)",
+             layout={} c={} ({:+.1} % vs default)",
             outcome.telemetry.configs_explored,
             p.att,
             p.instr,
             p.glob,
             p.budget,
-            p.variant,
             p.matrix_layout,
             p.chunks_per_thread,
             p.improvement * 100.0,
