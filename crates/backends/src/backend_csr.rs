@@ -5,8 +5,8 @@
 //! system to CSR once (cached per system pointer is not possible without
 //! interior mutability, so conversion happens on construction against a
 //! specific system) and runs the textbook scalar SpMV / SpMVᵀ kernels.
-//! Comparing it against the structured backends in the criterion
-//! benchmarks quantifies, on real hardware, what the paper's storage
+//! Comparing it against the structured backends (`gaia-bench --bin
+//! spmv_labnotes`) quantifies, on real hardware, what the paper's storage
 //! scheme buys: less index metadata per non-zero and block-specialized
 //! inner loops.
 

@@ -10,14 +10,9 @@ use gaia_sparse::{Generator, GeneratorConfig, SystemLayout};
 
 fn main() {
     let preset = std::env::args().nth(1).unwrap_or_else(|| "small".into());
-    let layout = match preset.as_str() {
-        "tiny" => SystemLayout::tiny(),
-        "small" => SystemLayout::small(),
-        "medium" => SystemLayout::medium(),
-        other => {
-            eprintln!("unknown preset {other} (tiny|small|medium)");
-            std::process::exit(1);
-        }
+    let Some(layout) = SystemLayout::preset(&preset) else {
+        eprintln!("unknown preset {preset} (tiny|small|medium)");
+        std::process::exit(1);
     };
     let sys = Generator::new(GeneratorConfig::new(layout).seed(0)).generate();
     let stats = system_stats(&sys);

@@ -18,13 +18,11 @@
 //!
 //! Artifacts (under `results/tuning/`): `<layout>.json` — the winning
 //! profile, loadable by the `tuned` backend; `search/<layout>.json` — the
-//! full search log with every measured configuration and the comparison
-//! against the committed `BENCH_executor.json` cell when one exists.
+//! full search log with every measured configuration.
 
 use gaia_backends::profile::load_profile_file;
-use gaia_bench::gate::{Baseline, BASELINE_FILE};
 use gaia_bench::tune::{tune_layout, TuneSpec};
-use gaia_bench::{fatal, must_write_artifact, workspace_root};
+use gaia_bench::{fatal, must_write_artifact};
 
 struct Cli {
     smoke: bool,
@@ -123,16 +121,6 @@ fn check(paths: &[String]) {
     }
 }
 
-/// The committed gate baseline's per-iteration median for
-/// (`chunked`, `layout`) — the anchor the tuned median is quoted against.
-fn committed_median(baseline: &Option<Baseline>, layout: &str) -> Option<f64> {
-    let b = baseline.as_ref()?;
-    b.cells
-        .iter()
-        .find(|c| c.backend == "chunked" && c.layout == layout)
-        .map(|c| c.iteration.median_s)
-}
-
 fn main() {
     let cli = parse_cli();
     if !cli.check.is_empty() {
@@ -140,7 +128,6 @@ fn main() {
         return;
     }
 
-    let baseline = Baseline::load(&workspace_root().join(BASELINE_FILE)).ok();
     println!(
         "tune: {} layout(s), {} thread(s), median-of-{}{}",
         cli.layouts.join(","),
@@ -183,19 +170,6 @@ fn main() {
                 "default plan kept"
             }
         );
-        let committed = committed_median(&baseline, layout);
-        if let Some(c) = committed {
-            println!(
-                "tune: {layout}: committed {BASELINE_FILE} chunked/{layout} \
-                 iteration median {:.3} ms/iter (tuned/committed ratio {:.3})",
-                c * 1e3,
-                if c > 0.0 {
-                    p.tuned_median_s / c
-                } else {
-                    f64::NAN
-                },
-            );
-        }
 
         let profile_json =
             serde_json::to_value(p).unwrap_or_else(|e| fatal(&format!("serialize profile: {e}")));
@@ -216,7 +190,6 @@ fn main() {
             "smoke": cli.smoke,
             "configs_explored": outcome.telemetry.configs_explored,
             "skipped_unsound": outcome.skipped_unsound,
-            "committed_chunked_iteration_median_s": committed,
             "winner": profile_json,
             "explored": serde_json::to_value(&outcome.explored)
                 .unwrap_or(serde_json::Value::Null),

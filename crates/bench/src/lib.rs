@@ -1,8 +1,8 @@
 //! # gaia-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper (see
-//! `DESIGN.md` for the experiment index) plus criterion micro-benchmarks
-//! of the real CPU backends.
+//! `DESIGN.md` for the experiment index). Timing claims are made by the
+//! repo benchmark (`benchmark/README.md`), not here.
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -19,8 +19,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod gate;
-pub mod report_gen;
 pub mod stats;
 pub mod sweep;
 pub mod tune;
@@ -72,14 +70,6 @@ pub fn fatal(msg: &str) -> ! {
     std::process::exit(1)
 }
 
-/// The workspace root every artifact is anchored at (nearest ancestor
-/// `Cargo.toml` declaring `[workspace]`; falls back to the CWD when run
-/// outside the repo).
-pub fn workspace_root() -> PathBuf {
-    gaia_telemetry::report::workspace_root()
-        .unwrap_or_else(|| std::env::current_dir().unwrap_or_else(|_| PathBuf::from(".")))
-}
-
 /// The `results/` directory artifacts land in: `GAIA_RESULTS_DIR` when
 /// set, else `<workspace root>/results` — never CWD-relative, so bench
 /// bins run from a crate subdirectory do not scatter artifact copies.
@@ -112,7 +102,7 @@ pub fn write_text_file(path: &Path, contents: &str) -> io::Result<()> {
 }
 
 /// Write a JSON artifact under [`results_dir`] (`name` may carry
-/// subdirectories, e.g. `bench/gate_report.json`); prints and returns
+/// subdirectories, e.g. `tuning/tiny.json`); prints and returns
 /// the path written.
 pub fn write_artifact(name: &str, json: &serde_json::Value) -> io::Result<PathBuf> {
     let path = results_dir().join(name);

@@ -1,15 +1,11 @@
-//! Order statistics and noise-aware band math for the perf regression
-//! gate: median-of-K summaries with interquartile-range dispersion, and
-//! the comparison rule that decides when a timing delta is a regression.
+//! Order statistics for the auto-tuner: median-of-K summaries with
+//! interquartile-range dispersion.
 //!
-//! Everything here is pure arithmetic — no clocks, no I/O — so the gate's
-//! verdict logic is unit-testable without running a single kernel. The
-//! shape follows the pSTL-Bench methodology (arXiv 2402.06384): repeated
-//! runs, a robust central estimate (median, not mean), and an explicit
-//! dispersion measure so thresholds can widen where the machine is noisy
-//! instead of either flaking or rubber-stamping.
+//! Pure arithmetic — no clocks, no I/O. The shape follows the pSTL-Bench
+//! methodology (arXiv 2402.06384): repeated runs, a robust central
+//! estimate (median, not mean), and an explicit dispersion measure.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Linear-interpolation quantile (R type 7, the numpy default) of an
 /// ascending-sorted slice. `q` in `[0, 1]`.
@@ -27,26 +23,10 @@ fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Median of a sample set (not required to be sorted).
-pub fn median(samples: &[f64]) -> f64 {
-    let mut s = samples.to_vec();
-    s.sort_by(|a, b| a.total_cmp(b));
-    quantile_sorted(&s, 0.5)
-}
-
-/// Interquartile range (`q3 − q1`, type-7 quantiles) of a sample set.
-pub fn iqr(samples: &[f64]) -> f64 {
-    let mut s = samples.to_vec();
-    s.sort_by(|a, b| a.total_cmp(b));
-    quantile_sorted(&s, 0.75) - quantile_sorted(&s, 0.25)
-}
-
 /// Statistical summary of K timing repeats of one metric: the robust
-/// center (median), the dispersion (IQR), and the extremes. This is the
-/// unit the gate schema stores per (cell, metric) — committed baselines
-/// carry their own noise level, so comparisons can be exactly as strict
-/// as the measurement quality supports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// center (median), the dispersion (IQR), and the extremes. The tuner's
+/// search log stores one per measured configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Summary {
     /// Number of timing repeats summarized (the K of median-of-K).
     pub repeats: u64,
@@ -73,102 +53,11 @@ impl Summary {
             max_s: s.last().copied().unwrap_or(0.0),
         }
     }
-
-    /// Dispersion relative to the center: `iqr / median` (0 when the
-    /// median is not positive). The noise term the band widens by.
-    pub fn rel_iqr(&self) -> f64 {
-        if self.median_s > 0.0 {
-            self.iqr_s / self.median_s
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The comparison band: a floor threshold plus a noise-proportional
-/// widening. The allowed relative slowdown for a cell is
-/// `threshold_frac + noise_widen · max(rel_iqr(baseline), rel_iqr(current))`
-/// — wider exactly where the measurements themselves are wider.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Band {
-    /// Minimum allowed relative slowdown even on a perfectly quiet cell
-    /// (e.g. `0.2` = 20 %).
-    pub threshold_frac: f64,
-    /// Multiplier on the worse of the two relative IQRs.
-    pub noise_widen: f64,
-}
-
-impl Band {
-    /// The allowed relative slowdown for this baseline/current pair.
-    pub fn allowed_frac(&self, baseline: &Summary, current: &Summary) -> f64 {
-        self.threshold_frac + self.noise_widen * baseline.rel_iqr().max(current.rel_iqr())
-    }
-}
-
-/// Verdict of one metric comparison.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Comparison {
-    /// `current.median / baseline.median` (∞ when the baseline median is
-    /// zero but the current one is not).
-    pub ratio: f64,
-    /// The band edge actually applied, as a relative fraction.
-    pub allowed_frac: f64,
-    /// `ratio` strictly above `1 + allowed_frac`: the gate fails.
-    /// A ratio landing exactly on the edge passes.
-    pub regression: bool,
-    /// `ratio` strictly below `1 − allowed_frac`: faster than the band —
-    /// reported (a refresh candidate), never a failure.
-    pub improvement: bool,
-}
-
-/// Compare a current summary against its baseline under a band.
-pub fn compare(baseline: &Summary, current: &Summary, band: &Band) -> Comparison {
-    let ratio = if baseline.median_s > 0.0 {
-        current.median_s / baseline.median_s
-    } else if current.median_s > 0.0 {
-        f64::INFINITY
-    } else {
-        1.0
-    };
-    let allowed_frac = band.allowed_frac(baseline, current);
-    Comparison {
-        ratio,
-        allowed_frac,
-        regression: ratio > 1.0 + allowed_frac,
-        improvement: ratio < 1.0 - allowed_frac,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn flat(median_s: f64, iqr_s: f64) -> Summary {
-        Summary {
-            repeats: 5,
-            median_s,
-            iqr_s,
-            min_s: median_s - iqr_s,
-            max_s: median_s + iqr_s,
-        }
-    }
-
-    #[test]
-    fn median_of_known_samples() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
-        assert_eq!(median(&[7.0]), 7.0);
-        assert_eq!(median(&[]), 0.0);
-    }
-
-    #[test]
-    fn iqr_of_known_samples() {
-        // Type-7 quantiles on [1, 2, 3, 4]: q1 = 1.75, q3 = 3.25.
-        assert!((iqr(&[4.0, 2.0, 1.0, 3.0]) - 1.5).abs() < 1e-12);
-        // Odd count [1..5]: q1 = 2, q3 = 4.
-        assert!((iqr(&[5.0, 1.0, 3.0, 2.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(iqr(&[9.0]), 0.0);
-    }
 
     #[test]
     fn summary_from_samples_matches_hand_computation() {
@@ -178,56 +67,5 @@ mod tests {
         assert_eq!(s.iqr_s, 20.0);
         assert_eq!(s.min_s, 10.0);
         assert_eq!(s.max_s, 50.0);
-        assert!((s.rel_iqr() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn exactly_at_the_band_edge_passes_just_over_fails() {
-        let band = Band {
-            threshold_frac: 0.10,
-            noise_widen: 1.0,
-        };
-        let base = flat(100e-6, 0.0);
-        // Exactly +10 %: on the edge, passes.
-        let at_edge = compare(&base, &flat(110e-6, 0.0), &band);
-        assert!(!at_edge.regression, "{at_edge:?}");
-        // Epsilon over: fails.
-        let over = compare(&base, &flat(110e-6 * (1.0 + 1e-9), 0.0), &band);
-        assert!(over.regression, "{over:?}");
-        // Well under the lower edge: an improvement, not a failure.
-        let faster = compare(&base, &flat(80e-6, 0.0), &band);
-        assert!(faster.improvement && !faster.regression);
-    }
-
-    #[test]
-    fn noisier_cells_get_wider_bands() {
-        let band = Band {
-            threshold_frac: 0.10,
-            noise_widen: 1.0,
-        };
-        // Quiet baseline and current: a 25 % slowdown fails.
-        let quiet = compare(&flat(100e-6, 0.0), &flat(125e-6, 0.0), &band);
-        assert!(quiet.regression);
-        // Same ratio but the baseline's IQR is 20 % of its median: the
-        // band widens to 30 % and the cell passes.
-        let noisy = compare(&flat(100e-6, 20e-6), &flat(125e-6, 0.0), &band);
-        assert!(!noisy.regression);
-        assert!(noisy.allowed_frac > quiet.allowed_frac);
-        // The widening takes the worse of the two sides.
-        let noisy_current = compare(&flat(100e-6, 0.0), &flat(125e-6, 25e-6), &band);
-        assert!(!noisy_current.regression);
-    }
-
-    #[test]
-    fn degenerate_baselines_do_not_divide_by_zero() {
-        let band = Band {
-            threshold_frac: 0.10,
-            noise_widen: 1.0,
-        };
-        let zero = flat(0.0, 0.0);
-        let c = compare(&zero, &flat(1e-6, 0.0), &band);
-        assert!(c.ratio.is_infinite() && c.regression);
-        let both_zero = compare(&zero, &zero, &band);
-        assert!(!both_zero.regression && !both_zero.improvement);
     }
 }

@@ -14,10 +14,9 @@
 //!
 //! Every candidate plan is proven sound by the static checker
 //! ([`LaunchPlan::analyze_canonical`]) *before* it is timed; an unsound
-//! combination is skipped, never measured, never pinned. Measurements use
-//! the same median-of-K discipline as the perf gate
-//! ([`crate::gate::measure`]), on the same fixed generator seed, so tuner
-//! medians and gate medians are directly comparable.
+//! combination is skipped, never measured, never pinned. Each candidate
+//! is timed as the median of K repeats on one system generated from a
+//! fixed seed.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,14 +25,12 @@ use std::time::Instant;
 use gaia_backends::{
     Aprod2Spec, Aprod2Strategy, ExecutorPool, LaunchPlan, LaunchProfile, Tuning, WorkerBudget,
 };
-use gaia_sparse::{Generator, GeneratorConfig, MatrixLayout, SparseSystem};
+use gaia_sparse::{Generator, GeneratorConfig, MatrixLayout, SparseSystem, SystemLayout};
 use gaia_telemetry::TuneCell;
 
-use crate::gate::measure::{iterations_for, layout_by_name};
 use crate::stats::Summary;
 
-/// Fixed generator seed — the same system the gate grid measures, so a
-/// tuned median is comparable to the committed baseline's.
+/// Fixed generator seed: every run tunes against the same system.
 pub const TUNE_SEED: u64 = 7;
 
 /// Fractional improvement a candidate must show over the incumbent to be
@@ -54,6 +51,21 @@ pub struct TuneSpec {
     pub repeats: usize,
     /// Shrink the axis set and iteration counts (CI smoke).
     pub smoke: bool,
+}
+
+/// Warmup and per-repeat iteration counts for a layout. Smoke mode trims
+/// iterations, never repeats: K is what the median rests on.
+fn iterations_for(layout: &str, smoke: bool) -> (usize, usize) {
+    let (warmup, iters) = match layout {
+        "tiny" => (3, 40),
+        "small" => (2, 16),
+        _ => (1, 6),
+    };
+    if smoke {
+        (warmup.min(2), (iters / 2).max(4))
+    } else {
+        (warmup, iters)
+    }
 }
 
 /// One measured candidate, for the search log artifact.
@@ -202,7 +214,7 @@ impl Search<'_> {
         let mut out1 = vec![0.0; sys.n_rows()];
         let mut out2 = vec![0.0; sys.n_cols()];
         // gaia-analyze: allow(timing): candidate wall clock *is* the
-        // tuner's selection criterion, same discipline as the gate.
+        // tuner's selection criterion.
         let t = Instant::now();
         for _ in 0..iters {
             plan.aprod1(&self.pool, sys, &x, &mut out1);
@@ -266,7 +278,7 @@ impl Search<'_> {
 /// `improvement` filled in. Errors are user input (unknown layout name)
 /// or a default plan that failed to measure — both render as one line.
 pub fn tune_layout(spec: &TuneSpec) -> Result<TuneOutcome, String> {
-    let Some(layout) = layout_by_name(&spec.layout) else {
+    let Some(layout) = SystemLayout::preset(&spec.layout) else {
         return Err(format!(
             "unknown layout `{}` (tune layouts: tiny, small, medium)",
             spec.layout

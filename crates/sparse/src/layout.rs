@@ -150,6 +150,17 @@ impl SystemLayout {
         }
     }
 
+    /// The named preset `tiny`, `small` or `medium`; `None` for any other
+    /// name.
+    pub fn preset(name: &str) -> Option<Self> {
+        match name {
+            "tiny" => Some(Self::tiny()),
+            "small" => Some(Self::small()),
+            "medium" => Some(Self::medium()),
+            _ => None,
+        }
+    }
+
     /// The production-scale problem of §III-B: ~10⁸ primary stars with
     /// ~10³ observations each (rows `O(10^{8+3})`), unknowns dominated by
     /// the five astrometric parameters per star. Far too large to
@@ -363,6 +374,14 @@ mod tests {
         SystemLayout::tiny().validate().unwrap();
         SystemLayout::small().validate().unwrap();
         SystemLayout::medium().validate().unwrap();
+    }
+
+    #[test]
+    fn presets_resolve_by_name() {
+        assert_eq!(SystemLayout::preset("tiny"), Some(SystemLayout::tiny()));
+        assert_eq!(SystemLayout::preset("small"), Some(SystemLayout::small()));
+        assert_eq!(SystemLayout::preset("medium"), Some(SystemLayout::medium()));
+        assert_eq!(SystemLayout::preset("huge"), None);
     }
 
     #[test]

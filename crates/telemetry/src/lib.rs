@@ -228,37 +228,6 @@ impl AnalyzeCell {
     }
 }
 
-/// Perf-gate accounting — what the noise-aware regression gate
-/// (`gaia-bench --bin gate`) measured and decided. One gate run records
-/// how many grid cells it timed (and with how many repeats), how many it
-/// could compare against the committed baseline, and the comparison
-/// verdicts; `measure_seconds` is the wall-clock spent inside the timed
-/// kernel sections, so run reports show what the gate itself cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub struct GateCell {
-    /// Grid cells (backend × layout) timed by the gate run.
-    pub cells_measured: u64,
-    /// Total timing repeats executed across all cells (median-of-K).
-    pub repeats: u64,
-    /// Cells that had a baseline counterpart and were compared.
-    pub cells_compared: u64,
-    /// Metrics whose ratio exceeded the noise-aware band (gate failures).
-    pub regressions: u64,
-    /// Metrics faster than the band's lower edge (reported, not failing).
-    pub improvements: u64,
-    /// Measured cells with no baseline counterpart (new grid entries).
-    pub new_cells: u64,
-    /// Wall-clock spent inside the gate's timed kernel sections.
-    pub measure_seconds: f64,
-}
-
-impl GateCell {
-    /// True when no gate activity was recorded.
-    pub fn is_empty(&self) -> bool {
-        *self == GateCell::default()
-    }
-}
-
 /// Auto-tuning accounting — what the launch-profile search (`gaia-bench
 /// --bin tune`) explored and what the `tuned` backend loaded back. The
 /// search half records configurations measured and the wall-clock spent
@@ -471,10 +440,6 @@ pub struct TelemetrySnapshot {
     /// the serde default).
     #[serde(default)]
     pub analyze: AnalyzeCell,
-    /// Perf-gate accounting (absent in pre-gate artifacts, hence the
-    /// serde default).
-    #[serde(default)]
-    pub gate: GateCell,
     /// Serving-layer accounting (absent in pre-serve artifacts, hence the
     /// serde default).
     #[serde(default)]
@@ -508,7 +473,6 @@ impl TelemetrySnapshot {
             pool: PoolCell::default(),
             verify: VerifyCell::default(),
             analyze: AnalyzeCell::default(),
-            gate: GateCell::default(),
             serve: ServeCell::default(),
             tune: TuneCell::default(),
             tile: TileCell::default(),
@@ -797,68 +761,6 @@ mod imp {
         }
     }
 
-    /// Atomic mirror of [`super::GateCell`]; seconds kept as nanos.
-    pub struct Gate {
-        pub cells_measured: AtomicU64,
-        pub repeats: AtomicU64,
-        pub cells_compared: AtomicU64,
-        pub regressions: AtomicU64,
-        pub improvements: AtomicU64,
-        pub new_cells: AtomicU64,
-        pub measure_nanos: AtomicU64,
-    }
-
-    impl Gate {
-        const fn new() -> Self {
-            Gate {
-                cells_measured: AtomicU64::new(0),
-                repeats: AtomicU64::new(0),
-                cells_compared: AtomicU64::new(0),
-                regressions: AtomicU64::new(0),
-                improvements: AtomicU64::new(0),
-                new_cells: AtomicU64::new(0),
-                measure_nanos: AtomicU64::new(0),
-            }
-        }
-
-        fn reset(&self) {
-            self.cells_measured.store(0, Ordering::Relaxed);
-            self.repeats.store(0, Ordering::Relaxed);
-            self.cells_compared.store(0, Ordering::Relaxed);
-            self.regressions.store(0, Ordering::Relaxed);
-            self.improvements.store(0, Ordering::Relaxed);
-            self.new_cells.store(0, Ordering::Relaxed);
-            self.measure_nanos.store(0, Ordering::Relaxed);
-        }
-
-        pub fn merge(&self, delta: &super::GateCell) {
-            self.cells_measured
-                .fetch_add(delta.cells_measured, Ordering::Relaxed);
-            self.repeats.fetch_add(delta.repeats, Ordering::Relaxed);
-            self.cells_compared
-                .fetch_add(delta.cells_compared, Ordering::Relaxed);
-            self.regressions
-                .fetch_add(delta.regressions, Ordering::Relaxed);
-            self.improvements
-                .fetch_add(delta.improvements, Ordering::Relaxed);
-            self.new_cells.fetch_add(delta.new_cells, Ordering::Relaxed);
-            self.measure_nanos
-                .fetch_add((delta.measure_seconds * 1e9) as u64, Ordering::Relaxed);
-        }
-
-        pub fn cell(&self) -> super::GateCell {
-            super::GateCell {
-                cells_measured: self.cells_measured.load(Ordering::Relaxed),
-                repeats: self.repeats.load(Ordering::Relaxed),
-                cells_compared: self.cells_compared.load(Ordering::Relaxed),
-                regressions: self.regressions.load(Ordering::Relaxed),
-                improvements: self.improvements.load(Ordering::Relaxed),
-                new_cells: self.new_cells.load(Ordering::Relaxed),
-                measure_seconds: self.measure_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-            }
-        }
-    }
-
     /// Atomic mirror of [`super::TuneCell`]; seconds kept as nanos.
     pub struct Tune {
         pub configs_explored: AtomicU64,
@@ -1030,7 +932,6 @@ mod imp {
         pub pool: Pool,
         pub verify: Verify,
         pub analyze: Analyze,
-        pub gate: Gate,
         pub serve: Serve,
         pub tune: Tune,
         pub tile: Tile,
@@ -1044,7 +945,6 @@ mod imp {
         pool: Pool::new(),
         verify: Verify::new(),
         analyze: Analyze::new(),
-        gate: Gate::new(),
         serve: Serve::new(),
         tune: Tune::new(),
         tile: Tile::new(),
@@ -1064,14 +964,9 @@ mod imp {
         REGISTRY.pool.reset();
         REGISTRY.verify.reset();
         REGISTRY.analyze.reset();
-        REGISTRY.gate.reset();
         REGISTRY.serve.reset();
         REGISTRY.tune.reset();
         REGISTRY.tile.reset();
-    }
-
-    pub fn record_gate(delta: &super::GateCell) {
-        REGISTRY.gate.merge(delta);
     }
 
     pub fn record_serve(delta: &super::ServeCell) {
@@ -1296,9 +1191,6 @@ mod imp {
     pub fn record_analyze_dataflow(_functions: u64, _atomic_sites: u64, _lock_sites: u64) {}
 
     #[inline(always)]
-    pub fn record_gate(_delta: &super::GateCell) {}
-
-    #[inline(always)]
     pub fn record_serve(_delta: &super::ServeCell) {}
 
     #[inline(always)]
@@ -1427,14 +1319,6 @@ pub fn record_analyze_dataflow(functions: u64, atomic_sites: u64, lock_sites: u6
     imp::record_analyze_dataflow(functions, atomic_sites, lock_sites)
 }
 
-/// Merge perf-gate counts into the registry's gate cell (no-op when
-/// telemetry is compiled out). The gate calls this once per run with the
-/// totals it just measured and compared.
-#[inline]
-pub fn record_gate(delta: &GateCell) {
-    imp::record_gate(delta)
-}
-
 /// Merge serving-layer counts into the registry's serve cell (no-op when
 /// telemetry is compiled out). The solve service calls this as requests
 /// reach terminal outcomes — typically once per drained batch.
@@ -1507,7 +1391,6 @@ pub fn snapshot() -> TelemetrySnapshot {
         snap.pool = imp::REGISTRY.pool.cell();
         snap.verify = imp::REGISTRY.verify.cell();
         snap.analyze = imp::REGISTRY.analyze.cell();
-        snap.gate = imp::REGISTRY.gate.cell();
         snap.serve = imp::REGISTRY.serve.cell();
         snap.tune = imp::REGISTRY.tune.cell();
         snap.tile = imp::REGISTRY.tile.cell();
@@ -1639,20 +1522,6 @@ pub fn kernel_table(snap: &TelemetrySnapshot) -> String {
             t.evicted_bytes as f64 / (1024.0 * 1024.0),
             t.spilled_bytes as f64 / (1024.0 * 1024.0),
             t.peak_resident_bytes as f64 / (1024.0 * 1024.0),
-        ));
-    }
-    if !snap.gate.is_empty() {
-        let g = &snap.gate;
-        out.push_str(&format!(
-            "gate: {} cell(s) measured ({} repeat(s), {:.3} s timing), \
-             {} compared, {} regression(s), {} improvement(s), {} new\n",
-            g.cells_measured,
-            g.repeats,
-            g.measure_seconds,
-            g.cells_compared,
-            g.regressions,
-            g.improvements,
-            g.new_cells,
         ));
     }
     if !snap.serve.is_empty() {
@@ -1860,38 +1729,6 @@ mod tests {
 
     #[cfg(feature = "enabled")]
     #[test]
-    fn gate_counters_accumulate_and_reset() {
-        let _registry = registry();
-        reset();
-        record_gate(&GateCell {
-            cells_measured: 15,
-            repeats: 105,
-            measure_seconds: 1.25,
-            ..Default::default()
-        });
-        record_gate(&GateCell {
-            cells_compared: 15,
-            regressions: 2,
-            improvements: 1,
-            new_cells: 3,
-            ..Default::default()
-        });
-        let snap = snapshot();
-        assert_eq!(snap.gate.cells_measured, 15);
-        assert_eq!(snap.gate.repeats, 105);
-        assert_eq!(snap.gate.cells_compared, 15);
-        assert_eq!(snap.gate.regressions, 2);
-        assert_eq!(snap.gate.improvements, 1);
-        assert_eq!(snap.gate.new_cells, 3);
-        assert!((snap.gate.measure_seconds - 1.25).abs() < 1e-6);
-        let table = kernel_table(&snap);
-        assert!(table.contains("gate:"), "{table}");
-        reset();
-        assert!(snapshot().gate.is_empty());
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
     fn serve_deltas_accumulate_merge_tenants_and_reset() {
         let _registry = registry();
         reset();
@@ -2012,6 +1849,30 @@ mod tests {
         let back: TelemetrySnapshot = serde_json::from_str(old).unwrap();
         assert!(back.resilience.is_empty());
         assert!(back.enabled);
+    }
+
+    #[test]
+    fn reports_with_a_gate_cell_still_deserialize() {
+        // Run reports written while the perf gate existed carry a `gate`
+        // object; it is ignored and every other cell reads back intact.
+        let mut snap = TelemetrySnapshot::empty(true);
+        snap.pool.launches = 3;
+        snap.tune.profiles_loaded = 2;
+        snap.tile.hits = 5;
+        let mut value = serde_json::to_value(&snap).expect("serialize");
+        let serde_json::Value::Object(fields) = &mut value else {
+            panic!("a snapshot serializes to an object")
+        };
+        fields.insert(
+            "gate".into(),
+            serde_json::json!({
+                "cells_measured": 15, "repeats": 105, "cells_compared": 15,
+                "regressions": 2, "improvements": 1, "new_cells": 3,
+                "measure_seconds": 1.25
+            }),
+        );
+        let back: TelemetrySnapshot = serde_json::from_value(&value).expect("deserialize");
+        assert_eq!(back, snap);
     }
 
     #[test]

@@ -388,14 +388,9 @@ fn run_serve() -> ! {
 
     install_quiet_panic_hook();
     let args = parse_serve_args();
-    let layout = match args.preset.as_str() {
-        "tiny" => SystemLayout::tiny(),
-        "small" => SystemLayout::small(),
-        "medium" => SystemLayout::medium(),
-        other => {
-            eprintln!("unknown preset {other}");
-            serve_usage()
-        }
+    let Some(layout) = SystemLayout::preset(&args.preset) else {
+        eprintln!("unknown preset {}", args.preset);
+        serve_usage()
     };
     if backend_by_name(&args.backend, 2).is_none() {
         eprintln!("unknown backend {} (try --list-backends)", args.backend);
@@ -632,14 +627,9 @@ fn run_tiled(args: &Args) -> ! {
             );
         }
     } else {
-        let layout = match args.preset.as_str() {
-            "tiny" => SystemLayout::tiny(),
-            "small" => SystemLayout::small(),
-            "medium" => SystemLayout::medium(),
-            other => {
-                eprintln!("unknown preset {other}");
-                usage()
-            }
+        let Some(layout) = SystemLayout::preset(&args.preset) else {
+            eprintln!("unknown preset {}", args.preset);
+            usage()
         };
         let tile_stars = if args.tile_stars > 0 {
             args.tile_stars
@@ -818,14 +808,9 @@ fn main() {
             }
         },
         None => {
-            let layout = match args.preset.as_str() {
-                "tiny" => SystemLayout::tiny(),
-                "small" => SystemLayout::small(),
-                "medium" => SystemLayout::medium(),
-                other => {
-                    eprintln!("unknown preset {other}");
-                    usage()
-                }
+            let Some(layout) = SystemLayout::preset(&args.preset) else {
+                eprintln!("unknown preset {}", args.preset);
+                usage()
             };
             Generator::new(
                 GeneratorConfig::new(layout)
