@@ -122,9 +122,8 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// Lint every workspace source under `root` and assemble the [`Report`]:
 /// lex everything once, run the per-file rules, build the workspace
 /// [`SymbolIndex`], run the cross-file dataflow checkers, then the
-/// unused-suppression sweep. Records `record_analyze_lint` and
-/// `record_analyze_dataflow` telemetry when the `telemetry` feature is
-/// on.
+/// unused-suppression sweep. Records the lint and dataflow counts into
+/// the telemetry analyze cell when the `telemetry` feature is on.
 pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     let sources = workspace_sources(root)?;
     let mut files = Vec::with_capacity(sources.len());
@@ -145,12 +144,15 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
         suppressions.append(&mut f.suppressions);
     }
     let report = Report::new(sources.len(), diagnostics, suppressions);
-    gaia_telemetry::record_analyze_lint(
-        report.files_scanned as u64,
-        report.diagnostics.len() as u64,
-        report.suppressions.len() as u64,
-    );
-    gaia_telemetry::record_analyze_dataflow(stats.functions, stats.atomic_sites, stats.lock_sites);
+    gaia_telemetry::record(|t| {
+        let a = &mut t.analyze;
+        a.lint_files += report.files_scanned as u64;
+        a.lint_diagnostics += report.diagnostics.len() as u64;
+        a.lint_suppressions += report.suppressions.len() as u64;
+        a.dataflow_functions += stats.functions;
+        a.dataflow_atomic_sites += stats.atomic_sites;
+        a.dataflow_lock_sites += stats.lock_sites;
+    });
     Ok(report)
 }
 

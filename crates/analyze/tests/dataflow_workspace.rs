@@ -41,7 +41,7 @@ fn dataflow_checkers_resolve_real_workspace_sites() {
         "workspace atomic protocols drifted:\n{shown:#?}"
     );
     // The executor pool alone contributes the shutdown and latch
-    // protocols; the telemetry registry contributes dozens of counters.
+    // protocols; the telemetry kernel counters contribute a dozen more.
     assert!(
         atomic_sites >= 20,
         "atomic-site classification collapsed: {atomic_sites} site(s)"

@@ -84,7 +84,8 @@ impl PlannedBackend {
             .iter()
             .filter_map(|p| Some((p.shape, p.to_plan().ok()?)))
             .collect();
-        gaia_telemetry::record_tune_load(0, (profiles.len() - plans.len()) as u64);
+        let rejected = (profiles.len() - plans.len()) as u64;
+        gaia_telemetry::record(|t| t.tune.profiles_rejected += rejected);
         self.shape_plans = Some(plans);
         self
     }
@@ -109,7 +110,7 @@ impl PlannedBackend {
         let plan = match plans.iter().find(|(s, _)| s == shape) {
             Some(&(_, plan)) => plan,
             None => {
-                gaia_telemetry::record_tune_fallback();
+                gaia_telemetry::record(|t| t.tune.fallbacks += 1);
                 self.plan
             }
         };

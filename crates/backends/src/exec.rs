@@ -435,7 +435,7 @@ impl ExecutorPool {
                     .expect("spawn executor worker")
             })
             .collect();
-        gaia_telemetry::record_pool_spawn(n_workers as u64);
+        gaia_telemetry::record(|t| t.pool.workers_spawned += n_workers as u64);
         ExecutorPool {
             shared,
             workers,
@@ -515,14 +515,23 @@ impl ExecutorPool {
         self.jobs_run.fetch_add(n_jobs, Ordering::Relaxed);
 
         // Serial fast path: no workers, or nothing to overlap.
-        if self.workers.is_empty() || jobs.len() == 1 {
-            gaia_telemetry::record_pool_launch(n_jobs, !first, true);
+        let inline = self.workers.is_empty() || jobs.len() == 1;
+        gaia_telemetry::record(|t| {
+            let pool = &mut t.pool;
+            if inline {
+                pool.inline_launches += 1;
+            } else {
+                pool.launches += 1;
+            }
+            pool.jobs += n_jobs;
+            pool.reused_launches += u64::from(!first);
+        });
+        if inline {
             for job in jobs {
                 job();
             }
             return;
         }
-        gaia_telemetry::record_pool_launch(n_jobs, !first, false);
 
         let latch = Arc::new(Latch::new(jobs.len()));
         {
@@ -603,14 +612,15 @@ fn worker_loop(shared: &Shared) {
                 }
                 if gaia_telemetry::is_enabled() {
                     // gaia-analyze: allow(timing): this clock read *is* the
-                    // telemetry measurement — it feeds
-                    // record_pool_wait_nanos at the pool choke point.
+                    // telemetry measurement — it feeds the pool cell's
+                    // worker wait at the pool choke point.
                     let parked = Instant::now();
                     q = shared
                         .work_ready
                         .wait(q)
                         .unwrap_or_else(PoisonError::into_inner);
-                    gaia_telemetry::record_pool_wait_nanos(parked.elapsed().as_nanos() as u64);
+                    let waited = parked.elapsed().as_secs_f64();
+                    gaia_telemetry::record(|t| t.pool.wait_seconds += waited);
                 } else {
                     q = shared
                         .work_ready

@@ -1069,7 +1069,11 @@ pub fn analyze_plan(plan: &LaunchPlan, dims: &PlanDims) -> Result<PlanProof, Pla
         Ok(_) => 0,
         Err(e) => e.violations.len(),
     } as u64;
-    gaia_telemetry::record_analyze_plan(model.len() as u64, violation_count);
+    gaia_telemetry::record(|t| {
+        t.analyze.plans_checked += 1;
+        t.analyze.sections_checked += model.len() as u64;
+        t.analyze.plan_violations += violation_count;
+    });
     result
 }
 

@@ -276,7 +276,10 @@ pub fn load_profiles_from(
             Err(e) => rejected.push((path, e)),
         }
     }
-    gaia_telemetry::record_tune_load(profiles.len() as u64, rejected.len() as u64);
+    gaia_telemetry::record(|t| {
+        t.tune.profiles_loaded += profiles.len() as u64;
+        t.tune.profiles_rejected += rejected.len() as u64;
+    });
     (profiles, rejected)
 }
 

@@ -97,7 +97,7 @@ fn main() {
             .generate_tiled(&dir, tile_stars)
             .unwrap_or_else(|e| fatal(&format!("tiled generation for {layout_name}: {e}")));
         let disk_bytes: u64 = manifest.tiles.iter().map(|t| t.bytes).sum();
-        gaia_telemetry::record_tile_spill(disk_bytes);
+        gaia_telemetry::record(|t| t.tile.spilled_bytes += disk_bytes);
 
         // Resident reference for the bitwise audit (tiny only: assembling
         // the bigger layouts would defeat the point of the sweep).

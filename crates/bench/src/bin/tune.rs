@@ -203,7 +203,7 @@ fn main() {
         telemetry.measure_seconds += outcome.telemetry.measure_seconds;
         telemetry.profiles_persisted += 1;
     }
-    gaia_telemetry::record_tune(&telemetry);
+    gaia_telemetry::record(|t| t.tune.merge(&telemetry));
     println!(
         "tune: done — {} profile(s) persisted, {} configs, {:.2} s measured",
         telemetry.profiles_persisted, telemetry.configs_explored, telemetry.measure_seconds,

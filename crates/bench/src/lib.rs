@@ -146,7 +146,7 @@ pub fn measured_run(
     gaia_telemetry::reset();
     let cfg = gaia_lsqr::LsqrConfig::fixed_iterations(iterations);
     let sol = gaia_lsqr::solve(sys, &backend, &cfg);
-    let report = gaia_lsqr::run_report(run, &backend.name(), "lsqr", sys, &sol);
+    let report = gaia_lsqr::run_report(run, &backend.name(), "lsqr", &sol);
     match gaia_telemetry::report::write_report(&report) {
         Ok(path) => println!("[artifact] {}", path.display()),
         Err(e) => fatal(&format!("cannot write telemetry report for `{run}`: {e}")),

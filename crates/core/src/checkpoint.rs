@@ -379,7 +379,12 @@ impl Checkpoint {
         tmp_name.push(".tmp");
         let tmp = path.with_file_name(tmp_name);
         let file = std::fs::File::create(&tmp)?;
-        if let Err(e) = self.write_to(std::io::BufWriter::new(file)) {
+        // The bytes reach the disk before the rename publishes them, so a
+        // power cut can never leave an empty file under the final name.
+        let durable = self
+            .write_to(std::io::BufWriter::new(&file))
+            .and_then(|()| Ok(file.sync_all()?));
+        if let Err(e) = durable {
             std::fs::remove_file(&tmp).ok();
             return Err(e);
         }
@@ -387,6 +392,7 @@ impl Checkpoint {
             std::fs::remove_file(&tmp).ok();
             return Err(e.into());
         }
+        sync_parent_dir(path)?;
         Ok(())
     }
 
@@ -395,6 +401,22 @@ impl Checkpoint {
         let file = std::fs::File::open(path)?;
         Self::read_from(std::io::BufReader::new(file))
     }
+}
+
+/// Sync the directory holding `path`, so a rename into it survives a
+/// power cut. Directories cannot be opened for syncing off Unix.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    #[cfg(not(unix))]
+    let _ = path;
+    Ok(())
 }
 
 /// Retain-last-K rotation of periodic checkpoints, mirroring the restart

@@ -75,7 +75,7 @@ impl<'a, B: Backend + ?Sized> TiledOperator<'a, B> {
         cell.evictions = access.evictions;
         cell.evicted_bytes = access.evicted_bytes;
         cell.peak_resident_bytes = access.peak_resident_bytes;
-        gaia_telemetry::record_tile(&cell);
+        gaia_telemetry::record(|t| t.tile.merge(&cell));
     }
 }
 
@@ -93,7 +93,22 @@ impl<B: Backend + ?Sized> Operator for TiledOperator<'_, B> {
     }
 
     fn column_norms(&self) -> Result<Vec<f64>, OperatorError> {
-        Ok(self.tiles.column_norms()?)
+        // The preconditioner's pass loads tiles too: count it like the
+        // products' accesses, so the tile cell agrees with the cache.
+        let before = self.tiles.stats();
+        let norms = self.tiles.column_norms();
+        let after = self.tiles.stats();
+        let cell = TileCell {
+            loads: after.loads - before.loads,
+            hits: after.hits - before.hits,
+            evictions: after.evictions - before.evictions,
+            loaded_bytes: after.loaded_bytes - before.loaded_bytes,
+            evicted_bytes: after.evicted_bytes - before.evicted_bytes,
+            spilled_bytes: 0,
+            peak_resident_bytes: after.peak_resident_bytes,
+        };
+        gaia_telemetry::record(|t| t.tile.merge(&cell));
+        Ok(norms?)
     }
 
     fn aprod1(&self, x: &[f64], out: &mut [f64]) -> Result<(), OperatorError> {

@@ -8,31 +8,26 @@
 //! ```text
 //! gaia_telemetry::reset();
 //! let sol = solve(&sys, &instrumented_backend, &cfg);
-//! let report = run_report("profile_atomic", "atomic-t4", "lsqr", &sys, &sol);
+//! let report = run_report("profile_atomic", "atomic-t4", "lsqr", &sol);
 //! gaia_telemetry::report::write_report(&report)?;   // results/telemetry/…
 //! ```
 
-use gaia_sparse::SparseSystem;
 use gaia_telemetry::report::{IterationSample, RunReport};
 
 use crate::solution::Solution;
 
 /// Build the machine-readable perf record of one measured solve. Captures
 /// the telemetry snapshot at call time, so `gaia_telemetry::reset()`
-/// before the solve scopes the kernel cells to this run.
-pub fn run_report(
-    run: &str,
-    backend: &str,
-    solver: &str,
-    sys: &SparseSystem,
-    sol: &Solution,
-) -> RunReport {
+/// before the solve scopes the kernel cells to this run. The system's shape
+/// comes from the solution itself, so resident, distributed and tiled
+/// solves report alike.
+pub fn run_report(run: &str, backend: &str, solver: &str, sol: &Solution) -> RunReport {
     RunReport {
         run: run.into(),
         backend: backend.into(),
         solver: solver.into(),
-        n_rows: sys.n_rows() as u64,
-        n_cols: sys.n_cols() as u64,
+        n_rows: sol.n_rows as u64,
+        n_cols: sol.x.len() as u64,
         iterations: sol.iterations as u64,
         stop: format!("{:?}", sol.stop),
         rnorm: sol.rnorm,
@@ -69,7 +64,7 @@ mod tests {
         )
         .generate();
         let sol = solve(&sys, &SeqBackend, &LsqrConfig::fixed_iterations(5));
-        let report = run_report("unit", "seq", "lsqr", &sys, &sol);
+        let report = run_report("unit", "seq", "lsqr", &sol);
         assert_eq!(report.iterations, 5);
         assert_eq!(report.per_iteration.len(), 5);
         assert_eq!(report.n_rows, sys.n_rows() as u64);

@@ -471,7 +471,7 @@ fn record_on_failure(
         }
     }
     cell.recovery_seconds = recovery_seconds;
-    gaia_telemetry::record_resilience(cell);
+    gaia_telemetry::record(|t| t.resilience.merge(cell));
     events
 }
 

@@ -241,7 +241,7 @@ impl Inner {
             requests: 1,
             seconds: wall.as_secs_f64(),
         }];
-        gaia_telemetry::record_serve(&delta);
+        gaia_telemetry::record(|t| t.serve.merge(&delta));
         ticket.resolve(outcome);
     }
 
@@ -374,10 +374,7 @@ impl Inner {
                 id,
                 attempt: retries_used,
             });
-            gaia_telemetry::record_serve(&ServeCell {
-                retried: 1,
-                ..ServeCell::default()
-            });
+            gaia_telemetry::record(|t| t.serve.retried += 1);
             let pause = jittered_backoff(
                 self.cfg.retry.backoff,
                 self.cfg.retry.backoff_cap,
@@ -465,7 +462,7 @@ impl SolveService {
             self.inner.log(ServiceEvent::Shed { id, reason });
             delta.shed = 1;
             delta.broken_circuit = 1;
-            gaia_telemetry::record_serve(&delta);
+            gaia_telemetry::record(|t| t.serve.merge(&delta));
             ticket.resolve(Outcome::Shed(reason));
             return (id, ticket);
         }
@@ -491,7 +488,7 @@ impl SolveService {
             Ok(()) => {
                 delta.admitted = 1;
                 delta.max_queue_depth = self.inner.queue.max_depth();
-                gaia_telemetry::record_serve(&delta);
+                gaia_telemetry::record(|t| t.serve.merge(&delta));
             }
             Err((reason, work)) => {
                 // A queue-shed request records no breaker outcome; if it
@@ -500,7 +497,7 @@ impl SolveService {
                 self.inner.breaker.probe_aborted(&tenant);
                 self.inner.log(ServiceEvent::Shed { id, reason });
                 delta.shed = 1;
-                gaia_telemetry::record_serve(&delta);
+                gaia_telemetry::record(|t| t.serve.merge(&delta));
                 work.ticket.resolve(Outcome::Shed(reason));
             }
         }

@@ -1,31 +1,32 @@
 //! # gaia-telemetry
 //!
 //! Lightweight observability for the AVU-GSR solver: scoped monotonic
-//! timers and atomic counters keyed by *phase* (`aprod1`/`aprod2`) and
-//! *block* (astrometric/attitude/instrumental/global), mirroring the
-//! per-kernel timing the paper's profiling runs collect with `rocprof`/
-//! `nsys` on the GPU ports (§V-B).
+//! timers and counters keyed by *phase* (`aprod1`/`aprod2`) and *block*
+//! (astrometric/attitude/instrumental/global), mirroring the per-kernel
+//! timing the paper's profiling runs collect with `rocprof`/`nsys` on the
+//! GPU ports (§V-B).
 //!
-//! The whole crate is gated on the `enabled` cargo feature:
+//! The registry has two halves, both gated on the `enabled` cargo feature:
 //!
-//! * **disabled (default)** — every probe ([`kernel_scope`],
-//!   [`call_scope`], [`collective_scope`]) is a zero-sized no-op and the
-//!   byte/RMW accounting arguments fold away, so instrumented kernels are
-//!   bit-identical in cost to un-instrumented ones. No clock is read, no
-//!   allocation happens.
-//! * **enabled** — scopes read `Instant` on entry and commit elapsed
-//!   nanoseconds plus analytic byte/atomic counts to a global registry of
-//!   relaxed `AtomicU64`s on drop. The hot path still never allocates;
-//!   counts are O(1) per *call*, never per element.
+//! * **kernel counters** — [`kernel_scope`], [`call_scope`] and
+//!   [`collective_scope`] fire inside pool jobs, so they commit elapsed
+//!   nanoseconds plus analytic byte/atomic counts to relaxed `AtomicU64`s
+//!   on drop. Disabled, a [`Scope`] is zero-sized, no clock is read and
+//!   the accounting arguments fold away.
+//! * **every other cell** (pool, resilience, verify, analyze, serve, tune,
+//!   tile) lives in one held [`TelemetrySnapshot`] behind a mutex, written
+//!   only through [`record`]. Disabled, `record` never calls its closure.
 //!
-//! [`snapshot`] freezes the registry into the serializable
-//! [`TelemetrySnapshot`]; [`report::RunReport`] pairs a snapshot with
-//! solver convergence history and [`report::write_report`] writes the JSON
-//! artifact under `results/telemetry/`. [`kernel_table`] renders the
-//! ASCII per-kernel breakdown the bench binaries print.
+//! [`snapshot`] clones the held cells and fills in the kernel totals;
+//! [`report::RunReport`] pairs a snapshot with solver convergence history
+//! and [`report::write_report`] writes the JSON artifact under
+//! `results/telemetry/`. [`kernel_table`] renders the ASCII breakdown the
+//! bench binaries print.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -52,7 +53,6 @@ impl Phase {
         }
     }
 
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     fn index(self) -> usize {
         match self {
             Phase::Aprod1 => 0,
@@ -88,7 +88,6 @@ impl Block {
         }
     }
 
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     fn index(self) -> usize {
         match self {
             Block::Astro => 0,
@@ -154,6 +153,19 @@ impl ResilienceCell {
     /// Total injected faults observed.
     pub fn faults(&self) -> u64 {
         self.rank_panics + self.bit_flips + self.straggles + self.timeouts
+    }
+
+    /// Fold another cell into this one: every counter adds.
+    pub fn merge(&mut self, delta: &ResilienceCell) {
+        self.rank_panics += delta.rank_panics;
+        self.bit_flips += delta.bit_flips;
+        self.straggles += delta.straggles;
+        self.timeouts += delta.timeouts;
+        self.breakdowns += delta.breakdowns;
+        self.retries += delta.retries;
+        self.checkpoint_restores += delta.checkpoint_restores;
+        self.degradations += delta.degradations;
+        self.recovery_seconds += delta.recovery_seconds;
     }
 }
 
@@ -257,6 +269,17 @@ impl TuneCell {
     /// True when no tuning activity was recorded.
     pub fn is_empty(&self) -> bool {
         *self == TuneCell::default()
+    }
+
+    /// Fold another cell into this one: every counter adds.
+    pub fn merge(&mut self, delta: &TuneCell) {
+        self.configs_explored += delta.configs_explored;
+        self.measurements += delta.measurements;
+        self.measure_seconds += delta.measure_seconds;
+        self.profiles_persisted += delta.profiles_persisted;
+        self.profiles_loaded += delta.profiles_loaded;
+        self.profiles_rejected += delta.profiles_rejected;
+        self.fallbacks += delta.fallbacks;
     }
 }
 
@@ -374,6 +397,18 @@ impl TileCell {
         *self == TileCell::default()
     }
 
+    /// Fold another cell into this one: counters add, the resident
+    /// high-water mark takes the max.
+    pub fn merge(&mut self, delta: &TileCell) {
+        self.loads += delta.loads;
+        self.hits += delta.hits;
+        self.evictions += delta.evictions;
+        self.loaded_bytes += delta.loaded_bytes;
+        self.evicted_bytes += delta.evicted_bytes;
+        self.spilled_bytes += delta.spilled_bytes;
+        self.peak_resident_bytes = self.peak_resident_bytes.max(delta.peak_resident_bytes);
+    }
+
     /// Fraction of accesses served without touching disk.
     pub fn hit_rate(&self) -> f64 {
         let total = self.loads + self.hits;
@@ -412,7 +447,9 @@ impl VerifyCell {
     }
 }
 
-/// Frozen registry state: everything recorded since the last [`reset`].
+/// Registry state: everything recorded since the last [`reset`]. The
+/// registry holds one of these (kernel vectors empty) behind [`record`];
+/// [`snapshot`] returns a copy with the kernel totals filled in.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// Whether the `enabled` feature was compiled in; when `false` all
@@ -489,730 +526,121 @@ impl TelemetrySnapshot {
     }
 }
 
+// ORDERING: every kernel counter is an independent, monotonically
+// increasing accumulator. No reader infers cross-counter invariants from a
+// snapshot (cells are advisory telemetry, not a synchronization protocol),
+// so Relaxed is the weakest correct ordering for every load, store, and
+// fetch_add below.
+
+/// Relaxed-atomic totals behind one (phase, block) kernel, one whole-call
+/// phase, or the collective channel. These are the only counters written
+/// from inside pool jobs, so they stay lock-free.
+struct Stats {
+    calls: AtomicU64,
+    nanos: AtomicU64,
+    bytes: AtomicU64,
+    atomic_rmws: AtomicU64,
+}
+
+impl Stats {
+    const fn new() -> Self {
+        Stats {
+            calls: AtomicU64::new(0),
+            nanos: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+            atomic_rmws: AtomicU64::new(0),
+        }
+    }
+
+    fn reset(&self) {
+        self.calls.store(0, Ordering::Relaxed);
+        self.nanos.store(0, Ordering::Relaxed);
+        self.bytes.store(0, Ordering::Relaxed);
+        self.atomic_rmws.store(0, Ordering::Relaxed);
+    }
+
+    fn cell(&self, phase: &str, block: &str) -> KernelCell {
+        KernelCell {
+            phase: phase.into(),
+            block: block.into(),
+            calls: self.calls.load(Ordering::Relaxed),
+            seconds: self.nanos.load(Ordering::Relaxed) as f64 * 1e-9,
+            bytes: self.bytes.load(Ordering::Relaxed),
+            atomic_rmws: self.atomic_rmws.load(Ordering::Relaxed),
+        }
+    }
+}
+
+static KERNELS: [[Stats; 4]; 2] = [const { [const { Stats::new() }; 4] }; 2];
+static CALLS: [Stats; 2] = [const { Stats::new() }; 2];
+static COLLECTIVE: Stats = Stats::new();
+
+/// RAII timing probe returned by [`kernel_scope`], [`call_scope`], and
+/// [`collective_scope`]: times from construction to drop and commits the
+/// total into one kernel counter.
 #[cfg(feature = "enabled")]
-mod imp {
-    use super::{Block, Phase};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
-    use std::time::Instant;
+pub struct Scope {
+    start: std::time::Instant,
+    stats: &'static Stats,
+    bytes: u64,
+    rmws: u64,
+}
 
-    // ORDERING: every counter in this registry is an independent,
-    // monotonically increasing accumulator. No reader infers cross-counter
-    // invariants from a snapshot (cells are advisory telemetry, not a
-    // synchronization protocol), so Relaxed is the weakest correct ordering
-    // for every load, store, fetch_add, and fetch_max below.
+/// RAII timing probe returned by [`kernel_scope`], [`call_scope`], and
+/// [`collective_scope`]. The probes are compiled out: zero-sized, no clock
+/// read, nothing recorded.
+#[cfg(not(feature = "enabled"))]
+pub struct Scope;
 
-    pub struct Stats {
-        pub calls: AtomicU64,
-        pub nanos: AtomicU64,
-        pub bytes: AtomicU64,
-        pub atomic_rmws: AtomicU64,
-    }
-
-    impl Stats {
-        const fn new() -> Self {
-            Stats {
-                calls: AtomicU64::new(0),
-                nanos: AtomicU64::new(0),
-                bytes: AtomicU64::new(0),
-                atomic_rmws: AtomicU64::new(0),
-            }
-        }
-
-        fn reset(&self) {
-            self.calls.store(0, Ordering::Relaxed);
-            self.nanos.store(0, Ordering::Relaxed);
-            self.bytes.store(0, Ordering::Relaxed);
-            self.atomic_rmws.store(0, Ordering::Relaxed);
-        }
-
-        fn record(&self, nanos: u64, bytes: u64, rmws: u64) {
-            self.calls.fetch_add(1, Ordering::Relaxed);
-            self.nanos.fetch_add(nanos, Ordering::Relaxed);
-            self.bytes.fetch_add(bytes, Ordering::Relaxed);
-            self.atomic_rmws.fetch_add(rmws, Ordering::Relaxed);
-        }
-
-        pub fn cell(&self, phase: &str, block: &str) -> super::KernelCell {
-            super::KernelCell {
-                phase: phase.into(),
-                block: block.into(),
-                calls: self.calls.load(Ordering::Relaxed),
-                seconds: self.nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-                bytes: self.bytes.load(Ordering::Relaxed),
-                atomic_rmws: self.atomic_rmws.load(Ordering::Relaxed),
-            }
+#[cfg(feature = "enabled")]
+impl Scope {
+    fn over(stats: &'static Stats) -> Scope {
+        Scope {
+            start: std::time::Instant::now(),
+            stats,
+            bytes: 0,
+            rmws: 0,
         }
     }
 
-    // `const` is deliberate: these are array-repeat initializers for the
-    // static registry below, never read as values themselves.
-    #[allow(clippy::declare_interior_mutable_const)]
-    const ZERO: Stats = Stats::new();
-    #[allow(clippy::declare_interior_mutable_const)]
-    const ROW: [Stats; 4] = [ZERO; 4];
-
-    /// Atomic mirror of [`super::ResilienceCell`]; seconds kept as nanos.
-    pub struct Resilience {
-        pub rank_panics: AtomicU64,
-        pub bit_flips: AtomicU64,
-        pub straggles: AtomicU64,
-        pub timeouts: AtomicU64,
-        pub breakdowns: AtomicU64,
-        pub retries: AtomicU64,
-        pub checkpoint_restores: AtomicU64,
-        pub degradations: AtomicU64,
-        pub recovery_nanos: AtomicU64,
+    /// Attribute `bytes` of estimated memory traffic to this scope.
+    pub fn add_bytes(&mut self, bytes: u64) {
+        self.bytes += bytes;
     }
 
-    impl Resilience {
-        const fn new() -> Self {
-            Resilience {
-                rank_panics: AtomicU64::new(0),
-                bit_flips: AtomicU64::new(0),
-                straggles: AtomicU64::new(0),
-                timeouts: AtomicU64::new(0),
-                breakdowns: AtomicU64::new(0),
-                retries: AtomicU64::new(0),
-                checkpoint_restores: AtomicU64::new(0),
-                degradations: AtomicU64::new(0),
-                recovery_nanos: AtomicU64::new(0),
-            }
-        }
-
-        fn reset(&self) {
-            self.rank_panics.store(0, Ordering::Relaxed);
-            self.bit_flips.store(0, Ordering::Relaxed);
-            self.straggles.store(0, Ordering::Relaxed);
-            self.timeouts.store(0, Ordering::Relaxed);
-            self.breakdowns.store(0, Ordering::Relaxed);
-            self.retries.store(0, Ordering::Relaxed);
-            self.checkpoint_restores.store(0, Ordering::Relaxed);
-            self.degradations.store(0, Ordering::Relaxed);
-            self.recovery_nanos.store(0, Ordering::Relaxed);
-        }
-
-        pub fn merge(&self, delta: &super::ResilienceCell) {
-            self.rank_panics
-                .fetch_add(delta.rank_panics, Ordering::Relaxed);
-            self.bit_flips.fetch_add(delta.bit_flips, Ordering::Relaxed);
-            self.straggles.fetch_add(delta.straggles, Ordering::Relaxed);
-            self.timeouts.fetch_add(delta.timeouts, Ordering::Relaxed);
-            self.breakdowns
-                .fetch_add(delta.breakdowns, Ordering::Relaxed);
-            self.retries.fetch_add(delta.retries, Ordering::Relaxed);
-            self.checkpoint_restores
-                .fetch_add(delta.checkpoint_restores, Ordering::Relaxed);
-            self.degradations
-                .fetch_add(delta.degradations, Ordering::Relaxed);
-            self.recovery_nanos
-                .fetch_add((delta.recovery_seconds * 1e9) as u64, Ordering::Relaxed);
-        }
-
-        pub fn cell(&self) -> super::ResilienceCell {
-            super::ResilienceCell {
-                rank_panics: self.rank_panics.load(Ordering::Relaxed),
-                bit_flips: self.bit_flips.load(Ordering::Relaxed),
-                straggles: self.straggles.load(Ordering::Relaxed),
-                timeouts: self.timeouts.load(Ordering::Relaxed),
-                breakdowns: self.breakdowns.load(Ordering::Relaxed),
-                retries: self.retries.load(Ordering::Relaxed),
-                checkpoint_restores: self.checkpoint_restores.load(Ordering::Relaxed),
-                degradations: self.degradations.load(Ordering::Relaxed),
-                recovery_seconds: self.recovery_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-            }
-        }
+    /// Attribute `rmws` atomic read-modify-writes to this scope.
+    pub fn add_rmws(&mut self, rmws: u64) {
+        self.rmws += rmws;
     }
+}
 
-    /// Atomic mirror of [`super::PoolCell`]; seconds kept as nanos.
-    pub struct Pool {
-        pub launches: AtomicU64,
-        pub inline_launches: AtomicU64,
-        pub jobs: AtomicU64,
-        pub workers_spawned: AtomicU64,
-        pub reused_launches: AtomicU64,
-        pub wait_nanos: AtomicU64,
-    }
-
-    impl Pool {
-        const fn new() -> Self {
-            Pool {
-                launches: AtomicU64::new(0),
-                inline_launches: AtomicU64::new(0),
-                jobs: AtomicU64::new(0),
-                workers_spawned: AtomicU64::new(0),
-                reused_launches: AtomicU64::new(0),
-                wait_nanos: AtomicU64::new(0),
-            }
-        }
-
-        fn reset(&self) {
-            self.launches.store(0, Ordering::Relaxed);
-            self.inline_launches.store(0, Ordering::Relaxed);
-            self.jobs.store(0, Ordering::Relaxed);
-            self.workers_spawned.store(0, Ordering::Relaxed);
-            self.reused_launches.store(0, Ordering::Relaxed);
-            self.wait_nanos.store(0, Ordering::Relaxed);
-        }
-
-        pub fn cell(&self) -> super::PoolCell {
-            super::PoolCell {
-                launches: self.launches.load(Ordering::Relaxed),
-                inline_launches: self.inline_launches.load(Ordering::Relaxed),
-                jobs: self.jobs.load(Ordering::Relaxed),
-                workers_spawned: self.workers_spawned.load(Ordering::Relaxed),
-                reused_launches: self.reused_launches.load(Ordering::Relaxed),
-                wait_seconds: self.wait_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-            }
-        }
-    }
-
-    /// Atomic mirror of [`super::VerifyCell`].
-    pub struct Verify {
-        pub schedules: AtomicU64,
-        pub schedule_failures: AtomicU64,
-        pub properties: AtomicU64,
-        pub property_failures: AtomicU64,
-        pub max_trajectory_ulp: AtomicU64,
-    }
-
-    impl Verify {
-        const fn new() -> Self {
-            Verify {
-                schedules: AtomicU64::new(0),
-                schedule_failures: AtomicU64::new(0),
-                properties: AtomicU64::new(0),
-                property_failures: AtomicU64::new(0),
-                max_trajectory_ulp: AtomicU64::new(0),
-            }
-        }
-
-        fn reset(&self) {
-            self.schedules.store(0, Ordering::Relaxed);
-            self.schedule_failures.store(0, Ordering::Relaxed);
-            self.properties.store(0, Ordering::Relaxed);
-            self.property_failures.store(0, Ordering::Relaxed);
-            self.max_trajectory_ulp.store(0, Ordering::Relaxed);
-        }
-
-        pub fn cell(&self) -> super::VerifyCell {
-            super::VerifyCell {
-                schedules: self.schedules.load(Ordering::Relaxed),
-                schedule_failures: self.schedule_failures.load(Ordering::Relaxed),
-                properties: self.properties.load(Ordering::Relaxed),
-                property_failures: self.property_failures.load(Ordering::Relaxed),
-                max_trajectory_ulp: self.max_trajectory_ulp.load(Ordering::Relaxed),
-            }
-        }
-    }
-
-    /// Atomic mirror of [`super::AnalyzeCell`].
-    pub struct Analyze {
-        pub plans_checked: AtomicU64,
-        pub sections_checked: AtomicU64,
-        pub plan_violations: AtomicU64,
-        pub lint_files: AtomicU64,
-        pub lint_diagnostics: AtomicU64,
-        pub lint_suppressions: AtomicU64,
-        pub dataflow_functions: AtomicU64,
-        pub dataflow_atomic_sites: AtomicU64,
-        pub dataflow_lock_sites: AtomicU64,
-    }
-
-    impl Analyze {
-        const fn new() -> Self {
-            Analyze {
-                plans_checked: AtomicU64::new(0),
-                sections_checked: AtomicU64::new(0),
-                plan_violations: AtomicU64::new(0),
-                lint_files: AtomicU64::new(0),
-                lint_diagnostics: AtomicU64::new(0),
-                lint_suppressions: AtomicU64::new(0),
-                dataflow_functions: AtomicU64::new(0),
-                dataflow_atomic_sites: AtomicU64::new(0),
-                dataflow_lock_sites: AtomicU64::new(0),
-            }
-        }
-
-        fn reset(&self) {
-            self.plans_checked.store(0, Ordering::Relaxed);
-            self.sections_checked.store(0, Ordering::Relaxed);
-            self.plan_violations.store(0, Ordering::Relaxed);
-            self.lint_files.store(0, Ordering::Relaxed);
-            self.lint_diagnostics.store(0, Ordering::Relaxed);
-            self.lint_suppressions.store(0, Ordering::Relaxed);
-            self.dataflow_functions.store(0, Ordering::Relaxed);
-            self.dataflow_atomic_sites.store(0, Ordering::Relaxed);
-            self.dataflow_lock_sites.store(0, Ordering::Relaxed);
-        }
-
-        pub fn cell(&self) -> super::AnalyzeCell {
-            super::AnalyzeCell {
-                plans_checked: self.plans_checked.load(Ordering::Relaxed),
-                sections_checked: self.sections_checked.load(Ordering::Relaxed),
-                plan_violations: self.plan_violations.load(Ordering::Relaxed),
-                lint_files: self.lint_files.load(Ordering::Relaxed),
-                lint_diagnostics: self.lint_diagnostics.load(Ordering::Relaxed),
-                lint_suppressions: self.lint_suppressions.load(Ordering::Relaxed),
-                dataflow_functions: self.dataflow_functions.load(Ordering::Relaxed),
-                dataflow_atomic_sites: self.dataflow_atomic_sites.load(Ordering::Relaxed),
-                dataflow_lock_sites: self.dataflow_lock_sites.load(Ordering::Relaxed),
-            }
-        }
-    }
-
-    /// Atomic mirror of [`super::TuneCell`]; seconds kept as nanos.
-    pub struct Tune {
-        pub configs_explored: AtomicU64,
-        pub measurements: AtomicU64,
-        pub measure_nanos: AtomicU64,
-        pub profiles_persisted: AtomicU64,
-        pub profiles_loaded: AtomicU64,
-        pub profiles_rejected: AtomicU64,
-        pub fallbacks: AtomicU64,
-    }
-
-    impl Tune {
-        const fn new() -> Self {
-            Tune {
-                configs_explored: AtomicU64::new(0),
-                measurements: AtomicU64::new(0),
-                measure_nanos: AtomicU64::new(0),
-                profiles_persisted: AtomicU64::new(0),
-                profiles_loaded: AtomicU64::new(0),
-                profiles_rejected: AtomicU64::new(0),
-                fallbacks: AtomicU64::new(0),
-            }
-        }
-
-        fn reset(&self) {
-            self.configs_explored.store(0, Ordering::Relaxed);
-            self.measurements.store(0, Ordering::Relaxed);
-            self.measure_nanos.store(0, Ordering::Relaxed);
-            self.profiles_persisted.store(0, Ordering::Relaxed);
-            self.profiles_loaded.store(0, Ordering::Relaxed);
-            self.profiles_rejected.store(0, Ordering::Relaxed);
-            self.fallbacks.store(0, Ordering::Relaxed);
-        }
-
-        pub fn merge(&self, delta: &super::TuneCell) {
-            self.configs_explored
-                .fetch_add(delta.configs_explored, Ordering::Relaxed);
-            self.measurements
-                .fetch_add(delta.measurements, Ordering::Relaxed);
-            self.measure_nanos
-                .fetch_add((delta.measure_seconds * 1e9) as u64, Ordering::Relaxed);
-            self.profiles_persisted
-                .fetch_add(delta.profiles_persisted, Ordering::Relaxed);
-            self.profiles_loaded
-                .fetch_add(delta.profiles_loaded, Ordering::Relaxed);
-            self.profiles_rejected
-                .fetch_add(delta.profiles_rejected, Ordering::Relaxed);
-            self.fallbacks.fetch_add(delta.fallbacks, Ordering::Relaxed);
-        }
-
-        pub fn cell(&self) -> super::TuneCell {
-            super::TuneCell {
-                configs_explored: self.configs_explored.load(Ordering::Relaxed),
-                measurements: self.measurements.load(Ordering::Relaxed),
-                measure_seconds: self.measure_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-                profiles_persisted: self.profiles_persisted.load(Ordering::Relaxed),
-                profiles_loaded: self.profiles_loaded.load(Ordering::Relaxed),
-                profiles_rejected: self.profiles_rejected.load(Ordering::Relaxed),
-                fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            }
-        }
-    }
-
-    /// Atomic mirror of [`super::TileCell`]. `peak_resident_bytes` merges
-    /// by `fetch_max` (it is a high-water mark, not an accumulator).
-    pub struct Tile {
-        pub loads: AtomicU64,
-        pub hits: AtomicU64,
-        pub evictions: AtomicU64,
-        pub loaded_bytes: AtomicU64,
-        pub evicted_bytes: AtomicU64,
-        pub spilled_bytes: AtomicU64,
-        pub peak_resident_bytes: AtomicU64,
-    }
-
-    impl Tile {
-        const fn new() -> Self {
-            Tile {
-                loads: AtomicU64::new(0),
-                hits: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-                loaded_bytes: AtomicU64::new(0),
-                evicted_bytes: AtomicU64::new(0),
-                spilled_bytes: AtomicU64::new(0),
-                peak_resident_bytes: AtomicU64::new(0),
-            }
-        }
-
-        fn reset(&self) {
-            self.loads.store(0, Ordering::Relaxed);
-            self.hits.store(0, Ordering::Relaxed);
-            self.evictions.store(0, Ordering::Relaxed);
-            self.loaded_bytes.store(0, Ordering::Relaxed);
-            self.evicted_bytes.store(0, Ordering::Relaxed);
-            self.spilled_bytes.store(0, Ordering::Relaxed);
-            self.peak_resident_bytes.store(0, Ordering::Relaxed);
-        }
-
-        pub fn merge(&self, delta: &super::TileCell) {
-            self.loads.fetch_add(delta.loads, Ordering::Relaxed);
-            self.hits.fetch_add(delta.hits, Ordering::Relaxed);
-            self.evictions.fetch_add(delta.evictions, Ordering::Relaxed);
-            self.loaded_bytes
-                .fetch_add(delta.loaded_bytes, Ordering::Relaxed);
-            self.evicted_bytes
-                .fetch_add(delta.evicted_bytes, Ordering::Relaxed);
-            self.spilled_bytes
-                .fetch_add(delta.spilled_bytes, Ordering::Relaxed);
-            self.peak_resident_bytes
-                .fetch_max(delta.peak_resident_bytes, Ordering::Relaxed);
-        }
-
-        pub fn cell(&self) -> super::TileCell {
-            super::TileCell {
-                loads: self.loads.load(Ordering::Relaxed),
-                hits: self.hits.load(Ordering::Relaxed),
-                evictions: self.evictions.load(Ordering::Relaxed),
-                loaded_bytes: self.loaded_bytes.load(Ordering::Relaxed),
-                evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
-                spilled_bytes: self.spilled_bytes.load(Ordering::Relaxed),
-                peak_resident_bytes: self.peak_resident_bytes.load(Ordering::Relaxed),
-            }
-        }
-    }
-
-    /// Mirror of [`super::ServeCell`]. The cell carries a `Vec` of
-    /// per-tenant rows, so unlike the other mirrors it cannot be a bundle
-    /// of atomics; a `Mutex<Option<..>>` keeps the static initializer
-    /// `const` (`Mutex::new(None)`) and the merge path is far off any hot
-    /// loop — the service records once per terminal request outcome.
-    pub struct Serve {
-        inner: Mutex<Option<super::ServeCell>>,
-    }
-
-    impl Serve {
-        const fn new() -> Self {
-            Serve {
-                inner: Mutex::new(None),
-            }
-        }
-
-        fn lock(&self) -> std::sync::MutexGuard<'_, Option<super::ServeCell>> {
-            // A poisoned registry mutex only means a panic mid-merge of
-            // advisory counters; keep serving the data rather than
-            // propagating the panic into every later recorder.
-            self.inner.lock().unwrap_or_else(|p| p.into_inner())
-        }
-
-        fn reset(&self) {
-            *self.lock() = None;
-        }
-
-        pub fn merge(&self, delta: &super::ServeCell) {
-            self.lock()
-                .get_or_insert_with(super::ServeCell::default)
-                .merge(delta);
-        }
-
-        pub fn cell(&self) -> super::ServeCell {
-            self.lock().clone().unwrap_or_default()
-        }
-    }
-
-    pub struct Registry {
-        pub kernels: [[Stats; 4]; 2],
-        pub calls: [Stats; 2],
-        pub collective: Stats,
-        pub resilience: Resilience,
-        pub pool: Pool,
-        pub verify: Verify,
-        pub analyze: Analyze,
-        pub serve: Serve,
-        pub tune: Tune,
-        pub tile: Tile,
-    }
-
-    pub static REGISTRY: Registry = Registry {
-        kernels: [ROW; 2],
-        calls: [ZERO; 2],
-        collective: ZERO,
-        resilience: Resilience::new(),
-        pool: Pool::new(),
-        verify: Verify::new(),
-        analyze: Analyze::new(),
-        serve: Serve::new(),
-        tune: Tune::new(),
-        tile: Tile::new(),
-    };
-
-    pub fn reset() {
-        for phase in &REGISTRY.kernels {
-            for cell in phase {
-                cell.reset();
-            }
-        }
-        for cell in &REGISTRY.calls {
-            cell.reset();
-        }
-        REGISTRY.collective.reset();
-        REGISTRY.resilience.reset();
-        REGISTRY.pool.reset();
-        REGISTRY.verify.reset();
-        REGISTRY.analyze.reset();
-        REGISTRY.serve.reset();
-        REGISTRY.tune.reset();
-        REGISTRY.tile.reset();
-    }
-
-    pub fn record_serve(delta: &super::ServeCell) {
-        REGISTRY.serve.merge(delta);
-    }
-
-    pub fn record_tune(delta: &super::TuneCell) {
-        REGISTRY.tune.merge(delta);
-    }
-
-    pub fn record_tile(delta: &super::TileCell) {
-        REGISTRY.tile.merge(delta);
-    }
-
-    pub fn record_tile_spill(bytes: u64) {
-        REGISTRY
-            .tile
-            .spilled_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub fn record_tune_load(loaded: u64, rejected: u64) {
-        let t = &REGISTRY.tune;
-        t.profiles_loaded.fetch_add(loaded, Ordering::Relaxed);
-        t.profiles_rejected.fetch_add(rejected, Ordering::Relaxed);
-    }
-
-    pub fn record_tune_fallback() {
-        REGISTRY.tune.fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_analyze_plan(sections: u64, violations: u64) {
-        let a = &REGISTRY.analyze;
-        a.plans_checked.fetch_add(1, Ordering::Relaxed);
-        a.sections_checked.fetch_add(sections, Ordering::Relaxed);
-        a.plan_violations.fetch_add(violations, Ordering::Relaxed);
-    }
-
-    pub fn record_analyze_lint(files: u64, diagnostics: u64, suppressions: u64) {
-        let a = &REGISTRY.analyze;
-        a.lint_files.fetch_add(files, Ordering::Relaxed);
-        a.lint_diagnostics.fetch_add(diagnostics, Ordering::Relaxed);
-        a.lint_suppressions
-            .fetch_add(suppressions, Ordering::Relaxed);
-    }
-
-    pub fn record_analyze_dataflow(functions: u64, atomic_sites: u64, lock_sites: u64) {
-        let a = &REGISTRY.analyze;
-        a.dataflow_functions.fetch_add(functions, Ordering::Relaxed);
-        a.dataflow_atomic_sites
-            .fetch_add(atomic_sites, Ordering::Relaxed);
-        a.dataflow_lock_sites
-            .fetch_add(lock_sites, Ordering::Relaxed);
-    }
-
-    pub fn record_verify_schedule(failed: bool) {
-        let v = &REGISTRY.verify;
-        v.schedules.fetch_add(1, Ordering::Relaxed);
-        if failed {
-            v.schedule_failures.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub fn record_verify_property(failed: bool) {
-        let v = &REGISTRY.verify;
-        v.properties.fetch_add(1, Ordering::Relaxed);
-        if failed {
-            v.property_failures.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub fn record_verify_ulp(ulp: u64) {
-        REGISTRY
-            .verify
-            .max_trajectory_ulp
-            .fetch_max(ulp, Ordering::Relaxed);
-    }
-
-    pub fn record_pool_spawn(workers: u64) {
-        REGISTRY
-            .pool
-            .workers_spawned
-            .fetch_add(workers, Ordering::Relaxed);
-    }
-
-    pub fn record_pool_launch(jobs: u64, reused: bool, inline: bool) {
-        let p = &REGISTRY.pool;
-        if inline {
-            p.inline_launches.fetch_add(1, Ordering::Relaxed);
-        } else {
-            p.launches.fetch_add(1, Ordering::Relaxed);
-        }
-        p.jobs.fetch_add(jobs, Ordering::Relaxed);
-        if reused {
-            p.reused_launches.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub fn record_pool_wait_nanos(nanos: u64) {
-        REGISTRY.pool.wait_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    pub fn record_resilience(delta: &super::ResilienceCell) {
-        REGISTRY.resilience.merge(delta);
-    }
-
-    /// RAII probe: times from construction to drop and commits the total
-    /// into one registry cell.
-    pub struct Scope {
-        start: Instant,
-        stats: &'static Stats,
-        bytes: u64,
-        rmws: u64,
-    }
-
-    impl Scope {
-        fn over(stats: &'static Stats) -> Scope {
-            Scope {
-                start: Instant::now(),
-                stats,
-                bytes: 0,
-                rmws: 0,
-            }
-        }
-
-        /// Attribute `bytes` of estimated memory traffic to this scope.
-        pub fn add_bytes(&mut self, bytes: u64) {
-            self.bytes += bytes;
-        }
-
-        /// Attribute `rmws` atomic read-modify-writes to this scope.
-        pub fn add_rmws(&mut self, rmws: u64) {
-            self.rmws += rmws;
-        }
-    }
-
-    impl Drop for Scope {
-        fn drop(&mut self) {
-            self.stats.record(
-                self.start.elapsed().as_nanos() as u64,
-                self.bytes,
-                self.rmws,
-            );
-        }
-    }
-
-    pub fn kernel_scope(phase: Phase, block: Block) -> Scope {
-        Scope::over(&REGISTRY.kernels[phase.index()][block.index()])
-    }
-
-    pub fn call_scope(phase: Phase) -> Scope {
-        Scope::over(&REGISTRY.calls[phase.index()])
-    }
-
-    pub fn collective_scope() -> Scope {
-        Scope::over(&REGISTRY.collective)
+#[cfg(feature = "enabled")]
+impl Drop for Scope {
+    fn drop(&mut self) {
+        let s = self.stats;
+        s.calls.fetch_add(1, Ordering::Relaxed);
+        s.nanos
+            .fetch_add(self.start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        s.bytes.fetch_add(self.bytes, Ordering::Relaxed);
+        s.atomic_rmws.fetch_add(self.rmws, Ordering::Relaxed);
     }
 }
 
 #[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::{Block, Phase};
-
-    /// No-op probe: zero-sized, no clock read, nothing recorded.
-    pub struct Scope;
-
-    impl Scope {
-        /// Attribute bytes of estimated memory traffic (no-op).
-        #[inline(always)]
-        pub fn add_bytes(&mut self, _bytes: u64) {}
-
-        /// Attribute atomic read-modify-writes (no-op).
-        #[inline(always)]
-        pub fn add_rmws(&mut self, _rmws: u64) {}
-    }
-
+impl Scope {
     #[inline(always)]
-    pub fn kernel_scope(_phase: Phase, _block: Block) -> Scope {
+    fn over(_stats: &'static Stats) -> Scope {
         Scope
     }
 
+    /// Attribute bytes of estimated memory traffic (no-op).
     #[inline(always)]
-    pub fn call_scope(_phase: Phase) -> Scope {
-        Scope
-    }
+    pub fn add_bytes(&mut self, _bytes: u64) {}
 
+    /// Attribute atomic read-modify-writes (no-op).
     #[inline(always)]
-    pub fn collective_scope() -> Scope {
-        Scope
-    }
-
-    pub fn reset() {}
-
-    #[inline(always)]
-    pub fn record_resilience(_delta: &super::ResilienceCell) {}
-
-    #[inline(always)]
-    pub fn record_pool_spawn(_workers: u64) {}
-
-    #[inline(always)]
-    pub fn record_pool_launch(_jobs: u64, _reused: bool, _inline: bool) {}
-
-    #[inline(always)]
-    pub fn record_pool_wait_nanos(_nanos: u64) {}
-
-    #[inline(always)]
-    pub fn record_verify_schedule(_failed: bool) {}
-
-    #[inline(always)]
-    pub fn record_verify_property(_failed: bool) {}
-
-    #[inline(always)]
-    pub fn record_verify_ulp(_ulp: u64) {}
-
-    #[inline(always)]
-    pub fn record_analyze_plan(_sections: u64, _violations: u64) {}
-
-    #[inline(always)]
-    pub fn record_analyze_lint(_files: u64, _diagnostics: u64, _suppressions: u64) {}
-
-    #[inline(always)]
-    pub fn record_analyze_dataflow(_functions: u64, _atomic_sites: u64, _lock_sites: u64) {}
-
-    #[inline(always)]
-    pub fn record_serve(_delta: &super::ServeCell) {}
-
-    #[inline(always)]
-    pub fn record_tune(_delta: &super::TuneCell) {}
-
-    #[inline(always)]
-    pub fn record_tune_load(_loaded: u64, _rejected: u64) {}
-
-    #[inline(always)]
-    pub fn record_tune_fallback() {}
-
-    #[inline(always)]
-    pub fn record_tile(_delta: &super::TileCell) {}
-
-    #[inline(always)]
-    pub fn record_tile_spill(_bytes: u64) {}
+    pub fn add_rmws(&mut self, _rmws: u64) {}
 }
-
-/// RAII timing probe returned by [`kernel_scope`], [`call_scope`], and
-/// [`collective_scope`]. With the `enabled` feature off this is a
-/// zero-sized type whose methods compile to nothing.
-pub use imp::Scope;
 
 /// Whether recording is compiled in (`enabled` cargo feature).
 pub fn is_enabled() -> bool {
@@ -1221,192 +649,88 @@ pub fn is_enabled() -> bool {
 
 /// Open a timing scope over one (phase, block) kernel invocation. Commit
 /// happens when the returned [`Scope`] drops.
-#[inline]
+#[inline(always)]
 pub fn kernel_scope(phase: Phase, block: Block) -> Scope {
-    imp::kernel_scope(phase, block)
+    Scope::over(&KERNELS[phase.index()][block.index()])
 }
 
 /// Open a timing scope over one whole `aprod1`/`aprod2` backend call
 /// (used by `InstrumentedBackend`).
-#[inline]
+#[inline(always)]
 pub fn call_scope(phase: Phase) -> Scope {
-    imp::call_scope(phase)
+    Scope::over(&CALLS[phase.index()])
 }
 
 /// Open a timing scope over one collective (allreduce) operation.
-#[inline]
+#[inline(always)]
 pub fn collective_scope() -> Scope {
-    imp::collective_scope()
+    Scope::over(&COLLECTIVE)
+}
+
+/// The one write path for every non-kernel cell: run `f` on the held
+/// snapshot under its lock. With the probes compiled out `f` is never
+/// called, so neither it nor anything it computes costs anything.
+///
+/// The lock is a leaf and is not reentrant: `f` must only update fields
+/// (directly, or through a cell's `merge`) and must never call back into
+/// this crate.
+///
+/// ```
+/// gaia_telemetry::record(|t| t.tune.fallbacks += 1);
+/// ```
+#[inline(always)]
+pub fn record(f: impl FnOnce(&mut TelemetrySnapshot)) {
+    #[cfg(feature = "enabled")]
+    {
+        static HELD: std::sync::Mutex<Option<TelemetrySnapshot>> = std::sync::Mutex::new(None);
+        // A poisoned lock only means a panic mid-update of advisory
+        // counters; keep the data rather than propagating the panic into
+        // every later recorder.
+        let mut held = HELD
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        f(held.get_or_insert_with(|| TelemetrySnapshot::empty(true)));
+    }
+    #[cfg(not(feature = "enabled"))]
+    let _ = f;
 }
 
 /// Zero every counter (start of a measured run).
 pub fn reset() {
-    imp::reset()
+    for stats in KERNELS.iter().flatten().chain(&CALLS).chain([&COLLECTIVE]) {
+        stats.reset();
+    }
+    record(|t| *t = TelemetrySnapshot::empty(true));
 }
 
-/// Merge fault/recovery counts into the registry's resilience cell (no-op
-/// when telemetry is compiled out). The supervisor calls this once per
-/// recovery event with the delta it just observed.
-#[inline]
-pub fn record_resilience(delta: &ResilienceCell) {
-    imp::record_resilience(delta)
-}
-
-/// Record OS worker threads spawned by an executor pool (no-op when
-/// telemetry is compiled out).
-#[inline]
-pub fn record_pool_spawn(workers: u64) {
-    imp::record_pool_spawn(workers)
-}
-
-/// Record one executor-pool launch of `jobs` jobs. `reused` marks a launch
-/// on already-spawned workers; `inline` marks the serial fast path that
-/// never touched the queue. No-op when telemetry is compiled out.
-#[inline]
-pub fn record_pool_launch(jobs: u64, reused: bool, inline: bool) {
-    imp::record_pool_launch(jobs, reused, inline)
-}
-
-/// Record time a pool worker spent parked waiting for work (no-op when
-/// telemetry is compiled out).
-#[inline]
-pub fn record_pool_wait_nanos(nanos: u64) {
-    imp::record_pool_wait_nanos(nanos)
-}
-
-/// Record one replayed adverse schedule (no-op when telemetry is compiled
-/// out). `failed` marks a result outside the subject's contract.
-#[inline]
-pub fn record_verify_schedule(failed: bool) {
-    imp::record_verify_schedule(failed)
-}
-
-/// Record one metamorphic property check (no-op when telemetry is
-/// compiled out).
-#[inline]
-pub fn record_verify_property(failed: bool) {
-    imp::record_verify_property(failed)
-}
-
-/// Fold a cross-backend trajectory divergence (in ULPs) into the running
-/// maximum (no-op when telemetry is compiled out).
-#[inline]
-pub fn record_verify_ulp(ulp: u64) {
-    imp::record_verify_ulp(ulp)
-}
-
-/// Record one static launch-plan soundness check: `sections` write-set
-/// models examined, `violations` found (no-op when telemetry is compiled
-/// out).
-#[inline]
-pub fn record_analyze_plan(sections: u64, violations: u64) {
-    imp::record_analyze_plan(sections, violations)
-}
-
-/// Record one source-lint pass: `files` scanned, `diagnostics` emitted,
-/// `suppressions` honored (no-op when telemetry is compiled out).
-#[inline]
-pub fn record_analyze_lint(files: u64, diagnostics: u64, suppressions: u64) {
-    imp::record_analyze_lint(files, diagnostics, suppressions)
-}
-
-/// Record one concurrency-dataflow pass: `functions` scanned,
-/// `atomic_sites` classified by the protocol checker, `lock_sites`
-/// resolved by the lock-order checker (no-op when telemetry is compiled
-/// out).
-#[inline]
-pub fn record_analyze_dataflow(functions: u64, atomic_sites: u64, lock_sites: u64) {
-    imp::record_analyze_dataflow(functions, atomic_sites, lock_sites)
-}
-
-/// Merge serving-layer counts into the registry's serve cell (no-op when
-/// telemetry is compiled out). The solve service calls this as requests
-/// reach terminal outcomes — typically once per drained batch.
-#[inline]
-pub fn record_serve(delta: &ServeCell) {
-    imp::record_serve(delta)
-}
-
-/// Merge auto-tuning counts into the registry's tune cell (no-op when
-/// telemetry is compiled out). The tuner calls this once per run with the
-/// totals its search just measured and persisted.
-#[inline]
-pub fn record_tune(delta: &TuneCell) {
-    imp::record_tune(delta)
-}
-
-/// Record one profile-directory load: `loaded` profiles accepted,
-/// `rejected` files skipped (no-op when telemetry is compiled out).
-#[inline]
-pub fn record_tune_load(loaded: u64, rejected: u64) {
-    imp::record_tune_load(loaded, rejected)
-}
-
-/// Record one `tuned`-backend resolution that found no matching profile
-/// and fell back to the default plan (no-op when telemetry is compiled
-/// out).
-#[inline]
-pub fn record_tune_fallback() {
-    imp::record_tune_fallback()
-}
-
-/// Merge tile-cache counts into the registry's tile cell (no-op when
-/// telemetry is compiled out). Counters accumulate except
-/// `peak_resident_bytes`, which folds in as a running maximum. The tiled
-/// LSQR operator calls this once per cache access with the delta the
-/// access just cost.
-#[inline]
-pub fn record_tile(delta: &TileCell) {
-    imp::record_tile(delta)
-}
-
-/// Record bytes written to a tile spill directory (no-op when telemetry
-/// is compiled out).
-#[inline]
-pub fn record_tile_spill(bytes: u64) {
-    imp::record_tile_spill(bytes)
-}
-
-/// Freeze the registry into a serializable snapshot. Disabled builds
-/// return [`TelemetrySnapshot::empty`] with `enabled: false`.
+/// Freeze the registry into a serializable snapshot: the held cells plus
+/// the kernel, whole-call and collective totals. With the probes compiled
+/// out this is [`TelemetrySnapshot::empty`] with `enabled: false`.
 pub fn snapshot() -> TelemetrySnapshot {
-    #[cfg(feature = "enabled")]
-    {
-        let mut snap = TelemetrySnapshot::empty(true);
-        for phase in Phase::ALL {
-            for block in Block::ALL {
-                let cell = imp::REGISTRY.kernels[phase.index()][block.index()]
-                    .cell(phase.as_str(), block.as_str());
-                if cell.calls > 0 {
-                    snap.kernels.push(cell);
-                }
-            }
-            let call = imp::REGISTRY.calls[phase.index()].cell(phase.as_str(), "*");
-            if call.calls > 0 {
-                snap.calls.push(call);
+    let mut snap = TelemetrySnapshot::empty(false);
+    record(|t| snap = t.clone());
+    for phase in Phase::ALL {
+        for block in Block::ALL {
+            let cell = KERNELS[phase.index()][block.index()].cell(phase.as_str(), block.as_str());
+            if cell.calls > 0 {
+                snap.kernels.push(cell);
             }
         }
-        snap.collective = imp::REGISTRY.collective.cell("collective", "*");
-        snap.resilience = imp::REGISTRY.resilience.cell();
-        snap.pool = imp::REGISTRY.pool.cell();
-        snap.verify = imp::REGISTRY.verify.cell();
-        snap.analyze = imp::REGISTRY.analyze.cell();
-        snap.serve = imp::REGISTRY.serve.cell();
-        snap.tune = imp::REGISTRY.tune.cell();
-        snap.tile = imp::REGISTRY.tile.cell();
-        snap
+        let call = CALLS[phase.index()].cell(phase.as_str(), "*");
+        if call.calls > 0 {
+            snap.calls.push(call);
+        }
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        TelemetrySnapshot::empty(false)
-    }
+    snap.collective = COLLECTIVE.cell("collective", "*");
+    snap
 }
 
 /// Render the ASCII per-kernel breakdown table for a snapshot.
 ///
 /// One row per non-empty kernel cell, then the whole-call and collective
-/// totals. Times in seconds and mean microseconds, traffic in MiB,
-/// atomics in millions.
+/// totals, then one line per non-empty pool, resilience, verify, analyze,
+/// tile, serve and tune cell. Times in seconds and mean microseconds,
+/// traffic in MiB, atomics in millions.
 pub fn kernel_table(snap: &TelemetrySnapshot) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -1545,6 +869,20 @@ pub fn kernel_table(snap: &TelemetrySnapshot) -> String {
             s.tenants.len(),
         ));
     }
+    if !snap.tune.is_empty() {
+        let t = &snap.tune;
+        out.push_str(&format!(
+            "tune: {} config(s) explored ({} measurement(s), {:.3} s measured), \
+             {} profile(s) persisted, {} loaded, {} rejected, {} fallback(s)\n",
+            t.configs_explored,
+            t.measurements,
+            t.measure_seconds,
+            t.profiles_persisted,
+            t.profiles_loaded,
+            t.profiles_rejected,
+            t.fallbacks,
+        ));
+    }
     out
 }
 
@@ -1558,6 +896,101 @@ mod tests {
     fn registry() -> std::sync::MutexGuard<'static, ()> {
         static REGISTRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
         REGISTRY.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn kernel(phase: &str, block: &str, calls: u64) -> KernelCell {
+        KernelCell {
+            phase: phase.into(),
+            block: block.into(),
+            calls,
+            seconds: 0.25,
+            bytes: 1024 * 1024,
+            atomic_rmws: 7,
+        }
+    }
+
+    /// A snapshot with every cell, every field, and one row in every
+    /// vector set to a non-default value.
+    fn populated() -> TelemetrySnapshot {
+        TelemetrySnapshot {
+            enabled: true,
+            kernels: vec![kernel("aprod1", "astro", 4)],
+            calls: vec![kernel("aprod1", "*", 4)],
+            collective: kernel("collective", "*", 3),
+            resilience: ResilienceCell {
+                rank_panics: 1,
+                bit_flips: 2,
+                straggles: 3,
+                timeouts: 4,
+                breakdowns: 5,
+                retries: 6,
+                checkpoint_restores: 7,
+                degradations: 8,
+                recovery_seconds: 0.5,
+            },
+            pool: PoolCell {
+                launches: 1,
+                inline_launches: 2,
+                jobs: 3,
+                workers_spawned: 4,
+                reused_launches: 5,
+                wait_seconds: 0.5,
+            },
+            verify: VerifyCell {
+                schedules: 1,
+                schedule_failures: 2,
+                properties: 3,
+                property_failures: 4,
+                max_trajectory_ulp: 5,
+            },
+            analyze: AnalyzeCell {
+                plans_checked: 1,
+                sections_checked: 2,
+                plan_violations: 3,
+                lint_files: 4,
+                lint_diagnostics: 5,
+                lint_suppressions: 6,
+                dataflow_functions: 7,
+                dataflow_atomic_sites: 8,
+                dataflow_lock_sites: 9,
+            },
+            serve: ServeCell {
+                submitted: 1,
+                admitted: 2,
+                completed: 3,
+                converged: 4,
+                degraded: 5,
+                shed: 6,
+                timed_out: 7,
+                retried: 8,
+                broken_circuit: 9,
+                faulted: 10,
+                max_queue_depth: 11,
+                tenants: vec![TenantUsage {
+                    tenant: "dr4".into(),
+                    requests: 1,
+                    seconds: 0.5,
+                }],
+            },
+            tune: TuneCell {
+                configs_explored: 1,
+                measurements: 2,
+                measure_seconds: 0.5,
+                profiles_persisted: 3,
+                profiles_loaded: 4,
+                profiles_rejected: 5,
+                fallbacks: 6,
+            },
+            tile: TileCell {
+                loads: 1,
+                hits: 2,
+                evictions: 3,
+                loaded_bytes: 4,
+                evicted_bytes: 5,
+                spilled_bytes: 6,
+                peak_resident_bytes: 7,
+            },
+        }
     }
 
     #[test]
@@ -1612,36 +1045,148 @@ mod tests {
             s.add_rmws(u64::MAX);
         }
         assert_eq!(std::mem::size_of::<Scope>(), 0);
+        record(|_| panic!("the compiled-out gate ran its closure"));
+        reset();
         let snap = snapshot();
-        assert!(!snap.enabled);
-        assert!(snap.kernels.is_empty());
+        assert_eq!(snap, TelemetrySnapshot::empty(false));
         assert!(!is_enabled());
     }
 
     #[test]
     fn table_renders_every_cell() {
-        let mut snap = TelemetrySnapshot::empty(true);
-        snap.kernels.push(KernelCell {
-            phase: "aprod1".into(),
-            block: "astro".into(),
-            calls: 4,
-            seconds: 0.25,
-            bytes: 1024 * 1024,
-            atomic_rmws: 0,
-        });
-        snap.collective = KernelCell {
-            phase: "collective".into(),
-            block: "*".into(),
-            calls: 3,
-            seconds: 0.001,
-            bytes: 0,
-            atomic_rmws: 0,
-        };
-        let table = kernel_table(&snap);
-        assert!(table.contains("aprod1/astro"));
-        assert!(table.contains("collective"));
+        let table = kernel_table(&populated());
+        let lines: Vec<&str> = table.lines().collect();
+        let prefixes = [
+            "kernel ",
+            "aprod1/astro ",
+            "aprod1 (call) ",
+            "collective ",
+            "pool: ",
+            "resilience: ",
+            "verify: ",
+            "analyze: ",
+            "tile: ",
+            "serve: ",
+            "tune: ",
+        ];
+        assert_eq!(lines.len(), prefixes.len(), "{table}");
+        for (line, prefix) in lines.iter().zip(prefixes) {
+            assert!(
+                line.starts_with(prefix),
+                "{prefix:?} out of place:\n{table}"
+            );
+        }
         let empty = kernel_table(&TelemetrySnapshot::empty(false));
         assert!(empty.contains("telemetry disabled"));
+    }
+
+    /// Every key of a fully populated snapshot's JSON, as dotted paths
+    /// (`[]` marks a vector's rows). CI and the `results/telemetry/*.json`
+    /// readers address these names, so a rename must fail here.
+    #[test]
+    fn snapshot_schema_is_pinned() {
+        fn keys(prefix: &str, value: &serde_json::Value, out: &mut Vec<String>) {
+            match value {
+                serde_json::Value::Object(fields) => {
+                    for (k, v) in fields.iter() {
+                        let path = format!("{prefix}{k}");
+                        out.push(path.clone());
+                        keys(&format!("{path}."), v, out);
+                    }
+                }
+                serde_json::Value::Array(rows) => {
+                    for row in rows {
+                        keys(&format!("{}[].", prefix.trim_end_matches('.')), row, out);
+                    }
+                }
+                _ => {}
+            }
+        }
+        let mut got = Vec::new();
+        keys("", &serde_json::to_value(populated()).unwrap(), &mut got);
+        got.sort();
+        got.dedup();
+        let cell = ["atomic_rmws", "block", "bytes", "calls", "phase", "seconds"];
+        let mut want: Vec<String> = ["calls[]", "collective", "kernels[]"]
+            .iter()
+            .flat_map(|c| cell.iter().map(move |f| format!("{c}.{f}")))
+            .collect();
+        want.extend(
+            [
+                "analyze",
+                "analyze.dataflow_atomic_sites",
+                "analyze.dataflow_functions",
+                "analyze.dataflow_lock_sites",
+                "analyze.lint_diagnostics",
+                "analyze.lint_files",
+                "analyze.lint_suppressions",
+                "analyze.plan_violations",
+                "analyze.plans_checked",
+                "analyze.sections_checked",
+                "calls",
+                "collective",
+                "enabled",
+                "kernels",
+                "pool",
+                "pool.inline_launches",
+                "pool.jobs",
+                "pool.launches",
+                "pool.reused_launches",
+                "pool.wait_seconds",
+                "pool.workers_spawned",
+                "resilience",
+                "resilience.bit_flips",
+                "resilience.breakdowns",
+                "resilience.checkpoint_restores",
+                "resilience.degradations",
+                "resilience.rank_panics",
+                "resilience.recovery_seconds",
+                "resilience.retries",
+                "resilience.straggles",
+                "resilience.timeouts",
+                "serve",
+                "serve.admitted",
+                "serve.broken_circuit",
+                "serve.completed",
+                "serve.converged",
+                "serve.degraded",
+                "serve.faulted",
+                "serve.max_queue_depth",
+                "serve.retried",
+                "serve.shed",
+                "serve.submitted",
+                "serve.tenants",
+                "serve.tenants[].requests",
+                "serve.tenants[].seconds",
+                "serve.tenants[].tenant",
+                "serve.timed_out",
+                "tile",
+                "tile.evicted_bytes",
+                "tile.evictions",
+                "tile.hits",
+                "tile.loaded_bytes",
+                "tile.loads",
+                "tile.peak_resident_bytes",
+                "tile.spilled_bytes",
+                "tune",
+                "tune.configs_explored",
+                "tune.fallbacks",
+                "tune.measure_seconds",
+                "tune.measurements",
+                "tune.profiles_loaded",
+                "tune.profiles_persisted",
+                "tune.profiles_rejected",
+                "verify",
+                "verify.max_trajectory_ulp",
+                "verify.properties",
+                "verify.property_failures",
+                "verify.schedule_failures",
+                "verify.schedules",
+            ]
+            .map(String::from),
+        );
+        want.sort();
+        assert_eq!(got, want);
     }
 
     #[cfg(feature = "enabled")]
@@ -1649,18 +1194,22 @@ mod tests {
     fn resilience_deltas_accumulate_and_reset() {
         let _registry = registry();
         reset();
-        record_resilience(&ResilienceCell {
-            rank_panics: 1,
-            bit_flips: 2,
-            recovery_seconds: 0.5,
-            ..Default::default()
+        record(|t| {
+            t.resilience.merge(&ResilienceCell {
+                rank_panics: 1,
+                bit_flips: 2,
+                recovery_seconds: 0.5,
+                ..Default::default()
+            })
         });
-        record_resilience(&ResilienceCell {
-            retries: 3,
-            checkpoint_restores: 2,
-            degradations: 1,
-            recovery_seconds: 1.0,
-            ..Default::default()
+        record(|t| {
+            t.resilience.merge(&ResilienceCell {
+                retries: 3,
+                checkpoint_restores: 2,
+                degradations: 1,
+                recovery_seconds: 1.0,
+                ..Default::default()
+            })
         });
         let snap = snapshot();
         assert_eq!(snap.resilience.rank_panics, 1);
@@ -1680,14 +1229,28 @@ mod tests {
     fn verify_counters_accumulate_and_reset() {
         let _registry = registry();
         reset();
-        record_verify_schedule(false);
-        record_verify_schedule(true);
-        record_verify_schedule(false);
-        record_verify_property(false);
-        record_verify_property(true);
-        record_verify_ulp(3);
-        record_verify_ulp(17);
-        record_verify_ulp(5);
+        let schedule = |failed: bool| {
+            record(|t| {
+                t.verify.schedules += 1;
+                t.verify.schedule_failures += u64::from(failed);
+            })
+        };
+        let property = |failed: bool| {
+            record(|t| {
+                t.verify.properties += 1;
+                t.verify.property_failures += u64::from(failed);
+            })
+        };
+        let ulp =
+            |d: u64| record(|t| t.verify.max_trajectory_ulp = t.verify.max_trajectory_ulp.max(d));
+        schedule(false);
+        schedule(true);
+        schedule(false);
+        property(false);
+        property(true);
+        ulp(3);
+        ulp(17);
+        ulp(5);
         let snap = snapshot();
         assert_eq!(snap.verify.schedules, 3);
         assert_eq!(snap.verify.schedule_failures, 1);
@@ -1705,11 +1268,29 @@ mod tests {
     fn analyze_counters_accumulate_and_reset() {
         let _registry = registry();
         reset();
-        record_analyze_plan(6, 0);
-        record_analyze_plan(4, 2);
-        record_analyze_lint(31, 3, 5);
-        record_analyze_dataflow(120, 14, 9);
-        record_analyze_dataflow(1, 1, 1);
+        let plan = |sections: u64, violations: u64| {
+            record(|t| {
+                t.analyze.plans_checked += 1;
+                t.analyze.sections_checked += sections;
+                t.analyze.plan_violations += violations;
+            })
+        };
+        let dataflow = |functions: u64, atomic_sites: u64, lock_sites: u64| {
+            record(|t| {
+                t.analyze.dataflow_functions += functions;
+                t.analyze.dataflow_atomic_sites += atomic_sites;
+                t.analyze.dataflow_lock_sites += lock_sites;
+            })
+        };
+        plan(6, 0);
+        plan(4, 2);
+        record(|t| {
+            t.analyze.lint_files += 31;
+            t.analyze.lint_diagnostics += 3;
+            t.analyze.lint_suppressions += 5;
+        });
+        dataflow(120, 14, 9);
+        dataflow(1, 1, 1);
         let snap = snapshot();
         assert_eq!(snap.analyze.plans_checked, 2);
         assert_eq!(snap.analyze.sections_checked, 10);
@@ -1732,43 +1313,47 @@ mod tests {
     fn serve_deltas_accumulate_merge_tenants_and_reset() {
         let _registry = registry();
         reset();
-        record_serve(&ServeCell {
-            submitted: 4,
-            admitted: 3,
-            shed: 1,
-            completed: 3,
-            converged: 2,
-            degraded: 1,
-            max_queue_depth: 5,
-            tenants: vec![TenantUsage {
-                tenant: "dr4".into(),
-                requests: 3,
-                seconds: 0.5,
-            }],
-            ..Default::default()
-        });
-        record_serve(&ServeCell {
-            submitted: 2,
-            admitted: 2,
-            completed: 2,
-            timed_out: 1,
-            faulted: 1,
-            retried: 2,
-            broken_circuit: 1,
-            max_queue_depth: 3,
-            tenants: vec![
-                TenantUsage {
+        record(|t| {
+            t.serve.merge(&ServeCell {
+                submitted: 4,
+                admitted: 3,
+                shed: 1,
+                completed: 3,
+                converged: 2,
+                degraded: 1,
+                max_queue_depth: 5,
+                tenants: vec![TenantUsage {
                     tenant: "dr4".into(),
-                    requests: 1,
-                    seconds: 0.25,
-                },
-                TenantUsage {
-                    tenant: "dr5".into(),
-                    requests: 1,
-                    seconds: 0.125,
-                },
-            ],
-            ..Default::default()
+                    requests: 3,
+                    seconds: 0.5,
+                }],
+                ..Default::default()
+            })
+        });
+        record(|t| {
+            t.serve.merge(&ServeCell {
+                submitted: 2,
+                admitted: 2,
+                completed: 2,
+                timed_out: 1,
+                faulted: 1,
+                retried: 2,
+                broken_circuit: 1,
+                max_queue_depth: 3,
+                tenants: vec![
+                    TenantUsage {
+                        tenant: "dr4".into(),
+                        requests: 1,
+                        seconds: 0.25,
+                    },
+                    TenantUsage {
+                        tenant: "dr5".into(),
+                        requests: 1,
+                        seconds: 0.125,
+                    },
+                ],
+                ..Default::default()
+            })
         });
         let snap = snapshot();
         assert_eq!(snap.serve.submitted, 6);
@@ -1799,22 +1384,26 @@ mod tests {
     fn tile_counters_accumulate_peak_is_a_max_and_reset() {
         let _registry = registry();
         reset();
-        record_tile(&TileCell {
-            loads: 3,
-            hits: 1,
-            evictions: 2,
-            loaded_bytes: 300,
-            evicted_bytes: 200,
-            peak_resident_bytes: 150,
-            ..Default::default()
+        record(|t| {
+            t.tile.merge(&TileCell {
+                loads: 3,
+                hits: 1,
+                evictions: 2,
+                loaded_bytes: 300,
+                evicted_bytes: 200,
+                peak_resident_bytes: 150,
+                ..Default::default()
+            })
         });
-        record_tile(&TileCell {
-            loads: 1,
-            hits: 7,
-            peak_resident_bytes: 120,
-            ..Default::default()
+        record(|t| {
+            t.tile.merge(&TileCell {
+                loads: 1,
+                hits: 7,
+                peak_resident_bytes: 120,
+                ..Default::default()
+            })
         });
-        record_tile_spill(4096);
+        record(|t| t.tile.spilled_bytes += 4096);
         let snap = snapshot();
         assert_eq!(snap.tile.loads, 4);
         assert_eq!(snap.tile.hits, 8);

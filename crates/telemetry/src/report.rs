@@ -33,7 +33,7 @@ pub struct RunReport {
     pub run: String,
     /// Backend registry name (e.g. `atomic-t4`).
     pub backend: String,
-    /// `lsqr`, `lsmr`, or `lsqr-distributed`.
+    /// `lsqr`, `lsmr`, `lsqr-distributed`, `lsqr-resilient`, or `lsqr-tiled`.
     pub solver: String,
     /// System rows.
     pub n_rows: u64,

@@ -99,7 +99,10 @@ fn outcome(
     passed: bool,
     detail: String,
 ) -> PropertyOutcome {
-    gaia_telemetry::record_verify_property(!passed);
+    gaia_telemetry::record(|t| {
+        t.verify.properties += 1;
+        t.verify.property_failures += u64::from(!passed);
+    });
     PropertyOutcome {
         property: property.into(),
         backend: backend.into(),

@@ -296,7 +296,10 @@ fn replay(
         if bits_differ(&got, &baseline) {
             bitwise_stable = false;
         }
-        gaia_telemetry::record_verify_schedule(failed);
+        gaia_telemetry::record(|t| {
+            t.verify.schedules += 1;
+            t.verify.schedule_failures += u64::from(failed);
+        });
     }
 
     ScheduleReport {
@@ -396,7 +399,10 @@ pub fn explore_broken(seeds: &[u64]) -> ScheduleReport {
                 }
             }
         }
-        gaia_telemetry::record_verify_schedule(failed);
+        gaia_telemetry::record(|t| {
+            t.verify.schedules += 1;
+            t.verify.schedule_failures += u64::from(failed);
+        });
     }
 
     ScheduleReport {

@@ -55,7 +55,7 @@ struct PerRequest {
 }
 
 /// Replay `events` and check every service-level invariant. Each
-/// violation is recorded via `gaia_telemetry::record_verify_property`
+/// violation is recorded as a failed property in the telemetry verify cell
 /// alongside the pass/fail counters of the metamorphic suite.
 pub fn audit_service_log(events: &[ServiceEvent]) -> ServiceAudit {
     let mut per: HashMap<u64, PerRequest> = HashMap::new();
@@ -134,7 +134,10 @@ pub fn audit_service_log(events: &[ServiceEvent]) -> ServiceAudit {
     let mut finished: Vec<(OutcomeKind, usize)> = finished_kinds.into_iter().collect();
     finished.sort_by_key(|(k, _)| format!("{k}"));
 
-    gaia_telemetry::record_verify_property(!violations.is_empty());
+    gaia_telemetry::record(|t| {
+        t.verify.properties += 1;
+        t.verify.property_failures += u64::from(!violations.is_empty());
+    });
     ServiceAudit {
         submitted,
         admitted,

@@ -117,7 +117,9 @@ pub fn divergence(
             }
         }
     }
-    gaia_telemetry::record_verify_ulp(worst.0);
+    gaia_telemetry::record(|t| {
+        t.verify.max_trajectory_ulp = t.verify.max_trajectory_ulp.max(worst.0);
+    });
     TrajectoryDivergence {
         backend: subject.into(),
         seed,

@@ -647,7 +647,7 @@ fn run_tiled(args: &Args) -> ! {
             exit(1)
         });
         let disk_bytes: u64 = manifest.tiles.iter().map(|t| t.bytes).sum();
-        gaia_avugsr::telemetry::record_tile_spill(disk_bytes);
+        gaia_avugsr::telemetry::record(|t| t.tile.spilled_bytes += disk_bytes);
         println!(
             "streamed {} tile(s), {disk_bytes} bytes into {}",
             manifest.n_tiles,
@@ -769,17 +769,28 @@ fn run_tiled(args: &Args) -> ! {
         stats.loads, stats.hits, stats.evictions, stats.peak_resident_bytes
     );
     if args.telemetry {
-        println!("per-kernel telemetry:");
-        print!(
-            "{}",
-            gaia_avugsr::telemetry::kernel_table(&gaia_avugsr::telemetry::snapshot())
-        );
+        write_run_report(args, "lsqr-tiled", &solution);
     }
     if args.profile {
         println!("convergence profile:");
         print!("{}", profile_text(&solution));
     }
     exit(0)
+}
+
+/// Print the per-kernel table of a `--telemetry` run and write its report
+/// to `results/telemetry/solvergaia.json`.
+fn write_run_report(args: &Args, solver: &str, solution: &gaia_avugsr::lsqr::Solution) {
+    let report = gaia_avugsr::lsqr::run_report("solvergaia", &args.backend, solver, solution);
+    println!("per-kernel telemetry:");
+    print!(
+        "{}",
+        gaia_avugsr::telemetry::kernel_table(&report.telemetry)
+    );
+    match gaia_avugsr::telemetry::report::write_report(&report) {
+        Ok(path) => println!("run report written to {}", path.display()),
+        Err(e) => eprintln!("warning: cannot write run report: {e}"),
+    }
 }
 
 fn main() {
@@ -981,22 +992,7 @@ fn main() {
         } else {
             "lsqr"
         };
-        let report = gaia_avugsr::lsqr::run_report(
-            "solvergaia",
-            &args.backend,
-            solver_label,
-            &sys,
-            &solution,
-        );
-        println!("per-kernel telemetry:");
-        print!(
-            "{}",
-            gaia_avugsr::telemetry::kernel_table(&report.telemetry)
-        );
-        match gaia_avugsr::telemetry::report::write_report(&report) {
-            Ok(path) => println!("run report written to {}", path.display()),
-            Err(e) => eprintln!("warning: cannot write run report: {e}"),
-        }
+        write_run_report(&args, solver_label, &solution);
     }
     if args.profile {
         println!("convergence profile:");

@@ -136,3 +136,41 @@ fn solvergaia_refuses_an_old_spill_directory_and_leaves_it_untouched() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A tiled `--telemetry` solve writes the same run report as a resident
+/// one, and with the probes compiled in the report carries the tile cell.
+#[test]
+fn solvergaia_tiled_telemetry_writes_a_run_report() {
+    let root = std::env::temp_dir().join(format!("gaia-cli-tiled-report-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let results = root.join("results");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_solvergaia"))
+        .args([
+            "--preset",
+            "tiny",
+            "--iterations",
+            "3",
+            "--telemetry",
+            "--tiles",
+        ])
+        .arg(root.join("spill"))
+        .env("GAIA_RESULTS_DIR", &results)
+        .output()
+        .expect("run solvergaia");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let path = results.join("telemetry").join("solvergaia.json");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("no run report at {}: {e}", path.display()));
+    let report: gaia_avugsr::telemetry::report::RunReport =
+        serde_json::from_str(&text).expect("report parses");
+    assert_eq!(report.solver, "lsqr-tiled");
+    assert_eq!(report.iterations, 3);
+    if report.telemetry.enabled {
+        assert!(
+            report.telemetry.tile.loads > 0,
+            "{:?}",
+            report.telemetry.tile
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
