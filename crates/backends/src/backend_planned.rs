@@ -6,9 +6,10 @@
 //! `rayon` is a [`PlannedBackend`] over a different [`LaunchPlan`] (see the
 //! table in [`crate::registry`]). Two policies add data on top of the plan:
 //!
-//! * `tiled` walks the plan over star-aligned row tiles, one tile at a
-//!   time — the traversal the out-of-core [`gaia_sparse::TiledSystem`]
-//!   path performs over spilled tiles, on a resident system. Owner-computes
+//! * `tiled` runs the plan on star-aligned [`SparseSystem::row_block`]
+//!   views, one tile at a time — the traversal the out-of-core
+//!   [`gaia_sparse::TiledSystem`] path performs over spilled tiles, on a
+//!   resident system. Owner-computes
 //!   accumulates each output slot in ascending row order and tiles are
 //!   visited in row order, so results stay bitwise identical to `seq`.
 //! * `tuned` runs the persisted tuner winner per system shape: the paper
@@ -17,10 +18,9 @@
 //!   tuner never saw run the policy's own plan, and the miss is recorded in
 //!   telemetry so a silent mismatch shows up in run reports.
 
-use std::ops::Range;
 use std::sync::Arc;
 
-use gaia_sparse::{SparseSystem, SystemLayout};
+use gaia_sparse::{RowBlock, SparseSystem, SystemLayout};
 use parking_lot::Mutex;
 
 use crate::exec::ExecutorPool;
@@ -119,31 +119,18 @@ impl PlannedBackend {
     }
 }
 
-/// Star-aligned global row tiles covering `sys`, constraint rows folded
-/// into the last tile — the same split `gaia-tiles/v2` spills to disk.
-fn row_tiles(sys: &SparseSystem, tile_stars: usize) -> impl Iterator<Item = Range<usize>> {
-    let n_stars = sys.layout().n_stars as usize;
-    let obs_per_star = sys.layout().obs_per_star as usize;
-    let n_rows = sys.n_rows();
+/// Star-aligned row-block views covering `sys`, constraint rows folded
+/// into the last — the same split `gaia-tiles/v2` spills to disk. A valid
+/// layout has at least one star, so there is always one tile.
+fn row_tiles(sys: &SparseSystem, tile_stars: usize) -> impl Iterator<Item = RowBlock> + '_ {
+    let n_stars = sys.layout().n_stars;
     let tile_stars = match tile_stars {
-        0 => n_stars.div_ceil(DEFAULT_TILE_COUNT).max(1),
-        h => h,
+        0 => n_stars.div_ceil(DEFAULT_TILE_COUNT as u64),
+        h => h as u64,
     };
-    // Constraint-only systems (no stars or no observations) have no
-    // star-aligned split to make: one degenerate tile spans every row.
-    let n_tiles = if n_stars == 0 || obs_per_star == 0 {
-        1
-    } else {
-        n_stars.div_ceil(tile_stars)
-    };
-    let tile_rows = tile_stars.saturating_mul(obs_per_star);
-    (0..n_tiles).map(move |t| {
-        let end = if t + 1 == n_tiles {
-            n_rows
-        } else {
-            (t + 1) * tile_rows
-        };
-        t * tile_rows..end
+    (0..n_stars).step_by(tile_stars as usize).map(move |star0| {
+        let star1 = (star0 + tile_stars).min(n_stars);
+        sys.row_block(star0..star1, star1 == n_stars)
     })
 }
 
@@ -162,9 +149,8 @@ impl Backend for PlannedBackend {
         match self.tile_stars {
             None => plan.aprod1(&self.pool, sys, x, out),
             Some(tile_stars) => {
-                for rows in row_tiles(sys, tile_stars) {
-                    let mine = &mut out[rows.clone()];
-                    plan.aprod1_rows(&self.pool, sys, x, rows, mine);
+                for tile in row_tiles(sys, tile_stars) {
+                    plan.aprod1(&self.pool, &tile.system, x, &mut out[tile.rows]);
                 }
             }
         }
@@ -176,8 +162,8 @@ impl Backend for PlannedBackend {
         match self.tile_stars {
             None => plan.aprod2(&self.pool, sys, y, out),
             Some(tile_stars) => {
-                for rows in row_tiles(sys, tile_stars) {
-                    plan.aprod2_rows(&self.pool, sys, y, rows, out);
+                for tile in row_tiles(sys, tile_stars) {
+                    plan.aprod2(&self.pool, &tile.system, &y[tile.rows], out);
                 }
             }
         }
@@ -295,9 +281,9 @@ mod tests {
         for tile_stars in [0usize, 1, 2, 3, 1000] {
             let mut cursor = 0;
             for t in row_tiles(&sys, tile_stars) {
-                assert_eq!(t.start, cursor);
-                assert_eq!(t.start % obs, 0, "tile starts between stars");
-                cursor = t.end;
+                assert_eq!(t.rows.start, cursor);
+                assert_eq!(t.rows.start % obs, 0, "tile starts between stars");
+                cursor = t.rows.end;
             }
             assert_eq!(cursor, sys.n_rows(), "tiles cover every row");
         }

@@ -52,11 +52,9 @@ impl Backend for RayonBackend {
 
     fn aprod2(&self, sys: &SparseSystem, y: &[f64], out: &mut [f64]) {
         self.check_aprod2(sys, y, out);
-        let c = sys.columns();
-        let (astro, shared) = out.split_at_mut(c.att as usize);
-        let shared_len = shared.len();
-        let n_att = (c.instr - c.att) as usize;
-        let n_instr = (c.glob - c.instr) as usize;
+        let [astro, att_out, instr_out, glob_out] = sys.sections_mut(out);
+        let (n_att, n_instr) = (att_out.len(), instr_out.len());
+        let shared_len = n_att + n_instr + glob_out.len();
 
         // Astrometric: one 5-wide chunk per star, embarrassingly parallel.
         astro
@@ -96,7 +94,8 @@ impl Backend for RayonBackend {
                     a
                 },
             );
-        for (slot, v) in shared.iter_mut().zip(&reduced) {
+        let shared = att_out.iter_mut().chain(instr_out).chain(glob_out);
+        for (slot, v) in shared.zip(&reduced) {
             *slot += v;
         }
     }

@@ -27,10 +27,7 @@ impl Backend for SeqBackend {
 
     fn aprod2(&self, sys: &SparseSystem, y: &[f64], out: &mut [f64]) {
         self.check_aprod2(sys, y, out);
-        let c = sys.columns();
-        let (astro, rest) = out.split_at_mut(c.att as usize);
-        let (att, rest2) = rest.split_at_mut((c.instr - c.att) as usize);
-        let (instr, glob) = rest2.split_at_mut((c.glob - c.instr) as usize);
+        let [astro, att, instr, glob] = sys.sections_mut(out);
         kernels::aprod2_astro(sys, y, 0..sys.layout().n_stars as usize, astro);
         kernels::aprod2_att(sys, y, 0..sys.n_rows(), att);
         kernels::aprod2_instr(sys, y, 0..sys.n_obs_rows(), instr);

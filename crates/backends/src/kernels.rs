@@ -621,11 +621,8 @@ mod tests {
         let mut want = vec![0.0; s.n_cols()];
         d.mat_t_vec_acc(&y, &mut want);
 
-        let c = s.columns();
         let mut got = vec![0.0; s.n_cols()];
-        let (astro_out, rest) = got.split_at_mut(c.att as usize);
-        let (att_out, rest2) = rest.split_at_mut((c.instr - c.att) as usize);
-        let (instr_out, glob_out) = rest2.split_at_mut((c.glob - c.instr) as usize);
+        let [astro_out, att_out, instr_out, glob_out] = s.sections_mut(&mut got);
         aprod2_astro(&s, &y, 0..s.layout().n_stars as usize, astro_out);
         aprod2_att(&s, &y, 0..s.n_rows(), att_out);
         aprod2_instr(&s, &y, 0..s.n_obs_rows(), instr_out);

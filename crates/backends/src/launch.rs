@@ -304,17 +304,6 @@ impl LaunchPlan {
         plan_check::write_model(self, dims)
     }
 
-    /// Lower this plan restricted to a global row range — the access model
-    /// [`aprod2_rows`](Self::aprod2_rows) / [`aprod1_rows`](Self::aprod1_rows)
-    /// would execute for an out-of-core row tile.
-    pub fn access_model_rows(
-        &self,
-        dims: &plan_check::PlanDims,
-        rows: Range<usize>,
-    ) -> Vec<plan_check::SectionModel> {
-        plan_check::access_model_rows(self, dims, rows)
-    }
-
     /// Statically verify this plan against one problem shape: every
     /// owner-computes/replicated write-set pairwise disjoint and exactly
     /// covering its section, no unsynchronized colliding writes, and the
@@ -365,31 +354,18 @@ impl LaunchPlan {
     }
 
     /// `out += A x` via row chunks on the pool (rows are disjoint, so no
-    /// conflict strategy is needed).
+    /// conflict strategy is needed). A row block of a larger system runs
+    /// the same way: `x` is the parent's, `out` the block's rows.
     pub fn aprod1(&self, pool: &ExecutorPool, sys: &SparseSystem, x: &[f64], out: &mut [f64]) {
-        self.aprod1_rows(pool, sys, x, 0..sys.n_rows(), out);
-    }
-
-    /// `out[i] += (A x)[rows.start + i]` — [`aprod1`](Self::aprod1)
-    /// restricted to a global row range, the row-tile entry point of the
-    /// out-of-core path. `out.len() == rows.len()`; rows outside `rows`
-    /// are neither read nor written.
-    pub fn aprod1_rows(
-        &self,
-        pool: &ExecutorPool,
-        sys: &SparseSystem,
-        x: &[f64],
-        rows: Range<usize>,
-        out: &mut [f64],
-    ) {
-        assert_eq!(out.len(), rows.len(), "aprod1_rows: out length mismatch");
+        assert_eq!(out.len(), sys.n_rows(), "aprod1: out length mismatch");
         if self.matrix_layout == MatrixLayout::Ell {
             // Build the mirror once here instead of under the first job's
             // lazy init (OnceLock would serialize the workers against it).
             let _ = sys.ell();
         }
         let kernel = aprod1_kernel(self.matrix_layout);
-        let ranges = split_span(rows.clone(), self.aprod1_chunks(rows.len()));
+        let n_rows = sys.n_rows();
+        let ranges = split_ranges(n_rows, self.aprod1_chunks(n_rows));
         let mut jobs: Vec<Job<'_>> = Vec::with_capacity(ranges.len());
         let mut rest = out;
         for range in ranges {
@@ -400,61 +376,18 @@ impl LaunchPlan {
         pool.run(jobs);
     }
 
-    /// `out += Aᵀ y`: partition `out` into the four column blocks, launch
-    /// the astrometric star chunks plus each colliding block under its
+    /// `out += Aᵀ y`: partition `out` into the four column sections, launch
+    /// the astrometric star chunks plus each colliding section under its
     /// strategy in one wave, then run any deferred reductions in a second.
+    /// A row block of a larger system writes the parent's `out` in place:
+    /// its own stars' astrometric columns and the shared sections.
     pub fn aprod2(&self, pool: &ExecutorPool, sys: &SparseSystem, y: &[f64], out: &mut [f64]) {
-        self.aprod2_rows(pool, sys, y, 0..sys.n_rows(), out);
-    }
-
-    /// `out += Aᵀ[rows, :] y[rows]` — [`aprod2`](Self::aprod2) restricted
-    /// to a global row range, the row-tile entry point of the out-of-core
-    /// path. `y` and `out` keep their full-system lengths; only `y[rows]`
-    /// is read. The observation part of `rows` must be star-aligned (tile
-    /// boundaries fall between stars), because the astrometric kernels
-    /// walk whole stars; the constraint tail may start or end anywhere.
-    pub fn aprod2_rows(
-        &self,
-        pool: &ExecutorPool,
-        sys: &SparseSystem,
-        y: &[f64],
-        rows: Range<usize>,
-        out: &mut [f64],
-    ) {
-        let c = sys.columns();
-        let n_att = (c.instr - c.att) as usize;
-        let n_instr = (c.glob - c.instr) as usize;
-        let (astro, rest) = out.split_at_mut(c.att as usize);
-        let (att, rest2) = rest.split_at_mut(n_att);
-        let (instr, glob) = rest2.split_at_mut(n_instr);
-
-        let n_rows = sys.n_rows();
-        let n_obs = sys.n_obs_rows();
-        let obs_per_star = sys.layout().obs_per_star.max(1) as usize;
-
-        // Clamp the range per stream: attitude columns see every row
-        // (observations and constraints); the instrumental and global
-        // blocks only ever touch observation rows.
-        let att_rows = rows.start.min(n_rows)..rows.end.min(n_rows);
-        let obs_rows = rows.start.min(n_obs)..rows.end.min(n_obs);
-
-        // Star span covered by the observation part of the range.
-        let stars = if obs_rows.is_empty() {
-            0..0
-        } else {
-            assert_eq!(
-                obs_rows.start % obs_per_star,
-                0,
-                "aprod2_rows: range start {} is not star-aligned (obs_per_star = {obs_per_star})",
-                obs_rows.start
-            );
-            assert!(
-                obs_rows.end % obs_per_star == 0 || obs_rows.end == n_obs,
-                "aprod2_rows: range end {} is not star-aligned (obs_per_star = {obs_per_star})",
-                obs_rows.end
-            );
-            obs_rows.start / obs_per_star..obs_rows.end.div_ceil(obs_per_star)
-        };
+        let [astro, att, instr, glob] = sys.sections_mut(out);
+        // Attitude columns see every row (observations and constraints);
+        // the instrumental and global blocks only observation rows.
+        let att_rows = 0..sys.n_rows();
+        let obs_rows = 0..sys.n_obs_rows();
+        let n_stars = sys.layout().n_stars as usize;
 
         // Storage that wave-1 jobs borrow and wave 2 reduces from.
         let mut att_privates: Vec<Vec<f64>> = Vec::new();
@@ -474,11 +407,8 @@ impl LaunchPlan {
         // Astrometric stream: star-aligned split, collision-free — each
         // star chunk owns an exactly matching slice of the astro section.
         let astro_k = astro_kernel(self.matrix_layout);
-        let mut astro_rest = &mut astro[stars.start * 5..stars.end * 5];
-        for chunk in split_span(
-            stars.clone(),
-            self.section_chunks(Stream::Astro, stars.len()),
-        ) {
+        let mut astro_rest = astro;
+        for chunk in split_ranges(n_stars, self.section_chunks(Stream::Astro, n_stars)) {
             let (mine, tail) = astro_rest.split_at_mut(chunk.len() * 5);
             astro_rest = tail;
             jobs.push(Box::new(move || astro_k(sys, y, chunk, mine)));
@@ -925,10 +855,7 @@ mod tests {
         kernels::aprod1_range(&sys, &x, 0..sys.n_rows(), &mut want1);
         let mut want2 = vec![0.0; sys.n_cols()];
         {
-            let c = sys.columns();
-            let (astro, rest) = want2.split_at_mut(c.att as usize);
-            let (att, rest2) = rest.split_at_mut((c.instr - c.att) as usize);
-            let (instr, glob) = rest2.split_at_mut((c.glob - c.instr) as usize);
+            let [astro, att, instr, glob] = sys.sections_mut(&mut want2);
             kernels::aprod2_astro(&sys, &y, 0..sys.layout().n_stars as usize, astro);
             kernels::aprod2_att(&sys, &y, 0..sys.n_rows(), att);
             kernels::aprod2_instr(&sys, &y, 0..sys.n_obs_rows(), instr);
@@ -1013,10 +940,7 @@ mod tests {
         let y: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.31).sin()).collect();
         let mut want = vec![0.0; sys.n_cols()];
         {
-            let c = sys.columns();
-            let (astro, rest) = want.split_at_mut(c.att as usize);
-            let (att, rest2) = rest.split_at_mut((c.instr - c.att) as usize);
-            let (instr, glob) = rest2.split_at_mut((c.glob - c.instr) as usize);
+            let [astro, att, instr, glob] = sys.sections_mut(&mut want);
             kernels::aprod2_astro(&sys, &y, 0..sys.layout().n_stars as usize, astro);
             kernels::aprod2_att(&sys, &y, 0..sys.n_rows(), att);
             kernels::aprod2_instr(&sys, &y, 0..sys.n_obs_rows(), instr);
@@ -1058,10 +982,7 @@ mod tests {
         kernels::aprod1_range(&sys, &x, 0..sys.n_rows(), &mut want1);
         let mut want2 = vec![0.0; sys.n_cols()];
         {
-            let c = sys.columns();
-            let (astro, rest) = want2.split_at_mut(c.att as usize);
-            let (att, rest2) = rest.split_at_mut((c.instr - c.att) as usize);
-            let (instr, glob) = rest2.split_at_mut((c.glob - c.instr) as usize);
+            let [astro, att, instr, glob] = sys.sections_mut(&mut want2);
             kernels::aprod2_astro(&sys, &y, 0..sys.layout().n_stars as usize, astro);
             kernels::aprod2_att(&sys, &y, 0..sys.n_rows(), att);
             kernels::aprod2_instr(&sys, &y, 0..sys.n_obs_rows(), instr);

@@ -66,8 +66,8 @@ pub use exec::ExecutorPool;
 pub use instrumented::InstrumentedBackend;
 pub use launch::{Aprod2Spec, Aprod2Strategy, AtomicFlavor, LaunchPlan, WorkerBudget};
 pub use plan_check::{
-    access_model_rows, check_sections, PlanDims, PlanError, PlanProof, PlanViolation, ReadAccess,
-    ReadSpace, ReadSync, SectionId, SectionModel, WriteAccess,
+    check_sections, PlanDims, PlanError, PlanProof, PlanViolation, ReadAccess, ReadSpace, ReadSync,
+    SectionId, SectionModel, WriteAccess,
 };
 pub use profile::{LaunchProfile, ProfileError, PROFILE_SCHEMA};
 pub use registry::{

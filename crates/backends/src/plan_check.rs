@@ -83,47 +83,6 @@ impl PlanDims {
         self.n_stars * 5 + self.n_att + self.n_instr + self.n_glob
     }
 
-    /// Observation rows per star, as the row-tile alignment sees it.
-    /// Canonical shapes need not divide evenly; the read model only uses
-    /// this to map star chunks back to approximate row spans.
-    fn obs_per_star(&self) -> usize {
-        self.n_obs_rows
-            .checked_div(self.n_stars)
-            .unwrap_or(1)
-            .max(1)
-    }
-
-    /// The star span covered by an observation-row span (mirrors
-    /// `aprod2_rows`' alignment arithmetic; a full span maps to all stars
-    /// exactly, sidestepping non-divisible canonical shapes).
-    fn stars_for(&self, obs: &Range<usize>) -> Range<usize> {
-        if obs.is_empty() || self.n_stars == 0 {
-            0..0
-        } else if *obs == (0..self.n_obs_rows) {
-            0..self.n_stars
-        } else {
-            let ops = self.obs_per_star();
-            obs.start / ops..(obs.end.div_ceil(ops)).min(self.n_stars)
-        }
-    }
-
-    /// The observation rows a star chunk's kernels read (inverse of
-    /// [`stars_for`](Self::stars_for), clamped to the launch's span).
-    fn rows_for_stars(&self, stars: &Range<usize>, obs: &Range<usize>) -> Range<usize> {
-        if stars.is_empty() {
-            obs.start..obs.start
-        } else {
-            let ops = self.obs_per_star();
-            let start = (stars.start * ops).min(obs.end).max(obs.start);
-            let end = if stars.end == self.n_stars {
-                obs.end
-            } else {
-                (stars.end * ops).clamp(start, obs.end)
-            };
-            start..end
-        }
-    }
-
     /// The canonical shape battery [`LaunchPlan::analyze_canonical`] proves
     /// a plan against: a representative small system, a no-global variant,
     /// a degenerate shape with fewer items than chunks, an empty
@@ -354,12 +313,9 @@ pub struct SectionModel {
     pub id: SectionId,
     /// Synchronization discipline of the writes.
     pub access: WriteAccess,
-    /// Length of the section the ranges index into.
+    /// Length of the section the ranges index into; `Owned` write-sets
+    /// must tile all of it.
     pub section_len: usize,
-    /// The span `Owned` write-sets must exactly tile. Full launches cover
-    /// the whole section; a row-tile sub-launch only claims the span its
-    /// rows touch (`aprod1` row tiles, star-aligned astrometric slices).
-    pub cover: Range<usize>,
     /// Which barrier-separated wave the jobs run in: 1 for the main
     /// launch, 2 for deferred reductions (a `pool.run` barrier sits
     /// between, so cross-wave overlap is ordered, not racy).
@@ -372,7 +328,7 @@ pub struct SectionModel {
 }
 
 impl SectionModel {
-    /// A wave-1, full-cover, write-only model (reads attach via
+    /// A wave-1, write-only model (reads attach via
     /// [`with_reads`](Self::with_reads)).
     pub fn new(
         id: SectionId,
@@ -384,7 +340,6 @@ impl SectionModel {
             id,
             access,
             section_len,
-            cover: 0..section_len,
             wave: 1,
             writes,
             reads: Vec::new(),
@@ -400,12 +355,6 @@ impl SectionModel {
     /// Place the model in a later wave.
     pub fn with_wave(mut self, wave: u8) -> Self {
         self.wave = wave;
-        self
-    }
-
-    /// Restrict the span `Owned` writes must exactly tile.
-    pub fn with_cover(mut self, cover: Range<usize>) -> Self {
-        self.cover = cover;
         self
     }
 }
@@ -630,13 +579,13 @@ pub fn check_sections(sections: &[SectionModel]) -> Result<PlanProof, PlanError>
     }
 }
 
-/// Disjointness (and, for `Owned`, exact-coverage of the claimed span)
-/// check over one section's write ranges.
+/// Disjointness (and, for `Owned`, exact coverage of the section) check
+/// over one section's write ranges.
 fn check_exclusive(s: &SectionModel, require_cover: bool, violations: &mut Vec<PlanViolation>) {
     let mut ranges: Vec<Range<usize>> =
         s.writes.iter().filter(|r| !r.is_empty()).cloned().collect();
     ranges.sort_by_key(|r| (r.start, r.end));
-    let mut cursor = s.cover.start;
+    let mut cursor = 0;
     for r in &ranges {
         if r.start < cursor {
             // Report against the previous range that reached `cursor`.
@@ -644,7 +593,7 @@ fn check_exclusive(s: &SectionModel, require_cover: bool, violations: &mut Vec<P
                 .iter()
                 .find(|p| p.end == cursor && p.start < r.start)
                 .cloned()
-                .unwrap_or(s.cover.start..cursor);
+                .unwrap_or(0..cursor);
             let violation = if s.access == WriteAccess::PlainShared {
                 PlanViolation::IllegalSharedWrites {
                     section: s.id,
@@ -667,10 +616,10 @@ fn check_exclusive(s: &SectionModel, require_cover: bool, violations: &mut Vec<P
         }
         cursor = cursor.max(r.end);
     }
-    if require_cover && cursor < s.cover.end {
+    if require_cover && cursor < s.section_len {
         violations.push(PlanViolation::Gap {
             section: s.id,
-            missing: cursor..s.cover.end,
+            missing: cursor..s.section_len,
         });
     }
 }
@@ -745,8 +694,8 @@ fn matrix_space(plan: &LaunchPlan, glob_kernel: bool) -> ReadSpace {
 
 /// Lower one colliding-section strategy to its wave-1 model (and wave-2
 /// reduction model, when the strategy defers one). Mirrors
-/// `LaunchPlan::section_jobs` exactly, including the row span the
-/// sub-launch restricts each stream to.
+/// `LaunchPlan::section_jobs` exactly, including the rows each stream
+/// scans.
 // The parameter list mirrors `section_jobs`' signature one-for-one; folding
 // them into a struct would obscure that correspondence.
 #[allow(clippy::too_many_arguments)]
@@ -912,26 +861,19 @@ fn lower_section(
     }
 }
 
-/// Lower `plan` against `dims` restricted to a global row range — the
-/// symbolic access model `aprod1_rows` + `aprod2_rows` would execute for a
-/// row tile: one [`SectionModel`] per output section and deferred
-/// reduction, in launch order. Each stream's reads and the spans `Owned`
-/// writes must tile are clamped exactly the way the launcher clamps them
-/// (attitude sees every row in the range, instrumental/global stop at the
-/// observation rows, astrometric work is star-aligned).
-pub fn access_model_rows(
-    plan: &LaunchPlan,
-    dims: &PlanDims,
-    rows: Range<usize>,
-) -> Vec<SectionModel> {
+/// Lower `plan` against `dims` to the symbolic access model `aprod1` +
+/// `aprod2` execute: one [`SectionModel`] per output section and deferred
+/// reduction, in launch order. Attitude sees every row, instrumental and
+/// global stop at the observation rows, astrometric work is star-aligned.
+pub fn write_model(plan: &LaunchPlan, dims: &PlanDims) -> Vec<SectionModel> {
     let mut out = Vec::new();
 
-    let att_rows = rows.start.min(dims.n_rows)..rows.end.min(dims.n_rows);
-    let obs_rows = rows.start.min(dims.n_obs_rows)..rows.end.min(dims.n_obs_rows);
+    let att_rows = 0..dims.n_rows;
+    let obs_rows = 0..dims.n_obs_rows;
 
     // aprod1: row-range ownership over the output rows. The kernels gather
     // from the whole input vector (column-scattered nonzeros).
-    let a1_writes = split_span(att_rows.clone(), plan.aprod1_chunks(att_rows.len()));
+    let a1_writes = split_ranges(dims.n_rows, plan.aprod1_chunks(dims.n_rows));
     let a1_reads = a1_writes
         .iter()
         .map(|r| {
@@ -949,21 +891,19 @@ pub fn access_model_rows(
             dims.n_rows,
             a1_writes,
         )
-        .with_cover(att_rows.clone())
         .with_reads(a1_reads),
     );
 
-    // Astrometric stream: star chunks own matching ×5 column slices.
-    let n_astro = dims.n_stars * 5;
-    let stars = dims.stars_for(&obs_rows);
-    let star_spans = split_span(
-        stars.clone(),
-        plan.section_chunks(Stream::Astro, stars.len()),
-    );
+    // Astrometric stream: star chunks own matching ×5 column slices and
+    // read their stars' rows (canonical shapes need not divide evenly, so
+    // a chunk's rows are its share of the observation rows).
+    let n_stars = dims.n_stars;
+    let star_spans = split_ranges(n_stars, plan.section_chunks(Stream::Astro, n_stars));
     let astro_reads = star_spans
         .iter()
         .map(|chunk| {
-            let rows = dims.rows_for_stars(chunk, &obs_rows);
+            let rows = chunk.start * dims.n_obs_rows / n_stars.max(1)
+                ..chunk.end * dims.n_obs_rows / n_stars.max(1);
             vec![
                 ReadAccess::plain(ReadSpace::Input, rows.clone()),
                 ReadAccess::plain(matrix_space(plan, false), rows),
@@ -978,13 +918,12 @@ pub fn access_model_rows(
         SectionModel::new(
             SectionId::Astro,
             WriteAccess::Owned,
-            n_astro,
+            n_stars * 5,
             star_spans
                 .into_iter()
                 .map(|stars| stars.start * 5..stars.end * 5)
                 .collect(),
         )
-        .with_cover(stars.start * 5..stars.end * 5)
         .with_reads(astro_reads),
     );
 
@@ -1022,12 +961,6 @@ pub fn access_model_rows(
     }
 
     out
-}
-
-/// Lower `plan` against `dims` to the symbolic access model `aprod1` +
-/// `aprod2` would execute over the full row range.
-pub fn write_model(plan: &LaunchPlan, dims: &PlanDims) -> Vec<SectionModel> {
-    access_model_rows(plan, dims, 0..dims.n_rows)
 }
 
 /// Verify `plan` against `dims`: lower to the access model, prove every
@@ -1265,64 +1198,6 @@ mod tests {
         }
     }
 
-    /// Row-tile sub-launches clamp reads and cover to the tile: the
-    /// attitude stream sees the whole row range, instrumental/global stop
-    /// at the observation rows, and `aprod1`/astro only claim (and must
-    /// exactly tile) the spans the tile touches.
-    #[test]
-    fn row_restricted_model_clamps_reads_and_cover_to_the_tile() {
-        let dims = PlanDims {
-            n_rows: 230,
-            n_obs_rows: 200,
-            n_stars: 40,
-            n_att: 90,
-            n_instr: 24,
-            n_glob: 1,
-        };
-        // A star-aligned mid-system tile: rows 50..105 (stars 10..21).
-        let p = plan(Aprod2Strategy::OwnerComputes, false);
-        let model = access_model_rows(&p, &dims, 50..105);
-        check_sections(&model).expect("restricted owner-computes model is sound");
-
-        let a1 = model.iter().find(|s| s.id == SectionId::Aprod1).unwrap();
-        assert_eq!(a1.cover, 50..105);
-        assert!(a1.writes.iter().all(|w| w.start >= 50 && w.end <= 105));
-
-        let astro = model.iter().find(|s| s.id == SectionId::Astro).unwrap();
-        assert_eq!(astro.cover, 10 * 5..21 * 5);
-
-        let att = model.iter().find(|s| s.id == SectionId::Att).unwrap();
-        // Owner-computes partitions columns fully even in a sub-launch…
-        assert_eq!(att.cover, 0..dims.n_att);
-        // …but every job's input read is clamped to the tile's rows.
-        for reads in &att.reads {
-            let input = reads
-                .iter()
-                .find(|r| r.space == ReadSpace::Input)
-                .expect("att job reads input");
-            assert_eq!(input.range, 50..105);
-        }
-
-        let instr = model.iter().find(|s| s.id == SectionId::Instr).unwrap();
-        for reads in &instr.reads {
-            let input = reads
-                .iter()
-                .find(|r| r.space == ReadSpace::Input)
-                .expect("instr job reads input");
-            assert_eq!(input.range, 50..105, "instr clamps to obs rows");
-        }
-
-        // A constraint-tail tile past the observation rows: no astro /
-        // instr / glob work, attitude and aprod1 restricted to the tail.
-        let tail = access_model_rows(&p, &dims, 200..230);
-        check_sections(&tail).expect("tail model is sound");
-        let astro = tail.iter().find(|s| s.id == SectionId::Astro).unwrap();
-        assert_eq!(astro.cover, 0..0);
-        assert!(astro.writes.iter().all(Range::is_empty));
-        let a1 = tail.iter().find(|s| s.id == SectionId::Aprod1).unwrap();
-        assert_eq!(a1.cover, 200..230);
-    }
-
     #[test]
     fn overlapping_owned_partition_is_rejected_as_overlap() {
         let s = SectionModel::new(
@@ -1373,35 +1248,6 @@ mod tests {
             err.violations.iter().any(|v| matches!(
                 v,
                 PlanViolation::Gap { missing, .. } if *missing == (7..10)
-            )),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn restricted_cover_accepts_a_partial_tile_and_still_demands_it_whole() {
-        // A row tile owning 50..105 exactly is sound…
-        let ok = SectionModel::new(
-            SectionId::Aprod1,
-            WriteAccess::Owned,
-            230,
-            vec![50..80, 80..105],
-        )
-        .with_cover(50..105);
-        check_sections(&[ok]).expect("exact tile cover is sound");
-        // …but a gap inside the claimed tile is still a violation.
-        let bad = SectionModel::new(
-            SectionId::Aprod1,
-            WriteAccess::Owned,
-            230,
-            vec![50..70, 80..105],
-        )
-        .with_cover(50..105);
-        let err = check_sections(&[bad]).unwrap_err();
-        assert!(
-            err.violations.iter().any(|v| matches!(
-                v,
-                PlanViolation::Gap { missing, .. } if *missing == (70..80)
             )),
             "{err}"
         );

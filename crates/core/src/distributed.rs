@@ -5,8 +5,7 @@
 //! star-aligned block of the rows as a [`RowBlock`] — a [`SparseSystem`]
 //! any [`Backend`] (the per-rank "GPU") can drive, exactly the MPI+CUDA
 //! hybrid of the paper, that is a *view* of the caller's matrix: it shares
-//! the coefficient, index and known-term storage and allocates only its
-//! renumbered astrometric index (8 B a row), so a solve holds the matrix
+//! all eight arrays and allocates nothing, so a solve holds the matrix
 //! once however many ranks run it. The unknown-sized vectors `v`, `w`,
 //! `x` are replicated. There is no distributed copy of the LSQR
 //! iteration: a rank runs [`OperatorLsqr`] — the recurrence, stop rules,
@@ -26,12 +25,13 @@
 //!   every rank records "the iteration time maximized among all MPI
 //!   processes" and stops at the same iteration for the same reason.
 //!
-//! Blocks renumber the astrometric columns locally (stars are
-//! partitioned), so the only index translation is a fixed offset for the
-//! astro section; the attitude / instrumental / global columns are shared
-//! verbatim. Because the collectives are deterministic, a distributed
-//! solve on any rank count equals the single-rank solve to
-//! reduction-order noise — the integration tests assert this.
+//! A block keeps the full system's column space, so a rank's backend reads
+//! the replicated `x` and writes its `Aᵀy` partial in place: its own
+//! stars' astrometric columns, which no other rank touches, and the shared
+//! attitude / instrumental / global columns. Because the collectives are
+//! deterministic, a distributed solve on any rank count equals the
+//! single-rank solve to reduction-order noise — the integration tests
+//! assert this.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -155,7 +155,7 @@ where
             block: rank_block(sys, &partition, comm.rank()),
             backend: backend.as_ref(),
             comm,
-            scratch: RefCell::default(),
+            partial: RefCell::default(),
         };
         rank_solve(op, config, opts)
     })?;
@@ -176,16 +176,9 @@ struct ShardOperator<'a> {
     block: RowBlock,
     backend: &'a dyn Backend,
     comm: Communicator,
-    scratch: RefCell<Scratch>,
-}
-
-/// Buffers reused by every product of a [`ShardOperator`].
-#[derive(Default)]
-struct Scratch {
-    /// A vector over the block's own columns.
-    local: Vec<f64>,
-    /// This rank's `Aᵀy` over the full column space, then the sum of all.
-    partial: Vec<f64>,
+    /// This rank's `Aᵀy`, then the sum of all ranks', reused by every
+    /// `aprod2`.
+    partial: RefCell<Vec<f64>>,
 }
 
 impl Operator for ShardOperator<'_> {
@@ -209,20 +202,15 @@ impl Operator for ShardOperator<'_> {
     }
 
     fn aprod1(&self, x: &[f64], out: &mut [f64]) -> Result<(), OperatorError> {
-        let local = &mut self.scratch.borrow_mut().local;
-        self.block.gather_cols_into(x, local);
-        self.backend.aprod1(&self.block.system, local, out);
+        self.backend.aprod1(&self.block.system, x, out);
         Ok(())
     }
 
     fn aprod2(&self, y: &[f64], out: &mut [f64]) -> Result<(), OperatorError> {
-        let Scratch { local, partial } = &mut *self.scratch.borrow_mut();
-        local.clear();
-        local.resize(self.block.system.n_cols(), 0.0);
+        let partial = &mut *self.partial.borrow_mut();
         partial.clear();
         partial.resize(self.full.n_cols(), 0.0);
-        self.backend.aprod2(&self.block.system, y, local);
-        self.block.add_cols_into(local, partial);
+        self.backend.aprod2(&self.block.system, y, partial);
         {
             let mut t = gaia_telemetry::collective_scope();
             t.add_bytes(partial.len() as u64 * 8);
@@ -328,18 +316,17 @@ mod tests {
         let mut covered_rows = 0usize;
         let mut covered_stars = 0u64;
         let x: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.31).sin()).collect();
-        let mut local_x = Vec::new();
         for rank in 0..3 {
             let block = rank_block(&sys, &partition, rank);
             assert!(block.system.shares_storage_with(&sys), "rank {rank}");
             assert_eq!(block.rows.start, covered_rows);
+            assert_eq!(block.system.star0(), covered_stars);
             covered_rows += block.system.n_rows();
             covered_stars += block.system.layout().n_stars;
             // The block's rows reproduce the full system's row dots.
-            block.gather_cols_into(&x, &mut local_x);
             for (li, gi) in block.rows.clone().enumerate() {
                 let want = sys.row_dot(gi, &x);
-                let got = block.system.row_dot(li, &local_x);
+                let got = block.system.row_dot(li, &x);
                 assert_eq!(want.to_bits(), got.to_bits(), "rank {rank} row {gi}");
                 assert_eq!(block.system.known_terms()[li], sys.known_terms()[gi]);
             }
@@ -358,9 +345,7 @@ mod tests {
         let mut got = vec![0.0; sys.n_cols()];
         for rank in 0..4 {
             let block = rank_block(&sys, &partition, rank);
-            let mut local = vec![0.0; block.system.n_cols()];
-            SeqBackend.aprod2(&block.system, &y[block.rows.clone()], &mut local);
-            block.add_cols_into(&local, &mut got);
+            SeqBackend.aprod2(&block.system, &y[block.rows.clone()], &mut got);
         }
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 1e-11);
@@ -519,7 +504,7 @@ mod tests {
                 block: rank_block(sys, &partition, comm.rank()),
                 backend: &SeqBackend,
                 comm,
-                scratch: RefCell::default(),
+                partial: RefCell::default(),
             })
         })
     }

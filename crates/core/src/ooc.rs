@@ -13,9 +13,9 @@
 //! drops its block before the next asks for one.
 //!
 //! **Bit-identity**: tiles are processed sequentially in global row
-//! order — whichever of them the cache happens to hold — and every
-//! per-tile product copies current output values in (`gather_cols_into`)
-//! and back out (`scatter_cols`). Sequential and
+//! order — whichever of them the cache happens to hold — and each tile,
+//! living in its parent's column space, reads `x` and accumulates into
+//! `out` in place. Sequential and
 //! owner-computes backends accumulate each output slot in ascending row
 //! order, so the tiled solve is *bitwise identical* to the resident solve
 //! with the same backend — at any capacity budget. Reduction-reordering
@@ -25,8 +25,6 @@
 //! Every tile access is recorded into the telemetry [`TileCell`]
 //! (loads, hits, evictions, bytes moved, peak resident bytes), which is
 //! what the `capacity` bench audits against its budget.
-
-use std::cell::RefCell;
 
 use gaia_backends::Backend;
 use gaia_sparse::{TileAccess, TiledSystem};
@@ -44,18 +42,12 @@ use crate::solution::Solution;
 pub struct TiledOperator<'a, B: Backend + ?Sized> {
     tiles: &'a TiledSystem,
     backend: &'a B,
-    /// Tile-local column vector, reused by every tile of every product.
-    scratch: RefCell<Vec<f64>>,
 }
 
 impl<'a, B: Backend + ?Sized> TiledOperator<'a, B> {
     /// Bind a tile set to the backend that runs each tile's products.
     pub fn new(tiles: &'a TiledSystem, backend: &'a B) -> Self {
-        TiledOperator {
-            tiles,
-            backend,
-            scratch: RefCell::new(Vec::new()),
-        }
+        TiledOperator { tiles, backend }
     }
 
     /// The underlying tile set.
@@ -112,29 +104,23 @@ impl<B: Backend + ?Sized> Operator for TiledOperator<'_, B> {
     }
 
     fn aprod1(&self, x: &[f64], out: &mut [f64]) -> Result<(), OperatorError> {
-        let mut x_local = self.scratch.borrow_mut();
         for t in 0..self.tiles.n_tiles() {
             let (block, access) = self.tiles.tile(t)?;
             self.record(&access);
-            block.gather_cols_into(x, &mut x_local);
             // Rows are tile-disjoint: accumulate straight into the slice.
             self.backend
-                .aprod1(&block.system, &x_local, &mut out[block.rows.clone()]);
+                .aprod1(&block.system, x, &mut out[block.rows.clone()]);
         }
         Ok(())
     }
 
     fn aprod2(&self, y: &[f64], out: &mut [f64]) -> Result<(), OperatorError> {
-        let mut out_local = self.scratch.borrow_mut();
         for t in 0..self.tiles.n_tiles() {
             let (block, access) = self.tiles.tile(t)?;
             self.record(&access);
-            // Columns are shared across tiles: copy the running values in,
-            // let the backend accumulate this tile's rows, copy back out.
-            block.gather_cols_into(out, &mut out_local);
+            // Columns are shared across tiles: each adds its rows in place.
             self.backend
-                .aprod2(&block.system, &y[block.rows.clone()], &mut out_local);
-            block.scatter_cols(&out_local, out);
+                .aprod2(&block.system, &y[block.rows.clone()], out);
         }
         Ok(())
     }

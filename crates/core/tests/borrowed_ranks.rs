@@ -7,8 +7,9 @@
 //! solve itself held. A rank that copied its rows (as every rank did
 //! before `SparseSystem::row_block`) holds its share of the matrix, so all
 //! ranks together hold one more matrix: ≥ 1 × `device_bytes`. Per-rank
-//! vectors, the renumbered astrometric index (8 B of a 240 B row) and the
-//! collectives' payloads stay well under half of that.
+//! vectors and the collectives' payloads stay well under half of that, and
+//! a rank's view of its rows holds no byte at all: it shares all eight
+//! arrays and keeps the caller's column space.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -80,7 +81,8 @@ fn a_distributed_solve_allocates_nothing_matrix_sized() {
     for n_ranks in [1usize, 2, 4] {
         let partition = RowPartition::new(&layout, n_ranks);
         for rank in 0..n_ranks {
-            let block = rank_block(&sys, &partition, rank);
+            let (block, held) = peak_bytes_held_by(|| rank_block(&sys, &partition, rank));
+            assert_eq!(held, 0, "rank {rank} of {n_ranks}'s view allocated");
             assert!(
                 block.system.shares_storage_with(&sys),
                 "rank {rank} of {n_ranks} copied its rows"

@@ -19,7 +19,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::layout::SystemLayout;
+use crate::layout::{ColumnBlocks, SystemLayout};
 use crate::system::{SparseSystem, ASTRO_NNZ_PER_ROW, ATT_NNZ_PER_ROW, INSTR_NNZ_PER_ROW};
 
 /// Which physical value layout a kernel reads.
@@ -74,6 +74,10 @@ impl std::fmt::Display for MatrixLayout {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EllSystem {
     layout: SystemLayout,
+    /// The source's column space and first star, so a row block's mirror
+    /// converts back to a row block.
+    cols: ColumnBlocks,
+    star0: u64,
     /// `5 × n_obs_rows`, slot-major.
     astro: Vec<f64>,
     /// `12 × n_rows`, slot-major.
@@ -121,6 +125,8 @@ impl EllSystem {
         let n_rows = sys.n_rows();
         EllSystem {
             layout: *sys.layout(),
+            cols: sys.columns(),
+            star0: sys.star0(),
             astro: transpose(sys.values_astro(), n_obs, ASTRO_NNZ_PER_ROW),
             att: transpose(sys.values_att(), n_rows, ATT_NNZ_PER_ROW),
             instr: transpose(sys.values_instr(), n_obs, INSTR_NNZ_PER_ROW),
@@ -138,7 +144,9 @@ impl EllSystem {
     pub fn to_system(&self) -> Result<SparseSystem, crate::system::SystemError> {
         let n_obs = self.layout.n_obs_rows() as usize;
         let n_rows = self.layout.n_rows() as usize;
-        let mut sys = SparseSystem::from_parts_shard(
+        let mut sys = SparseSystem::from_parts_at(
+            self.cols,
+            self.star0,
             self.layout,
             untranspose(&self.astro, n_obs, ASTRO_NNZ_PER_ROW),
             untranspose(&self.att, n_rows, ATT_NNZ_PER_ROW),

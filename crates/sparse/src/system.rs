@@ -91,10 +91,18 @@ impl<T: Clone> Shared<T> {
 /// [`SparseSystem::row_block`] share them, and the three mutators copy what
 /// they change before they change it, so no system ever sees another's
 /// mutation.
+///
+/// A row block ([`SparseSystem::row_block`], or a tile read from disk)
+/// keeps its parent's column space: its layout counts its own stars and
+/// rows, but its columns, [`SparseSystem::n_cols`] and astrometric indices
+/// are the parent's, so it reads and writes the parent's vectors in place.
 #[derive(Debug, Clone)]
 pub struct SparseSystem {
     layout: SystemLayout,
+    /// Column blocks of the whole system (a row block's parent's).
     cols: ColumnBlocks,
+    /// The parent star this system's first star is (0 for a whole system).
+    star0: u64,
     /// Astrometric coefficients, `n_obs_rows × 5`, row-major.
     values_astro: Shared<f64>,
     /// Attitude coefficients, `n_rows × 12`, row-major
@@ -169,12 +177,45 @@ impl SparseSystem {
         instr_col: Vec<u32>,
         known_terms: Vec<f64>,
     ) -> Result<Self, SystemError> {
+        Self::from_parts_at(
+            layout.columns(),
+            0,
+            layout,
+            values_astro,
+            values_att,
+            values_instr,
+            values_glob,
+            matrix_index_astro,
+            matrix_index_att,
+            instr_col,
+            known_terms,
+        )
+    }
+
+    /// [`SparseSystem::from_parts_shard`] for the rows of the stars
+    /// `star0..star0 + layout.n_stars` of a parent whose columns are `cols`:
+    /// the astrometric indices are the parent's, `5 × (star0 + local star)`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn from_parts_at(
+        cols: ColumnBlocks,
+        star0: u64,
+        layout: SystemLayout,
+        values_astro: Vec<f64>,
+        values_att: Vec<f64>,
+        values_instr: Vec<f64>,
+        values_glob: Vec<f64>,
+        matrix_index_astro: Vec<u64>,
+        matrix_index_att: Vec<u64>,
+        instr_col: Vec<u32>,
+        known_terms: Vec<f64>,
+    ) -> Result<Self, SystemError> {
         match layout.validate() {
             Ok(()) | Err(crate::layout::LayoutError::Underdetermined { .. }) => {}
             Err(e) => return Err(SystemError::Layout(e)),
         }
         let sys = SparseSystem {
-            cols: layout.columns(),
+            cols,
+            star0,
             layout,
             values_astro: values_astro.into(),
             values_att: values_att.into(),
@@ -214,9 +255,11 @@ impl SparseSystem {
             }
         }
 
+        let astro_end = self.cols.att;
         for (row, &start) in self.matrix_index_astro.iter().enumerate() {
-            let star = layout.star_of_row(row as u64);
-            if start != star * ASTRO_PARAMS_PER_STAR as u64 {
+            let star = self.star0 + layout.star_of_row(row as u64);
+            let want = star * ASTRO_PARAMS_PER_STAR as u64;
+            if start != want || want + ASTRO_PARAMS_PER_STAR as u64 > astro_end {
                 return Err(SystemError::AstroIndex { row, start, star });
             }
         }
@@ -245,11 +288,12 @@ impl SparseSystem {
 
     /// The rows of the stars `stars` — and, `with_constraints`, the
     /// constraint rows, which follow the last star's — as a system of its
-    /// own that *shares* this one's coefficient, attitude-index,
-    /// instrument-column and known-term storage. Only the astrometric
-    /// index is new: 8 B a row, renumbered to the block's own stars so any
-    /// backend can run the block as it runs a whole system. The rows were
-    /// validated with their parent and are not scanned again.
+    /// own that *shares* all eight of this one's arrays and allocates
+    /// nothing. The block keeps this system's column space, so any backend
+    /// runs it on this system's vectors, in place. `stars` counts this
+    /// system's own stars, so a view of a view is a view of the first
+    /// parent. The rows were validated with their parent and are not
+    /// scanned again.
     ///
     /// # Panics
     /// If `stars` is empty or reaches past the last star, or if
@@ -278,13 +322,9 @@ impl SparseSystem {
         let obs = stars.start as usize * obs_per_star..stars.end as usize * obs_per_star;
         let rows = obs.start..obs.end + layout.n_constraint_rows as usize;
         let per_obs = |width: usize| obs.start * width..obs.end * width;
-        let astro0 = stars.start * ASTRO_PARAMS_PER_STAR as u64;
-        let local_index_astro: Vec<u64> = self.matrix_index_astro[obs.clone()]
-            .iter()
-            .map(|&start| start - astro0)
-            .collect();
         let system = SparseSystem {
-            cols: layout.columns(),
+            cols: self.cols,
+            star0: self.star0 + stars.start,
             layout,
             values_astro: self.values_astro.slice(per_obs(ASTRO_NNZ_PER_ROW)),
             values_att: self
@@ -294,30 +334,25 @@ impl SparseSystem {
             values_glob: self
                 .values_glob
                 .slice(per_obs(layout.n_glob_params as usize)),
-            matrix_index_astro: local_index_astro.into(),
+            matrix_index_astro: self.matrix_index_astro.slice(obs.clone()),
             matrix_index_att: self.matrix_index_att.slice(rows.clone()),
             instr_col: self.instr_col.slice(per_obs(INSTR_NNZ_PER_ROW)),
             known_terms: self.known_terms.slice(rows.clone()),
             ell: OnceLock::new(),
         };
         debug_assert_eq!(system.validate(), Ok(()));
-        RowBlock {
-            star0: stars.start,
-            rows,
-            parent_astro_cols: parent.n_astro_cols(),
-            system,
-        }
+        RowBlock { rows, system }
     }
 
-    /// True when `self` reads its coefficients, attitude indices,
-    /// instrument columns and known terms out of `other`'s buffers — it is
-    /// a clone or a [`SparseSystem::row_block`] of it that no mutator has
-    /// touched since.
+    /// True when `self` reads all eight of its arrays out of `other`'s
+    /// buffers — it is a clone or a [`SparseSystem::row_block`] of it that
+    /// no mutator has touched since.
     pub fn shares_storage_with(&self, other: &SparseSystem) -> bool {
         Arc::ptr_eq(&self.values_astro.buf, &other.values_astro.buf)
             && Arc::ptr_eq(&self.values_att.buf, &other.values_att.buf)
             && Arc::ptr_eq(&self.values_instr.buf, &other.values_instr.buf)
             && Arc::ptr_eq(&self.values_glob.buf, &other.values_glob.buf)
+            && Arc::ptr_eq(&self.matrix_index_astro.buf, &other.matrix_index_astro.buf)
             && Arc::ptr_eq(&self.matrix_index_att.buf, &other.matrix_index_att.buf)
             && Arc::ptr_eq(&self.instr_col.buf, &other.instr_col.buf)
             && Arc::ptr_eq(&self.known_terms.buf, &other.known_terms.buf)
@@ -353,9 +388,29 @@ impl SparseSystem {
         self.layout.n_obs_rows() as usize
     }
 
-    /// Total unknowns.
+    /// Total unknowns (a row block's parent's).
     pub fn n_cols(&self) -> usize {
-        self.layout.n_cols() as usize
+        self.cols.end as usize
+    }
+
+    /// The parent star this system's first star is: 0 for a whole system,
+    /// and where a [`SparseSystem::row_block`] or a tile starts.
+    pub fn star0(&self) -> u64 {
+        self.star0
+    }
+
+    /// The four sections of a column vector that `Aᵀy` over these rows
+    /// writes, in column order: these stars' astrometric columns
+    /// (`5·star0 .. 5·(star0 + n_stars)`), then the attitude, instrumental
+    /// and global sections every row block shares.
+    pub fn sections_mut<'a>(&self, out: &'a mut [f64]) -> [&'a mut [f64]; 4] {
+        let c = self.cols;
+        let (astro, shared) = out.split_at_mut(c.att as usize);
+        let (att, rest) = shared.split_at_mut((c.instr - c.att) as usize);
+        let (instr, glob) = rest.split_at_mut((c.glob - c.instr) as usize);
+        let astro0 = (self.star0 * u64::from(ASTRO_PARAMS_PER_STAR)) as usize;
+        let own = astro0..astro0 + self.layout.n_astro_cols() as usize;
+        [&mut astro[own], att, instr, glob]
     }
 
     /// Known terms `b` (length [`SparseSystem::n_rows`]).
@@ -491,45 +546,40 @@ impl SparseSystem {
     /// preconditioner of the customized LSQR.
     pub fn column_norms(&self) -> Vec<f64> {
         let mut sq = vec![0.0f64; self.n_cols()];
-        self.add_column_squares(&mut sq, 0, self.cols.att as usize);
+        self.add_column_squares(&mut sq);
         sq.iter().map(|&s| s.sqrt()).collect()
     }
 
     /// Add the square of every stored coefficient to its column's slot of
-    /// `sq`, where this system's astrometric columns start at `astro0` and
-    /// its attitude, instrumental and global columns at `shared0` (a
-    /// [`RowBlock`] accumulating into a parent-length buffer passes its
-    /// parent's offsets). One pass per block, each in ascending row order —
-    /// the order a row-by-row walk adds a column's entries in, so the sums
-    /// carry the same bits, over one system or a sequence of row blocks.
-    pub(crate) fn add_column_squares(&self, sq: &mut [f64], astro0: usize, shared0: usize) {
+    /// `sq`. One pass per block, each in ascending row order — the order a
+    /// row-by-row walk adds a column's entries in, so the sums carry the
+    /// same bits, over one system or a sequence of row blocks.
+    pub(crate) fn add_column_squares(&self, sq: &mut [f64]) {
         fn add_squares(slots: &mut [f64], vals: &[f64]) {
             for (slot, v) in slots.iter_mut().zip(vals) {
                 *slot += v * v;
             }
         }
+        let c = self.cols;
         let astro_rows = self.values_astro.chunks_exact(ASTRO_NNZ_PER_ROW);
         for (vals, &start) in astro_rows.zip(self.matrix_index_astro.iter()) {
-            add_squares(
-                &mut sq[astro0 + start as usize..][..ASTRO_NNZ_PER_ROW],
-                vals,
-            );
+            let first = (c.astro + start) as usize;
+            add_squares(&mut sq[first..first + ASTRO_NNZ_PER_ROW], vals);
         }
         let dof = self.layout.n_deg_freedom_att as usize;
         let per_axis = ATT_PARAMS_PER_AXIS as usize;
         let att_rows = self.values_att.chunks_exact(ATT_NNZ_PER_ROW);
         for (vals, &off) in att_rows.zip(self.matrix_index_att.iter()) {
             for (axis, axis_vals) in vals.chunks_exact(per_axis).enumerate() {
-                let seg = shared0 + axis * dof + off as usize;
+                let seg = c.att as usize + axis * dof + off as usize;
                 add_squares(&mut sq[seg..seg + per_axis], axis_vals);
             }
         }
-        let instr0 = shared0 + (self.cols.instr - self.cols.att) as usize;
         for (v, &col) in self.values_instr.iter().zip(self.instr_col.iter()) {
-            sq[instr0 + col as usize] += v * v;
+            sq[c.instr as usize + col as usize] += v * v;
         }
         // At most one global column (`GLOBAL_PARAMS_PER_ROW`).
-        let glob = shared0 + (self.cols.glob - self.cols.att) as usize;
+        let glob = c.glob as usize;
         for v in self.values_glob.iter() {
             sq[glob] += v * v;
         }
@@ -684,71 +734,16 @@ impl SparseSystem {
 
 /// A star-aligned range of a parent system's rows as a system of its own
 /// — one MPI rank's rows ([`SparseSystem::row_block`], a view of the
-/// caller's matrix) or one tile read back from disk (over storage it owns)
-/// — with the mapping back into the parent's row and column spaces. The
-/// block's columns are its own stars' astrometric columns followed by the
-/// attitude, instrumental and global columns every block shares.
+/// caller's matrix) or one tile read back from disk (over storage it owns).
+/// The system keeps the parent's column space, so a backend runs it on the
+/// parent's column vectors and on `y[rows]`, in place.
 #[derive(Debug)]
 pub struct RowBlock {
-    /// First parent star covered.
-    pub star0: u64,
     /// Parent rows covered: the stars' observation rows and, on the last
     /// block, the constraint rows that follow them.
     pub rows: Range<usize>,
-    /// Astrometric columns of the parent (`n_stars × 5`): where the shared
-    /// columns start in a parent-length vector.
-    pub parent_astro_cols: u64,
-    /// The block-local system (astrometric indices count from `star0`).
+    /// The block's rows, in the parent's column space.
     pub system: SparseSystem,
-}
-
-impl RowBlock {
-    /// The parent's astrometric columns this block covers.
-    fn astro_cols(&self) -> Range<usize> {
-        let start = (self.star0 * u64::from(ASTRO_PARAMS_PER_STAR)) as usize;
-        start..start + self.system.cols.att as usize
-    }
-
-    /// Map a block-local column to the parent column.
-    #[inline]
-    pub fn global_col(&self, local: u64) -> u64 {
-        let astro = self.system.cols.att;
-        if local < astro {
-            self.star0 * u64::from(ASTRO_PARAMS_PER_STAR) + local
-        } else {
-            self.parent_astro_cols + (local - astro)
-        }
-    }
-
-    /// Gather the block's view of a parent-length column vector — its
-    /// astrometric slice followed by the shared columns — into a
-    /// caller-owned buffer (cleared first), so a scan over many blocks
-    /// allocates once.
-    pub fn gather_cols_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend_from_slice(&x[self.astro_cols()]);
-        out.extend_from_slice(&x[self.parent_astro_cols as usize..]);
-    }
-
-    /// Write a block-local column vector over the segments of the parent
-    /// vector it was gathered from.
-    pub fn scatter_cols(&self, local: &[f64], x: &mut [f64]) {
-        let (astro, shared) = local.split_at(self.system.cols.att as usize);
-        x[self.astro_cols()].copy_from_slice(astro);
-        x[self.parent_astro_cols as usize..].copy_from_slice(shared);
-    }
-
-    /// Add a block-local column vector to the same segments.
-    pub fn add_cols_into(&self, local: &[f64], x: &mut [f64]) {
-        let (astro, shared) = local.split_at(self.system.cols.att as usize);
-        let (x_astro, x_shared) = x.split_at_mut(self.parent_astro_cols as usize);
-        for (slot, v) in x_astro[self.astro_cols()].iter_mut().zip(astro) {
-            *slot += v;
-        }
-        for (slot, v) in x_shared.iter_mut().zip(shared) {
-            *slot += v;
-        }
-    }
 }
 
 /// Assembly / validation failures for [`SparseSystem`].
@@ -1055,6 +1050,36 @@ mod tests {
         let ell = s.ell();
         let back = ell.to_system().unwrap();
         assert_eq!(back.known_terms()[0], want);
+    }
+
+    /// A view of a view is the view of the first parent it names, and both
+    /// write the astrometric columns of their own stars.
+    #[test]
+    fn nested_views_compose_in_the_parent_column_space() {
+        let s = sys();
+        let n_stars = s.layout().n_stars;
+        let outer = s.row_block(1..n_stars, true);
+        let inner = outer.system.row_block(2..n_stars - 1, true);
+        let direct = s.row_block(3..n_stars, true);
+        assert_eq!(inner.system.star0(), 3);
+        assert_eq!(outer.rows.start + inner.rows.start, direct.rows.start);
+        assert!(inner.system.shares_storage_with(&s));
+        assert_eq!(inner.system.n_cols(), s.n_cols());
+        assert_eq!(
+            inner.system.matrix_index_astro(),
+            direct.system.matrix_index_astro()
+        );
+        let x: Vec<f64> = (0..s.n_cols()).map(|i| (i as f64 * 0.29).sin()).collect();
+        for (local, row) in direct.rows.clone().enumerate() {
+            let got = inner.system.row_dot(local, &x);
+            assert_eq!(got.to_bits(), s.row_dot(row, &x).to_bits(), "row {row}");
+        }
+        let mut out = vec![0.0; s.n_cols()];
+        let [astro, ..] = inner.system.sections_mut(&mut out);
+        assert_eq!(astro.len(), 5 * (n_stars - 3) as usize);
+        astro.fill(1.0);
+        assert!(out[..15].iter().all(|&v| v == 0.0));
+        assert!(out[15..s.columns().att as usize].iter().all(|&v| v == 1.0));
     }
 
     #[test]

@@ -14,13 +14,15 @@
 //!
 //! * **Tiles align to star boundaries.** Every tile covers a contiguous
 //!   star range `star0..star1`, so its observation rows are a contiguous
-//!   global row range and its astrometric block is tile-local
-//!   block-diagonal. Constraint rows fold into the last tile (their
+//!   global row range and its astrometric columns are the contiguous
+//!   `5·star0..5·star1`. Constraint rows fold into the last tile (their
 //!   global rows follow the last tile's observation rows contiguously).
 //!   A resident tile is therefore a [`RowBlock`] — the type
 //!   [`SparseSystem::row_block`] returns for a distributed rank's rows —
 //!   here over storage read from the tile file instead of shared with a
-//!   resident parent.
+//!   resident parent. A tile file stores tile-local astrometric indices;
+//!   the reader adds `5·star0` and the writer subtracts it, and nothing
+//!   else converts between the two column spaces.
 //! * **Bit-exact round trips.** Tile files store raw IEEE-754 bits; a
 //!   [`TiledSystem::assemble`] of the tiles equals the source system
 //!   array-for-array, and streamed generation
@@ -924,8 +926,9 @@ impl TileFileWriter {
     }
 }
 
-/// Read and checksum-verify one tile file, assembling the tile-local
-/// block. A checksum mismatch is a hard error naming the tile path.
+/// Read and checksum-verify one tile file, assembling the tile as a block
+/// in the parent's column space. A checksum mismatch is a hard error
+/// naming the tile path.
 fn read_tile(dir: &Path, parent: &SystemLayout, meta: &TileMeta) -> Result<RowBlock, TileError> {
     let path = dir.join(TileManifest::tile_file_name(meta.index));
     let bytes = std::fs::read(&path).map_err(io_err(&path))?;
@@ -977,12 +980,18 @@ fn read_tile(dir: &Path, parent: &SystemLayout, meta: &TileMeta) -> Result<RowBl
     read_f64_array_into(&mut r, &mut values_att).map_err(bad)?;
     let values_instr = read_f64_array(&mut r).map_err(bad)?;
     let values_glob = read_f64_array(&mut r).map_err(bad)?;
-    let idx_astro = read_u64_array(&mut r).map_err(bad)?;
+    let mut idx_astro = read_u64_array(&mut r).map_err(bad)?;
     read_u64_array_into(&mut r, &mut idx_att).map_err(bad)?;
     let instr_col = read_u32_array(&mut r).map_err(bad)?;
     read_f64_array_into(&mut r, &mut values_att).map_err(bad)?;
     read_u64_array_into(&mut r, &mut idx_att).map_err(bad)?;
-    let system = SparseSystem::from_parts_shard(
+    let astro0 = star0 * u64::from(ASTRO_PARAMS_PER_STAR);
+    for start in &mut idx_astro {
+        *start = start.saturating_add(astro0);
+    }
+    let system = SparseSystem::from_parts_at(
+        parent.columns(),
+        star0,
         local,
         values_astro,
         values_att,
@@ -999,9 +1008,7 @@ fn read_tile(dir: &Path, parent: &SystemLayout, meta: &TileMeta) -> Result<RowBl
 
     let row0 = (star0 * parent.obs_per_star) as usize;
     Ok(RowBlock {
-        star0,
         rows: row0..row0 + n_rows_local,
-        parent_astro_cols: parent.n_astro_cols(),
         system,
     })
 }
@@ -1104,20 +1111,27 @@ pub fn write_tiles(
     let mut metas = Vec::with_capacity(spans.len());
     for span in &spans {
         // A tile's sections are the arrays of the row block it will be
-        // read back as; the attitude arrays go out in two pieces, the
-        // constraint tail last (empty on every tile but the last).
+        // read back as, with tile-local astrometric indices; the attitude
+        // arrays go out in two pieces, the constraint tail last (empty on
+        // every tile but the last).
         let block = sys
             .row_block(span.star0..span.star1, span.constraint_rows > 0)
             .system;
         let n_obs = block.n_obs_rows();
         let (att_obs, att_constr) = block.values_att().split_at(n_obs * ATT_NNZ_PER_ROW);
         let (idx_obs, idx_constr) = block.matrix_index_att().split_at(n_obs);
+        let astro0 = span.star0 * u64::from(ASTRO_PARAMS_PER_STAR);
+        let idx_astro: Vec<u64> = block
+            .matrix_index_astro()
+            .iter()
+            .map(|&start| start - astro0)
+            .collect();
         let mut w = TileFileWriter::create(dir, span)?;
         w.write_f64s(block.values_astro())?;
         w.write_f64s(att_obs)?;
         w.write_f64s(block.values_instr())?;
         w.write_f64s(block.values_glob())?;
-        w.write_u64s(block.matrix_index_astro())?;
+        w.write_u64s(&idx_astro)?;
         w.write_u64s(idx_obs)?;
         w.write_u32s(block.instr_col())?;
         w.write_f64s(att_constr)?;
@@ -1209,7 +1223,8 @@ pub(crate) fn generate_tiled_impl(
         w.write_f64s(&buf)?;
     }
     // Phase 5: astrometric indices (no RNG). Files store tile-local
-    // indices; the source fingerprint hashes the global ones.
+    // indices, which `read_tile` rebases to the parent's columns; the
+    // source fingerprint hashes the parent's.
     for (span, w) in spans.iter().zip(writers.iter_mut()) {
         let mut local = Vec::with_capacity(tile_obs(span));
         let mut global = Vec::with_capacity(tile_obs(span));
@@ -1292,9 +1307,9 @@ pub(crate) fn generate_tiled_impl(
         .collect::<Result<_, _>>()?;
 
     // RHS phase. For a consistent right-hand side, each finished tile is
-    // re-read (checksum-verified) and its local `row_dot` used — entry
-    // order within a row matches the in-memory `row_dot`, so the sums
-    // are bit-identical.
+    // re-read (checksum-verified) and its `row_dot` taken against the
+    // whole `x_true` — entry order within a row matches the in-memory
+    // `row_dot`, so the sums are bit-identical.
     let mut b = vec![0.0f64; n_rows];
     match config.rhs {
         Rhs::Random => {
@@ -1306,13 +1321,10 @@ pub(crate) fn generate_tiled_impl(
             let x_true: Vec<f64> = (0..layout.n_cols())
                 .map(|_| rng.gen_range(-1.0..1.0))
                 .collect();
-            let mut x_local = Vec::new();
-            for (span, meta) in spans.iter().zip(metas.iter()) {
+            for meta in &metas {
                 let block = read_tile(dir, &layout, meta)?;
-                block.gather_cols_into(&x_true, &mut x_local);
-                let row0 = span.star0 as usize * obs;
-                for local_row in 0..block.system.n_rows() {
-                    b[row0 + local_row] = block.system.row_dot(local_row, &x_local)
+                for (local_row, row) in block.rows.clone().enumerate() {
+                    b[row] = block.system.row_dot(local_row, &x_true)
                         + if noise_sigma > 0.0 {
                             noise_sigma * gaussian(&mut rng)
                         } else {
@@ -1494,9 +1506,7 @@ impl TiledSystem {
         let mut sq = vec![0.0f64; self.n_cols()];
         for t in 0..self.n_tiles() {
             let (block, _) = self.tile(t)?;
-            let astro0 = (block.star0 * u64::from(ASTRO_PARAMS_PER_STAR)) as usize;
-            let shared0 = block.parent_astro_cols as usize;
-            block.system.add_column_squares(&mut sq, astro0, shared0);
+            block.system.add_column_squares(&mut sq);
         }
         Ok(sq.iter().map(|&s| s.sqrt()).collect())
     }
@@ -1525,11 +1535,7 @@ impl TiledSystem {
             values_att.extend_from_slice(s.values_att());
             values_instr.extend_from_slice(s.values_instr());
             values_glob.extend_from_slice(s.values_glob());
-            idx_astro.extend(
-                s.matrix_index_astro()
-                    .iter()
-                    .map(|&l| l + block.star0 * u64::from(ASTRO_PARAMS_PER_STAR)),
-            );
+            idx_astro.extend_from_slice(s.matrix_index_astro());
             idx_att.extend_from_slice(s.matrix_index_att());
             instr_col.extend_from_slice(s.instr_col());
         }
@@ -1918,28 +1924,52 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A tile read from disk is the resident system's row block: same
+    /// star, same rows, same parent-space columns, row for row.
     #[test]
-    fn tile_gather_scatter_round_trip() {
-        let dir = tmp_dir("gather");
+    fn a_tile_is_the_row_block_of_its_stars() {
+        let dir = tmp_dir("tile-is-view");
         let sys = tiny_sys(18);
         write_tiles(&sys, &dir, 2).unwrap();
         let tiled = TiledSystem::open(&dir).unwrap();
-        let (block, _) = tiled.tile(1).unwrap();
         let x: Vec<f64> = (0..sys.n_cols()).map(|i| i as f64 + 0.5).collect();
-        let mut local = Vec::new();
-        block.gather_cols_into(&x, &mut local);
-        assert_eq!(local.len(), block.system.n_cols());
-        for (l, &v) in local.iter().enumerate() {
-            assert_eq!(v, x[block.global_col(l as u64) as usize]);
-        }
-        let mut back = x.clone();
-        block.scatter_cols(&local, &mut back);
-        assert_eq!(back, x);
-        block.add_cols_into(&local, &mut back);
-        for (l, &v) in local.iter().enumerate() {
-            assert_eq!(back[block.global_col(l as u64) as usize], 2.0 * v);
+        for t in 0..tiled.n_tiles() {
+            let (tile, _) = tiled.tile(t).unwrap();
+            let meta = &tiled.manifest().tiles[t];
+            let view = sys.row_block(meta.star0..meta.star1, meta.constraint_rows > 0);
+            assert_eq!(tile.rows, view.rows);
+            assert_eq!(tile.system.star0(), meta.star0);
+            assert_eq!(tile.system.n_cols(), sys.n_cols());
+            assert_eq!(
+                tile.system.matrix_index_astro(),
+                view.system.matrix_index_astro()
+            );
+            for (local, row) in tile.rows.clone().enumerate() {
+                let got = tile.system.row_dot(local, &x);
+                assert_eq!(got.to_bits(), sys.row_dot(row, &x).to_bits(), "row {row}");
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The spill format does not move with the in-memory column space:
+    /// these fingerprints were recorded before tiles were read into their
+    /// parent's columns, so spill directories written then still open.
+    #[test]
+    fn spill_fingerprints_are_pinned() {
+        const PINNED: &str = "567c197f17477ccc";
+        let cfg = GeneratorConfig::new(SystemLayout::tiny()).seed(2024);
+        let (dir_str, dir_mem) = (tmp_dir("pin-streamed"), tmp_dir("pin-mem"));
+        let streamed = Generator::new(cfg).generate_tiled(&dir_str, 2).unwrap();
+        let sys = Generator::new(cfg).generate();
+        let written = write_tiles(&sys, &dir_mem, 2).unwrap();
+        assert_eq!(streamed.matrix_fingerprint, PINNED, "generate_tiled");
+        assert_eq!(written.matrix_fingerprint, PINNED, "write_tiles");
+        let back = TiledSystem::open(&dir_str).unwrap().assemble().unwrap();
+        assert_eq!(back.matrix_index_astro(), sys.matrix_index_astro());
+        assert_eq!(back.known_terms(), sys.known_terms());
+        std::fs::remove_dir_all(&dir_str).ok();
+        std::fs::remove_dir_all(&dir_mem).ok();
     }
 
     proptest::proptest! {

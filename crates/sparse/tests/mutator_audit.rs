@@ -85,8 +85,11 @@ fn mutators() -> Vec<(&'static str, Mutator)> {
         ),
         (
             "scale_column",
+            // The system's first astrometric column: column 0 of a whole
+            // system, and its first star's first column on a row block,
+            // which keeps its parent's column space.
             Box::new(|s: &mut SparseSystem| {
-                s.scale_column(0, 3.0);
+                s.scale_column(5 * s.star0(), 3.0);
             }),
         ),
         (
