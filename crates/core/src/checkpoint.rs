@@ -4,9 +4,17 @@
 //! the pipeline persists the solver state between jobs and resumes. This
 //! module provides the same facility for [`crate::lsqr::LsqrState`]:
 //! a self-describing JSON envelope carrying the full Golub–Kahan state
-//! plus integrity metadata (problem shape and a right-hand-side
-//! fingerprint), so a checkpoint cannot silently be resumed against a
-//! different system.
+//! plus integrity metadata, so a checkpoint cannot silently be resumed
+//! against a different system.
+//!
+//! There is one capture and one validating restore,
+//! [`Checkpoint::capture_operator`] / [`Checkpoint::restore_operator`],
+//! keyed by what every [`Operator`] exposes: its shape, a fingerprint of
+//! its known terms and, for a tiled operator, the provenance of its spill
+//! directory. [`Checkpoint::capture`] / [`Checkpoint::restore`] are the
+//! same pair over a resident [`SparseSystem`]. A restored state resumes
+//! through [`crate::lsqr::OperatorLsqr::try_drive`], which also extends
+//! a run stopped by its iteration limit when the new limit is larger.
 //!
 //! Floats are stored as IEEE-754 **bit patterns** (integers), not decimal
 //! strings: a resumed solve must be *bit-identical* to an uninterrupted
@@ -17,11 +25,13 @@
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use gaia_sparse::{SparseSystem, TiledSystem};
+use gaia_backends::SeqBackend;
+use gaia_sparse::SparseSystem;
 use serde::{Deserialize, Serialize};
 
 use crate::config::LsqrConfig;
 use crate::lsqr::LsqrState;
+use crate::operator::{Operator, SystemOperator};
 use crate::solution::{IterationStats, StopReason};
 
 /// Envelope format version (bump on layout changes).
@@ -225,13 +235,7 @@ impl From<serde_json::Error> for CheckpointError {
 
 /// FNV-1a over the bit patterns of the known terms — cheap, stable, and
 /// order-sensitive, which is what the integrity check needs.
-pub fn rhs_fingerprint(sys: &SparseSystem) -> u64 {
-    rhs_fingerprint_of(sys.known_terms())
-}
-
-/// [`rhs_fingerprint`] over a raw right-hand-side slice (the tiled path
-/// has no resident [`SparseSystem`] to fingerprint).
-pub fn rhs_fingerprint_of(known: &[f64]) -> u64 {
+pub fn rhs_fingerprint(known: &[f64]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &v in known {
         for byte in v.to_bits().to_le_bytes() {
@@ -243,57 +247,65 @@ pub fn rhs_fingerprint_of(known: &[f64]) -> u64 {
 }
 
 impl Checkpoint {
-    /// Capture a snapshot of `state` for `sys`/`config`.
+    /// Capture a snapshot of `state` for a resident `sys`/`config`.
     pub fn capture(sys: &SparseSystem, config: &LsqrConfig, state: &LsqrState) -> Self {
-        Checkpoint {
-            version: CHECKPOINT_VERSION,
-            n_rows: sys.n_rows(),
-            n_cols: sys.n_cols(),
-            rhs_fingerprint: rhs_fingerprint(sys),
-            preconditioned: config.precondition,
-            state: StateBits::from(state),
-            tiles: None,
-        }
+        Self::capture_operator(&SystemOperator::new(sys, &SeqBackend), config, state)
     }
 
-    /// Capture a snapshot of an out-of-core solve over `tiles`, recording
-    /// the spill directory and matrix fingerprint as provenance.
-    pub fn capture_tiled(tiles: &TiledSystem, config: &LsqrConfig, state: &LsqrState) -> Self {
-        Checkpoint {
-            version: CHECKPOINT_VERSION,
-            n_rows: tiles.n_rows(),
-            n_cols: tiles.n_cols(),
-            rhs_fingerprint: rhs_fingerprint_of(tiles.known_terms()),
-            preconditioned: config.precondition,
-            state: StateBits::from(state),
-            tiles: Some(TileProvenance {
-                dir: tiles.dir().display().to_string(),
-                matrix_fingerprint: tiles.manifest().matrix_fingerprint.clone(),
-            }),
-        }
-    }
-
-    /// Shared integrity gate for both restore paths.
-    fn validate_common(
-        &self,
-        n_rows: usize,
-        n_cols: usize,
-        rhs: u64,
+    /// Validate against a resident system/config and hand back the state.
+    pub fn restore(
+        self,
+        sys: &SparseSystem,
         config: &LsqrConfig,
-    ) -> Result<(), CheckpointError> {
+    ) -> Result<LsqrState, CheckpointError> {
+        self.restore_operator(&SystemOperator::new(sys, &SeqBackend), config)
+    }
+
+    /// Capture a snapshot of `state` for a solve over `op`, keyed by its
+    /// shape and known terms, with its tile provenance when the operator
+    /// streams a spill directory.
+    pub fn capture_operator<O: Operator + ?Sized>(
+        op: &O,
+        config: &LsqrConfig,
+        state: &LsqrState,
+    ) -> Self {
+        Checkpoint {
+            version: CHECKPOINT_VERSION,
+            n_rows: op.n_rows(),
+            n_cols: op.n_cols(),
+            rhs_fingerprint: rhs_fingerprint(op.known_terms()),
+            preconditioned: config.precondition,
+            state: StateBits::from(state),
+            tiles: op.provenance(),
+        }
+    }
+
+    /// Validate against the operator and config a resume will run on and
+    /// hand back the state: version, shape, known terms and preconditioning
+    /// must match, and when both sides stream tiles, so must the matrix
+    /// fingerprint — a checkpoint taken against one tile set must not
+    /// resume against a regenerated or mutated one, even at the same path.
+    pub fn restore_operator<O: Operator + ?Sized>(
+        self,
+        op: &O,
+        config: &LsqrConfig,
+    ) -> Result<LsqrState, CheckpointError> {
         if self.version != CHECKPOINT_VERSION {
             return Err(CheckpointError::Mismatch(format!(
                 "version {} (expected {CHECKPOINT_VERSION})",
                 self.version
             )));
         }
-        if self.n_rows != n_rows || self.n_cols != n_cols {
+        if self.n_rows != op.n_rows() || self.n_cols != op.n_cols() {
             return Err(CheckpointError::Mismatch(format!(
                 "shape {}x{} vs system {}x{}",
-                self.n_rows, self.n_cols, n_rows, n_cols
+                self.n_rows,
+                self.n_cols,
+                op.n_rows(),
+                op.n_cols()
             )));
         }
-        if self.rhs_fingerprint != rhs {
+        if self.rhs_fingerprint != rhs_fingerprint(op.known_terms()) {
             return Err(CheckpointError::Mismatch(
                 "known-terms fingerprint differs — wrong dataset".into(),
             ));
@@ -303,42 +315,12 @@ impl Checkpoint {
                 "preconditioning setting differs — state space mismatch".into(),
             ));
         }
-        Ok(())
-    }
-
-    /// Validate against a system/config and hand back the state.
-    pub fn restore(
-        self,
-        sys: &SparseSystem,
-        config: &LsqrConfig,
-    ) -> Result<LsqrState, CheckpointError> {
-        self.validate_common(sys.n_rows(), sys.n_cols(), rhs_fingerprint(sys), config)?;
-        self.state.into_state()
-    }
-
-    /// Validate against an out-of-core tile set and hand back the state.
-    /// Beyond the shape/RHS/preconditioning gates of [`Checkpoint::restore`],
-    /// the manifest's matrix fingerprint must match the recorded provenance
-    /// — a checkpoint taken against one tile set must not resume against a
-    /// regenerated or mutated one, even at the same path.
-    pub fn restore_tiled(
-        self,
-        tiles: &TiledSystem,
-        config: &LsqrConfig,
-    ) -> Result<LsqrState, CheckpointError> {
-        self.validate_common(
-            tiles.n_rows(),
-            tiles.n_cols(),
-            rhs_fingerprint_of(tiles.known_terms()),
-            config,
-        )?;
-        if let Some(prov) = &self.tiles {
-            if prov.matrix_fingerprint != tiles.manifest().matrix_fingerprint {
+        if let (Some(taken), Some(now)) = (&self.tiles, op.provenance()) {
+            if taken.matrix_fingerprint != now.matrix_fingerprint {
                 return Err(CheckpointError::Mismatch(format!(
                     "tile matrix fingerprint {} differs from manifest {} — \
                      the spill directory holds a different matrix",
-                    prov.matrix_fingerprint,
-                    tiles.manifest().matrix_fingerprint
+                    taken.matrix_fingerprint, now.matrix_fingerprint
                 )));
             }
         }
@@ -710,7 +692,10 @@ mod tests {
         let mut b = swapped.known_terms().to_vec();
         b.swap(0, 1);
         swapped.set_known_terms(b);
-        assert_ne!(rhs_fingerprint(&sys), rhs_fingerprint(&swapped));
+        assert_ne!(
+            rhs_fingerprint(sys.known_terms()),
+            rhs_fingerprint(swapped.known_terms())
+        );
     }
 
     #[test]

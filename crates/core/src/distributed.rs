@@ -44,7 +44,7 @@ use crate::cancel::CancellationToken;
 use crate::config::LsqrConfig;
 use crate::lsqr::{LsqrState, OperatorLsqr};
 use crate::operator::{Operator, OperatorError};
-use crate::solution::{Solution, StopReason};
+use crate::solution::Solution;
 
 /// Rank `rank`'s rows under `partition`: a [`RowBlock`] that shares
 /// `full`'s storage. The last rank's block ends with the constraint rows.
@@ -234,8 +234,9 @@ impl Operator for ShardOperator<'_> {
     }
 }
 
-/// Drive the shared recurrence on one rank: start or resume, step, and
-/// assemble a global checkpoint when one is due.
+/// Run the shared driver on one rank. Only two things are rank-specific:
+/// a resumed global state keeps this rank's slice of `u`, and a snapshot
+/// allgathers the sharded `u` back into a global state.
 fn rank_solve(op: ShardOperator<'_>, cfg: &LsqrConfig, opts: &DistOptions<'_>) -> Solution {
     const INFALLIBLE: &str = "a rank's operator cannot fail";
     let m = op.full.n_rows();
@@ -244,51 +245,36 @@ fn rank_solve(op: ShardOperator<'_>, cfg: &LsqrConfig, opts: &DistOptions<'_>) -
     if let Some(token) = &opts.cancel {
         solver = solver.with_cancel(token.clone());
     }
-    let mut state = match opts.resume {
-        // Resume a checkpoint-restored global state: slice the sharded u,
-        // keep the replicated rest. Because the reductions are rank-ordered
-        // deterministic, the resumed trajectory is bit-identical to the
-        // uninterrupted one at the same rank count.
-        Some(st) => {
-            debug_assert_eq!(st.u.len(), m, "resume state must carry the full u");
-            LsqrState {
-                u: st.u[rows].to_vec(),
-                ..st.clone()
-            }
+    // Because the reductions are rank-ordered deterministic, the resumed
+    // trajectory is bit-identical to the uninterrupted one at the same
+    // rank count.
+    let start = opts.resume.map(|st| {
+        debug_assert_eq!(st.u.len(), m, "resume state must carry the full u");
+        LsqrState {
+            u: st.u[rows].to_vec(),
+            ..st.clone()
         }
-        None => solver.try_init_state().expect(INFALLIBLE),
+    });
+    // The allgather is a collective, and the driver calls the sink at the
+    // same iteration on every rank, so every rank takes part whether or
+    // not it consumes the snapshot.
+    let comm = &solver.operator().comm;
+    let gather = |state: &LsqrState| {
+        let gathered = {
+            let mut t = gaia_telemetry::collective_scope();
+            t.add_bytes(state.u.len() as u64 * 8);
+            comm.allgather(&state.u)
+        };
+        if let (0, Some(sink)) = (comm.rank(), opts.checkpoint_sink) {
+            sink(&LsqrState {
+                u: gathered.concat(),
+                ..state.clone()
+            });
+        }
     };
-    while !state.is_done() {
-        let stop = solver.try_step(&mut state).expect(INFALLIBLE);
-        // A checkpoint is due every `checkpoint_every` iterations that go
-        // on, and at the iteration a cancellation stops, so that recovery
-        // resumes exactly where the deadline struck. The allgather is a
-        // collective and every rank holds the same `stop`, so every rank
-        // takes part whether or not it consumes the snapshot.
-        let every = opts.checkpoint_every;
-        let due = every > 0
-            && match stop {
-                None => state.itn % every == 0,
-                Some(reason) => reason == StopReason::Cancelled,
-            };
-        if due {
-            let comm = &solver.operator().comm;
-            let gathered = {
-                let mut t = gaia_telemetry::collective_scope();
-                t.add_bytes(state.u.len() as u64 * 8);
-                comm.allgather(&state.u)
-            };
-            if let (0, Some(sink)) = (comm.rank(), opts.checkpoint_sink) {
-                let u = gathered.concat();
-                debug_assert_eq!(u.len(), m);
-                sink(&LsqrState {
-                    u,
-                    stopped: None,
-                    ..state.clone()
-                });
-            }
-        }
-    }
+    let state = solver
+        .try_drive(start, opts.checkpoint_every, gather)
+        .expect(INFALLIBLE);
     Solution {
         n_rows: m,
         ..solver.finish(state)
@@ -299,6 +285,7 @@ fn rank_solve(op: ShardOperator<'_>, cfg: &LsqrConfig, opts: &DistOptions<'_>) -
 mod tests {
     use super::*;
     use crate::lsqr::solve;
+    use crate::solution::StopReason;
     use gaia_backends::{backend_by_name, SeqBackend};
     use gaia_sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
 

@@ -10,13 +10,18 @@
 //! the solver configuration, preconditioning, and output types with LSQR.
 //!
 //! The implementation follows the reference `LSMR` (and its SciPy
-//! translation) with the same `atol`/`btol`/`conlim` stopping rules.
+//! translation). It has no bidiagonalization or stopping rules of its
+//! own: it starts and steps the Golub–Kahan process of
+//! [`OperatorLsqr`] and stops on LSQR's `atol`/`btol`/`conlim` cascade,
+//! so the two solvers differ only in the rotations that turn the
+//! bidiagonal into `x`.
 
 use gaia_backends::{blas::d2norm, Backend};
 use gaia_sparse::SparseSystem;
 
 use crate::config::LsqrConfig;
-use crate::precond::ColumnScaling;
+use crate::lsqr::OperatorLsqr;
+use crate::operator::{Operator, OperatorError, SystemOperator};
 use crate::solution::{IterationStats, Solution, StopReason};
 
 /// Solve `min ‖A x − b‖` with LSMR on any backend. Accepts the same
@@ -28,41 +33,25 @@ pub fn solve_lsmr<B: Backend + ?Sized>(
     backend: &B,
     cfg: &LsqrConfig,
 ) -> Solution {
-    cfg.validate().expect("invalid LSMR configuration");
-    let m = sys.n_rows();
-    let n = sys.n_cols();
-    let scaling = if cfg.precondition {
-        ColumnScaling::from_system(sys)
-    } else {
-        ColumnScaling::identity(n)
-    };
-    let d = scaling.inv_norms();
+    OperatorLsqr::new(SystemOperator::new(sys, backend), *cfg)
+        .and_then(|solver| lsmr(&solver))
+        .expect("resident operator cannot fail")
+}
+
+/// LSMR over the Golub–Kahan process of `solver`'s operator.
+fn lsmr<O: Operator>(solver: &OperatorLsqr<O>) -> Result<Solution, OperatorError> {
+    let cfg = solver.config();
+    let m = solver.operator().n_rows();
+    let n = solver.operator().n_cols();
     let damp = cfg.damp;
 
-    let mut u: Vec<f64> = sys.known_terms().to_vec();
-    let mut v = vec![0.0f64; n];
-    let mut tmp_n = vec![0.0f64; n];
-
-    let normb = backend.nrm2(&u);
-    let mut beta = normb;
-    let mut alpha = 0.0;
-    if beta > 0.0 {
-        backend.scal(&mut u, 1.0 / beta);
-        backend.aprod2(sys, &u, &mut tmp_n);
-        for i in 0..n {
-            v[i] = tmp_n[i] * d[i];
-        }
-        alpha = backend.nrm2(&v);
-    }
-    if alpha > 0.0 {
-        backend.scal(&mut v, 1.0 / alpha);
-    }
-
+    let (mut u, mut v, mut alpha, mut beta) = solver.gk_start()?;
+    let normb = beta;
     let mut x = vec![0.0f64; n];
     let mut history = Vec::new();
 
     if alpha * beta == 0.0 {
-        return Solution {
+        return Ok(Solution {
             x,
             var: Vec::new(),
             stop: StopReason::TrivialSolution,
@@ -75,7 +64,7 @@ pub fn solve_lsmr<B: Backend + ?Sized>(
             bnorm: normb,
             n_rows: m,
             history,
-        };
+        });
     }
 
     // LSMR state (names follow the reference implementation).
@@ -102,18 +91,12 @@ pub fn solve_lsmr<B: Backend + ?Sized>(
     let mut maxrbar = 0.0f64;
     let mut minrbar = 1e100f64;
 
-    let ctol = if cfg.conlim.is_finite() && cfg.conlim > 0.0 {
-        1.0 / cfg.conlim
-    } else {
-        0.0
-    };
     let mut istop = StopReason::IterationLimit;
     let mut itn = 0usize;
     let mut normr = beta;
     let mut normar = alpha * beta;
     let mut norma = norm_a2.sqrt();
     let mut conda = 1.0;
-    let mut normx;
 
     while itn < cfg.max_iters {
         itn += 1;
@@ -121,26 +104,7 @@ pub fn solve_lsmr<B: Backend + ?Sized>(
         // output (convergence traces), recorded via telemetry when enabled.
         let t_iter = std::time::Instant::now();
 
-        // Bidiagonalization (same products as LSQR).
-        backend.scal(&mut u, -alpha);
-        for i in 0..n {
-            tmp_n[i] = v[i] * d[i];
-        }
-        backend.aprod1(sys, &tmp_n, &mut u);
-        beta = backend.nrm2(&u);
-        if beta > 0.0 {
-            backend.scal(&mut u, 1.0 / beta);
-            backend.scal(&mut v, -beta);
-            tmp_n.iter_mut().for_each(|t| *t = 0.0);
-            backend.aprod2(sys, &u, &mut tmp_n);
-            for i in 0..n {
-                v[i] += tmp_n[i] * d[i];
-            }
-            alpha = backend.nrm2(&v);
-            if alpha > 0.0 {
-                backend.scal(&mut v, 1.0 / alpha);
-            }
-        }
+        solver.gk_step(&mut u, &mut v, &mut alpha, &mut beta)?;
 
         // Construct rotation \hat{P} (eliminates damping).
         let alphahat = d2norm(alphabar, damp);
@@ -207,60 +171,24 @@ pub fn solve_lsmr<B: Backend + ?Sized>(
         }
         conda = maxrbar.max(rhotemp) / minrbar.min(rhotemp);
         normar = zetabar.abs();
-        normx = gaia_backends::blas::nrm2(&x);
-
         history.push(IterationStats {
             iteration: itn,
             rnorm: normr,
             arnorm: normar,
             anorm: norma,
             acond: conda,
-            xnorm: normx,
+            xnorm: gaia_backends::blas::nrm2(&x),
             seconds: t_iter.elapsed().as_secs_f64(),
         });
-
-        // Stopping rules (reference ordering).
-        let test1 = normr / normb;
-        let test2 = if norma * normr > 0.0 {
-            normar / (norma * normr)
-        } else {
-            f64::INFINITY
-        };
-        let test3 = 1.0 / conda;
-        let t1 = test1 / (1.0 + norma * normx / normb);
-        let rtol = cfg.btol + cfg.atol * norma * normx / normb;
-
-        let mut stop = None;
-        if itn >= cfg.max_iters {
-            stop = Some(StopReason::IterationLimit);
-        }
-        if 1.0 + test3 <= 1.0 {
-            stop = Some(StopReason::ConditionMachinePrecision);
-        }
-        if 1.0 + test2 <= 1.0 {
-            stop = Some(StopReason::LeastSquaresMachinePrecision);
-        }
-        if 1.0 + t1 <= 1.0 {
-            stop = Some(StopReason::ResidualMachinePrecision);
-        }
-        if test3 <= ctol {
-            stop = Some(StopReason::ConditionLimit);
-        }
-        if test2 <= cfg.atol {
-            stop = Some(StopReason::LeastSquaresConverged);
-        }
-        if test1 <= rtol {
-            stop = Some(StopReason::ResidualSmall);
-        }
-        if let Some(reason) = stop {
+        if let Some(reason) = solver.stop_rule(history.last().expect("just pushed"), normb) {
             istop = reason;
             break;
         }
     }
 
-    scaling.unscale_solution(&mut x);
+    solver.scaling().unscale_solution(&mut x);
     let xnorm = gaia_backends::blas::nrm2(&x);
-    Solution {
+    Ok(Solution {
         x,
         var: Vec::new(),
         stop: istop,
@@ -273,7 +201,7 @@ pub fn solve_lsmr<B: Backend + ?Sized>(
         bnorm: normb,
         n_rows: m,
         history,
-    }
+    })
 }
 
 #[cfg(test)]

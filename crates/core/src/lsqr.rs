@@ -18,10 +18,15 @@
 //!
 //! The solver is *resumable*: the full Golub–Kahan state lives in a
 //! serializable [`LsqrState`], advanced one iteration at a time by
-//! [`Lsqr::step`]. [`Lsqr::run`] is the ordinary solve loop on top;
+//! [`OperatorLsqr::try_step`]. [`OperatorLsqr::try_drive`] is the one
+//! solve loop on top: it starts or resumes a state, steps it to a stop
+//! and hands a checkpoint sink a snapshot every `every` iterations. Every
+//! solve — [`Lsqr::run`], [`solve_operator`], each distributed rank, the
+//! resilient supervisor's single-rank floor and the CLI — runs it;
 //! [`crate::checkpoint`] persists/restores the state, mirroring the
 //! production pipeline's restart files (long AVU-GSR runs at CINECA are
-//! checkpointed between job allocations).
+//! checkpointed between job allocations). [`crate::lsmr`] runs the same
+//! Golub–Kahan step and stop-rule cascade.
 
 use std::time::Instant;
 
@@ -210,24 +215,24 @@ impl<O: Operator> OperatorLsqr<O> {
         &self.op
     }
 
-    /// Initialize the Golub–Kahan state (`β u = b`, `α v = (A D)ᵀ u`).
-    pub fn try_init_state(&self) -> Result<LsqrState, OperatorError> {
+    /// The column scaling `D` the solver works in.
+    pub(crate) fn scaling(&self) -> &ColumnScaling {
+        &self.scaling
+    }
+
+    /// Start the Golub–Kahan bidiagonalization of `A D`: `β u = b`,
+    /// `α v = D Aᵀ u`. Returns `(u, v, α, β)`; LSQR and LSMR both start here.
+    pub(crate) fn gk_start(&self) -> Result<(Vec<f64>, Vec<f64>, f64, f64), OperatorError> {
         let op = &self.op;
-        let cfg = &self.config;
         let n = op.n_cols();
         let d = self.scaling.inv_norms();
-
         let mut u: Vec<f64> = op.known_terms().to_vec();
         let mut v = vec![0.0f64; n];
-        let mut w = vec![0.0f64; n];
-        let var = vec![0.0f64; if cfg.compute_var { n } else { 0 }];
-        let mut tmp_n = vec![0.0f64; n];
-
-        let bnorm = op.row_nrm2(&u);
-        let beta = bnorm;
+        let beta = op.row_nrm2(&u);
         let mut alfa = 0.0;
         if beta > 0.0 {
             op.scal(&mut u, 1.0 / beta);
+            let mut tmp_n = vec![0.0f64; n];
             op.aprod2(&u, &mut tmp_n)?;
             for i in 0..n {
                 v[i] = tmp_n[i] * d[i];
@@ -236,8 +241,99 @@ impl<O: Operator> OperatorLsqr<O> {
         }
         if alfa > 0.0 {
             op.scal(&mut v, 1.0 / alfa);
+        }
+        Ok((u, v, alfa, beta))
+    }
+
+    /// One Golub–Kahan step, the iteration's two products and two norms:
+    /// `β u ← (A D) v − α u`, then, unless `β = 0`, `α v ← D Aᵀ u − β v`.
+    /// LSQR and LSMR both step here.
+    pub(crate) fn gk_step(
+        &self,
+        u: &mut [f64],
+        v: &mut [f64],
+        alfa: &mut f64,
+        beta: &mut f64,
+    ) -> Result<(), OperatorError> {
+        let op = &self.op;
+        let n = op.n_cols();
+        let d = self.scaling.inv_norms();
+        let mut tmp_n = vec![0.0f64; n];
+        op.scal(u, -*alfa);
+        for i in 0..n {
+            tmp_n[i] = v[i] * d[i];
+        }
+        op.aprod1(&tmp_n, u)?;
+        *beta = op.row_nrm2(u);
+        if *beta > 0.0 {
+            op.scal(u, 1.0 / *beta);
+            op.scal(v, -*beta);
+            tmp_n.iter_mut().for_each(|t| *t = 0.0);
+            op.aprod2(u, &mut tmp_n)?;
+            for i in 0..n {
+                v[i] += tmp_n[i] * d[i];
+            }
+            *alfa = op.nrm2(v);
+            if *alfa > 0.0 {
+                op.scal(v, 1.0 / *alfa);
+            }
+        }
+        Ok(())
+    }
+
+    /// The stopping tests of `lsqr.f` and LSMR, machine precision first:
+    /// a later rule overrides an earlier one.
+    pub(crate) fn stop_rule(&self, it: &IterationStats, bnorm: f64) -> Option<StopReason> {
+        let cfg = &self.config;
+        let ctol = if cfg.conlim.is_finite() && cfg.conlim > 0.0 {
+            1.0 / cfg.conlim
+        } else {
+            0.0
+        };
+        let test1 = it.rnorm / bnorm;
+        let test2 = if it.anorm * it.rnorm > 0.0 {
+            it.arnorm / (it.anorm * it.rnorm)
+        } else {
+            f64::INFINITY
+        };
+        let test3 = 1.0 / it.acond.max(f64::EPSILON);
+        let t1 = test1 / (1.0 + it.anorm * it.xnorm / bnorm);
+        let rtol = cfg.btol + cfg.atol * it.anorm * it.xnorm / bnorm;
+
+        let mut stop = None;
+        if it.iteration >= cfg.max_iters {
+            stop = Some(StopReason::IterationLimit);
+        }
+        if 1.0 + test3 <= 1.0 {
+            stop = Some(StopReason::ConditionMachinePrecision);
+        }
+        if 1.0 + test2 <= 1.0 {
+            stop = Some(StopReason::LeastSquaresMachinePrecision);
+        }
+        if 1.0 + t1 <= 1.0 {
+            stop = Some(StopReason::ResidualMachinePrecision);
+        }
+        if test3 <= ctol {
+            stop = Some(StopReason::ConditionLimit);
+        }
+        if test2 <= cfg.atol {
+            stop = Some(StopReason::LeastSquaresConverged);
+        }
+        if test1 <= rtol {
+            stop = Some(StopReason::ResidualSmall);
+        }
+        stop
+    }
+
+    /// Initialize the Golub–Kahan state (`β u = b`, `α v = (A D)ᵀ u`).
+    pub fn try_init_state(&self) -> Result<LsqrState, OperatorError> {
+        let n = self.op.n_cols();
+        let (u, v, alfa, beta) = self.gk_start()?;
+        let mut w = vec![0.0f64; n];
+        if alfa > 0.0 {
             w.copy_from_slice(&v);
         }
+        let var = vec![0.0f64; if self.config.compute_var { n } else { 0 }];
         let arnorm = alfa * beta;
         let stopped = (arnorm == 0.0).then_some(StopReason::TrivialSolution);
 
@@ -263,7 +359,7 @@ impl<O: Operator> OperatorLsqr<O> {
             z: 0.0,
             cs2: -1.0,
             sn2: 0.0,
-            bnorm,
+            bnorm: beta,
             stopped,
             history: Vec::new(),
         })
@@ -276,47 +372,20 @@ impl<O: Operator> OperatorLsqr<O> {
         if let Some(reason) = s.stopped {
             return Ok(Some(reason));
         }
-        let op = &self.op;
         let cfg = &self.config;
-        let n = op.n_cols();
-        let d = self.scaling.inv_norms();
-        let eps = f64::EPSILON;
-        let ctol = if cfg.conlim.is_finite() && cfg.conlim > 0.0 {
-            1.0 / cfg.conlim
-        } else {
-            0.0
-        };
+        let n = self.op.n_cols();
         let damp = cfg.damp;
-        let dampsq = damp * damp;
-        let mut tmp_n = vec![0.0f64; n];
 
         s.itn += 1;
         // gaia-analyze: allow(timing): per-iteration wall time is solver
         // output (convergence traces), recorded via telemetry when enabled.
         let t_iter = Instant::now();
 
-        // Bidiagonalization: u ← (A D) v − α u.
-        op.scal(&mut s.u, -s.alfa);
-        for i in 0..n {
-            tmp_n[i] = s.v[i] * d[i];
-        }
-        op.aprod1(&tmp_n, &mut s.u)?;
-        s.beta = op.row_nrm2(&s.u);
-
+        // ‖A‖ grows by the α this step starts from and the β it finds.
+        let alfa = s.alfa;
+        self.gk_step(&mut s.u, &mut s.v, &mut s.alfa, &mut s.beta)?;
         if s.beta > 0.0 {
-            op.scal(&mut s.u, 1.0 / s.beta);
-            s.anorm = (s.anorm * s.anorm + s.alfa * s.alfa + s.beta * s.beta + dampsq).sqrt();
-            // v ← D Aᵀ u − β v.
-            op.scal(&mut s.v, -s.beta);
-            tmp_n.iter_mut().for_each(|t| *t = 0.0);
-            op.aprod2(&s.u, &mut tmp_n)?;
-            for i in 0..n {
-                s.v[i] += tmp_n[i] * d[i];
-            }
-            s.alfa = op.nrm2(&s.v);
-            if s.alfa > 0.0 {
-                op.scal(&mut s.v, 1.0 / s.alfa);
-            }
+            s.anorm = (s.anorm * s.anorm + alfa * alfa + s.beta * s.beta + damp * damp).sqrt();
         }
 
         // Plane rotation eliminating the damping parameter.
@@ -380,16 +449,6 @@ impl<O: Operator> OperatorLsqr<O> {
         s.rnorm = (res1 + s.res2).sqrt();
         s.arnorm = s.alfa * tau.abs();
 
-        let test1 = s.rnorm / s.bnorm;
-        let test2 = if s.anorm * s.rnorm > 0.0 {
-            s.arnorm / (s.anorm * s.rnorm)
-        } else {
-            f64::INFINITY
-        };
-        let test3 = 1.0 / s.acond.max(eps);
-        let t1c = test1 / (1.0 + s.anorm * s.xnorm / s.bnorm);
-        let rtol = cfg.btol + cfg.atol * s.anorm * s.xnorm / s.bnorm;
-
         s.history.push(IterationStats {
             iteration: s.itn,
             rnorm: s.rnorm,
@@ -420,42 +479,16 @@ impl<O: Operator> OperatorLsqr<O> {
             0.0
         };
         let stats = s.history.last_mut().expect("just pushed");
-        let (seconds, verdict) = op.agree(stats.seconds, verdict);
+        let (seconds, verdict) = self.op.agree(stats.seconds, verdict);
         stats.seconds = seconds;
-        if verdict >= BREAKDOWN {
-            s.stopped = Some(StopReason::NumericalBreakdown);
-            return Ok(s.stopped);
-        }
-        if verdict >= CANCEL {
-            s.stopped = Some(StopReason::Cancelled);
-            return Ok(s.stopped);
-        }
-
-        // Stopping tests, machine-precision first (as in lsqr.f).
-        let mut stop = None;
-        if s.itn >= cfg.max_iters {
-            stop = Some(StopReason::IterationLimit);
-        }
-        if 1.0 + test3 <= 1.0 {
-            stop = Some(StopReason::ConditionMachinePrecision);
-        }
-        if 1.0 + test2 <= 1.0 {
-            stop = Some(StopReason::LeastSquaresMachinePrecision);
-        }
-        if 1.0 + t1c <= 1.0 {
-            stop = Some(StopReason::ResidualMachinePrecision);
-        }
-        if test3 <= ctol {
-            stop = Some(StopReason::ConditionLimit);
-        }
-        if test2 <= cfg.atol {
-            stop = Some(StopReason::LeastSquaresConverged);
-        }
-        if test1 <= rtol {
-            stop = Some(StopReason::ResidualSmall);
-        }
-        s.stopped = stop;
-        Ok(stop)
+        s.stopped = if verdict >= BREAKDOWN {
+            Some(StopReason::NumericalBreakdown)
+        } else if verdict >= CANCEL {
+            Some(StopReason::Cancelled)
+        } else {
+            self.stop_rule(stats, s.bnorm)
+        };
+        Ok(s.stopped)
     }
 
     /// Finalize a state into a [`Solution`] (unscales the preconditioned
@@ -496,23 +529,56 @@ impl<O: Operator> OperatorLsqr<O> {
         Ok(samples)
     }
 
-    /// Continue a (possibly restored) state to completion.
-    pub fn try_run_from(&self, mut state: LsqrState) -> Result<Solution, OperatorError> {
-        while !state.is_done() {
-            self.try_step(&mut state)?;
+    /// The solve loop every entry point runs: start fresh (`start` is
+    /// `None`) or resume a given state, and step until a stopping rule
+    /// fires or `itn` reaches `max_iters`. `sink` receives the state after
+    /// every `every`-th iteration that goes on, and at a `Cancelled` stop,
+    /// so that a resume continues exactly where a deadline struck
+    /// (`every = 0`: never).
+    ///
+    /// A resumed state stopped by `IterationLimit` or `Cancelled` goes on
+    /// while `itn < max_iters`, so a run can be extended by resuming it
+    /// under a larger limit; a converged or broken-down state stays final.
+    pub fn try_drive(
+        &self,
+        start: Option<LsqrState>,
+        every: usize,
+        mut sink: impl FnMut(&LsqrState),
+    ) -> Result<LsqrState, OperatorError> {
+        let max_iters = self.config.max_iters;
+        let mut state = match start {
+            Some(state) => state,
+            None => self.try_init_state()?,
+        };
+        if matches!(
+            state.stopped,
+            Some(StopReason::IterationLimit | StopReason::Cancelled)
+        ) && state.itn < max_iters
+        {
+            state.stopped = None;
         }
-        Ok(self.finish(state))
+        while state.stopped.is_none() && state.itn < max_iters {
+            let stop = self.try_step(&mut state)?;
+            let due = every > 0
+                && match stop {
+                    None => state.itn % every == 0,
+                    Some(reason) => reason == StopReason::Cancelled,
+                };
+            if due {
+                sink(&state);
+            }
+        }
+        Ok(state)
+    }
+
+    /// Continue a (possibly restored) state to completion.
+    pub fn try_run_from(&self, state: LsqrState) -> Result<Solution, OperatorError> {
+        Ok(self.finish(self.try_drive(Some(state), 0, |_| {})?))
     }
 
     /// Run the solve from scratch.
     pub fn try_run(&self) -> Result<Solution, OperatorError> {
-        // The trivial b = 0 case matches the reference implementation:
-        // rnorm reports ‖b‖ and x = 0.
-        let state = self.try_init_state()?;
-        if state.stopped == Some(StopReason::TrivialSolution) {
-            return Ok(self.finish(state));
-        }
-        self.try_run_from(state)
+        Ok(self.finish(self.try_drive(None, 0, |_| {})?))
     }
 }
 

@@ -23,7 +23,8 @@
 //! * **degrade** — when a rank-count tier exhausts its retry budget and
 //!   [`RecoveryPolicy::on_unrecoverable`] allows it, the world is
 //!   relaunched at half the ranks, down to a fault-free single-rank
-//!   [`Lsqr`] + [`SeqBackend`] solve as the floor.
+//!   [`Lsqr`] + [`SeqBackend`] solve as the floor, which checkpoints
+//!   through the same sink as every distributed attempt.
 //!
 //! Because the simulated collectives are rank-order deterministic and
 //! checkpoints are bit-exact, a recovered solve at the original rank
@@ -44,7 +45,8 @@ use crate::cancel::CancellationToken;
 use crate::checkpoint::{Checkpoint, CheckpointRotation};
 use crate::config::LsqrConfig;
 use crate::distributed::{try_solve_hybrid, DistOptions};
-use crate::lsqr::{Lsqr, LsqrState};
+use crate::lsqr::{Lsqr, LsqrState, OperatorLsqr};
+use crate::operator::SystemOperator;
 use crate::solution::{Solution, StopReason};
 
 /// What to do when a rank-count tier exhausts its retry budget.
@@ -221,6 +223,8 @@ pub fn jittered_backoff(base: Duration, cap: Duration, retry_index: u32, seed: u
     let span_nanos = ceiling.as_nanos().min(u64::MAX as u128) as u64;
     Duration::from_nanos(draw % (span_nanos + 1))
 }
+
+const RESIDENT: &str = "resident operator cannot fail";
 
 fn lock_state(slot: &Mutex<Option<LsqrState>>) -> std::sync::MutexGuard<'_, Option<LsqrState>> {
     // A rank that panics while rank 0 holds the sink lock poisons it;
@@ -409,14 +413,15 @@ where
                 // gaia-analyze: allow(timing): attempt wall time feeds the
                 // supervisor's retry report, not a perf counter.
                 let t_launch = Instant::now();
-                let mut solver = Lsqr::new(sys, &SeqBackend, *config);
+                let resident = SystemOperator::new(sys, &SeqBackend);
+                let mut solver = OperatorLsqr::new(resident, *config).expect(RESIDENT);
                 if let Some(token) = &opts.cancel {
                     solver = solver.with_cancel(token.clone());
                 }
-                let sol = match resume {
-                    Some(st) => solver.run_from(st),
-                    None => solver.run(),
-                };
+                let state = solver
+                    .try_drive(resume, policy.checkpoint_every, &sink)
+                    .expect(RESIDENT);
+                let sol = solver.finish(state);
                 attempts.push(AttemptRecord {
                     attempt: attempt_no,
                     n_ranks: 1,
@@ -730,6 +735,9 @@ mod tests {
                 .with_event(0, 0, 0, FaultKind::RankPanic)
                 .with_event(1, 0, 0, FaultKind::RankPanic),
         );
+        let dir = std::env::temp_dir().join(format!("gaia-floor-ckpt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let rotation = CheckpointRotation::new(dir.join("floor"), 2);
         let report = solve_resilient(
             &sys,
             2,
@@ -738,10 +746,12 @@ mod tests {
             &ResilienceOptions {
                 policy: zero_backoff(RecoveryPolicy {
                     max_retries: 0,
+                    checkpoint_every: 2,
                     on_unrecoverable: OnUnrecoverable::Degrade,
                     ..RecoveryPolicy::default()
                 }),
                 faults: Some(plan),
+                persist: Some(&rotation),
                 ..Default::default()
             },
         )
@@ -753,5 +763,11 @@ mod tests {
         // floor solve starts fresh and matches the plain single-rank
         // solver it delegates to.
         assert_eq!(report.solution.x, reference.x);
+        // The floor keeps the policy's cadence and persists like any
+        // other attempt.
+        let (itn, ckpt) = rotation.latest().expect("the floor checkpoints");
+        assert!(itn >= 2, "latest snapshot at iteration {itn}");
+        assert_eq!(ckpt.restore(&sys, &cfg).unwrap().itn, itn);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

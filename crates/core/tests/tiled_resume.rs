@@ -63,8 +63,8 @@ fn crash_at_every_iteration_resumes_bit_identically() {
             let mut state = solver.try_init_state().expect("init");
             for _ in 0..crash_after {
                 solver.try_step(&mut state).expect("step");
-                rot.save(state.itn, &Checkpoint::capture_tiled(&tiles, &cfg, &state))
-                    .expect("rotation save");
+                let ckpt = Checkpoint::capture_operator(solver.operator(), &cfg, &state);
+                rot.save(state.itn, &ckpt).expect("rotation save");
             }
         }
         // Resume in a fresh process-equivalent: reopen the tile set, load
@@ -72,9 +72,11 @@ fn crash_at_every_iteration_resumes_bit_identically() {
         let tiles = open_tight(&tiles_dir);
         let (itn, ckpt) = rot.latest().expect("rotation has a snapshot");
         assert_eq!(itn, crash_after);
-        let state = ckpt.restore_tiled(&tiles, &cfg).expect("restore");
         let solver =
             OperatorLsqr::new(TiledOperator::new(&tiles, &SeqBackend), cfg).expect("solver");
+        let state = ckpt
+            .restore_operator(solver.operator(), &cfg)
+            .expect("restore");
         let resumed = solver.try_run_from(state).expect("resume");
 
         assert_eq!(resumed.iterations, direct.iterations, "crash@{crash_after}");
@@ -103,9 +105,10 @@ fn moved_spill_dir_resumes_through_env_override() {
     for _ in 0..3 {
         solver.try_step(&mut state).expect("step");
     }
-    let ckpt = Checkpoint::capture_tiled(&tiles, &cfg, &state);
+    let ckpt = Checkpoint::capture_operator(solver.operator(), &cfg, &state);
     let mut buf = Vec::new();
     ckpt.write_to(&mut buf).unwrap();
+    drop(solver);
     drop(tiles);
 
     // Relocate the spill directory, as a scheduler moving scratch space
@@ -128,10 +131,10 @@ fn moved_spill_dir_resumes_through_env_override() {
     assert_eq!(resolved, new_dir);
 
     let tiles = TiledSystem::open(&resolved).expect("open relocated spill dir");
-    let state = loaded
-        .restore_tiled(&tiles, &cfg)
-        .expect("restore after move");
     let solver = OperatorLsqr::new(TiledOperator::new(&tiles, &SeqBackend), cfg).expect("solver");
+    let state = loaded
+        .restore_operator(solver.operator(), &cfg)
+        .expect("restore after move");
     let resumed = solver.try_run_from(state).expect("resume");
     assert_eq!(
         direct
@@ -156,7 +159,8 @@ fn regenerated_tile_set_is_rejected_on_resume() {
     let solver = OperatorLsqr::new(TiledOperator::new(&tiles, &SeqBackend), cfg).expect("solver");
     let mut state = solver.try_init_state().expect("init");
     solver.try_step(&mut state).expect("step");
-    let ckpt = Checkpoint::capture_tiled(&tiles, &cfg, &state);
+    let ckpt = Checkpoint::capture_operator(solver.operator(), &cfg, &state);
+    drop(solver);
     drop(tiles);
 
     // Same path, same shape — but a different matrix: the provenance
@@ -170,7 +174,9 @@ fn regenerated_tile_set_is_rejected_on_resume() {
     .generate_tiled(&dir, 2)
     .expect("regenerate");
     let other = TiledSystem::open(&dir).expect("reopen");
-    let err = ckpt.restore_tiled(&other, &cfg).unwrap_err();
+    let err = ckpt
+        .restore_operator(&TiledOperator::new(&other, &SeqBackend), &cfg)
+        .unwrap_err();
     let msg = err.to_string();
     assert!(
         matches!(err, CheckpointError::Mismatch(_)),

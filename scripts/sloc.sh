@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Non-test Rust source lines per crate: every `crates/*/src/**/*.rs`, blank
+# Non-test Rust source lines per crate: every `crates/*/src/**/*.rs`, and
+# the root package's `src/**/*.rs` (library and CLI) as `root`, blank
 # and comment-only lines left out, `#[cfg(test)]` items left out (the tree
 # is rustfmt-formatted, so a test module ends at the next `}` in column 0).
 # ROADMAP item 3 tracks size the way the benchmark tracks time: CI prints
@@ -22,9 +23,11 @@ count() {
 
 total=0
 printf '%-12s %8s\n' crate sloc
-for src in crates/*/src; do
+for src in crates/*/src src; do
     n=$(count "$src")
     total=$((total + n))
-    printf '%-12s %8d\n' "$(basename "$(dirname "$src")")" "$n"
+    name=$(basename "$(dirname "$src")")
+    [ "$src" = src ] && name=root
+    printf '%-12s %8d\n' "$name" "$n"
 done
 printf '%-12s %8d\n' total "$total"

@@ -74,7 +74,9 @@ use gaia_avugsr::lsqr::analysis::{convergence_profile, profile_text};
 use gaia_avugsr::lsqr::checkpoint::{Checkpoint, CheckpointRotation};
 use gaia_avugsr::lsqr::distributed::solve_distributed;
 use gaia_avugsr::lsqr::resilient::{OnUnrecoverable, RecoveryPolicy, ResilienceOptions};
-use gaia_avugsr::lsqr::{solve_lsmr, solve_resilient, Lsqr, LsqrConfig};
+use gaia_avugsr::lsqr::{
+    solve_lsmr, solve_resilient, LsqrConfig, Operator, OperatorLsqr, Solution, SystemOperator,
+};
 use gaia_avugsr::mpi::{install_quiet_panic_hook, FaultPlan, FaultSpec};
 use gaia_avugsr::sparse::{io, Generator, GeneratorConfig, Rhs, SystemLayout};
 
@@ -206,7 +208,7 @@ fn run_resilient(
     sys: &gaia_avugsr::sparse::SparseSystem,
     cfg: &LsqrConfig,
     args: &Args,
-) -> gaia_avugsr::lsqr::Solution {
+) -> Solution {
     install_quiet_panic_hook();
     let backend_name = args.backend.clone();
     let threads = args.threads;
@@ -587,8 +589,8 @@ fn run_tune() -> ! {
 /// budget. Checkpoints taken here carry tile provenance (the spill
 /// directory and matrix fingerprint), so resumes validate they replay
 /// the same matrix, and `GAIA_TILES_DIR` can redirect a relocated spill.
-fn run_tiled(args: &Args) -> ! {
-    use gaia_avugsr::lsqr::{OperatorLsqr, TiledOperator};
+fn run_tiled(args: &Args, cfg: &LsqrConfig) -> Solution {
+    use gaia_avugsr::lsqr::TiledOperator;
     use gaia_avugsr::sparse::tiled::MANIFEST_NAME;
     use gaia_avugsr::sparse::{CapacityBudget, TiledSystem};
 
@@ -606,16 +608,6 @@ fn run_tiled(args: &Args) -> ! {
         exit(2)
     }
     let dir = args.tiles.as_ref().expect("caller checked --tiles");
-
-    if args.telemetry {
-        if !gaia_avugsr::telemetry::is_enabled() {
-            eprintln!(
-                "note: telemetry probes are compiled out; rebuild with \
-                 `cargo run --features telemetry --bin solvergaia` for real counts"
-            );
-        }
-        gaia_avugsr::telemetry::reset();
-    }
 
     // An existing spill directory is authoritative (its manifest fixes
     // shape and seed); otherwise stream the preset/seed system into it.
@@ -678,20 +670,29 @@ fn run_tiled(args: &Args) -> ! {
         exit(1)
     };
     println!("backend: {} ({} threads)", backend.name(), args.threads);
-    let cfg = if args.converge {
-        LsqrConfig::new().max_iters(args.iterations)
-    } else {
-        LsqrConfig::fixed_iterations(args.iterations)
-    };
-    let solver = OperatorLsqr::new(TiledOperator::new(&tiles, backend.as_ref()), cfg)
-        .unwrap_or_else(|e| {
-            eprintln!("cannot start tiled solve: {e}");
-            exit(1)
-        });
+    let solution = run_lsqr(TiledOperator::new(&tiles, backend.as_ref()), cfg, args);
+    let stats = tiles.stats();
+    println!(
+        "tile cache: {} load(s), {} hit(s), {} eviction(s), peak resident {} bytes",
+        stats.loads, stats.hits, stats.evictions, stats.peak_resident_bytes
+    );
+    solution
+}
 
-    // Same resume discipline as the resident path, but through the
-    // provenance-validating tiled capture/restore pair.
-    let state = match &args.checkpoint {
+/// Run LSQR over `op`, resident or tiled alike. Resume from
+/// `--checkpoint` when it exists, else start fresh; keep periodic
+/// snapshots (`--checkpoint-every`) in a retain-last-3 rotation next to
+/// it, so a killed job costs one interval at most; always write the
+/// final state back. A corrupt or mismatched checkpoint is a hard error
+/// — silently restarting would discard wall-clock the user paid for —
+/// unless `--force-fresh` explicitly discards it.
+fn run_lsqr<O: Operator>(op: O, cfg: &LsqrConfig, args: &Args) -> Solution {
+    let solver = OperatorLsqr::new(op, *cfg).unwrap_or_else(|e| {
+        eprintln!("cannot start solve: {e}");
+        exit(1)
+    });
+    let op = solver.operator();
+    let start = match &args.checkpoint {
         Some(path) if path.exists() && args.force_fresh => {
             println!(
                 "--force-fresh: ignoring existing checkpoint {}",
@@ -700,7 +701,7 @@ fn run_tiled(args: &Args) -> ! {
             None
         }
         Some(path) if path.exists() => {
-            match Checkpoint::load(path).and_then(|c| c.restore_tiled(&tiles, &cfg)) {
+            match Checkpoint::load(path).and_then(|c| c.restore_operator(op, cfg)) {
                 Ok(state) => {
                     println!("resumed from {} at iteration {}", path.display(), state.itn);
                     Some(state)
@@ -713,74 +714,33 @@ fn run_tiled(args: &Args) -> ! {
         }
         _ => None,
     };
-    let mut state = match state {
-        Some(s) => s,
-        None => solver.try_init_state().unwrap_or_else(|e| {
-            eprintln!("tiled solve failed during initialization: {e}");
-            exit(1)
-        }),
-    };
     let rotation = args
         .checkpoint
         .as_ref()
-        .filter(|_| args.checkpoint_every > 0)
         .map(|p| CheckpointRotation::new(p.clone(), 3));
-    while !state.is_done() {
-        if let Err(e) = solver.try_step(&mut state) {
-            eprintln!("tiled solve failed at iteration {}: {e}", state.itn);
-            exit(1)
-        }
-        if let Some(rot) = &rotation {
-            if !state.is_done() && state.itn % args.checkpoint_every == 0 {
-                if let Err(e) =
-                    rot.save(state.itn, &Checkpoint::capture_tiled(&tiles, &cfg, &state))
-                {
-                    eprintln!("warning: cannot write periodic checkpoint: {e}");
-                }
+    let state = solver
+        .try_drive(start, args.checkpoint_every, |state| {
+            let Some(rot) = &rotation else { return };
+            if let Err(e) = rot.save(state.itn, &Checkpoint::capture_operator(op, cfg, state)) {
+                eprintln!("warning: cannot write periodic checkpoint: {e}");
             }
-        }
-    }
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("solve failed: {e}");
+            exit(1)
+        });
     if let Some(path) = &args.checkpoint {
-        if let Err(e) = Checkpoint::capture_tiled(&tiles, &cfg, &state).save(path) {
-            eprintln!("warning: cannot write checkpoint: {e}");
-        } else {
-            println!("checkpoint written to {}", path.display());
+        match Checkpoint::capture_operator(op, cfg, &state).save(path) {
+            Ok(()) => println!("checkpoint written to {}", path.display()),
+            Err(e) => eprintln!("warning: cannot write checkpoint: {e}"),
         }
     }
-    let solution = solver.finish(state);
-
-    println!(
-        "stop: {:?} after {} iterations",
-        solution.stop, solution.iterations
-    );
-    println!(
-        "|r| = {:.6e}  (|r|/|b| = {:.3e})  cond(A) ~ {:.3e}",
-        solution.rnorm,
-        solution.relative_residual(),
-        solution.acond
-    );
-    println!(
-        "mean iteration time: {:.3} ms",
-        1e3 * solution.mean_iteration_seconds()
-    );
-    let stats = tiles.stats();
-    println!(
-        "tile cache: {} load(s), {} hit(s), {} eviction(s), peak resident {} bytes",
-        stats.loads, stats.hits, stats.evictions, stats.peak_resident_bytes
-    );
-    if args.telemetry {
-        write_run_report(args, "lsqr-tiled", &solution);
-    }
-    if args.profile {
-        println!("convergence profile:");
-        print!("{}", profile_text(&solution));
-    }
-    exit(0)
+    solver.finish(state)
 }
 
 /// Print the per-kernel table of a `--telemetry` run and write its report
 /// to `results/telemetry/solvergaia.json`.
-fn write_run_report(args: &Args, solver: &str, solution: &gaia_avugsr::lsqr::Solution) {
+fn write_run_report(args: &Args, solver: &str, solution: &Solution) {
     let report = gaia_avugsr::lsqr::run_report("solvergaia", &args.backend, solver, solution);
     println!("per-kernel telemetry:");
     print!(
@@ -800,10 +760,69 @@ fn main() {
         _ => {}
     }
     let args = parse_args();
-    if args.tiles.is_some() {
-        run_tiled(&args);
+    let cfg = if args.converge {
+        LsqrConfig::new().max_iters(args.iterations)
+    } else {
+        LsqrConfig::fixed_iterations(args.iterations)
+    };
+    if args.telemetry {
+        if !gaia_avugsr::telemetry::is_enabled() {
+            eprintln!(
+                "note: telemetry probes are compiled out; rebuild with \
+                 `cargo run --features telemetry --bin solvergaia` for real counts"
+            );
+        }
+        gaia_avugsr::telemetry::reset();
     }
+    let (solution, solver_label) = if args.tiles.is_some() {
+        (run_tiled(&args, &cfg), "lsqr-tiled")
+    } else {
+        run_resident(&args, &cfg)
+    };
 
+    println!(
+        "stop: {:?} after {} iterations",
+        solution.stop, solution.iterations
+    );
+    println!(
+        "|r| = {:.6e}  (|r|/|b| = {:.3e})  cond(A) ~ {:.3e}",
+        solution.rnorm,
+        solution.relative_residual(),
+        solution.acond
+    );
+    println!(
+        "mean iteration time: {:.3} ms",
+        1e3 * solution.mean_iteration_seconds()
+    );
+    if let Some(se) = solution.standard_errors() {
+        let mean_se = se.iter().sum::<f64>() / se.len() as f64;
+        println!("mean standard error: {mean_se:.3e}");
+    }
+    if args.telemetry {
+        write_run_report(&args, solver_label, &solution);
+    }
+    if args.profile {
+        println!("convergence profile:");
+        print!("{}", profile_text(&solution));
+        if let Some(p) = convergence_profile(&solution, 10) {
+            if p.rate > 0.999 {
+                println!("tail rate ~1.0/iter (residual plateaued at the noise floor)");
+            } else {
+                println!(
+                    "tail rate {:.4}/iter ({} iterations per residual digit)",
+                    p.rate,
+                    p.iterations_per_digit
+                        .map_or("n/a".to_string(), |d| format!("{d:.1}"))
+                );
+            }
+        }
+    }
+}
+
+/// The in-memory path: load or synthesize the system, then solve it on
+/// the resilient supervisor, on simulated ranks, with LSMR, or with LSQR.
+/// Returns the solution and its label in the run report.
+fn run_resident(args: &Args, cfg: &LsqrConfig) -> (Solution, &'static str) {
     // Obtain the system: load a dataset or synthesize one, as in the
     // artifact ("it randomly generates, given a certain seed, a dataset
     // with the specified size").
@@ -848,166 +867,41 @@ fn main() {
         }
     }
 
-    let cfg = if args.converge {
-        LsqrConfig::new().max_iters(args.iterations)
-    } else {
-        LsqrConfig::fixed_iterations(args.iterations)
-    };
-
-    if args.telemetry {
-        if !gaia_avugsr::telemetry::is_enabled() {
-            eprintln!(
-                "note: telemetry probes are compiled out; rebuild with \
-                 `cargo run --features telemetry --bin solvergaia` for real counts"
-            );
-        }
-        gaia_avugsr::telemetry::reset();
-    }
-
     // The resilient supervisor takes over whenever fault tolerance is
     // asked for: chaos injection, a retry budget, or distributed
     // checkpointing. Plain runs keep the original paths.
-    let resilient = args.chaos_seed.is_some()
+    if args.chaos_seed.is_some()
         || args.max_retries.is_some()
-        || (args.ranks > 1 && (args.checkpoint_every > 0 || args.checkpoint.is_some()));
-
-    let solution = if resilient {
-        run_resilient(&sys, &cfg, &args)
-    } else if args.ranks > 1 {
+        || (args.ranks > 1 && (args.checkpoint_every > 0 || args.checkpoint.is_some()))
+    {
+        return (run_resilient(&sys, cfg, args), "lsqr-resilient");
+    }
+    if args.ranks > 1 {
         println!("distributed solve on {} ranks", args.ranks);
-        solve_distributed(&sys, args.ranks, &cfg)
-    } else if args.lsmr {
-        // Under --telemetry, wrap the backend so whole-call aprod1/aprod2
-        // cells are recorded alongside the per-block kernel cells.
-        let lookup = if args.telemetry {
-            instrumented_by_name
-        } else {
-            backend_by_name
-        };
-        let Some(backend) = lookup(&args.backend, args.threads) else {
-            eprintln!("unknown backend {} (try --list-backends)", args.backend);
-            exit(1)
-        };
+        return (solve_distributed(&sys, args.ranks, cfg), "lsqr-distributed");
+    }
+    // Under --telemetry, wrap the backend so whole-call aprod1/aprod2
+    // cells are recorded alongside the per-block kernel cells.
+    let lookup = if args.telemetry {
+        instrumented_by_name
+    } else {
+        backend_by_name
+    };
+    let Some(backend) = lookup(&args.backend, args.threads) else {
+        eprintln!("unknown backend {} (try --list-backends)", args.backend);
+        exit(1)
+    };
+    if args.lsmr {
         println!(
             "solver: LSMR, backend: {} ({} threads)",
             backend.name(),
             args.threads
         );
-        solve_lsmr(&sys, &backend, &cfg)
-    } else {
-        // Under --telemetry, wrap the backend so whole-call aprod1/aprod2
-        // cells are recorded alongside the per-block kernel cells.
-        let lookup = if args.telemetry {
-            instrumented_by_name
-        } else {
-            backend_by_name
-        };
-        let Some(backend) = lookup(&args.backend, args.threads) else {
-            eprintln!("unknown backend {} (try --list-backends)", args.backend);
-            exit(1)
-        };
-        println!("backend: {} ({} threads)", backend.name(), args.threads);
-        let solver = Lsqr::new(&sys, &backend, cfg);
-
-        // Resume from a checkpoint when one exists, else start fresh;
-        // always write the final state back when a path was given. A
-        // corrupt or mismatched checkpoint is a hard error — silently
-        // restarting would discard wall-clock the user paid for — unless
-        // --force-fresh explicitly discards it.
-        let state = match &args.checkpoint {
-            Some(path) if path.exists() && args.force_fresh => {
-                println!(
-                    "--force-fresh: ignoring existing checkpoint {}",
-                    path.display()
-                );
-                solver.init_state()
-            }
-            Some(path) if path.exists() => {
-                match Checkpoint::load(path).and_then(|c| c.restore(&sys, &cfg)) {
-                    Ok(state) => {
-                        println!("resumed from {} at iteration {}", path.display(), state.itn);
-                        state
-                    }
-                    Err(e) => {
-                        eprintln!("cannot resume checkpoint: {e} (pass --force-fresh to discard)");
-                        exit(1)
-                    }
-                }
-            }
-            _ => solver.init_state(),
-        };
-        // Periodic snapshots into a retain-last-3 rotation next to the
-        // final checkpoint, so a killed job costs one interval at most.
-        let rotation = args
-            .checkpoint
-            .as_ref()
-            .filter(|_| args.checkpoint_every > 0)
-            .map(|p| CheckpointRotation::new(p.clone(), 3));
-        let mut state = state;
-        while !state.is_done() {
-            solver.step(&mut state);
-            if let Some(rot) = &rotation {
-                if !state.is_done() && state.itn % args.checkpoint_every == 0 {
-                    if let Err(e) = rot.save(state.itn, &Checkpoint::capture(&sys, &cfg, &state)) {
-                        eprintln!("warning: cannot write periodic checkpoint: {e}");
-                    }
-                }
-            }
-        }
-        if let Some(path) = &args.checkpoint {
-            if let Err(e) = Checkpoint::capture(&sys, &cfg, &state).save(path) {
-                eprintln!("warning: cannot write checkpoint: {e}");
-            } else {
-                println!("checkpoint written to {}", path.display());
-            }
-        }
-        solver.finish(state)
-    };
-
-    println!(
-        "stop: {:?} after {} iterations",
-        solution.stop, solution.iterations
-    );
-    println!(
-        "|r| = {:.6e}  (|r|/|b| = {:.3e})  cond(A) ~ {:.3e}",
-        solution.rnorm,
-        solution.relative_residual(),
-        solution.acond
-    );
-    println!(
-        "mean iteration time: {:.3} ms",
-        1e3 * solution.mean_iteration_seconds()
-    );
-    if let Some(se) = solution.standard_errors() {
-        let mean_se = se.iter().sum::<f64>() / se.len() as f64;
-        println!("mean standard error: {mean_se:.3e}");
+        return (solve_lsmr(&sys, &backend, cfg), "lsmr");
     }
-    if args.telemetry {
-        let solver_label = if resilient {
-            "lsqr-resilient"
-        } else if args.ranks > 1 {
-            "lsqr-distributed"
-        } else if args.lsmr {
-            "lsmr"
-        } else {
-            "lsqr"
-        };
-        write_run_report(&args, solver_label, &solution);
-    }
-    if args.profile {
-        println!("convergence profile:");
-        print!("{}", profile_text(&solution));
-        if let Some(p) = convergence_profile(&solution, 10) {
-            if p.rate > 0.999 {
-                println!("tail rate ~1.0/iter (residual plateaued at the noise floor)");
-            } else {
-                println!(
-                    "tail rate {:.4}/iter ({} iterations per residual digit)",
-                    p.rate,
-                    p.iterations_per_digit
-                        .map_or("n/a".to_string(), |d| format!("{d:.1}"))
-                );
-            }
-        }
-    }
+    println!("backend: {} ({} threads)", backend.name(), args.threads);
+    (
+        run_lsqr(SystemOperator::new(&sys, &backend), cfg, args),
+        "lsqr",
+    )
 }

@@ -174,3 +174,52 @@ fn solvergaia_tiled_telemetry_writes_a_run_report() {
     }
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A run stopped at its iteration limit resumes from its checkpoint under
+/// a larger `--iterations` and goes on: 5 iterations, then 10 from the
+/// checkpoint, print the same residual as 10 without a break — resident
+/// and out-of-core alike.
+#[test]
+fn solvergaia_extends_a_checkpointed_run_to_a_larger_iteration_limit() {
+    let root = std::env::temp_dir().join(format!("gaia-cli-extend-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).unwrap();
+    let residual = |iterations: &str, extra: &[&std::ffi::OsStr]| -> String {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_solvergaia"))
+            .args([
+                "--preset",
+                "tiny",
+                "--seed",
+                "0",
+                "--backend",
+                "seq",
+                "--iterations",
+                iterations,
+            ])
+            .args(extra)
+            .output()
+            .expect("run solvergaia");
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = stdout.lines().find(|l| l.starts_with("|r| = "));
+        line.unwrap_or_else(|| panic!("no |r| line in {stdout}"))
+            .to_owned()
+    };
+    for tiles in [None, Some(root.join("spill"))] {
+        let ckpt = root.join(format!("ck-{}.json", tiles.is_some()));
+        let mut extra = vec![std::ffi::OsStr::new("--checkpoint"), ckpt.as_os_str()];
+        if let Some(dir) = &tiles {
+            extra.extend([std::ffi::OsStr::new("--tiles"), dir.as_os_str()]);
+        }
+        let straight = residual("10", &extra[2..]);
+        assert!(straight.contains("2.762339e-1"), "{straight}");
+        let first = residual("5", &extra);
+        assert_ne!(
+            first, straight,
+            "5 iterations must not reach the 10-iteration residual"
+        );
+        let extended = residual("10", &extra);
+        assert_eq!(extended, straight, "tiles: {tiles:?}");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
