@@ -680,7 +680,7 @@ mod tests {
             rules_of("crates/sparse/src/ell.rs", bad),
             vec!["hot-unwrap"]
         );
-        assert!(rules_of("crates/bench/src/bin/tune.rs", bad).is_empty());
+        assert!(rules_of("crates/bench/src/studies/tune.rs", bad).is_empty());
     }
 
     #[test]

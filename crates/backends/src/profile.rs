@@ -5,7 +5,7 @@
 //! winner per platform. [`LaunchProfile`] is the pinned winner: a JSON
 //! record mapping one problem layout to the [`LaunchPlan`] the tuner
 //! selected for it, together with the measurements that justified the
-//! selection. `gaia-bench --bin tune` writes these under
+//! selection. `gaia-bench tune` writes these under
 //! `results/tuning/<layout>.json`; the `tuned` registry backend loads them
 //! back and falls through to the default plan when no profile matches.
 //!

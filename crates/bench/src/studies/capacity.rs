@@ -27,7 +27,7 @@ use std::path::PathBuf;
 
 use gaia_backends::backend_by_name;
 use gaia_bench::sweep::{summary_block, SummaryRow};
-use gaia_bench::{fatal, must_write_artifact};
+use gaia_bench::{fatal, must_write_artifact, Flags};
 use gaia_lsqr::{solve, solve_tiled, LsqrConfig};
 use gaia_sparse::{CapacityBudget, Generator, GeneratorConfig, Rhs, SystemLayout, TiledSystem};
 
@@ -38,25 +38,13 @@ const ITERATIONS: usize = 6;
 /// Budget factors swept per layout (`None` = unbounded).
 const FACTORS: &[Option<f64>] = &[None, Some(2.0), Some(1.25), Some(0.75)];
 
-fn budget_label(factor: Option<f64>) -> String {
-    match factor {
-        None => "unbounded".into(),
-        Some(f) => format!("{f}x"),
-    }
-}
-
-fn main() {
+pub fn run(mut args: Flags) {
     let mut smoke = false;
     let mut backend_name = "seq".to_string();
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--backend" => {
-                backend_name = args
-                    .next()
-                    .unwrap_or_else(|| fatal("--backend needs a registry name"));
-            }
+            "--backend" => backend_name = args.value("--backend"),
             other => fatal(&format!(
                 "unknown flag {other} (expected --smoke/--backend)"
             )),
@@ -125,7 +113,7 @@ fn main() {
             let sol = solve_tiled(&tiles, backend.as_ref(), &cfg)
                 .unwrap_or_else(|e| fatal(&format!("tiled solve {layout_name}: {e}")));
             let stats = tiles.stats();
-            let label = budget_label(factor);
+            let label = factor.map_or("unbounded".into(), |f| format!("{f}x"));
             let group = format!("layout={layout_name}/budget={label}");
 
             let peak_ok = budget_bytes.is_none_or(|b| stats.peak_resident_bytes <= b);

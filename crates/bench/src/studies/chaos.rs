@@ -18,45 +18,26 @@ use std::time::Duration;
 
 use gaia_backends::{Backend, SeqBackend};
 use gaia_bench::sweep::{summary_block, SummaryRow};
+use gaia_bench::{fatal, tiny_system, Flags};
 use gaia_lsqr::resilient::{OnUnrecoverable, RecoveryPolicy, ResilienceOptions};
 use gaia_lsqr::{solve_distributed, solve_resilient, LsqrConfig};
 use gaia_mpi_sim::{install_quiet_panic_hook, FaultPlan, FaultSpec};
-use gaia_sparse::{Generator, GeneratorConfig, Rhs, SparseSystem, SystemLayout};
 
-fn system(seed: u64) -> SparseSystem {
-    Generator::new(
-        GeneratorConfig::new(SystemLayout::tiny())
-            .seed(seed)
-            .rhs(Rhs::FromTrueSolution { noise_sigma: 1e-8 }),
-    )
-    .generate()
-}
-
-fn parse_args() -> (u64, usize) {
+pub fn run(mut args: Flags) {
+    install_quiet_panic_hook();
     let mut seed = 7u64;
     let mut ranks = 2usize;
-    let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
         match flag.as_str() {
-            "--seed" => seed = value("--seed").parse().expect("--seed: integer"),
-            "--ranks" => ranks = value("--ranks").parse().expect("--ranks: integer"),
-            other => {
-                eprintln!("unknown flag {other}; usage: chaos [--seed S] [--ranks N]");
-                std::process::exit(2);
-            }
+            "--seed" => seed = args.parse("--seed"),
+            "--ranks" => ranks = args.parse("--ranks"),
+            other => fatal(&format!(
+                "unknown flag {other}; usage: chaos [--seed S] [--ranks N]"
+            )),
         }
     }
-    (seed, ranks.max(1))
-}
-
-fn main() {
-    install_quiet_panic_hook();
-    let (seed, ranks) = parse_args();
-    let sys = system(seed);
+    let ranks = ranks.max(1);
+    let sys = tiny_system(seed);
     let cfg = LsqrConfig::new();
     let reference = solve_distributed(&sys, ranks, &cfg);
     assert!(
@@ -70,38 +51,23 @@ fn main() {
         ("light", FaultSpec::light()),
         ("heavy", FaultSpec::heavy()),
     ];
-    let policies: [(&str, RecoveryPolicy); 3] = [
-        (
-            "eager-checkpoint",
-            RecoveryPolicy {
-                max_retries: 4,
-                backoff: Duration::ZERO,
-                checkpoint_every: 2,
-                on_unrecoverable: OnUnrecoverable::Degrade,
-                ..RecoveryPolicy::default()
-            },
-        ),
-        (
-            "sparse-checkpoint",
-            RecoveryPolicy {
-                max_retries: 4,
-                backoff: Duration::ZERO,
-                checkpoint_every: 10,
-                on_unrecoverable: OnUnrecoverable::Degrade,
-                ..RecoveryPolicy::default()
-            },
-        ),
-        (
-            "restart-from-scratch",
-            RecoveryPolicy {
-                max_retries: 4,
-                backoff: Duration::ZERO,
-                checkpoint_every: 0,
-                on_unrecoverable: OnUnrecoverable::Degrade,
-                ..RecoveryPolicy::default()
-            },
-        ),
-    ];
+    // The policies differ only in checkpoint cadence (0 = restart from
+    // scratch).
+    let policies = [
+        ("eager-checkpoint", 2),
+        ("sparse-checkpoint", 10),
+        ("restart-from-scratch", 0),
+    ]
+    .map(|(name, checkpoint_every)| {
+        let policy = RecoveryPolicy {
+            max_retries: 4,
+            backoff: Duration::ZERO,
+            checkpoint_every,
+            on_unrecoverable: OnUnrecoverable::Degrade,
+            ..RecoveryPolicy::default()
+        };
+        (name, policy)
+    });
 
     println!(
         "chaos sweep: seed {seed}, {ranks} ranks, {} iterations fault-free",

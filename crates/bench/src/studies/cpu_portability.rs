@@ -30,7 +30,7 @@ fn measure(backend: &dyn Backend, sys: &gaia_sparse::SparseSystem) -> f64 {
     start.elapsed().as_secs_f64() / ITERATIONS as f64
 }
 
-fn main() {
+pub fn run(_: gaia_bench::Flags) {
     let layout = SystemLayout::medium();
     let sys = Generator::new(
         GeneratorConfig::new(layout)

@@ -4,19 +4,22 @@
 //! the time ranking — the two orderings differ, which is the point.
 
 use gaia_gpu_sim::energy::{iteration_energy_j, iterations_per_kwh, power_spec};
-use gaia_gpu_sim::{all_frameworks, all_platforms, iteration_time, SimConfig};
+use gaia_bench::simulate;
+use gaia_gpu_sim::{all_frameworks, all_platforms};
 use gaia_p3::plot;
 use gaia_sparse::SystemLayout;
 
-fn main() {
-    let layout = SystemLayout::from_gb(10.0);
+pub fn run(_: gaia_bench::Flags) {
+    let platforms = all_platforms();
+    let frameworks = all_frameworks();
+    let set = simulate(&SystemLayout::from_gb(10.0), &frameworks, &platforms);
     println!("energy model per platform (memory-bound sustained power):");
     println!(
         "{:<8} {:>8} {:>8} {:>12}",
         "platform", "TDP [W]", "idle [W]", "sustained"
     );
-    for p in all_platforms() {
-        let ps = power_spec(&p);
+    for p in &platforms {
+        let ps = power_spec(p);
         println!(
             "{:<8} {:>8.0} {:>8.0} {:>11.0}%",
             p.name,
@@ -27,25 +30,24 @@ fn main() {
     }
 
     println!("\nJ per iteration (10 GB problem):");
-    let platforms = all_platforms();
     print!("{:<12}", "framework");
     for p in &platforms {
         print!(" {:>9}", p.name);
     }
     println!();
     let mut rows = Vec::new();
-    for fw in all_frameworks() {
+    for fw in &frameworks {
         print!("{:<12}", fw.name);
         for p in &platforms {
-            match iteration_time(&layout, &fw, p, &SimConfig::default()) {
-                Some(b) => {
-                    let e = iteration_energy_j(p, b.seconds);
+            match set.time(&fw.name, &p.name) {
+                Some(seconds) => {
+                    let e = iteration_energy_j(p, seconds);
                     print!(" {:>9.2}", e);
                     rows.push(serde_json::json!({
                         "framework": fw.name,
                         "platform": p.name,
                         "joules_per_iteration": e,
-                        "iterations_per_kwh": iterations_per_kwh(p, b.seconds),
+                        "iterations_per_kwh": iterations_per_kwh(p, seconds),
                     }));
                 }
                 None => print!(" {:>9}", "-"),
@@ -60,11 +62,7 @@ fn main() {
     let mut time_rank = Vec::new();
     let mut energy_rank = Vec::new();
     for p in &platforms {
-        let best = all_frameworks()
-            .into_iter()
-            .filter_map(|fw| iteration_time(&layout, &fw, p, &SimConfig::default()))
-            .map(|b| b.seconds)
-            .fold(f64::INFINITY, f64::min);
+        let best = set.platform_best(&p.name).unwrap_or(f64::INFINITY);
         time_rank.push((p.name.clone(), 1e3 * best));
         energy_rank.push((p.name.clone(), iteration_energy_j(p, best)));
     }

@@ -8,16 +8,15 @@
 //! pure tuning and how much is runtime overhead that executors cannot
 //! recover.
 
-use gaia_gpu_sim::{all_frameworks, all_platforms, iteration_time, SimConfig, Tunability};
-use gaia_p3::{MeasurementSet, Normalization};
+use gaia_bench::simulate;
+use gaia_gpu_sim::{all_frameworks, all_platforms, Tunability};
+use gaia_p3::Normalization;
 use gaia_sparse::SystemLayout;
 
-fn main() {
+pub fn run(_: gaia_bench::Flags) {
     println!("C++26 executors projection (10/30/60 GB problems)\n");
     let mut artifacts = Vec::new();
     for gb in gaia_bench::PROBLEM_SIZES_GB {
-        let layout = SystemLayout::from_gb(gb);
-        let mut set = MeasurementSet::new();
         let mut frameworks = all_frameworks();
         // The hypothetical executor-enabled PSTL ports.
         for base in ["PSTL+ACPP", "PSTL+V"] {
@@ -26,13 +25,7 @@ fn main() {
             fw.tunability = Tunability::Full;
             frameworks.push(fw);
         }
-        for fw in &frameworks {
-            for p in all_platforms() {
-                if let Some(b) = iteration_time(&layout, fw, &p, &SimConfig::default()) {
-                    set.record(&fw.name, &p.name, b.seconds);
-                }
-            }
-        }
+        let set = simulate(&SystemLayout::from_gb(gb), &frameworks, &all_platforms());
         let platforms = set.platforms();
         let matrix = set.efficiencies(Normalization::PlatformBest);
         println!("--- {gb} GB ---");

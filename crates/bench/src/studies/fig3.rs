@@ -5,12 +5,14 @@
 //! framework (platforms ordered best-first, with the cumulative `P`), and
 //! the final `P` ranking — the Rust rendition of the p3-analysis plots.
 
-use gaia_bench::{must_write_artifact, platform_set, simulate_measurements, PROBLEM_SIZES_GB};
+use gaia_bench::{
+    must_write_artifact, palette_series, platform_set, simulate_measurements, PROBLEM_SIZES_GB,
+};
 use gaia_p3::{report, Cascade, Normalization};
 
-fn main() {
+pub fn run(_: gaia_bench::Flags) {
     for gb in PROBLEM_SIZES_GB {
-        let (_, set) = simulate_measurements(gb);
+        let set = simulate_measurements(gb);
         let platforms = platform_set(gb);
         let matrix = set.efficiencies(Normalization::PlatformBest);
 
@@ -102,24 +104,13 @@ fn main() {
         // SVG cascade (the paper's top-left Fig. 3 panel): efficiency per
         // rank position, one line per framework.
         let ranks: Vec<String> = (1..=platforms.len()).map(|r| r.to_string()).collect();
-        let series: Vec<(String, String, Vec<Option<f64>>)> = matrix
-            .apps()
-            .iter()
-            .enumerate()
-            .map(|(i, app)| {
-                let cascade = gaia_p3::Cascade::build(&matrix, app, &platforms);
-                let values: Vec<Option<f64>> = cascade
-                    .points
-                    .iter()
-                    .map(|p| (p.efficiency > 0.0).then_some(p.efficiency))
-                    .collect();
-                (
-                    app.clone(),
-                    gaia_p3::svg::PALETTE[i % gaia_p3::svg::PALETTE.len()].to_string(),
-                    values,
-                )
-            })
-            .collect();
+        let series = palette_series(matrix.apps(), |app| {
+            Cascade::build(&matrix, app, &platforms)
+                .points
+                .iter()
+                .map(|p| (p.efficiency > 0.0).then_some(p.efficiency))
+                .collect()
+        });
         let svg = gaia_p3::svg::line_chart(
             &format!("Fig. 3 — application-efficiency cascade, {gb} GB"),
             &ranks,

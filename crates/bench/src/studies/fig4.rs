@@ -1,12 +1,14 @@
 //! Fig. 4 a/b/c: average LSQR iteration time across architectures and
 //! programming models for the 10, 30, and 60 GB problems.
 
-use gaia_bench::{must_write_artifact, platform_set, simulate_measurements, PROBLEM_SIZES_GB};
+use gaia_bench::{
+    must_write_artifact, palette_series, platform_set, simulate_measurements, PROBLEM_SIZES_GB,
+};
 use gaia_p3::{plot, report};
 
-fn main() {
+pub fn run(_: gaia_bench::Flags) {
     for gb in PROBLEM_SIZES_GB {
-        let (_, set) = simulate_measurements(gb);
+        let set = simulate_measurements(gb);
         let platforms = platform_set(gb);
         println!("================ Fig. 4 — {gb} GB problem ================");
         println!("{}", report::times_table(&set, &platforms));
@@ -29,18 +31,9 @@ fn main() {
 
         // SVG: grouped bars, frameworks within platform groups (log scale
         // as in the paper's Fig. 4).
-        let series: Vec<(String, String, Vec<Option<f64>>)> = set
-            .apps()
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                (
-                    a.clone(),
-                    gaia_p3::svg::PALETTE[i % gaia_p3::svg::PALETTE.len()].to_string(),
-                    platforms.iter().map(|p| set.time(a, p)).collect(),
-                )
-            })
-            .collect();
+        let series = palette_series(&set.apps(), |a| {
+            platforms.iter().map(|p| set.time(a, p)).collect()
+        });
         let svg = gaia_p3::svg::bar_chart_grouped(
             &format!("Fig. 4 — average iteration time [s], {gb} GB"),
             &platforms,

@@ -1,12 +1,14 @@
 //! Fig. 5 a/b/c: application efficiency across platforms and programming
 //! frameworks for the 10, 30, and 60 GB problems.
 
-use gaia_bench::{must_write_artifact, platform_set, simulate_measurements, PROBLEM_SIZES_GB};
+use gaia_bench::{
+    must_write_artifact, palette_series, platform_set, simulate_measurements, PROBLEM_SIZES_GB,
+};
 use gaia_p3::{plot, report, Normalization};
 
-fn main() {
+pub fn run(_: gaia_bench::Flags) {
     for gb in PROBLEM_SIZES_GB {
-        let (_, set) = simulate_measurements(gb);
+        let set = simulate_measurements(gb);
         let platforms = platform_set(gb);
         let matrix = set.efficiencies(Normalization::PlatformBest);
         println!("================ Fig. 5 — {gb} GB problem ================");
@@ -29,21 +31,9 @@ fn main() {
         }
         print!("{}", report::efficiency_csv(&matrix, &platforms));
         // SVG: one line per framework across the platform axis.
-        let series: Vec<(String, String, Vec<Option<f64>>)> = matrix
-            .apps()
-            .iter()
-            .enumerate()
-            .map(|(i, app)| {
-                (
-                    app.clone(),
-                    gaia_p3::svg::PALETTE[i % gaia_p3::svg::PALETTE.len()].to_string(),
-                    platforms
-                        .iter()
-                        .map(|p| matrix.efficiency(app, p))
-                        .collect(),
-                )
-            })
-            .collect();
+        let series = palette_series(matrix.apps(), |app| {
+            platforms.iter().map(|p| matrix.efficiency(app, p)).collect()
+        });
         let svg = gaia_p3::svg::line_chart(
             &format!("Fig. 5 — application efficiency, {gb} GB"),
             &platforms,

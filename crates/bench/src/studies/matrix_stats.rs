@@ -3,16 +3,16 @@
 //! ("the indexes used by aprod2 can collide (with the exception of the
 //! astrometric parameters due to their block diagonal structure)").
 //!
-//! Usage: `cargo run -p gaia-bench --bin matrix_stats [preset]`
+//! Usage: `cargo run -p gaia-bench -- matrix_stats [preset]`
 
+use gaia_bench::{fatal, Flags};
 use gaia_sparse::stats::system_stats;
 use gaia_sparse::{Generator, GeneratorConfig, SystemLayout};
 
-fn main() {
-    let preset = std::env::args().nth(1).unwrap_or_else(|| "small".into());
+pub fn run(mut args: Flags) {
+    let preset = args.next().unwrap_or_else(|| "small".into());
     let Some(layout) = SystemLayout::preset(&preset) else {
-        eprintln!("unknown preset {preset} (tiny|small|medium)");
-        std::process::exit(1);
+        fatal(&format!("unknown preset {preset} (tiny|small|medium)"))
     };
     let sys = Generator::new(GeneratorConfig::new(layout).seed(0)).generate();
     let stats = system_stats(&sys);

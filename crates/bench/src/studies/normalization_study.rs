@@ -14,9 +14,9 @@
 use gaia_bench::{platform_set, simulate_measurements, PROBLEM_SIZES_GB};
 use gaia_p3::{report, Normalization};
 
-fn main() {
+pub fn run(_: gaia_bench::Flags) {
     for gb in PROBLEM_SIZES_GB {
-        let (_, set) = simulate_measurements(gb);
+        let set = simulate_measurements(gb);
         let platforms = platform_set(gb);
         println!("================ {gb} GB ================");
         for (label, norm) in [

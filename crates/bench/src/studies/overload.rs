@@ -21,25 +21,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gaia_bench::sweep::{summary_block, SummaryRow};
-use gaia_bench::{fatal, must_write_artifact};
+use gaia_bench::{fatal, must_write_artifact, tiny_system, Flags};
 use gaia_lsqr::resilient::RecoveryPolicy;
 use gaia_mpi_sim::{install_quiet_panic_hook, FaultKind, FaultPlan};
 use gaia_serve::{
     OutcomeKind, RetryConfig, ServiceConfig, ServiceEvent, SolveRequest, SolveService, Ticket,
 };
-use gaia_sparse::{Generator, GeneratorConfig, Rhs, SparseSystem, SystemLayout};
 use gaia_verify::service::audit_service_log;
-
-fn system(seed: u64) -> Arc<SparseSystem> {
-    Arc::new(
-        Generator::new(
-            GeneratorConfig::new(SystemLayout::tiny())
-                .seed(seed)
-                .rhs(Rhs::FromTrueSolution { noise_sigma: 1e-8 }),
-        )
-        .generate(),
-    )
-}
 
 fn service_config(tenants: usize) -> ServiceConfig {
     ServiceConfig {
@@ -86,7 +74,8 @@ fn run_cell(
                 2,
                 FaultKind::RankPanic,
             ));
-            let mut req = SolveRequest::new(tenant.clone(), system(seed + 100 + t as u64));
+            let sys = tiny_system(seed + 100 + t as u64);
+            let mut req = SolveRequest::new(tenant.clone(), sys.into());
             req.ranks = 2;
             req.faults = Some(plan);
             tickets.push((tenant.clone(), service.submit(req).1));
@@ -96,7 +85,8 @@ fn run_cell(
             // The saturating tenant: three times its quota, with an
             // impossible deadline when the deadline axis is tight.
             for i in 0..9 {
-                let mut req = SolveRequest::new(tenant.clone(), system(seed + 200 + i));
+                let sys = tiny_system(seed + 200 + i);
+                let mut req = SolveRequest::new(tenant.clone(), sys.into());
                 if tight {
                     req.deadline = Some(Duration::ZERO);
                 }
@@ -105,7 +95,8 @@ fn run_cell(
             continue;
         }
         for i in 0..2u64 {
-            let mut req = SolveRequest::new(tenant.clone(), system(seed + 300 + t as u64 * 10 + i));
+            let sys = tiny_system(seed + 300 + t as u64 * 10 + i);
+            let mut req = SolveRequest::new(tenant.clone(), sys.into());
             req.backend = INNOCENT_BACKENDS[(t + i as usize) % INNOCENT_BACKENDS.len()].into();
             if tight {
                 // Present but generous: the axis's pressure comes from
@@ -129,19 +120,13 @@ fn kind_count(outcomes: &[CellOutcome], kind: OutcomeKind) -> u64 {
     outcomes.iter().filter(|o| o.kind == kind).count() as u64
 }
 
-fn main() {
+pub fn run(mut args: Flags) {
     install_quiet_panic_hook();
     let mut seed = 11u64;
     let mut smoke = false;
-    let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fatal("--seed needs an integer value"))
-            }
+            "--seed" => seed = args.parse("--seed"),
             "--smoke" => smoke = true,
             other => fatal(&format!(
                 "unknown flag {other}; usage: overload [--seed S] [--smoke]"
@@ -277,19 +262,19 @@ fn run_smoke(seed: u64) {
     let service = SolveService::start(service_config(4));
 
     let plan = Arc::new(FaultPlan::scripted(seed).with_event(0, 1, 2, FaultKind::RankPanic));
-    let mut chaotic = SolveRequest::new("chaotic", system(seed + 1));
+    let mut chaotic = SolveRequest::new("chaotic", tiny_system(seed + 1).into());
     chaotic.ranks = 2;
     chaotic.faults = Some(plan);
     let chaotic_t = service.submit(chaotic).1;
 
-    let mut doomed = SolveRequest::new("doomed", system(seed + 2));
+    let mut doomed = SolveRequest::new("doomed", tiny_system(seed + 2).into());
     doomed.deadline = Some(Duration::ZERO);
     let doomed_t = service.submit(doomed).1;
 
     let clean_a = service
-        .submit(SolveRequest::new("clean-a", system(seed + 3)))
+        .submit(SolveRequest::new("clean-a", tiny_system(seed + 3).into()))
         .1;
-    let mut req_b = SolveRequest::new("clean-b", system(seed + 4));
+    let mut req_b = SolveRequest::new("clean-b", tiny_system(seed + 4).into());
     req_b.backend = "chunked-t2".into();
     let clean_b = service.submit(req_b).1;
 

@@ -12,7 +12,7 @@ use gaia_backends::backend_by_name;
 use gaia_lsqr::{solve, LsqrConfig};
 use gaia_sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
 
-fn main() {
+pub fn run(_: gaia_bench::Flags) {
     let shapes: Vec<(&str, SystemLayout)> = vec![
         ("tiny", SystemLayout::tiny()),
         ("small", SystemLayout::small()),
@@ -51,16 +51,9 @@ fn main() {
             .seed(13)
             .rhs(Rhs::FromTrueSolution { noise_sigma: 1e-9 });
         let (sys, _) = Generator::new(cfg).generate_with_truth();
-        let with = solve(
-            &sys,
-            &backend,
-            &LsqrConfig::new().precondition(true).max_iters(50_000),
-        );
-        let without = solve(
-            &sys,
-            &backend,
-            &LsqrConfig::new().precondition(false).max_iters(50_000),
-        );
+        let solver_cfg = LsqrConfig::new().max_iters(50_000);
+        let with = solve(&sys, &backend, &solver_cfg.precondition(true));
+        let without = solve(&sys, &backend, &solver_cfg.precondition(false));
         println!(
             "{:<18} {:>8} {:>8} | {:>12} {:>12} | {:>12.3e} {:>12.3e}",
             name,

@@ -4,9 +4,9 @@
 //! followed by *measured* per-kernel telemetry of the real CPU backends
 //! (artifacts in `results/telemetry/`).
 //!
-//! Usage: `cargo run -p gaia-bench --bin profile [platform] [GB]`
+//! Usage: `cargo run -p gaia-bench -- profile [platform] [GB]`
 
-use gaia_bench::measured_run;
+use gaia_bench::{fatal, measured_run, parse_arg, Flags};
 use gaia_gpu_sim::{all_frameworks, iteration_time, platform_by_name, timeline, SimConfig};
 use gaia_sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
 
@@ -14,13 +14,11 @@ use gaia_sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
 const MEASURED_BACKENDS: [&str; 4] = ["seq", "atomic", "replicated", "streamed"];
 const MEASURED_ITERATIONS: usize = 20;
 
-fn main() {
-    let mut args = std::env::args().skip(1);
+pub fn run(mut args: Flags) {
     let platform_name = args.next().unwrap_or_else(|| "H100".to_string());
-    let gb: f64 = args.next().map(|a| a.parse().expect("GB")).unwrap_or(10.0);
+    let gb: f64 = args.next().map_or(10.0, |a| parse_arg("GB", &a));
     let Some(platform) = platform_by_name(&platform_name) else {
-        eprintln!("unknown platform {platform_name}");
-        std::process::exit(1);
+        fatal(&format!("unknown platform {platform_name}"))
     };
     let layout = SystemLayout::from_gb(gb);
     println!(

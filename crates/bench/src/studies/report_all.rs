@@ -13,7 +13,7 @@ use gaia_lsqr::{compare_solutions, solve, LsqrConfig, MICRO_ARCSEC_RAD};
 use gaia_p3::{report, subsets, Normalization};
 use gaia_sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
 
-fn main() {
+pub fn run(_: gaia_bench::Flags) {
     let md = reproduction_report();
     must_write_text_artifact("REPORT.md", &md);
     println!("\n{md}");
@@ -27,7 +27,7 @@ fn reproduction_report() -> String {
     let _ = writeln!(md, "# Reproduction report\n");
     let _ = writeln!(
         md,
-        "Generated by `cargo run -p gaia-bench --bin report_all`. Simulated\n\
+        "Generated by `cargo run -p gaia-bench -- report_all`. Simulated\n\
          numbers come from the calibrated platform/framework model; the\n\
          validation section is real solves on this machine.\n"
     );
@@ -35,7 +35,7 @@ fn reproduction_report() -> String {
     // ---- P study ----------------------------------------------------
     let _ = writeln!(md, "## Performance portability (Fig. 3)\n");
     for gb in PROBLEM_SIZES_GB {
-        let (_, set) = simulate_measurements(gb);
+        let set = simulate_measurements(gb);
         let platforms = platform_set(gb);
         let matrix = set.efficiencies(Normalization::PlatformBest);
         let _ = writeln!(md, "### {gb} GB — platforms {platforms:?}\n");
@@ -54,7 +54,7 @@ fn reproduction_report() -> String {
 
     // ---- iteration times (Fig. 4) ------------------------------------
     let _ = writeln!(md, "## Iteration times (Fig. 4, modeled, 10 GB)\n");
-    let (_, set) = simulate_measurements(10.0);
+    let set = simulate_measurements(10.0);
     let platforms = platform_set(10.0);
     let _ = writeln!(md, "```\n{}```\n", report::times_table(&set, &platforms));
 
@@ -89,14 +89,7 @@ fn reproduction_report() -> String {
 
     // ---- validation (Fig. 6, real solves) ----------------------------
     let _ = writeln!(md, "\n## Validation (Fig. 6, real solves)\n");
-    let (mut sys, _) = Generator::new(
-        GeneratorConfig::new(SystemLayout::small())
-            .seed(42)
-            .rhs(Rhs::FromTrueSolution { noise_sigma: 1e-5 }),
-    )
-    .generate_with_truth();
-    let b: Vec<f64> = sys.known_terms().iter().map(|v| v * 1e-7).collect();
-    sys.set_known_terms(b);
+    let sys = gaia_bench::radian_system();
     let cfg = LsqrConfig::new();
     let reference = solve(&sys, &SeqBackend, &cfg);
     for (label, name) in [

@@ -7,7 +7,7 @@ use gaia_gpu_sim::all_platforms;
 use gaia_gpu_sim::roofline::{analyze, ridge_point};
 use gaia_sparse::SystemLayout;
 
-fn main() {
+pub fn run(_: gaia_bench::Flags) {
     let layout = SystemLayout::from_gb(10.0);
     println!("platform ridge points (FLOP/byte at the roofline knee):");
     for p in all_platforms() {
@@ -20,10 +20,7 @@ fn main() {
         );
     }
 
-    let h100 = all_platforms()
-        .into_iter()
-        .find(|p| p.name == "H100")
-        .unwrap();
+    let h100 = gaia_gpu_sim::platform_by_name("H100").expect("registry");
     println!("\nkernel placements on the H100 roofline (10 GB problem):");
     println!(
         "  {:<14} {:>12} {:>10} {:>16} {:>10}",

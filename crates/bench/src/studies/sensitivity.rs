@@ -6,7 +6,7 @@
 
 use gaia_gpu_sim::sensitivity::{check, KNOBS};
 
-fn main() {
+pub fn run(_: gaia_bench::Flags) {
     println!(
         "{:<22} {:>8} {:>10} {:>9} {:>13} {:>10}",
         "knob", "factor", "leaders", "worst", "MI250X win", "HIP P"

@@ -12,7 +12,7 @@ use gaia_backends::backend_by_name;
 use gaia_lsqr::{solve, solve_lsmr, LsqrConfig};
 use gaia_sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
 
-fn main() {
+pub fn run(_: gaia_bench::Flags) {
     let backend = backend_by_name("atomic", 4).expect("registered backend");
     println!(
         "{:<10} {:>9} | {:>12} {:>12} | {:>12} {:>12} | {:>14}",

@@ -6,10 +6,10 @@
 //! problem sizes, attributing the gain to its three §IV ingredients
 //! (kernel-shape tuning, reduced atomic contention, stream overlap).
 
-use gaia_gpu_sim::{framework_by_name, iteration_time, platform_by_name, SimConfig};
+use gaia_gpu_sim::{framework_by_name, iteration_time, platform_by_name, FrameworkSpec, SimConfig};
 use gaia_sparse::SystemLayout;
 
-fn main() {
+pub fn run(_: gaia_bench::Flags) {
     let cuda = framework_by_name("CUDA").expect("registry");
     let prod = framework_by_name("CUDA-production").expect("registry");
 
@@ -48,26 +48,23 @@ fn main() {
     // Attribution on the paper's reference point (42 GB, H100-class node).
     let layout = SystemLayout::from_gb(42.0);
     let h100 = platform_by_name("H100").expect("registry");
-    let base = iteration_time(&layout, &prod, &h100, &SimConfig::default())
-        .expect("fits")
-        .seconds;
+    let time = |fw: &FrameworkSpec| {
+        iteration_time(&layout, fw, &h100, &SimConfig::default())
+            .expect("fits")
+            .seconds
+    };
+    let base = time(&prod);
     println!("\ningredient attribution at 42 GB (H100-class node):");
     let mut step = prod.clone();
     step.tunability = cuda.tunability;
-    let t1 = iteration_time(&layout, &step, &h100, &SimConfig::default())
-        .expect("fits")
-        .seconds;
+    let t1 = time(&step);
     println!("  + kernel-shape tuning      : {:.3}x", base / t1);
     step.atomic_contention_mult = 1.0;
-    let t2 = iteration_time(&layout, &step, &h100, &SimConfig::default())
-        .expect("fits")
-        .seconds;
+    let t2 = time(&step);
     println!("  + reduced atomic regions   : {:.3}x", base / t2);
     step.coherence_bw_factor = 1.0;
     step.streams = true;
-    let t3 = iteration_time(&layout, &step, &h100, &SimConfig::default())
-        .expect("fits")
-        .seconds;
+    let t3 = time(&step);
     println!(
         "  + coarse grain + streams   : {:.3}x (paper: 2.0x)",
         base / t3

@@ -13,7 +13,7 @@ use gaia_gpu_sim::workload::{csr_spmv_kernel, iteration_kernels, Phase};
 use gaia_gpu_sim::{framework_by_name, platform_by_name};
 use gaia_sparse::SystemLayout;
 
-fn main() {
+pub fn run(_: gaia_bench::Flags) {
     let layout = SystemLayout::from_gb(10.0);
     let hip = framework_by_name("HIP").expect("registry");
 

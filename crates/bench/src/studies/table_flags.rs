@@ -3,7 +3,7 @@
 
 use gaia_gpu_sim::{all_frameworks, Vendor};
 
-fn main() {
+pub fn run(_: gaia_bench::Flags) {
     println!("Table I — compiler per framework and vendor");
     println!("{:<12} {:<28} {:<28}", "framework", "NVIDIA", "AMD");
     for fw in all_frameworks() {
@@ -15,17 +15,12 @@ fn main() {
         );
     }
 
-    println!("\nTable II — compilation flags on NVIDIA architectures");
-    for fw in all_frameworks() {
-        if let Some(flags) = fw.flags_on(Vendor::Nvidia) {
-            println!("{:<12} {}", fw.name, flags);
-        }
-    }
-
-    println!("\nTable III — compilation flags on AMD architectures");
-    for fw in all_frameworks() {
-        if let Some(flags) = fw.flags_on(Vendor::Amd) {
-            println!("{:<12} {}", fw.name, flags);
+    for (table, vendor, arch) in [("II", Vendor::Nvidia, "NVIDIA"), ("III", Vendor::Amd, "AMD")] {
+        println!("\nTable {table} — compilation flags on {arch} architectures");
+        for fw in all_frameworks() {
+            if let Some(flags) = fw.flags_on(vendor) {
+                println!("{:<12} {}", fw.name, flags);
+            }
         }
     }
 

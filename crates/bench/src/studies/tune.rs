@@ -3,9 +3,9 @@
 //! winner as a `gaia-tune-profile/v2` JSON the `tuned` backend loads.
 //!
 //! ```text
-//! cargo run --release -p gaia-bench --bin tune                 # tune tiny,small,medium
-//! cargo run --release -p gaia-bench --bin tune -- --smoke      # CI: tiny only, trimmed axes
-//! cargo run --release -p gaia-bench --bin tune -- --check results/tuning/*.json
+//! cargo run --release -p gaia-bench -- tune                 # tune tiny,small,medium
+//! cargo run --release -p gaia-bench -- tune --smoke         # CI: tiny only, trimmed axes
+//! cargo run --release -p gaia-bench -- tune --check results/tuning/*.json
 //! ```
 //!
 //! Flags:
@@ -22,78 +22,7 @@
 
 use gaia_backends::profile::load_profile_file;
 use gaia_bench::tune::{tune_layout, TuneSpec};
-use gaia_bench::{fatal, must_write_artifact};
-
-struct Cli {
-    smoke: bool,
-    layouts: Vec<String>,
-    threads: usize,
-    repeats: usize,
-    check: Vec<String>,
-}
-
-fn parse_cli() -> Cli {
-    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut cli = Cli {
-        smoke: false,
-        layouts: Vec::new(),
-        threads: available,
-        repeats: 0, // resolved after --smoke is known
-        check: Vec::new(),
-    };
-    let mut args = std::env::args().skip(1);
-    let mut repeats: Option<usize> = None;
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| fatal(&format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--smoke" => cli.smoke = true,
-            "--layouts" => {
-                cli.layouts = value("--layouts")
-                    .split(',')
-                    .map(|s| s.trim().to_owned())
-                    .filter(|s| !s.is_empty())
-                    .collect();
-            }
-            "--threads" => {
-                let n: usize = value("--threads")
-                    .parse()
-                    .unwrap_or_else(|_| fatal("--threads needs a positive integer"));
-                cli.threads = n.max(1);
-            }
-            "--repeats" => {
-                repeats = Some(
-                    value("--repeats")
-                        .parse()
-                        .unwrap_or_else(|_| fatal("--repeats needs a positive integer")),
-                );
-            }
-            "--check" => {
-                cli.check.push(value("--check"));
-                // Everything after --check's first value is more paths.
-                cli.check.extend(args.by_ref());
-            }
-            other => fatal(&format!(
-                "unknown flag `{other}` (see --bin tune source header)"
-            )),
-        }
-    }
-    cli.threads = cli.threads.min(available);
-    if cli.layouts.is_empty() {
-        cli.layouts = if cli.smoke {
-            vec!["tiny".to_owned()]
-        } else {
-            vec!["tiny".to_owned(), "small".to_owned(), "medium".to_owned()]
-        };
-    }
-    cli.repeats = repeats.unwrap_or(if cli.smoke { 3 } else { 5 });
-    if cli.repeats == 0 {
-        fatal("--repeats needs a positive integer");
-    }
-    cli
-}
+use gaia_bench::{fatal, must_write_artifact, Flags};
 
 /// `--check`: validate profile files without measuring anything.
 fn check(paths: &[String]) {
@@ -121,28 +50,68 @@ fn check(paths: &[String]) {
     }
 }
 
-fn main() {
-    let cli = parse_cli();
-    if !cli.check.is_empty() {
-        check(&cli.check);
+pub fn run(mut args: Flags) {
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut smoke = false;
+    let mut layouts: Vec<String> = Vec::new();
+    let mut threads = available;
+    let mut repeats: Option<usize> = None;
+    let mut check_paths: Vec<String> = Vec::new();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--layouts" => {
+                layouts = args
+                    .value("--layouts")
+                    .split(',')
+                    .map(|s| s.trim().to_owned())
+                    .filter(|s| !s.is_empty())
+                    .collect();
+            }
+            "--threads" => threads = args.parse::<usize>("--threads").max(1),
+            "--repeats" => repeats = Some(args.parse("--repeats")),
+            "--check" => {
+                check_paths.push(args.value("--check"));
+                // Everything after --check's first value is more paths.
+                check_paths.extend(args.by_ref());
+            }
+            other => fatal(&format!(
+                "unknown flag `{other}` (see the `tune` study's source header)"
+            )),
+        }
+    }
+    let threads = threads.min(available);
+    if layouts.is_empty() {
+        layouts = if smoke {
+            vec!["tiny".to_owned()]
+        } else {
+            vec!["tiny".to_owned(), "small".to_owned(), "medium".to_owned()]
+        };
+    }
+    let repeats = repeats.unwrap_or(if smoke { 3 } else { 5 });
+    if repeats == 0 {
+        fatal("--repeats needs a positive integer");
+    }
+    if !check_paths.is_empty() {
+        check(&check_paths);
         return;
     }
 
     println!(
         "tune: {} layout(s), {} thread(s), median-of-{}{}",
-        cli.layouts.join(","),
-        cli.threads,
-        cli.repeats,
-        if cli.smoke { ", smoke" } else { "" },
+        layouts.join(","),
+        threads,
+        repeats,
+        if smoke { ", smoke" } else { "" },
     );
 
     let mut telemetry = gaia_telemetry::TuneCell::default();
-    for layout in &cli.layouts {
+    for layout in &layouts {
         let spec = TuneSpec {
             layout: layout.clone(),
-            threads: cli.threads,
-            repeats: cli.repeats,
-            smoke: cli.smoke,
+            threads,
+            repeats,
+            smoke,
         };
         let outcome = tune_layout(&spec).unwrap_or_else(|e| fatal(&e));
         let p = &outcome.profile;
@@ -185,9 +154,9 @@ fn main() {
         let search_json = serde_json::json!({
             "schema": "gaia-tune-search/v1",
             "layout": layout,
-            "threads": cli.threads,
-            "repeats": cli.repeats,
-            "smoke": cli.smoke,
+            "threads": threads,
+            "repeats": repeats,
+            "smoke": smoke,
             "configs_explored": outcome.telemetry.configs_explored,
             "skipped_unsound": outcome.skipped_unsound,
             "winner": profile_json,

@@ -9,7 +9,7 @@ use gaia_gpu_sim::tuner::tune;
 use gaia_gpu_sim::{all_platforms, framework_by_name, iteration_time, occupancy, SimConfig};
 use gaia_sparse::SystemLayout;
 
-fn main() {
+pub fn run(_: gaia_bench::Flags) {
     let layout = SystemLayout::from_gb(10.0);
 
     println!("kernel tuning sweep (10 GB problem), untuned default = 1024 tpb");

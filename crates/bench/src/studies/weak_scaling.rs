@@ -12,7 +12,7 @@
 use gaia_gpu_sim::scaling::{strong_scaling, weak_scaling, ClusterSpec};
 use gaia_gpu_sim::{framework_by_name, platform_by_name};
 
-fn main() {
+pub fn run(_: gaia_bench::Flags) {
     let cluster = ClusterSpec::leonardo();
     let a100 = platform_by_name("A100").expect("registry");
     let gpu_counts = [1u32, 2, 4, 8, 16, 32, 64, 128, 256];

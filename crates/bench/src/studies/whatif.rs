@@ -3,26 +3,19 @@
 //! The point of a portable port is the machine you have not bought yet —
 //! this harness quantifies which of today's ports carries over.
 
+use gaia_bench::simulate;
+use gaia_gpu_sim::all_frameworks;
 use gaia_gpu_sim::whatif::extended_platforms;
-use gaia_gpu_sim::{all_frameworks, iteration_time, SimConfig};
-use gaia_p3::{report, Cascade, MeasurementSet, Normalization};
+use gaia_p3::{report, Cascade, Normalization};
 use gaia_sparse::SystemLayout;
 
-fn main() {
+pub fn run(_: gaia_bench::Flags) {
     let platforms = extended_platforms();
     let names: Vec<String> = platforms.iter().map(|p| p.name.clone()).collect();
     println!("extended platform set: {names:?}\n");
 
     for gb in [10.0, 60.0] {
-        let layout = SystemLayout::from_gb(gb);
-        let mut set = MeasurementSet::new();
-        for fw in all_frameworks() {
-            for p in &platforms {
-                if let Some(b) = iteration_time(&layout, &fw, p, &SimConfig::default()) {
-                    set.record(&fw.name, &p.name, b.seconds);
-                }
-            }
-        }
+        let set = simulate(&SystemLayout::from_gb(gb), &all_frameworks(), &platforms);
         let supported: Vec<String> = names
             .iter()
             .filter(|n| set.platform_best(n).is_some())

@@ -1,7 +1,7 @@
 //! Shared summary schema for robustness sweeps.
 //!
-//! Both chaos (`--bin chaos`: fault level × recovery policy) and
-//! overload (`--bin overload`: tenant count × fault × deadline) emit the
+//! Both chaos (`gaia-bench chaos`: fault level × recovery policy) and
+//! overload (`gaia-bench overload`: tenant count × fault × deadline) emit the
 //! same aggregate row shape, tagged with [`SWEEP_SUMMARY_SCHEMA`], so
 //! downstream tooling can diff resilience across PRs without caring
 //! which harness produced the numbers.

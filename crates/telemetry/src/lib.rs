@@ -241,7 +241,7 @@ impl AnalyzeCell {
 }
 
 /// Auto-tuning accounting — what the launch-profile search (`gaia-bench
-/// --bin tune`) explored and what the `tuned` backend loaded back. The
+/// tune`) explored and what the `tuned` backend loaded back. The
 /// search half records configurations measured and the wall-clock spent
 /// inside timed sections; the load half records how many persisted
 /// profiles were accepted, rejected, or substituted by the default plan at

@@ -8,7 +8,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --workspace --release
 
-run() { echo; echo "### $*"; cargo run --release -p gaia-bench --bin "$@"; }
+run() { echo; echo "### $*"; "${CARGO_TARGET_DIR:-target}/release/gaia-bench" "$@"; }
 
 run fig3
 run fig4

@@ -36,16 +36,6 @@
 //!                  [--queue N] [--quota N] [--chaos]
 //! ```
 //!
-//! The `tune` subcommand runs the launch-profile auto-tuner (see
-//! `crates/bench/src/tune/`) and persists each layout's winning
-//! `gaia-tune-profile/v2` JSON under `results/tuning/`, where the
-//! `tuned` backend picks it up:
-//!
-//! ```text
-//! solvergaia tune [--layouts tiny,small,medium] [--threads N]
-//!                 [--repeats K] [--smoke]
-//! ```
-//!
 //! `--chaos` gives the first tenant a scripted rank-panic fault schedule
 //! (recovered by the supervisor without disturbing the other tenants);
 //! `--deadline-ms` arms a per-request deadline enforced in-queue and
@@ -470,119 +460,6 @@ fn run_serve() -> ! {
     exit(if faulted > 0 { 1 } else { 0 })
 }
 
-/// Flags of the `tune` subcommand.
-struct TuneArgs {
-    layouts: Vec<String>,
-    threads: usize,
-    repeats: usize,
-    smoke: bool,
-}
-
-fn tune_usage() -> ! {
-    eprintln!(
-        "usage: solvergaia tune [--layouts tiny,small,medium] [--threads N] \
-         [--repeats K] [--smoke]"
-    );
-    exit(2)
-}
-
-fn parse_tune_args() -> TuneArgs {
-    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut args = TuneArgs {
-        layouts: Vec::new(),
-        threads: available,
-        repeats: 0, // resolved once --smoke is known
-        smoke: false,
-    };
-    let mut repeats: Option<usize> = None;
-    let mut it = std::env::args().skip(2);
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{name} requires a value");
-                tune_usage()
-            })
-        };
-        match flag.as_str() {
-            "--layouts" => {
-                args.layouts = val("--layouts")
-                    .split(',')
-                    .map(|s| s.trim().to_owned())
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            }
-            "--threads" => args.threads = val("--threads").parse().unwrap_or_else(|_| tune_usage()),
-            "--repeats" => {
-                repeats = Some(val("--repeats").parse().unwrap_or_else(|_| tune_usage()))
-            }
-            "--smoke" => args.smoke = true,
-            "--help" | "-h" => tune_usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                tune_usage()
-            }
-        }
-    }
-    args.threads = args.threads.clamp(1, available);
-    if args.layouts.is_empty() {
-        args.layouts = if args.smoke {
-            vec!["tiny".to_owned()]
-        } else {
-            vec!["tiny".to_owned(), "small".to_owned(), "medium".to_owned()]
-        };
-    }
-    args.repeats = repeats.unwrap_or(if args.smoke { 3 } else { 5 });
-    if args.repeats == 0 {
-        tune_usage()
-    }
-    args
-}
-
-/// The `tune` subcommand: run the launch-profile auto-tuner per layout
-/// and persist each winner where the `tuned` backend loads it.
-fn run_tune() -> ! {
-    use gaia_bench::tune::{tune_layout, TuneSpec};
-
-    let args = parse_tune_args();
-    for layout in &args.layouts {
-        let spec = TuneSpec {
-            layout: layout.clone(),
-            threads: args.threads,
-            repeats: args.repeats,
-            smoke: args.smoke,
-        };
-        let outcome = match tune_layout(&spec) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("tune failed for {layout}: {e}");
-                exit(1)
-            }
-        };
-        let p = &outcome.profile;
-        println!(
-            "tune {layout}: {} configs, winner att={} instr={} glob={} budget={} \
-             layout={} c={} ({:+.1} % vs default)",
-            outcome.telemetry.configs_explored,
-            p.att,
-            p.instr,
-            p.glob,
-            p.budget,
-            p.matrix_layout,
-            p.chunks_per_thread,
-            p.improvement * 100.0,
-        );
-        let json = match serde_json::to_value(p) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("cannot serialize profile for {layout}: {e}");
-                exit(1)
-            }
-        };
-        gaia_bench::must_write_artifact(&format!("tuning/{layout}.json"), &json);
-    }
-    exit(0)
-}
-
 /// The out-of-core path (`--tiles DIR`): open an existing `gaia-tiles/v2`
 /// spill directory — or stream-generate the preset/seed system into it —
 /// and run LSQR through the tiled operator under the requested capacity
@@ -754,10 +631,8 @@ fn write_run_report(args: &Args, solver: &str, solution: &Solution) {
 }
 
 fn main() {
-    match std::env::args().nth(1).as_deref() {
-        Some("serve") => run_serve(),
-        Some("tune") => run_tune(),
-        _ => {}
+    if std::env::args().nth(1).as_deref() == Some("serve") {
+        run_serve();
     }
     let args = parse_args();
     let cfg = if args.converge {
