@@ -100,30 +100,6 @@ impl Backend for RayonBackend {
         }
     }
 
-    fn nrm2(&self, v: &[f64]) -> f64 {
-        // Chunked parallel sum-of-squares with per-chunk scaling.
-        let partials: Vec<(f64, f64)> = v
-            .par_chunks(1 << 16)
-            .map(|chunk| {
-                let m = chunk.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-                if m == 0.0 {
-                    return (0.0, 0.0);
-                }
-                let ssq = chunk.iter().map(|&x| (x / m) * (x / m)).sum::<f64>();
-                (m, ssq)
-            })
-            .collect();
-        let scale = partials.iter().fold(0.0f64, |m, &(s, _)| m.max(s));
-        if scale == 0.0 {
-            return 0.0;
-        }
-        let total: f64 = partials
-            .iter()
-            .map(|&(s, ssq)| ssq * (s / scale) * (s / scale))
-            .sum();
-        scale * total.sqrt()
-    }
-
     fn scal(&self, v: &mut [f64], s: f64) {
         v.par_iter_mut().for_each(|x| *x *= s);
     }

@@ -1,16 +1,65 @@
 //! Scalar BLAS-1 helpers used by LSQR between the sparse products.
 //!
-//! `nrm2` uses the scaled (overflow-safe) algorithm of the reference BLAS
-//! `DNRM2`, because LSQR feeds it vectors whose magnitude varies over many
+//! `nrm2` is one canonical norm: an eight-lane sum of squares
+//! ([`sumsq`]), falling back to the scaled (overflow-safe) recurrence of
+//! the reference BLAS `DNRM2` only when that sum overflows, underflows or
+//! is zero — LSQR feeds it vectors whose magnitude varies over many
 //! orders of magnitude as the bidiagonalization converges.
 
-/// Overflow-safe Euclidean norm (reference `DNRM2` algorithm).
+/// Elements per block of [`sumsq`]: each block's eight lanes are folded
+/// into the running total before the next block starts.
+const SUMSQ_BLOCK: usize = 1024;
+
+/// Below this a sum of squares may have lost the squares of subnormal
+/// terms; [`nrm2`] then takes the scaled recurrence.
+const SUMSQ_MIN: f64 = f64::MIN_POSITIVE / f64::EPSILON;
+
+/// `Σ vᵢ²`, accumulated in eight lanes over blocks of 1 024 elements,
+/// each block's lanes folded into the total in ascending lane order. The
+/// order is fixed by the length alone, so equal inputs give equal bits.
+pub fn sumsq(v: &[f64]) -> f64 {
+    let mut total = 0.0;
+    for block in v.chunks(SUMSQ_BLOCK) {
+        let mut lanes = [0.0f64; 8];
+        let mut eights = block.chunks_exact(8);
+        for c in &mut eights {
+            for (lane, &x) in lanes.iter_mut().zip(c) {
+                *lane += x * x;
+            }
+        }
+        for (lane, &x) in lanes.iter_mut().zip(eights.remainder()) {
+            *lane += x * x;
+        }
+        for lane in lanes {
+            total += lane;
+        }
+    }
+    total
+}
+
+/// Euclidean norm: `√sumsq(v)`, or the scaled `DNRM2` recurrence when the
+/// sum overflowed, underflowed or is zero. A NaN entry gives NaN; an
+/// infinite one (and no NaN) gives `+∞`.
 pub fn nrm2(v: &[f64]) -> f64 {
+    let ss = sumsq(v);
+    // NaN only comes from a NaN entry: squares are never negative.
+    if ss.is_nan() || (SUMSQ_MIN..f64::INFINITY).contains(&ss) {
+        ss.sqrt()
+    } else {
+        scaled_nrm2(v)
+    }
+}
+
+/// The reference `DNRM2` recurrence, for a `v` that holds no NaN.
+fn scaled_nrm2(v: &[f64]) -> f64 {
     let mut scale = 0.0f64;
     let mut ssq = 1.0f64;
     for &x in v {
         if x != 0.0 {
             let ax = x.abs();
+            if ax == f64::INFINITY {
+                return ax;
+            }
             if scale < ax {
                 let r = scale / ax;
                 ssq = 1.0 + ssq * r * r;
@@ -84,6 +133,51 @@ mod tests {
         assert_eq!(nrm2(&[0.0, 0.0]), 0.0);
     }
 
+    /// The fallback cases, exactly: huge and tiny entries whose squares
+    /// overflow or vanish, zeros, the empty vector, NaN and infinities.
+    #[test]
+    fn nrm2_edge_cases_are_exact() {
+        assert_eq!(nrm2(&[1e300, 1e300]), 2f64.sqrt() * 1e300);
+        assert_eq!(nrm2(&[3e300, 4e300]), 5e300);
+        assert_eq!(nrm2(&[3e-300, 4e-300]), 5e-300);
+        assert_eq!(nrm2(&[1e-300, 1e300, 1e-300]), 1e300);
+        assert_eq!(nrm2(&[f64::MIN_POSITIVE / 4.0]), f64::MIN_POSITIVE / 4.0);
+        assert_eq!(nrm2(&[-1e-320]), 1e-320);
+        assert_eq!(nrm2(&[]), 0.0);
+        assert_eq!(nrm2(&[0.0; 3000]), 0.0);
+        assert_eq!(nrm2(&[0.0, -0.0]).to_bits(), 0.0f64.to_bits());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut v = vec![1.0; 2000];
+            v[1500] = bad;
+            let want = if bad.is_nan() {
+                f64::NAN
+            } else {
+                f64::INFINITY
+            };
+            assert_eq!(nrm2(&v).to_bits(), want.to_bits(), "{bad}");
+        }
+        assert_eq!(nrm2(&[f64::INFINITY, -f64::INFINITY]), f64::INFINITY);
+        assert!(nrm2(&[f64::INFINITY, f64::NAN]).is_nan());
+        assert!(nrm2(&[f64::NAN, 1e300, 1e300]).is_nan());
+    }
+
+    #[test]
+    fn sumsq_folds_lanes_in_a_fixed_order() {
+        let v: Vec<f64> = (0..2500).map(|i| (i as f64 * 0.37).cos()).collect();
+        let mut want = 0.0;
+        for block in v.chunks(1024) {
+            let mut lanes = [0.0; 8];
+            for (i, x) in block.iter().enumerate() {
+                lanes[i % 8] += x * x;
+            }
+            for lane in lanes {
+                want += lane;
+            }
+        }
+        assert_eq!(sumsq(&v).to_bits(), want.to_bits());
+        assert_eq!(sumsq(&[]), 0.0);
+    }
+
     #[test]
     fn dot_matches_manual_sum() {
         let a = [1.0, -2.0, 3.0];
@@ -123,6 +217,16 @@ mod tests {
             for (yi, y0i) in y.iter().zip(&y0) {
                 prop_assert!((yi - y0i).abs() < 1e-9);
             }
+        }
+
+        #[test]
+        fn nrm2_matches_the_scaled_recurrence(
+            v in proptest::collection::vec(-1e3f64..1e3, 0..3000),
+            exp in -100i32..100,
+        ) {
+            let v: Vec<f64> = v.iter().map(|x| x * 10f64.powi(exp)).collect();
+            let (got, want) = (nrm2(&v), scaled_nrm2(&v));
+            prop_assert!((got - want).abs() <= 1e-13 * want, "{got} vs {want}");
         }
 
         #[test]

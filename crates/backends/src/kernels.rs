@@ -15,6 +15,11 @@
 //!   block section in block-local coordinates; different rows may collide.
 //! * `aprod2_att_owned` / `aprod2_instr_owned`: owner-computes variants that
 //!   scan rows but only write columns inside an owned block-local range.
+//!
+//! [`gk_block`] runs `aprod1` and then `aprod2` on one block of stars, so
+//! the sequential Golub–Kahan pass reads each matrix row once for both
+//! products. Kernel telemetry counts a call per kernel invocation: under
+//! that pass, one per block, not one per product.
 
 use std::ops::Range;
 
@@ -108,6 +113,33 @@ pub fn aprod1_range(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: &mut
         aprod1_glob(sys, x, obs, &mut out[..n]);
     }
     aprod1_att(sys, x, rows, out);
+}
+
+/// One star block of the Golub–Kahan pass over `rows` (the rows of
+/// `stars`, plus the constraint rows when it is the last block): scale
+/// `u` by `−α`, run `aprod1` into it, then `aprod2` with the new `u` over
+/// the same rows while they are still in cache. `u` is the whole row
+/// vector; `out` holds the four sections of [`SparseSystem::sections_mut`],
+/// the astrometric one covering `stars` only. Ascending blocks feed every
+/// output column in ascending row order, as the whole-system products do.
+pub fn gk_block(
+    sys: &SparseSystem,
+    x: &[f64],
+    alfa: f64,
+    stars: Range<usize>,
+    rows: Range<usize>,
+    u: &mut [f64],
+    out: [&mut [f64]; 4],
+) {
+    let [astro, att, instr, glob] = out;
+    let ub = &mut u[rows.clone()];
+    crate::blas::scal(ub, -alfa);
+    aprod1_range(sys, x, rows.clone(), ub);
+    let obs = rows.start..rows.end.min(sys.n_obs_rows());
+    aprod2_astro(sys, u, stars, astro);
+    aprod2_att(sys, u, rows, att);
+    aprod2_instr(sys, u, obs.clone(), instr);
+    aprod2_glob(sys, u, obs, glob);
 }
 
 /// Astrometric `aprod2`, parallel-safe across stars: for each star in

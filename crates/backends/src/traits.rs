@@ -30,6 +30,25 @@ pub trait Backend: Send + Sync {
     /// `out += Aᵀ y`. `y.len() == sys.n_rows()`, `out.len() == sys.n_cols()`.
     fn aprod2(&self, sys: &SparseSystem, y: &[f64], out: &mut [f64]);
 
+    /// One Golub–Kahan pass: `u ← A x − α u`, then `out += Aᵀ u` with the
+    /// new `u`. The default is the two products in turn, after scaling
+    /// `u` with [`blas::scal`] (never `self.scal`: a caller's BLAS-1 does
+    /// not go through its backend). An override must return the same
+    /// bits; [`crate::SeqBackend`] reads each star block of the matrix
+    /// once for both products.
+    fn gk_products(
+        &self,
+        sys: &SparseSystem,
+        x: &[f64],
+        alfa: f64,
+        u: &mut [f64],
+        out: &mut [f64],
+    ) {
+        blas::scal(u, -alfa);
+        self.aprod1(sys, x, u);
+        self.aprod2(sys, u, out);
+    }
+
     /// The launch plan this backend executes, when it is plan-driven.
     /// Registry construction statically verifies the returned plan via
     /// [`LaunchPlan::analyze_canonical`]; ad-hoc backends (sequential,
@@ -78,6 +97,16 @@ impl<B: Backend + ?Sized> Backend for Box<B> {
     }
     fn aprod2(&self, sys: &SparseSystem, y: &[f64], out: &mut [f64]) {
         (**self).aprod2(sys, y, out)
+    }
+    fn gk_products(
+        &self,
+        sys: &SparseSystem,
+        x: &[f64],
+        alfa: f64,
+        u: &mut [f64],
+        out: &mut [f64],
+    ) {
+        (**self).gk_products(sys, x, alfa, u, out)
     }
     fn launch_plan(&self) -> Option<LaunchPlan> {
         (**self).launch_plan()

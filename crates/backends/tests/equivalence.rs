@@ -1,9 +1,10 @@
 //! Property-based backend equivalence: every parallel strategy must agree
 //! with the sequential oracle on arbitrary systems, inputs, thread counts,
-//! and prior output contents (the accumulate contract).
+//! and prior output contents (the accumulate contract); and the oracle's
+//! one-pass Golub–Kahan products must equal its two products bit for bit.
 
-use gaia_backends::{all_backends, backend_by_name, backend_names, Backend, SeqBackend};
-use gaia_sparse::{Generator, GeneratorConfig, SystemLayout};
+use gaia_backends::{all_backends, backend_by_name, backend_names, blas, Backend, SeqBackend};
+use gaia_sparse::{Generator, GeneratorConfig, SparseSystem, SystemLayout};
 use proptest::prelude::*;
 use std::sync::{LazyLock, PoisonError, RwLock};
 
@@ -256,4 +257,101 @@ fn rmw_counter_reports_the_atomic_adds_issued() {
             "{rmws} adds is not far below the {nonzeros} non-zeros"
         );
     }
+}
+
+/// `SeqBackend::gk_products` against the default it overrides — scale
+/// `u` by `−α`, `aprod1`, `aprod2` — bit for bit, from non-zero `u` and
+/// `out` (both accumulate).
+fn assert_fused_pass_is_the_two_products(sys: &SparseSystem, alfa: f64, what: &str) {
+    let x: Vec<f64> = (0..sys.n_cols())
+        .map(|i| ((i + 3) as f64 * 0.29).sin())
+        .collect();
+    let u0: Vec<f64> = (0..sys.n_rows())
+        .map(|i| ((i + 1) as f64 * 0.53).cos())
+        .collect();
+    let out0: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.11).sin()).collect();
+    let (mut u_want, mut out_want) = (u0.clone(), out0.clone());
+    blas::scal(&mut u_want, -alfa);
+    SeqBackend.aprod1(sys, &x, &mut u_want);
+    SeqBackend.aprod2(sys, &u_want, &mut out_want);
+    let (mut u, mut out) = (u0, out0);
+    SeqBackend.gk_products(sys, &x, alfa, &mut u, &mut out);
+    for (i, (g, w)) in u.iter().zip(&u_want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: u[{i}] {g:e} vs {w:e}");
+    }
+    for (i, (g, w)) in out.iter().zip(&out_want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: out[{i}] {g:e} vs {w:e}");
+    }
+}
+
+fn system_of(n_stars: u64, n_constraint_rows: u64, seed: u64) -> SparseSystem {
+    let layout = SystemLayout {
+        n_stars,
+        n_constraint_rows,
+        obs_per_star: 24,
+        n_deg_freedom_att: 8,
+        n_instr_params: 8,
+        n_glob_params: 1,
+    };
+    Generator::new(GeneratorConfig::new(layout).seed(seed)).generate()
+}
+
+/// Whole systems whose star counts the block size does or does not
+/// divide, with and without constraint rows, and row-block views that
+/// start past star 0 and end before or at the constraint rows.
+#[test]
+fn seq_fused_pass_is_bitwise_the_two_products() {
+    let _shared = RMW_CELLS.read().unwrap_or_else(PoisonError::into_inner);
+    for (stars, constraints) in [(3, 4), (31, 0), (32, 4), (33, 4), (64, 16), (200, 16)] {
+        let sys = system_of(stars, constraints, stars + 5);
+        for alfa in [0.0, 0.75, -3.5] {
+            let what = format!("{stars} stars, {constraints} constraints, alfa {alfa}");
+            assert_fused_pass_is_the_two_products(&sys, alfa, &what);
+        }
+    }
+    let sys = system_of(200, 16, 7);
+    for (stars, with_constraints) in [
+        (37..150, false),
+        (150..200, true),
+        (0..64, false),
+        (5..6, false),
+    ] {
+        let block = sys.row_block(stars.clone(), with_constraints);
+        assert_eq!(block.system.star0(), stars.start);
+        let what = format!("row block of stars {stars:?}");
+        assert_fused_pass_is_the_two_products(&block.system, 1.25, &what);
+    }
+}
+
+/// With the kernel probes in, the fused pass calls each kernel once per
+/// star block: 7 blocks of at most 32 stars for 200 stars, against one
+/// call per product for the two-product order.
+#[cfg(feature = "telemetry")]
+#[test]
+fn seq_fused_pass_calls_each_kernel_once_per_block() {
+    let _alone = RMW_CELLS.write().unwrap_or_else(PoisonError::into_inner);
+    let sys = system_of(200, 16, 8);
+    let calls = || {
+        let snap = gaia_telemetry::snapshot();
+        [
+            ("aprod1", "astro"),
+            ("aprod1", "att"),
+            ("aprod2", "astro"),
+            ("aprod2", "att"),
+        ]
+        .map(|(phase, block)| {
+            snap.kernels
+                .iter()
+                .find(|c| c.phase == phase && c.block == block)
+                .map_or(0, |c| c.calls)
+        })
+    };
+    let x = vec![0.5; sys.n_cols()];
+    let mut u = vec![1.0; sys.n_rows()];
+    let mut out = vec![0.0; sys.n_cols()];
+    let before = calls();
+    SeqBackend.gk_products(&sys, &x, 0.5, &mut u, &mut out);
+    let after = calls();
+    let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+    assert_eq!(delta, [7, 7, 7, 7]);
 }

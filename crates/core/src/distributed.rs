@@ -11,19 +11,22 @@
 //! iteration: a rank runs [`OperatorLsqr`] — the recurrence, stop rules,
 //! health guards and cancellation of [`crate::lsqr`] — over a private
 //! [`Operator`] of its block, and this file adds only that operator and
-//! the checkpoint assembly. Per iteration the operator computes one
-//! local product and makes three collectives:
+//! the checkpoint assembly. Per iteration the operator runs one local
+//! Golub–Kahan pass and makes three collectives, in this order:
 //!
-//! * `aprod1` is purely local (each rank computes its own rows on its
-//!   backend);
-//! * `aprod2` produces a local partial of the unknown vector which is
-//!   `MPI_Allreduce`-summed — the deterministic rank-ordered reduction of
-//!   [`gaia_mpi_sim`] makes the replicated state bit-identical on every
-//!   rank;
-//! * the norm of the sharded `u` is an allreduce of local sums of squares;
+//! * the pass ([`Operator::gk_products`]) computes the rank's rows of
+//!   `u ← A x − α u` and, on the same rows, a local partial of `Aᵀu` on
+//!   its backend; one vector `MPI_Allreduce` sums the partials — the
+//!   deterministic rank-ordered reduction of [`gaia_mpi_sim`] makes the
+//!   replicated state bit-identical on every rank;
+//! * the norm of the sharded `u` is a scalar allreduce of local sums of
+//!   squares ([`blas::sumsq`]);
 //! * the iteration's wall time and stop verdict are max-allreduced, so
 //!   every rank records "the iteration time maximized among all MPI
 //!   processes" and stops at the same iteration for the same reason.
+//!
+//! Starting the bidiagonalization takes the norm of `b` and then one
+//! `aprod2` allreduce; a checkpoint snapshot adds an allgather of `u`.
 //!
 //! A block keeps the full system's column space, so a rank's backend reads
 //! the replicated `x` and writes its `Aᵀy` partial in place: its own
@@ -164,10 +167,10 @@ where
 
 /// One rank's view of the full system as an [`Operator`]: the rows of its
 /// block — borrowed from `full`, never copied — and the columns of the
-/// whole system. Row-space vectors (`u`, `b`)
-/// are sharded, column-space vectors replicated; the three methods that
-/// cross the shard boundary — `aprod2`, `row_nrm2`, `agree` — are the
-/// three collectives of an iteration. The rank-ordered reductions of
+/// whole system. Row-space vectors (`u`, `b`) are sharded, column-space
+/// vectors replicated; the methods that cross the shard boundary —
+/// `gk_products` (or `aprod2`), `row_nrm2`, `agree` — are the three
+/// collectives of an iteration. The rank-ordered reductions of
 /// [`gaia_mpi_sim`] return the same bits on every rank, so the replicated
 /// state never diverges.
 struct ShardOperator<'a> {
@@ -177,7 +180,7 @@ struct ShardOperator<'a> {
     backend: &'a dyn Backend,
     comm: Communicator,
     /// This rank's `Aᵀy`, then the sum of all ranks', reused by every
-    /// `aprod2`.
+    /// `aprod2` and `gk_products`.
     partial: RefCell<Vec<f64>>,
 }
 
@@ -207,21 +210,25 @@ impl Operator for ShardOperator<'_> {
     }
 
     fn aprod2(&self, y: &[f64], out: &mut [f64]) -> Result<(), OperatorError> {
-        let partial = &mut *self.partial.borrow_mut();
-        partial.clear();
-        partial.resize(self.full.n_cols(), 0.0);
-        self.backend.aprod2(&self.block.system, y, partial);
-        {
-            let mut t = gaia_telemetry::collective_scope();
-            t.add_bytes(partial.len() as u64 * 8);
-            self.comm.allreduce(ReduceOp::Sum, partial);
-        }
-        blas::axpy(out, 1.0, partial);
+        self.reduce_into(out, |sys, partial| self.backend.aprod2(sys, y, partial));
+        Ok(())
+    }
+
+    fn gk_products(
+        &self,
+        x: &[f64],
+        alfa: f64,
+        u: &mut [f64],
+        out: &mut [f64],
+    ) -> Result<(), OperatorError> {
+        self.reduce_into(out, |sys, partial| {
+            self.backend.gk_products(sys, x, alfa, u, partial)
+        });
         Ok(())
     }
 
     fn row_nrm2(&self, u: &[f64]) -> f64 {
-        let local_sq: f64 = u.iter().map(|x| x * x).sum();
+        let local_sq = blas::sumsq(u);
         let _t = gaia_telemetry::collective_scope();
         self.comm.allreduce_scalar(ReduceOp::Sum, local_sq).sqrt()
     }
@@ -231,6 +238,23 @@ impl Operator for ShardOperator<'_> {
         let _t = gaia_telemetry::collective_scope();
         self.comm.allreduce(ReduceOp::Max, &mut payload);
         (payload[0], payload[1])
+    }
+}
+
+impl ShardOperator<'_> {
+    /// `out += Σ_ranks Aᵀy`: `local` writes this rank's `Aᵀy` into a
+    /// zeroed partial, one vector allreduce sums the ranks' partials.
+    fn reduce_into(&self, out: &mut [f64], local: impl FnOnce(&SparseSystem, &mut [f64])) {
+        let partial = &mut *self.partial.borrow_mut();
+        partial.clear();
+        partial.resize(self.full.n_cols(), 0.0);
+        local(&self.block.system, partial);
+        {
+            let mut t = gaia_telemetry::collective_scope();
+            t.add_bytes(partial.len() as u64 * 8);
+            self.comm.allreduce(ReduceOp::Sum, partial);
+        }
+        blas::axpy(out, 1.0, partial);
     }
 }
 
@@ -477,14 +501,15 @@ mod tests {
         assert_eq!(resumed.x, reference.x, "resume must be bit-identical");
     }
 
-    /// Run `f` on each of three ranks' operators; results in rank order.
-    fn on_three_ranks<R: Send>(
+    /// Run `f` on each of `n` ranks' operators; results in rank order.
+    fn on_ranks<R: Send>(
+        n: usize,
         sys: &SparseSystem,
         f: impl Fn(ShardOperator<'_>) -> R + Sync,
     ) -> Vec<R> {
-        let partition = RowPartition::new(sys.layout(), 3);
+        let partition = RowPartition::new(sys.layout(), n);
         let column_norms = OnceLock::new();
-        gaia_mpi_sim::run(3, |comm| {
+        gaia_mpi_sim::run(n, |comm| {
             f(ShardOperator {
                 full: sys,
                 column_norms: &column_norms,
@@ -504,7 +529,7 @@ mod tests {
         let mut want = out0.clone();
         SeqBackend.aprod2(&sys, &y, &mut want);
 
-        let outs = on_three_ranks(&sys, |op| {
+        let outs = on_ranks(3, &sys, |op| {
             let mut out = out0.clone();
             // Twice over, so a partial left over from the first product
             // would show in the second.
@@ -521,11 +546,44 @@ mod tests {
         assert_eq!(outs[2], outs[0], "ranks must hold identical bits");
     }
 
+    /// A rank's pass — its backend's fused pass, then the one allreduce —
+    /// equals the default's scale, `aprod1` and reduced `aprod2`, bit for
+    /// bit, on every rank of 1 to 4.
+    #[test]
+    fn shard_pass_is_bitwise_the_two_products_on_every_rank() {
+        let sys = system(307);
+        let x: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.31).sin()).collect();
+        let u0: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.17).cos()).collect();
+        let out0: Vec<f64> = (0..sys.n_cols()).map(|i| 1.0 + i as f64 * 0.5).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in 1..=4 {
+            let per_rank = on_ranks(n, &sys, |op| {
+                let rows = op.block.rows.clone();
+                let (mut u_want, mut out_want) = (u0[rows.clone()].to_vec(), out0.clone());
+                op.scal(&mut u_want, -0.75);
+                op.aprod1(&x, &mut u_want).unwrap();
+                op.aprod2(&u_want, &mut out_want).unwrap();
+                let (mut u, mut out) = (u0[rows].to_vec(), out0.clone());
+                op.gk_products(&x, 0.75, &mut u, &mut out).unwrap();
+                (
+                    bits(&u) == bits(&u_want),
+                    bits(&out) == bits(&out_want),
+                    bits(&out),
+                )
+            });
+            for (rank, (u_same, out_same, out)) in per_rank.iter().enumerate() {
+                assert!(u_same, "{n} ranks: rank {rank}'s u");
+                assert!(out_same, "{n} ranks: rank {rank}'s Aᵀu");
+                assert_eq!(out, &per_rank[0].2, "{n} ranks: rank {rank} differs");
+            }
+        }
+    }
+
     #[test]
     fn every_rank_records_the_max_rank_time_and_the_full_row_count() {
         let sys = system(304);
         let cfg = LsqrConfig::fixed_iterations(5);
-        let sols = on_three_ranks(&sys, |op| rank_solve(op, &cfg, &DistOptions::default()));
+        let sols = on_ranks(3, &sys, |op| rank_solve(op, &cfg, &DistOptions::default()));
         for sol in &sols {
             assert_eq!(sol.iterations, 5);
             assert_eq!(sol.n_rows, sys.n_rows());

@@ -101,13 +101,26 @@ impl Default for HealthConfig {
     }
 }
 
+/// Branch-free, so the scan streams at memory speed.
 fn all_finite(v: &[f64]) -> bool {
-    v.iter().all(|x| x.is_finite())
+    v.iter().fold(true, |ok, x| ok & x.is_finite())
 }
 
 /// Run every enabled guard against `state` (called after an iteration has
 /// updated it). Returns the first issue found, or `None` when healthy.
 pub fn check_state(cfg: &HealthConfig, state: &LsqrState) -> Option<HealthIssue> {
+    check(cfg, state, true)
+}
+
+/// [`check_state`] right after a Golub–Kahan step. The step leaves `u`
+/// and `v` either as they were with a zero norm, or divided by their own
+/// norms β and α: with α, β and the reciprocals it scaled by finite, no
+/// entry of either can be NaN or infinite, so only `x` is scanned.
+pub(crate) fn check_step(cfg: &HealthConfig, state: &LsqrState) -> Option<HealthIssue> {
+    check(cfg, state, false)
+}
+
+fn check(cfg: &HealthConfig, state: &LsqrState, scan_uv: bool) -> Option<HealthIssue> {
     if !cfg.enabled {
         return None;
     }
@@ -124,8 +137,14 @@ pub fn check_state(cfg: &HealthConfig, state: &LsqrState) -> Option<HealthIssue>
         return Some(HealthIssue::NonFiniteScalar);
     }
     if cfg.scan_vectors {
-        for (which, v) in [('x', &state.x), ('u', &state.u), ('v', &state.v)] {
-            if !all_finite(v) {
+        let unit = |norm: f64| norm == 0.0 || (1.0 / norm).is_finite();
+        let (u_ok, v_ok) = if scan_uv {
+            (all_finite(&state.u), all_finite(&state.v))
+        } else {
+            (unit(state.beta), unit(state.alfa))
+        };
+        for (which, ok) in [('x', all_finite(&state.x)), ('u', u_ok), ('v', v_ok)] {
+            if !ok {
                 return Some(HealthIssue::NonFiniteVector { which });
             }
         }
@@ -221,6 +240,38 @@ mod tests {
             }
             assert_eq!(
                 check_state(&cfg, &s),
+                Some(HealthIssue::NonFiniteVector { which })
+            );
+        }
+    }
+
+    /// The public check scans a hand-built state's `u` and `v` whatever
+    /// its α and β; the check after a step lets the norms vouch for them,
+    /// and catches a norm too small to divide by.
+    #[test]
+    fn hand_built_nan_in_u_is_named_and_steps_trust_their_norms() {
+        let cfg = HealthConfig::default_on();
+        let mut s = healthy_state(4, 8);
+        s.u[3] = f64::NAN;
+        assert_eq!(
+            check_state(&cfg, &s),
+            Some(HealthIssue::NonFiniteVector { which: 'u' })
+        );
+        assert_eq!(check_step(&cfg, &s), None);
+        s.x[1] = f64::INFINITY;
+        assert_eq!(
+            check_step(&cfg, &s),
+            Some(HealthIssue::NonFiniteVector { which: 'x' })
+        );
+        for (which, tiny) in [('u', 1e-310), ('v', 4e-320)] {
+            let mut s = healthy_state(4, 8);
+            if which == 'u' {
+                s.beta = tiny;
+            } else {
+                s.alfa = tiny;
+            }
+            assert_eq!(
+                check_step(&cfg, &s),
                 Some(HealthIssue::NonFiniteVector { which })
             );
         }

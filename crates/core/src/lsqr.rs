@@ -28,6 +28,7 @@
 //! checkpointed between job allocations). [`crate::lsmr`] runs the same
 //! Golub–Kahan step and stop-rule cascade.
 
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use gaia_backends::{blas::d2norm, Backend};
@@ -50,6 +51,9 @@ pub struct OperatorLsqr<O: Operator> {
     config: LsqrConfig,
     scaling: ColumnScaling,
     cancel: Option<CancellationToken>,
+    /// The step's two column-space buffers, `D∘v` and `Aᵀû`, allocated
+    /// once: a step allocates nothing the size of the system.
+    scratch: Mutex<[Vec<f64>; 2]>,
 }
 
 /// LSQR solver bound to a resident system, a backend, and a configuration.
@@ -191,11 +195,13 @@ impl<O: Operator> OperatorLsqr<O> {
         } else {
             ColumnScaling::identity(op.n_cols())
         };
+        let n = op.n_cols();
         Ok(OperatorLsqr {
             op,
             config,
             scaling,
             cancel: None,
+            scratch: Mutex::new([vec![0.0; n], vec![0.0; n]]),
         })
     }
 
@@ -224,19 +230,14 @@ impl<O: Operator> OperatorLsqr<O> {
     /// `α v = D Aᵀ u`. Returns `(u, v, α, β)`; LSQR and LSMR both start here.
     pub(crate) fn gk_start(&self) -> Result<(Vec<f64>, Vec<f64>, f64, f64), OperatorError> {
         let op = &self.op;
-        let n = op.n_cols();
-        let d = self.scaling.inv_norms();
         let mut u: Vec<f64> = op.known_terms().to_vec();
-        let mut v = vec![0.0f64; n];
+        let mut v = vec![0.0f64; op.n_cols()];
         let beta = op.row_nrm2(&u);
         let mut alfa = 0.0;
         if beta > 0.0 {
             op.scal(&mut u, 1.0 / beta);
-            let mut tmp_n = vec![0.0f64; n];
-            op.aprod2(&u, &mut tmp_n)?;
-            for i in 0..n {
-                v[i] = tmp_n[i] * d[i];
-            }
+            op.aprod2(&u, &mut v)?;
+            self.scaling.apply_in_place(&mut v);
             alfa = op.nrm2(&v);
         }
         if alfa > 0.0 {
@@ -247,7 +248,9 @@ impl<O: Operator> OperatorLsqr<O> {
 
     /// One Golub–Kahan step, the iteration's two products and two norms:
     /// `β u ← (A D) v − α u`, then, unless `β = 0`, `α v ← D Aᵀ u − β v`.
-    /// LSQR and LSMR both step here.
+    /// One [`Operator::gk_products`] pass computes the unnormalised `û`
+    /// and `Aᵀû`; `u = û/β` and `Aᵀu = (Aᵀû)/β` follow. LSQR and LSMR
+    /// both step here.
     pub(crate) fn gk_step(
         &self,
         u: &mut [f64],
@@ -256,22 +259,20 @@ impl<O: Operator> OperatorLsqr<O> {
         beta: &mut f64,
     ) -> Result<(), OperatorError> {
         let op = &self.op;
-        let n = op.n_cols();
         let d = self.scaling.inv_norms();
-        let mut tmp_n = vec![0.0f64; n];
-        op.scal(u, -*alfa);
-        for i in 0..n {
-            tmp_n[i] = v[i] * d[i];
-        }
-        op.aprod1(&tmp_n, u)?;
+        // Both buffers are rewritten before they are read, so one a
+        // panicking step left behind is as good as new.
+        let mut scratch = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
+        let [dv, atu] = &mut *scratch;
+        self.scaling.apply(v, dv);
+        atu.fill(0.0);
+        op.gk_products(dv, *alfa, u, atu)?;
         *beta = op.row_nrm2(u);
         if *beta > 0.0 {
-            op.scal(u, 1.0 / *beta);
-            op.scal(v, -*beta);
-            tmp_n.iter_mut().for_each(|t| *t = 0.0);
-            op.aprod2(u, &mut tmp_n)?;
-            for i in 0..n {
-                v[i] += tmp_n[i] * d[i];
+            let inv = 1.0 / *beta;
+            op.scal(u, inv);
+            for ((vi, &ai), &di) in v.iter_mut().zip(&*atu).zip(d) {
+                *vi = -*beta * *vi + ai * inv * di;
             }
             *alfa = op.nrm2(v);
             if *alfa > 0.0 {
@@ -471,7 +472,7 @@ impl<O: Operator> OperatorLsqr<O> {
         // shard of a sharded operator stops at the same iteration for the
         // same reason, and records "the iteration time maximized among
         // all MPI processes", which is what the paper measures.
-        let verdict = if crate::health::check_state(&cfg.health, s).is_some() {
+        let verdict = if crate::health::check_step(&cfg.health, s).is_some() {
             BREAKDOWN
         } else if self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
             CANCEL
@@ -721,6 +722,60 @@ mod tests {
                 .fold(0.0, f64::max);
             assert!(diff < 1e-6, "backend {} deviates by {diff}", backend.name());
         }
+    }
+
+    /// Forwards the products and two BLAS-1 calls to `seq`, as a
+    /// measuring wrapper does, but not the Golub–Kahan pass: the solver
+    /// then runs the trait's default pass over the forwarded products.
+    struct ForwardsProducts;
+
+    impl Backend for ForwardsProducts {
+        fn name(&self) -> String {
+            "forwards-products".into()
+        }
+        fn description(&self) -> &'static str {
+            "seq behind a wrapper that keeps the default pass"
+        }
+        fn aprod1(&self, sys: &SparseSystem, x: &[f64], out: &mut [f64]) {
+            SeqBackend.aprod1(sys, x, out);
+        }
+        fn aprod2(&self, sys: &SparseSystem, y: &[f64], out: &mut [f64]) {
+            SeqBackend.aprod2(sys, y, out);
+        }
+        fn scal(&self, v: &mut [f64], s: f64) {
+            SeqBackend.scal(v, s);
+        }
+        fn nrm2(&self, v: &[f64]) -> f64 {
+            SeqBackend.nrm2(v)
+        }
+    }
+
+    #[test]
+    fn a_wrapper_without_the_fused_pass_solves_bitwise_like_seq() {
+        let (sys, _) = consistent_system(116);
+        let fused = solve(&sys, &SeqBackend, &LsqrConfig::new());
+        let forwarded = solve(&sys, &ForwardsProducts, &LsqrConfig::new());
+        assert_eq!(fused.iterations, forwarded.iterations);
+        assert_eq!(fused.stop, forwarded.stop);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fused.x), bits(&forwarded.x));
+        assert_eq!(bits(&fused.var), bits(&forwarded.var));
+        let rnorms = |s: &Solution| {
+            s.history
+                .iter()
+                .map(|h| h.rnorm.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rnorms(&fused), rnorms(&forwarded));
+    }
+
+    /// The step's scratch buffers keep the solver shareable across threads.
+    #[test]
+    fn solvers_stay_send_and_sync() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Lsqr<'static, SeqBackend>>();
+        send_sync::<Lsqr<'static, dyn Backend>>();
+        send_sync::<OperatorLsqr<SystemOperator<'static, dyn Backend>>>();
     }
 
     #[test]

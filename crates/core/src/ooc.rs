@@ -12,15 +12,22 @@
 //! the ascending scans below and requires only that each loop iteration
 //! drops its block before the next asks for one.
 //!
+//! An iteration's Golub–Kahan pass ([`Operator::gk_products`]) accesses
+//! each tile once: the backend's own pass runs the tile's `aprod1` and
+//! then its `aprod2`, so an iteration loads or hits each tile once, not
+//! once per product. Only the starting `aprod2` and the preconditioner's
+//! column norms make passes of their own.
+//!
 //! **Bit-identity**: tiles are processed sequentially in global row
 //! order — whichever of them the cache happens to hold — and each tile,
 //! living in its parent's column space, reads `x` and accumulates into
-//! `out` in place. Sequential and
-//! owner-computes backends accumulate each output slot in ascending row
-//! order, so the tiled solve is *bitwise identical* to the resident solve
-//! with the same backend — at any capacity budget. Reduction-reordering
-//! strategies (striped, replicated, atomic) stay within their usual
-//! cross-backend tolerance class.
+//! `out` in place. A tile's rows of `u` are final once its `aprod1` has
+//! run, so its `aprod2` reads the same `u` the two-pass order would.
+//! Sequential and owner-computes backends accumulate each output slot in
+//! ascending row order, so the tiled solve is *bitwise identical* to the
+//! resident solve with the same backend — at any capacity budget.
+//! Reduction-reordering strategies (striped, replicated, atomic) stay
+//! within their usual cross-backend tolerance class.
 //!
 //! Every tile access is recorded into the telemetry [`TileCell`]
 //! (loads, hits, evictions, bytes moved, peak resident bytes), which is
@@ -125,6 +132,24 @@ impl<B: Backend + ?Sized> Operator for TiledOperator<'_, B> {
         Ok(())
     }
 
+    /// Each tile is accessed once per pass: its rows of `u ← A x − α u`
+    /// and then their `Aᵀu`, through the backend's own pass.
+    fn gk_products(
+        &self,
+        x: &[f64],
+        alfa: f64,
+        u: &mut [f64],
+        out: &mut [f64],
+    ) -> Result<(), OperatorError> {
+        for t in 0..self.tiles.n_tiles() {
+            let (block, access) = self.tiles.tile(t)?;
+            self.record(&access);
+            let ut = &mut u[block.rows.clone()];
+            self.backend.gk_products(&block.system, x, alfa, ut, out);
+        }
+        Ok(())
+    }
+
     fn nrm2(&self, v: &[f64]) -> f64 {
         self.backend.nrm2(v)
     }
@@ -203,6 +228,55 @@ mod tests {
         }
     }
 
+    /// The per-tile pass equals the two products over all tiles, bit for
+    /// bit, at any budget, and accesses each tile once where the two
+    /// products access it twice.
+    #[test]
+    fn the_tiled_pass_is_bitwise_the_two_products_with_half_the_tile_accesses() {
+        let dir = std::env::temp_dir().join(format!("gaia-ooc-pass-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Generator::new(GeneratorConfig::new(SystemLayout::small()).seed(33))
+            .generate_tiled(&dir, 48)
+            .expect("streamed generation");
+        let probe = TiledSystem::open(&dir).expect("probe");
+        let (n_tiles, one_tile) = (probe.n_tiles(), probe.min_budget());
+        let budgets = [None, Some(probe.matrix_bytes() / 2), Some(one_tile)];
+        drop(probe);
+        assert!(n_tiles > 2, "{n_tiles} tiles");
+        for budget in budgets {
+            let tiles = match budget {
+                None => TiledSystem::open(&dir),
+                Some(b) => TiledSystem::open_with_budget(&dir, CapacityBudget::limited(b)),
+            }
+            .expect("open tiles");
+            let op = TiledOperator::new(&tiles, &SeqBackend);
+            let x: Vec<f64> = (0..op.n_cols()).map(|i| (i as f64 * 0.31).sin()).collect();
+            let u0: Vec<f64> = (0..op.n_rows()).map(|i| (i as f64 * 0.17).cos()).collect();
+            let alfa = 0.625;
+            let accesses = || {
+                let s = tiles.stats();
+                s.loads + s.hits
+            };
+
+            let (mut u_want, mut out_want) = (u0.clone(), vec![0.5; op.n_cols()]);
+            let before = accesses();
+            op.scal(&mut u_want, -alfa);
+            op.aprod1(&x, &mut u_want).expect("aprod1");
+            op.aprod2(&u_want, &mut out_want).expect("aprod2");
+            assert_eq!(accesses() - before, 2 * n_tiles as u64, "{budget:?}");
+
+            let (mut u, mut out) = (u0, vec![0.5; op.n_cols()]);
+            let before = accesses();
+            op.gk_products(&x, alfa, &mut u, &mut out).expect("pass");
+            assert_eq!(accesses() - before, n_tiles as u64, "{budget:?}");
+
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&u), bits(&u_want), "u at budget {budget:?}");
+            assert_eq!(bits(&out), bits(&out_want), "out at budget {budget:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Nothing remembers that a tile verified once: a tile that loaded
     /// cleanly several times in this very solve is refused, by path, on
     /// the first load after a bit of it flips.
@@ -220,11 +294,13 @@ mod tests {
         let tiles = TiledSystem::open_with_budget(&dir, CapacityBudget::limited(one_tile))
             .expect("open with a one-tile budget");
 
-        // Three full iterations run clean; the flip lands while tile 0 of
-        // the next product is being multiplied, so tile 1 is next to load.
+        // The start's `aprod2` and three full iterations run clean (an
+        // iteration runs each tile's `aprod1` and then its `aprod2`); the
+        // flip lands while tile 0 of the fourth runs its `aprod2`, so
+        // tile 1 is next to load.
         let backend = FlipsMidSolve {
             products: Mutex::new(0),
-            flip_at: 6 * n_tiles,
+            flip_at: 7 * n_tiles + 1,
             victim: dir.join(TileManifest::tile_file_name(1)),
         };
         let err = solve_tiled(&tiles, &backend, &LsqrConfig::fixed_iterations(12))
@@ -236,11 +312,15 @@ mod tests {
         }
         assert_eq!(
             *backend.products.lock().expect("no product panics"),
-            6 * n_tiles + 1,
+            backend.flip_at + 1,
             "no product may run on or after the corrupted tile"
         );
-        assert!(
-            tiles.stats().loads > 6 * n_tiles as u64,
+        // Every access was a load, each tile's clean ones included: one
+        // per tile for the column norms, the start and each of the three
+        // iterations, then tile 0 once more.
+        assert_eq!(
+            tiles.stats().loads,
+            5 * n_tiles as u64 + 1,
             "{:?}",
             tiles.stats()
         );

@@ -60,8 +60,8 @@ impl From<gaia_sparse::TileError> for OperatorError {
 
 /// A linear operator LSQR can run against: shape, right-hand side,
 /// column norms for preconditioning, the two accumulating sparse
-/// products, the backend's BLAS-1 kernels, and the two reductions a
-/// row-sharded operator needs.
+/// products and the pass that runs both, the backend's BLAS-1 kernels,
+/// and the two reductions a row-sharded operator needs.
 pub trait Operator {
     /// Number of rows (observations + constraints).
     fn n_rows(&self) -> usize;
@@ -81,6 +81,22 @@ pub trait Operator {
 
     /// `out += Aᵀ y` (accumulating, like [`Backend::aprod2`]).
     fn aprod2(&self, y: &[f64], out: &mut [f64]) -> Result<(), OperatorError>;
+
+    /// One Golub–Kahan pass: `u ← A x − α u`, then `out += Aᵀ u` with the
+    /// new `u` — the iteration's two products. The default runs them in
+    /// turn; an operator that can read its matrix once for both overrides
+    /// it, and must return the same bits.
+    fn gk_products(
+        &self,
+        x: &[f64],
+        alfa: f64,
+        u: &mut [f64],
+        out: &mut [f64],
+    ) -> Result<(), OperatorError> {
+        self.scal(u, -alfa);
+        self.aprod1(x, u)?;
+        self.aprod2(u, out)
+    }
 
     /// Euclidean norm (backend-overridable).
     fn nrm2(&self, v: &[f64]) -> f64 {
@@ -163,6 +179,17 @@ impl<B: Backend + ?Sized> Operator for SystemOperator<'_, B> {
 
     fn aprod2(&self, y: &[f64], out: &mut [f64]) -> Result<(), OperatorError> {
         self.backend.aprod2(self.sys, y, out);
+        Ok(())
+    }
+
+    fn gk_products(
+        &self,
+        x: &[f64],
+        alfa: f64,
+        u: &mut [f64],
+        out: &mut [f64],
+    ) -> Result<(), OperatorError> {
+        self.backend.gk_products(self.sys, x, alfa, u, out);
         Ok(())
     }
 

@@ -6,6 +6,7 @@
 //! supervisor must recover from periodic checkpoints both times and land
 //! **bit-identical** on the fault-free distributed trajectory.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -127,16 +128,19 @@ fn panic_then_corruption_recovers_bit_identically() {
         reference.iterations
     );
 
-    // Attempt 0 (fresh, cadence 2): seq 20 is iteration 6's aprod2 —
-    // after the iteration-4 checkpoint. Attempt 1 (resumed from itn 4):
-    // seq 8 is iteration 7's aprod2, after the iteration-6 checkpoint;
-    // bit 62 blows the payload word up to ~1e305, which the health
-    // guards must catch before the iteration-8 checkpoint can persist
-    // the damage.
+    // An iteration makes three collectives: the `aprod2` vector
+    // allreduce of its Golub–Kahan pass, the `‖u‖` scalar, the stop
+    // verdict; the start makes two (`‖b‖`, `aprod2`), each checkpoint
+    // one allgather. Attempt 0 (fresh, cadence 2): seq 19 is iteration
+    // 6's aprod2 — after the iteration-4 checkpoint. Attempt 1 (resumed
+    // from itn 4): seq 7 is iteration 7's aprod2, after the iteration-6
+    // checkpoint; bit 62 blows the payload word up to ~1e305, which the
+    // health guards must catch before the iteration-8 checkpoint can
+    // persist the damage.
     let plan = Arc::new(
         FaultPlan::scripted(0)
-            .with_event(0, 1, 20, FaultKind::RankPanic)
-            .with_event(1, 0, 8, FaultKind::BitFlip { bit: 62 }),
+            .with_event(0, 1, 19, FaultKind::RankPanic)
+            .with_event(1, 0, 7, FaultKind::BitFlip { bit: 62 }),
     );
     let report = solve_resilient(
         &sys,
@@ -204,6 +208,82 @@ fn nan_kernel_output_is_a_breakdown_within_one_iteration() {
         "breakdown must be caught in the poisoned iteration"
     );
     assert!(!sol.stop.converged());
+}
+
+/// `seq`, except that its Golub–Kahan pass number `at` (pass 0 is
+/// iteration 1's) writes NaN into row `row` of `u` between the two
+/// products, so `Aᵀu` reads it too.
+struct PoisonsInsidePass {
+    passes: AtomicUsize,
+    at: usize,
+    row: usize,
+}
+
+impl Backend for PoisonsInsidePass {
+    fn name(&self) -> String {
+        "poisons-inside-pass".into()
+    }
+    fn description(&self) -> &'static str {
+        "seq with one NaN row written inside one Golub–Kahan pass"
+    }
+    fn aprod1(&self, sys: &SparseSystem, x: &[f64], out: &mut [f64]) {
+        SeqBackend.aprod1(sys, x, out);
+    }
+    fn aprod2(&self, sys: &SparseSystem, y: &[f64], out: &mut [f64]) {
+        SeqBackend.aprod2(sys, y, out);
+    }
+    fn gk_products(
+        &self,
+        sys: &SparseSystem,
+        x: &[f64],
+        alfa: f64,
+        u: &mut [f64],
+        out: &mut [f64],
+    ) {
+        gaia_backends::blas::scal(u, -alfa);
+        SeqBackend.aprod1(sys, x, u);
+        // ORDERING: `Relaxed`: a pass count on the solving thread only.
+        if self.passes.fetch_add(1, Ordering::Relaxed) == self.at {
+            u[self.row] = f64::NAN;
+        }
+        SeqBackend.aprod2(sys, u, out);
+    }
+}
+
+/// A row poisoned inside the fused pass stops the solve as a breakdown in
+/// that same iteration, resident and on every rank of a distributed solve.
+#[test]
+fn nan_inside_the_fused_pass_is_a_breakdown_in_that_iteration() {
+    let sys = system(605);
+    let cfg = LsqrConfig::new();
+    let poisoned = || PoisonsInsidePass {
+        passes: AtomicUsize::new(0),
+        at: 3,
+        row: 7,
+    };
+    let sol = solve(&sys, &poisoned(), &cfg);
+    assert_eq!(sol.stop, StopReason::NumericalBreakdown);
+    assert_eq!(
+        sol.iterations, 4,
+        "breakdown must be caught in pass 3's iteration"
+    );
+
+    let sol = try_solve_hybrid(
+        &sys,
+        3,
+        &cfg,
+        |rank| {
+            if rank == 2 {
+                Box::new(poisoned()) as Box<dyn Backend>
+            } else {
+                Box::new(SeqBackend)
+            }
+        },
+        &DistOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(sol.stop, StopReason::NumericalBreakdown);
+    assert_eq!(sol.iterations, 4);
 }
 
 /// The same guard holds distributed: one rank's poisoned kernel stops
