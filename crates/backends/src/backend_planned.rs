@@ -17,12 +17,19 @@
 //!   search, and a `gaia-tune-profile/v2` file is that pinning. Shapes the
 //!   tuner never saw run the policy's own plan, and the miss is recorded in
 //!   telemetry so a silent mismatch shows up in run reports.
+//!
+//! The Golub–Kahan pass resolves the plan once. A plan whose colliding
+//! sections all publish inside wave 1 (`atomic`, `casloop`, a `tuned`
+//! profile of that kind) runs it as one launch that reads the matrix once
+//! ([`LaunchPlan::gk_products`]); every other plan, and any tiled walk,
+//! runs `aprod1` and then `aprod2`.
 
 use std::sync::Arc;
 
 use gaia_sparse::{RowBlock, SparseSystem, SystemLayout};
 use parking_lot::Mutex;
 
+use crate::blas;
 use crate::exec::ExecutorPool;
 use crate::launch::LaunchPlan;
 use crate::profile::LaunchProfile;
@@ -47,8 +54,9 @@ pub struct PlannedBackend {
     /// policy whose plan does not depend on the system.
     shape_plans: Option<Vec<(SystemLayout, LaunchPlan)>>,
     /// Resolution cache: the last shape seen and the plan picked for it
-    /// (LSQR alternates `aprod1`/`aprod2` on one system, so one entry is
-    /// a perfect cache). Untouched while `shape_plans` is `None`.
+    /// (LSQR resolves once per Golub–Kahan pass, always on one system, so
+    /// one entry is a perfect cache). Untouched while `shape_plans` is
+    /// `None`.
     resolved: Mutex<Option<(SystemLayout, LaunchPlan)>>,
 }
 
@@ -117,6 +125,30 @@ impl PlannedBackend {
         *cached = Some((*shape, plan));
         plan
     }
+
+    /// `out += A x` under `plan`, whole or tile by tile.
+    fn run_aprod1(&self, plan: &LaunchPlan, sys: &SparseSystem, x: &[f64], out: &mut [f64]) {
+        match self.tile_stars {
+            None => plan.aprod1(&self.pool, sys, x, out),
+            Some(tile_stars) => {
+                for tile in row_tiles(sys, tile_stars) {
+                    plan.aprod1(&self.pool, &tile.system, x, &mut out[tile.rows]);
+                }
+            }
+        }
+    }
+
+    /// `out += Aᵀ y` under `plan`, whole or tile by tile.
+    fn run_aprod2(&self, plan: &LaunchPlan, sys: &SparseSystem, y: &[f64], out: &mut [f64]) {
+        match self.tile_stars {
+            None => plan.aprod2(&self.pool, sys, y, out),
+            Some(tile_stars) => {
+                for tile in row_tiles(sys, tile_stars) {
+                    plan.aprod2(&self.pool, &tile.system, &y[tile.rows], out);
+                }
+            }
+        }
+    }
 }
 
 /// Star-aligned row-block views covering `sys`, constraint rows folded
@@ -145,27 +177,35 @@ impl Backend for PlannedBackend {
 
     fn aprod1(&self, sys: &SparseSystem, x: &[f64], out: &mut [f64]) {
         self.check_aprod1(sys, x, out);
-        let plan = self.plan_for(sys.layout());
-        match self.tile_stars {
-            None => plan.aprod1(&self.pool, sys, x, out),
-            Some(tile_stars) => {
-                for tile in row_tiles(sys, tile_stars) {
-                    plan.aprod1(&self.pool, &tile.system, x, &mut out[tile.rows]);
-                }
-            }
-        }
+        self.run_aprod1(&self.plan_for(sys.layout()), sys, x, out);
     }
 
     fn aprod2(&self, sys: &SparseSystem, y: &[f64], out: &mut [f64]) {
         self.check_aprod2(sys, y, out);
+        self.run_aprod2(&self.plan_for(sys.layout()), sys, y, out);
+    }
+
+    /// Resolves the plan once for the whole pass. A plan that passes
+    /// [`LaunchPlan::gk_in_one_launch`] runs the pass as one launch over
+    /// the whole system; a tiled walk and every other plan run `aprod1`
+    /// and then `aprod2`.
+    fn gk_products(
+        &self,
+        sys: &SparseSystem,
+        x: &[f64],
+        alfa: f64,
+        u: &mut [f64],
+        out: &mut [f64],
+    ) {
+        self.check_aprod1(sys, x, u);
+        self.check_aprod2(sys, u, out);
         let plan = self.plan_for(sys.layout());
-        match self.tile_stars {
-            None => plan.aprod2(&self.pool, sys, y, out),
-            Some(tile_stars) => {
-                for tile in row_tiles(sys, tile_stars) {
-                    plan.aprod2(&self.pool, &tile.system, &y[tile.rows], out);
-                }
-            }
+        if self.tile_stars.is_none() && plan.gk_in_one_launch() {
+            plan.gk_products(&self.pool, sys, x, alfa, u, out);
+        } else {
+            blas::scal(u, -alfa);
+            self.run_aprod1(&plan, sys, x, u);
+            self.run_aprod2(&plan, sys, u, out);
         }
     }
 
@@ -425,6 +465,43 @@ mod tests {
                 .collect()
         });
         assert!(mismatches.is_empty(), "{mismatches:?}");
+    }
+
+    /// `(u, out)` after one pass from non-zero `u` and `out`.
+    fn pass(b: &dyn Backend, sys: &SparseSystem, x: &[f64], y: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let (mut u, mut out) = (y.to_vec(), x.to_vec());
+        b.gk_products(sys, x, 0.75, &mut u, &mut out);
+        (u, out)
+    }
+
+    /// The pass is the two products whichever way the plan runs it: in
+    /// one launch for a `tuned` profile that publishes in wave 1, in two
+    /// for the same plan walked over tiles.
+    #[test]
+    fn every_pass_matches_seq_in_one_launch_or_two() {
+        let sys = tiny(9);
+        let (x, y) = probe(&sys);
+        let want = pass(&SeqBackend, &sys, &x, &y);
+        let atomic = LaunchPlan::new(
+            Tuning {
+                threads: 3,
+                chunks_per_thread: 2,
+            },
+            Aprod2Spec {
+                instr: Aprod2Strategy::CasLoop,
+                ..Aprod2Spec::uniform(Aprod2Strategy::Atomic)
+            },
+        );
+        assert!(atomic.gk_in_one_launch());
+        let profile = LaunchProfile::from_plan("tiny", SystemLayout::tiny(), &atomic);
+        let b = tuned(2, &[profile]);
+        assert_eq!(b.plan_for(&SystemLayout::tiny()), atomic);
+        let tiled = PlannedBackend::new("tiled", "test", atomic).with_tile_stars(2);
+        for b in [&b, &tiled] {
+            let got = pass(b, &sys, &x, &y);
+            assert_close(&got.0, &want.0, "u");
+            assert_close(&got.1, &want.1, "out");
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Sequential reference backend.
 
-use gaia_sparse::system::ASTRO_NNZ_PER_ROW;
 use gaia_sparse::SparseSystem;
 
 use crate::kernels;
@@ -11,13 +10,6 @@ use crate::traits::Backend;
 /// plays the role of the paper's production reference solution (§V-C).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SeqBackend;
-
-/// Stars per block of the fused Golub–Kahan pass: 32 stars of 30
-/// observations are 960 rows, about 290 KB of matrix — what stays in L2
-/// between a block's `aprod1` and its `aprod2`. Picked by timing 16 to
-/// 256 stars on a 10 000-star system: flat from 16 to 64, lowest at 32
-/// (EXPERIMENTS.md).
-const GK_BLOCK_STARS: usize = 32;
 
 impl Backend for SeqBackend {
     fn name(&self) -> String {
@@ -42,8 +34,8 @@ impl Backend for SeqBackend {
         kernels::aprod2_glob(sys, y, 0..sys.n_obs_rows(), glob);
     }
 
-    /// The pass over ascending blocks of [`GK_BLOCK_STARS`] stars, each
-    /// through [`kernels::gk_block`]: bitwise equal to the default.
+    /// The pass through [`kernels::gk_blocks`] on the whole system:
+    /// bitwise equal to the default.
     fn gk_products(
         &self,
         sys: &SparseSystem,
@@ -54,30 +46,7 @@ impl Backend for SeqBackend {
     ) {
         self.check_aprod1(sys, x, u);
         self.check_aprod2(sys, u, out);
-        let layout = *sys.layout();
-        let n_stars = layout.n_stars as usize;
-        let [astro, att, instr, glob] = sys.sections_mut(out);
-        let (mut star, mut row) = (0, 0);
-        // A block of no stars still carries the constraint rows.
-        while star < n_stars || row < sys.n_rows() {
-            let end = (star + GK_BLOCK_STARS).min(n_stars);
-            let row_end = if end == n_stars {
-                sys.n_rows()
-            } else {
-                layout.rows_of_star(end as u64).start as usize
-            };
-            let cols = ASTRO_NNZ_PER_ROW * star..ASTRO_NNZ_PER_ROW * end;
-            kernels::gk_block(
-                sys,
-                x,
-                alfa,
-                star..end,
-                row..row_end,
-                u,
-                [&mut astro[cols], att, instr, glob],
-            );
-            (star, row) = (end, row_end);
-        }
+        kernels::gk_blocks(sys, x, alfa, u, sys.sections_mut(out));
     }
 }
 

@@ -16,10 +16,12 @@
 //! * `aprod2_att_owned` / `aprod2_instr_owned`: owner-computes variants that
 //!   scan rows but only write columns inside an owned block-local range.
 //!
-//! [`gk_block`] runs `aprod1` and then `aprod2` on one block of stars, so
-//! the sequential Golub–Kahan pass reads each matrix row once for both
-//! products. Kernel telemetry counts a call per kernel invocation: under
-//! that pass, one per block, not one per product.
+//! [`gk_blocks`] runs `aprod1` and then `aprod2` block of stars by block
+//! of stars, so a Golub–Kahan pass reads each matrix row once for both
+//! products. It is the one block loop: `seq` runs it on the whole system,
+//! and each job of a one-launch plan pass ([`crate::launch`]) on the row
+//! block of its stars. Kernel telemetry counts a call per kernel
+//! invocation: under that pass, one per block, not one per product.
 
 use std::ops::Range;
 
@@ -115,31 +117,46 @@ pub fn aprod1_range(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: &mut
     aprod1_att(sys, x, rows, out);
 }
 
-/// One star block of the Golub–Kahan pass over `rows` (the rows of
-/// `stars`, plus the constraint rows when it is the last block): scale
-/// `u` by `−α`, run `aprod1` into it, then `aprod2` with the new `u` over
-/// the same rows while they are still in cache. `u` is the whole row
-/// vector; `out` holds the four sections of [`SparseSystem::sections_mut`],
-/// the astrometric one covering `stars` only. Ascending blocks feed every
-/// output column in ascending row order, as the whole-system products do.
-pub fn gk_block(
-    sys: &SparseSystem,
-    x: &[f64],
-    alfa: f64,
-    stars: Range<usize>,
-    rows: Range<usize>,
-    u: &mut [f64],
-    out: [&mut [f64]; 4],
-) {
+/// Stars per block of the Golub–Kahan pass: 32 stars of 30 observations
+/// are 960 rows, about 290 KB of matrix — what stays in L2 between a
+/// block's `aprod1` and its `aprod2`. Picked by timing 16 to 256 stars on
+/// a 10 000-star system: flat from 16 to 64, lowest at 32 (EXPERIMENTS.md).
+pub const GK_BLOCK_STARS: usize = 32;
+
+/// The Golub–Kahan pass over `sys`: `u ← A x − α u`, then `out += Aᵀu`
+/// with the new `u`, walking ascending blocks of [`GK_BLOCK_STARS`] stars
+/// (the last block carries the constraint rows). Each block scales its
+/// rows of `u` by `−α`, runs `aprod1` into them, then `aprod2` over the
+/// same rows while they are still in cache. `u` covers `sys`'s rows;
+/// `out` holds the four sections of [`SparseSystem::sections_mut`] — or a
+/// caller's private copies of the shared three. Ascending blocks feed
+/// every output column in ascending row order, as the whole-system
+/// products do, so on a whole system this is bitwise the two products.
+pub fn gk_blocks(sys: &SparseSystem, x: &[f64], alfa: f64, u: &mut [f64], out: [&mut [f64]; 4]) {
     let [astro, att, instr, glob] = out;
-    let ub = &mut u[rows.clone()];
-    crate::blas::scal(ub, -alfa);
-    aprod1_range(sys, x, rows.clone(), ub);
-    let obs = rows.start..rows.end.min(sys.n_obs_rows());
-    aprod2_astro(sys, u, stars, astro);
-    aprod2_att(sys, u, rows, att);
-    aprod2_instr(sys, u, obs.clone(), instr);
-    aprod2_glob(sys, u, obs, glob);
+    let layout = *sys.layout();
+    let n_stars = layout.n_stars as usize;
+    let (mut star, mut row) = (0, 0);
+    // A block of no stars still carries the constraint rows.
+    while star < n_stars || row < sys.n_rows() {
+        let end = (star + GK_BLOCK_STARS).min(n_stars);
+        let row_end = if end == n_stars {
+            sys.n_rows()
+        } else {
+            layout.rows_of_star(end as u64).start as usize
+        };
+        let rows = row..row_end;
+        let ub = &mut u[rows.clone()];
+        crate::blas::scal(ub, -alfa);
+        aprod1_range(sys, x, rows.clone(), ub);
+        let obs = row..row_end.min(sys.n_obs_rows());
+        let cols = ASTRO_NNZ_PER_ROW * star..ASTRO_NNZ_PER_ROW * end;
+        aprod2_astro(sys, u, star..end, &mut astro[cols]);
+        aprod2_att(sys, u, rows, att);
+        aprod2_instr(sys, u, obs.clone(), instr);
+        aprod2_glob(sys, u, obs, glob);
+        (star, row) = (end, row_end);
+    }
 }
 
 /// Astrometric `aprod2`, parallel-safe across stars: for each star in

@@ -34,6 +34,14 @@
 //! wave 1. That is what separates it from `Replicated`, which keeps every
 //! private buffer alive across a barrier and sums them in a fixed order in
 //! a second wave — the paper's `atomicAdd` versus privatise-and-reduce.
+//!
+//! Because those publishes land inside wave 1, a plan of atomic publishers
+//! also runs a whole Golub–Kahan pass — `u ← A x − α u`, then `Aᵀu` — as
+//! one launch ([`LaunchPlan::gk_products`]): each star-aligned job runs
+//! both products block by block over its own rows, so the matrix is read
+//! once per iteration, and publishes its private sections as `aprod2`'s
+//! jobs do. [`LaunchPlan::gk_in_one_launch`] says which plans have it,
+//! and why the others keep two launches.
 
 use std::ops::Range;
 use std::sync::atomic::AtomicU64;
@@ -60,6 +68,8 @@ pub const PROBE_INSTR_ATOMIC: u32 = 2;
 const PROBE_STRIPED_APPLY: u32 = 3;
 /// Wave-2 reduction of privatized buffers.
 const PROBE_REDUCE: u32 = 4;
+/// Before the global publish of a one-launch Golub–Kahan pass job.
+const PROBE_GLOB_ATOMIC: u32 = 5;
 
 /// Split `0..n` into `parts` near-equal contiguous ranges.
 pub fn split_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
@@ -117,6 +127,18 @@ pub enum AtomicFlavor {
     /// SeqCst strong-CAS loop with spin hints (the slow fallback emitted by
     /// compilers lacking `-munsafe-fp-atomics`-style RMW support).
     CasLoop,
+}
+
+impl AtomicFlavor {
+    /// The flavour an atomic-publish strategy emits; `None` for the
+    /// strategies that do not publish with atomics.
+    fn of(strategy: Aprod2Strategy) -> Option<AtomicFlavor> {
+        match strategy {
+            Aprod2Strategy::Atomic => Some(AtomicFlavor::Rmw),
+            Aprod2Strategy::CasLoop => Some(AtomicFlavor::CasLoop),
+            _ => None,
+        }
+    }
 }
 
 /// Conflict-resolution strategy for the colliding `aprod2` blocks
@@ -458,6 +480,101 @@ impl LaunchPlan {
         }
     }
 
+    /// Whether [`gk_products`](Self::gk_products) can run this plan's
+    /// Golub–Kahan pass in one launch: every colliding section publishes
+    /// with atomics inside wave 1 (`Atomic` or `CasLoop`, either flavour),
+    /// under the uniform budget, over the row-major layout. Every other
+    /// plan keeps the two launches, `aprod1` then `aprod2`:
+    ///
+    /// * owner-computes needs all of `u` before it can finish any column,
+    ///   and a job of the pass holds only its own rows of `u`;
+    /// * `Replicated` and `LockStriped` reduce in a second wave, and to
+    ///   match their own two-launch results bit for bit the pass would
+    ///   need its partial sums combined in one fixed block order at every
+    ///   thread count, which their row split does not give;
+    /// * the ELL layout would build a slot-major mirror per job's view;
+    /// * the streamed budget sizes each section's jobs separately, which
+    ///   one job per star chunk cannot honour.
+    pub fn gk_in_one_launch(&self) -> bool {
+        self.wave_one_flavors().is_some()
+            && self.spec.budget == WorkerBudget::Uniform
+            && self.matrix_layout == MatrixLayout::RowMajor
+    }
+
+    /// The attitude, instrumental and global publish flavours, when all
+    /// three sections publish with atomics inside wave 1.
+    fn wave_one_flavors(&self) -> Option<[AtomicFlavor; 3]> {
+        let s = self.spec;
+        Some([
+            AtomicFlavor::of(s.att)?,
+            AtomicFlavor::of(s.instr)?,
+            AtomicFlavor::of(s.glob)?,
+        ])
+    }
+
+    /// One Golub–Kahan pass, `u ← A x − α u` then `out += Aᵀu`, in one
+    /// launch of `tuning.chunk_count(n_stars)` star-aligned jobs, for a plan
+    /// that passes [`gk_in_one_launch`](Self::gk_in_one_launch). Each job
+    /// takes the row block of its stars (the last one with the constraint
+    /// rows), its rows of `u`, its stars' astrometric columns and private
+    /// copies of the three shared sections; it runs the `seq` block loop
+    /// ([`kernels::gk_blocks`]) over its view, so it reads its rows once
+    /// for both products, then publishes its copies with the plan's atomic
+    /// flavours in the same wave. `sys` may be a row block itself: a view
+    /// of a view is a view of the first parent.
+    pub fn gk_products(
+        &self,
+        pool: &ExecutorPool,
+        sys: &SparseSystem,
+        x: &[f64],
+        alfa: f64,
+        u: &mut [f64],
+        out: &mut [f64],
+    ) {
+        let [att_flavor, instr_flavor, glob_flavor] = match self.wave_one_flavors() {
+            Some(flavors) if self.gk_in_one_launch() => flavors,
+            _ => panic!("no one-launch pass for {self:?}"),
+        };
+        assert_eq!(u.len(), sys.n_rows(), "gk_products: u length mismatch");
+        let [astro, att, instr, glob] = sys.sections_mut(out);
+        let shared: [(Block, u32, &[AtomicU64], AtomicFlavor); 3] = [
+            (Block::Att, PROBE_ATT_ATOMIC, as_atomic(att), att_flavor),
+            (
+                Block::Instr,
+                PROBE_INSTR_ATOMIC,
+                as_atomic(instr),
+                instr_flavor,
+            ),
+            (Block::Glob, PROBE_GLOB_ATOMIC, as_atomic(glob), glob_flavor),
+        ];
+        let n_stars = sys.layout().n_stars as usize;
+        let mut jobs: Vec<Job<'_>> = Vec::new();
+        let (mut u_rest, mut astro_rest) = (u, astro);
+        for stars in split_ranges(n_stars, self.tuning.chunk_count(n_stars)) {
+            let view = sys.row_block(stars.start as u64..stars.end as u64, stars.end == n_stars);
+            let (u_mine, u_tail) = u_rest.split_at_mut(view.rows.len());
+            let (astro_mine, astro_tail) = astro_rest.split_at_mut(stars.len() * 5);
+            (u_rest, astro_rest) = (u_tail, astro_tail);
+            jobs.push(Box::new(move || {
+                let mut privates = shared.map(|(_, _, section, _)| vec![0.0; section.len()]);
+                let [att, instr, glob] = &mut privates;
+                kernels::gk_blocks(
+                    &view.system,
+                    x,
+                    alfa,
+                    u_mine,
+                    [astro_mine, att, instr, glob],
+                );
+                for ((block, probe, section, flavor), local) in shared.into_iter().zip(&privates) {
+                    if !section.is_empty() {
+                        publish_atomic(block, probe, local, section, flavor);
+                    }
+                }
+            }));
+        }
+        pool.run(jobs);
+    }
+
     /// Queue the wave-1 jobs for one colliding section under `strategy`.
     /// Returns the section back to the caller when a wave-2 reduction is
     /// needed (replicated / lock-striped), `None` when wave 1 writes the
@@ -721,12 +838,47 @@ fn atomic_add(flavor: AtomicFlavor, slot: &AtomicU64, v: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{blas, Backend, SeqBackend};
+    use gaia_sparse::{Generator, GeneratorConfig, SystemLayout};
 
     fn tuning_2x4() -> Tuning {
         Tuning {
             threads: 2,
             chunks_per_thread: 4,
         }
+    }
+
+    /// `plan`'s one-launch pass against `seq`'s `blas::scal`, `aprod1`,
+    /// `aprod2`, from non-zero `u` and `out` (both accumulate), under the
+    /// strategies' 1e-10 tolerance. `sys` may be a row block: `x` and
+    /// `out` are its parent's.
+    fn assert_pass_matches_seq(plan: &LaunchPlan, pool: &ExecutorPool, sys: &SparseSystem) {
+        let alfa = 0.75;
+        let x: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.23).sin()).collect();
+        let u0: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.53).cos()).collect();
+        let out0: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.11).sin()).collect();
+        let (mut u_want, mut out_want) = (u0.clone(), out0.clone());
+        blas::scal(&mut u_want, -alfa);
+        SeqBackend.aprod1(sys, &x, &mut u_want);
+        SeqBackend.aprod2(sys, &u_want, &mut out_want);
+        let (mut u, mut out) = (u0, out0);
+        plan.gk_products(pool, sys, &x, alfa, &mut u, &mut out);
+        let what = format!("{plan:?} on {:?} from star {}", sys.layout(), sys.star0());
+        for (g, w) in u.iter().zip(&u_want) {
+            assert!((g - w).abs() < 1e-10, "pass u {what}: {g} vs {w}");
+        }
+        for (g, w) in out.iter().zip(&out_want) {
+            assert!((g - w).abs() < 1e-10, "pass out {what}: {g} vs {w}");
+        }
+    }
+
+    fn system_of(n_stars: u64, n_constraint_rows: u64, seed: u64) -> SparseSystem {
+        let layout = SystemLayout {
+            n_stars,
+            n_constraint_rows,
+            ..SystemLayout::tiny()
+        };
+        Generator::new(GeneratorConfig::new(layout).seed(seed)).generate()
     }
 
     /// The `chunks_per_thread` bugfix: a 2-thread, 4-chunks-per-thread
@@ -847,7 +999,6 @@ mod tests {
     /// serial kernels for both products.
     #[test]
     fn oversized_chunk_budgets_cover_without_overlap() {
-        use gaia_sparse::{Generator, GeneratorConfig, SystemLayout};
         let sys = Generator::new(GeneratorConfig::new(SystemLayout::tiny()).seed(11)).generate();
         let x: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.23).sin()).collect();
         let y: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.31).cos()).collect();
@@ -898,6 +1049,9 @@ mod tests {
                             "aprod2 {tuning:?} {strategy:?} {spec:?}: {g} vs {w}"
                         );
                     }
+                    if plan.gk_in_one_launch() {
+                        assert_pass_matches_seq(&plan, &pool, &sys);
+                    }
                 }
             }
         }
@@ -935,7 +1089,6 @@ mod tests {
     /// chassis — the single-source property the layer exists for.
     #[test]
     fn every_strategy_matches_the_serial_kernels() {
-        use gaia_sparse::{Generator, GeneratorConfig, SystemLayout};
         let sys = Generator::new(GeneratorConfig::new(SystemLayout::tiny()).seed(7)).generate();
         let y: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.31).sin()).collect();
         let mut want = vec![0.0; sys.n_cols()];
@@ -967,6 +1120,95 @@ mod tests {
                 }
             }
         }
+        // The one-launch pass of the two wave-1 publishers, at thread
+        // counts the star counts do and do not divide, on systems with and
+        // without constraint rows, and on views whose first star is not
+        // the parent's, including a view of a view.
+        let parent = system_of(13, 3, 17);
+        let inner = parent.row_block(2..11, false).system;
+        let views = [
+            parent.row_block(4..13, true).system,
+            parent.row_block(1..5, false).system,
+            inner.row_block(3..9, false).system,
+            inner,
+        ];
+        let systems = [sys.clone(), system_of(7, 0, 9), system_of(13, 3, 17)];
+        for threads in [1usize, 2, 3, 8] {
+            let pool = ExecutorPool::new(threads);
+            for strategy in [Aprod2Strategy::Atomic, Aprod2Strategy::CasLoop] {
+                let plan =
+                    LaunchPlan::new(Tuning::with_threads(threads), Aprod2Spec::uniform(strategy));
+                for sys in systems.iter().chain(&views) {
+                    assert_pass_matches_seq(&plan, &pool, sys);
+                }
+            }
+        }
+    }
+
+    /// The pass is one launch of one job per star chunk on the pool, where
+    /// the two products are two launches of `chunk_count(n_rows)` and then
+    /// four sections' worth of jobs.
+    #[test]
+    fn the_pass_is_one_launch_of_one_job_per_star_chunk() {
+        let sys = system_of(13, 3, 5);
+        let x = vec![0.5; sys.n_cols()];
+        for (threads, chunks_per_thread) in [(1usize, 1usize), (2, 1), (3, 2), (8, 4)] {
+            let pool = ExecutorPool::new(threads);
+            let tuning = Tuning {
+                threads,
+                chunks_per_thread,
+            };
+            let plan = LaunchPlan::new(tuning, Aprod2Spec::uniform(Aprod2Strategy::Atomic));
+            let (launches, jobs) = (pool.launch_count(), pool.jobs_run_count());
+            let mut u = vec![1.0; sys.n_rows()];
+            let mut out = vec![0.0; sys.n_cols()];
+            plan.gk_products(&pool, &sys, &x, 0.5, &mut u, &mut out);
+            assert_eq!(pool.launch_count() - launches, 1, "{tuning:?}");
+            let want = (threads * chunks_per_thread).min(13) as u64;
+            assert_eq!(pool.jobs_run_count() - jobs, want, "{tuning:?}");
+        }
+    }
+
+    /// Only plans whose colliding sections all publish inside wave 1 have
+    /// the pass, whatever the flavour mix.
+    #[test]
+    fn the_pass_needs_wave_one_publishes_uniform_budget_and_row_major() {
+        use Aprod2Strategy::*;
+        let all = [
+            OwnerComputes,
+            Atomic,
+            CasLoop,
+            Replicated,
+            LockStriped { stripes: 4 },
+        ];
+        for att in all {
+            for instr in all {
+                for glob in all {
+                    let spec = Aprod2Spec {
+                        att,
+                        instr,
+                        glob,
+                        budget: WorkerBudget::Uniform,
+                    };
+                    let plan = LaunchPlan::new(tuning_2x4(), spec);
+                    let publishes = [att, instr, glob]
+                        .iter()
+                        .all(|s| matches!(s, Atomic | CasLoop));
+                    assert_eq!(plan.gk_in_one_launch(), publishes, "{spec:?}");
+                    let streamed = LaunchPlan::new(
+                        tuning_2x4(),
+                        Aprod2Spec {
+                            budget: WorkerBudget::Streamed,
+                            ..spec
+                        },
+                    );
+                    assert!(!streamed.gk_in_one_launch(), "{spec:?}");
+                    assert!(!plan
+                        .with_matrix_layout(MatrixLayout::Ell)
+                        .gk_in_one_launch());
+                }
+            }
+        }
     }
 
     /// Every matrix layout must match the serial scalar kernels on every
@@ -974,7 +1216,6 @@ mod tests {
     /// search the space safely.
     #[test]
     fn every_layout_matches_the_serial_kernels() {
-        use gaia_sparse::{Generator, GeneratorConfig, SystemLayout};
         let sys = Generator::new(GeneratorConfig::new(SystemLayout::tiny()).seed(13)).generate();
         let x: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.17).sin()).collect();
         let y: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.29).cos()).collect();

@@ -297,6 +297,19 @@ mod tests {
         assert_eq!(all_backends(2).len(), backend_names().len());
     }
 
+    /// Which of the 14 names run the Golub–Kahan pass as one launch:
+    /// exactly the two whose colliding sections all publish inside wave 1.
+    /// `tiled`'s plan is owner-computes, and `tuned` decides per shape
+    /// (its fallback is owner-computes), so neither does here.
+    #[test]
+    fn only_atomic_and_casloop_run_the_pass_in_one_launch() {
+        assert_eq!(backend_names().len(), 14);
+        for &name in backend_names() {
+            let one_launch = fixed_plan(name, 2).is_some_and(|p| p.gk_in_one_launch());
+            assert_eq!(one_launch, matches!(name, "atomic" | "casloop"), "{name}");
+        }
+    }
+
     #[test]
     fn unknown_name_is_none() {
         assert!(backend_by_name("cuda", 2).is_none());

@@ -1,7 +1,8 @@
 //! Property-based backend equivalence: every parallel strategy must agree
 //! with the sequential oracle on arbitrary systems, inputs, thread counts,
-//! and prior output contents (the accumulate contract); and the oracle's
-//! one-pass Golub–Kahan products must equal its two products bit for bit.
+//! and prior output contents (the accumulate contract), in both products
+//! and in the Golub–Kahan pass; and the oracle's one-pass Golub–Kahan
+//! products must equal its two products bit for bit.
 
 use gaia_backends::{all_backends, backend_by_name, backend_names, blas, Backend, SeqBackend};
 use gaia_sparse::{Generator, GeneratorConfig, SparseSystem, SystemLayout};
@@ -86,6 +87,16 @@ proptest! {
         backend.aprod2(&sys, &y, &mut got2);
         for (g, w) in got2.iter().zip(&want2) {
             prop_assert!((g - w).abs() < 1e-10, "{} aprod2: {} vs {}", name, g, w);
+        }
+
+        // The Golub–Kahan pass, one launch for `atomic` and `casloop`
+        // and the two products for the rest, against seq's.
+        let (mut u_want, mut out_want) = (y.clone(), vec![bias; sys.n_cols()]);
+        seq.gk_products(&sys, &x, bias, &mut u_want, &mut out_want);
+        let (mut u, mut out) = (y.clone(), vec![bias; sys.n_cols()]);
+        backend.gk_products(&sys, &x, bias, &mut u, &mut out);
+        for (g, w) in u.iter().zip(&u_want).chain(out.iter().zip(&out_want)) {
+            prop_assert!((g - w).abs() < 1e-10, "{} pass: {} vs {}", name, g, w);
         }
     }
 

@@ -1,7 +1,8 @@
 //! # gaia-telemetry
 //!
 //! Lightweight observability for the AVU-GSR solver: scoped monotonic
-//! timers and counters keyed by *phase* (`aprod1`/`aprod2`) and *block*
+//! timers and counters keyed by *phase* (`aprod1`/`aprod2`, and `gk` for
+//! whole Golub–Kahan passes) and *block*
 //! (astrometric/attitude/instrumental/global), mirroring the per-kernel
 //! timing the paper's profiling runs collect with `rocprof`/`nsys` on the
 //! GPU ports (§V-B).
@@ -39,17 +40,22 @@ pub enum Phase {
     Aprod1,
     /// `out += Aᵀ y` (column/scatter product).
     Aprod2,
+    /// One Golub–Kahan pass: `u ← A x − α u`, then `out += Aᵀu`. Only
+    /// whole calls are recorded under it; its kernels record under the
+    /// two products.
+    Gk,
 }
 
 impl Phase {
-    /// Both phases, in registry order.
-    pub const ALL: [Phase; 2] = [Phase::Aprod1, Phase::Aprod2];
+    /// Every phase, in registry order.
+    pub const ALL: [Phase; 3] = [Phase::Aprod1, Phase::Aprod2, Phase::Gk];
 
     /// Stable lowercase name used in reports.
     pub fn as_str(self) -> &'static str {
         match self {
             Phase::Aprod1 => "aprod1",
             Phase::Aprod2 => "aprod2",
+            Phase::Gk => "gk",
         }
     }
 
@@ -57,6 +63,7 @@ impl Phase {
         match self {
             Phase::Aprod1 => 0,
             Phase::Aprod2 => 1,
+            Phase::Gk => 2,
         }
     }
 }
@@ -102,7 +109,7 @@ impl Block {
 /// kernel, a whole-call phase, or the collective channel.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelCell {
-    /// Phase name (`aprod1`/`aprod2`), or a channel label.
+    /// Phase name (`aprod1`/`aprod2`/`gk`), or a channel label.
     pub phase: String,
     /// Block name (`astro`/`att`/`instr`/`glob`), or `"*"` for whole-call
     /// and collective cells.
@@ -571,8 +578,8 @@ impl Stats {
     }
 }
 
-static KERNELS: [[Stats; 4]; 2] = [const { [const { Stats::new() }; 4] }; 2];
-static CALLS: [Stats; 2] = [const { Stats::new() }; 2];
+static KERNELS: [[Stats; 4]; 3] = [const { [const { Stats::new() }; 4] }; 3];
+static CALLS: [Stats; 3] = [const { Stats::new() }; 3];
 static COLLECTIVE: Stats = Stats::new();
 
 /// RAII timing probe returned by [`kernel_scope`], [`call_scope`], and
@@ -654,7 +661,7 @@ pub fn kernel_scope(phase: Phase, block: Block) -> Scope {
     Scope::over(&KERNELS[phase.index()][block.index()])
 }
 
-/// Open a timing scope over one whole `aprod1`/`aprod2` backend call
+/// Open a timing scope over one whole `aprod1`/`aprod2`/`gk` backend call
 /// (used by `InstrumentedBackend`).
 #[inline(always)]
 pub fn call_scope(phase: Phase) -> Scope {
@@ -997,6 +1004,7 @@ mod tests {
     fn phase_and_block_names_are_stable() {
         assert_eq!(Phase::Aprod1.as_str(), "aprod1");
         assert_eq!(Phase::Aprod2.as_str(), "aprod2");
+        assert_eq!(Phase::Gk.as_str(), "gk");
         let names: Vec<&str> = Block::ALL.iter().map(|b| b.as_str()).collect();
         assert_eq!(names, ["astro", "att", "instr", "glob"]);
     }

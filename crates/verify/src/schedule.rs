@@ -1,4 +1,5 @@
-//! Deterministic schedule exploration over the `aprod2` conflict strategies.
+//! Deterministic schedule exploration over the `aprod2` conflict strategies
+//! and the one-launch Golub–Kahan pass of the atomic ones.
 //!
 //! Thread-interleaving bugs hide from ordinary tests because the scheduler
 //! rarely visits the bad orderings. This module drives the executor pool
@@ -93,6 +94,7 @@ pub fn explore_layout(layout: MatrixLayout, seeds: &[u64]) -> ScheduleReport {
         false,
         seeds,
         ScheduleController::from_seed,
+        &[Drive::Aprod2],
     )
 }
 
@@ -224,14 +226,17 @@ pub fn explore_strategy(
         expect_bitwise(strategy),
         seeds,
         ScheduleController::from_seed,
+        &[Drive::Aprod2],
     )
 }
 
 /// Replay an atomic-publish `strategy` under the controller the canary is
 /// caught with ([`ScheduleController::race_window`]: every probe preempts,
 /// with a wide spin), so the atomic adds of different jobs' publishes
-/// interleave on every schedule. The report's `publish_probes_min` says
-/// whether every launch actually got there.
+/// interleave on every schedule. Each schedule drives both launches that
+/// publish: `aprod2`, and the one-launch Golub–Kahan pass
+/// ([`LaunchPlan::gk_products`]). The report's `publish_probes_min` says
+/// whether every launch of both actually got there.
 pub fn explore_publish(name: &str, strategy: Aprod2Strategy, seeds: &[u64]) -> ScheduleReport {
     replay(
         format!("{name}+race-window"),
@@ -239,25 +244,61 @@ pub fn explore_publish(name: &str, strategy: Aprod2Strategy, seeds: &[u64]) -> S
         false,
         seeds,
         ScheduleController::race_window,
+        &[Drive::Aprod2, Drive::Pass],
     )
 }
 
-/// The loop behind every `explore_*` of a real plan: run `plan`'s `aprod2`
-/// on the exploration system once unperturbed, then once per seed under
-/// `controller(seed)`, and compare every run to the sequential oracle and
-/// to the unperturbed run.
+/// What one launch of a replay computes on the exploration system.
+#[derive(Debug, Clone, Copy)]
+enum Drive {
+    /// `Aᵀy` into a zeroed output.
+    Aprod2,
+    /// The Golub–Kahan pass from the probe `u` and a zeroed output, as
+    /// `u` followed by `out`.
+    Pass,
+}
+
+impl Drive {
+    /// Run once under `plan` on `pool`, or on the sequential oracle with
+    /// `None`.
+    fn run(self, sys: &SparseSystem, plan: Option<(&LaunchPlan, &ExecutorPool)>) -> Vec<f64> {
+        let y = probe_vector(sys.n_rows());
+        let mut out = vec![0.0f64; sys.n_cols()];
+        match self {
+            Drive::Aprod2 => {
+                match plan {
+                    Some((plan, pool)) => plan.aprod2(pool, sys, &y, &mut out),
+                    None => SeqBackend.aprod2(sys, &y, &mut out),
+                }
+                out
+            }
+            Drive::Pass => {
+                let (x, mut u, alfa) = (probe_vector(sys.n_cols()), y, 0.5);
+                match plan {
+                    Some((plan, pool)) => plan.gk_products(pool, sys, &x, alfa, &mut u, &mut out),
+                    None => SeqBackend.gk_products(sys, &x, alfa, &mut u, &mut out),
+                }
+                u.extend(out);
+                u
+            }
+        }
+    }
+}
+
+/// The loop behind every `explore_*` of a real plan: run each of `drives`
+/// under `plan` on the exploration system once unperturbed, then once per
+/// seed under `controller(seed)`, and compare every run to the sequential
+/// oracle and to the unperturbed run.
 fn replay(
     subject: String,
     plan: LaunchPlan,
     expect_bitwise: bool,
     seeds: &[u64],
     controller: fn(u64) -> ScheduleController,
+    drives: &[Drive],
 ) -> ScheduleReport {
     let sys = test_system();
-    let y = probe_vector(sys.n_rows());
-
-    let mut want = vec![0.0f64; sys.n_cols()];
-    SeqBackend.aprod2(&sys, &y, &mut want);
+    let want: Vec<Vec<f64>> = drives.iter().map(|d| d.run(&sys, None)).collect();
 
     // Cross-check with the static layer: every real strategy's plan must
     // pass the checker on this very system's shape.
@@ -267,34 +308,35 @@ fn replay(
     // A private pool: schedule controllers must never leak into the shared
     // pools other tests use.
     let pool = ExecutorPool::new(THREADS);
-
-    let mut baseline = vec![0.0f64; sys.n_cols()];
-    plan.aprod2(&pool, &sys, &y, &mut baseline);
+    let launched = Some((&plan, &pool));
+    let baseline: Vec<Vec<f64>> = drives.iter().map(|d| d.run(&sys, launched)).collect();
 
     let mut failures = 0usize;
     let mut max_abs_error = 0.0f64;
     let mut bitwise_stable = true;
     let mut publish_probes_min: Option<u64> = None;
     for &seed in seeds {
-        pool.set_schedule(Some(controller(seed)));
-        let mut got = vec![0.0f64; sys.n_cols()];
-        plan.aprod2(&pool, &sys, &y, &mut got);
-        let ctrl = pool
-            .set_schedule(None)
-            .expect("the controller installed above");
-        let hits = ctrl
-            .probe_count(PROBE_ATT_ATOMIC)
-            .min(ctrl.probe_count(PROBE_INSTR_ATOMIC));
-        publish_probes_min = Some(publish_probes_min.map_or(hits, |m| m.min(hits)));
+        let mut failed = false;
+        for ((drive, want), baseline) in drives.iter().zip(&want).zip(&baseline) {
+            pool.set_schedule(Some(controller(seed)));
+            let got = drive.run(&sys, launched);
+            let ctrl = pool
+                .set_schedule(None)
+                .expect("the controller installed above");
+            let hits = ctrl
+                .probe_count(PROBE_ATT_ATOMIC)
+                .min(ctrl.probe_count(PROBE_INSTR_ATOMIC));
+            publish_probes_min = Some(publish_probes_min.map_or(hits, |m| m.min(hits)));
 
-        let err = max_abs_diff(&got, &want);
-        max_abs_error = max_abs_error.max(err);
-        let failed = !err.is_finite() || err > SCHEDULE_TOLERANCE;
+            let err = max_abs_diff(&got, want);
+            max_abs_error = max_abs_error.max(err);
+            failed |= !err.is_finite() || err > SCHEDULE_TOLERANCE;
+            if bits_differ(&got, baseline) {
+                bitwise_stable = false;
+            }
+        }
         if failed {
             failures += 1;
-        }
-        if bits_differ(&got, &baseline) {
-            bitwise_stable = false;
         }
         gaia_telemetry::record(|t| {
             t.verify.schedules += 1;

@@ -7,7 +7,7 @@
 
 use std::sync::Mutex;
 
-use gaia_backends::SeqBackend;
+use gaia_backends::{backend_by_name, SeqBackend};
 use gaia_lsqr::distributed::{try_solve_hybrid, DistOptions};
 use gaia_lsqr::lsqr::{Lsqr, LsqrState};
 use gaia_lsqr::{LsqrConfig, TrajectorySample};
@@ -121,10 +121,11 @@ fn lsqr_trajectories_stay_within_the_ulp_budget_on_every_backend() {
 }
 
 /// The distributed row of the differential matrix: a solve sharded over
-/// 1–4 ranks (`seq` on each) runs the same recurrence as the resident one,
-/// with `‖u‖` and `Aᵀu` summed rank by rank instead of row by row. Its
-/// per-iteration scalars, read off a checkpoint taken at every iteration,
-/// must stay within the budget every backend is held to.
+/// 1–4 ranks (`seq` on each, or `atomic-t2`, whose rank block runs the
+/// one-launch Golub–Kahan pass on its view) runs the same recurrence as
+/// the resident one, with `‖u‖` and `Aᵀu` summed rank by rank instead of
+/// row by row. Its per-iteration scalars, read off a checkpoint taken at
+/// every iteration, must stay within the budget every backend is held to.
 #[test]
 fn distributed_trajectories_stay_within_the_ulp_budget_at_every_rank_count() {
     let iters = trajectory::TRAJECTORY_ITERS;
@@ -136,7 +137,10 @@ fn distributed_trajectories_stay_within_the_ulp_budget_at_every_rank_count() {
         // A rank holds at least one star; the smallest corpus systems
         // have two.
         let max_ranks = sys.layout().n_stars.min(4) as usize;
-        for ranks in 1..=max_ranks {
+        for (name, ranks) in ["seq", "atomic-t2"]
+            .into_iter()
+            .flat_map(|name| (1..=max_ranks).map(move |ranks| (name, ranks)))
+        {
             let got: Mutex<Vec<TrajectorySample>> = Mutex::new(Vec::new());
             let sink = |st: &LsqrState| got.lock().unwrap().push(st.sample());
             let opts = DistOptions {
@@ -144,11 +148,12 @@ fn distributed_trajectories_stay_within_the_ulp_budget_at_every_rank_count() {
                 checkpoint_sink: Some(&sink),
                 ..Default::default()
             };
-            try_solve_hybrid(&sys, ranks, &cfg, |_| Box::new(SeqBackend), &opts).unwrap();
+            let backend_for = |_| backend_by_name(name, 2).expect("a registry name");
+            try_solve_hybrid(&sys, ranks, &cfg, backend_for, &opts).unwrap();
             // No checkpoint follows the iteration that stops the solve.
             let got = got.into_inner().unwrap();
-            assert_eq!(got.len(), iters - 1, "seed {seed}, {ranks} ranks");
-            let subject = format!("distributed-r{ranks}");
+            assert_eq!(got.len(), iters - 1, "seed {seed}, {name} on {ranks} ranks");
+            let subject = format!("distributed-{name}-r{ranks}");
             let t = trajectory::divergence(&subject, seed, &reference[1..iters], &got);
             if !t.within_budget() {
                 failures.push(format!(

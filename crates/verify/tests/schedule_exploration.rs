@@ -87,10 +87,11 @@ fn ell_layout_survives_seeded_schedules() {
 
 /// The atomic strategies issue one atomic add per touched column a job now,
 /// not one per non-zero, so an exploration that never reached them would pass
-/// vacuously. Under the canary's own race-hostile controller every launch,
-/// on every seed of the committed corpus, must hit the publish probes of
-/// both colliding sections and still agree with the oracle — while the
-/// same controller and seeds still expose the canary.
+/// vacuously. Under the canary's own race-hostile controller every launch —
+/// `aprod2`'s and the one-launch Golub–Kahan pass's — on every seed of the
+/// committed corpus, must hit the publish probes of both colliding sections
+/// and still agree with the oracle — while the same controller and seeds
+/// still expose the canary.
 #[test]
 fn atomic_publish_is_explored_on_every_launch_and_survives_the_race_window() {
     let seeds = corpus::corpus_seeds();

@@ -9,11 +9,12 @@
 //!   ascending row order, so the tiled solve is **bitwise** identical to
 //!   the resident solve — at any capacity budget, including budgets that
 //!   force evictions on every access;
-//! * `striped` reduces in schedule-dependent stripe order, so two of its
-//!   solves differ by rounding that compounds through the iterations; the
-//!   tiled solve is held to the calibrated [`TRAJECTORY_ULP_BUDGET`]
-//!   times the solve's own condition estimate, counted in ULPs of ‖x‖∞,
-//!   instead.
+//! * `striped` reduces in schedule-dependent stripe order, and `atomic`
+//!   publishes in it, so their solves differ from an ordered one by
+//!   rounding that compounds through the iterations; the tiled solve is
+//!   held to the calibrated [`TRAJECTORY_ULP_BUDGET`] times the solve's
+//!   own condition estimate, counted in ULPs of ‖x‖∞, instead (`striped`
+//!   against its own resident solve, `atomic` against `seq`'s).
 //!
 //! Streamed generation (`Generator::generate_tiled`) must round-trip:
 //! assembling the spill directory reproduces the in-memory generator's
@@ -56,13 +57,18 @@ fn with_tiles<R>(seed: u64, tag: &str, f: impl FnOnce(&PathBuf) -> R) -> R {
     out
 }
 
-/// The two capacity budgets each solve runs under: everything resident,
-/// and half the matrix (clamped up to the largest tile so the cache can
-/// still operate), which forces evictions mid-solve.
+/// The three capacity budgets each solve runs under: everything resident;
+/// half the matrix (clamped up to the largest tile so the cache can still
+/// operate), which forces evictions mid-solve; and the largest tile
+/// alone, which makes every tile access a load.
 fn budgets(tiles_dir: &Path) -> Vec<(&'static str, Option<u64>)> {
     let probe = TiledSystem::open(tiles_dir).expect("probe open");
     let half = (probe.matrix_bytes() / 2).max(probe.min_budget());
-    vec![("unbounded", None), ("half-matrix", Some(half))]
+    vec![
+        ("unbounded", None),
+        ("half-matrix", Some(half)),
+        ("one-tile", Some(probe.min_budget())),
+    ]
 }
 
 fn open_at(dir: &Path, budget_bytes: Option<u64>) -> TiledSystem {
@@ -123,9 +129,51 @@ fn worst_ulps_of_norm(resident: &[f64], tiled: &[f64]) -> f64 {
     diff / spacing
 }
 
+/// Solve every corpus system through its tiles on `name` at every budget,
+/// against a resident solve on `reference`, for the fixed trajectory
+/// length, and hold the distance to the error model below; print the worst
+/// margin.
+fn assert_tiled_within_the_trajectory_budget(name: &str, reference: &str) {
+    let cfg = LsqrConfig::fixed_iterations(FIXED_ITERS);
+    let mut worst = (0.0f64, 1.0f64, 0u64, "");
+    for seed in corpus::corpus_seeds() {
+        let sys = fuzz::system_from_seed(seed);
+        with_tiles(seed, name, |dir| {
+            let be = backend(name);
+            let resident = solve(&sys, backend(reference).as_ref(), &cfg);
+            let budget = TRAJECTORY_ULP_BUDGET as f64 * resident.acond.max(1.0);
+            for (blabel, bytes) in budgets(dir) {
+                let tiles = open_at(dir, bytes);
+                let tiled = solve_tiled(&tiles, be.as_ref(), &cfg)
+                    .unwrap_or_else(|e| panic!("seed {seed} {name} {blabel}: {e}"));
+                assert_eq!(resident.x.len(), tiled.x.len(), "seed {seed} {blabel}");
+                let ulps = worst_ulps_of_norm(&resident.x, &tiled.x);
+                assert!(
+                    ulps <= budget,
+                    "seed {seed} {name} budget {blabel}: tiled and resident {reference} \
+                     differ by {ulps:.0} ULP of ‖x‖∞, over the budget of {budget:.0} \
+                     (2^16 x cond {:.1})",
+                    resident.acond
+                );
+                if ulps / budget > worst.0 / worst.1 {
+                    worst = (ulps, budget, seed, blabel);
+                }
+            }
+        });
+    }
+    println!(
+        "{name} tiled-vs-resident {reference}: worst margin at seed {} ({} budget): \
+         {:.0} ULP of ‖x‖∞ against {:.0} allowed, {:.0}x inside",
+        worst.2,
+        worst.3,
+        worst.0,
+        worst.1,
+        worst.1 / worst.0.max(1.0)
+    );
+}
+
 #[test]
 fn tiled_striped_solves_match_resident_within_tolerance() {
-    let cfg = LsqrConfig::fixed_iterations(FIXED_ITERS);
     // Two `striped-t3` solves are compared, and each reduces in whatever
     // order its stripes finished, so no constant picked for one schedule
     // can bound their distance. The error model instead: reordering a
@@ -137,41 +185,15 @@ fn tiled_striped_solves_match_resident_within_tolerance() {
     // 38 662 ULP of ‖x‖∞ (seed 42, cond ≈ 22, budget 1.4 M ULP), every
     // other seed below 100. A dropped or doubled tile contribution is an
     // O(‖x‖) error: 2^52 ULP.
-    let mut worst = (0.0f64, 1.0f64, 0u64, "");
-    for seed in corpus::corpus_seeds() {
-        let sys = fuzz::system_from_seed(seed);
-        with_tiles(seed, "striped", |dir| {
-            let be = backend("striped-t3");
-            let resident = solve(&sys, be.as_ref(), &cfg);
-            let budget = TRAJECTORY_ULP_BUDGET as f64 * resident.acond.max(1.0);
-            for (blabel, bytes) in budgets(dir) {
-                let tiles = open_at(dir, bytes);
-                let tiled = solve_tiled(&tiles, be.as_ref(), &cfg)
-                    .unwrap_or_else(|e| panic!("seed {seed} striped {blabel}: {e}"));
-                assert_eq!(resident.x.len(), tiled.x.len(), "seed {seed} {blabel}");
-                let ulps = worst_ulps_of_norm(&resident.x, &tiled.x);
-                assert!(
-                    ulps <= budget,
-                    "seed {seed} striped budget {blabel}: tiled and resident differ by \
-                     {ulps:.0} ULP of ‖x‖∞, over the budget of {budget:.0} \
-                     (2^16 x cond {:.1})",
-                    resident.acond
-                );
-                if ulps / budget > worst.0 / worst.1 {
-                    worst = (ulps, budget, seed, blabel);
-                }
-            }
-        });
-    }
-    println!(
-        "striped tiled-vs-resident: worst margin at seed {} ({} budget): {:.0} ULP of ‖x‖∞ \
-         against {:.0} allowed, {:.0}x inside",
-        worst.2,
-        worst.3,
-        worst.0,
-        worst.1,
-        worst.1 / worst.0.max(1.0)
-    );
+    assert_tiled_within_the_trajectory_budget("striped-t3", "striped-t3");
+}
+
+/// `atomic-t2` runs each tile's Golub–Kahan pass as one launch on the
+/// tile's own view, publishing in schedule order: held to the same error
+/// model as `striped`, against the resident `seq` solve.
+#[test]
+fn tiled_atomic_solves_match_resident_seq_within_tolerance() {
+    assert_tiled_within_the_trajectory_budget("atomic-t2", "seq");
 }
 
 #[test]

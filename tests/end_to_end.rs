@@ -1,10 +1,12 @@
 //! Integration: generator → backends → LSQR → validation, across crates.
 
-use gaia_avugsr::backends::{all_backends, SeqBackend};
-use gaia_avugsr::lsqr::distributed::solve_distributed;
+use gaia_avugsr::backends::{all_backends, backend_by_name, Backend, SeqBackend};
+use gaia_avugsr::lsqr::distributed::{solve_distributed, try_solve_hybrid, DistOptions};
 use gaia_avugsr::lsqr::validate::GAIA_THRESHOLD_RAD;
-use gaia_avugsr::lsqr::{compare_solutions, solve, LsqrConfig};
-use gaia_avugsr::sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
+use gaia_avugsr::lsqr::{compare_solutions, solve, solve_tiled, LsqrConfig, Solution};
+use gaia_avugsr::sparse::{
+    write_tiles, CapacityBudget, Generator, GeneratorConfig, Rhs, SystemLayout, TiledSystem,
+};
 
 fn radian_system(seed: u64) -> gaia_avugsr::sparse::SparseSystem {
     let layout = SystemLayout::tiny();
@@ -19,26 +21,47 @@ fn radian_system(seed: u64) -> gaia_avugsr::sparse::SparseSystem {
     sys
 }
 
+/// Every backend resident, and `atomic-t2` on the two callers that hand
+/// its one-launch Golub–Kahan pass a view — 1–4 ranks of a hybrid solve,
+/// and a tiled solve at three cache budgets — converge and pass Fig. 6
+/// against the sequential reference.
 #[test]
 fn every_backend_validates_against_the_reference() {
     let sys = radian_system(1);
     let cfg = LsqrConfig::new();
     let reference = solve(&sys, &SeqBackend, &cfg);
     assert!(reference.stop.converged(), "{:?}", reference.stop);
-    for backend in all_backends(3) {
-        let sol = solve(&sys, &backend, &cfg);
-        let agr = compare_solutions(&reference, &sol);
-        assert!(
-            agr.passes(0.99),
-            "backend {} fails 1σ validation: {agr:?}",
-            backend.name()
-        );
+    let validate = |what: &str, sol: &Solution| {
+        assert!(sol.stop.converged(), "{what}: {:?}", sol.stop);
+        let agr = compare_solutions(&reference, sol);
+        assert!(agr.passes(0.99), "{what} fails 1σ validation: {agr:?}");
         assert!(
             agr.stderr_within(GAIA_THRESHOLD_RAD),
-            "backend {} exceeds 10 µas: {agr:?}",
-            backend.name()
+            "{what} exceeds 10 µas: {agr:?}"
         );
+    };
+    for backend in all_backends(3) {
+        validate(&backend.name(), &solve(&sys, &backend, &cfg));
     }
+
+    let atomic = || backend_by_name("atomic-t2", 1).expect("a registry name");
+    for ranks in 1..=4 {
+        let opts = DistOptions::default();
+        let sol = try_solve_hybrid(&sys, ranks, &cfg, |_| atomic(), &opts).expect("solve");
+        validate(&format!("atomic-t2 on {ranks} ranks"), &sol);
+    }
+    let dir = std::env::temp_dir().join(format!("gaia-e2e-atomic-tiles-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    write_tiles(&sys, &dir, 2).expect("spill");
+    let probe = TiledSystem::open(&dir).expect("open");
+    let half = (probe.matrix_bytes() / 2).max(probe.min_budget());
+    for bytes in [None, Some(half), Some(probe.min_budget())] {
+        let budget = bytes.map_or(CapacityBudget::unbounded(), CapacityBudget::limited);
+        let tiles = TiledSystem::open_with_budget(&dir, budget).expect("open");
+        let sol = solve_tiled(&tiles, &atomic(), &cfg).expect("tiled solve");
+        validate(&format!("atomic-t2 tiled, budget {bytes:?}"), &sol);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
