@@ -31,20 +31,38 @@ use gaia_telemetry::{Block, Phase};
 
 const F64: u64 = std::mem::size_of::<f64>() as u64;
 
-/// `out[i] += astro_row(rows.start+i) · x_astro_slice` for observation rows.
+/// Bytes an astrometric `aprod1` over `rows` reads and writes: per row its
+/// 5 values and a read-modify-write of its output, per star one 5-wide
+/// slice of `x` (the columns are derived, no index is read).
+fn aprod1_astro_bytes(sys: &SparseSystem, rows: &Range<usize>) -> u64 {
+    let obs = sys.layout().obs_per_star as usize;
+    let stars = match rows.len() {
+        0 => 0,
+        _ => rows.end.div_ceil(obs) - rows.start / obs,
+    };
+    ((rows.len() * (ASTRO_NNZ_PER_ROW + 2) + stars * ASTRO_NNZ_PER_ROW) as u64) * F64
+}
+
+/// `out[i] += astro_row(rows.start+i) · x_astro_slice` for observation rows,
+/// star by star: each star's rows (a range may start or end inside a star)
+/// against one 5-wide slice of `x`.
 pub fn aprod1_astro(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: &mut [f64]) {
     debug_assert!(rows.end <= sys.n_obs_rows());
     debug_assert_eq!(out.len(), rows.len());
     let mut t = gaia_telemetry::kernel_scope(Phase::Aprod1, Block::Astro);
-    t.add_bytes(rows.len() as u64 * (2 * ASTRO_NNZ_PER_ROW as u64 + 2) * F64);
-    for (i, row) in rows.enumerate() {
-        let (vals, start) = sys.astro_row(row);
-        let xs = &x[start as usize..start as usize + ASTRO_NNZ_PER_ROW];
-        let mut acc = 0.0;
-        for k in 0..ASTRO_NNZ_PER_ROW {
-            acc += vals[k] * xs[k];
+    t.add_bytes(aprod1_astro_bytes(sys, &rows));
+    let values = sys.values_astro();
+    for (run, start) in sys.astro_runs(rows.clone()) {
+        let xs = &x[start..start + ASTRO_NNZ_PER_ROW];
+        let vals = &values[run.start * ASTRO_NNZ_PER_ROW..run.end * ASTRO_NNZ_PER_ROW];
+        let outs = &mut out[run.start - rows.start..run.end - rows.start];
+        for (vals, o) in vals.chunks_exact(ASTRO_NNZ_PER_ROW).zip(outs) {
+            let mut acc = 0.0;
+            for k in 0..ASTRO_NNZ_PER_ROW {
+                acc += vals[k] * xs[k];
+            }
+            *o += acc;
         }
-        out[i] += acc;
     }
 }
 
@@ -176,11 +194,13 @@ pub fn aprod2_astro(sys: &SparseSystem, y: &[f64], stars: Range<usize>, out: &mu
         rows_covered * (ASTRO_NNZ_PER_ROW as u64 + 1) * F64
             + stars.len() as u64 * 2 * ASTRO_NNZ_PER_ROW as u64 * F64,
     );
+    let values = sys.values_astro();
     for (si, star) in stars.enumerate() {
         let slot = &mut out[si * ASTRO_NNZ_PER_ROW..(si + 1) * ASTRO_NNZ_PER_ROW];
-        for row in layout.rows_of_star(star as u64) {
-            let (vals, _) = sys.astro_row(row as usize);
-            let yr = y[row as usize];
+        let rows = layout.rows_of_star(star as u64);
+        let rows = rows.start as usize..rows.end as usize;
+        let vals = &values[rows.start * ASTRO_NNZ_PER_ROW..rows.end * ASTRO_NNZ_PER_ROW];
+        for (vals, &yr) in vals.chunks_exact(ASTRO_NNZ_PER_ROW).zip(&y[rows]) {
             for k in 0..ASTRO_NNZ_PER_ROW {
                 slot[k] += vals[k] * yr;
             }
@@ -334,12 +354,13 @@ pub fn aprod2_glob(sys: &SparseSystem, y: &[f64], rows: Range<usize>, out: &mut 
 // ---------------------------------------------------------------------------
 
 /// ELL-layout [`aprod1_astro`]: five slot-major streams instead of one
-/// row-major gather. Same accumulation order as scalar.
+/// row-major gather, walked star by star the same way. Same accumulation
+/// order as scalar.
 pub fn aprod1_astro_ell(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: &mut [f64]) {
     debug_assert!(rows.end <= sys.n_obs_rows());
     debug_assert_eq!(out.len(), rows.len());
     let mut t = gaia_telemetry::kernel_scope(Phase::Aprod1, Block::Astro);
-    t.add_bytes(rows.len() as u64 * (2 * ASTRO_NNZ_PER_ROW as u64 + 2) * F64);
+    t.add_bytes(aprod1_astro_bytes(sys, &rows));
     let ell = sys.ell();
     let (s0, s1, s2, s3, s4) = (
         ell.astro_slot(0),
@@ -348,17 +369,17 @@ pub fn aprod1_astro_ell(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: 
         ell.astro_slot(3),
         ell.astro_slot(4),
     );
-    let idx = ell.matrix_index_astro();
-    let astro_base = sys.columns().astro as usize;
-    for (i, row) in rows.enumerate() {
-        let start = astro_base + idx[row] as usize;
-        let mut acc = 0.0;
-        acc += s0[row] * x[start];
-        acc += s1[row] * x[start + 1];
-        acc += s2[row] * x[start + 2];
-        acc += s3[row] * x[start + 3];
-        acc += s4[row] * x[start + 4];
-        out[i] += acc;
+    for (run, start) in sys.astro_runs(rows.clone()) {
+        let xs = &x[start..start + ASTRO_NNZ_PER_ROW];
+        for row in run {
+            let mut acc = 0.0;
+            acc += s0[row] * xs[0];
+            acc += s1[row] * xs[1];
+            acc += s2[row] * xs[2];
+            acc += s3[row] * xs[3];
+            acc += s4[row] * xs[4];
+            out[row - rows.start] += acc;
+        }
     }
 }
 
@@ -594,19 +615,26 @@ mod tests {
         }
     }
 
+    /// A row chunk of a parallel `aprod1` may start or end inside a star
+    /// (16 rows a star here): any split gives the bits of a whole-system
+    /// call, in both layouts.
     #[test]
     fn aprod1_split_ranges_equal_whole() {
         let s = sys();
         let x = x_for(&s);
         let mut whole = vec![0.0; s.n_rows()];
         aprod1_range(&s, &x, 0..s.n_rows(), &mut whole);
-        let mut parts = vec![0.0; s.n_rows()];
-        for r in split_ranges(s.n_rows(), 5) {
-            let (start, end) = (r.start, r.end);
-            aprod1_range(&s, &x, r, &mut parts[start..end]);
-        }
-        for (a, b) in whole.iter().zip(&parts) {
-            assert!((a - b).abs() < 1e-12);
+        for parts in [5, 7, s.n_rows()] {
+            for kernel in [aprod1_range, aprod1_range_ell] {
+                let mut got = vec![0.0; s.n_rows()];
+                for r in split_ranges(s.n_rows(), parts) {
+                    let (start, end) = (r.start, r.end);
+                    kernel(&s, &x, r, &mut got[start..end]);
+                }
+                for (i, (a, b)) in whole.iter().zip(&got).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{parts} parts, row {i}");
+                }
+            }
         }
     }
 

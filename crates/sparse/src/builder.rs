@@ -101,13 +101,23 @@ pub struct SystemBuilder {
     values_att: Vec<f64>,
     values_instr: Vec<f64>,
     values_glob: Vec<f64>,
-    matrix_index_att: Vec<u64>,
+    matrix_index_att: Vec<u32>,
     instr_col: Vec<u32>,
     known_terms: Vec<f64>,
     // Constraint rows (attitude-only), appended after build.
     constr_values: Vec<f64>,
-    constr_offsets: Vec<u64>,
+    constr_offsets: Vec<u32>,
     constr_known: Vec<f64>,
+}
+
+/// `offset` as a stored attitude offset: at most `dof - 4`, which a valid
+/// layout keeps inside `u32`.
+fn att_offset(offset: u64, dof: u64) -> Result<u32, BuildError> {
+    let max = dof - ATT_PARAMS_PER_AXIS as u64;
+    u32::try_from(offset)
+        .ok()
+        .filter(|_| offset <= max)
+        .ok_or(BuildError::AttitudeOffsetOutOfRange { offset, max })
 }
 
 impl SystemBuilder {
@@ -180,10 +190,7 @@ impl SystemBuilder {
         rhs: f64,
     ) -> Result<(), BuildError> {
         assert!(axis < ATT_AXES, "axis {axis} out of range");
-        let max = self.n_deg_freedom_att - ATT_PARAMS_PER_AXIS as u64;
-        if offset > max {
-            return Err(BuildError::AttitudeOffsetOutOfRange { offset, max });
-        }
+        let offset = att_offset(offset, self.n_deg_freedom_att)?;
         let mut row = [0.0f64; ATT_NNZ_PER_ROW];
         for (k, v) in values.into_iter().enumerate() {
             row[axis as usize * ATT_PARAMS_PER_AXIS as usize + k] = v;
@@ -218,9 +225,6 @@ impl SystemBuilder {
             });
         }
         let layout = self.layout();
-        let matrix_index_astro: Vec<u64> = (0..layout.n_obs_rows())
-            .map(|r| layout.star_of_row(r) * ASTRO_NNZ_PER_ROW as u64)
-            .collect();
         // Append constraint rows.
         self.values_att.extend_from_slice(&self.constr_values);
         let mut matrix_index_att = self.matrix_index_att;
@@ -239,7 +243,6 @@ impl SystemBuilder {
             self.values_att,
             self.values_instr,
             self.values_glob,
-            matrix_index_astro,
             matrix_index_att,
             self.instr_col,
             known,
@@ -316,13 +319,7 @@ impl ObservationBuilder<'_> {
         {
             return Err(BuildError::OutOfOrder);
         }
-        let max = b.n_deg_freedom_att - ATT_PARAMS_PER_AXIS as u64;
-        if self.attitude_offset > max {
-            return Err(BuildError::AttitudeOffsetOutOfRange {
-                offset: self.attitude_offset,
-                max,
-            });
-        }
+        let offset = att_offset(self.attitude_offset, b.n_deg_freedom_att)?;
         for w in self.instrument.windows(2) {
             if w[0].0 >= w[1].0 {
                 return Err(BuildError::BadInstrumentColumns);
@@ -333,7 +330,7 @@ impl ObservationBuilder<'_> {
         }
         b.values_astro.extend_from_slice(&self.astro);
         b.values_att.extend_from_slice(&self.attitude);
-        b.matrix_index_att.push(self.attitude_offset);
+        b.matrix_index_att.push(offset);
         for (col, val) in self.instrument {
             b.instr_col.push(col);
             b.values_instr.push(val);

@@ -24,10 +24,10 @@ use crate::{ATT_AXES, ATT_PARAMS_PER_AXIS};
 /// this axis is zero" equation), while the other two axes' slots hold zero.
 /// Offsets sweep the axis segment so that successive constraint rows pin
 /// different regions of the attitude spline.
-pub fn build_constraint_rows<R: Rng>(layout: &SystemLayout, rng: &mut R) -> (Vec<f64>, Vec<u64>) {
+pub fn build_constraint_rows<R: Rng>(layout: &SystemLayout, rng: &mut R) -> (Vec<f64>, Vec<u32>) {
     let n = layout.n_constraint_rows as usize;
     let mut values = vec![0.0f64; n * ATT_NNZ_PER_ROW];
-    let mut offsets = vec![0u64; n];
+    let mut offsets = vec![0u32; n];
     let max_off = layout.n_deg_freedom_att - ATT_PARAMS_PER_AXIS as u64;
     for i in 0..n {
         let axis = i % ATT_AXES as usize;
@@ -39,7 +39,8 @@ pub fn build_constraint_rows<R: Rng>(layout: &SystemLayout, rng: &mut R) -> (Vec
             (i as u64 * max_off) / (n as u64 - 1).max(1)
         };
         let jitter = rng.gen_range(0..=ATT_PARAMS_PER_AXIS as u64);
-        offsets[i] = (base + jitter).min(max_off);
+        offsets[i] = u32::try_from((base + jitter).min(max_off))
+            .expect("a valid layout keeps attitude offsets inside u32");
         let w = 1.0 / (ATT_PARAMS_PER_AXIS as f64).sqrt();
         for k in 0..ATT_PARAMS_PER_AXIS as usize {
             values[i * ATT_NNZ_PER_ROW + axis * ATT_PARAMS_PER_AXIS as usize + k] = w;
@@ -79,7 +80,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(2);
         let (_, offsets) = build_constraint_rows(&layout, &mut rng);
         let max = layout.n_deg_freedom_att - ATT_PARAMS_PER_AXIS as u64;
-        assert!(offsets.iter().all(|&o| o <= max));
+        assert!(offsets.iter().all(|&o| u64::from(o) <= max));
     }
 
     #[test]

@@ -68,9 +68,10 @@ impl std::fmt::Display for MatrixLayout {
 /// Every value array is transposed so slot `k` of all rows is contiguous:
 /// `astro_slot(k)[row] == values_astro[row * 5 + k]`, and likewise for the
 /// attitude (12 slots over all rows incl. constraints) and instrumental
-/// (6 value slots + 6 column slots) blocks. Index arrays and known terms
-/// are copied verbatim; the global block already stores one value per row
-/// so it is shared as-is.
+/// (6 value slots + 6 column slots) blocks. The attitude offsets and known
+/// terms are copied verbatim; the global block already stores one value
+/// per row so it is shared as-is. Like the source, the mirror derives each
+/// row's astrometric start from its star instead of storing it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EllSystem {
     layout: SystemLayout,
@@ -88,8 +89,7 @@ pub struct EllSystem {
     instr_col: Vec<u32>,
     /// `n_obs_rows × n_glob_params`, copied row-major (≤ 1 slot).
     glob: Vec<f64>,
-    matrix_index_astro: Vec<u64>,
-    matrix_index_att: Vec<u64>,
+    matrix_index_att: Vec<u32>,
     known_terms: Vec<f64>,
 }
 
@@ -132,7 +132,6 @@ impl EllSystem {
             instr: transpose(sys.values_instr(), n_obs, INSTR_NNZ_PER_ROW),
             instr_col: transpose(sys.instr_col(), n_obs, INSTR_NNZ_PER_ROW),
             glob: sys.values_glob().to_vec(),
-            matrix_index_astro: sys.matrix_index_astro().to_vec(),
             matrix_index_att: sys.matrix_index_att().to_vec(),
             known_terms: sys.known_terms().to_vec(),
         }
@@ -152,7 +151,6 @@ impl EllSystem {
             untranspose(&self.att, n_rows, ATT_NNZ_PER_ROW),
             untranspose(&self.instr, n_obs, INSTR_NNZ_PER_ROW),
             self.glob.clone(),
-            self.matrix_index_astro.clone(),
             self.matrix_index_att.clone(),
             untranspose(&self.instr_col, n_obs, INSTR_NNZ_PER_ROW),
             vec![0.0; n_rows],
@@ -195,15 +193,9 @@ impl EllSystem {
         &self.instr_col[k * n..(k + 1) * n]
     }
 
-    /// `matrixIndexAstro` (copied verbatim from the source system).
-    #[inline]
-    pub fn matrix_index_astro(&self) -> &[u64] {
-        &self.matrix_index_astro
-    }
-
     /// `matrixIndexAtt` (copied verbatim from the source system).
     #[inline]
-    pub fn matrix_index_att(&self) -> &[u64] {
+    pub fn matrix_index_att(&self) -> &[u32] {
         &self.matrix_index_att
     }
 
@@ -214,7 +206,7 @@ impl EllSystem {
     }
 
     /// Bytes held by this mirror (values + indices + known terms), for
-    /// honest footprint accounting: the ELL mirror duplicates the device
+    /// honest footprint accounting: the ELL mirror duplicates the resident
     /// arrays, it does not replace them.
     pub fn resident_bytes(&self) -> u64 {
         crate::footprint::ell_mirror_bytes(&self.layout)
@@ -237,7 +229,6 @@ mod tests {
         assert_eq!(bits(a.values_instr()), bits(b.values_instr()));
         assert_eq!(bits(a.values_glob()), bits(b.values_glob()));
         assert_eq!(bits(a.known_terms()), bits(b.known_terms()));
-        assert_eq!(a.matrix_index_astro(), b.matrix_index_astro());
         assert_eq!(a.matrix_index_att(), b.matrix_index_att());
         assert_eq!(a.instr_col(), b.instr_col());
     }

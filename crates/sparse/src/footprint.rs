@@ -10,6 +10,18 @@
 //! is the footprint of the reduced matrix plus its index arrays and known
 //! terms — the data copied to the device before the LSQR loop. The solver's
 //! per-iteration work vectors are accounted separately.
+//!
+//! Two figures, kept apart on purpose:
+//!
+//! * **Device bytes** ([`device_bytes`], [`DEVICE_BYTES_PER_OBS_ROW`],
+//!   240 B a row) describe the production artifact: both `long` row-index
+//!   arrays (`matrixIndexAstro`, `matrixIndexAtt`) included. They define
+//!   the paper's problem size, which layouts are scaled to and bandwidth
+//!   figures are divided by.
+//! * **Resident bytes** ([`resident_bytes`], [`RESIDENT_BYTES_PER_OBS_ROW`],
+//!   228 B a row) are what a [`crate::SparseSystem`] here actually holds:
+//!   no `matrixIndexAstro` (a row's astrometric start is derived from its
+//!   star) and `u32` attitude offsets. Budgets and mirrors charge these.
 
 use crate::layout::{BlockKind, SystemLayout};
 use crate::{INSTR_PARAMS_PER_ROW, NNZ_PER_ROW};
@@ -21,11 +33,23 @@ pub const ROW_INDEX_BYTES: u64 = 8;
 /// Size of one `instrCol` entry (`int`), as in the production code.
 pub const INSTR_COL_BYTES: u64 = 4;
 
-/// Device bytes contributed by a single observation row: 24 coefficients,
-/// one known term, two row indices, six instrument column indices.
+/// Device bytes contributed by a single observation row in the production
+/// layout: 24 coefficients, one known term, two row indices, six
+/// instrument column indices.
 pub const DEVICE_BYTES_PER_OBS_ROW: u64 = NNZ_PER_ROW as u64 * VALUE_BYTES
     + VALUE_BYTES
     + 2 * ROW_INDEX_BYTES
+    + INSTR_PARAMS_PER_ROW as u64 * INSTR_COL_BYTES;
+
+/// Size of one attitude offset as a [`crate::SparseSystem`] holds it (`u32`).
+pub const ATT_OFFSET_BYTES: u64 = 4;
+
+/// Bytes a [`crate::SparseSystem`] holds per observation row: 24
+/// coefficients, one known term, one `u32` attitude offset, six `u32`
+/// instrument columns.
+pub const RESIDENT_BYTES_PER_OBS_ROW: u64 = NNZ_PER_ROW as u64 * VALUE_BYTES
+    + VALUE_BYTES
+    + ATT_OFFSET_BYTES
     + INSTR_PARAMS_PER_ROW as u64 * INSTR_COL_BYTES;
 
 /// Bytes of coefficient storage for one block (values only).
@@ -52,6 +76,16 @@ pub fn known_terms_bytes(layout: &SystemLayout) -> u64 {
 pub fn device_bytes(layout: &SystemLayout) -> u64 {
     let values: u64 = BlockKind::ALL.iter().map(|&k| block_bytes(layout, k)).sum();
     values + index_bytes(layout) + known_terms_bytes(layout)
+}
+
+/// Bytes a [`crate::SparseSystem`] of this layout holds: every block's
+/// values, the `u32` attitude offsets, the instrument columns and the known
+/// terms ([`RESIDENT_BYTES_PER_OBS_ROW`] a row, constraint rows their
+/// attitude part). What a tile budget charges for a loaded tile.
+pub fn resident_bytes(layout: &SystemLayout) -> u64 {
+    let values: u64 = BlockKind::ALL.iter().map(|&k| block_bytes(layout, k)).sum();
+    let instr_idx = layout.n_obs_rows() * INSTR_PARAMS_PER_ROW as u64 * INSTR_COL_BYTES;
+    values + layout.n_rows() * ATT_OFFSET_BYTES + instr_idx + known_terms_bytes(layout)
 }
 
 /// Bytes of the LSQR work vectors (`x`, `v`, `w`, `var` of length `n_cols`;
@@ -116,13 +150,13 @@ pub fn aprod_flops(layout: &SystemLayout, kind: BlockKind) -> u64 {
 /// Bytes held by the ELL (slot-major) mirror of a system
 /// ([`crate::ell::EllSystem`]).
 ///
-/// The mirror stores exactly the device arrays — every block's values,
-/// both row-index arrays, the instrument columns, and the known terms —
+/// The mirror stores exactly the resident arrays — every block's values,
+/// the attitude offsets, the instrument columns, and the known terms —
 /// transposed but not compressed, so its size equals
-/// [`device_bytes`]. Kept as its own function so the equality is a
+/// [`resident_bytes`]. Kept as its own function so the equality is a
 /// documented invariant, not a coincidence.
 pub fn ell_mirror_bytes(layout: &SystemLayout) -> u64 {
-    device_bytes(layout)
+    resident_bytes(layout)
 }
 
 /// Total matrix bytes resident when a backend runs with the given value
@@ -132,8 +166,8 @@ pub fn ell_mirror_bytes(layout: &SystemLayout) -> u64 {
 /// doubles the matrix residency rather than replacing it.
 pub fn resident_matrix_bytes(layout: &SystemLayout, value_layout: crate::ell::MatrixLayout) -> u64 {
     match value_layout {
-        crate::ell::MatrixLayout::RowMajor => device_bytes(layout),
-        crate::ell::MatrixLayout::Ell => device_bytes(layout) + ell_mirror_bytes(layout),
+        crate::ell::MatrixLayout::RowMajor => resident_bytes(layout),
+        crate::ell::MatrixLayout::Ell => resident_bytes(layout) + ell_mirror_bytes(layout),
     }
 }
 
@@ -145,6 +179,24 @@ mod tests {
     fn bytes_per_obs_row_is_240() {
         // 24×8 values + 8 known term + 2×8 row indices + 6×4 instr cols.
         assert_eq!(DEVICE_BYTES_PER_OBS_ROW, 240);
+    }
+
+    #[test]
+    fn resident_bytes_per_obs_row_is_228() {
+        // 24×8 values + 8 known term + 4 attitude offset + 6×4 instr cols.
+        assert_eq!(RESIDENT_BYTES_PER_OBS_ROW, 228);
+        let l = SystemLayout::small();
+        let (n_obs, n_constr) = (l.n_obs_rows(), l.n_constraint_rows);
+        // A constraint row holds 12 values, a known term and an offset.
+        let constr_row = 12 * VALUE_BYTES + VALUE_BYTES;
+        assert_eq!(
+            resident_bytes(&l),
+            n_obs * RESIDENT_BYTES_PER_OBS_ROW + n_constr * (constr_row + ATT_OFFSET_BYTES)
+        );
+        assert_eq!(
+            device_bytes(&l),
+            n_obs * DEVICE_BYTES_PER_OBS_ROW + n_constr * (constr_row + ROW_INDEX_BYTES)
+        );
     }
 
     #[test]
@@ -187,30 +239,36 @@ mod tests {
         let sys = Generator::new(GeneratorConfig::new(l).seed(7)).generate();
         let ell = EllSystem::from_system(&sys);
         // Count what the mirror actually holds, independent of the
-        // accounting formula: 5+12+6(+glob) values, 6 u32 columns, two u64
-        // row-index arrays, and the known terms.
-        let n_obs = sys.n_obs_rows() as u64;
-        let n_rows = sys.n_rows() as u64;
+        // accounting formula: 5+12+6(+glob) values, 6 u32 columns, one u32
+        // attitude offset per row, and the known terms.
         let counted = (sys.values_astro().len()
             + sys.values_att().len()
             + sys.values_instr().len()
             + sys.values_glob().len()
             + sys.known_terms().len()) as u64
             * VALUE_BYTES
-            + (n_obs + n_rows) * ROW_INDEX_BYTES
+            + sys.matrix_index_att().len() as u64 * ATT_OFFSET_BYTES
             + sys.instr_col().len() as u64 * INSTR_COL_BYTES;
         assert_eq!(ell_mirror_bytes(&l), counted);
         assert_eq!(ell.resident_bytes(), counted);
-        // The transpose is size-preserving: mirror == device arrays.
-        assert_eq!(ell_mirror_bytes(&l), device_bytes(&l));
+        // The transpose is size-preserving: mirror == resident arrays,
+        // which are the device arrays less `matrixIndexAstro` and half of
+        // each `matrixIndexAtt` entry.
+        assert_eq!(ell_mirror_bytes(&l), resident_bytes(&l));
+        let n_obs = sys.n_obs_rows() as u64;
+        let n_rows = sys.n_rows() as u64;
+        assert_eq!(
+            device_bytes(&l) - resident_bytes(&l),
+            n_obs * ROW_INDEX_BYTES + n_rows * (ROW_INDEX_BYTES - ATT_OFFSET_BYTES)
+        );
         // Selecting the ELL layout keeps the row-major arrays alive.
         assert_eq!(
             resident_matrix_bytes(&l, MatrixLayout::Ell),
-            2 * device_bytes(&l)
+            2 * resident_bytes(&l)
         );
         assert_eq!(
             resident_matrix_bytes(&l, MatrixLayout::RowMajor),
-            device_bytes(&l)
+            resident_bytes(&l)
         );
     }
 

@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 use crate::constraints::build_constraint_rows;
 use crate::layout::SystemLayout;
 use crate::system::{SparseSystem, ASTRO_NNZ_PER_ROW, ATT_NNZ_PER_ROW, INSTR_NNZ_PER_ROW};
-use crate::{ASTRO_PARAMS_PER_STAR, ATT_PARAMS_PER_AXIS};
+use crate::ATT_PARAMS_PER_AXIS;
 
 /// How the known terms `b` are synthesized.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,16 +171,11 @@ impl Generator {
             *v = draw_coeff(&mut rng);
         }
 
-        // matrixIndexAstro: star-diagonal by construction.
-        let matrix_index_astro: Vec<u64> = (0..n_obs)
-            .map(|row| layout.star_of_row(row as u64) * ASTRO_PARAMS_PER_STAR as u64)
-            .collect();
-
         // matrixIndexAtt: time-ordered traversal of the axis segment with
         // small jitter — consecutive observations see nearby attitude
         // parameters. The traversal shape depends on the attitude pattern.
         let max_off = layout.n_deg_freedom_att - ATT_PARAMS_PER_AXIS as u64;
-        let mut matrix_index_att = vec![0u64; n_rows];
+        let mut matrix_index_att = vec![0u32; n_rows];
         for (row, slot) in matrix_index_att[..n_obs].iter_mut().enumerate() {
             let t = if n_obs <= 1 {
                 0.0
@@ -199,7 +194,8 @@ impl Generator {
                 }
             };
             let jitter = rng.gen_range(0..=2u64);
-            *slot = (base + jitter).min(max_off);
+            // At most `max_off`, which the validated layout keeps in u32.
+            *slot = (base + jitter).min(max_off) as u32;
         }
 
         // instrCol: 6 distinct, sorted columns per row.
@@ -235,7 +231,6 @@ impl Generator {
             values_att,
             values_instr,
             values_glob,
-            matrix_index_astro,
             matrix_index_att,
             instr_col,
             known_terms,
@@ -268,7 +263,7 @@ impl Generator {
         (system, truth)
     }
 
-    /// Streamed (chunk-at-a-time) generation straight to a `gaia-tiles/v2`
+    /// Streamed (chunk-at-a-time) generation straight to a `gaia-tiles/v3`
     /// spill directory with `tile_stars` stars per tile: the full system is
     /// never materialized in memory, yet the tiles are bit-identical to
     /// tiling the in-memory [`Generator::generate`] output (same seed ⇒
@@ -386,7 +381,7 @@ mod tests {
             // Count crossings of the segment midpoint with hysteresis
             // (robust to the ±2 jitter): a crossing is a transition from
             // the bottom quarter to the top quarter or back.
-            let max_off = layout.n_deg_freedom_att - 4;
+            let max_off = layout.n_deg_freedom_att as u32 - 4;
             let (lo, hi) = (max_off / 4, 3 * max_off / 4);
             let mut crossings = 0;
             let mut region = 0i8; // -1 bottom, +1 top
@@ -425,7 +420,7 @@ mod tests {
             for star in 0..layout.n_stars {
                 let rows = layout.rows_of_star(star);
                 let s = &offs[rows.start as usize..rows.end as usize];
-                total += s.iter().max().unwrap() - s.iter().min().unwrap();
+                total += u64::from(s.iter().max().unwrap() - s.iter().min().unwrap());
             }
             total as f64 / layout.n_stars as f64
         };

@@ -6,10 +6,13 @@
 //! This module provides the equivalent: a compact little-endian binary
 //! container for a [`SparseSystem`], bit-exact by construction.
 //!
-//! Layout: magic `GAVU`, format version (u32), the eight [`SystemLayout`]
-//! scalars, then each array prefixed with its element count. Everything is
-//! written through a `Write` and read back through a `Read`, so files,
-//! sockets, and in-memory buffers all work.
+//! Layout: magic `GAVU`, format version (u32), the six [`SystemLayout`]
+//! scalars, then each array prefixed with its element count: the four
+//! value blocks, `matrixIndexAtt` (u32), `instrCol` (u32), the known
+//! terms; no `matrixIndexAstro`, which the layout determines. Any other
+//! version is refused. Everything is written through a `Write` and read
+//! back through a `Read`, so files, sockets, and in-memory buffers all
+//! work.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -20,7 +23,7 @@ use crate::system::SparseSystem;
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"GAVU";
 /// Container format version.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Errors from reading a dataset container.
 #[derive(Debug)]
@@ -152,20 +155,12 @@ pub(crate) fn read_f64_array<R: Read>(r: &mut R) -> Result<Vec<f64>, IoError> {
     read_array(r, f64::from_le_bytes)
 }
 
-pub(crate) fn write_u64_array<W: Write>(w: &mut W, v: &[u64]) -> io::Result<()> {
-    write_array(w, v, u64::to_le_bytes)
-}
-
-pub(crate) fn read_u64_array_into<R: Read>(r: &mut R, out: &mut Vec<u64>) -> Result<(), IoError> {
-    read_array_into(r, out, u64::from_le_bytes)
-}
-
-pub(crate) fn read_u64_array<R: Read>(r: &mut R) -> Result<Vec<u64>, IoError> {
-    read_array(r, u64::from_le_bytes)
-}
-
 pub(crate) fn write_u32_array<W: Write>(w: &mut W, v: &[u32]) -> io::Result<()> {
     write_array(w, v, u32::to_le_bytes)
+}
+
+pub(crate) fn read_u32_array_into<R: Read>(r: &mut R, out: &mut Vec<u32>) -> Result<(), IoError> {
+    read_array_into(r, out, u32::from_le_bytes)
 }
 
 pub(crate) fn read_u32_array<R: Read>(r: &mut R) -> Result<Vec<u32>, IoError> {
@@ -187,8 +182,7 @@ pub fn write_system<W: Write>(sys: &SparseSystem, mut w: W) -> Result<(), IoErro
     write_f64_array(&mut w, sys.values_att())?;
     write_f64_array(&mut w, sys.values_instr())?;
     write_f64_array(&mut w, sys.values_glob())?;
-    write_u64_array(&mut w, sys.matrix_index_astro())?;
-    write_u64_array(&mut w, sys.matrix_index_att())?;
+    write_u32_array(&mut w, sys.matrix_index_att())?;
     write_u32_array(&mut w, sys.instr_col())?;
     write_f64_array(&mut w, sys.known_terms())?;
     w.flush()?;
@@ -206,7 +200,8 @@ pub fn read_system<R: Read>(mut r: R) -> Result<SparseSystem, IoError> {
     let version = read_u32(&mut r)?;
     if version != FORMAT_VERSION {
         return Err(IoError::Format(format!(
-            "format version {version} (expected {FORMAT_VERSION})"
+            "format version {version} (expected {FORMAT_VERSION}): \
+             regenerate the dataset or save it again from its source"
         )));
     }
     let layout = SystemLayout {
@@ -221,8 +216,7 @@ pub fn read_system<R: Read>(mut r: R) -> Result<SparseSystem, IoError> {
     let values_att = read_f64_array(&mut r)?;
     let values_instr = read_f64_array(&mut r)?;
     let values_glob = read_f64_array(&mut r)?;
-    let matrix_index_astro = read_u64_array(&mut r)?;
-    let matrix_index_att = read_u64_array(&mut r)?;
+    let matrix_index_att = read_u32_array(&mut r)?;
     let instr_col = read_u32_array(&mut r)?;
     let known_terms = read_f64_array(&mut r)?;
     SparseSystem::from_parts(
@@ -231,7 +225,6 @@ pub fn read_system<R: Read>(mut r: R) -> Result<SparseSystem, IoError> {
         values_att,
         values_instr,
         values_glob,
-        matrix_index_astro,
         matrix_index_att,
         instr_col,
         known_terms,
@@ -271,7 +264,6 @@ mod tests {
         assert_eq!(loaded.values_att(), original.values_att());
         assert_eq!(loaded.values_instr(), original.values_instr());
         assert_eq!(loaded.values_glob(), original.values_glob());
-        assert_eq!(loaded.matrix_index_astro(), original.matrix_index_astro());
         assert_eq!(loaded.matrix_index_att(), original.matrix_index_att());
         assert_eq!(loaded.instr_col(), original.instr_col());
         assert_eq!(loaded.known_terms(), original.known_terms());
@@ -328,8 +320,17 @@ mod tests {
         let original = sys();
         let mut buf = Vec::new();
         write_system(&original, &mut buf).unwrap();
-        buf[4] = 99; // version field
-        let err = read_system(buf.as_slice()).unwrap_err();
-        assert!(matches!(err, IoError::Format(_)), "{err}");
+        // 99: from the future; 1: the format with `matrixIndexAstro`.
+        for version in [99u32, 1] {
+            buf[4..8].copy_from_slice(&version.to_le_bytes());
+            match read_system(buf.as_slice()).unwrap_err() {
+                IoError::Format(m) => {
+                    for needle in [&format!("version {version} "), "regenerate"] {
+                        assert!(m.contains(needle), "{m:?} lacks {needle:?}");
+                    }
+                }
+                other => panic!("version {version}: expected a Format error, got {other}"),
+            }
+        }
     }
 }

@@ -90,7 +90,8 @@ impl ColumnBlocks {
 ///
 /// Invariants (checked by [`SystemLayout::validate`]):
 /// * `n_deg_freedom_att >= ATT_PARAMS_PER_AXIS` (an attitude block of 4 must
-///   fit inside one axis segment);
+///   fit inside one axis segment), and its largest offset
+///   `n_deg_freedom_att - 4` fits the `u32` `matrixIndexAtt` entries;
 /// * `n_instr_params >= INSTR_PARAMS_PER_ROW`;
 /// * the system is overdetermined: `n_rows() >= n_cols()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -282,6 +283,11 @@ impl SystemLayout {
                 dof: self.n_deg_freedom_att,
             });
         }
+        if self.n_deg_freedom_att - ATT_PARAMS_PER_AXIS as u64 > u64::from(u32::MAX) {
+            return Err(LayoutError::AttitudeAxisTooWide {
+                dof: self.n_deg_freedom_att,
+            });
+        }
         if self.n_instr_params < INSTR_PARAMS_PER_ROW as u64 {
             return Err(LayoutError::InstrumentTooNarrow {
                 params: self.n_instr_params,
@@ -324,6 +330,11 @@ pub enum LayoutError {
         /// Offending degrees of freedom per axis.
         dof: u64,
     },
+    /// An attitude offset (up to `dof - 4`) would not fit its `u32` entry.
+    AttitudeAxisTooWide {
+        /// Offending degrees of freedom per axis.
+        dof: u64,
+    },
     /// The instrument table cannot hold 6 distinct parameters.
     InstrumentTooNarrow {
         /// Offending instrumental parameter count.
@@ -350,6 +361,11 @@ impl std::fmt::Display for LayoutError {
             LayoutError::AttitudeAxisTooNarrow { dof } => {
                 write!(f, "attitude DOF per axis {dof} < {ATT_PARAMS_PER_AXIS}")
             }
+            LayoutError::AttitudeAxisTooWide { dof } => write!(
+                f,
+                "attitude DOF per axis {dof}: offsets up to {} do not fit u32",
+                dof - ATT_PARAMS_PER_AXIS as u64
+            ),
             LayoutError::InstrumentTooNarrow { params } => {
                 write!(f, "instrument params {params} < {INSTR_PARAMS_PER_ROW}")
             }
@@ -469,6 +485,22 @@ mod tests {
             l.validate(),
             Err(LayoutError::Underdetermined { .. })
         ));
+    }
+
+    #[test]
+    fn attitude_offsets_past_u32_are_rejected() {
+        // Shapes only: enough constraint rows to stay overdetermined.
+        let mut l = SystemLayout::tiny();
+        l.n_deg_freedom_att = u64::from(u32::MAX) + 4;
+        l.n_constraint_rows = 1 << 36;
+        assert_eq!(l.validate(), Ok(()));
+        l.n_deg_freedom_att += 1;
+        assert_eq!(
+            l.validate(),
+            Err(LayoutError::AttitudeAxisTooWide {
+                dof: l.n_deg_freedom_att
+            })
+        );
     }
 
     #[test]

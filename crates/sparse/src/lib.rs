@@ -28,8 +28,9 @@
 //!   the analytic layouts of the paper's 10/30/60 GB benchmark problems
 //!   (which can be *described* without being allocated);
 //! * [`SparseSystem`] — the in-memory representation (values + compressed
-//!   index arrays, exactly mirroring the production `systemMatrix`,
-//!   `matrixIndexAstro`, `matrixIndexAtt`, `instrCol` arrays);
+//!   index arrays, mirroring the production `systemMatrix`,
+//!   `matrixIndexAtt`, `instrCol` arrays; `matrixIndexAstro` is derived
+//!   from each row's star, not stored);
 //! * [`generator`] — the seeded synthetic dataset generator (the paper's
 //!   production datasets are under NDA; its artifact ships the same kind of
 //!   generator, parameterized by problem size in GB);

@@ -3,12 +3,17 @@
 //! The storage mirrors the production arrays described in §III-B of the
 //! paper: coefficient values are stored per block
 //! (`systemMatrixAstro/Att/Instr/Glob`), and the sparsity is encoded by
-//! `matrixIndexAstro` (start column of the 5 contiguous astrometric
-//! non-zeros), `matrixIndexAtt` (offset of the first attitude non-zero
-//! inside an axis segment; the 3 per-axis blocks repeat with a stride equal
-//! to the attitude degrees of freedom), and `instrCol` (explicit columns of
-//! the 6 irregular instrumental non-zeros). The global block has at most a
+//! `matrixIndexAtt` (offset of the first attitude non-zero inside an axis
+//! segment; the 3 per-axis blocks repeat with a stride equal to the
+//! attitude degrees of freedom) and `instrCol` (explicit columns of the 6
+//! irregular instrumental non-zeros). The global block has at most a
 //! single non-zero per row in the one global column.
+//!
+//! Production also stores `matrixIndexAstro`, the start column of each
+//! row's 5 contiguous astrometric non-zeros. The block is block-diagonal —
+//! every row of star `s` starts at `5·s` — so this crate derives the start
+//! from the row's star ([`SparseSystem::astro_row`],
+//! [`SparseSystem::astro_runs`]) instead of storing a copy of it.
 //!
 //! Constraint rows (appended after the `n_stars × obs_per_star` observation
 //! rows) carry only attitude coefficients; see [`crate::constraints`].
@@ -87,14 +92,14 @@ impl<T: Clone> Shared<T> {
 /// through [`ColumnBlocks`]. Invariants are enforced by
 /// [`SparseSystem::from_parts`] and preserved by the read-only API.
 ///
-/// The eight arrays are reference-counted: `clone()` and
+/// The seven arrays are reference-counted: `clone()` and
 /// [`SparseSystem::row_block`] share them, and the three mutators copy what
 /// they change before they change it, so no system ever sees another's
 /// mutation.
 ///
 /// A row block ([`SparseSystem::row_block`], or a tile read from disk)
 /// keeps its parent's column space: its layout counts its own stars and
-/// rows, but its columns, [`SparseSystem::n_cols`] and astrometric indices
+/// rows, but its columns, [`SparseSystem::n_cols`] and astrometric starts
 /// are the parent's, so it reads and writes the parent's vectors in place.
 #[derive(Debug, Clone)]
 pub struct SparseSystem {
@@ -112,12 +117,10 @@ pub struct SparseSystem {
     values_instr: Shared<f64>,
     /// Global coefficients, `n_obs_rows × n_glob_params`.
     values_glob: Shared<f64>,
-    /// Start column of the astrometric block of each observation row
-    /// (always `5 × star`, stored explicitly as in production).
-    matrix_index_astro: Shared<u64>,
     /// Offset of the first attitude non-zero inside each axis segment,
-    /// per row (observations and constraints), in `0..=dof-4`.
-    matrix_index_att: Shared<u64>,
+    /// per row (observations and constraints), in `0..=dof-4` (which
+    /// [`SystemLayout::validate`] keeps inside `u32`).
+    matrix_index_att: Shared<u32>,
     /// Instrument-block-local columns of the 6 instrumental non-zeros,
     /// `n_obs_rows × 6`, strictly increasing within a row.
     instr_col: Shared<u32>,
@@ -139,8 +142,7 @@ impl SparseSystem {
         values_att: Vec<f64>,
         values_instr: Vec<f64>,
         values_glob: Vec<f64>,
-        matrix_index_astro: Vec<u64>,
-        matrix_index_att: Vec<u64>,
+        matrix_index_att: Vec<u32>,
         instr_col: Vec<u32>,
         known_terms: Vec<f64>,
     ) -> Result<Self, SystemError> {
@@ -151,7 +153,6 @@ impl SparseSystem {
             values_att,
             values_instr,
             values_glob,
-            matrix_index_astro,
             matrix_index_att,
             instr_col,
             known_terms,
@@ -172,8 +173,7 @@ impl SparseSystem {
         values_att: Vec<f64>,
         values_instr: Vec<f64>,
         values_glob: Vec<f64>,
-        matrix_index_astro: Vec<u64>,
-        matrix_index_att: Vec<u64>,
+        matrix_index_att: Vec<u32>,
         instr_col: Vec<u32>,
         known_terms: Vec<f64>,
     ) -> Result<Self, SystemError> {
@@ -185,7 +185,6 @@ impl SparseSystem {
             values_att,
             values_instr,
             values_glob,
-            matrix_index_astro,
             matrix_index_att,
             instr_col,
             known_terms,
@@ -194,7 +193,7 @@ impl SparseSystem {
 
     /// [`SparseSystem::from_parts_shard`] for the rows of the stars
     /// `star0..star0 + layout.n_stars` of a parent whose columns are `cols`:
-    /// the astrometric indices are the parent's, `5 × (star0 + local star)`.
+    /// the astrometric starts are the parent's, `5 × (star0 + local star)`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts_at(
         cols: ColumnBlocks,
@@ -204,8 +203,7 @@ impl SparseSystem {
         values_att: Vec<f64>,
         values_instr: Vec<f64>,
         values_glob: Vec<f64>,
-        matrix_index_astro: Vec<u64>,
-        matrix_index_att: Vec<u64>,
+        matrix_index_att: Vec<u32>,
         instr_col: Vec<u32>,
         known_terms: Vec<f64>,
     ) -> Result<Self, SystemError> {
@@ -221,7 +219,6 @@ impl SparseSystem {
             values_att: values_att.into(),
             values_instr: values_instr.into(),
             values_glob: values_glob.into(),
-            matrix_index_astro: matrix_index_astro.into(),
             matrix_index_att: matrix_index_att.into(),
             instr_col: instr_col.into(),
             known_terms: known_terms.into(),
@@ -245,7 +242,6 @@ impl SparseSystem {
             ("values_att", self.values_att.len(), att),
             ("values_instr", self.values_instr.len(), instr),
             ("values_glob", self.values_glob.len(), glob),
-            ("matrix_index_astro", self.matrix_index_astro.len(), n_obs),
             ("matrix_index_att", self.matrix_index_att.len(), n_rows),
             ("instr_col", self.instr_col.len(), instr),
             ("known_terms", self.known_terms.len(), n_rows),
@@ -255,16 +251,9 @@ impl SparseSystem {
             }
         }
 
-        let astro_end = self.cols.att;
-        for (row, &start) in self.matrix_index_astro.iter().enumerate() {
-            let star = self.star0 + layout.star_of_row(row as u64);
-            let want = star * ASTRO_PARAMS_PER_STAR as u64;
-            if start != want || want + ASTRO_PARAMS_PER_STAR as u64 > astro_end {
-                return Err(SystemError::AstroIndex { row, start, star });
-            }
-        }
         let max_att_off = layout.n_deg_freedom_att - ATT_PARAMS_PER_AXIS as u64;
         for (row, &off) in self.matrix_index_att.iter().enumerate() {
+            let off = u64::from(off);
             if off > max_att_off {
                 return Err(SystemError::AttIndex {
                     row,
@@ -288,7 +277,7 @@ impl SparseSystem {
 
     /// The rows of the stars `stars` — and, `with_constraints`, the
     /// constraint rows, which follow the last star's — as a system of its
-    /// own that *shares* all eight of this one's arrays and allocates
+    /// own that *shares* all seven of this one's arrays and allocates
     /// nothing. The block keeps this system's column space, so any backend
     /// runs it on this system's vectors, in place. `stars` counts this
     /// system's own stars, so a view of a view is a view of the first
@@ -334,7 +323,6 @@ impl SparseSystem {
             values_glob: self
                 .values_glob
                 .slice(per_obs(layout.n_glob_params as usize)),
-            matrix_index_astro: self.matrix_index_astro.slice(obs.clone()),
             matrix_index_att: self.matrix_index_att.slice(rows.clone()),
             instr_col: self.instr_col.slice(per_obs(INSTR_NNZ_PER_ROW)),
             known_terms: self.known_terms.slice(rows.clone()),
@@ -344,7 +332,7 @@ impl SparseSystem {
         RowBlock { rows, system }
     }
 
-    /// True when `self` reads all eight of its arrays out of `other`'s
+    /// True when `self` reads all seven of its arrays out of `other`'s
     /// buffers — it is a clone or a [`SparseSystem::row_block`] of it that
     /// no mutator has touched since.
     pub fn shares_storage_with(&self, other: &SparseSystem) -> bool {
@@ -352,7 +340,6 @@ impl SparseSystem {
             && Arc::ptr_eq(&self.values_att.buf, &other.values_att.buf)
             && Arc::ptr_eq(&self.values_instr.buf, &other.values_instr.buf)
             && Arc::ptr_eq(&self.values_glob.buf, &other.values_glob.buf)
-            && Arc::ptr_eq(&self.matrix_index_astro.buf, &other.matrix_index_astro.buf)
             && Arc::ptr_eq(&self.matrix_index_att.buf, &other.matrix_index_att.buf)
             && Arc::ptr_eq(&self.instr_col.buf, &other.instr_col.buf)
             && Arc::ptr_eq(&self.known_terms.buf, &other.known_terms.buf)
@@ -427,13 +414,43 @@ impl SparseSystem {
     }
 
     /// Astrometric coefficients of an observation row and the absolute
-    /// column of the first of the 5 contiguous entries.
+    /// column of the first of the 5 contiguous entries, derived from the
+    /// row's star: `cols.astro + 5·(star0 + star)`.
     #[inline]
     pub fn astro_row(&self, row: usize) -> (&[f64], u64) {
         debug_assert!(row < self.n_obs_rows());
-        let (values, index): (&[f64], &[u64]) = (&self.values_astro, &self.matrix_index_astro);
-        let vals = &values[row * ASTRO_NNZ_PER_ROW..(row + 1) * ASTRO_NNZ_PER_ROW];
-        (vals, self.cols.astro + index[row])
+        let vals = &self.values_astro[row * ASTRO_NNZ_PER_ROW..(row + 1) * ASTRO_NNZ_PER_ROW];
+        (vals, self.astro_start(self.layout.star_of_row(row as u64)))
+    }
+
+    /// Absolute column of the first astrometric entry of local star `star`.
+    #[inline]
+    fn astro_start(&self, star: u64) -> u64 {
+        self.cols.astro + (self.star0 + star) * u64::from(ASTRO_PARAMS_PER_STAR)
+    }
+
+    /// The observation rows `rows` cut at star boundaries: one item per
+    /// star they touch, its rows inside `rows` and the absolute column of
+    /// its 5 astrometric entries. A partial star at either end is one
+    /// shorter run. One division, for the first star; the kernels walk a
+    /// star's rows against one 5-wide slice of `x`.
+    #[inline]
+    pub fn astro_runs(&self, rows: Range<usize>) -> impl Iterator<Item = (Range<usize>, usize)> {
+        debug_assert!(rows.end <= self.n_obs_rows());
+        let obs = self.layout.obs_per_star as usize;
+        let first = if rows.is_empty() { 0 } else { rows.start / obs };
+        let mut start = self.astro_start(first as u64) as usize;
+        let mut next = (first + 1) * obs;
+        let mut row = rows.start;
+        std::iter::from_fn(move || {
+            if row >= rows.end {
+                return None;
+            }
+            let run = row..next.min(rows.end);
+            let item = (run.clone(), start);
+            (row, next, start) = (run.end, next + obs, start + ASTRO_NNZ_PER_ROW);
+            Some(item)
+        })
     }
 
     /// Attitude coefficients of any row (observation or constraint), and the
@@ -450,9 +467,9 @@ impl SparseSystem {
     /// loads out by itself, so it takes this before it starts.
     #[inline]
     pub fn att_rows<'a>(&'a self) -> impl Fn(usize) -> (&'a [f64], u64) + Copy + 'a {
-        let (values, index): (&[f64], &[u64]) = (&self.values_att, &self.matrix_index_att);
+        let (values, index): (&[f64], &[u32]) = (&self.values_att, &self.matrix_index_att);
         const N: usize = ATT_NNZ_PER_ROW;
-        move |row| (&values[row * N..(row + 1) * N], index[row])
+        move |row| (&values[row * N..(row + 1) * N], u64::from(index[row]))
     }
 
     /// Absolute column of attitude entry (`axis`, `k`) for a row whose
@@ -561,10 +578,13 @@ impl SparseSystem {
             }
         }
         let c = self.cols;
-        let astro_rows = self.values_astro.chunks_exact(ASTRO_NNZ_PER_ROW);
-        for (vals, &start) in astro_rows.zip(self.matrix_index_astro.iter()) {
-            let first = (c.astro + start) as usize;
-            add_squares(&mut sq[first..first + ASTRO_NNZ_PER_ROW], vals);
+        let star_vals = ASTRO_NNZ_PER_ROW * self.layout.obs_per_star as usize;
+        let astro0 = self.astro_start(0) as usize;
+        for (star, vals) in self.values_astro.chunks_exact(star_vals).enumerate() {
+            let first = astro0 + star * ASTRO_NNZ_PER_ROW;
+            for row_vals in vals.chunks_exact(ASTRO_NNZ_PER_ROW) {
+                add_squares(&mut sq[first..first + ASTRO_NNZ_PER_ROW], row_vals);
+            }
         }
         let dof = self.layout.n_deg_freedom_att as usize;
         let per_axis = ATT_PARAMS_PER_AXIS as usize;
@@ -606,13 +626,8 @@ impl SparseSystem {
         &self.values_glob
     }
 
-    /// Raw `matrixIndexAstro` array.
-    pub fn matrix_index_astro(&self) -> &[u64] {
-        &self.matrix_index_astro
-    }
-
     /// Raw `matrixIndexAtt` array.
-    pub fn matrix_index_att(&self) -> &[u64] {
+    pub fn matrix_index_att(&self) -> &[u32] {
         &self.matrix_index_att
     }
 
@@ -634,11 +649,14 @@ impl SparseSystem {
         self.ell = OnceLock::new();
         let mut touched = 0usize;
         if col < self.cols.att {
-            let values = self.values_astro.make_mut();
-            for (row, &index) in self.matrix_index_astro.iter().enumerate() {
-                let start = self.cols.astro + index;
-                if (start..start + ASTRO_NNZ_PER_ROW as u64).contains(&col) {
-                    values[row * ASTRO_NNZ_PER_ROW + (col - start) as usize] *= factor;
+            // Only the rows of the column's star hold it, if that star is
+            // one of this system's.
+            let (rel, per_star) = (col - self.cols.astro, u64::from(ASTRO_PARAMS_PER_STAR));
+            let local = (rel / per_star).checked_sub(self.star0);
+            if let Some(star) = local.filter(|&s| s < self.layout.n_stars) {
+                let values = self.values_astro.make_mut();
+                for row in self.layout.rows_of_star(star) {
+                    values[row as usize * ASTRO_NNZ_PER_ROW + (rel % per_star) as usize] *= factor;
                     touched += 1;
                 }
             }
@@ -647,7 +665,7 @@ impl SparseSystem {
             let values = self.values_att.make_mut();
             for (row, &off) in self.matrix_index_att.iter().enumerate() {
                 for axis in 0..ATT_AXES as usize {
-                    let seg = self.cols.att + axis as u64 * dof + off;
+                    let seg = self.cols.att + axis as u64 * dof + u64::from(off);
                     if (seg..seg + ATT_PARAMS_PER_AXIS as u64).contains(&col) {
                         let k = axis * ATT_PARAMS_PER_AXIS as usize + (col - seg) as usize;
                         values[row * ATT_NNZ_PER_ROW + k] *= factor;
@@ -680,8 +698,8 @@ impl SparseSystem {
     /// observation row to an observation row *of the same star* and every
     /// constraint row to a constraint row — the only reorderings that
     /// preserve the structural invariants enforced by
-    /// [`SparseSystem::from_parts`] (the astrometric index of a row is
-    /// pinned to its star). Such permutations leave the least-squares
+    /// [`SparseSystem::from_parts`] (a row's astrometric columns are its
+    /// star's). Such permutations leave the least-squares
     /// solution unchanged, which is the row-permutation invariance checked
     /// by the metamorphic suite in `gaia-verify`.
     pub fn permute_rows(&mut self, perm: &[usize]) -> Result<(), SystemError> {
@@ -723,7 +741,6 @@ impl SparseSystem {
             let g = self.layout.n_glob_params as usize;
             self.values_glob = gather(&self.values_glob, perm, n_obs, g);
         }
-        self.matrix_index_astro = gather(&self.matrix_index_astro, perm, n_obs, 1);
         self.matrix_index_att = gather(&self.matrix_index_att, perm, n_rows, 1);
         self.instr_col = gather(&self.instr_col, perm, n_obs, INSTR_NNZ_PER_ROW);
         self.known_terms = gather(&self.known_terms, perm, n_rows, 1);
@@ -760,15 +777,6 @@ pub enum SystemError {
         /// Required length.
         want: usize,
     },
-    /// `matrixIndexAstro[row]` does not point at the row's star block.
-    AstroIndex {
-        /// Offending row.
-        row: usize,
-        /// Stored start column.
-        start: u64,
-        /// Star the row belongs to.
-        star: u64,
-    },
     /// `matrixIndexAtt[row]` exceeds the axis segment.
     AttIndex {
         /// Offending row.
@@ -803,10 +811,6 @@ impl std::fmt::Display for SystemError {
             SystemError::ArrayLength { name, got, want } => {
                 write!(f, "array {name} has length {got}, expected {want}")
             }
-            SystemError::AstroIndex { row, start, star } => write!(
-                f,
-                "matrixIndexAstro[{row}] = {start} does not match star {star}"
-            ),
             SystemError::AttIndex { row, off, max } => {
                 write!(f, "matrixIndexAtt[{row}] = {off} exceeds {max}")
             }
@@ -886,18 +890,80 @@ mod tests {
         }
     }
 
+    /// Every row of a star starts at its star's columns,
+    /// `cols.astro + 5·(star0 + star)`, and the star runs over any row
+    /// range say the same.
+    fn assert_rows_start_at_their_star(s: &SparseSystem) {
+        let l = *s.layout();
+        let (c, star0) = (s.columns(), s.star0());
+        for star in 0..l.n_stars {
+            let want = c.astro + 5 * (star0 + star);
+            for r in l.rows_of_star(star) {
+                assert_eq!(l.star_of_row(r), star);
+                assert_eq!(s.astro_row(r as usize).1, want, "row {r}");
+            }
+        }
+        let n_obs = s.n_obs_rows();
+        for (a, b) in [(0, n_obs), (1, n_obs - 1), (3, 4), (n_obs, n_obs)] {
+            let mut covered = a;
+            for (run, start) in s.astro_runs(a..b) {
+                assert_eq!(run.start, covered);
+                covered = run.end;
+                for r in run {
+                    assert_eq!(s.astro_row(r).1, start as u64, "rows {a}..{b}, row {r}");
+                }
+            }
+            assert_eq!(covered, b);
+        }
+    }
+
     #[test]
     fn observations_of_one_star_share_the_astro_block() {
         // The block-diagonal property that makes aprod2_astro collision-free
         // when parallelized over stars (§IV).
         let s = sys();
-        let l = *s.layout();
-        for star in 0..l.n_stars {
-            let mut starts = l.rows_of_star(star).map(|r| s.astro_row(r as usize).1);
-            let first = starts.next().unwrap();
-            assert!(starts.all(|st| st == first));
-            assert_eq!(first, star * 5);
+        assert_rows_start_at_their_star(&s);
+        let n_stars = s.layout().n_stars;
+        let outer = s.row_block(2..n_stars, true);
+        assert_eq!(outer.system.star0(), 2);
+        assert_rows_start_at_their_star(&outer.system);
+        let inner = outer.system.row_block(1..3, false);
+        assert_eq!(inner.system.star0(), 3);
+        assert_rows_start_at_their_star(&inner.system);
+        let dir = std::env::temp_dir().join(format!("gaia-astro-starts-{}", std::process::id()));
+        crate::tiled::write_tiles(&s, &dir, 4).unwrap();
+        let tiled = crate::tiled::TiledSystem::open(&dir).unwrap();
+        for t in 0..tiled.n_tiles() {
+            let (tile, _) = tiled.tile(t).unwrap();
+            assert_eq!(tile.system.star0(), 4 * t as u64);
+            assert_rows_start_at_their_star(&tile.system);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn scale_column_astro_touches_only_its_stars_rows() {
+        let base = sys();
+        let obs = base.layout().obs_per_star as usize;
+        let col = 5 * 2 + 3;
+        let mut s = base.clone();
+        assert_eq!(s.scale_column(col, 2.0), obs);
+        for row in 0..s.n_obs_rows() {
+            let (got, want) = (s.astro_row(row).0, base.astro_row(row).0);
+            for k in 0..5 {
+                let scaled = row / obs == 2 && k == 3;
+                let f = if scaled { 2.0 } else { 1.0 };
+                assert_eq!(got[k], f * want[k], "row {row} slot {k}");
+            }
+        }
+        // A view holds the column only if it holds the star.
+        let n_stars = base.layout().n_stars;
+        let mut view = base.row_block(3..n_stars, true).system;
+        assert_eq!(view.scale_column(col, 2.0), 0);
+        let mut view = base.row_block(0..2, false).system;
+        assert_eq!(view.scale_column(col, 2.0), 0);
+        let mut view = base.row_block(1..n_stars, true).system;
+        assert_eq!(view.scale_column(col, 2.0), obs);
     }
 
     #[test]
@@ -920,7 +986,6 @@ mod tests {
             s.values_att().to_vec(),
             s.values_instr().to_vec(),
             s.values_glob().to_vec(),
-            s.matrix_index_astro().to_vec(),
             s.matrix_index_att().to_vec(),
             s.instr_col().to_vec(),
             s.known_terms().to_vec(),
@@ -947,7 +1012,6 @@ mod tests {
             s.values_att().to_vec(),
             s.values_instr().to_vec(),
             s.values_glob().to_vec(),
-            s.matrix_index_astro().to_vec(),
             s.matrix_index_att().to_vec(),
             instr,
             s.known_terms().to_vec(),
@@ -1065,10 +1129,6 @@ mod tests {
         assert_eq!(outer.rows.start + inner.rows.start, direct.rows.start);
         assert!(inner.system.shares_storage_with(&s));
         assert_eq!(inner.system.n_cols(), s.n_cols());
-        assert_eq!(
-            inner.system.matrix_index_astro(),
-            direct.system.matrix_index_astro()
-        );
         let x: Vec<f64> = (0..s.n_cols()).map(|i| (i as f64 * 0.29).sin()).collect();
         for (local, row) in direct.rows.clone().enumerate() {
             let got = inner.system.row_dot(local, &x);

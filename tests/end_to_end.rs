@@ -145,7 +145,7 @@ fn solvergaia_refuses_an_old_spill_directory_and_leaves_it_untouched() {
     for needle in [
         "manifest.json",
         "gaia-tiles/v1",
-        "gaia-tiles/v2",
+        "gaia-tiles/v3",
         "regenerate",
     ] {
         assert!(stderr.contains(needle), "stderr lacks {needle:?}: {stderr}");
