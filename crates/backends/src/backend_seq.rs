@@ -34,8 +34,8 @@ impl Backend for SeqBackend {
         kernels::aprod2_glob(sys, y, 0..sys.n_obs_rows(), glob);
     }
 
-    /// The pass through [`kernels::gk_blocks`] on the whole system:
-    /// bitwise equal to the default.
+    /// The pass as one row loop ([`kernels::gk_pass`]) over the whole
+    /// system: bitwise equal to the default.
     fn gk_products(
         &self,
         sys: &SparseSystem,
@@ -46,7 +46,7 @@ impl Backend for SeqBackend {
     ) {
         self.check_aprod1(sys, x, u);
         self.check_aprod2(sys, u, out);
-        kernels::gk_blocks(sys, x, alfa, u, sys.sections_mut(out));
+        kernels::gk_pass(sys, x, alfa, u, sys.sections_mut(out));
     }
 }
 

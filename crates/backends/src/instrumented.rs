@@ -8,6 +8,7 @@
 use gaia_sparse::SparseSystem;
 use gaia_telemetry::Phase;
 
+use crate::kernels::coefficient_count;
 use crate::traits::Backend;
 
 const F64: u64 = std::mem::size_of::<f64>() as u64;
@@ -24,19 +25,6 @@ pub fn aprod1_bytes(sys: &SparseSystem) -> u64 {
 /// output slot per nonzero.
 pub fn aprod2_bytes(sys: &SparseSystem) -> u64 {
     4 * coefficient_count(sys) * F64
-}
-
-fn coefficient_count(sys: &SparseSystem) -> u64 {
-    use gaia_sparse::system::{ASTRO_NNZ_PER_ROW, ATT_NNZ_PER_ROW, INSTR_NNZ_PER_ROW};
-    let obs = sys.n_obs_rows() as u64;
-    let glob = if sys.layout().n_glob_params > 0 {
-        obs
-    } else {
-        0
-    };
-    obs * (ASTRO_NNZ_PER_ROW + INSTR_NNZ_PER_ROW) as u64
-        + sys.n_rows() as u64 * ATT_NNZ_PER_ROW as u64
-        + glob
 }
 
 /// A [`Backend`] decorator recording whole-call wall time and analytic
@@ -86,7 +74,8 @@ impl<B: Backend> Backend for InstrumentedBackend<B> {
     }
 
     /// Forwarded, so a wrapped backend runs the pass it runs unwrapped,
-    /// timed as one whole `gk` call; its kernels still record per block.
+    /// timed as one whole `gk` call; its kernels record their own cells
+    /// (one `gk/*` call per row loop of a fused pass).
     fn gk_products(
         &self,
         sys: &SparseSystem,

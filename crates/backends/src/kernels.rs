@@ -16,12 +16,14 @@
 //! * `aprod2_att_owned` / `aprod2_instr_owned`: owner-computes variants that
 //!   scan rows but only write columns inside an owned block-local range.
 //!
-//! [`gk_blocks`] runs `aprod1` and then `aprod2` block of stars by block
-//! of stars, so a Golub–Kahan pass reads each matrix row once for both
-//! products. It is the one block loop: `seq` runs it on the whole system,
-//! and each job of a one-launch plan pass ([`crate::launch`]) on the row
-//! block of its stars. Kernel telemetry counts a call per kernel
-//! invocation: under that pass, one per block, not one per product.
+//! [`gk_pass`] is a Golub–Kahan pass in one row loop: it forms each
+//! row's `û_r` and scatters it at once, so the pass visits each matrix row
+//! once for both products. `seq` runs it on the whole system, and each job
+//! of a one-launch plan pass ([`crate::launch`]) on the row block of its
+//! stars. Each section's per-row dot and scatter is one `#[inline(always)]`
+//! helper that the pass and the scalar kernels share, so the two orders of
+//! work add the same terms in the same order. Kernel telemetry counts one
+//! call per kernel invocation; the pass is one `gk/*` call.
 
 use std::ops::Range;
 
@@ -30,6 +32,73 @@ use gaia_sparse::{SparseSystem, ATT_AXES, ATT_PARAMS_PER_AXIS};
 use gaia_telemetry::{Block, Phase};
 
 const F64: u64 = std::mem::size_of::<f64>() as u64;
+const ATT_K: usize = ATT_PARAMS_PER_AXIS as usize;
+
+// The per-row dot and scatter of each section, shared by the scalar
+// kernels and the pass. Each cuts its row's slices to their fixed lengths
+// first, so the unrolled loops carry no bounds checks. A dot sums from
+// `0.0` in entry order.
+
+/// One astrometric row against its star's 5-wide slice of `x`.
+#[inline(always)]
+fn astro_dot(vals: &[f64], xs: &[f64]) -> f64 {
+    let (vals, xs) = (&vals[..ASTRO_NNZ_PER_ROW], &xs[..ASTRO_NNZ_PER_ROW]);
+    vals.iter().zip(xs).fold(0.0, |acc, (v, x)| acc + v * x)
+}
+
+/// `slot += vals · yr`, entry by entry.
+#[inline(always)]
+fn astro_scatter(vals: &[f64], yr: f64, slot: &mut [f64]) {
+    let (vals, slot) = (&vals[..ASTRO_NNZ_PER_ROW], &mut slot[..ASTRO_NNZ_PER_ROW]);
+    for (s, v) in slot.iter_mut().zip(vals) {
+        *s += v * yr;
+    }
+}
+
+/// One attitude row against the attitude section `x_att` of `x`: axis by
+/// axis, the four entries from `axis·dof + off`.
+#[inline(always)]
+fn att_dot(vals: &[f64], off: u64, dof: usize, x_att: &[f64]) -> f64 {
+    let vals = &vals[..ATT_NNZ_PER_ROW];
+    let mut acc = 0.0;
+    for axis in 0..ATT_AXES as usize {
+        let xs = &x_att[axis * dof + off as usize..][..ATT_K];
+        for k in 0..ATT_K {
+            acc += vals[axis * ATT_K + k] * xs[k];
+        }
+    }
+    acc
+}
+
+/// Scatter `vals · yr` into the attitude section `out`, in [`att_dot`]'s
+/// entry order.
+#[inline(always)]
+fn att_scatter(vals: &[f64], off: u64, dof: usize, yr: f64, out: &mut [f64]) {
+    for (axis, vals) in vals[..ATT_NNZ_PER_ROW].chunks_exact(ATT_K).enumerate() {
+        let os = &mut out[axis * dof + off as usize..][..ATT_K];
+        for (o, v) in os.iter_mut().zip(vals) {
+            *o += v * yr;
+        }
+    }
+}
+
+/// One instrumental row against the instrumental section `x_instr` of `x`.
+#[inline(always)]
+fn instr_dot(vals: &[f64], cols: &[u32], x_instr: &[f64]) -> f64 {
+    let (vals, cols) = (&vals[..INSTR_NNZ_PER_ROW], &cols[..INSTR_NNZ_PER_ROW]);
+    vals.iter()
+        .zip(cols)
+        .fold(0.0, |acc, (v, &c)| acc + v * x_instr[c as usize])
+}
+
+/// Scatter `vals · yr` into the instrumental section `out`.
+#[inline(always)]
+fn instr_scatter(vals: &[f64], cols: &[u32], yr: f64, out: &mut [f64]) {
+    let (vals, cols) = (&vals[..INSTR_NNZ_PER_ROW], &cols[..INSTR_NNZ_PER_ROW]);
+    for (v, &c) in vals.iter().zip(cols) {
+        out[c as usize] += v * yr;
+    }
+}
 
 /// Bytes an astrometric `aprod1` over `rows` reads and writes: per row its
 /// 5 values and a read-modify-write of its output, per star one 5-wide
@@ -57,11 +126,7 @@ pub fn aprod1_astro(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: &mut
         let vals = &values[run.start * ASTRO_NNZ_PER_ROW..run.end * ASTRO_NNZ_PER_ROW];
         let outs = &mut out[run.start - rows.start..run.end - rows.start];
         for (vals, o) in vals.chunks_exact(ASTRO_NNZ_PER_ROW).zip(outs) {
-            let mut acc = 0.0;
-            for k in 0..ASTRO_NNZ_PER_ROW {
-                acc += vals[k] * xs[k];
-            }
-            *o += acc;
+            *o += astro_dot(vals, xs);
         }
     }
 }
@@ -73,17 +138,11 @@ pub fn aprod1_att(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: &mut [
     let mut t = gaia_telemetry::kernel_scope(Phase::Aprod1, Block::Att);
     t.add_bytes(rows.len() as u64 * (2 * ATT_NNZ_PER_ROW as u64 + 2) * F64);
     let dof = sys.layout().n_deg_freedom_att as usize;
-    let att_base = sys.columns().att as usize;
+    let x_att = &x[sys.columns().att as usize..];
+    let att_row = sys.att_rows();
     for (i, row) in rows.enumerate() {
-        let (vals, off) = sys.att_row(row);
-        let mut acc = 0.0;
-        for axis in 0..ATT_AXES as usize {
-            let base = att_base + axis * dof + off as usize;
-            for k in 0..ATT_PARAMS_PER_AXIS as usize {
-                acc += vals[axis * ATT_PARAMS_PER_AXIS as usize + k] * x[base + k];
-            }
-        }
-        out[i] += acc;
+        let (vals, off) = att_row(row);
+        out[i] += att_dot(vals, off, dof, x_att);
     }
 }
 
@@ -93,14 +152,11 @@ pub fn aprod1_instr(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: &mut
     debug_assert_eq!(out.len(), rows.len());
     let mut t = gaia_telemetry::kernel_scope(Phase::Aprod1, Block::Instr);
     t.add_bytes(rows.len() as u64 * (2 * INSTR_NNZ_PER_ROW as u64 + 2) * F64);
-    let instr_base = sys.columns().instr as usize;
+    let x_instr = &x[sys.columns().instr as usize..];
+    let instr_row = sys.instr_rows();
     for (i, row) in rows.enumerate() {
-        let (vals, cols) = sys.instr_row(row);
-        let mut acc = 0.0;
-        for k in 0..INSTR_NNZ_PER_ROW {
-            acc += vals[k] * x[instr_base + cols[k] as usize];
-        }
-        out[i] += acc;
+        let (vals, cols) = instr_row(row);
+        out[i] += instr_dot(vals, cols, x_instr);
     }
 }
 
@@ -135,45 +191,87 @@ pub fn aprod1_range(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: &mut
     aprod1_att(sys, x, rows, out);
 }
 
-/// Stars per block of the Golub–Kahan pass: 32 stars of 30 observations
-/// are 960 rows, about 290 KB of matrix — what stays in L2 between a
-/// block's `aprod1` and its `aprod2`. Picked by timing 16 to 256 stars on
-/// a 10 000-star system: flat from 16 to 64, lowest at 32 (EXPERIMENTS.md).
-pub const GK_BLOCK_STARS: usize = 32;
+/// Stored coefficients of `sys`.
+pub(crate) fn coefficient_count(sys: &SparseSystem) -> u64 {
+    let obs = sys.n_obs_rows() as u64;
+    let glob = obs * u64::from(sys.layout().n_glob_params > 0);
+    obs * (ASTRO_NNZ_PER_ROW + INSTR_NNZ_PER_ROW) as u64
+        + sys.n_rows() as u64 * ATT_NNZ_PER_ROW as u64
+        + glob
+}
+
+/// Analytic bytes one [`gk_pass`] over `sys` moves: every stored
+/// coefficient read once with its `x` operand and a read-modify-write of
+/// its output column, every row of `u` read and written once.
+pub fn gk_bytes(sys: &SparseSystem) -> u64 {
+    (4 * coefficient_count(sys) + 2 * sys.n_rows() as u64) * F64
+}
 
 /// The Golub–Kahan pass over `sys`: `u ← A x − α u`, then `out += Aᵀu`
-/// with the new `u`, walking ascending blocks of [`GK_BLOCK_STARS`] stars
-/// (the last block carries the constraint rows). Each block scales its
-/// rows of `u` by `−α`, runs `aprod1` into them, then `aprod2` over the
-/// same rows while they are still in cache. `u` covers `sys`'s rows;
-/// `out` holds the four sections of [`SparseSystem::sections_mut`] — or a
-/// caller's private copies of the shared three. Ascending blocks feed
-/// every output column in ascending row order, as the whole-system
-/// products do, so on a whole system this is bitwise the two products.
-pub fn gk_blocks(sys: &SparseSystem, x: &[f64], alfa: f64, u: &mut [f64], out: [&mut [f64]; 4]) {
+/// with the new `u`, in one ascending row loop. Per row it forms
+/// `û_r = (((−α·u_r + astro·x) + instr·x) + glob·x) + att·x` in
+/// [`aprod1_range`]'s order, writes it once, and scatters it from the same
+/// registers: the astrometric terms into its star's 5-wide slot, held
+/// until the star ends; the attitude and instrumental terms unless `û_r`
+/// is zero, as [`aprod2_att`] and [`aprod2_instr`] skip it; the global one
+/// into a single running sum. Constraint rows carry attitude terms only.
+/// `u` covers `sys`'s rows; `out` holds the four sections of
+/// [`SparseSystem::sections_mut`], or a caller's private copies of the
+/// shared three. Every output column gets its terms in ascending row
+/// order, as the whole-system products give them, so on a whole system
+/// this is bitwise the two products.
+pub fn gk_pass(sys: &SparseSystem, x: &[f64], alfa: f64, u: &mut [f64], out: [&mut [f64]; 4]) {
     let [astro, att, instr, glob] = out;
-    let layout = *sys.layout();
-    let n_stars = layout.n_stars as usize;
-    let (mut star, mut row) = (0, 0);
-    // A block of no stars still carries the constraint rows.
-    while star < n_stars || row < sys.n_rows() {
-        let end = (star + GK_BLOCK_STARS).min(n_stars);
-        let row_end = if end == n_stars {
-            sys.n_rows()
-        } else {
-            layout.rows_of_star(end as u64).start as usize
-        };
-        let rows = row..row_end;
-        let ub = &mut u[rows.clone()];
-        crate::blas::scal(ub, -alfa);
-        aprod1_range(sys, x, rows.clone(), ub);
-        let obs = row..row_end.min(sys.n_obs_rows());
-        let cols = ASTRO_NNZ_PER_ROW * star..ASTRO_NNZ_PER_ROW * end;
-        aprod2_astro(sys, u, star..end, &mut astro[cols]);
-        aprod2_att(sys, u, rows, att);
-        aprod2_instr(sys, u, obs.clone(), instr);
-        aprod2_glob(sys, u, obs, glob);
-        (star, row) = (end, row_end);
+    debug_assert_eq!(u.len(), sys.n_rows());
+    debug_assert_eq!(astro.len() as u64, sys.layout().n_astro_cols());
+    let mut t = gaia_telemetry::pass_scope();
+    t.add_bytes(gk_bytes(sys));
+    let c = sys.columns();
+    let (x_att, x_instr) = (&x[c.att as usize..], &x[c.instr as usize..]);
+    let dof = sys.layout().n_deg_freedom_att as usize;
+    let (att_row, instr_row) = (sys.att_rows(), sys.instr_rows());
+    let (astro_values, glob_values) = (sys.values_astro(), sys.values_glob());
+    let x_glob = (sys.layout().n_glob_params > 0).then(|| x[c.glob as usize]);
+    let mut glob_sum = glob.first().copied().unwrap_or(0.0);
+    let n_obs = sys.n_obs_rows();
+    for ((run, start), slot) in sys
+        .astro_runs(0..n_obs)
+        .zip(astro.chunks_exact_mut(ASTRO_NNZ_PER_ROW))
+    {
+        let xs = &x[start..][..ASTRO_NNZ_PER_ROW];
+        let mut acc = [0.0; ASTRO_NNZ_PER_ROW];
+        acc.copy_from_slice(slot);
+        for row in run {
+            let av = &astro_values[row * ASTRO_NNZ_PER_ROW..][..ASTRO_NNZ_PER_ROW];
+            let (iv, ic) = instr_row(row);
+            let (tv, off) = att_row(row);
+            let mut ur = u[row] * -alfa + astro_dot(av, xs);
+            ur += instr_dot(iv, ic, x_instr);
+            if let Some(xg) = x_glob {
+                ur += glob_values[row] * xg;
+            }
+            ur += att_dot(tv, off, dof, x_att);
+            u[row] = ur;
+            astro_scatter(av, ur, &mut acc);
+            if ur != 0.0 {
+                att_scatter(tv, off, dof, ur, att);
+                instr_scatter(iv, ic, ur, instr);
+            }
+            if x_glob.is_some() {
+                glob_sum += glob_values[row] * ur;
+            }
+        }
+        slot.copy_from_slice(&acc);
+    }
+    if let Some(g) = glob.first_mut() {
+        *g = glob_sum;
+    }
+    for (row, u_r) in u.iter_mut().enumerate().skip(n_obs) {
+        let (tv, off) = att_row(row);
+        *u_r = *u_r * -alfa + att_dot(tv, off, dof, x_att);
+        if *u_r != 0.0 {
+            att_scatter(tv, off, dof, *u_r, att);
+        }
     }
 }
 
@@ -195,15 +293,12 @@ pub fn aprod2_astro(sys: &SparseSystem, y: &[f64], stars: Range<usize>, out: &mu
             + stars.len() as u64 * 2 * ASTRO_NNZ_PER_ROW as u64 * F64,
     );
     let values = sys.values_astro();
-    for (si, star) in stars.enumerate() {
-        let slot = &mut out[si * ASTRO_NNZ_PER_ROW..(si + 1) * ASTRO_NNZ_PER_ROW];
+    for (star, slot) in stars.zip(out.chunks_exact_mut(ASTRO_NNZ_PER_ROW)) {
         let rows = layout.rows_of_star(star as u64);
         let rows = rows.start as usize..rows.end as usize;
         let vals = &values[rows.start * ASTRO_NNZ_PER_ROW..rows.end * ASTRO_NNZ_PER_ROW];
         for (vals, &yr) in vals.chunks_exact(ASTRO_NNZ_PER_ROW).zip(&y[rows]) {
-            for k in 0..ASTRO_NNZ_PER_ROW {
-                slot[k] += vals[k] * yr;
-            }
+            astro_scatter(vals, yr, slot);
         }
     }
 }
@@ -223,12 +318,7 @@ pub fn aprod2_att(sys: &SparseSystem, y: &[f64], rows: Range<usize>, out: &mut [
             continue;
         }
         let (vals, off) = att_row(row);
-        for axis in 0..ATT_AXES as usize {
-            let base = axis * dof + off as usize;
-            for k in 0..ATT_PARAMS_PER_AXIS as usize {
-                out[base + k] += vals[axis * ATT_PARAMS_PER_AXIS as usize + k] * yr;
-            }
-        }
+        att_scatter(vals, off, dof, yr, out);
     }
 }
 
@@ -280,9 +370,7 @@ pub fn aprod2_instr(sys: &SparseSystem, y: &[f64], rows: Range<usize>, out: &mut
             continue;
         }
         let (vals, cols) = instr_row(row);
-        for k in 0..INSTR_NNZ_PER_ROW {
-            out[cols[k] as usize] += vals[k] * yr;
-        }
+        instr_scatter(vals, cols, yr, out);
     }
 }
 
@@ -579,13 +667,10 @@ pub fn aprod2_instr_owned_ell(
     }
 }
 
-// Block-splitting scaffolding lives in the launch layer; re-exported here
-// for the kernel-level tests and any direct kernel callers.
-pub use crate::launch::split_ranges;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::launch::split_ranges;
     use gaia_sparse::dense::DenseMatrix;
     use gaia_sparse::{Generator, GeneratorConfig, SystemLayout};
 

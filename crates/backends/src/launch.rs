@@ -38,7 +38,7 @@
 //! Because those publishes land inside wave 1, a plan of atomic publishers
 //! also runs a whole Golub–Kahan pass — `u ← A x − α u`, then `Aᵀu` — as
 //! one launch ([`LaunchPlan::gk_products`]): each star-aligned job runs
-//! both products block by block over its own rows, so the matrix is read
+//! both products in one loop over its own rows, so the matrix is read
 //! once per iteration, and publishes its private sections as `aprod2`'s
 //! jobs do. [`LaunchPlan::gk_in_one_launch`] says which plans have it,
 //! and why the others keep two launches.
@@ -517,11 +517,11 @@ impl LaunchPlan {
     /// that passes [`gk_in_one_launch`](Self::gk_in_one_launch). Each job
     /// takes the row block of its stars (the last one with the constraint
     /// rows), its rows of `u`, its stars' astrometric columns and private
-    /// copies of the three shared sections; it runs the `seq` block loop
-    /// ([`kernels::gk_blocks`]) over its view, so it reads its rows once
-    /// for both products, then publishes its copies with the plan's atomic
-    /// flavours in the same wave. `sys` may be a row block itself: a view
-    /// of a view is a view of the first parent.
+    /// copies of the three shared sections; it runs `seq`'s row loop
+    /// ([`kernels::gk_pass`]) over its view, so it visits each of its rows
+    /// once for both products, then publishes its copies with the plan's
+    /// atomic flavours in the same wave. `sys` may be a row block itself:
+    /// a view of a view is a view of the first parent.
     pub fn gk_products(
         &self,
         pool: &ExecutorPool,
@@ -558,7 +558,7 @@ impl LaunchPlan {
             jobs.push(Box::new(move || {
                 let mut privates = shared.map(|(_, _, section, _)| vec![0.0; section.len()]);
                 let [att, instr, glob] = &mut privates;
-                kernels::gk_blocks(
+                kernels::gk_pass(
                     &view.system,
                     x,
                     alfa,

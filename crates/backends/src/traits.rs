@@ -34,11 +34,11 @@ pub trait Backend: Send + Sync {
     /// new `u`. The default is the two products in turn, after scaling
     /// `u` with [`blas::scal`] (never `self.scal`: a caller's BLAS-1 does
     /// not go through its backend). An override of a deterministic backend
-    /// must return the same bits; [`crate::SeqBackend`] reads each star
-    /// block of the matrix once for both products. The `atomic` and
-    /// `casloop` plans run it as one launch whose publishes land in
-    /// schedule order, so they are held to the tolerance their products
-    /// always were, not to the bits ([`crate::LaunchPlan::gk_products`]).
+    /// must return the same bits; [`crate::SeqBackend`] visits each row of
+    /// the matrix once for both products ([`crate::kernels::gk_pass`]).
+    /// The `atomic` and `casloop` plans run it as one launch whose
+    /// publishes land in schedule order, so they are held to the tolerance
+    /// their products always were, not to the bits ([`crate::LaunchPlan::gk_products`]).
     fn gk_products(
         &self,
         sys: &SparseSystem,

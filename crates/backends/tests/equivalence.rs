@@ -272,19 +272,40 @@ fn rmw_counter_reports_the_atomic_adds_issued() {
 
 /// `SeqBackend::gk_products` against the default it overrides — scale
 /// `u` by `−α`, `aprod1`, `aprod2` — bit for bit, from non-zero `u` and
-/// `out` (both accumulate).
-fn assert_fused_pass_is_the_two_products(sys: &SparseSystem, alfa: f64, what: &str) {
+/// `out` (both accumulate). With `zeros`, `x` is zero outside the
+/// astrometric columns of even stars and two rows in three of `u` start
+/// at `0.0` or `-0.0`, so the new `u` holds exact zeros next to rows that
+/// are not zero; the attitude and instrumental scatters skip those rows,
+/// which shows in the bits of the columns of `out` that start at `-0.0`
+/// (adding a `+0.0` term would turn them to `+0.0`).
+fn assert_fused_pass_is_the_two_products(sys: &SparseSystem, alfa: f64, zeros: bool, what: &str) {
+    let att = sys.columns().att as usize;
     let x: Vec<f64> = (0..sys.n_cols())
-        .map(|i| ((i + 3) as f64 * 0.29).sin())
+        .map(|i| match zeros && (i >= att || (i / 5) % 2 == 1) {
+            true => 0.0,
+            false => ((i + 3) as f64 * 0.29).sin(),
+        })
         .collect();
     let u0: Vec<f64> = (0..sys.n_rows())
-        .map(|i| ((i + 1) as f64 * 0.53).cos())
+        .map(|i| match (zeros, i % 3) {
+            (true, 0) => 0.0,
+            (true, 1) => -0.0,
+            _ => ((i + 1) as f64 * 0.53).cos(),
+        })
         .collect();
-    let out0: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.11).sin()).collect();
+    let out0: Vec<f64> = (0..sys.n_cols())
+        .map(|i| match zeros && i % 4 == 3 {
+            true => -0.0,
+            false => (i as f64 * 0.11).sin(),
+        })
+        .collect();
     let (mut u_want, mut out_want) = (u0.clone(), out0.clone());
     blas::scal(&mut u_want, -alfa);
     SeqBackend.aprod1(sys, &x, &mut u_want);
     SeqBackend.aprod2(sys, &u_want, &mut out_want);
+    if zeros {
+        assert!(u_want.contains(&0.0), "{what}: no row to skip");
+    }
     let (mut u, mut out) = (u0, out0);
     SeqBackend.gk_products(sys, &x, alfa, &mut u, &mut out);
     for (i, (g, w)) in u.iter().zip(&u_want).enumerate() {
@@ -295,74 +316,108 @@ fn assert_fused_pass_is_the_two_products(sys: &SparseSystem, alfa: f64, what: &s
     }
 }
 
-fn system_of(n_stars: u64, n_constraint_rows: u64, seed: u64) -> SparseSystem {
-    let layout = SystemLayout {
+fn layout_of(n_stars: u64, n_constraint_rows: u64) -> SystemLayout {
+    SystemLayout {
         n_stars,
         n_constraint_rows,
         obs_per_star: 24,
         n_deg_freedom_att: 8,
         n_instr_params: 8,
         n_glob_params: 1,
-    };
-    Generator::new(GeneratorConfig::new(layout).seed(seed)).generate()
+    }
 }
 
-/// Whole systems whose star counts the block size does or does not
-/// divide, with and without constraint rows, and row-block views that
-/// start past star 0 and end before or at the constraint rows.
+fn system_of(n_stars: u64, n_constraint_rows: u64, seed: u64) -> SparseSystem {
+    Generator::new(GeneratorConfig::new(layout_of(n_stars, n_constraint_rows)).seed(seed))
+        .generate()
+}
+
+/// Whole systems of various star counts, with and without constraint
+/// rows and the global parameter; row-block views that start past star 0
+/// and end before or at the constraint rows, one star wide among them; at
+/// `α = 0` and away from it, and with `u` holding exact zeros.
 #[test]
 fn seq_fused_pass_is_bitwise_the_two_products() {
     let _shared = RMW_CELLS.read().unwrap_or_else(PoisonError::into_inner);
-    for (stars, constraints) in [(3, 4), (31, 0), (32, 4), (33, 4), (64, 16), (200, 16)] {
-        let sys = system_of(stars, constraints, stars + 5);
-        for alfa in [0.0, 0.75, -3.5] {
-            let what = format!("{stars} stars, {constraints} constraints, alfa {alfa}");
-            assert_fused_pass_is_the_two_products(&sys, alfa, &what);
-        }
-    }
+    let no_glob = SystemLayout {
+        n_glob_params: 0,
+        ..layout_of(40, 4)
+    };
+    let mut systems: Vec<(String, SparseSystem)> =
+        [(3, 4), (31, 0), (32, 4), (33, 4), (64, 16), (200, 16)]
+            .map(|(stars, constraints)| {
+                let what = format!("{stars} stars, {constraints} constraints");
+                (what, system_of(stars, constraints, stars + 5))
+            })
+            .into();
+    let sys = Generator::new(GeneratorConfig::new(no_glob).seed(9)).generate();
+    systems.push(("no global parameter".into(), sys));
     let sys = system_of(200, 16, 7);
     for (stars, with_constraints) in [
         (37..150, false),
         (150..200, true),
         (0..64, false),
         (5..6, false),
+        (101..102, false),
+        (199..200, true),
     ] {
         let block = sys.row_block(stars.clone(), with_constraints);
         assert_eq!(block.system.star0(), stars.start);
-        let what = format!("row block of stars {stars:?}");
-        assert_fused_pass_is_the_two_products(&block.system, 1.25, &what);
+        systems.push((format!("row block of stars {stars:?}"), block.system));
+    }
+    for (what, sys) in &systems {
+        for alfa in [0.0, 0.75, -3.5] {
+            for zeros in [false, true] {
+                let what = format!("{what}, alfa {alfa}, zeros {zeros}");
+                assert_fused_pass_is_the_two_products(sys, alfa, zeros, &what);
+            }
+        }
     }
 }
 
-/// With the kernel probes in, the fused pass calls each kernel once per
-/// star block: 7 blocks of at most 32 stars for 200 stars, against one
-/// call per product for the two-product order.
+/// With the kernel probes in, a pass's row loop records one `gk` kernel
+/// call carrying its analytic bytes: one for `seq`, one per job for the
+/// one-launch `atomic` pass, and the jobs' bytes add up to the whole
+/// system's. No per-section kernel runs under it: only the atomic
+/// publishes still record under `aprod2`, and astrometric columns are
+/// never published.
 #[cfg(feature = "telemetry")]
 #[test]
-fn seq_fused_pass_calls_each_kernel_once_per_block() {
+fn fused_pass_records_one_gk_call_per_row_loop() {
+    use gaia_backends::kernels::gk_bytes;
     let _alone = RMW_CELLS.write().unwrap_or_else(PoisonError::into_inner);
     let sys = system_of(200, 16, 8);
-    let calls = || {
+    let recorded = || {
         let snap = gaia_telemetry::snapshot();
-        [
-            ("aprod1", "astro"),
-            ("aprod1", "att"),
-            ("aprod2", "astro"),
-            ("aprod2", "att"),
-        ]
-        .map(|(phase, block)| {
+        let cell = |phase: &str, block: &str| {
             snap.kernels
                 .iter()
                 .find(|c| c.phase == phase && c.block == block)
-                .map_or(0, |c| c.calls)
-        })
+                .map_or((0, 0), |c| (c.calls, c.bytes))
+        };
+        [
+            cell("gk", "*"),
+            cell("aprod1", "astro"),
+            cell("aprod2", "astro"),
+        ]
     };
     let x = vec![0.5; sys.n_cols()];
-    let mut u = vec![1.0; sys.n_rows()];
-    let mut out = vec![0.0; sys.n_cols()];
-    let before = calls();
-    SeqBackend.gk_products(&sys, &x, 0.5, &mut u, &mut out);
-    let after = calls();
-    let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
-    assert_eq!(delta, [7, 7, 7, 7]);
+    let n_stars = sys.layout().n_stars as usize;
+    for name in ["seq", "atomic-t1", "atomic-t2", "atomic-t3"] {
+        let backend = backend_by_name(name, 1).unwrap();
+        let jobs = backend
+            .launch_plan()
+            .map_or(1, |plan| plan.tuning.chunk_count(n_stars)) as u64;
+        let mut u = vec![1.0; sys.n_rows()];
+        let mut out = vec![0.0; sys.n_cols()];
+        let before = recorded();
+        backend.gk_products(&sys, &x, 0.5, &mut u, &mut out);
+        let delta: Vec<(u64, u64)> = recorded()
+            .iter()
+            .zip(&before)
+            .map(|(a, b)| (a.0 - b.0, a.1 - b.1))
+            .collect();
+        assert_eq!(delta[0], (jobs, gk_bytes(&sys)), "{name}");
+        assert_eq!(delta[1..], [(0, 0), (0, 0)], "{name}");
+    }
 }

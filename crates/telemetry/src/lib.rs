@@ -9,10 +9,10 @@
 //!
 //! The registry has two halves, both gated on the `enabled` cargo feature:
 //!
-//! * **kernel counters** — [`kernel_scope`], [`call_scope`] and
-//!   [`collective_scope`] fire inside pool jobs, so they commit elapsed
-//!   nanoseconds plus analytic byte/atomic counts to relaxed `AtomicU64`s
-//!   on drop. Disabled, a [`Scope`] is zero-sized, no clock is read and
+//! * **kernel counters** — [`kernel_scope`], [`pass_scope`],
+//!   [`call_scope`] and [`collective_scope`] fire inside pool jobs, so
+//!   they commit elapsed nanoseconds plus analytic byte/atomic counts to
+//!   relaxed `AtomicU64`s on drop. Disabled, a [`Scope`] is zero-sized, no clock is read and
 //!   the accounting arguments fold away.
 //! * **every other cell** (pool, resilience, verify, analyze, serve, tune,
 //!   tile) lives in one held [`TelemetrySnapshot`] behind a mutex, written
@@ -40,9 +40,10 @@ pub enum Phase {
     Aprod1,
     /// `out += Aᵀ y` (column/scatter product).
     Aprod2,
-    /// One Golub–Kahan pass: `u ← A x − α u`, then `out += Aᵀu`. Only
-    /// whole calls are recorded under it; its kernels record under the
-    /// two products.
+    /// One Golub–Kahan pass: `u ← A x − α u`, then `out += Aᵀu`. Whole
+    /// calls record under it, and so does the pass's one row loop, as a
+    /// single `gk/*` kernel cell ([`pass_scope`]): it touches every block
+    /// of a row at once.
     Gk,
 }
 
@@ -579,6 +580,7 @@ impl Stats {
 }
 
 static KERNELS: [[Stats; 4]; 3] = [const { [const { Stats::new() }; 4] }; 3];
+static PASSES: Stats = Stats::new();
 static CALLS: [Stats; 3] = [const { Stats::new() }; 3];
 static COLLECTIVE: Stats = Stats::new();
 
@@ -661,6 +663,13 @@ pub fn kernel_scope(phase: Phase, block: Block) -> Scope {
     Scope::over(&KERNELS[phase.index()][block.index()])
 }
 
+/// Open a timing scope over one Golub–Kahan pass kernel, which reads each
+/// row once for all four blocks: it records the `gk/*` kernel cell.
+#[inline(always)]
+pub fn pass_scope() -> Scope {
+    Scope::over(&PASSES)
+}
+
 /// Open a timing scope over one whole `aprod1`/`aprod2`/`gk` backend call
 /// (used by `InstrumentedBackend`).
 #[inline(always)]
@@ -704,7 +713,8 @@ pub fn record(f: impl FnOnce(&mut TelemetrySnapshot)) {
 
 /// Zero every counter (start of a measured run).
 pub fn reset() {
-    for stats in KERNELS.iter().flatten().chain(&CALLS).chain([&COLLECTIVE]) {
+    let singles = [&PASSES, &COLLECTIVE];
+    for stats in KERNELS.iter().flatten().chain(&CALLS).chain(singles) {
         stats.reset();
     }
     record(|t| *t = TelemetrySnapshot::empty(true));
@@ -727,6 +737,9 @@ pub fn snapshot() -> TelemetrySnapshot {
         if call.calls > 0 {
             snap.calls.push(call);
         }
+    }
+    if PASSES.calls.load(Ordering::Relaxed) > 0 {
+        snap.kernels.push(PASSES.cell(Phase::Gk.as_str(), "*"));
     }
     snap.collective = COLLECTIVE.cell("collective", "*");
     snap
@@ -1026,6 +1039,7 @@ mod tests {
         }
         let _ = call_scope(Phase::Aprod2);
         let _ = collective_scope();
+        pass_scope().add_bytes(64);
         let snap = snapshot();
         assert!(snap.enabled);
         let att = snap
@@ -1040,6 +1054,8 @@ mod tests {
         assert_eq!(snap.calls.len(), 1);
         assert_eq!(snap.collective.calls, 1);
         assert!(snap.phase_seconds(Phase::Aprod2) >= att.seconds);
+        let pass = snap.kernels.iter().find(|c| c.phase == "gk").unwrap();
+        assert_eq!((pass.block.as_str(), pass.calls, pass.bytes), ("*", 1, 64));
         reset();
         assert!(snapshot().kernels.is_empty());
     }
