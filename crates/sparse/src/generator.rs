@@ -28,7 +28,10 @@ use rand::{Rng, SeedableRng};
 
 use crate::constraints::build_constraint_rows;
 use crate::layout::SystemLayout;
-use crate::system::{SparseSystem, ASTRO_NNZ_PER_ROW, ATT_NNZ_PER_ROW, INSTR_NNZ_PER_ROW};
+use crate::system::{
+    RowBlock, SparseSystem, SystemError, ASTRO_NNZ_PER_ROW, ATT_NNZ_PER_ROW, INSTR_NNZ_PER_ROW,
+};
+use crate::tiled::{tile_spans, TileError, TileManifest, TileSink, TileSpan};
 use crate::ATT_PARAMS_PER_AXIS;
 
 /// How the known terms `b` are synthesized.
@@ -150,140 +153,251 @@ impl Generator {
     /// the right-hand side (`None` for [`Rhs::Random`]).
     pub fn generate_with_truth(&self) -> (SparseSystem, Option<Vec<f64>>) {
         let layout = self.config.layout;
-        let mut rng = SmallRng::seed_from_u64(self.config.seed);
-        let n_obs = layout.n_obs_rows() as usize;
-        let n_rows = layout.n_rows() as usize;
-
-        let mut values_astro = vec![0.0f64; n_obs * ASTRO_NNZ_PER_ROW];
-        for v in &mut values_astro {
-            *v = draw_coeff(&mut rng);
-        }
-        let mut values_att = vec![0.0f64; n_rows * ATT_NNZ_PER_ROW];
-        for v in values_att[..n_obs * ATT_NNZ_PER_ROW].iter_mut() {
-            *v = draw_coeff(&mut rng);
-        }
-        let mut values_instr = vec![0.0f64; n_obs * INSTR_NNZ_PER_ROW];
-        for v in &mut values_instr {
-            *v = draw_coeff(&mut rng);
-        }
-        let mut values_glob = vec![0.0f64; n_obs * layout.n_glob_params as usize];
-        for v in &mut values_glob {
-            *v = draw_coeff(&mut rng);
-        }
-
-        // matrixIndexAtt: time-ordered traversal of the axis segment with
-        // small jitter — consecutive observations see nearby attitude
-        // parameters. The traversal shape depends on the attitude pattern.
-        let max_off = layout.n_deg_freedom_att - ATT_PARAMS_PER_AXIS as u64;
-        let mut matrix_index_att = vec![0u32; n_rows];
-        for (row, slot) in matrix_index_att[..n_obs].iter_mut().enumerate() {
-            let t = if n_obs <= 1 {
-                0.0
-            } else {
-                row as f64 / (n_obs as f64 - 1.0)
-            };
-            let base = match self.config.attitude {
-                AttitudePattern::LinearSweep => (t * max_off as f64) as u64,
-                AttitudePattern::ScanLaw { revolutions } => {
-                    // Triangle-wave sweep: |…| of a sawtooth, so the
-                    // segment is crossed `revolutions` times with smooth
-                    // turnarounds (locality preserved at every step).
-                    let phase = t * f64::from(revolutions.max(1));
-                    let tri = 1.0 - (2.0 * (phase - phase.floor()) - 1.0).abs();
-                    (tri * max_off as f64) as u64
-                }
-            };
-            let jitter = rng.gen_range(0..=2u64);
-            // At most `max_off`, which the validated layout keeps in u32.
-            *slot = (base + jitter).min(max_off) as u32;
-        }
-
-        // instrCol: 6 distinct, sorted columns per row.
-        let mut instr_col = vec![0u32; n_obs * INSTR_NNZ_PER_ROW];
-        let n_instr = layout.n_instr_params;
-        for row in 0..n_obs {
-            let slots = &mut instr_col[row * INSTR_NNZ_PER_ROW..(row + 1) * INSTR_NNZ_PER_ROW];
-            match self.config.instrument {
-                InstrumentPattern::Uniform => sample_distinct_sorted(&mut rng, n_instr, slots),
-                InstrumentPattern::Grouped => {
-                    // One column from each of 6 near-equal groups; groups
-                    // are contiguous, so the result is sorted and distinct
-                    // by construction.
-                    for (g, slot) in slots.iter_mut().enumerate() {
-                        let g = g as u64;
-                        let start = g * n_instr / INSTR_NNZ_PER_ROW as u64;
-                        let end = (g + 1) * n_instr / INSTR_NNZ_PER_ROW as u64;
-                        *slot = rng.gen_range(start..end.max(start + 1)) as u32;
-                    }
-                }
-            }
-        }
-
-        // Constraint rows: attitude-only, appended at the end.
-        let (constr_vals, constr_offs) = build_constraint_rows(&layout, &mut rng);
-        values_att[n_obs * ATT_NNZ_PER_ROW..].copy_from_slice(&constr_vals);
-        matrix_index_att[n_obs..].copy_from_slice(&constr_offs);
-
-        let known_terms = vec![0.0f64; n_rows];
-        let mut system = SparseSystem::from_parts(
-            layout,
-            values_astro,
-            values_att,
-            values_instr,
-            values_glob,
-            matrix_index_att,
-            instr_col,
-            known_terms,
-        )
-        .expect("generator produced an invalid system");
-
-        let truth = match self.config.rhs {
-            Rhs::Random => {
-                let b: Vec<f64> = (0..n_rows).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                system.set_known_terms(b);
-                None
-            }
-            Rhs::FromTrueSolution { noise_sigma } => {
-                let x_true: Vec<f64> = (0..system.n_cols())
-                    .map(|_| rng.gen_range(-1.0..1.0))
-                    .collect();
-                let mut b = vec![0.0f64; n_rows];
-                for (row, slot) in b.iter_mut().enumerate() {
-                    *slot = system.row_dot(row, &x_true)
-                        + if noise_sigma > 0.0 {
-                            noise_sigma * gaussian(&mut rng)
-                        } else {
-                            0.0
-                        };
-                }
-                system.set_known_terms(b);
-                Some(x_true)
-            }
-        };
+        let mut arrays = Arrays::new(layout);
+        let spans = tile_spans(&layout, layout.n_stars);
+        let (b, truth) = walk(&self.config, &spans, &mut arrays).expect("invalid generated system");
+        let mut system = arrays.system.expect("the walker seals its sink");
+        system.set_known_terms(b);
         (system, truth)
     }
 
     /// Streamed (chunk-at-a-time) generation straight to a `gaia-tiles/v3`
-    /// spill directory with `tile_stars` stars per tile: the full system is
-    /// never materialized in memory, yet the tiles are bit-identical to
-    /// tiling the in-memory [`Generator::generate`] output (same seed ⇒
-    /// same bytes). The capacity budget applies when the directory is
-    /// *opened* for solving ([`crate::tiled::TiledSystem::open_with_budget`]),
-    /// not at generation time — generation is inherently streaming.
-    pub fn generate_tiled(
-        &self,
-        dir: &Path,
-        tile_stars: u64,
-    ) -> Result<crate::tiled::TileManifest, crate::tiled::TileError> {
-        crate::tiled::generate_tiled_impl(&self.config, dir, tile_stars)
+    /// spill directory with `tile_stars` stars per tile: the phase walker
+    /// over the tile spans, each tile section written straight to disk, so
+    /// the full system is never materialized in memory, yet the tiles are
+    /// bit-identical to tiling the in-memory [`Generator::generate`] output
+    /// (same seed ⇒ same bytes): the walker draws every array span by span
+    /// in star order, and the tile file section order is its phase order.
+    /// The capacity budget applies when the directory is *opened* for
+    /// solving ([`crate::tiled::TiledSystem::open_with_budget`]), not at
+    /// generation time — generation is inherently streaming.
+    pub fn generate_tiled(&self, dir: &Path, tile_stars: u64) -> Result<TileManifest, TileError> {
+        let mut sink = TileSink::create(dir, self.config.layout, tile_stars)?;
+        let spans = sink.spans.clone();
+        let (b, _) = walk(&self.config, &spans, &mut sink)?;
+        sink.finish(Some(self.config.seed), &b)
     }
+}
+
+/// The coefficient arrays, in the order the walker draws them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Coeffs {
+    Astro,
+    Att,
+    Instr,
+    Glob,
+}
+
+/// The index arrays, in the order the walker draws them.
+pub(crate) enum Index {
+    /// `matrixIndexAtt`: each row's attitude axis-segment offset.
+    AttOffset,
+    /// `instrCol`: each observation row's 6 instrument columns.
+    InstrCol,
+}
+
+/// How the phase walker hands a section to a [`Sink`]: it appends the
+/// section to the vector it is given — a tile writer's buffer, or the
+/// whole array of an in-memory system.
+pub(crate) type Fill<'f, T> = &'f mut dyn FnMut(&mut Vec<T>);
+
+/// Where the phase walker puts what it draws: one section of one span's
+/// rows at a time, in the section order of a tile file.
+pub(crate) trait Sink {
+    type Error;
+    /// Coefficients `part` of the rows of `span`.
+    fn coeffs(&mut self, span: &TileSpan, part: Coeffs, fill: Fill<f64>)
+        -> Result<(), Self::Error>;
+    /// Indices `part` of the rows of `span`.
+    fn index(&mut self, span: &TileSpan, part: Index, fill: Fill<u32>) -> Result<(), Self::Error>;
+    /// Every matrix section is in.
+    fn seal(&mut self) -> Result<(), Self::Error>;
+    /// The rows of `span` after [`Sink::seal`], for the right-hand side.
+    fn rows(&mut self, span: &TileSpan) -> Result<RowBlock, Self::Error>;
+}
+
+/// The in-memory sink: the six matrix arrays of one system, sized for its
+/// layout up front, sealed with zero known terms.
+pub(crate) struct Arrays {
+    layout: SystemLayout,
+    coeffs: [Vec<f64>; 4],
+    index: [Vec<u32>; 2],
+    pub(crate) system: Option<SparseSystem>,
+}
+
+impl Arrays {
+    pub(crate) fn new(layout: SystemLayout) -> Self {
+        let (obs, rows) = (layout.n_obs_rows() as usize, layout.n_rows() as usize);
+        let (att, instr) = (rows * ATT_NNZ_PER_ROW, obs * INSTR_NNZ_PER_ROW);
+        let glob = obs * layout.n_glob_params as usize;
+        Arrays {
+            layout,
+            coeffs: [obs * ASTRO_NNZ_PER_ROW, att, instr, glob].map(Vec::with_capacity),
+            index: [rows, instr].map(Vec::with_capacity),
+            system: None,
+        }
+    }
+
+    /// The system of the arrays filled so far, with zero known terms.
+    pub(crate) fn build(&mut self) -> Result<SparseSystem, SystemError> {
+        let [astro, att, instr, glob] = std::mem::take(&mut self.coeffs);
+        let [offs, cols] = std::mem::take(&mut self.index);
+        let b = vec![0.0f64; self.layout.n_rows() as usize];
+        SparseSystem::from_parts(self.layout, astro, att, instr, glob, offs, cols, b)
+    }
+}
+
+impl Sink for Arrays {
+    type Error = SystemError;
+
+    fn coeffs(&mut self, _: &TileSpan, part: Coeffs, fill: Fill<f64>) -> Result<(), SystemError> {
+        fill(&mut self.coeffs[part as usize]);
+        Ok(())
+    }
+
+    fn index(&mut self, _: &TileSpan, part: Index, fill: Fill<u32>) -> Result<(), SystemError> {
+        fill(&mut self.index[part as usize]);
+        Ok(())
+    }
+
+    fn seal(&mut self) -> Result<(), SystemError> {
+        self.system = Some(self.build()?);
+        Ok(())
+    }
+
+    fn rows(&mut self, span: &TileSpan) -> Result<RowBlock, SystemError> {
+        let system = self.system.as_ref().expect("sealed");
+        Ok(system.row_block(span.star0..span.star1, span.constraint_rows > 0))
+    }
+}
+
+/// The known terms `b` and, for [`Rhs::FromTrueSolution`], the `x_true`
+/// they were drawn from.
+type KnownTerms = (Vec<f64>, Option<Vec<f64>>);
+
+/// The generation phases, in the order they draw from the one RNG stream:
+/// the coefficients (astrometric, attitude, instrumental, global), the
+/// attitude offsets, the instrument columns, the constraint rows, then
+/// `x_true` and the right-hand side. Each phase goes over `spans` in star
+/// order, so the spans' sections together are the arrays of one system
+/// whatever the spans are: one span of every star for
+/// [`Generator::generate_with_truth`], the tiles for
+/// [`Generator::generate_tiled`]. Returns the known terms and `x_true`.
+pub(crate) fn walk<S: Sink>(
+    config: &GeneratorConfig,
+    spans: &[TileSpan],
+    sink: &mut S,
+) -> Result<KnownTerms, S::Error> {
+    let layout = config.layout;
+    let mut rng = SmallRng::seed_from_u64(config.seed);
+    let obs = layout.obs_per_star as usize;
+    let rows_of = |span: &TileSpan| span.star0 as usize * obs..span.star1 as usize * obs;
+
+    for (part, width) in [
+        (Coeffs::Astro, ASTRO_NNZ_PER_ROW),
+        (Coeffs::Att, ATT_NNZ_PER_ROW),
+        (Coeffs::Instr, INSTR_NNZ_PER_ROW),
+        (Coeffs::Glob, layout.n_glob_params as usize),
+    ] {
+        for span in spans {
+            let n = rows_of(span).len() * width;
+            let draws = &mut |v: &mut Vec<f64>| v.extend((0..n).map(|_| draw_coeff(&mut rng)));
+            sink.coeffs(span, part, draws)?;
+        }
+    }
+
+    // matrixIndexAtt: time-ordered traversal of the axis segment with
+    // small jitter — consecutive observations see nearby attitude
+    // parameters. The traversal shape depends on the attitude pattern.
+    let max_off = layout.n_deg_freedom_att - ATT_PARAMS_PER_AXIS as u64;
+    let sweep = |row: usize| -> u64 {
+        // 0 for a single observation (no `0 / 0`).
+        let t = row as f64 / (layout.n_obs_rows() as f64 - 1.0).max(1.0);
+        match config.attitude {
+            AttitudePattern::LinearSweep => (t * max_off as f64) as u64,
+            AttitudePattern::ScanLaw { revolutions } => {
+                // Triangle-wave sweep: |…| of a sawtooth, so the segment
+                // is crossed `revolutions` times with smooth turnarounds
+                // (locality preserved at every step).
+                let phase = t * f64::from(revolutions.max(1));
+                let tri = 1.0 - (2.0 * (phase - phase.floor()) - 1.0).abs();
+                (tri * max_off as f64) as u64
+            }
+        }
+    };
+    for span in spans {
+        sink.index(span, Index::AttOffset, &mut |v| {
+            v.extend(rows_of(span).map(|row| {
+                let jitter = rng.gen_range(0..=2u64);
+                // At most `max_off`, which the validated layout keeps in u32.
+                (sweep(row) + jitter).min(max_off) as u32
+            }))
+        })?;
+    }
+
+    // instrCol: 6 distinct, sorted columns per row. Grouped draws one
+    // column from each of 6 near-equal contiguous groups, so its columns
+    // are sorted and distinct by construction.
+    let n_instr = layout.n_instr_params;
+    let bound = |g: usize| g as u64 * n_instr / INSTR_NNZ_PER_ROW as u64;
+    let groups: [_; INSTR_NNZ_PER_ROW] =
+        std::array::from_fn(|g| (bound(g), bound(g + 1).max(bound(g) + 1)));
+    for span in spans {
+        sink.index(span, Index::InstrCol, &mut |v| {
+            for _ in rows_of(span) {
+                // Columns fit u32: the validated layout has at most 2^32.
+                v.extend(match config.instrument {
+                    InstrumentPattern::Uniform => sample_distinct_sorted(&mut rng, n_instr),
+                    InstrumentPattern::Grouped => groups.map(|(a, b)| rng.gen_range(a..b) as u32),
+                });
+            }
+        })?;
+    }
+
+    // Constraint rows: attitude-only, after the last span's observations
+    // (every other span gets empty constraint sections).
+    let constraints = build_constraint_rows(&layout, &mut rng);
+    let sections = std::iter::repeat_with(Default::default)
+        .take(spans.len() - 1)
+        .chain([constraints]);
+    for (span, (vals, offs)) in spans.iter().zip(sections) {
+        sink.coeffs(span, Coeffs::Att, &mut |v| v.extend_from_slice(&vals))?;
+        sink.index(span, Index::AttOffset, &mut |v| v.extend_from_slice(&offs))?;
+    }
+    sink.seal()?;
+
+    let n_rows = layout.n_rows() as usize;
+    let mut uniform = |n| {
+        (0..n)
+            .map(|_| rng.gen_range(-1.0..1.0))
+            .collect::<Vec<f64>>()
+    };
+    Ok(match config.rhs {
+        Rhs::Random => (uniform(n_rows), None),
+        Rhs::FromTrueSolution { noise_sigma } => {
+            let x_true = uniform(layout.n_cols() as usize);
+            let mut noise = || {
+                if noise_sigma > 0.0 {
+                    noise_sigma * gaussian(&mut rng)
+                } else {
+                    0.0
+                }
+            };
+            let mut b = Vec::with_capacity(n_rows);
+            for span in spans {
+                let block = sink.rows(span)?.system;
+                let rows = 0..block.n_rows();
+                b.extend(rows.map(|row| block.row_dot_direct(row, &x_true) + noise()));
+            }
+            (b, Some(x_true))
+        }
+    })
 }
 
 /// Coefficient values: uniform in [-1, 1), excluding near-zero values
 /// so that no stored non-zero degenerates (mirrors the artifact, which
-/// draws from the same kind of bounded distribution). Shared with the
-/// streamed tiled generator, which must replay the identical RNG stream.
-pub(crate) fn draw_coeff<R: Rng>(rng: &mut R) -> f64 {
+/// draws from the same kind of bounded distribution).
+fn draw_coeff<R: Rng>(rng: &mut R) -> f64 {
     loop {
         let v: f64 = rng.gen_range(-1.0..1.0);
         if v.abs() > 1e-3 {
@@ -292,25 +406,44 @@ pub(crate) fn draw_coeff<R: Rng>(rng: &mut R) -> f64 {
     }
 }
 
-/// Draw `out.len()` distinct values from `0..n`, sorted ascending.
-/// `n` may be small (tests use 8), so rejection sampling with a retry loop
-/// is both simple and adequate.
-pub(crate) fn sample_distinct_sorted<R: Rng>(rng: &mut R, n: u64, out: &mut [u32]) {
-    debug_assert!(n as usize >= out.len());
-    let k = out.len();
-    let mut chosen: Vec<u32> = Vec::with_capacity(k);
-    while chosen.len() < k {
+/// Draw 6 distinct values from `0..n`, sorted ascending: a value already
+/// drawn is drawn again, so `n` may be as small as 6 (tests use 8). The
+/// values are distinct, so the fixed sorting network below orders them
+/// exactly as any sort would.
+fn sample_distinct_sorted<R: Rng>(rng: &mut R, n: u64) -> [u32; INSTR_NNZ_PER_ROW] {
+    debug_assert!(n >= INSTR_NNZ_PER_ROW as u64);
+    let mut out = [0u32; INSTR_NNZ_PER_ROW];
+    let mut len = 0;
+    while len < out.len() {
         let c = rng.gen_range(0..n) as u32;
-        if !chosen.contains(&c) {
-            chosen.push(c);
+        if !out[..len].contains(&c) {
+            out[len] = c;
+            len += 1;
         }
     }
-    chosen.sort_unstable();
-    out.copy_from_slice(&chosen);
+    sort6(&mut out);
+    out
+}
+
+/// An optimal sorting network for 6 keys: 12 compare-exchanges, one
+/// layer of independent ones per line.
+#[rustfmt::skip]
+const SORT6: [(usize, usize); 12] = [
+    (0, 5), (1, 3), (2, 4),
+    (1, 2), (3, 4),
+    (0, 3), (2, 5),
+    (0, 1), (2, 3), (4, 5),
+    (1, 2), (3, 4),
+];
+
+fn sort6(v: &mut [u32; 6]) {
+    for (i, j) in SORT6 {
+        (v[i], v[j]) = (v[i].min(v[j]), v[i].max(v[j]));
+    }
 }
 
 /// Standard normal variate via Box–Muller (avoids pulling in `rand_distr`).
-pub(crate) fn gaussian<R: Rng>(rng: &mut R) -> f64 {
+fn gaussian<R: Rng>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
@@ -455,6 +588,17 @@ mod tests {
                     "row {row} group {g}: column {c} outside [{start}, {end})"
                 );
             }
+        }
+    }
+
+    /// The 0-1 principle: a comparator network that sorts every 0/1 input
+    /// sorts every input.
+    #[test]
+    fn sort6_sorts_every_zero_one_input() {
+        for bits in 0u32..64 {
+            let mut v: [u32; 6] = std::array::from_fn(|i| bits >> i & 1);
+            sort6(&mut v);
+            assert!(v.is_sorted(), "{bits:06b} -> {v:?}");
         }
     }
 

@@ -316,6 +316,21 @@ mod tests {
     }
 
     #[test]
+    fn a_header_whose_counts_overflow_is_invalid_not_a_panic() {
+        let mut buf = Vec::new();
+        write_system(&sys(), &mut buf).unwrap();
+        // n_stars and obs_per_star follow magic and version.
+        let huge = (1u64 << 40).to_le_bytes();
+        buf[8..16].copy_from_slice(&huge);
+        buf[16..24].copy_from_slice(&huge);
+        let err = read_system(buf.as_slice()).unwrap_err();
+        assert!(
+            matches!(&err, IoError::Invalid(m) if m.contains("overflow")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn version_mismatch_is_rejected() {
         let original = sys();
         let mut buf = Vec::new();

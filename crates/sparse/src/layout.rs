@@ -92,7 +92,9 @@ impl ColumnBlocks {
 /// * `n_deg_freedom_att >= ATT_PARAMS_PER_AXIS` (an attitude block of 4 must
 ///   fit inside one axis segment), and its largest offset
 ///   `n_deg_freedom_att - 4` fits the `u32` `matrixIndexAtt` entries;
-/// * `n_instr_params >= INSTR_PARAMS_PER_ROW`;
+/// * `n_instr_params >= INSTR_PARAMS_PER_ROW`, and its largest column
+///   `n_instr_params - 1` fits the `u32` `instrCol` entries;
+/// * rows, columns and the attitude non-zeros (`12 × n_rows()`) fit `u64`;
 /// * the system is overdetermined: `n_rows() >= n_cols()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SystemLayout {
@@ -293,10 +295,24 @@ impl SystemLayout {
                 params: self.n_instr_params,
             });
         }
+        if self.n_instr_params - 1 > u64::from(u32::MAX) {
+            return Err(LayoutError::InstrumentTooWide {
+                params: self.n_instr_params,
+            });
+        }
         if self.n_glob_params > 1 {
             return Err(LayoutError::TooManyGlobals {
                 globals: self.n_glob_params,
             });
+        }
+        // Every count the layout derives must fit u64. The attitude
+        // non-zeros (12 a row) are the largest: once they fit, so do the
+        // columns (5 a star, then three tables of under 2^35 each).
+        let att_nnz = (self.n_stars.checked_mul(self.obs_per_star))
+            .and_then(|obs| obs.checked_add(self.n_constraint_rows))
+            .and_then(|rows| rows.checked_mul((ATT_AXES * ATT_PARAMS_PER_AXIS) as u64));
+        if att_nnz.is_none() {
+            return Err(LayoutError::TooLarge);
         }
         if self.n_rows() < self.n_cols() {
             return Err(LayoutError::Underdetermined {
@@ -340,6 +356,14 @@ pub enum LayoutError {
         /// Offending instrumental parameter count.
         params: u64,
     },
+    /// An instrument column (up to `params - 1`) would not fit its `u32`
+    /// entry.
+    InstrumentTooWide {
+        /// Offending instrumental parameter count.
+        params: u64,
+    },
+    /// The row, column or non-zero count does not fit a `u64`.
+    TooLarge,
     /// More than one global parameter is not representable (≤ 1 per row).
     TooManyGlobals {
         /// Offending global parameter count.
@@ -369,6 +393,10 @@ impl std::fmt::Display for LayoutError {
             LayoutError::InstrumentTooNarrow { params } => {
                 write!(f, "instrument params {params} < {INSTR_PARAMS_PER_ROW}")
             }
+            LayoutError::InstrumentTooWide { params } => {
+                write!(f, "instrument params {params}: columns do not fit u32")
+            }
+            LayoutError::TooLarge => write!(f, "layout counts overflow u64"),
             LayoutError::TooManyGlobals { globals } => {
                 write!(f, "{globals} global parameters (max 1)")
             }
@@ -501,6 +529,38 @@ mod tests {
                 dof: l.n_deg_freedom_att
             })
         );
+    }
+
+    #[test]
+    fn instrument_columns_past_u32_are_rejected() {
+        let mut l = SystemLayout::tiny();
+        l.n_instr_params = u64::from(u32::MAX) + 1;
+        l.n_constraint_rows = 1 << 36;
+        assert_eq!(l.validate(), Ok(()));
+        l.n_instr_params += 1;
+        assert_eq!(
+            l.validate(),
+            Err(LayoutError::InstrumentTooWide {
+                params: l.n_instr_params
+            })
+        );
+    }
+
+    #[test]
+    fn counts_past_u64_are_rejected_not_wrapped() {
+        let huge = SystemLayout {
+            n_stars: 1 << 40,
+            obs_per_star: 1 << 40,
+            ..SystemLayout::tiny()
+        };
+        assert_eq!(huge.validate(), Err(LayoutError::TooLarge));
+        // Rows that fit u64 but whose 12 attitude non-zeros do not.
+        let wide = SystemLayout {
+            n_stars: 1 << 30,
+            obs_per_star: 1 << 31,
+            ..SystemLayout::tiny()
+        };
+        assert_eq!(wide.validate(), Err(LayoutError::TooLarge));
     }
 
     #[test]

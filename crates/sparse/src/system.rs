@@ -550,6 +550,30 @@ impl SparseSystem {
             .sum()
     }
 
+    /// [`SparseSystem::row_dot`] straight off the arrays: the same products
+    /// in the same order (astrometric 5, attitude 12, instrumental 6, then
+    /// global) added by the same `Sum`, so the same bits, without
+    /// `row_entries`' per-entry column arithmetic. The generator's
+    /// right-hand side.
+    pub(crate) fn row_dot_direct(&self, row: usize, x: &[f64]) -> f64 {
+        let (att, off) = self.att_row(row);
+        let att = att.chunks_exact(ATT_PARAMS_PER_AXIS as usize).enumerate();
+        let att = att.flat_map(|(axis, v)| v.iter().zip(&x[self.att_col(off, axis, 0) as usize..]));
+        if row >= self.n_obs_rows() {
+            return att.map(|(v, x)| v * x).sum();
+        }
+        let (astro, start) = self.astro_row(row);
+        let (instr, cols) = self.instr_row(row);
+        let instr0 = self.cols.instr as usize;
+        let instr = instr
+            .iter()
+            .zip(cols)
+            .map(|(v, &c)| v * x[instr0 + c as usize]);
+        let glob = self.glob_row(row).map(|(v, c)| v * x[c as usize]);
+        let astro_att = astro.iter().zip(&x[start as usize..]).chain(att);
+        astro_att.map(|(v, x)| v * x).chain(instr).chain(glob).sum()
+    }
+
     /// Reference scatter of `scale ×` one row into a full-length vector
     /// (the transpose-product building block).
     pub fn row_scatter(&self, row: usize, scale: f64, out: &mut [f64]) {
@@ -973,6 +997,47 @@ mod tests {
         for row in 0..s.n_rows() {
             let manual: f64 = s.row_entries(row).map(|(c, v)| v * x[c as usize]).sum();
             assert_eq!(s.row_dot(row, &x), manual);
+        }
+    }
+
+    /// The generator's direct row dot is `row_dot`, bit for bit: on every
+    /// row, with and without a global column, constraint rows and row-block
+    /// views included, and on an `x` of zeros, where only the `-0.0` start
+    /// of `Sum` decides the sign of a sum of `-0.0` products.
+    #[test]
+    fn row_dot_direct_is_row_dot_bitwise() {
+        for glob in [0, 1] {
+            let layout = SystemLayout {
+                n_glob_params: glob,
+                ..SystemLayout::small()
+            };
+            let s = Generator::new(GeneratorConfig::new(layout).seed(21)).generate();
+            let n = s.n_cols();
+            let xs = [
+                (0..n).map(|i| (i as f64 * 0.37).sin()).collect::<Vec<_>>(),
+                vec![0.0; n],
+                vec![-0.0; n],
+            ];
+            let n_stars = layout.n_stars;
+            let outer = s.row_block(2..n_stars, true);
+            let nested = outer.system.row_block(5..9, false);
+            let views = [
+                s.row_block(0..n_stars, true),
+                outer,
+                RowBlock {
+                    rows: 2 * 24 + nested.rows.start..2 * 24 + nested.rows.end,
+                    system: nested.system,
+                },
+            ];
+            for x in &xs {
+                for view in &views {
+                    for (local, row) in view.rows.clone().enumerate() {
+                        let got = view.system.row_dot_direct(local, x);
+                        let want = s.row_dot(row, x);
+                        assert_eq!(got.to_bits(), want.to_bits(), "glob {glob} row {row}");
+                    }
+                }
+            }
         }
     }
 

@@ -47,22 +47,16 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::constraints::build_constraint_rows;
 use crate::footprint::resident_bytes;
-use crate::generator::{draw_coeff, gaussian, sample_distinct_sorted, GeneratorConfig};
-use crate::generator::{AttitudePattern, InstrumentPattern, Rhs};
+use crate::generator::{Arrays, Coeffs, Fill, Index, Sink};
 use crate::io::{
     read_f64_array, read_f64_array_into, read_u32, read_u32_array, read_u32_array_into, read_u64,
     write_f64_array, write_u32, write_u32_array, write_u64,
 };
 use crate::layout::SystemLayout;
-use crate::system::{
-    RowBlock, SparseSystem, ASTRO_NNZ_PER_ROW, ATT_NNZ_PER_ROW, INSTR_NNZ_PER_ROW,
-};
+use crate::system::{RowBlock, SparseSystem, ATT_NNZ_PER_ROW};
 
 /// On-disk format identifier recorded in every manifest.
 pub const TILE_FORMAT: &str = "gaia-tiles/v3";
@@ -251,11 +245,13 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 #[derive(Debug, Clone, Copy)]
 struct Fnv(u64);
 
-impl Fnv {
-    fn new() -> Self {
+impl Default for Fnv {
+    fn default() -> Self {
         Fnv(FNV_OFFSET)
     }
+}
 
+impl Fnv {
     /// One xor-then-multiply step over a whole word. The multiplier is
     /// odd, so for a fixed state the step is a bijection of `word` (and
     /// for a fixed word, of the state): two inputs that differ in one
@@ -311,7 +307,7 @@ struct TileHasher {
 impl TileHasher {
     fn new() -> Self {
         TileHasher {
-            lanes: [Fnv::new(); 4],
+            lanes: [Fnv::default(); 4],
             carry: [0; BLOCK],
             carried: 0,
         }
@@ -355,7 +351,7 @@ impl TileHasher {
     }
 
     fn finish(self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv::default();
         for lane in self.lanes {
             h.mix(lane.finish());
         }
@@ -408,29 +404,16 @@ fn hash_bytes(bytes: &[u8]) -> u64 {
 /// generation feeds these incrementally (its phases are array-major, so
 /// each array is visited in exactly the in-memory order); the in-memory
 /// path feeds whole arrays. Both yield the same digest for the same data.
+#[derive(Default)]
 pub(crate) struct SourceHasher {
-    astro: Fnv,
-    att: Fnv,
-    instr: Fnv,
-    glob: Fnv,
-    idx_att: Fnv,
-    instr_col: Fnv,
+    /// Indexed by [`Coeffs`].
+    coeffs: [Fnv; 4],
+    /// Indexed by [`Index`].
+    index: [Fnv; 2],
     known: Fnv,
 }
 
 impl SourceHasher {
-    fn new() -> Self {
-        SourceHasher {
-            astro: Fnv::new(),
-            att: Fnv::new(),
-            instr: Fnv::new(),
-            glob: Fnv::new(),
-            idx_att: Fnv::new(),
-            instr_col: Fnv::new(),
-            known: Fnv::new(),
-        }
-    }
-
     fn feed_f64(h: &mut Fnv, vals: &[f64]) {
         for &v in vals {
             h.write_f64(v);
@@ -444,22 +427,15 @@ impl SourceHasher {
     }
 
     fn finish(self, layout: &SystemLayout) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv::default();
         h.write_u64(layout.n_stars);
         h.write_u64(layout.obs_per_star);
         h.write_u64(layout.n_deg_freedom_att);
         h.write_u64(layout.n_instr_params);
         h.write_u64(u64::from(layout.n_glob_params));
         h.write_u64(layout.n_constraint_rows);
-        for digest in [
-            self.astro.finish(),
-            self.att.finish(),
-            self.instr.finish(),
-            self.glob.finish(),
-            self.idx_att.finish(),
-            self.instr_col.finish(),
-            self.known.finish(),
-        ] {
+        let arrays = self.coeffs.into_iter().chain(self.index);
+        for digest in arrays.chain([self.known]).map(Fnv::finish) {
             h.write_u64(digest);
         }
         h.finish()
@@ -469,13 +445,20 @@ impl SourceHasher {
 /// Fingerprint of a system's full content (layout + every array,
 /// including the known terms), independent of the tiling.
 pub fn source_fingerprint(sys: &SparseSystem) -> String {
-    let mut src = SourceHasher::new();
-    SourceHasher::feed_f64(&mut src.astro, sys.values_astro());
-    SourceHasher::feed_f64(&mut src.att, sys.values_att());
-    SourceHasher::feed_f64(&mut src.instr, sys.values_instr());
-    SourceHasher::feed_f64(&mut src.glob, sys.values_glob());
-    SourceHasher::feed_u32(&mut src.idx_att, sys.matrix_index_att());
-    SourceHasher::feed_u32(&mut src.instr_col, sys.instr_col());
+    let mut src = SourceHasher::default();
+    let coeffs = [
+        sys.values_astro(),
+        sys.values_att(),
+        sys.values_instr(),
+        sys.values_glob(),
+    ];
+    for (h, vals) in src.coeffs.iter_mut().zip(coeffs) {
+        SourceHasher::feed_f64(h, vals);
+    }
+    let index = [sys.matrix_index_att(), sys.instr_col()];
+    for (h, vals) in src.index.iter_mut().zip(index) {
+        SourceHasher::feed_u32(h, vals);
+    }
     SourceHasher::feed_f64(&mut src.known, sys.known_terms());
     hex(src.finish(sys.layout()))
 }
@@ -803,7 +786,7 @@ impl TileManifest {
 }
 
 fn combine_fingerprint(tiles: &[TileMeta], known_checksum: u64) -> String {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     for t in tiles {
         h.write_u64(parse_hex_or_zero(&t.checksum));
     }
@@ -821,14 +804,14 @@ fn parse_hex_or_zero(s: &str) -> u64 {
 
 /// Geometry of one tile within a parent layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TileSpan {
-    index: usize,
-    star0: u64,
-    star1: u64,
-    constraint_rows: u64,
+pub(crate) struct TileSpan {
+    pub(crate) index: usize,
+    pub(crate) star0: u64,
+    pub(crate) star1: u64,
+    pub(crate) constraint_rows: u64,
 }
 
-fn tile_spans(layout: &SystemLayout, tile_stars: u64) -> Vec<TileSpan> {
+pub(crate) fn tile_spans(layout: &SystemLayout, tile_stars: u64) -> Vec<TileSpan> {
     assert!(tile_stars >= 1, "tile_stars must be at least 1");
     let n_tiles = layout.n_stars.div_ceil(tile_stars) as usize;
     (0..n_tiles)
@@ -1071,6 +1054,27 @@ fn read_manifest(dir: &Path) -> Result<TileManifest, TileError> {
     Ok(manifest)
 }
 
+/// Hand the arrays of `block`, the rows of `span`, to `sink` as a tile
+/// file's sections: the arrays of the row block it will be read back as,
+/// the attitude arrays in two pieces, the constraint tail last (empty on
+/// every tile but the last).
+fn replay<S: Sink>(sink: &mut S, span: &TileSpan, block: &SparseSystem) -> Result<(), S::Error> {
+    fn copy<T: Copy>(vals: &[T]) -> impl FnMut(&mut Vec<T>) + '_ {
+        move |v| v.extend_from_slice(vals)
+    }
+    let n_obs = block.n_obs_rows();
+    let (att_obs, att_constr) = block.values_att().split_at(n_obs * ATT_NNZ_PER_ROW);
+    let (idx_obs, idx_constr) = block.matrix_index_att().split_at(n_obs);
+    sink.coeffs(span, Coeffs::Astro, &mut copy(block.values_astro()))?;
+    sink.coeffs(span, Coeffs::Att, &mut copy(att_obs))?;
+    sink.coeffs(span, Coeffs::Instr, &mut copy(block.values_instr()))?;
+    sink.coeffs(span, Coeffs::Glob, &mut copy(block.values_glob()))?;
+    sink.index(span, Index::AttOffset, &mut copy(idx_obs))?;
+    sink.index(span, Index::InstrCol, &mut copy(block.instr_col()))?;
+    sink.coeffs(span, Coeffs::Att, &mut copy(att_constr))?;
+    sink.index(span, Index::AttOffset, &mut copy(idx_constr))
+}
+
 // ---------------------------------------------------------------------------
 // Writing tiles from an in-memory system
 // ---------------------------------------------------------------------------
@@ -1085,231 +1089,113 @@ pub fn write_tiles(
     dir: &Path,
     tile_stars: u64,
 ) -> Result<TileManifest, TileError> {
-    std::fs::create_dir_all(dir).map_err(io_err(dir))?;
-    let layout = *sys.layout();
-    let spans = tile_spans(&layout, tile_stars);
-
-    let mut metas = Vec::with_capacity(spans.len());
-    for span in &spans {
-        // A tile's sections are the arrays of the row block it will be
-        // read back as; the attitude arrays go out in two pieces, the
-        // constraint tail last (empty on every tile but the last).
-        let block = sys
-            .row_block(span.star0..span.star1, span.constraint_rows > 0)
-            .system;
-        let n_obs = block.n_obs_rows();
-        let (att_obs, att_constr) = block.values_att().split_at(n_obs * ATT_NNZ_PER_ROW);
-        let (idx_obs, idx_constr) = block.matrix_index_att().split_at(n_obs);
-        let mut w = TileFileWriter::create(dir, span)?;
-        w.write_f64s(block.values_astro())?;
-        w.write_f64s(att_obs)?;
-        w.write_f64s(block.values_instr())?;
-        w.write_f64s(block.values_glob())?;
-        w.write_u32s(idx_obs)?;
-        w.write_u32s(block.instr_col())?;
-        w.write_f64s(att_constr)?;
-        w.write_u32s(idx_constr)?;
-        metas.push(w.finish(span)?);
+    let mut sink = TileSink::create(dir, *sys.layout(), tile_stars)?;
+    for span in sink.spans.clone() {
+        let block = sys.row_block(span.star0..span.star1, span.constraint_rows > 0);
+        replay(&mut sink, &span, &block.system)?;
     }
-
-    let known_checksum = write_known_terms(dir, sys.known_terms())?;
-    let manifest = TileManifest {
-        format: TILE_FORMAT.to_string(),
-        layout,
-        seed: None,
-        tile_stars,
-        n_tiles: spans.len(),
-        matrix_fingerprint: combine_fingerprint(&metas, parse_hex_or_zero(&known_checksum)),
-        source_fingerprint: source_fingerprint(sys),
-        tiles: metas,
-        known_terms_checksum: known_checksum,
-    };
-    write_manifest(dir, &manifest)?;
-    Ok(manifest)
+    sink.seal()?;
+    sink.finish(None, sys.known_terms())
 }
 
 // ---------------------------------------------------------------------------
 // Streamed generation
 // ---------------------------------------------------------------------------
 
-/// Streamed (chunk-at-a-time) generation: replay the in-memory
-/// generator's RNG stream phase by phase, writing each tile section
-/// straight to disk. Only one tile section is buffered at a time, so the
-/// full system is never materialized — yet the output is bit-identical
-/// to [`write_tiles`] over [`crate::Generator::generate`] for the same
-/// configuration, because the generator consumes RNG draws array-major
-/// (all astrometric values, then all attitude values, ...) and the tile
-/// file section order equals that phase order.
-pub(crate) fn generate_tiled_impl(
-    config: &GeneratorConfig,
-    dir: &Path,
+/// A spill being written: one open file per tile, each section appended
+/// to its tile and hashed into the source fingerprint; once sealed, its
+/// tiles are read back (checksum-verified) for the right-hand side.
+/// [`write_tiles`] fills it from a resident system, streamed generation
+/// from the generator's phase walker: the same system, the same bytes.
+pub(crate) struct TileSink<'a> {
+    dir: &'a Path,
+    layout: SystemLayout,
     tile_stars: u64,
-) -> Result<TileManifest, TileError> {
-    std::fs::create_dir_all(dir).map_err(io_err(dir))?;
-    let layout = config.layout;
-    let obs = layout.obs_per_star as usize;
-    let glob = layout.n_glob_params as usize;
-    let n_obs = layout.n_obs_rows() as usize;
-    let n_rows = layout.n_rows() as usize;
-    let spans = tile_spans(&layout, tile_stars);
+    pub(crate) spans: Vec<TileSpan>,
+    writers: Vec<TileFileWriter>,
+    metas: Vec<TileMeta>,
+    src: SourceHasher,
+    /// The section being filled, reused section after section.
+    f64s: Vec<f64>,
+    u32s: Vec<u32>,
+}
 
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let mut src = SourceHasher::new();
-    let mut writers: Vec<TileFileWriter> = spans
-        .iter()
-        .map(|span| TileFileWriter::create(dir, span))
-        .collect::<Result<_, _>>()?;
+impl<'a> TileSink<'a> {
+    pub(crate) fn create(
+        dir: &'a Path,
+        layout: SystemLayout,
+        tile_stars: u64,
+    ) -> Result<Self, TileError> {
+        std::fs::create_dir_all(dir).map_err(io_err(dir))?;
+        let spans = tile_spans(&layout, tile_stars);
+        let writers = spans.iter().map(|span| TileFileWriter::create(dir, span));
+        Ok(TileSink {
+            dir,
+            layout,
+            tile_stars,
+            writers: writers.collect::<Result<_, _>>()?,
+            spans,
+            metas: Vec::new(),
+            src: SourceHasher::default(),
+            f64s: Vec::new(),
+            u32s: Vec::new(),
+        })
+    }
 
-    let tile_obs = |span: &TileSpan| (span.star1 - span.star0) as usize * obs;
+    /// Write the known terms `b` and the manifest of the sealed spill.
+    pub(crate) fn finish(
+        mut self,
+        seed: Option<u64>,
+        b: &[f64],
+    ) -> Result<TileManifest, TileError> {
+        SourceHasher::feed_f64(&mut self.src.known, b);
+        let known_checksum = write_known_terms(self.dir, b)?;
+        let matrix_fingerprint =
+            combine_fingerprint(&self.metas, parse_hex_or_zero(&known_checksum));
+        let manifest = TileManifest {
+            format: TILE_FORMAT.to_string(),
+            layout: self.layout,
+            seed,
+            tile_stars: self.tile_stars,
+            n_tiles: self.metas.len(),
+            matrix_fingerprint,
+            source_fingerprint: hex(self.src.finish(&self.layout)),
+            tiles: self.metas,
+            known_terms_checksum: known_checksum,
+        };
+        write_manifest(self.dir, &manifest)?;
+        Ok(manifest)
+    }
+}
 
-    // Phase 1: astrometric coefficients (RNG order = row-major, exactly
-    // as the in-memory generator fills `values_astro`).
-    for (span, w) in spans.iter().zip(writers.iter_mut()) {
-        let buf: Vec<f64> = (0..tile_obs(span) * ASTRO_NNZ_PER_ROW)
-            .map(|_| draw_coeff(&mut rng))
-            .collect();
-        SourceHasher::feed_f64(&mut src.astro, &buf);
-        w.write_f64s(&buf)?;
-    }
-    // Phase 2: attitude coefficients of the observation rows.
-    for (span, w) in spans.iter().zip(writers.iter_mut()) {
-        let buf: Vec<f64> = (0..tile_obs(span) * ATT_NNZ_PER_ROW)
-            .map(|_| draw_coeff(&mut rng))
-            .collect();
-        SourceHasher::feed_f64(&mut src.att, &buf);
-        w.write_f64s(&buf)?;
-    }
-    // Phase 3: instrumental coefficients.
-    for (span, w) in spans.iter().zip(writers.iter_mut()) {
-        let buf: Vec<f64> = (0..tile_obs(span) * INSTR_NNZ_PER_ROW)
-            .map(|_| draw_coeff(&mut rng))
-            .collect();
-        SourceHasher::feed_f64(&mut src.instr, &buf);
-        w.write_f64s(&buf)?;
-    }
-    // Phase 4: global coefficients.
-    for (span, w) in spans.iter().zip(writers.iter_mut()) {
-        let buf: Vec<f64> = (0..tile_obs(span) * glob)
-            .map(|_| draw_coeff(&mut rng))
-            .collect();
-        SourceHasher::feed_f64(&mut src.glob, &buf);
-        w.write_f64s(&buf)?;
-    }
-    // Phase 5: attitude offsets of the observation rows (time-ordered
-    // sweep, one jitter draw per row — base computed from the *global*
-    // row index so the traversal matches the in-memory generator).
-    let max_off = layout.n_deg_freedom_att - u64::from(crate::ATT_PARAMS_PER_AXIS);
-    for (span, w) in spans.iter().zip(writers.iter_mut()) {
-        let row0 = span.star0 as usize * obs;
-        let mut buf = Vec::with_capacity(tile_obs(span));
-        for r in 0..tile_obs(span) {
-            let row = row0 + r;
-            let t = if n_obs <= 1 {
-                0.0
-            } else {
-                row as f64 / (n_obs as f64 - 1.0)
-            };
-            let base = match config.attitude {
-                AttitudePattern::LinearSweep => (t * max_off as f64) as u64,
-                AttitudePattern::ScanLaw { revolutions } => {
-                    let phase = t * f64::from(revolutions.max(1));
-                    let tri = 1.0 - (2.0 * (phase - phase.floor()) - 1.0).abs();
-                    (tri * max_off as f64) as u64
-                }
-            };
-            let jitter = rng.gen_range(0..=2u64);
-            // At most `max_off`, which the validated layout keeps in u32.
-            buf.push((base + jitter).min(max_off) as u32);
-        }
-        SourceHasher::feed_u32(&mut src.idx_att, &buf);
-        w.write_u32s(&buf)?;
-    }
-    // Phase 6: instrument columns.
-    let n_instr = layout.n_instr_params;
-    for (span, w) in spans.iter().zip(writers.iter_mut()) {
-        let mut buf = vec![0u32; tile_obs(span) * INSTR_NNZ_PER_ROW];
-        for r in 0..tile_obs(span) {
-            let slots = &mut buf[r * INSTR_NNZ_PER_ROW..(r + 1) * INSTR_NNZ_PER_ROW];
-            match config.instrument {
-                InstrumentPattern::Uniform => sample_distinct_sorted(&mut rng, n_instr, slots),
-                InstrumentPattern::Grouped => {
-                    for (g, slot) in slots.iter_mut().enumerate() {
-                        let g = g as u64;
-                        let start = g * n_instr / INSTR_NNZ_PER_ROW as u64;
-                        let end = (g + 1) * n_instr / INSTR_NNZ_PER_ROW as u64;
-                        *slot = rng.gen_range(start..end.max(start + 1)) as u32;
-                    }
-                }
-            }
-        }
-        SourceHasher::feed_u32(&mut src.instr_col, &buf);
-        w.write_u32s(&buf)?;
-    }
-    // Phase 7: constraint rows (attitude-only; fold into the last tile,
-    // empty trailing sections everywhere else).
-    let (constr_vals, constr_offs) = build_constraint_rows(&layout, &mut rng);
-    SourceHasher::feed_f64(&mut src.att, &constr_vals);
-    SourceHasher::feed_u32(&mut src.idx_att, &constr_offs);
-    let last = writers.len() - 1;
-    for (t, w) in writers.iter_mut().enumerate() {
-        if t == last {
-            w.write_f64s(&constr_vals)?;
-            w.write_u32s(&constr_offs)?;
-        } else {
-            w.write_f64s(&[])?;
-            w.write_u32s(&[])?;
-        }
-    }
-    let metas: Vec<TileMeta> = writers
-        .into_iter()
-        .zip(spans.iter())
-        .map(|(w, span)| w.finish(span))
-        .collect::<Result<_, _>>()?;
+impl Sink for TileSink<'_> {
+    type Error = TileError;
 
-    // RHS phase. For a consistent right-hand side, each finished tile is
-    // re-read (checksum-verified) and its `row_dot` taken against the
-    // whole `x_true` — entry order within a row matches the in-memory
-    // `row_dot`, so the sums are bit-identical.
-    let mut b = vec![0.0f64; n_rows];
-    match config.rhs {
-        Rhs::Random => {
-            for slot in b.iter_mut() {
-                *slot = rng.gen_range(-1.0..1.0);
-            }
-        }
-        Rhs::FromTrueSolution { noise_sigma } => {
-            let x_true: Vec<f64> = (0..layout.n_cols())
-                .map(|_| rng.gen_range(-1.0..1.0))
-                .collect();
-            for meta in &metas {
-                let block = read_tile(dir, &layout, meta)?;
-                for (local_row, row) in block.rows.clone().enumerate() {
-                    b[row] = block.system.row_dot(local_row, &x_true)
-                        + if noise_sigma > 0.0 {
-                            noise_sigma * gaussian(&mut rng)
-                        } else {
-                            0.0
-                        };
-                }
-            }
-        }
+    fn coeffs(&mut self, span: &TileSpan, part: Coeffs, fill: Fill<f64>) -> Result<(), TileError> {
+        self.f64s.clear();
+        fill(&mut self.f64s);
+        SourceHasher::feed_f64(&mut self.src.coeffs[part as usize], &self.f64s);
+        self.writers[span.index].write_f64s(&self.f64s)
     }
-    SourceHasher::feed_f64(&mut src.known, &b);
-    let known_checksum = write_known_terms(dir, &b)?;
 
-    let manifest = TileManifest {
-        format: TILE_FORMAT.to_string(),
-        layout,
-        seed: Some(config.seed),
-        tile_stars,
-        n_tiles: spans.len(),
-        matrix_fingerprint: combine_fingerprint(&metas, parse_hex_or_zero(&known_checksum)),
-        source_fingerprint: hex(src.finish(&layout)),
-        tiles: metas,
-        known_terms_checksum: known_checksum,
-    };
-    write_manifest(dir, &manifest)?;
-    Ok(manifest)
+    fn index(&mut self, span: &TileSpan, part: Index, fill: Fill<u32>) -> Result<(), TileError> {
+        self.u32s.clear();
+        fill(&mut self.u32s);
+        SourceHasher::feed_u32(&mut self.src.index[part as usize], &self.u32s);
+        self.writers[span.index].write_u32s(&self.u32s)
+    }
+
+    fn seal(&mut self) -> Result<(), TileError> {
+        let writers = self.writers.drain(..).zip(&self.spans);
+        self.metas = writers
+            .map(|(w, span)| w.finish(span))
+            .collect::<Result<_, _>>()?;
+        Ok(())
+    }
+
+    fn rows(&mut self, span: &TileSpan) -> Result<RowBlock, TileError> {
+        read_tile(self.dir, &self.layout, &self.metas[span.index])
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1474,49 +1360,27 @@ impl TiledSystem {
     /// Assemble the full in-memory system from the tiles (for round-trip
     /// verification; defeats the point of tiling otherwise).
     pub fn assemble(&self) -> Result<SparseSystem, TileError> {
-        let layout = self.manifest.layout;
-        let n_obs = layout.n_obs_rows() as usize;
-        let n_rows = layout.n_rows() as usize;
-        let glob = layout.n_glob_params as usize;
-        let mut values_astro = Vec::with_capacity(n_obs * ASTRO_NNZ_PER_ROW);
-        let mut values_att = Vec::with_capacity(n_rows * ATT_NNZ_PER_ROW);
-        let mut values_instr = Vec::with_capacity(n_obs * INSTR_NNZ_PER_ROW);
-        let mut values_glob = Vec::with_capacity(n_obs * glob);
-        let mut idx_att = Vec::with_capacity(n_rows);
-        let mut instr_col = Vec::with_capacity(n_obs * INSTR_NNZ_PER_ROW);
-        for t in 0..self.n_tiles() {
-            let (block, _) = self.tile(t)?;
-            let s = &block.system;
-            // Only the last tile has constraint rows, after its observation
-            // rows: tile after tile, the attitude arrays come out in parent
-            // row order.
-            values_astro.extend_from_slice(s.values_astro());
-            values_att.extend_from_slice(s.values_att());
-            values_instr.extend_from_slice(s.values_instr());
-            values_glob.extend_from_slice(s.values_glob());
-            idx_att.extend_from_slice(s.matrix_index_att());
-            instr_col.extend_from_slice(s.instr_col());
-        }
-        SparseSystem::from_parts(
-            layout,
-            values_astro,
-            values_att,
-            values_instr,
-            values_glob,
-            idx_att,
-            instr_col,
-            self.known_terms.clone(),
-        )
-        .map_err(|e| TileError::InvalidShape {
+        // Only the last tile has constraint rows, after its observation
+        // rows: tile after tile, the attitude arrays come out in parent row
+        // order.
+        let invalid = |e| TileError::InvalidShape {
             message: format!("assembled system invalid: {e}"),
-        })
+        };
+        let layout = self.manifest.layout;
+        let mut arrays = Arrays::new(layout);
+        for span in tile_spans(&layout, self.manifest.tile_stars) {
+            replay(&mut arrays, &span, &self.tile(span.index)?.0.system).map_err(invalid)?;
+        }
+        let mut system = arrays.build().map_err(invalid)?;
+        system.set_known_terms(self.known_terms.clone());
+        Ok(system)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::{Generator, GeneratorConfig};
+    use crate::generator::{Generator, GeneratorConfig, Rhs};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
