@@ -490,7 +490,7 @@ fn rule_timing(ctx: &mut Ctx<'_>) {
     }
 }
 
-/// Is this file a kernel hot path (launch layer, kernels, ELL layout, or
+/// Is this file a kernel hot path (launch layer, kernels, or
 /// a backend policy struct), the serve request path, or the auto-tuner
 /// search loop? Serve source counts: a panic in a service worker silently
 /// kills the lane draining every tenant's queue. The tuner counts too:
@@ -506,7 +506,6 @@ fn is_hot_path(path: &str) -> bool {
     let file = path.rsplit('/').next().unwrap_or(path);
     file == "launch.rs"
         || file == "kernels.rs"
-        || file == "ell.rs"
         || file == "tiled.rs"
         || file == "ooc.rs"
         || file.starts_with("backend_")
@@ -669,15 +668,10 @@ mod tests {
         );
         assert!(rules_of("crates/serve/tests/service.rs", bad).is_empty());
         assert!(rules_of("crates/backends/src/registry.rs", bad).is_empty());
-        // The auto-tuner's search loop and the ELL layout are hot paths
-        // too: a panic mid-search discards every measurement taken, and
-        // the ELL kernels run inside pool jobs.
+        // The auto-tuner's search loop is a hot path too: a panic
+        // mid-search discards every measurement taken.
         assert_eq!(
             rules_of("crates/bench/src/tune/mod.rs", bad),
-            vec!["hot-unwrap"]
-        );
-        assert_eq!(
-            rules_of("crates/sparse/src/ell.rs", bad),
             vec!["hot-unwrap"]
         );
         assert!(rules_of("crates/bench/src/studies/tune.rs", bad).is_empty());

@@ -14,15 +14,16 @@
 //!   visited in row order, so results stay bitwise identical to `seq`.
 //! * `tuned` runs the persisted tuner winner per system shape: the paper
 //!   pins a tuned launch configuration per platform after its §V-B
-//!   search, and a `gaia-tune-profile/v2` file is that pinning. Shapes the
+//!   search, and a `gaia-tune-profile/v3` file is that pinning. Shapes the
 //!   tuner never saw run the policy's own plan, and the miss is recorded in
 //!   telemetry so a silent mismatch shows up in run reports.
 //!
-//! The Golub–Kahan pass resolves the plan once. A plan whose colliding
-//! sections all publish inside wave 1 (`atomic`, `casloop`, a `tuned`
-//! profile of that kind) runs it as one launch that reads the matrix once
-//! ([`LaunchPlan::gk_products`]); every other plan, and any tiled walk,
-//! runs `aprod1` and then `aprod2`.
+//! The Golub–Kahan pass resolves the plan once and hands the whole system
+//! to [`LaunchPlan::gk_products`]: one launch that reads the matrix once
+//! for a plan whose colliding sections all publish inside wave 1
+//! (`atomic`, `casloop`, a `tuned` profile of that kind), `aprod1` and then
+//! `aprod2` for every other plan. A tiled walk runs the two products tile
+//! by tile.
 
 use std::sync::Arc;
 
@@ -185,10 +186,9 @@ impl Backend for PlannedBackend {
         self.run_aprod2(&self.plan_for(sys.layout()), sys, y, out);
     }
 
-    /// Resolves the plan once for the whole pass. A plan that passes
-    /// [`LaunchPlan::gk_in_one_launch`] runs the pass as one launch over
-    /// the whole system; a tiled walk and every other plan run `aprod1`
-    /// and then `aprod2`.
+    /// Resolves the plan once for the whole pass: the plan's own
+    /// [`LaunchPlan::gk_products`] over the whole system, or `aprod1` and
+    /// then `aprod2` tile by tile.
     fn gk_products(
         &self,
         sys: &SparseSystem,
@@ -200,7 +200,7 @@ impl Backend for PlannedBackend {
         self.check_aprod1(sys, x, u);
         self.check_aprod2(sys, u, out);
         let plan = self.plan_for(sys.layout());
-        if self.tile_stars.is_none() && plan.gk_in_one_launch() {
+        if self.tile_stars.is_none() {
             plan.gk_products(&self.pool, sys, x, alfa, u, out);
         } else {
             blas::scal(u, -alfa);
@@ -227,7 +227,7 @@ mod tests {
     use crate::launch::{Aprod2Spec, Aprod2Strategy, WorkerBudget};
     use crate::tuning::Tuning;
     use crate::{backend_by_name, SeqBackend};
-    use gaia_sparse::{Generator, GeneratorConfig, MatrixLayout};
+    use gaia_sparse::{Generator, GeneratorConfig};
 
     fn tiny(seed: u64) -> SparseSystem {
         Generator::new(GeneratorConfig::new(SystemLayout::tiny()).seed(seed)).generate()
@@ -369,8 +369,7 @@ mod tests {
                 glob: Aprod2Strategy::OwnerComputes,
                 budget: WorkerBudget::Uniform,
             },
-        )
-        .with_matrix_layout(MatrixLayout::Ell);
+        );
         LaunchProfile::from_plan("tiny", SystemLayout::tiny(), &plan)
     }
 
@@ -384,7 +383,6 @@ mod tests {
         assert_eq!(b.profile_count(), 1);
         let plan = b.plan_for(&SystemLayout::tiny());
         assert_eq!(plan, tiny_profile().to_plan().unwrap());
-        assert_eq!(plan.matrix_layout, MatrixLayout::Ell);
         assert_eq!(plan.tuning.threads, 3);
         // The shape-independent answer stays the backend's own plan.
         assert_eq!(b.launch_plan(), Some(owner(2)));
@@ -421,9 +419,15 @@ mod tests {
                 chunks_per_thread: 2,
             },
             Aprod2Spec::uniform(Aprod2Strategy::Replicated),
-        )
-        .with_matrix_layout(MatrixLayout::Ell);
-        let small_plan = owner(2).with_matrix_layout(MatrixLayout::Ell);
+        );
+        // Not `owner(2)`, the backend's own fallback, so a fallback shows.
+        let small_plan = LaunchPlan::new(
+            Tuning {
+                threads: 2,
+                chunks_per_thread: 3,
+            },
+            Aprod2Spec::uniform(Aprod2Strategy::OwnerComputes),
+        );
         let profiles = [
             LaunchProfile::from_plan("tiny", SystemLayout::tiny(), &tiny_plan),
             LaunchProfile::from_plan("small", SystemLayout::small(), &small_plan),

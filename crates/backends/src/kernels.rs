@@ -429,244 +429,6 @@ pub fn aprod2_glob(sys: &SparseSystem, y: &[f64], rows: Range<usize>, out: &mut 
     out[0] = acc;
 }
 
-// ---------------------------------------------------------------------------
-// ELL layout.
-//
-// The scalar kernels above are the reference and the row-major layout.
-// The `*_ell` kernels read the slot-major ELL mirror (`SparseSystem::ell`)
-// instead: slot `k` of consecutive rows is contiguous, turning each inner
-// loop into 5/12/6 parallel sequential streams. The accumulation order is
-// the scalar one, so on deterministic schedules the results are
-// bit-identical (asserted by the equivalence tests). A launch plan picks
-// between the two by its `MatrixLayout` alone (`crate::launch`).
-// ---------------------------------------------------------------------------
-
-/// ELL-layout [`aprod1_astro`]: five slot-major streams instead of one
-/// row-major gather, walked star by star the same way. Same accumulation
-/// order as scalar.
-pub fn aprod1_astro_ell(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: &mut [f64]) {
-    debug_assert!(rows.end <= sys.n_obs_rows());
-    debug_assert_eq!(out.len(), rows.len());
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod1, Block::Astro);
-    t.add_bytes(aprod1_astro_bytes(sys, &rows));
-    let ell = sys.ell();
-    let (s0, s1, s2, s3, s4) = (
-        ell.astro_slot(0),
-        ell.astro_slot(1),
-        ell.astro_slot(2),
-        ell.astro_slot(3),
-        ell.astro_slot(4),
-    );
-    for (run, start) in sys.astro_runs(rows.clone()) {
-        let xs = &x[start..start + ASTRO_NNZ_PER_ROW];
-        for row in run {
-            let mut acc = 0.0;
-            acc += s0[row] * xs[0];
-            acc += s1[row] * xs[1];
-            acc += s2[row] * xs[2];
-            acc += s3[row] * xs[3];
-            acc += s4[row] * xs[4];
-            out[row - rows.start] += acc;
-        }
-    }
-}
-
-/// ELL-layout [`aprod1_att`]: twelve slot-major streams.
-pub fn aprod1_att_ell(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: &mut [f64]) {
-    debug_assert!(rows.end <= sys.n_rows());
-    debug_assert_eq!(out.len(), rows.len());
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod1, Block::Att);
-    t.add_bytes(rows.len() as u64 * (2 * ATT_NNZ_PER_ROW as u64 + 2) * F64);
-    let ell = sys.ell();
-    let slots: [&[f64]; ATT_NNZ_PER_ROW] = std::array::from_fn(|k| ell.att_slot(k));
-    let offs = ell.matrix_index_att();
-    let dof = sys.layout().n_deg_freedom_att as usize;
-    let att_base = sys.columns().att as usize;
-    for (i, row) in rows.enumerate() {
-        let off = offs[row] as usize;
-        let mut acc = 0.0;
-        for axis in 0..ATT_AXES as usize {
-            let base = att_base + axis * dof + off;
-            for k in 0..ATT_PARAMS_PER_AXIS as usize {
-                acc += slots[axis * ATT_PARAMS_PER_AXIS as usize + k][row] * x[base + k];
-            }
-        }
-        out[i] += acc;
-    }
-}
-
-/// ELL-layout [`aprod1_instr`]: six value streams plus six column streams.
-pub fn aprod1_instr_ell(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: &mut [f64]) {
-    debug_assert!(rows.end <= sys.n_obs_rows());
-    debug_assert_eq!(out.len(), rows.len());
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod1, Block::Instr);
-    t.add_bytes(rows.len() as u64 * (2 * INSTR_NNZ_PER_ROW as u64 + 2) * F64);
-    let ell = sys.ell();
-    let vals: [&[f64]; INSTR_NNZ_PER_ROW] = std::array::from_fn(|k| ell.instr_slot(k));
-    let cols: [&[u32]; INSTR_NNZ_PER_ROW] = std::array::from_fn(|k| ell.instr_col_slot(k));
-    let instr_base = sys.columns().instr as usize;
-    for (i, row) in rows.enumerate() {
-        let mut acc = 0.0;
-        for k in 0..INSTR_NNZ_PER_ROW {
-            acc += vals[k][row] * x[instr_base + cols[k][row] as usize];
-        }
-        out[i] += acc;
-    }
-}
-
-/// Full ELL-layout `aprod1` over a row range.
-pub fn aprod1_range_ell(sys: &SparseSystem, x: &[f64], rows: Range<usize>, out: &mut [f64]) {
-    let obs_end = rows.end.min(sys.n_obs_rows());
-    if rows.start < obs_end {
-        let obs = rows.start..obs_end;
-        let n = obs.len();
-        aprod1_astro_ell(sys, x, obs.clone(), &mut out[..n]);
-        aprod1_instr_ell(sys, x, obs.clone(), &mut out[..n]);
-        aprod1_glob(sys, x, obs, &mut out[..n]);
-    }
-    aprod1_att_ell(sys, x, rows, out);
-}
-
-/// ELL-layout [`aprod2_astro`]: the five per-slot streams are read
-/// column-major while the per-star accumulation order stays scalar.
-pub fn aprod2_astro_ell(sys: &SparseSystem, y: &[f64], stars: Range<usize>, out: &mut [f64]) {
-    debug_assert_eq!(out.len(), stars.len() * ASTRO_NNZ_PER_ROW);
-    let layout = *sys.layout();
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Astro);
-    let rows_covered = if stars.is_empty() {
-        0
-    } else {
-        layout.rows_of_star(stars.end as u64 - 1).end
-            - layout.rows_of_star(stars.start as u64).start
-    };
-    t.add_bytes(
-        rows_covered * (ASTRO_NNZ_PER_ROW as u64 + 1) * F64
-            + stars.len() as u64 * 2 * ASTRO_NNZ_PER_ROW as u64 * F64,
-    );
-    let ell = sys.ell();
-    let slots: [&[f64]; ASTRO_NNZ_PER_ROW] = std::array::from_fn(|k| ell.astro_slot(k));
-    for (si, star) in stars.enumerate() {
-        let slot = &mut out[si * ASTRO_NNZ_PER_ROW..(si + 1) * ASTRO_NNZ_PER_ROW];
-        for row in layout.rows_of_star(star as u64) {
-            let yr = y[row as usize];
-            for k in 0..ASTRO_NNZ_PER_ROW {
-                slot[k] += slots[k][row as usize] * yr;
-            }
-        }
-    }
-}
-
-/// ELL-layout [`aprod2_att`] (full section, exclusive access).
-pub fn aprod2_att_ell(sys: &SparseSystem, y: &[f64], rows: Range<usize>, out: &mut [f64]) {
-    debug_assert_eq!(out.len() as u64, sys.layout().n_att_cols());
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Att);
-    t.add_bytes(rows.len() as u64 * (3 * ATT_NNZ_PER_ROW as u64 + 1) * F64);
-    let ell = sys.ell();
-    let slots: [&[f64]; ATT_NNZ_PER_ROW] = std::array::from_fn(|k| ell.att_slot(k));
-    let offs = ell.matrix_index_att();
-    let dof = sys.layout().n_deg_freedom_att as usize;
-    for row in rows {
-        let yr = y[row];
-        if yr == 0.0 {
-            continue;
-        }
-        let off = offs[row] as usize;
-        for axis in 0..ATT_AXES as usize {
-            let base = axis * dof + off;
-            for k in 0..ATT_PARAMS_PER_AXIS as usize {
-                out[base + k] += slots[axis * ATT_PARAMS_PER_AXIS as usize + k][row] * yr;
-            }
-        }
-    }
-}
-
-/// ELL-layout [`aprod2_att_owned`].
-pub fn aprod2_att_owned_ell(
-    sys: &SparseSystem,
-    y: &[f64],
-    rows: Range<usize>,
-    own: Range<usize>,
-    out: &mut [f64],
-) {
-    debug_assert_eq!(out.len(), own.len());
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Att);
-    t.add_bytes(
-        rows.len() as u64 * (ATT_NNZ_PER_ROW as u64 + 1) * F64 + own.len() as u64 * 2 * F64,
-    );
-    let ell = sys.ell();
-    let slots: [&[f64]; ATT_NNZ_PER_ROW] = std::array::from_fn(|k| ell.att_slot(k));
-    let offs = ell.matrix_index_att();
-    let dof = sys.layout().n_deg_freedom_att as usize;
-    for row in rows {
-        let yr = y[row];
-        if yr == 0.0 {
-            continue;
-        }
-        let off = offs[row] as usize;
-        for axis in 0..ATT_AXES as usize {
-            let base = axis * dof + off;
-            for k in 0..ATT_PARAMS_PER_AXIS as usize {
-                let col = base + k;
-                if col >= own.start && col < own.end {
-                    out[col - own.start] +=
-                        slots[axis * ATT_PARAMS_PER_AXIS as usize + k][row] * yr;
-                }
-            }
-        }
-    }
-}
-
-/// ELL-layout [`aprod2_instr`] (full section, exclusive access).
-pub fn aprod2_instr_ell(sys: &SparseSystem, y: &[f64], rows: Range<usize>, out: &mut [f64]) {
-    debug_assert!(rows.end <= sys.n_obs_rows());
-    debug_assert_eq!(out.len() as u64, sys.layout().n_instr_params);
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Instr);
-    t.add_bytes(rows.len() as u64 * (3 * INSTR_NNZ_PER_ROW as u64 + 1) * F64);
-    let ell = sys.ell();
-    let vals: [&[f64]; INSTR_NNZ_PER_ROW] = std::array::from_fn(|k| ell.instr_slot(k));
-    let cols: [&[u32]; INSTR_NNZ_PER_ROW] = std::array::from_fn(|k| ell.instr_col_slot(k));
-    for row in rows {
-        let yr = y[row];
-        if yr == 0.0 {
-            continue;
-        }
-        for k in 0..INSTR_NNZ_PER_ROW {
-            out[cols[k][row] as usize] += vals[k][row] * yr;
-        }
-    }
-}
-
-/// ELL-layout [`aprod2_instr_owned`].
-pub fn aprod2_instr_owned_ell(
-    sys: &SparseSystem,
-    y: &[f64],
-    rows: Range<usize>,
-    own: Range<usize>,
-    out: &mut [f64],
-) {
-    debug_assert!(rows.end <= sys.n_obs_rows());
-    debug_assert_eq!(out.len(), own.len());
-    let mut t = gaia_telemetry::kernel_scope(Phase::Aprod2, Block::Instr);
-    t.add_bytes(
-        rows.len() as u64 * (INSTR_NNZ_PER_ROW as u64 + 1) * F64 + own.len() as u64 * 2 * F64,
-    );
-    let ell = sys.ell();
-    let vals: [&[f64]; INSTR_NNZ_PER_ROW] = std::array::from_fn(|k| ell.instr_slot(k));
-    let cols: [&[u32]; INSTR_NNZ_PER_ROW] = std::array::from_fn(|k| ell.instr_col_slot(k));
-    for row in rows {
-        let yr = y[row];
-        if yr == 0.0 {
-            continue;
-        }
-        for k in 0..INSTR_NNZ_PER_ROW {
-            let col = cols[k][row] as usize;
-            if col >= own.start && col < own.end {
-                out[col - own.start] += vals[k][row] * yr;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -702,7 +464,7 @@ mod tests {
 
     /// A row chunk of a parallel `aprod1` may start or end inside a star
     /// (16 rows a star here): any split gives the bits of a whole-system
-    /// call, in both layouts.
+    /// call.
     #[test]
     fn aprod1_split_ranges_equal_whole() {
         let s = sys();
@@ -710,15 +472,13 @@ mod tests {
         let mut whole = vec![0.0; s.n_rows()];
         aprod1_range(&s, &x, 0..s.n_rows(), &mut whole);
         for parts in [5, 7, s.n_rows()] {
-            for kernel in [aprod1_range, aprod1_range_ell] {
-                let mut got = vec![0.0; s.n_rows()];
-                for r in split_ranges(s.n_rows(), parts) {
-                    let (start, end) = (r.start, r.end);
-                    kernel(&s, &x, r, &mut got[start..end]);
-                }
-                for (i, (a, b)) in whole.iter().zip(&got).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{parts} parts, row {i}");
-                }
+            let mut got = vec![0.0; s.n_rows()];
+            for r in split_ranges(s.n_rows(), parts) {
+                let (start, end) = (r.start, r.end);
+                aprod1_range(&s, &x, r, &mut got[start..end]);
+            }
+            for (i, (a, b)) in whole.iter().zip(&got).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{parts} parts, row {i}");
             }
         }
     }
@@ -820,86 +580,6 @@ mod tests {
         }
         for (a, b) in whole_i.iter().zip(&pieces_i) {
             assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    /// The ELL aprod1 path keeps the scalar accumulation order, so on a
-    /// fixed schedule it is bit-identical to the reference kernel.
-    #[test]
-    fn aprod1_ell_is_bitwise_equal_to_scalar() {
-        let s = sys();
-        let x = x_for(&s);
-        let mut want = vec![0.0; s.n_rows()];
-        aprod1_range(&s, &x, 0..s.n_rows(), &mut want);
-        let mut got = vec![0.0; s.n_rows()];
-        aprod1_range_ell(&s, &x, 0..s.n_rows(), &mut got);
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(g.to_bits(), w.to_bits(), "row {i}: {g} vs {w}");
-        }
-    }
-
-    /// Same bitwise guarantee for the full-section ELL aprod2 kernels.
-    #[test]
-    fn aprod2_ell_is_bitwise_equal_to_scalar() {
-        let s = sys();
-        let y = y_for(&s);
-        let n_stars = s.layout().n_stars as usize;
-        let natt = s.layout().n_att_cols() as usize;
-        let ninstr = s.layout().n_instr_params as usize;
-
-        let mut astro_want = vec![0.0; n_stars * ASTRO_NNZ_PER_ROW];
-        aprod2_astro(&s, &y, 0..n_stars, &mut astro_want);
-        let mut got = vec![0.0; astro_want.len()];
-        aprod2_astro_ell(&s, &y, 0..n_stars, &mut got);
-        for (g, w) in got.iter().zip(&astro_want) {
-            assert_eq!(g.to_bits(), w.to_bits(), "astro");
-        }
-
-        let mut att_want = vec![0.0; natt];
-        aprod2_att(&s, &y, 0..s.n_rows(), &mut att_want);
-        let mut got = vec![0.0; natt];
-        aprod2_att_ell(&s, &y, 0..s.n_rows(), &mut got);
-        for (g, w) in got.iter().zip(&att_want) {
-            assert_eq!(g.to_bits(), w.to_bits(), "att");
-        }
-
-        let mut instr_want = vec![0.0; ninstr];
-        aprod2_instr(&s, &y, 0..s.n_obs_rows(), &mut instr_want);
-        let mut got = vec![0.0; ninstr];
-        aprod2_instr_ell(&s, &y, 0..s.n_obs_rows(), &mut got);
-        for (g, w) in got.iter().zip(&instr_want) {
-            assert_eq!(g.to_bits(), w.to_bits(), "instr");
-        }
-    }
-
-    /// The owned ELL kernels, split across disjoint owned ranges, cover the
-    /// full section exactly once — the owner-computes soundness property —
-    /// in the scalar order, so bitwise.
-    #[test]
-    fn owned_ell_kernels_cover_all_columns() {
-        let s = sys();
-        let y = y_for(&s);
-        let natt = s.layout().n_att_cols() as usize;
-        let mut att_want = vec![0.0; natt];
-        aprod2_att(&s, &y, 0..s.n_rows(), &mut att_want);
-        let mut pieces = vec![0.0; natt];
-        for own in split_ranges(natt, 5) {
-            let (a, b) = (own.start, own.end);
-            aprod2_att_owned_ell(&s, &y, 0..s.n_rows(), own, &mut pieces[a..b]);
-        }
-        for (g, w) in pieces.iter().zip(&att_want) {
-            assert_eq!(g.to_bits(), w.to_bits(), "att owned: {g} vs {w}");
-        }
-        let ninstr = s.layout().n_instr_params as usize;
-        let mut instr_want = vec![0.0; ninstr];
-        aprod2_instr(&s, &y, 0..s.n_obs_rows(), &mut instr_want);
-        let mut pieces = vec![0.0; ninstr];
-        for own in split_ranges(ninstr, 4) {
-            let (a, b) = (own.start, own.end);
-            aprod2_instr_owned_ell(&s, &y, 0..s.n_obs_rows(), own, &mut pieces[a..b]);
-        }
-        for (g, w) in pieces.iter().zip(&instr_want) {
-            assert_eq!(g.to_bits(), w.to_bits(), "instr owned");
         }
     }
 

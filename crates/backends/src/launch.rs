@@ -46,11 +46,12 @@
 use std::ops::Range;
 use std::sync::atomic::AtomicU64;
 
-use gaia_sparse::{MatrixLayout, SparseSystem};
+use gaia_sparse::SparseSystem;
 use gaia_telemetry::{Block, Phase};
 use parking_lot::Mutex;
 
 use crate::atomicf64::{self, as_atomic};
+use crate::blas;
 use crate::exec::{sched, ExecutorPool, Job};
 use crate::kernels;
 use crate::plan_check;
@@ -226,23 +227,14 @@ impl Aprod2Spec {
     }
 }
 
-/// A backend's launch configuration: tuning + strategy spec + the value
-/// layout the kernels read. Owns all range computation and output
-/// partitioning for both products.
-///
-/// The layout alone picks the kernels: `Ell` selects the slot-major readers
-/// for `aprod1`, the astrometric `aprod2`, and the full / owner-computes
-/// section kernels every strategy dispatches to; `RowMajor` the scalar
-/// reference kernels. Only the single-column global kernels read row-major
-/// under either layout.
+/// A backend's launch configuration: tuning + strategy spec. Owns all
+/// range computation and output partitioning for both products.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchPlan {
     /// Thread count and chunk granularity.
     pub tuning: Tuning,
     /// Conflict strategies and stream budget for `aprod2`.
     pub spec: Aprod2Spec,
-    /// Value layout the kernels read (row-major / ELL).
-    pub matrix_layout: MatrixLayout,
 }
 
 /// Full-section accumulation over a row range (exclusive access).
@@ -250,73 +242,10 @@ type FullKernel = fn(&SparseSystem, &[f64], Range<usize>, &mut [f64]);
 /// Owner-computes over an owned block-local column range.
 type OwnedKernel = fn(&SparseSystem, &[f64], Range<usize>, Range<usize>, &mut [f64]);
 
-/// The two per-section kernel forms a strategy can dispatch to.
-#[derive(Clone, Copy)]
-struct SectionKernels {
-    full: FullKernel,
-    owned: OwnedKernel,
-}
-
-/// Attitude section kernels for a layout — the dispatch seam every
-/// `aprod2` strategy routes through.
-fn att_kernels(layout: MatrixLayout) -> SectionKernels {
-    match layout {
-        MatrixLayout::Ell => SectionKernels {
-            full: kernels::aprod2_att_ell,
-            owned: kernels::aprod2_att_owned_ell,
-        },
-        MatrixLayout::RowMajor => SectionKernels {
-            full: kernels::aprod2_att,
-            owned: kernels::aprod2_att_owned,
-        },
-    }
-}
-
-/// Instrumental section kernels for a layout.
-fn instr_kernels(layout: MatrixLayout) -> SectionKernels {
-    match layout {
-        MatrixLayout::Ell => SectionKernels {
-            full: kernels::aprod2_instr_ell,
-            owned: kernels::aprod2_instr_owned_ell,
-        },
-        MatrixLayout::RowMajor => SectionKernels {
-            full: kernels::aprod2_instr,
-            owned: kernels::aprod2_instr_owned,
-        },
-    }
-}
-
-/// Astrometric `aprod2` kernel for a layout.
-fn astro_kernel(layout: MatrixLayout) -> FullKernel {
-    match layout {
-        MatrixLayout::Ell => kernels::aprod2_astro_ell,
-        MatrixLayout::RowMajor => kernels::aprod2_astro,
-    }
-}
-
-/// `aprod1` range kernel for a layout.
-fn aprod1_kernel(layout: MatrixLayout) -> FullKernel {
-    match layout {
-        MatrixLayout::Ell => kernels::aprod1_range_ell,
-        MatrixLayout::RowMajor => kernels::aprod1_range,
-    }
-}
-
 impl LaunchPlan {
-    /// Build a plan from tuning and a strategy spec over the default
-    /// row-major layout.
+    /// Build a plan from tuning and a strategy spec.
     pub fn new(tuning: Tuning, spec: Aprod2Spec) -> Self {
-        LaunchPlan {
-            tuning,
-            spec,
-            matrix_layout: MatrixLayout::default(),
-        }
-    }
-
-    /// Select the value layout the kernels read.
-    pub fn with_matrix_layout(mut self, layout: MatrixLayout) -> Self {
-        self.matrix_layout = layout;
-        self
+        LaunchPlan { tuning, spec }
     }
 
     /// Lower this plan against `dims` to the symbolic access model
@@ -380,12 +309,6 @@ impl LaunchPlan {
     /// the same way: `x` is the parent's, `out` the block's rows.
     pub fn aprod1(&self, pool: &ExecutorPool, sys: &SparseSystem, x: &[f64], out: &mut [f64]) {
         assert_eq!(out.len(), sys.n_rows(), "aprod1: out length mismatch");
-        if self.matrix_layout == MatrixLayout::Ell {
-            // Build the mirror once here instead of under the first job's
-            // lazy init (OnceLock would serialize the workers against it).
-            let _ = sys.ell();
-        }
-        let kernel = aprod1_kernel(self.matrix_layout);
         let n_rows = sys.n_rows();
         let ranges = split_ranges(n_rows, self.aprod1_chunks(n_rows));
         let mut jobs: Vec<Job<'_>> = Vec::with_capacity(ranges.len());
@@ -393,7 +316,7 @@ impl LaunchPlan {
         for range in ranges {
             let (mine, tail) = rest.split_at_mut(range.len());
             rest = tail;
-            jobs.push(Box::new(move || kernel(sys, x, range, mine)));
+            jobs.push(Box::new(move || kernels::aprod1_range(sys, x, range, mine)));
         }
         pool.run(jobs);
     }
@@ -420,20 +343,13 @@ impl LaunchPlan {
 
         let mut jobs: Vec<Job<'_>> = Vec::new();
 
-        // Materialize the ELL mirror up front (single-threaded) rather
-        // than racing the lazy init from the first kernels to touch it.
-        if self.matrix_layout == MatrixLayout::Ell {
-            let _ = sys.ell();
-        }
-
         // Astrometric stream: star-aligned split, collision-free — each
         // star chunk owns an exactly matching slice of the astro section.
-        let astro_k = astro_kernel(self.matrix_layout);
         let mut astro_rest = astro;
         for chunk in split_ranges(n_stars, self.section_chunks(Stream::Astro, n_stars)) {
             let (mine, tail) = astro_rest.split_at_mut(chunk.len() * 5);
             astro_rest = tail;
-            jobs.push(Box::new(move || astro_k(sys, y, chunk, mine)));
+            jobs.push(Box::new(move || kernels::aprod2_astro(sys, y, chunk, mine)));
         }
 
         let att_deferred = self.section_jobs(
@@ -443,7 +359,6 @@ impl LaunchPlan {
             att_rows,
             att,
             self.spec.att,
-            att_kernels(self.matrix_layout),
             &mut att_privates,
             &mut att_stripes,
             &mut jobs,
@@ -455,7 +370,6 @@ impl LaunchPlan {
             obs_rows.clone(),
             instr,
             self.spec.instr,
-            instr_kernels(self.matrix_layout),
             &mut instr_privates,
             &mut instr_stripes,
             &mut jobs,
@@ -480,11 +394,11 @@ impl LaunchPlan {
         }
     }
 
-    /// Whether [`gk_products`](Self::gk_products) can run this plan's
+    /// Whether [`gk_products`](Self::gk_products) runs this plan's
     /// Golub–Kahan pass in one launch: every colliding section publishes
     /// with atomics inside wave 1 (`Atomic` or `CasLoop`, either flavour),
-    /// under the uniform budget, over the row-major layout. Every other
-    /// plan keeps the two launches, `aprod1` then `aprod2`:
+    /// under the uniform budget. Every other plan keeps the two launches,
+    /// `aprod1` then `aprod2`:
     ///
     /// * owner-computes needs all of `u` before it can finish any column,
     ///   and a job of the pass holds only its own rows of `u`;
@@ -492,13 +406,10 @@ impl LaunchPlan {
     ///   match their own two-launch results bit for bit the pass would
     ///   need its partial sums combined in one fixed block order at every
     ///   thread count, which their row split does not give;
-    /// * the ELL layout would build a slot-major mirror per job's view;
     /// * the streamed budget sizes each section's jobs separately, which
     ///   one job per star chunk cannot honour.
     pub fn gk_in_one_launch(&self) -> bool {
-        self.wave_one_flavors().is_some()
-            && self.spec.budget == WorkerBudget::Uniform
-            && self.matrix_layout == MatrixLayout::RowMajor
+        self.wave_one_flavors().is_some() && self.spec.budget == WorkerBudget::Uniform
     }
 
     /// The attitude, instrumental and global publish flavours, when all
@@ -512,11 +423,13 @@ impl LaunchPlan {
         ])
     }
 
-    /// One Golub–Kahan pass, `u ← A x − α u` then `out += Aᵀu`, in one
-    /// launch of `tuning.chunk_count(n_stars)` star-aligned jobs, for a plan
-    /// that passes [`gk_in_one_launch`](Self::gk_in_one_launch). Each job
-    /// takes the row block of its stars (the last one with the constraint
-    /// rows), its rows of `u`, its stars' astrometric columns and private
+    /// One Golub–Kahan pass, `u ← A x − α u` then `out += Aᵀu`, under any
+    /// plan. A plan that fails [`gk_in_one_launch`](Self::gk_in_one_launch)
+    /// runs `blas::scal`, [`aprod1`](Self::aprod1) and
+    /// [`aprod2`](Self::aprod2). One that passes runs one launch of
+    /// `tuning.chunk_count(n_stars)` star-aligned jobs. Each job takes the
+    /// row block of its stars (the last one with the constraint rows), its
+    /// rows of `u`, its stars' astrometric columns and private
     /// copies of the three shared sections; it runs `seq`'s row loop
     /// ([`kernels::gk_pass`]) over its view, so it visits each of its rows
     /// once for both products, then publishes its copies with the plan's
@@ -531,9 +444,12 @@ impl LaunchPlan {
         u: &mut [f64],
         out: &mut [f64],
     ) {
-        let [att_flavor, instr_flavor, glob_flavor] = match self.wave_one_flavors() {
-            Some(flavors) if self.gk_in_one_launch() => flavors,
-            _ => panic!("no one-launch pass for {self:?}"),
+        let one_launch = self.wave_one_flavors().filter(|_| self.gk_in_one_launch());
+        let Some([att_flavor, instr_flavor, glob_flavor]) = one_launch else {
+            blas::scal(u, -alfa);
+            self.aprod1(pool, sys, x, u);
+            self.aprod2(pool, sys, u, out);
+            return;
         };
         assert_eq!(u.len(), sys.n_rows(), "gk_products: u length mismatch");
         let [astro, att, instr, glob] = sys.sections_mut(out);
@@ -588,7 +504,6 @@ impl LaunchPlan {
         rows: Range<usize>,
         section: &'s mut [f64],
         strategy: Aprod2Strategy,
-        kerns: SectionKernels,
         privates: &'a mut Vec<Vec<f64>>,
         stripes: &'a mut Vec<Mutex<Vec<f64>>>,
         jobs: &mut Vec<Job<'a>>,
@@ -600,6 +515,20 @@ impl LaunchPlan {
             return None;
         }
         let section_len = section.len();
+        let (block, probe, full, owned): (_, _, FullKernel, OwnedKernel) = match stream {
+            Stream::Att => (
+                Block::Att,
+                PROBE_ATT_ATOMIC,
+                kernels::aprod2_att,
+                kernels::aprod2_att_owned,
+            ),
+            _ => (
+                Block::Instr,
+                PROBE_INSTR_ATOMIC,
+                kernels::aprod2_instr,
+                kernels::aprod2_instr_owned,
+            ),
+        };
         match strategy {
             Aprod2Strategy::OwnerComputes => {
                 let chunks = self.section_chunks(stream, section_len);
@@ -608,7 +537,7 @@ impl LaunchPlan {
                     let (mine, tail) = rest.split_at_mut(own.len());
                     rest = tail;
                     let rows = rows.clone();
-                    jobs.push(Box::new(move || (kerns.owned)(sys, y, rows, own, mine)));
+                    jobs.push(Box::new(move || owned(sys, y, rows, own, mine)));
                 }
                 None
             }
@@ -617,10 +546,6 @@ impl LaunchPlan {
                     AtomicFlavor::Rmw
                 } else {
                     AtomicFlavor::CasLoop
-                };
-                let (block, probe) = match stream {
-                    Stream::Att => (Block::Att, PROBE_ATT_ATOMIC),
-                    _ => (Block::Instr, PROBE_INSTR_ATOMIC),
                 };
                 let view: &'a [AtomicU64] = as_atomic(section);
                 let chunks = self.section_chunks(stream, rows.len());
@@ -631,7 +556,7 @@ impl LaunchPlan {
                         // section first, then publish it — still in wave 1,
                         // racing every other job's publish.
                         let mut local = vec![0.0; section_len];
-                        (kerns.full)(sys, y, chunk, &mut local);
+                        full(sys, y, chunk, &mut local);
                         publish_atomic(block, probe, &local, view, flavor);
                     }));
                 }
@@ -643,7 +568,7 @@ impl LaunchPlan {
                 *privates = vec![vec![0.0; section_len]; spans.len()];
                 let privates: &'a mut Vec<Vec<f64>> = privates;
                 for (private, chunk) in privates.iter_mut().zip(spans) {
-                    jobs.push(Box::new(move || (kerns.full)(sys, y, chunk, private)));
+                    jobs.push(Box::new(move || full(sys, y, chunk, private)));
                 }
                 Some(section)
             }
@@ -661,7 +586,7 @@ impl LaunchPlan {
                         // locally, then apply it stripe by stripe under the
                         // stripe locks (batched mutual exclusion).
                         let mut local = vec![0.0; section_len];
-                        (kerns.full)(sys, y, chunk, &mut local);
+                        full(sys, y, chunk, &mut local);
                         let mut offset = 0;
                         for stripe in stripes.iter() {
                             sched::preempt_point(PROBE_STRIPED_APPLY);
@@ -848,10 +773,11 @@ mod tests {
         }
     }
 
-    /// `plan`'s one-launch pass against `seq`'s `blas::scal`, `aprod1`,
-    /// `aprod2`, from non-zero `u` and `out` (both accumulate), under the
-    /// strategies' 1e-10 tolerance. `sys` may be a row block: `x` and
-    /// `out` are its parent's.
+    /// `plan`'s pass against `seq`'s `blas::scal`, `aprod1`, `aprod2`, from
+    /// non-zero `u` and `out` (both accumulate): bitwise for a plan whose
+    /// every section is owner-computes, else under the strategies' 1e-10
+    /// tolerance. `sys` may be a row block: `x` and `out` are its
+    /// parent's.
     fn assert_pass_matches_seq(plan: &LaunchPlan, pool: &ExecutorPool, sys: &SparseSystem) {
         let alfa = 0.75;
         let x: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.23).sin()).collect();
@@ -864,11 +790,14 @@ mod tests {
         let (mut u, mut out) = (u0, out0);
         plan.gk_products(pool, sys, &x, alfa, &mut u, &mut out);
         let what = format!("{plan:?} on {:?} from star {}", sys.layout(), sys.star0());
-        for (g, w) in u.iter().zip(&u_want) {
-            assert!((g - w).abs() < 1e-10, "pass u {what}: {g} vs {w}");
-        }
-        for (g, w) in out.iter().zip(&out_want) {
-            assert!((g - w).abs() < 1e-10, "pass out {what}: {g} vs {w}");
+        let s = plan.spec;
+        let bitwise = [s.att, s.instr, s.glob] == [Aprod2Strategy::OwnerComputes; 3];
+        for (g, w) in u.iter().zip(&u_want).chain(out.iter().zip(&out_want)) {
+            if bitwise {
+                assert_eq!(g.to_bits(), w.to_bits(), "pass {what}: {g} vs {w}");
+            } else {
+                assert!((g - w).abs() < 1e-10, "pass {what}: {g} vs {w}");
+            }
         }
     }
 
@@ -1049,9 +978,7 @@ mod tests {
                             "aprod2 {tuning:?} {strategy:?} {spec:?}: {g} vs {w}"
                         );
                     }
-                    if plan.gk_in_one_launch() {
-                        assert_pass_matches_seq(&plan, &pool, &sys);
-                    }
+                    assert_pass_matches_seq(&plan, &pool, &sys);
                 }
             }
         }
@@ -1169,6 +1096,45 @@ mod tests {
         }
     }
 
+    /// A plan without the one-launch pass runs it as `scal`, `aprod1` and
+    /// `aprod2`: the two products' launches, and their results, on views
+    /// too. Owner-computes (uniform or streamed) is `seq` bit for bit.
+    #[test]
+    fn a_two_launch_pass_is_scal_then_the_two_products() {
+        let parent = system_of(13, 3, 17);
+        let systems = [
+            parent.clone(),
+            system_of(7, 0, 9),
+            parent.row_block(4..13, true).system,
+        ];
+        let pool = ExecutorPool::new(3);
+        for spec in [
+            Aprod2Spec::uniform(Aprod2Strategy::OwnerComputes),
+            Aprod2Spec::uniform(Aprod2Strategy::Replicated),
+            Aprod2Spec::uniform(Aprod2Strategy::LockStriped { stripes: 5 }),
+            Aprod2Spec::streamed(Aprod2Strategy::OwnerComputes),
+            Aprod2Spec::streamed(Aprod2Strategy::Atomic),
+        ] {
+            let plan = LaunchPlan::new(tuning_2x4(), spec);
+            assert!(!plan.gk_in_one_launch(), "{spec:?}");
+            for sys in &systems {
+                assert_pass_matches_seq(&plan, &pool, sys);
+            }
+            use Aprod2Strategy::{LockStriped, Replicated};
+            let reduces = [spec.att, spec.instr]
+                .iter()
+                .any(|s| matches!(s, Replicated | LockStriped { .. }));
+            let launches = pool.launch_count();
+            let x = vec![0.5; parent.n_cols()];
+            let (mut u, mut out) = (vec![1.0; parent.n_rows()], vec![0.0; parent.n_cols()]);
+            plan.gk_products(&pool, &parent, &x, 0.5, &mut u, &mut out);
+            // `aprod1`, then `aprod2`'s wave 1 and, when a section
+            // privatises or stripes, its reduction wave.
+            let want = 2 + u64::from(reduces);
+            assert_eq!(pool.launch_count() - launches, want, "{spec:?}");
+        }
+    }
+
     /// Only plans whose colliding sections all publish inside wave 1 have
     /// the pass, whatever the flavour mix.
     #[test]
@@ -1203,73 +1169,8 @@ mod tests {
                         },
                     );
                     assert!(!streamed.gk_in_one_launch(), "{spec:?}");
-                    assert!(!plan
-                        .with_matrix_layout(MatrixLayout::Ell)
-                        .gk_in_one_launch());
                 }
             }
         }
-    }
-
-    /// Every matrix layout must match the serial scalar kernels on every
-    /// strategy chassis — the dispatch-seam property the tuner relies on to
-    /// search the space safely.
-    #[test]
-    fn every_layout_matches_the_serial_kernels() {
-        let sys = Generator::new(GeneratorConfig::new(SystemLayout::tiny()).seed(13)).generate();
-        let x: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.17).sin()).collect();
-        let y: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.29).cos()).collect();
-        let mut want1 = vec![0.0; sys.n_rows()];
-        kernels::aprod1_range(&sys, &x, 0..sys.n_rows(), &mut want1);
-        let mut want2 = vec![0.0; sys.n_cols()];
-        {
-            let [astro, att, instr, glob] = sys.sections_mut(&mut want2);
-            kernels::aprod2_astro(&sys, &y, 0..sys.layout().n_stars as usize, astro);
-            kernels::aprod2_att(&sys, &y, 0..sys.n_rows(), att);
-            kernels::aprod2_instr(&sys, &y, 0..sys.n_obs_rows(), instr);
-            kernels::aprod2_glob(&sys, &y, 0..sys.n_obs_rows(), glob);
-        }
-        let pool = ExecutorPool::new(3);
-        let strategies = [
-            Aprod2Strategy::OwnerComputes,
-            Aprod2Strategy::Atomic,
-            Aprod2Strategy::CasLoop,
-            Aprod2Strategy::Replicated,
-            Aprod2Strategy::LockStriped { stripes: 5 },
-        ];
-        for layout in MatrixLayout::ALL {
-            for strategy in strategies {
-                for spec in [
-                    Aprod2Spec::uniform(strategy),
-                    Aprod2Spec::streamed(strategy),
-                ] {
-                    let plan = LaunchPlan::new(tuning_2x4(), spec).with_matrix_layout(layout);
-                    let mut got1 = vec![0.0; sys.n_rows()];
-                    plan.aprod1(&pool, &sys, &x, &mut got1);
-                    for (g, w) in got1.iter().zip(&want1) {
-                        assert!((g - w).abs() < 1e-10, "aprod1 {layout:?}: {g} vs {w}");
-                    }
-                    let mut got2 = vec![0.0; sys.n_cols()];
-                    plan.aprod2(&pool, &sys, &y, &mut got2);
-                    for (g, w) in got2.iter().zip(&want2) {
-                        assert!(
-                            (g - w).abs() < 1e-10,
-                            "aprod2 {layout:?} {strategy:?} {spec:?}: {g} vs {w}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn layout_names_round_trip() {
-        for l in MatrixLayout::ALL {
-            assert_eq!(MatrixLayout::parse(l.as_str()), Some(l));
-        }
-        assert_eq!(MatrixLayout::parse("unrolled"), None);
-        // A plan built by `new` reads the row-major default.
-        let plan = LaunchPlan::new(tuning_2x4(), Aprod2Spec::uniform(Aprod2Strategy::Atomic));
-        assert_eq!(plan.matrix_layout, MatrixLayout::RowMajor);
     }
 }

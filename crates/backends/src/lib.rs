@@ -21,8 +21,7 @@
 //! | `rayon` | C++ PSTL (tuning-oblivious runtime) | star-chunk split + fold/reduce |
 //! | `streamed` | CUDA streams overlapping the four `aprod2` kernels | disjoint block sections on concurrent threads |
 //! | `hybrid` | the production composition: per-block strategy mix in streams | star-chunks + privatized attitude + owner-computes instrumental |
-//! | `ell` | the slot-major (ELL) value layout the tuner searches | as `chunked` |
-//! | `unrolled` / `blocked` | aliases of `chunked`, kept for the names of a deleted kernel-interior axis | as `chunked` |
+//! | `unrolled` / `blocked` / `ell` | aliases of `chunked`, kept for the names of a deleted kernel-interior axis and of the deleted slot-major (ELL) value layout | as `chunked` |
 //! | `tiled` | the out-of-core launch shape, one row tile at a time | as `chunked` |
 //! | `tuned` | the launch configuration pinned per platform after the §V-B search | whatever the persisted profile for the system's shape says |
 //!

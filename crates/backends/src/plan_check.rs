@@ -8,9 +8,9 @@
 //! under a sampled schedule; this module closes the gap statically. A plan
 //! is lowered to a symbolic **access model** — for every output section,
 //! the ranges each job writes, the ranges it reads (input vector, matrix
-//! rows or ELL mirror, other sections, wave-1 private buffers), and the
-//! synchronization discipline both run under — and [`check_sections`]
-//! proves the model sound:
+//! rows, other sections, wave-1 private buffers), and the synchronization
+//! discipline both run under — and [`check_sections`] proves the model
+//! sound:
 //!
 //! * [`WriteAccess::Owned`] write-sets must be pairwise disjoint **and**
 //!   exactly cover the section span the launch claims (a gap is as wrong
@@ -36,7 +36,7 @@
 use std::fmt;
 use std::ops::Range;
 
-use gaia_sparse::{MatrixLayout, SparseSystem};
+use gaia_sparse::SparseSystem;
 
 use crate::launch::{
     split_ranges, split_span, stream_worker_budget, Aprod2Strategy, LaunchPlan, Stream,
@@ -216,10 +216,6 @@ pub enum ReadSpace {
     /// Row-major matrix coefficient arrays, global row coordinates.
     /// Immutable for the launch's duration.
     MatrixRows,
-    /// The ELL mirror's slot-major arrays, global row coordinates. The
-    /// launcher materializes the mirror *before* queueing jobs precisely
-    /// so these reads never race its lazy construction.
-    EllMirror,
     /// An output section, section-local coordinates — the one space writes
     /// also land in, and therefore the only space the race check inspects.
     Section(SectionId),
@@ -233,7 +229,6 @@ impl fmt::Display for ReadSpace {
         match self {
             ReadSpace::Input => f.write_str("input"),
             ReadSpace::MatrixRows => f.write_str("matrix-rows"),
-            ReadSpace::EllMirror => f.write_str("ell-mirror"),
             ReadSpace::Section(id) => write!(f, "section:{id}"),
             ReadSpace::Privates(id) => write!(f, "privates:{id}"),
         }
@@ -639,11 +634,10 @@ fn read_write_compatible(sync: ReadSync, access: WriteAccess) -> bool {
 
 /// Prove no job reads a section location another job of the same wave
 /// writes without a pairing synchronization discipline. Only
-/// [`ReadSpace::Section`] reads can race: the input vector, matrix arrays,
-/// ELL mirror, and wave-1 privates are all immutable for the duration of
-/// the wave that reads them. At most one violation is reported per read
-/// access (the canary's 8 lanes would otherwise flood 56 copies of the
-/// same race).
+/// [`ReadSpace::Section`] reads can race: the input vector, matrix arrays
+/// and wave-1 privates are all immutable for the duration of the wave that
+/// reads them. At most one violation is reported per read access (the
+/// canary's 8 lanes would otherwise flood 56 copies of the same race).
 fn check_read_write_races(sections: &[SectionModel], violations: &mut Vec<PlanViolation>) {
     for (ai, a) in sections.iter().enumerate() {
         for (job, job_reads) in a.reads.iter().enumerate() {
@@ -678,17 +672,6 @@ fn check_read_write_races(sections: &[SectionModel], violations: &mut Vec<PlanVi
                 }
             }
         }
-    }
-}
-
-/// The matrix space a kernel reads under `plan`'s layout: the ELL mirror
-/// when the plan selects it, except for the single-column global kernels,
-/// which are row-major unconditionally.
-fn matrix_space(plan: &LaunchPlan, glob_kernel: bool) -> ReadSpace {
-    if plan.matrix_layout == MatrixLayout::Ell && !glob_kernel {
-        ReadSpace::EllMirror
-    } else {
-        ReadSpace::MatrixRows
     }
 }
 
@@ -740,7 +723,7 @@ fn lower_section(
                 .map(|own| {
                     vec![
                         ReadAccess::plain(ReadSpace::Input, rows.clone()),
-                        ReadAccess::plain(matrix_space(plan, false), rows.clone()),
+                        ReadAccess::plain(ReadSpace::MatrixRows, rows.clone()),
                         ReadAccess::plain(ReadSpace::Section(wave1), own.clone()),
                     ]
                 })
@@ -759,7 +742,7 @@ fn lower_section(
                 .map(|chunk| {
                     vec![
                         ReadAccess::plain(ReadSpace::Input, chunk.clone()),
-                        ReadAccess::plain(matrix_space(plan, glob_stream), chunk.clone()),
+                        ReadAccess::plain(ReadSpace::MatrixRows, chunk.clone()),
                         ReadAccess::atomic(ReadSpace::Section(wave1), 0..section_len),
                     ]
                 })
@@ -782,7 +765,7 @@ fn lower_section(
                 .map(|chunk| {
                     vec![
                         ReadAccess::plain(ReadSpace::Input, chunk.clone()),
-                        ReadAccess::plain(matrix_space(plan, glob_stream), chunk.clone()),
+                        ReadAccess::plain(ReadSpace::MatrixRows, chunk.clone()),
                     ]
                 })
                 .collect();
@@ -825,7 +808,7 @@ fn lower_section(
                 .map(|chunk| {
                     vec![
                         ReadAccess::plain(ReadSpace::Input, chunk.clone()),
-                        ReadAccess::plain(matrix_space(plan, false), chunk.clone()),
+                        ReadAccess::plain(ReadSpace::MatrixRows, chunk.clone()),
                         ReadAccess::locked(ReadSpace::Section(wave1), 0..section_len),
                     ]
                 })
@@ -879,7 +862,7 @@ pub fn write_model(plan: &LaunchPlan, dims: &PlanDims) -> Vec<SectionModel> {
         .map(|r| {
             vec![
                 ReadAccess::plain(ReadSpace::Input, 0..dims.n_cols()),
-                ReadAccess::plain(matrix_space(plan, false), r.clone()),
+                ReadAccess::plain(ReadSpace::MatrixRows, r.clone()),
                 ReadAccess::plain(ReadSpace::Section(SectionId::Aprod1), r.clone()),
             ]
         })
@@ -906,7 +889,7 @@ pub fn write_model(plan: &LaunchPlan, dims: &PlanDims) -> Vec<SectionModel> {
                 ..chunk.end * dims.n_obs_rows / n_stars.max(1);
             vec![
                 ReadAccess::plain(ReadSpace::Input, rows.clone()),
-                ReadAccess::plain(matrix_space(plan, false), rows),
+                ReadAccess::plain(ReadSpace::MatrixRows, rows),
                 ReadAccess::plain(
                     ReadSpace::Section(SectionId::Astro),
                     chunk.start * 5..chunk.end * 5,
@@ -1047,125 +1030,6 @@ mod tests {
                 p.analyze_canonical().unwrap_or_else(|e| {
                     panic!("{strategy:?} streamed={streamed} judged unsound:\n{e}")
                 });
-            }
-        }
-    }
-
-    /// Strip the layout-dependent half of a model: map ELL-mirror reads
-    /// back to their row-major twins (same rows, different value arrays).
-    fn normalize_layout(mut model: Vec<SectionModel>) -> Vec<SectionModel> {
-        for s in &mut model {
-            for reads in &mut s.reads {
-                for r in reads {
-                    if r.space == ReadSpace::EllMirror {
-                        r.space = ReadSpace::MatrixRows;
-                    }
-                }
-            }
-        }
-        model
-    }
-
-    /// The value layout changes the gather source, never access-sets: every
-    /// layout must lower to the same sound model as the row-major plan, up
-    /// to the matrix space the kernels gather from (`Ell` redirects those
-    /// reads to the mirror; identical rows either way).
-    #[test]
-    fn every_layout_is_sound_on_canonical_dims() {
-        use gaia_sparse::MatrixLayout;
-        for strategy in STRATEGIES {
-            for streamed in [false, true] {
-                let base = plan(strategy, streamed);
-                let row_major_model: Vec<_> = PlanDims::canonical()
-                    .iter()
-                    .map(|d| write_model(&base, d))
-                    .collect();
-                for layout in MatrixLayout::ALL {
-                    let p = base.with_matrix_layout(layout);
-                    p.analyze_canonical()
-                        .unwrap_or_else(|e| panic!("{layout:?} {strategy:?} judged unsound:\n{e}"));
-                    let model: Vec<_> = PlanDims::canonical()
-                        .iter()
-                        .map(|d| normalize_layout(write_model(&p, d)))
-                        .collect();
-                    assert_eq!(
-                        model, row_major_model,
-                        "{layout:?} changed the access model"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Under the ELL layout every kernel's matrix read comes from the
-    /// mirror, under every strategy — the atomic ones included, now that
-    /// their jobs run the plan's full kernel. Only the single-column global
-    /// kernels stay row-major.
-    #[test]
-    fn ell_layout_redirects_every_matrix_read_but_the_global_ones() {
-        use gaia_sparse::MatrixLayout;
-        let dims = &PlanDims::canonical()[0];
-        for strategy in STRATEGIES {
-            let p = plan(strategy, false).with_matrix_layout(MatrixLayout::Ell);
-            for s in write_model(&p, dims) {
-                let glob = matches!(s.id, SectionId::Glob | SectionId::GlobCombine);
-                for rd in s.reads.iter().flatten() {
-                    match rd.space {
-                        ReadSpace::EllMirror => {
-                            assert!(!glob, "[{}] global kernels are row-major", s.id)
-                        }
-                        ReadSpace::MatrixRows => {
-                            assert!(glob, "[{}] {strategy:?} read row-major under Ell", s.id)
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-    }
-
-    /// The model and the launcher agree for the atomic strategies under
-    /// ELL: the attitude and instrumental jobs are modelled as mirror
-    /// readers, the plan is sound on the canonical shapes, and what it
-    /// executes matches `seq`.
-    #[test]
-    fn atomic_strategies_read_the_mirror_under_ell_and_match_seq() {
-        use crate::{Backend, ExecutorPool, SeqBackend};
-        use gaia_sparse::{Generator, GeneratorConfig, MatrixLayout, SystemLayout};
-        let sys = Generator::new(GeneratorConfig::new(SystemLayout::small()).seed(5)).generate();
-        let y: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut want = vec![0.0; sys.n_cols()];
-        SeqBackend.aprod2(&sys, &y, &mut want);
-        let scale = want.iter().fold(1.0f64, |m, w| m.max(w.abs()));
-        for strategy in [Aprod2Strategy::Atomic, Aprod2Strategy::CasLoop] {
-            for threads in [1usize, 3, 8] {
-                let p =
-                    LaunchPlan::new(Tuning::with_threads(threads), Aprod2Spec::uniform(strategy))
-                        .with_matrix_layout(MatrixLayout::Ell);
-                p.analyze_canonical()
-                    .unwrap_or_else(|e| panic!("{strategy:?} t{threads} judged unsound:\n{e}"));
-                for s in write_model(&p, &PlanDims::for_system(&sys)) {
-                    if !matches!(s.id, SectionId::Att | SectionId::Instr) {
-                        continue;
-                    }
-                    assert_eq!(s.access, WriteAccess::Atomic);
-                    for reads in &s.reads {
-                        assert!(
-                            reads.iter().any(|r| r.space == ReadSpace::EllMirror),
-                            "[{}] {strategy:?} job does not read the mirror",
-                            s.id
-                        );
-                        assert!(reads.iter().all(|r| r.space != ReadSpace::MatrixRows));
-                    }
-                }
-                let mut got = vec![0.0; sys.n_cols()];
-                p.aprod2(&ExecutorPool::new(threads), &sys, &y, &mut got);
-                for (g, w) in got.iter().zip(&want) {
-                    assert!(
-                        (g - w).abs() <= 1e-12 * scale,
-                        "{strategy:?} t{threads}: {g} vs {w}"
-                    );
-                }
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Persisted launch profiles — the `gaia-tune-profile/v2` schema.
+//! Persisted launch profiles — the `gaia-tune-profile/v3` schema.
 //!
 //! The paper's §V-B tuning study ("up to 40 % reduction in iteration
 //! time") is a *search* over launch configurations followed by pinning the
@@ -17,22 +17,24 @@
 //! is ever handed to a backend — an unsound profile on disk must never
 //! become a racing launch.
 //!
-//! v2 dropped v1's `variant` field (the kernel interior axis is gone; a
-//! plan's kernels follow its `matrix_layout` alone). A v1 file is refused
-//! with [`ProfileError::Schema`], never read silently: re-run the tuner.
+//! v2 dropped v1's `variant` field (the kernel interior axis is gone), and
+//! v3 dropped v2's value-layout field (the ELL layout is gone: with the
+//! tuner scoring a whole Golub–Kahan pass, no preset picked it). An older
+//! file is refused with [`ProfileError::Schema`], never read silently:
+//! re-run the tuner.
 
 use std::fmt;
 use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 
-use gaia_sparse::{MatrixLayout, SystemLayout};
+use gaia_sparse::SystemLayout;
 
 use crate::launch::{Aprod2Spec, Aprod2Strategy, LaunchPlan, WorkerBudget};
 use crate::tuning::Tuning;
 
 /// Schema tag stamped into every profile artifact.
-pub const PROFILE_SCHEMA: &str = "gaia-tune-profile/v2";
+pub const PROFILE_SCHEMA: &str = "gaia-tune-profile/v3";
 
 /// Environment variable overriding the profile directory (mirrors
 /// `GAIA_RESULTS_DIR` for bench artifacts).
@@ -103,12 +105,11 @@ pub struct LaunchProfile {
     pub glob: String,
     /// Worker budget (`uniform`/`streamed`).
     pub budget: String,
-    /// Value layout (`row-major`/`ell`).
-    pub matrix_layout: String,
-    /// Median per-iteration seconds of the winning configuration.
+    /// Median seconds of one Golub–Kahan pass under the winning
+    /// configuration.
     #[serde(default)]
     pub tuned_median_s: f64,
-    /// Median per-iteration seconds of the default (row-major chunked)
+    /// Median seconds of one pass under the default (`chunked`)
     /// configuration on the same layout, same run.
     #[serde(default)]
     pub baseline_median_s: f64,
@@ -170,7 +171,6 @@ impl LaunchProfile {
             instr: strategy_name(plan.spec.instr),
             glob: strategy_name(plan.spec.glob),
             budget: budget_name(plan.spec.budget).to_string(),
-            matrix_layout: plan.matrix_layout.as_str().to_string(),
             tuned_median_s: 0.0,
             baseline_median_s: 0.0,
             improvement: 0.0,
@@ -193,8 +193,6 @@ impl LaunchProfile {
         let instr = parse_strategy(&self.instr).ok_or_else(|| field("instr", &self.instr))?;
         let glob = parse_strategy(&self.glob).ok_or_else(|| field("glob", &self.glob))?;
         let budget = parse_budget(&self.budget).ok_or_else(|| field("budget", &self.budget))?;
-        let matrix_layout = MatrixLayout::parse(&self.matrix_layout)
-            .ok_or_else(|| field("matrix_layout", &self.matrix_layout))?;
         if self.threads == 0 {
             return Err(field("threads", "0"));
         }
@@ -212,8 +210,7 @@ impl LaunchProfile {
                 glob,
                 budget,
             },
-        )
-        .with_matrix_layout(matrix_layout);
+        );
         plan.analyze_canonical()
             .map_err(|e| ProfileError::Unsound(e.to_string()))?;
         Ok(plan)
@@ -310,7 +307,6 @@ mod tests {
                 budget: WorkerBudget::Streamed,
             },
         )
-        .with_matrix_layout(MatrixLayout::Ell)
     }
 
     #[test]
@@ -372,16 +368,6 @@ mod tests {
         );
 
         let mut p = LaunchProfile::from_plan("tiny", SystemLayout::tiny(), &plan);
-        p.matrix_layout = "blocked".into();
-        assert!(matches!(
-            p.to_plan(),
-            Err(ProfileError::Field {
-                field: "matrix_layout",
-                ..
-            })
-        ));
-
-        let mut p = LaunchProfile::from_plan("tiny", SystemLayout::tiny(), &plan);
         p.threads = 0;
         assert!(matches!(
             p.to_plan(),
@@ -392,31 +378,51 @@ mod tests {
         ));
     }
 
+    /// Write the current profile stamped with an older schema `version`,
+    /// with `extra` spliced in before `tuned_median_s`, and load it back.
+    fn load_older(version: &str, extra: &str) -> ProfileError {
+        let dir = std::env::temp_dir().join(format!(
+            "gaia-tune-profile-{version}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let current = LaunchProfile::from_plan("tiny", SystemLayout::tiny(), &sample_plan());
+        let old = serde_json::to_string_pretty(&current)
+            .unwrap()
+            .replace(PROFILE_SCHEMA, &format!("gaia-tune-profile/{version}"))
+            .replace("\"tuned_median_s\"", &format!("{extra} \"tuned_median_s\""));
+        let path = dir.join("tiny.json");
+        std::fs::write(&path, old).unwrap();
+        let err = load_profile_file(&path).unwrap_err();
+        let _ = std::fs::remove_dir_all(&dir);
+        err
+    }
+
     /// A v1 file (which still carries the dropped `variant` field) is
     /// refused by schema, and the message names both versions.
     #[test]
     fn v1_profile_file_is_refused_by_schema() {
-        let dir = std::env::temp_dir().join(format!("gaia-tune-profile-v1-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let v2 = LaunchProfile::from_plan("tiny", SystemLayout::tiny(), &sample_plan());
-        let v1 = serde_json::to_string_pretty(&v2)
-            .unwrap()
-            .replace(PROFILE_SCHEMA, "gaia-tune-profile/v1")
-            .replace(
-                "\"matrix_layout\"",
-                "\"variant\": \"blocked\", \"matrix_layout\"",
-            );
-        let path = dir.join("tiny.json");
-        std::fs::write(&path, v1).unwrap();
-
-        let err = load_profile_file(&path).unwrap_err();
+        let err = load_older("v1", "\"variant\": \"blocked\",");
         assert!(matches!(err, ProfileError::Schema(_)), "{err:?}");
         let msg = err.to_string();
         assert!(msg.contains("gaia-tune-profile/v1"), "{msg}");
-        assert!(msg.contains("gaia-tune-profile/v2"), "{msg}");
+        assert!(msg.contains(PROFILE_SCHEMA), "{msg}");
+    }
 
-        let _ = std::fs::remove_dir_all(&dir);
+    /// A v2 file is refused by its schema tag alone: every other field of
+    /// this one is a valid v3 field, and lowers to a sound plan once the
+    /// tag is current. Whether it still carries v2's value-layout field is
+    /// no matter, since unknown fields are ignored.
+    #[test]
+    fn v2_profile_file_is_refused_by_schema() {
+        let err = load_older("v2", "");
+        assert!(matches!(err, ProfileError::Schema(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(msg.contains("gaia-tune-profile/v2"), "{msg}");
+        assert!(msg.contains("gaia-tune-profile/v3"), "{msg}");
+        let current = LaunchProfile::from_plan("tiny", SystemLayout::tiny(), &sample_plan());
+        assert_eq!(current.to_plan(), Ok(sample_plan()));
     }
 
     #[test]

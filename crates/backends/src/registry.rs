@@ -8,8 +8,6 @@
 
 use std::sync::LazyLock;
 
-use gaia_sparse::MatrixLayout;
-
 use crate::instrumented::InstrumentedBackend;
 use crate::launch::{Aprod2Spec, Aprod2Strategy, LaunchPlan};
 use crate::traits::Backend;
@@ -61,7 +59,7 @@ static TABLE: [Row; 14] = [
     // block and rescans the rows — no atomics, no locks.
     Row {
         name: "chunked",
-        description: "pooled workers, owner-computes columns (OpenMP-teams analogue)",
+        description: "pooled workers, owner-computes columns (OpenMP-teams analogue); at T >= 2 every column job rescans all attitude and instrumental rows, and it measured slower than seq",
         build: Build::Plan(owner_computes),
     },
     // CUDA/HIP `atomicAdd`: each job combines its rows privately (a CPU has
@@ -71,7 +69,7 @@ static TABLE: [Row; 14] = [
     Row {
         name: "atomic",
         description:
-            "row-parallel, job-combined atomic f64 RMW adds into the shared sections (CUDA/HIP analogue)",
+            "row-parallel, job-combined atomic f64 RMW adds into the shared sections (CUDA/HIP analogue); every job zeroes and publishes its own copy of the shared sections, so a fine -c costs: at T = 2, -c64 measured 12-16 % and -c1024 3-6x slower than -c1",
         build: Build::Plan(|t| uniform(t, Aprod2Strategy::Atomic)),
     },
     // The CAS loop some compilers emit instead of an RMW (§V-B, MI250X):
@@ -118,7 +116,7 @@ static TABLE: [Row; 14] = [
     // global (small, irregular) — overlapped in streams.
     Row {
         name: "hybrid",
-        description: "per-block strategy mix: star-chunks + privatized attitude + owner-computes instrumental, overlapped",
+        description: "per-block strategy mix: star-chunks + privatized attitude + owner-computes instrumental, overlapped; at T >= 2 every instrumental column job rescans all observation rows",
         build: Build::Plan(|t| {
             let spec = Aprod2Spec {
                 att: Aprod2Strategy::Replicated,
@@ -127,8 +125,8 @@ static TABLE: [Row; 14] = [
             LaunchPlan::new(t, spec)
         }),
     },
-    // Names of the deleted kernel-interior axis, kept so reports and
-    // scripts that name them still resolve: both run `chunked`'s plan.
+    // Names of deleted axes, kept so reports and scripts that name them
+    // still resolve: all three run `chunked`'s plan.
     Row {
         name: "unrolled",
         description: "alias of chunked, kept for the name: its unrolled interiors were deleted because the tuner found the value layout, not the loop shape, sets the time",
@@ -139,17 +137,15 @@ static TABLE: [Row; 14] = [
         description: "alias of chunked, kept for the name: its cache-blocked attitude interior was deleted because the tuner found the value layout, not the loop shape, sets the time",
         build: Build::Plan(owner_computes),
     },
-    // The value-layout axis the auto-tuner searches: `chunked`'s
-    // write-sets over the slot-major gather source.
     Row {
         name: "ell",
-        description: "owner-computes columns over the slot-major ELL value layout",
-        build: Build::Plan(|t| owner_computes(t).with_matrix_layout(MatrixLayout::Ell)),
+        description: "alias of chunked, kept for the name: its slot-major ELL value layout was deleted because, once the tuner scored a whole Golub-Kahan pass, no preset picked it and every ELL plan lost to its row-major twin",
+        build: Build::Plan(owner_computes),
     },
     Row {
         name: "tiled",
         description:
-            "star-aligned row tiles through owner-computes interiors (out-of-core launch shape)",
+            "star-aligned row tiles through owner-computes interiors (out-of-core launch shape); at T >= 2 every column job rescans its tile's attitude and instrumental rows",
         build: Build::Tiled(owner_computes),
     },
     Row {
@@ -402,9 +398,9 @@ mod tests {
     }
 
     /// What a row's plan says it differs in is what it differs in: the
-    /// stripe count scales with the threads, `unrolled` and `blocked` are
-    /// `chunked` under another name, `ell` differs from `chunked` in its
-    /// layout alone, and only `tuned` has no fixed plan.
+    /// stripe count scales with the threads, `unrolled`, `blocked` and
+    /// `ell` are `chunked` under another name, and only `tuned` has no
+    /// fixed plan.
     #[test]
     fn rows_carry_their_axis_in_the_plan() {
         let plan = |name: &str| fixed_plan(name, 2).unwrap_or_else(|| panic!("{name}"));
@@ -412,9 +408,7 @@ mod tests {
             let chunked = fixed_plan("chunked", t).unwrap();
             assert_eq!(fixed_plan("unrolled", t), Some(chunked), "t={t}");
             assert_eq!(fixed_plan("blocked", t), Some(chunked), "t={t}");
-            let ell = fixed_plan("ell", t).unwrap();
-            assert_eq!(ell.matrix_layout, MatrixLayout::Ell);
-            assert_eq!(ell.with_matrix_layout(chunked.matrix_layout), chunked);
+            assert_eq!(fixed_plan("ell", t), Some(chunked), "t={t}");
         }
         assert_eq!(
             plan("striped-t3").spec.att,
@@ -435,7 +429,7 @@ mod tests {
 
     /// Every plan-driven backend the registry hands out must carry a plan
     /// the static checker accepts — and every policy struct except seq /
-    /// rayon is plan-driven (including the layout and alias names and the
+    /// rayon is plan-driven (including the alias names and the
     /// profile-driven `tuned` backend, whose default plan is checked here
     /// and whose per-shape profile plans are checked at load time).
     #[test]

@@ -31,7 +31,7 @@
 //! | `chaos` | fault level × recovery policy sweep |
 //! | `overload` | tenant count × fault × deadline sweep of the solve service |
 //! | `capacity` | out-of-core solves under bounded tile memory |
-//! | `tune` | launch-profile auto-tuner (`gaia-tune-profile/v2`) |
+//! | `tune` | launch-profile auto-tuner (`gaia-tune-profile/v3`) |
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 

@@ -1,6 +1,6 @@
 //! The launch-profile auto-tuner: coordinate descent over the
 //! [`gaia_backends::LaunchPlan`] axis set per layout, persisting each
-//! winner as a `gaia-tune-profile/v2` JSON the `tuned` backend loads.
+//! winner as a `gaia-tune-profile/v3` JSON the `tuned` backend loads.
 //!
 //! ```text
 //! cargo run --release -p gaia-bench -- tune                 # tune tiny,small,medium
@@ -117,18 +117,17 @@ pub fn run(mut args: Flags) {
         let p = &outcome.profile;
         println!(
             "tune: {layout}: {} configs explored ({} unsound skipped), \
-             winner att={} instr={} glob={} budget={} layout={} c={}",
+             winner att={} instr={} glob={} budget={} c={}",
             outcome.telemetry.configs_explored,
             outcome.skipped_unsound,
             p.att,
             p.instr,
             p.glob,
             p.budget,
-            p.matrix_layout,
             p.chunks_per_thread,
         );
         println!(
-            "tune: {layout}: baseline {:.3} ms/iter -> tuned {:.3} ms/iter \
+            "tune: {layout}: baseline {:.3} ms/pass -> tuned {:.3} ms/pass \
              ({:+.1} % improvement, {})",
             p.baseline_median_s * 1e3,
             p.tuned_median_s * 1e3,

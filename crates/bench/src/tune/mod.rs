@@ -5,27 +5,34 @@
 //! the CUDA launch configuration per kernel and platform. The CPU mirror
 //! of that search space is the [`LaunchPlan`] axis set: the per-block
 //! conflict strategy (`att`/`instr`/`glob`), the worker budget
-//! (uniform/streamed), the value layout (row-major/ELL), and the chunk
-//! granularity. [`tune_layout`] runs deterministic coordinate
-//! descent over those axes — measure every candidate value of one axis
-//! with the others held at the incumbent, adopt the best, move to the
-//! next axis, repeat until a full pass improves nothing — and returns the
-//! winner as a persistable [`LaunchProfile`].
+//! (uniform/streamed) and the chunk granularity. A candidate is scored by
+//! what a solve runs: one Golub–Kahan pass, [`LaunchPlan::gk_products`],
+//! in one launch or two as the plan allows. [`tune_layout`] first measures
+//! the fixed plan of every plan-driven registry name and takes the fastest
+//! as the incumbent, then runs deterministic coordinate descent over the
+//! axes — measure every candidate value of one axis with the others held
+//! at the incumbent, adopt the best, move to the next axis, repeat until a
+//! full pass improves nothing — and returns the winner as a persistable
+//! [`LaunchProfile`]. Starting from the registry means `tuned` never loses
+//! to a fixed name because of the path the descent took: a one-launch
+//! plan needs all three shared sections atomic at once, which one axis
+//! move at a time from owner-computes does not reach.
 //!
 //! Every candidate plan is proven sound by the static checker
 //! ([`LaunchPlan::analyze_canonical`]) *before* it is timed; an unsound
 //! combination is skipped, never measured, never pinned. Each candidate
 //! is timed as the median of K repeats on one system generated from a
-//! fixed seed.
+//! fixed seed, on the tuner's own pool.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
+use gaia_backends::profile::{budget_name, strategy_name};
+use gaia_backends::registry::fixed_plan;
 use gaia_backends::{
-    Aprod2Spec, Aprod2Strategy, ExecutorPool, LaunchPlan, LaunchProfile, Tuning, WorkerBudget,
+    backend_names, Aprod2Strategy, ExecutorPool, LaunchPlan, LaunchProfile, WorkerBudget,
 };
-use gaia_sparse::{Generator, GeneratorConfig, MatrixLayout, SparseSystem, SystemLayout};
+use gaia_sparse::{Generator, GeneratorConfig, SparseSystem, SystemLayout};
 use gaia_telemetry::TuneCell;
 
 use crate::stats::Summary;
@@ -40,6 +47,10 @@ const ADOPT_MARGIN: f64 = 0.005;
 /// Maximum coordinate-descent passes over the axis set.
 const MAX_PASSES: usize = 3;
 
+/// The registry name whose plan is the baseline a profile's
+/// `improvement` is measured against.
+const BASELINE: &str = "chunked";
+
 /// What to tune and how hard.
 #[derive(Debug, Clone)]
 pub struct TuneSpec {
@@ -53,7 +64,7 @@ pub struct TuneSpec {
     pub smoke: bool,
 }
 
-/// Warmup and per-repeat iteration counts for a layout. Smoke mode trims
+/// Warmup and per-repeat pass counts for a layout. Smoke mode trims
 /// iterations, never repeats: K is what the median rests on.
 fn iterations_for(layout: &str, smoke: bool) -> (usize, usize) {
     let (warmup, iters) = match layout {
@@ -73,7 +84,7 @@ fn iterations_for(layout: &str, smoke: bool) -> (usize, usize) {
 pub struct Explored {
     /// Human-readable configuration label.
     pub config: String,
-    /// Median-of-K summary of mean per-iteration seconds.
+    /// Median-of-K summary of mean seconds per pass.
     pub summary: Summary,
 }
 
@@ -90,66 +101,37 @@ pub struct TuneOutcome {
     pub skipped_unsound: u64,
 }
 
-/// One point of the search space, independent of the thread budget.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Config {
-    att: Aprod2Strategy,
-    instr: Aprod2Strategy,
-    glob: Aprod2Strategy,
-    budget: WorkerBudget,
-    matrix_layout: MatrixLayout,
-    chunks_per_thread: usize,
+/// The stable label of a candidate: its strategies, budget and chunk
+/// count (the thread budget is the same for every candidate of a run).
+fn label(plan: &LaunchPlan) -> String {
+    let s = plan.spec;
+    format!(
+        "att={} instr={} glob={} budget={} c={}",
+        strategy_name(s.att),
+        strategy_name(s.instr),
+        strategy_name(s.glob),
+        budget_name(s.budget),
+        plan.tuning.chunks_per_thread,
+    )
 }
 
-impl Config {
-    fn default_plan() -> Config {
-        Config {
-            att: Aprod2Strategy::OwnerComputes,
-            instr: Aprod2Strategy::OwnerComputes,
-            glob: Aprod2Strategy::OwnerComputes,
-            budget: WorkerBudget::Uniform,
-            matrix_layout: MatrixLayout::RowMajor,
-            chunks_per_thread: 1,
-        }
-    }
-
-    fn to_plan(self, threads: usize) -> LaunchPlan {
-        LaunchPlan::new(
-            Tuning {
-                threads,
-                chunks_per_thread: self.chunks_per_thread,
-            },
-            Aprod2Spec {
-                att: self.att,
-                instr: self.instr,
-                glob: self.glob,
-                budget: self.budget,
-            },
-        )
-        .with_matrix_layout(self.matrix_layout)
-    }
-
-    fn label(&self) -> String {
-        format!(
-            "att={} instr={} glob={} budget={} layout={} c={}",
-            gaia_backends::profile::strategy_name(self.att),
-            gaia_backends::profile::strategy_name(self.instr),
-            gaia_backends::profile::strategy_name(self.glob),
-            gaia_backends::profile::budget_name(self.budget),
-            self.matrix_layout.as_str(),
-            self.chunks_per_thread,
-        )
-    }
+/// `plan` with one axis moved.
+fn with(mut plan: LaunchPlan, change: impl FnOnce(&mut LaunchPlan)) -> LaunchPlan {
+    change(&mut plan);
+    plan
 }
 
 /// The candidate values per axis. Smoke mode trims the strategy axes to
-/// the cheap representatives but keeps the full layout axis.
+/// the cheap representatives. The attitude and instrumental axes never
+/// propose owner-computes: at T ≥ 2 each of its column jobs rescans every
+/// row of the section, and it measured slower than `seq` (EXPERIMENTS.md,
+/// "Tune the pass; delete ELL"). The registry's fixed plans still put it
+/// in the first round.
 struct Axes {
     att: Vec<Aprod2Strategy>,
     instr: Vec<Aprod2Strategy>,
     glob: Vec<Aprod2Strategy>,
     budget: Vec<WorkerBudget>,
-    matrix_layout: Vec<MatrixLayout>,
     chunks_per_thread: Vec<usize>,
 }
 
@@ -157,31 +139,28 @@ impl Axes {
     fn new(smoke: bool) -> Axes {
         if smoke {
             Axes {
-                att: vec![Aprod2Strategy::OwnerComputes, Aprod2Strategy::Atomic],
-                instr: vec![Aprod2Strategy::OwnerComputes],
-                glob: vec![Aprod2Strategy::OwnerComputes],
+                att: vec![Aprod2Strategy::Atomic],
+                instr: vec![Aprod2Strategy::Atomic],
+                glob: vec![Aprod2Strategy::OwnerComputes, Aprod2Strategy::Atomic],
                 budget: vec![WorkerBudget::Uniform],
-                matrix_layout: MatrixLayout::ALL.to_vec(),
                 chunks_per_thread: vec![1, 2],
             }
         } else {
-            let all = vec![
-                Aprod2Strategy::OwnerComputes,
+            let shared = vec![
                 Aprod2Strategy::Atomic,
                 Aprod2Strategy::CasLoop,
                 Aprod2Strategy::Replicated,
                 Aprod2Strategy::LockStriped { stripes: 16 },
             ];
             Axes {
-                att: all.clone(),
-                instr: all,
+                att: shared.clone(),
+                instr: shared,
                 glob: vec![
                     Aprod2Strategy::OwnerComputes,
                     Aprod2Strategy::Atomic,
                     Aprod2Strategy::Replicated,
                 ],
                 budget: vec![WorkerBudget::Uniform, WorkerBudget::Streamed],
-                matrix_layout: MatrixLayout::ALL.to_vec(),
                 chunks_per_thread: vec![1, 2, 4, 8],
             }
         }
@@ -189,12 +168,11 @@ impl Axes {
 }
 
 /// Clock-touching half of the search: measures candidate plans against
-/// one generated system, caching by configuration label so coordinate
+/// one generated system on its own pool, caching by label so coordinate
 /// descent never re-times a point it already visited.
 struct Search<'a> {
     sys: &'a SparseSystem,
-    pool: Arc<ExecutorPool>,
-    threads: usize,
+    pool: ExecutorPool,
     warmup: usize,
     iters: usize,
     repeats: usize,
@@ -204,35 +182,47 @@ struct Search<'a> {
     skipped_unsound: u64,
 }
 
-impl Search<'_> {
-    /// Mean seconds of one combined `aprod1`+`aprod2` iteration over
-    /// `iters` iterations.
+impl<'a> Search<'a> {
+    fn new(sys: &'a SparseSystem, pool: ExecutorPool, spec: &TuneSpec) -> Self {
+        let (warmup, iters) = iterations_for(&spec.layout, spec.smoke);
+        Search {
+            sys,
+            pool,
+            warmup,
+            iters,
+            repeats: spec.repeats,
+            cache: HashMap::new(),
+            explored: Vec::new(),
+            telemetry: TuneCell::default(),
+            skipped_unsound: 0,
+        }
+    }
+
+    /// Mean seconds of one Golub–Kahan pass — `u ← A x − α u`, then
+    /// `out += Aᵀu` — over `iters` passes, exactly as a solve calls it.
     fn time_once(&self, plan: &LaunchPlan, iters: usize) -> f64 {
         let sys = self.sys;
         let x: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.13).sin()).collect();
-        let y: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.17).cos()).collect();
-        let mut out1 = vec![0.0; sys.n_rows()];
-        let mut out2 = vec![0.0; sys.n_cols()];
+        let mut u: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.17).cos()).collect();
+        let mut out = vec![0.0; sys.n_cols()];
         // gaia-analyze: allow(timing): candidate wall clock *is* the
         // tuner's selection criterion.
         let t = Instant::now();
         for _ in 0..iters {
-            plan.aprod1(&self.pool, sys, &x, &mut out1);
-            plan.aprod2(&self.pool, sys, &y, &mut out2);
+            plan.gk_products(&self.pool, sys, &x, 0.5, &mut u, &mut out);
         }
         let elapsed = t.elapsed().as_secs_f64();
-        assert!(out1.iter().chain(out2.iter()).all(|v| v.is_finite()));
+        assert!(u.iter().chain(out.iter()).all(|v| v.is_finite()));
         elapsed / iters.max(1) as f64
     }
 
-    /// Median-of-K seconds for a configuration, or `None` when the static
-    /// checker rejects the plan (skipped, never timed). Cached by label.
-    fn median(&mut self, cfg: Config) -> Option<f64> {
-        let label = cfg.label();
+    /// Median-of-K seconds for a plan, or `None` when the static checker
+    /// rejects it (skipped, never timed). Cached by label.
+    fn median(&mut self, plan: LaunchPlan) -> Option<f64> {
+        let label = label(&plan);
         if let Some(&m) = self.cache.get(&label) {
             return Some(m);
         }
-        let plan = cfg.to_plan(self.threads);
         if plan.analyze_canonical().is_err() {
             self.skipped_unsound += 1;
             return None;
@@ -258,7 +248,7 @@ impl Search<'_> {
 
     /// Measure `candidate`; adopt it as the incumbent when it improves
     /// the incumbent median by more than the noise margin.
-    fn consider(&mut self, candidate: Config, best: &mut Config, best_m: &mut f64) -> bool {
+    fn consider(&mut self, candidate: LaunchPlan, best: &mut LaunchPlan, best_m: &mut f64) -> bool {
         if candidate == *best {
             return false;
         }
@@ -273,10 +263,11 @@ impl Search<'_> {
     }
 }
 
-/// Tune one layout: coordinate descent from the default plan, returning
-/// the winning profile with `tuned_median_s` / `baseline_median_s` /
-/// `improvement` filled in. Errors are user input (unknown layout name)
-/// or a default plan that failed to measure — both render as one line.
+/// Tune one layout: the fastest registry plan, then coordinate descent
+/// from it, returning the winning profile with `tuned_median_s` /
+/// `baseline_median_s` (the `chunked` plan's) / `improvement` filled in.
+/// Errors are user input (unknown layout name) or a baseline plan that
+/// failed to measure — both render as one line.
 pub fn tune_layout(spec: &TuneSpec) -> Result<TuneOutcome, String> {
     let Some(layout) = SystemLayout::preset(&spec.layout) else {
         return Err(format!(
@@ -288,67 +279,44 @@ pub fn tune_layout(spec: &TuneSpec) -> Result<TuneOutcome, String> {
         return Err("threads and repeats must be positive".to_string());
     }
     let sys = Generator::new(GeneratorConfig::new(layout).seed(TUNE_SEED)).generate();
-    let (warmup, iters) = iterations_for(&spec.layout, spec.smoke);
     let axes = Axes::new(spec.smoke);
-    let mut search = Search {
-        sys: &sys,
-        pool: ExecutorPool::shared(spec.threads),
-        threads: spec.threads,
-        warmup,
-        iters,
-        repeats: spec.repeats,
-        cache: HashMap::new(),
-        explored: Vec::new(),
-        telemetry: TuneCell::default(),
-        skipped_unsound: 0,
-    };
+    let mut search = Search::new(&sys, ExecutorPool::new(spec.threads), spec);
 
-    let mut best = Config::default_plan();
-    let Some(baseline_m) = search.median(best) else {
-        return Err("the default plan failed the static checker (registry bug)".to_string());
+    let measured = fixed_plan(BASELINE, spec.threads).and_then(|p| Some((p, search.median(p)?)));
+    let Some((baseline, baseline_m)) = measured else {
+        return Err("the baseline plan failed the static checker (registry bug)".to_string());
     };
-    let mut best_m = baseline_m;
+    let (mut best, mut best_m) = (baseline, baseline_m);
+    for name in backend_names() {
+        if let Some(plan) = fixed_plan(name, spec.threads) {
+            search.consider(plan, &mut best, &mut best_m);
+        }
+    }
 
     for _pass in 0..MAX_PASSES {
         let mut improved = false;
-        for &ml in &axes.matrix_layout {
-            improved |= search.consider(
-                Config {
-                    matrix_layout: ml,
-                    ..best
-                },
-                &mut best,
-                &mut best_m,
-            );
-        }
         for &s in &axes.att {
-            improved |= search.consider(Config { att: s, ..best }, &mut best, &mut best_m);
+            improved |= search.consider(with(best, |p| p.spec.att = s), &mut best, &mut best_m);
         }
         for &s in &axes.instr {
-            improved |= search.consider(Config { instr: s, ..best }, &mut best, &mut best_m);
+            improved |= search.consider(with(best, |p| p.spec.instr = s), &mut best, &mut best_m);
         }
         for &s in &axes.glob {
-            improved |= search.consider(Config { glob: s, ..best }, &mut best, &mut best_m);
+            improved |= search.consider(with(best, |p| p.spec.glob = s), &mut best, &mut best_m);
         }
         for &b in &axes.budget {
-            improved |= search.consider(Config { budget: b, ..best }, &mut best, &mut best_m);
+            improved |= search.consider(with(best, |p| p.spec.budget = b), &mut best, &mut best_m);
         }
         for &c in &axes.chunks_per_thread {
-            improved |= search.consider(
-                Config {
-                    chunks_per_thread: c,
-                    ..best
-                },
-                &mut best,
-                &mut best_m,
-            );
+            let candidate = with(best, |p| p.tuning.chunks_per_thread = c);
+            improved |= search.consider(candidate, &mut best, &mut best_m);
         }
         if !improved {
             break;
         }
     }
 
-    let mut profile = LaunchProfile::from_plan(&spec.layout, layout, &best.to_plan(spec.threads));
+    let mut profile = LaunchProfile::from_plan(&spec.layout, layout, &best);
     profile.tuned_median_s = best_m;
     profile.baseline_median_s = baseline_m;
     profile.improvement = if baseline_m > 0.0 {
@@ -409,16 +377,37 @@ mod tests {
     fn config_labels_are_unique_across_the_smoke_axes() {
         let axes = Axes::new(true);
         let mut labels = std::collections::HashSet::new();
-        let base = Config::default_plan();
-        for &ml in &axes.matrix_layout {
+        let base = fixed_plan(BASELINE, 2).unwrap();
+        for &g in &axes.glob {
             for &c in &axes.chunks_per_thread {
-                let cfg = Config {
-                    matrix_layout: ml,
-                    chunks_per_thread: c,
-                    ..base
-                };
-                assert!(labels.insert(cfg.label()), "{}", cfg.label());
+                let cfg = with(base, |p| {
+                    p.spec.glob = g;
+                    p.tuning.chunks_per_thread = c;
+                });
+                assert!(labels.insert(label(&cfg)), "{}", label(&cfg));
             }
+        }
+    }
+
+    /// A timed iteration is one pass as a solve runs it: one pool launch
+    /// for a uniform `Atomic` plan, two (`aprod1`, then `aprod2`) for an
+    /// owner-computes one.
+    #[test]
+    fn a_timed_iteration_is_one_pass_in_one_launch_or_two() {
+        let spec = TuneSpec {
+            layout: "tiny".into(),
+            threads: 2,
+            repeats: 1,
+            smoke: true,
+        };
+        let sys =
+            Generator::new(GeneratorConfig::new(SystemLayout::tiny()).seed(TUNE_SEED)).generate();
+        let search = Search::new(&sys, ExecutorPool::new(2), &spec);
+        for (name, launches) in [("atomic", 1), ("chunked", 2)] {
+            let plan = fixed_plan(name, 2).unwrap();
+            let before = search.pool.launch_count();
+            search.time_once(&plan, 5);
+            assert_eq!(search.pool.launch_count() - before, 5 * launches, "{name}");
         }
     }
 }

@@ -21,7 +21,7 @@
 //! * **Resident bytes** ([`resident_bytes`], [`RESIDENT_BYTES_PER_OBS_ROW`],
 //!   228 B a row) are what a [`crate::SparseSystem`] here actually holds:
 //!   no `matrixIndexAstro` (a row's astrometric start is derived from its
-//!   star) and `u32` attitude offsets. Budgets and mirrors charge these.
+//!   star) and `u32` attitude offsets. Tile budgets charge these.
 
 use crate::layout::{BlockKind, SystemLayout};
 use crate::{INSTR_PARAMS_PER_ROW, NNZ_PER_ROW};
@@ -147,30 +147,6 @@ pub fn aprod_flops(layout: &SystemLayout, kind: BlockKind) -> u64 {
     2 * layout.nnz(kind)
 }
 
-/// Bytes held by the ELL (slot-major) mirror of a system
-/// ([`crate::ell::EllSystem`]).
-///
-/// The mirror stores exactly the resident arrays — every block's values,
-/// the attitude offsets, the instrument columns, and the known terms —
-/// transposed but not compressed, so its size equals
-/// [`resident_bytes`]. Kept as its own function so the equality is a
-/// documented invariant, not a coincidence.
-pub fn ell_mirror_bytes(layout: &SystemLayout) -> u64 {
-    resident_bytes(layout)
-}
-
-/// Total matrix bytes resident when a backend runs with the given value
-/// layout. The ELL mirror is a *cache alongside* the row-major arrays
-/// (kernels that need row-major views — and the round-trip guarantee —
-/// keep the originals), so selecting [`crate::ell::MatrixLayout::Ell`]
-/// doubles the matrix residency rather than replacing it.
-pub fn resident_matrix_bytes(layout: &SystemLayout, value_layout: crate::ell::MatrixLayout) -> u64 {
-    match value_layout {
-        crate::ell::MatrixLayout::RowMajor => resident_bytes(layout),
-        crate::ell::MatrixLayout::Ell => resident_bytes(layout) + ell_mirror_bytes(layout),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,13 +208,11 @@ mod tests {
     }
 
     #[test]
-    fn ell_mirror_matches_its_materialized_size() {
-        use crate::ell::{EllSystem, MatrixLayout};
+    fn resident_bytes_match_the_materialized_arrays() {
         use crate::generator::{Generator, GeneratorConfig};
         let l = SystemLayout::tiny();
         let sys = Generator::new(GeneratorConfig::new(l).seed(7)).generate();
-        let ell = EllSystem::from_system(&sys);
-        // Count what the mirror actually holds, independent of the
+        // Count what the system actually holds, independent of the
         // accounting formula: 5+12+6(+glob) values, 6 u32 columns, one u32
         // attitude offset per row, and the known terms.
         let counted = (sys.values_astro().len()
@@ -249,26 +223,14 @@ mod tests {
             * VALUE_BYTES
             + sys.matrix_index_att().len() as u64 * ATT_OFFSET_BYTES
             + sys.instr_col().len() as u64 * INSTR_COL_BYTES;
-        assert_eq!(ell_mirror_bytes(&l), counted);
-        assert_eq!(ell.resident_bytes(), counted);
-        // The transpose is size-preserving: mirror == resident arrays,
-        // which are the device arrays less `matrixIndexAstro` and half of
-        // each `matrixIndexAtt` entry.
-        assert_eq!(ell_mirror_bytes(&l), resident_bytes(&l));
+        assert_eq!(resident_bytes(&l), counted);
+        // The resident arrays are the device arrays less
+        // `matrixIndexAstro` and half of each `matrixIndexAtt` entry.
         let n_obs = sys.n_obs_rows() as u64;
         let n_rows = sys.n_rows() as u64;
         assert_eq!(
             device_bytes(&l) - resident_bytes(&l),
             n_obs * ROW_INDEX_BYTES + n_rows * (ROW_INDEX_BYTES - ATT_OFFSET_BYTES)
-        );
-        // Selecting the ELL layout keeps the row-major arrays alive.
-        assert_eq!(
-            resident_matrix_bytes(&l, MatrixLayout::Ell),
-            2 * resident_bytes(&l)
-        );
-        assert_eq!(
-            resident_matrix_bytes(&l, MatrixLayout::RowMajor),
-            resident_bytes(&l)
         );
     }
 

@@ -49,7 +49,6 @@ pub mod builder;
 pub mod constraints;
 pub mod csr;
 pub mod dense;
-pub mod ell;
 pub mod footprint;
 pub mod fuzz;
 pub mod generator;
@@ -60,7 +59,6 @@ pub mod stats;
 pub mod system;
 pub mod tiled;
 
-pub use ell::{EllSystem, MatrixLayout};
 pub use generator::{AttitudePattern, Generator, GeneratorConfig, InstrumentPattern, Rhs};
 pub use layout::{BlockKind, ColumnBlocks, SystemLayout};
 pub use partition::{RowPartition, RowRange};

@@ -19,9 +19,8 @@
 //! rows) carry only attitude coefficients; see [`crate::constraints`].
 
 use std::ops::{Deref, Range};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use crate::ell::EllSystem;
 #[cfg(test)]
 use crate::layout::BlockKind;
 use crate::layout::{ColumnBlocks, SystemLayout};
@@ -126,10 +125,6 @@ pub struct SparseSystem {
     instr_col: Shared<u32>,
     /// Known terms `b`, `n_rows`.
     known_terms: Shared<f64>,
-    /// Lazily built ELL (slot-major) mirror, shared by layout-aware
-    /// kernels and by clones. Reset by every mutating method so it can
-    /// never go stale.
-    ell: OnceLock<Arc<EllSystem>>,
 }
 
 impl SparseSystem {
@@ -222,7 +217,6 @@ impl SparseSystem {
             matrix_index_att: matrix_index_att.into(),
             instr_col: instr_col.into(),
             known_terms: known_terms.into(),
-            ell: OnceLock::new(),
         };
         sys.validate()?;
         Ok(sys)
@@ -326,7 +320,6 @@ impl SparseSystem {
             matrix_index_att: self.matrix_index_att.slice(rows.clone()),
             instr_col: self.instr_col.slice(per_obs(INSTR_NNZ_PER_ROW)),
             known_terms: self.known_terms.slice(rows.clone()),
-            ell: OnceLock::new(),
         };
         debug_assert_eq!(system.validate(), Ok(()));
         RowBlock { rows, system }
@@ -343,16 +336,6 @@ impl SparseSystem {
             && Arc::ptr_eq(&self.matrix_index_att.buf, &other.matrix_index_att.buf)
             && Arc::ptr_eq(&self.instr_col.buf, &other.instr_col.buf)
             && Arc::ptr_eq(&self.known_terms.buf, &other.known_terms.buf)
-    }
-
-    /// The ELL (slot-major) mirror, built on first use and cached.
-    ///
-    /// Layout-aware kernels call this per section; the transpose cost is
-    /// paid once per system (and re-paid only after a mutation, which
-    /// resets the cache).
-    pub fn ell(&self) -> &EllSystem {
-        self.ell
-            .get_or_init(|| Arc::new(EllSystem::from_system(self)))
     }
 
     /// The layout this system was built from.
@@ -410,7 +393,6 @@ impl SparseSystem {
     pub fn set_known_terms(&mut self, b: Vec<f64>) {
         assert_eq!(b.len(), self.n_rows(), "known terms length mismatch");
         self.known_terms = b.into();
-        self.ell = OnceLock::new();
     }
 
     /// Astrometric coefficients of an observation row and the absolute
@@ -670,7 +652,6 @@ impl SparseSystem {
     /// asserted bitwise for deterministic backends.
     pub fn scale_column(&mut self, col: u64, factor: f64) -> usize {
         assert!(col < self.cols.end, "column {col} out of range");
-        self.ell = OnceLock::new();
         let mut touched = 0usize;
         if col < self.cols.att {
             // Only the rows of the column's star hold it, if that star is
@@ -768,7 +749,6 @@ impl SparseSystem {
         self.matrix_index_att = gather(&self.matrix_index_att, perm, n_rows, 1);
         self.instr_col = gather(&self.instr_col, perm, n_obs, INSTR_NNZ_PER_ROW);
         self.known_terms = gather(&self.known_terms, perm, n_rows, 1);
-        self.ell = OnceLock::new();
         Ok(())
     }
 }
@@ -1162,23 +1142,6 @@ mod tests {
             s.permute_rows(&[0usize]),
             Err(SystemError::ArrayLength { name: "perm", .. })
         ));
-    }
-
-    #[test]
-    fn ell_cache_resets_on_mutation() {
-        let mut s = sys();
-        let before = s.ell().astro_slot(0)[0];
-        let touched = s.scale_column(0, 2.0);
-        assert!(touched > 0);
-        // The mirror must reflect the scaled values, not the cached ones.
-        assert_eq!(s.ell().astro_slot(0)[0], 2.0 * before);
-        let mut b = s.known_terms().to_vec();
-        b[0] += 1.0;
-        let want = b[0];
-        s.set_known_terms(b);
-        let ell = s.ell();
-        let back = ell.to_system().unwrap();
-        assert_eq!(back.known_terms()[0], want);
     }
 
     /// A view of a view is the view of the first parent it names, and both

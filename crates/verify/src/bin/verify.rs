@@ -18,7 +18,6 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use gaia_sparse::MatrixLayout;
 use gaia_verify::metamorphic::{self, BACKENDS, THREADS};
 use gaia_verify::report::{VerifyReport, DEFAULT_DIR};
 use gaia_verify::{corpus, schedule, trajectory};
@@ -131,16 +130,6 @@ fn main() -> ExitCode {
             report.schedule.push(rep);
         }
     }
-    // ... and over the ELL layout the auto-tuner can select, under the
-    // contended atomic strategy.
-    let rep = schedule::explore_layout(MatrixLayout::Ell, &sched_seeds);
-    println!(
-        "schedule    {:<26} {:>4} schedules  {}",
-        rep.subject,
-        rep.schedules,
-        if rep.passed() { "ok" } else { "FAILED" }
-    );
-    report.schedule.push(rep);
 
     // Layer 2: metamorphic properties × backends × seeds.
     for backend in BACKENDS {

@@ -20,8 +20,8 @@ use crate::schedule::expect_bitwise;
 
 /// Backends exercised by the suite: the sequential reference plus every
 /// conflict strategy the paper's ports map onto, the stream-overlapped
-/// budget, the production-style hybrid composition, and both value
-/// layouts of the owner-computes plan the auto-tuner searches over.
+/// budget, the production-style hybrid composition, and the
+/// owner-computes plan.
 pub const BACKENDS: &[&str] = &[
     "seq",
     "atomic",
@@ -31,7 +31,6 @@ pub const BACKENDS: &[&str] = &[
     "streamed",
     "hybrid",
     "chunked",
-    "ell",
 ];
 
 /// Worker threads handed to every parallel backend under test.
@@ -365,7 +364,7 @@ mod tests {
         ];
         for name in BACKENDS
             .iter()
-            .chain(["rayon", "unrolled", "blocked"].iter())
+            .chain(["rayon", "unrolled", "blocked", "ell"].iter())
         {
             assert_eq!(is_deterministic(name), fixed_order.contains(name), "{name}");
         }

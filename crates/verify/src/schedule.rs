@@ -31,9 +31,7 @@ use gaia_backends::{
     check_sections, Aprod2Spec, Aprod2Strategy, Backend, LaunchPlan, PlanDims, PlanError,
     ReadAccess, ReadSpace, SectionId, SectionModel, SeqBackend, Tuning, WriteAccess,
 };
-use gaia_sparse::{
-    AttitudePattern, Generator, GeneratorConfig, MatrixLayout, Rhs, SparseSystem, SystemLayout,
-};
+use gaia_sparse::{AttitudePattern, Generator, GeneratorConfig, Rhs, SparseSystem, SystemLayout};
 use serde::Serialize;
 
 /// Worst-case |got − oracle| accepted from a reduction-order-nondeterministic
@@ -77,24 +75,6 @@ fn exploration_plan(spec: Aprod2Spec) -> LaunchPlan {
             chunks_per_thread: 2,
         },
         spec,
-    )
-}
-
-/// Replay the contended [`Aprod2Strategy::Atomic`] plan over a value
-/// layout under `seeds` adversarial schedules, so the layout's
-/// *full-section* kernels execute inside every job and reach the output
-/// through the atomic publish: it must stay within [`SCHEDULE_TOLERANCE`]
-/// of the sequential oracle on every schedule, exactly like row-major.
-pub fn explore_layout(layout: MatrixLayout, seeds: &[u64]) -> ScheduleReport {
-    let plan =
-        exploration_plan(Aprod2Spec::uniform(Aprod2Strategy::Atomic)).with_matrix_layout(layout);
-    replay(
-        format!("atomic+{layout}"),
-        plan,
-        false,
-        seeds,
-        ScheduleController::from_seed,
-        &[Drive::Aprod2],
     )
 }
 

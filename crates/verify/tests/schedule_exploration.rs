@@ -3,7 +3,6 @@
 //! strategies are bitwise schedule-stable, and the deliberately racy
 //! canary is caught (proving the harness can actually see races).
 
-use gaia_sparse::MatrixLayout;
 use gaia_verify::corpus;
 use gaia_verify::schedule::{self, ScheduleReport};
 
@@ -74,15 +73,6 @@ fn fixed_order_strategies_are_bitwise_stable_across_schedules() {
             rep.subject
         );
     }
-}
-
-/// The tuner's layout axis under adversarial schedules: the ELL layout,
-/// driven through the contended atomic strategy, stays within tolerance of
-/// the sequential oracle.
-#[test]
-fn ell_layout_survives_seeded_schedules() {
-    let seeds = corpus::schedule_seeds(40);
-    assert_clean(&schedule::explore_layout(MatrixLayout::Ell, &seeds));
 }
 
 /// The atomic strategies issue one atomic add per touched column a job now,
