@@ -8,8 +8,7 @@ use std::path::Path;
 
 use gaia_analyze::{analyze_workspace, find_workspace_root};
 use gaia_backends::{
-    check_sections, PlanDims, PlanViolation, ReadAccess, ReadSpace, SectionId, SectionModel,
-    WriteAccess,
+    check_sections, PlanDims, PlanViolation, ReadAccess, SectionId, SectionModel, WriteAccess,
 };
 
 fn owned(writes: Vec<std::ops::Range<usize>>) -> SectionModel {
@@ -61,13 +60,7 @@ fn colliding_plain_reads_of_plain_writes_are_a_read_write_race() {
         100,
         vec![0..100; 4],
     )
-    .with_reads(vec![
-        vec![ReadAccess::plain(
-            ReadSpace::Section(SectionId::Att),
-            0..100
-        )];
-        4
-    ]);
+    .with_reads(vec![vec![ReadAccess::plain(SectionId::Att, 0..100)]; 4]);
     let err = check_sections(&[racy]).unwrap_err();
     assert!(err.has_write_violation(), "{err}");
     assert!(err.has_read_violation(), "{err}");

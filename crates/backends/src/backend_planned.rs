@@ -255,6 +255,13 @@ mod tests {
         )
     }
 
+    fn atomic(threads: usize) -> LaunchPlan {
+        LaunchPlan::new(
+            Tuning::with_threads(threads),
+            Aprod2Spec::uniform(Aprod2Strategy::Atomic),
+        )
+    }
+
     fn assert_close(got: &[f64], want: &[f64], what: &str) {
         for (g, w) in got.iter().zip(want) {
             assert!((g - w).abs() < 1e-10, "{what}: {g} vs {w}");
@@ -373,8 +380,10 @@ mod tests {
         LaunchProfile::from_plan("tiny", SystemLayout::tiny(), &plan)
     }
 
+    /// `tuned` as the registry builds it: `atomic`'s plan where no
+    /// profile matches.
     fn tuned(threads: usize, profiles: &[LaunchProfile]) -> PlannedBackend {
-        PlannedBackend::new("tuned", "test", owner(threads)).with_profiles(profiles)
+        PlannedBackend::new("tuned", "test", atomic(threads)).with_profiles(profiles)
     }
 
     #[test]
@@ -385,14 +394,14 @@ mod tests {
         assert_eq!(plan, tiny_profile().to_plan().unwrap());
         assert_eq!(plan.tuning.threads, 3);
         // The shape-independent answer stays the backend's own plan.
-        assert_eq!(b.launch_plan(), Some(owner(2)));
+        assert_eq!(b.launch_plan(), Some(atomic(2)));
         assert_eq!(b.name(), "tuned-t2");
     }
 
     #[test]
     fn tuned_unseen_shape_or_unlowerable_profile_falls_back() {
         let b = tuned(2, &[tiny_profile()]);
-        assert_eq!(b.plan_for(&SystemLayout::small()), owner(2));
+        assert_eq!(b.plan_for(&SystemLayout::small()), atomic(2));
         // A profile that fails to lower is rejected at construction, not
         // skipped on every resolution.
         let mut bad = tiny_profile();
@@ -400,7 +409,7 @@ mod tests {
         let b = tuned(2, &[bad, tiny_profile()]);
         assert_eq!(b.profile_count(), 1);
         let b = tuned(2, &[]);
-        assert_eq!(b.plan_for(&SystemLayout::tiny()), owner(2));
+        assert_eq!(b.plan_for(&SystemLayout::tiny()), atomic(2));
     }
 
     /// The resolution cache holds one shape, and two tenants solving
@@ -420,7 +429,7 @@ mod tests {
             },
             Aprod2Spec::uniform(Aprod2Strategy::Replicated),
         );
-        // Not `owner(2)`, the backend's own fallback, so a fallback shows.
+        // Not `atomic(2)`, the backend's own fallback, so a fallback shows.
         let small_plan = LaunchPlan::new(
             Tuning {
                 threads: 2,

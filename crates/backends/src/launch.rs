@@ -42,6 +42,14 @@
 //! once per iteration, and publishes its private sections as `aprod2`'s
 //! jobs do. [`LaunchPlan::gk_in_one_launch`] says which plans have it,
 //! and why the others keep two launches.
+//!
+//! How a plan splits a launch into jobs is decided once:
+//! [`LaunchPlan::jobs`] lowers `aprod1`, `aprod2` (both waves) and the pass
+//! to a list of [`JobSpec`]s — each job's wave, its rows, and the range and
+//! [`WriteAccess`] of every section it writes. The executor builds its
+//! closures from that list and nothing else, and [`crate::plan_check`]
+//! folds the same list into the access model it proves, so the checker
+//! covers exactly the ranges that run, the one-launch pass included.
 
 use std::ops::Range;
 use std::sync::atomic::AtomicU64;
@@ -54,7 +62,7 @@ use crate::atomicf64::{self, as_atomic};
 use crate::blas;
 use crate::exec::{sched, ExecutorPool, Job};
 use crate::kernels;
-use crate::plan_check;
+use crate::plan_check::{self, PlanDims, SectionId, WriteAccess};
 use crate::tuning::Tuning;
 
 /// Probe tags for [`sched::preempt_point`], one per call site inside the
@@ -237,6 +245,61 @@ pub struct LaunchPlan {
     pub spec: Aprod2Spec,
 }
 
+/// Which launch [`LaunchPlan::jobs`] lowers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Launch {
+    /// [`LaunchPlan::aprod1`]: one wave of row chunks.
+    Aprod1,
+    /// [`LaunchPlan::aprod2`]: the astrometric star chunks and each
+    /// colliding section's jobs in wave 1, the deferred reductions in
+    /// wave 2.
+    Aprod2,
+    /// [`LaunchPlan::gk_products`]: one wave of star-chunk jobs when
+    /// [`LaunchPlan::gk_in_one_launch`] holds, else `Aprod1`'s wave and
+    /// then `Aprod2`'s waves, numbered on.
+    Pass,
+}
+
+/// One section range a job writes, and the discipline of the writes. The
+/// range is section-local: rows for [`SectionId::Aprod1`], columns
+/// otherwise.
+pub type SectionWrite = (SectionId, Range<usize>, WriteAccess);
+
+/// One job of a launch: what the executor runs and the checker proves.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JobSpec {
+    /// Barrier-separated wave of the launch, from 1.
+    pub wave: u8,
+    /// The rows its kernel visits; empty for a reduction.
+    pub rows: Range<usize>,
+    /// Every section range it writes: one for a job of `aprod1` or
+    /// `aprod2`; for a job of the pass, its `u` rows, its stars'
+    /// astrometric columns and each non-empty shared section.
+    pub writes: Vec<SectionWrite>,
+}
+
+impl JobSpec {
+    fn one(wave: u8, rows: Range<usize>, write: SectionWrite) -> Self {
+        let writes = vec![write];
+        JobSpec { wave, rows, writes }
+    }
+}
+
+/// The rows, range and access of every write to `section` in `jobs`, in
+/// launch order.
+fn writes_to(
+    jobs: &[JobSpec],
+    section: SectionId,
+) -> Vec<(Range<usize>, Range<usize>, WriteAccess)> {
+    let writes = jobs
+        .iter()
+        .flat_map(|job| job.writes.iter().map(move |w| (job, w)));
+    writes
+        .filter(|(_, w)| w.0 == section)
+        .map(|(job, (_, range, access))| (job.rows.clone(), range.clone(), *access))
+        .collect()
+}
+
 /// Full-section accumulation over a row range (exclusive access).
 type FullKernel = fn(&SparseSystem, &[f64], Range<usize>, &mut [f64]);
 /// Owner-computes over an owned block-local column range.
@@ -248,30 +311,27 @@ impl LaunchPlan {
         LaunchPlan { tuning, spec }
     }
 
-    /// Lower this plan against `dims` to the symbolic access model
-    /// [`aprod2`](Self::aprod2) / [`aprod1`](Self::aprod1) would execute —
-    /// see [`crate::plan_check`].
-    pub fn write_model(&self, dims: &plan_check::PlanDims) -> Vec<plan_check::SectionModel> {
+    /// Fold this plan's `aprod1` and `aprod2` job lists against `dims`
+    /// into the symbolic access model — see [`crate::plan_check`].
+    pub fn write_model(&self, dims: &PlanDims) -> Vec<plan_check::SectionModel> {
         plan_check::write_model(self, dims)
     }
 
     /// Statically verify this plan against one problem shape: every
-    /// owner-computes/replicated write-set pairwise disjoint and exactly
-    /// covering its section, no unsynchronized colliding writes, and the
-    /// streamed worker budget conserved. Rejects unsound plans before
-    /// launch with a diagnostic naming the offending ranges.
-    pub fn analyze(
-        &self,
-        dims: &plan_check::PlanDims,
-    ) -> Result<plan_check::PlanProof, plan_check::PlanError> {
+    /// owned write-set pairwise disjoint and exactly covering its section,
+    /// no unsynchronized colliding writes, in both products and in the
+    /// one-launch pass when the plan has it, and the streamed worker budget
+    /// conserved. Rejects unsound plans before launch with a diagnostic
+    /// naming the offending ranges.
+    pub fn analyze(&self, dims: &PlanDims) -> Result<plan_check::PlanProof, plan_check::PlanError> {
         plan_check::analyze_plan(self, dims)
     }
 
     /// [`analyze`](Self::analyze) against the canonical shape battery
-    /// ([`plan_check::PlanDims::canonical`]) — what registry construction
-    /// runs on every plan-carrying backend.
+    /// ([`PlanDims::canonical`]) — what registry construction runs on
+    /// every plan-carrying backend.
     pub fn analyze_canonical(&self) -> Result<(), plan_check::PlanError> {
-        for dims in plan_check::PlanDims::canonical() {
+        for dims in PlanDims::canonical() {
             self.analyze(&dims)?;
         }
         Ok(())
@@ -304,19 +364,165 @@ impl LaunchPlan {
         }
     }
 
+    /// Lower `launch` against `dims` to the jobs it runs, in launch order:
+    /// the one place a plan's split of work into jobs is decided. The
+    /// executor runs this list and [`crate::plan_check`] proves it. The
+    /// owned ranges of a section come in ascending order, so once the
+    /// checker has proven that they tile the section exactly, handing them
+    /// out with `split_at_mut` is sound.
+    pub fn jobs(&self, dims: &PlanDims, launch: Launch) -> Vec<JobSpec> {
+        let owned = |section, range| (section, range, WriteAccess::Owned);
+        match launch {
+            Launch::Aprod1 => split_ranges(dims.n_rows, self.aprod1_chunks(dims.n_rows))
+                .into_iter()
+                .map(|rows| JobSpec::one(1, rows.clone(), owned(SectionId::Aprod1, rows)))
+                .collect(),
+            Launch::Aprod2 => {
+                // Star chunks own matching ×5 astrometric slices.
+                let stars = self.section_chunks(Stream::Astro, dims.n_stars);
+                let mut wave1: Vec<JobSpec> = split_ranges(dims.n_stars, stars)
+                    .into_iter()
+                    .map(|s| {
+                        let rows = s.start * dims.obs_per_star..s.end * dims.obs_per_star;
+                        JobSpec::one(1, rows, owned(SectionId::Astro, s.start * 5..s.end * 5))
+                    })
+                    .collect();
+                // Attitude columns see every row (observations and
+                // constraints); the instrumental and global blocks only
+                // observation rows.
+                let mut wave2 = Vec::new();
+                let obs = 0..dims.n_obs_rows();
+                for (stream, rows, len, strategy) in [
+                    (Stream::Att, 0..dims.n_rows, dims.n_att, self.spec.att),
+                    (Stream::Instr, obs.clone(), dims.n_instr, self.spec.instr),
+                    (Stream::Glob, obs, dims.n_glob, self.spec.glob),
+                ] {
+                    if len > 0 {
+                        self.section_specs(stream, rows, len, strategy, &mut wave1, &mut wave2);
+                    }
+                }
+                wave1.extend(wave2);
+                wave1
+            }
+            // Star chunks that own their stars' rows of `u` (the last one
+            // also the constraint rows) and astrometric columns, and
+            // publish atomically into every non-empty shared section.
+            Launch::Pass if self.gk_in_one_launch() => {
+                let shared = [
+                    (SectionId::Att, dims.n_att),
+                    (SectionId::Instr, dims.n_instr),
+                    (SectionId::Glob, dims.n_glob),
+                ];
+                let chunks = split_ranges(dims.n_stars, self.tuning.chunk_count(dims.n_stars));
+                let pass_job = |s: Range<usize>| {
+                    let last = s.end == dims.n_stars;
+                    let end = if last {
+                        dims.n_rows
+                    } else {
+                        s.end * dims.obs_per_star
+                    };
+                    let rows = s.start * dims.obs_per_star..end;
+                    let mut writes = vec![
+                        owned(SectionId::Aprod1, rows.clone()),
+                        owned(SectionId::Astro, s.start * 5..s.end * 5),
+                    ];
+                    for &(section, len) in shared.iter().filter(|(_, len)| *len > 0) {
+                        writes.push((section, 0..len, WriteAccess::Atomic));
+                    }
+                    JobSpec {
+                        wave: 1,
+                        rows,
+                        writes,
+                    }
+                };
+                chunks.into_iter().map(pass_job).collect()
+            }
+            Launch::Pass => {
+                let mut jobs = self.jobs(dims, Launch::Aprod1);
+                for job in self.jobs(dims, Launch::Aprod2) {
+                    jobs.push(JobSpec {
+                        wave: job.wave + 1,
+                        ..job
+                    });
+                }
+                jobs
+            }
+        }
+    }
+
+    /// Append one colliding section's wave-1 jobs under `strategy`, and
+    /// the wave-2 reduction jobs it defers, if any.
+    fn section_specs(
+        &self,
+        stream: Stream,
+        rows: Range<usize>,
+        len: usize,
+        strategy: Aprod2Strategy,
+        wave1: &mut Vec<JobSpec>,
+        wave2: &mut Vec<JobSpec>,
+    ) {
+        let (id, reduction) = match stream {
+            Stream::Att => (SectionId::Att, SectionId::AttReduction),
+            Stream::Instr => (SectionId::Instr, SectionId::InstrReduction),
+            Stream::Astro | Stream::Glob => (SectionId::Glob, SectionId::GlobCombine),
+        };
+        let glob = stream == Stream::Glob;
+        // Row-parallel jobs, each writing the whole section under `access`.
+        let row_chunks = |access| {
+            let chunks = split_span(rows.clone(), self.section_chunks(stream, rows.len()));
+            let job = move |chunk| JobSpec::one(1, chunk, (id, 0..len, access));
+            chunks.into_iter().map(job)
+        };
+        let reduce = |owns: Vec<Range<usize>>| {
+            let job = move |own| JobSpec::one(2, 0..0, (reduction, own, WriteAccess::Owned));
+            owns.into_iter().map(job)
+        };
+        match strategy {
+            // A single global slot: ownership and striping both degenerate
+            // to one exclusive job.
+            Aprod2Strategy::OwnerComputes | Aprod2Strategy::LockStriped { .. } if glob => {
+                wave1.push(JobSpec::one(1, rows, (id, 0..len, WriteAccess::Owned)));
+            }
+            // Each job owns a column range and rescans every row.
+            Aprod2Strategy::OwnerComputes => {
+                for own in split_ranges(len, self.section_chunks(stream, len)) {
+                    wave1.push(JobSpec::one(1, rows.clone(), (id, own, WriteAccess::Owned)));
+                }
+            }
+            Aprod2Strategy::Atomic | Aprod2Strategy::CasLoop => {
+                wave1.extend(row_chunks(WriteAccess::Atomic));
+            }
+            // A column-parallel sum of the privates, or one combine of
+            // the global partials.
+            Aprod2Strategy::Replicated => {
+                wave1.extend(row_chunks(WriteAccess::Private));
+                let n = if glob {
+                    1
+                } else {
+                    self.tuning.chunk_count(len)
+                };
+                wave2.extend(reduce(split_ranges(len, n)));
+            }
+            // Each stripe accumulator is copied back into its own slice.
+            Aprod2Strategy::LockStriped { stripes } => {
+                wave1.extend(row_chunks(WriteAccess::Locked));
+                wave2.extend(reduce(split_ranges(len, stripes.max(1).min(len))));
+            }
+        }
+    }
+
     /// `out += A x` via row chunks on the pool (rows are disjoint, so no
     /// conflict strategy is needed). A row block of a larger system runs
     /// the same way: `x` is the parent's, `out` the block's rows.
     pub fn aprod1(&self, pool: &ExecutorPool, sys: &SparseSystem, x: &[f64], out: &mut [f64]) {
         assert_eq!(out.len(), sys.n_rows(), "aprod1: out length mismatch");
-        let n_rows = sys.n_rows();
-        let ranges = split_ranges(n_rows, self.aprod1_chunks(n_rows));
-        let mut jobs: Vec<Job<'_>> = Vec::with_capacity(ranges.len());
+        let specs = self.jobs(&PlanDims::for_system(sys), Launch::Aprod1);
+        let mut jobs: Vec<Job<'_>> = Vec::with_capacity(specs.len());
         let mut rest = out;
-        for range in ranges {
-            let (mine, tail) = rest.split_at_mut(range.len());
+        for JobSpec { rows, .. } in specs {
+            let (mine, tail) = rest.split_at_mut(rows.len());
             rest = tail;
-            jobs.push(Box::new(move || kernels::aprod1_range(sys, x, range, mine)));
+            jobs.push(Box::new(move || kernels::aprod1_range(sys, x, rows, mine)));
         }
         pool.run(jobs);
     }
@@ -327,71 +533,88 @@ impl LaunchPlan {
     /// A row block of a larger system writes the parent's `out` in place:
     /// its own stars' astrometric columns and the shared sections.
     pub fn aprod2(&self, pool: &ExecutorPool, sys: &SparseSystem, y: &[f64], out: &mut [f64]) {
+        let specs = self.jobs(&PlanDims::for_system(sys), Launch::Aprod2);
         let [astro, att, instr, glob] = sys.sections_mut(out);
-        // Attitude columns see every row (observations and constraints);
-        // the instrumental and global blocks only observation rows.
-        let att_rows = 0..sys.n_rows();
-        let obs_rows = 0..sys.n_obs_rows();
-        let n_stars = sys.layout().n_stars as usize;
 
         // Storage that wave-1 jobs borrow and wave 2 reduces from.
-        let mut att_privates: Vec<Vec<f64>> = Vec::new();
-        let mut instr_privates: Vec<Vec<f64>> = Vec::new();
-        let mut att_stripes: Vec<Mutex<Vec<f64>>> = Vec::new();
-        let mut instr_stripes: Vec<Mutex<Vec<f64>>> = Vec::new();
+        let (mut att_privates, mut instr_privates) = (Vec::new(), Vec::new());
+        let (mut att_stripes, mut instr_stripes) = (Vec::new(), Vec::new());
         let mut glob_partials: Vec<f64> = Vec::new();
 
         let mut jobs: Vec<Job<'_>> = Vec::new();
 
-        // Astrometric stream: star-aligned split, collision-free — each
-        // star chunk owns an exactly matching slice of the astro section.
+        // Astrometric stream: collision-free — each star chunk owns an
+        // exactly matching slice of the astro section.
         let mut astro_rest = astro;
-        for chunk in split_ranges(n_stars, self.section_chunks(Stream::Astro, n_stars)) {
-            let (mine, tail) = astro_rest.split_at_mut(chunk.len() * 5);
+        for (_, cols, _) in writes_to(&specs, SectionId::Astro) {
+            let (mine, tail) = astro_rest.split_at_mut(cols.len());
             astro_rest = tail;
-            jobs.push(Box::new(move || kernels::aprod2_astro(sys, y, chunk, mine)));
+            let stars = cols.start / 5..cols.end / 5;
+            jobs.push(Box::new(move || kernels::aprod2_astro(sys, y, stars, mine)));
         }
-
-        let att_deferred = self.section_jobs(
-            Stream::Att,
-            sys,
-            y,
-            att_rows,
+        let att = self.section_jobs(
+            SectionId::Att,
+            &specs,
+            (sys, y),
             att,
-            self.spec.att,
-            &mut att_privates,
-            &mut att_stripes,
+            (&mut att_privates, &mut att_stripes),
             &mut jobs,
         );
-        let instr_deferred = self.section_jobs(
-            Stream::Instr,
-            sys,
-            y,
-            obs_rows.clone(),
+        let instr = self.section_jobs(
+            SectionId::Instr,
+            &specs,
+            (sys, y),
             instr,
-            self.spec.instr,
-            &mut instr_privates,
-            &mut instr_stripes,
+            (&mut instr_privates, &mut instr_stripes),
             &mut jobs,
         );
-        let glob_deferred = self.glob_jobs(sys, y, obs_rows, glob, &mut glob_partials, &mut jobs);
-
+        let glob = self.glob_jobs(&specs, (sys, y), glob, &mut glob_partials, &mut jobs);
         pool.run(jobs);
 
-        // Wave 2: reductions for privatized / striped sections.
+        // Wave 2: sum the private buffers (replicated) or copy the stripe
+        // accumulators back (lock-striped), one job per owned range.
         let mut red_jobs: Vec<Job<'_>> = Vec::new();
-        self.reduction_jobs(att_deferred, &att_privates, &att_stripes, &mut red_jobs);
-        self.reduction_jobs(
-            instr_deferred,
-            &instr_privates,
-            &instr_stripes,
-            &mut red_jobs,
-        );
-        pool.run(red_jobs);
-
-        if let Some(glob_out) = glob_deferred {
-            glob_out[0] += glob_partials.iter().sum::<f64>();
+        for (reduction, section, privates, stripes) in [
+            (SectionId::AttReduction, att, &att_privates, &att_stripes),
+            (
+                SectionId::InstrReduction,
+                instr,
+                &instr_privates,
+                &instr_stripes,
+            ),
+        ] {
+            let Some(mut rest) = section else {
+                continue;
+            };
+            for (i, (_, own, _)) in writes_to(&specs, reduction).into_iter().enumerate() {
+                let (mine, tail) = rest.split_at_mut(own.len());
+                rest = tail;
+                if privates.is_empty() {
+                    let stripe: &Mutex<Vec<f64>> = &stripes[i];
+                    red_jobs.push(Box::new(move || {
+                        for (slot, &v) in mine.iter_mut().zip(stripe.lock().iter()) {
+                            *slot += v;
+                        }
+                    }));
+                } else {
+                    red_jobs.push(Box::new(move || {
+                        for private in privates {
+                            sched::preempt_point(PROBE_REDUCE);
+                            for (slot, &v) in mine.iter_mut().zip(&private[own.start..own.end]) {
+                                *slot += v;
+                            }
+                        }
+                    }));
+                }
+            }
         }
+        // The global section's `GlobCombine` job: the partials, summed in
+        // chunk order.
+        if let Some(glob) = glob {
+            let partials = &glob_partials;
+            red_jobs.push(Box::new(move || glob[0] += partials.iter().sum::<f64>()));
+        }
+        pool.run(red_jobs);
     }
 
     /// Whether [`gk_products`](Self::gk_products) runs this plan's
@@ -426,10 +649,10 @@ impl LaunchPlan {
     /// One Golub–Kahan pass, `u ← A x − α u` then `out += Aᵀu`, under any
     /// plan. A plan that fails [`gk_in_one_launch`](Self::gk_in_one_launch)
     /// runs `blas::scal`, [`aprod1`](Self::aprod1) and
-    /// [`aprod2`](Self::aprod2). One that passes runs one launch of
-    /// `tuning.chunk_count(n_stars)` star-aligned jobs. Each job takes the
-    /// row block of its stars (the last one with the constraint rows), its
-    /// rows of `u`, its stars' astrometric columns and private
+    /// [`aprod2`](Self::aprod2). One that passes runs the one launch of
+    /// star-aligned jobs that [`jobs`](Self::jobs) lowers. Each job takes
+    /// the row block of its stars (the last one with the constraint rows),
+    /// its rows of `u`, its stars' astrometric columns and private
     /// copies of the three shared sections; it runs `seq`'s row loop
     /// ([`kernels::gk_pass`]) over its view, so it visits each of its rows
     /// once for both products, then publishes its copies with the plan's
@@ -452,6 +675,7 @@ impl LaunchPlan {
             return;
         };
         assert_eq!(u.len(), sys.n_rows(), "gk_products: u length mismatch");
+        let dims = PlanDims::for_system(sys);
         let [astro, att, instr, glob] = sys.sections_mut(out);
         let shared: [(Block, u32, &[AtomicU64], AtomicFlavor); 3] = [
             (Block::Att, PROBE_ATT_ATOMIC, as_atomic(att), att_flavor),
@@ -463,13 +687,18 @@ impl LaunchPlan {
             ),
             (Block::Glob, PROBE_GLOB_ATOMIC, as_atomic(glob), glob_flavor),
         ];
-        let n_stars = sys.layout().n_stars as usize;
         let mut jobs: Vec<Job<'_>> = Vec::new();
         let (mut u_rest, mut astro_rest) = (u, astro);
-        for stars in split_ranges(n_stars, self.tuning.chunk_count(n_stars)) {
-            let view = sys.row_block(stars.start as u64..stars.end as u64, stars.end == n_stars);
-            let (u_mine, u_tail) = u_rest.split_at_mut(view.rows.len());
-            let (astro_mine, astro_tail) = astro_rest.split_at_mut(stars.len() * 5);
+        // A pass job's rows are its rows of `u`; its astrometric columns
+        // name its stars.
+        let pass = self.jobs(&dims, Launch::Pass);
+        for (rows, cols, _) in writes_to(&pass, SectionId::Astro) {
+            let stars = cols.start as u64 / 5..cols.end as u64 / 5;
+            let with_constraints = rows.end > cols.end / 5 * dims.obs_per_star;
+            let view = sys.row_block(stars, with_constraints);
+            debug_assert_eq!(view.rows, rows, "a pass job runs exactly its rows of u");
+            let (u_mine, u_tail) = u_rest.split_at_mut(rows.len());
+            let (astro_mine, astro_tail) = astro_rest.split_at_mut(cols.len());
             (u_rest, astro_rest) = (u_tail, astro_tail);
             jobs.push(Box::new(move || {
                 let mut privates = shared.map(|(_, _, section, _)| vec![0.0; section.len()]);
@@ -481,6 +710,7 @@ impl LaunchPlan {
                     u_mine,
                     [astro_mine, att, instr, glob],
                 );
+                // The spec's atomic writes: every non-empty shared section.
                 for ((block, probe, section, flavor), local) in shared.into_iter().zip(&privates) {
                     if !section.is_empty() {
                         publish_atomic(block, probe, local, section, flavor);
@@ -491,65 +721,56 @@ impl LaunchPlan {
         pool.run(jobs);
     }
 
-    /// Queue the wave-1 jobs for one colliding section under `strategy`.
-    /// Returns the section back to the caller when a wave-2 reduction is
-    /// needed (replicated / lock-striped), `None` when wave 1 writes the
-    /// section directly.
-    #[allow(clippy::too_many_arguments)]
+    /// Queue the wave-1 jobs `specs` holds for the attitude or instrumental
+    /// section, by the access they write under. Returns the section back to
+    /// the caller when a wave-2 reduction is needed (private or locked
+    /// writes), `None` when wave 1 writes the section directly.
     fn section_jobs<'s, 'a>(
         &self,
-        stream: Stream,
-        sys: &'a SparseSystem,
-        y: &'a [f64],
-        rows: Range<usize>,
+        id: SectionId,
+        specs: &[JobSpec],
+        (sys, y): (&'a SparseSystem, &'a [f64]),
         section: &'s mut [f64],
-        strategy: Aprod2Strategy,
-        privates: &'a mut Vec<Vec<f64>>,
-        stripes: &'a mut Vec<Mutex<Vec<f64>>>,
+        (privates, stripes): (&'a mut Vec<Vec<f64>>, &'a mut Vec<Mutex<Vec<f64>>>),
         jobs: &mut Vec<Job<'a>>,
     ) -> Option<&'s mut [f64]>
     where
         's: 'a,
     {
-        if section.is_empty() {
-            return None;
-        }
         let section_len = section.len();
-        let (block, probe, full, owned): (_, _, FullKernel, OwnedKernel) = match stream {
-            Stream::Att => (
+        let (strategy, block, probe, reduction) = match id {
+            SectionId::Att => (
+                self.spec.att,
                 Block::Att,
                 PROBE_ATT_ATOMIC,
-                kernels::aprod2_att,
-                kernels::aprod2_att_owned,
+                SectionId::AttReduction,
             ),
             _ => (
+                self.spec.instr,
                 Block::Instr,
                 PROBE_INSTR_ATOMIC,
-                kernels::aprod2_instr,
-                kernels::aprod2_instr_owned,
+                SectionId::InstrReduction,
             ),
         };
-        match strategy {
-            Aprod2Strategy::OwnerComputes => {
-                let chunks = self.section_chunks(stream, section_len);
+        let (full, owned): (FullKernel, OwnedKernel) = match id {
+            SectionId::Att => (kernels::aprod2_att, kernels::aprod2_att_owned),
+            _ => (kernels::aprod2_instr, kernels::aprod2_instr_owned),
+        };
+        let wave1 = writes_to(specs, id);
+        match wave1.first()?.2 {
+            WriteAccess::Owned => {
                 let mut rest: &'a mut [f64] = section;
-                for own in split_ranges(section_len, chunks) {
+                for (rows, own, _) in wave1 {
                     let (mine, tail) = rest.split_at_mut(own.len());
                     rest = tail;
-                    let rows = rows.clone();
                     jobs.push(Box::new(move || owned(sys, y, rows, own, mine)));
                 }
                 None
             }
-            Aprod2Strategy::Atomic | Aprod2Strategy::CasLoop => {
-                let flavor = if strategy == Aprod2Strategy::Atomic {
-                    AtomicFlavor::Rmw
-                } else {
-                    AtomicFlavor::CasLoop
-                };
+            WriteAccess::Atomic => {
+                let flavor = AtomicFlavor::of(strategy).unwrap_or(AtomicFlavor::Rmw);
                 let view: &'a [AtomicU64] = as_atomic(section);
-                let chunks = self.section_chunks(stream, rows.len());
-                for chunk in split_span(rows, chunks) {
+                for (chunk, _, _) in wave1 {
                     jobs.push(Box::new(move || {
                         // A CPU has no hardware that combines FP64 atomics,
                         // so combine the chunk in a job-private copy of the
@@ -562,25 +783,22 @@ impl LaunchPlan {
                 }
                 None
             }
-            Aprod2Strategy::Replicated => {
-                let chunks = self.section_chunks(stream, rows.len());
-                let spans = split_span(rows, chunks);
-                *privates = vec![vec![0.0; section_len]; spans.len()];
+            WriteAccess::Private => {
+                *privates = vec![vec![0.0; section_len]; wave1.len()];
                 let privates: &'a mut Vec<Vec<f64>> = privates;
-                for (private, chunk) in privates.iter_mut().zip(spans) {
+                for (private, (chunk, _, _)) in privates.iter_mut().zip(wave1) {
                     jobs.push(Box::new(move || full(sys, y, chunk, private)));
                 }
                 Some(section)
             }
-            Aprod2Strategy::LockStriped { stripes: n } => {
-                let n_stripes = n.max(1).min(section_len);
-                *stripes = split_ranges(section_len, n_stripes)
+            WriteAccess::Locked => {
+                // One stripe accumulator per wave-2 copy-back range.
+                *stripes = writes_to(specs, reduction)
                     .into_iter()
-                    .map(|r| Mutex::new(vec![0.0; r.len()]))
+                    .map(|(_, own, _)| Mutex::new(vec![0.0; own.len()]))
                     .collect();
                 let stripes: &'a Vec<Mutex<Vec<f64>>> = stripes;
-                let chunks = self.section_chunks(stream, rows.len());
-                for chunk in split_span(rows, chunks) {
+                for (chunk, _, _) in wave1 {
                     jobs.push(Box::new(move || {
                         // Accumulate the chunk's full-section contribution
                         // locally, then apply it stripe by stripe under the
@@ -601,16 +819,17 @@ impl LaunchPlan {
                 }
                 Some(section)
             }
+            WriteAccess::PlainShared => unreachable!("no plan writes a section plain-shared"),
         }
     }
 
-    /// Queue the wave-1 jobs for the global block. Returns the section when
-    /// a caller-side combine of `partials` is needed (replicated).
+    /// Queue the wave-1 jobs `specs` holds for the global section. Returns
+    /// the section when wave 2 combines `partials` into it (private
+    /// writes).
     fn glob_jobs<'s, 'a>(
         &self,
-        sys: &'a SparseSystem,
-        y: &'a [f64],
-        obs: Range<usize>,
+        specs: &[JobSpec],
+        (sys, y): (&'a SparseSystem, &'a [f64]),
         glob: &'s mut [f64],
         partials: &'a mut Vec<f64>,
         jobs: &mut Vec<Job<'a>>,
@@ -618,39 +837,31 @@ impl LaunchPlan {
     where
         's: 'a,
     {
-        if glob.is_empty() || sys.layout().n_glob_params == 0 {
-            return None;
-        }
-        match self.spec.glob {
-            // A single global slot: ownership and striping both degenerate
-            // to one exclusive reduction job.
-            Aprod2Strategy::OwnerComputes | Aprod2Strategy::LockStriped { .. } => {
-                let glob: &'a mut [f64] = glob;
-                jobs.push(Box::new(move || kernels::aprod2_glob(sys, y, obs, glob)));
+        let wave1 = writes_to(specs, SectionId::Glob);
+        match wave1.first()?.2 {
+            WriteAccess::Owned => {
+                let mut rest: &'a mut [f64] = glob;
+                for (rows, own, _) in wave1 {
+                    let (mine, tail) = rest.split_at_mut(own.len());
+                    rest = tail;
+                    jobs.push(Box::new(move || kernels::aprod2_glob(sys, y, rows, mine)));
+                }
                 None
             }
-            Aprod2Strategy::Atomic | Aprod2Strategy::CasLoop => {
-                let flavor = if self.spec.glob == Aprod2Strategy::Atomic {
-                    AtomicFlavor::Rmw
-                } else {
-                    AtomicFlavor::CasLoop
-                };
-                let glob: &'a mut [f64] = glob;
+            WriteAccess::Atomic => {
+                let flavor = AtomicFlavor::of(self.spec.glob).unwrap_or(AtomicFlavor::Rmw);
                 let view: &'a [AtomicU64] = as_atomic(glob);
-                let chunks = self.section_chunks(Stream::Glob, obs.len());
-                for chunk in split_span(obs, chunks) {
+                for (chunk, _, _) in wave1 {
                     jobs.push(Box::new(move || {
                         aprod2_glob_atomic(sys, y, chunk, view, flavor)
                     }));
                 }
                 None
             }
-            Aprod2Strategy::Replicated => {
-                let chunks = self.section_chunks(Stream::Glob, obs.len());
-                let spans = split_span(obs, chunks);
-                *partials = vec![0.0; spans.len()];
+            WriteAccess::Private => {
+                *partials = vec![0.0; wave1.len()];
                 let partials: &'a mut Vec<f64> = partials;
-                for (slot, chunk) in partials.iter_mut().zip(spans) {
+                for (slot, (chunk, _, _)) in partials.iter_mut().zip(wave1) {
                     jobs.push(Box::new(move || {
                         let mut local = [0.0f64];
                         kernels::aprod2_glob(sys, y, chunk, &mut local);
@@ -659,49 +870,7 @@ impl LaunchPlan {
                 }
                 Some(glob)
             }
-        }
-    }
-
-    /// Queue the wave-2 reduction jobs for a deferred section: sum the
-    /// private buffers (replicated) or copy the stripe accumulators back
-    /// (lock-striped) into the real output, column-parallel.
-    fn reduction_jobs<'a>(
-        &self,
-        section: Option<&'a mut [f64]>,
-        privates: &'a [Vec<f64>],
-        stripes: &'a [Mutex<Vec<f64>>],
-        jobs: &mut Vec<Job<'a>>,
-    ) {
-        let Some(section) = section else { return };
-        if !privates.is_empty() {
-            let len = section.len();
-            let mut rest = section;
-            for own in split_ranges(len, self.tuning.chunk_count(len)) {
-                let (mine, tail) = rest.split_at_mut(own.len());
-                rest = tail;
-                jobs.push(Box::new(move || {
-                    for private in privates {
-                        sched::preempt_point(PROBE_REDUCE);
-                        for (slot, &v) in mine.iter_mut().zip(&private[own.start..own.end]) {
-                            *slot += v;
-                        }
-                    }
-                }));
-            }
-        } else {
-            // Stripe buffers are disjoint by construction: one job each.
-            let mut rest = section;
-            for stripe in stripes {
-                let len = stripe.lock().len();
-                let (mine, tail) = rest.split_at_mut(len);
-                rest = tail;
-                jobs.push(Box::new(move || {
-                    let buf = stripe.lock();
-                    for (slot, &v) in mine.iter_mut().zip(buf.iter()) {
-                        *slot += v;
-                    }
-                }));
-            }
+            access => unreachable!("no plan writes the global section {access}"),
         }
     }
 }

@@ -23,7 +23,7 @@
 //! | `hybrid` | the production composition: per-block strategy mix in streams | star-chunks + privatized attitude + owner-computes instrumental |
 //! | `unrolled` / `blocked` / `ell` | aliases of `chunked`, kept for the names of a deleted kernel-interior axis and of the deleted slot-major (ELL) value layout | as `chunked` |
 //! | `tiled` | the out-of-core launch shape, one row tile at a time | as `chunked` |
-//! | `tuned` | the launch configuration pinned per platform after the §V-B search | whatever the persisted profile for the system's shape says |
+//! | `tuned` | the launch configuration pinned per platform after the §V-B search | whatever the persisted profile for the system's shape says; `atomic`'s where none does |
 //!
 //! Every name but `seq` ([`SeqBackend`]) and `rayon` ([`RayonBackend`]) is
 //! one [`PlannedBackend`] over the [`LaunchPlan`] in its row of the
@@ -65,8 +65,8 @@ pub use exec::ExecutorPool;
 pub use instrumented::InstrumentedBackend;
 pub use launch::{Aprod2Spec, Aprod2Strategy, AtomicFlavor, LaunchPlan, WorkerBudget};
 pub use plan_check::{
-    check_sections, PlanDims, PlanError, PlanProof, PlanViolation, ReadAccess, ReadSpace, ReadSync,
-    SectionId, SectionModel, WriteAccess,
+    check_sections, PlanDims, PlanError, PlanProof, PlanViolation, ReadAccess, ReadSync, SectionId,
+    SectionModel, WriteAccess,
 };
 pub use profile::{LaunchProfile, ProfileError, PROFILE_SCHEMA};
 pub use registry::{

@@ -5,12 +5,14 @@
 //! changes how colliding `aprod2` updates are resolved (atomics vs
 //! owner-computes vs privatization, §IV–V). The dynamic harness
 //! (`gaia-verify`) can only catch a bad resolution *after* executing it
-//! under a sampled schedule; this module closes the gap statically. A plan
-//! is lowered to a symbolic **access model** — for every output section,
-//! the ranges each job writes, the ranges it reads (input vector, matrix
-//! rows, other sections, wave-1 private buffers), and the synchronization
-//! discipline both run under — and [`check_sections`] proves the model
-//! sound:
+//! under a sampled schedule; this module closes the gap statically. The
+//! model is the launch itself: [`LaunchPlan::jobs`] lowers each launch
+//! once to the job list the executor runs, and [`section_models`] folds
+//! that list into a symbolic **access model** — for every output section,
+//! the range each job writes, the section range it reads, and the
+//! synchronization discipline both run under. The products `aprod1` and
+//! `aprod2` are one model; the one-launch Golub–Kahan pass, for a plan that
+//! has it, is another. [`check_sections`] proves a model sound:
 //!
 //! * [`WriteAccess::Owned`] write-sets must be pairwise disjoint **and**
 //!   exactly cover the section span the launch claims (a gap is as wrong
@@ -38,10 +40,7 @@ use std::ops::Range;
 
 use gaia_sparse::SparseSystem;
 
-use crate::launch::{
-    split_ranges, split_span, stream_worker_budget, Aprod2Strategy, LaunchPlan, Stream,
-    WorkerBudget,
-};
+use crate::launch::{stream_worker_budget, JobSpec, Launch, LaunchPlan, WorkerBudget};
 
 /// The problem-shape parameters a plan's lowering depends on. Decouples the
 /// checker from a live [`SparseSystem`] so hand-built shapes (degenerate,
@@ -51,11 +50,12 @@ pub struct PlanDims {
     /// Total rows (observation + constraint) seen by `aprod1` and the
     /// attitude stream.
     pub n_rows: usize,
-    /// Observation rows only — the instrumental and global streams stop
-    /// here.
-    pub n_obs_rows: usize,
     /// Stars; the astrometric section holds `5 × n_stars` columns.
     pub n_stars: usize,
+    /// Observation rows per star: star `s` owns rows
+    /// `s × obs_per_star .. (s + 1) × obs_per_star`, and the constraint
+    /// rows follow the last star's.
+    pub obs_per_star: usize,
     /// Attitude section length in columns.
     pub n_att: usize,
     /// Instrumental section length in columns.
@@ -70,12 +70,18 @@ impl PlanDims {
         let c = sys.columns();
         PlanDims {
             n_rows: sys.n_rows(),
-            n_obs_rows: sys.n_obs_rows(),
             n_stars: sys.layout().n_stars as usize,
+            obs_per_star: sys.layout().obs_per_star as usize,
             n_att: (c.instr - c.att) as usize,
             n_instr: (c.glob - c.instr) as usize,
             n_glob: sys.layout().n_glob_params as usize,
         }
+    }
+
+    /// Observation rows only — the instrumental and global streams stop
+    /// here.
+    pub fn n_obs_rows(&self) -> usize {
+        self.n_stars * self.obs_per_star
     }
 
     /// Total solution columns — the `aprod1` input vector's length.
@@ -83,53 +89,40 @@ impl PlanDims {
         self.n_stars * 5 + self.n_att + self.n_instr + self.n_glob
     }
 
+    /// Length of the section (or reduction) `id` indexes.
+    fn section_len(&self, id: SectionId) -> usize {
+        match id {
+            SectionId::Aprod1 => self.n_rows,
+            SectionId::Astro => self.n_stars * 5,
+            SectionId::Att | SectionId::AttReduction => self.n_att,
+            SectionId::Instr | SectionId::InstrReduction => self.n_instr,
+            SectionId::Glob | SectionId::GlobCombine => self.n_glob,
+        }
+    }
+
     /// The canonical shape battery [`LaunchPlan::analyze_canonical`] proves
     /// a plan against: a representative small system, a no-global variant,
     /// a degenerate shape with fewer items than chunks, an empty
     /// attitude/instrumental variant, and a large production-like shape.
     pub fn canonical() -> Vec<PlanDims> {
-        vec![
-            PlanDims {
-                n_rows: 230,
-                n_obs_rows: 200,
-                n_stars: 40,
-                n_att: 90,
-                n_instr: 24,
-                n_glob: 1,
-            },
-            PlanDims {
-                n_rows: 230,
-                n_obs_rows: 200,
-                n_stars: 40,
-                n_att: 90,
-                n_instr: 24,
-                n_glob: 0,
-            },
-            PlanDims {
-                n_rows: 5,
-                n_obs_rows: 3,
-                n_stars: 2,
-                n_att: 3,
-                n_instr: 2,
-                n_glob: 1,
-            },
-            PlanDims {
-                n_rows: 64,
-                n_obs_rows: 64,
-                n_stars: 12,
-                n_att: 0,
-                n_instr: 0,
-                n_glob: 1,
-            },
-            PlanDims {
-                n_rows: 10_000,
-                n_obs_rows: 9_000,
-                n_stars: 1_500,
-                n_att: 700,
-                n_instr: 120,
-                n_glob: 1,
-            },
+        [
+            (230, 40, 5, 90, 24, 1),
+            (230, 40, 5, 90, 24, 0),
+            (5, 3, 1, 3, 2, 1),
+            (64, 16, 4, 0, 0, 1),
+            (10_000, 1_500, 6, 700, 120, 1),
         ]
+        .map(
+            |(n_rows, n_stars, obs_per_star, n_att, n_instr, n_glob)| PlanDims {
+                n_rows,
+                n_stars,
+                obs_per_star,
+                n_att,
+                n_instr,
+                n_glob,
+            },
+        )
+        .to_vec()
     }
 }
 
@@ -166,7 +159,8 @@ impl fmt::Display for WriteAccess {
 }
 
 /// Which output section (or deferred reduction pass) a model describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Models are listed in this order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SectionId {
     /// The `aprod1` output rows.
     Aprod1,
@@ -174,15 +168,15 @@ pub enum SectionId {
     Astro,
     /// Attitude columns, wave 1.
     Att,
-    /// Instrumental columns, wave 1.
-    Instr,
-    /// Global columns, wave 1.
-    Glob,
     /// Attitude wave-2 reduction (replicated / lock-striped copy-back).
     AttReduction,
+    /// Instrumental columns, wave 1.
+    Instr,
     /// Instrumental wave-2 reduction.
     InstrReduction,
-    /// Global caller-side combine of replicated partials.
+    /// Global columns, wave 1.
+    Glob,
+    /// Global wave-2 combine of replicated partials.
     GlobCombine,
 }
 
@@ -204,34 +198,6 @@ impl SectionId {
 impl fmt::Display for SectionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// Which address space a [`ReadAccess`] range indexes into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadSpace {
-    /// The launch's input vector (`x` for `aprod1`, `y` for `aprod2`), in
-    /// that vector's own coordinates. Immutable for the launch's duration.
-    Input,
-    /// Row-major matrix coefficient arrays, global row coordinates.
-    /// Immutable for the launch's duration.
-    MatrixRows,
-    /// An output section, section-local coordinates — the one space writes
-    /// also land in, and therefore the only space the race check inspects.
-    Section(SectionId),
-    /// The wave-1 private / stripe accumulators a wave-2 reduction reads,
-    /// section-local coordinates.
-    Privates(SectionId),
-}
-
-impl fmt::Display for ReadSpace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReadSpace::Input => f.write_str("input"),
-            ReadSpace::MatrixRows => f.write_str("matrix-rows"),
-            ReadSpace::Section(id) => write!(f, "section:{id}"),
-            ReadSpace::Privates(id) => write!(f, "privates:{id}"),
-        }
     }
 }
 
@@ -259,13 +225,15 @@ impl fmt::Display for ReadSync {
     }
 }
 
-/// One range a job reads: address space, range, and the synchronization
-/// the read runs under.
+/// One section range a job reads, and the synchronization the read runs
+/// under. The input vector and the matrix are immutable for a launch's
+/// duration, and the private buffers of wave 1 for wave 2's, so only
+/// section reads can race.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadAccess {
-    /// Address space the range indexes.
-    pub space: ReadSpace,
-    /// Half-open range read (coordinates per [`ReadSpace`]).
+    /// The section read, in its section-local coordinates.
+    pub section: SectionId,
+    /// Half-open range read.
     pub range: Range<usize>,
     /// Synchronization discipline of the read.
     pub sync: ReadSync,
@@ -273,29 +241,11 @@ pub struct ReadAccess {
 
 impl ReadAccess {
     /// A plain (unsynchronized) read.
-    pub fn plain(space: ReadSpace, range: Range<usize>) -> Self {
+    pub fn plain(section: SectionId, range: Range<usize>) -> Self {
         ReadAccess {
-            space,
+            section,
             range,
             sync: ReadSync::Plain,
-        }
-    }
-
-    /// An atomic read (or the read half of an RMW).
-    pub fn atomic(space: ReadSpace, range: Range<usize>) -> Self {
-        ReadAccess {
-            space,
-            range,
-            sync: ReadSync::Atomic,
-        }
-    }
-
-    /// A read under the lock that guards the target's writes.
-    pub fn locked(space: ReadSpace, range: Range<usize>) -> Self {
-        ReadAccess {
-            space,
-            range,
-            sync: ReadSync::Locked,
         }
     }
 }
@@ -633,20 +583,15 @@ fn read_write_compatible(sync: ReadSync, access: WriteAccess) -> bool {
 }
 
 /// Prove no job reads a section location another job of the same wave
-/// writes without a pairing synchronization discipline. Only
-/// [`ReadSpace::Section`] reads can race: the input vector, matrix arrays
-/// and wave-1 privates are all immutable for the duration of the wave that
-/// reads them. At most one violation is reported per read access (the
-/// canary's 8 lanes would otherwise flood 56 copies of the same race).
+/// writes without a pairing synchronization discipline. At most one
+/// violation is reported per read access (the canary's 8 lanes would
+/// otherwise flood 56 copies of the same race).
 fn check_read_write_races(sections: &[SectionModel], violations: &mut Vec<PlanViolation>) {
     for (ai, a) in sections.iter().enumerate() {
         for (job, job_reads) in a.reads.iter().enumerate() {
             'reads: for rd in job_reads {
-                let ReadSpace::Section(target) = rd.space else {
-                    continue;
-                };
                 for (bi, b) in sections.iter().enumerate() {
-                    if b.id != target || b.wave != a.wave {
+                    if b.id != rd.section || b.wave != a.wave {
                         continue;
                     }
                     if read_write_compatible(rd.sync, b.access) {
@@ -675,292 +620,89 @@ fn check_read_write_races(sections: &[SectionModel], violations: &mut Vec<PlanVi
     }
 }
 
-/// Lower one colliding-section strategy to its wave-1 model (and wave-2
-/// reduction model, when the strategy defers one). Mirrors
-/// `LaunchPlan::section_jobs` exactly, including the rows each stream
-/// scans.
-// The parameter list mirrors `section_jobs`' signature one-for-one; folding
-// them into a struct would obscure that correspondence.
-#[allow(clippy::too_many_arguments)]
-fn lower_section(
-    plan: &LaunchPlan,
-    stream: Stream,
-    wave1: SectionId,
-    wave2: SectionId,
-    rows: Range<usize>,
-    section_len: usize,
-    strategy: Aprod2Strategy,
-    out: &mut Vec<SectionModel>,
-) {
-    if section_len == 0 {
-        return;
-    }
-    let glob_stream = stream == Stream::Glob;
-    match strategy {
-        // A single global slot degenerates ownership and striping to one
-        // exclusive reduction job (mirrors `glob_jobs`).
-        Aprod2Strategy::OwnerComputes | Aprod2Strategy::LockStriped { .. } if glob_stream => {
-            let reads = vec![vec![
-                ReadAccess::plain(ReadSpace::Input, rows.clone()),
-                ReadAccess::plain(ReadSpace::MatrixRows, rows),
-                ReadAccess::plain(ReadSpace::Section(wave1), 0..section_len),
-            ]];
-            out.push(
-                SectionModel::new(
-                    wave1,
-                    WriteAccess::Owned,
-                    section_len,
-                    vec![0..section_len; 1],
-                )
-                .with_reads(reads),
-            );
-        }
-        Aprod2Strategy::OwnerComputes => {
-            let chunks = plan.section_chunks(stream, section_len);
-            let writes = split_ranges(section_len, chunks);
-            let reads = writes
-                .iter()
-                .map(|own| {
-                    vec![
-                        ReadAccess::plain(ReadSpace::Input, rows.clone()),
-                        ReadAccess::plain(ReadSpace::MatrixRows, rows.clone()),
-                        ReadAccess::plain(ReadSpace::Section(wave1), own.clone()),
-                    ]
-                })
-                .collect();
-            out.push(
-                SectionModel::new(wave1, WriteAccess::Owned, section_len, writes).with_reads(reads),
-            );
-        }
-        // Each job combines its chunk privately with the plan's full
-        // kernel, then atomically adds into whichever columns it touched.
-        Aprod2Strategy::Atomic | Aprod2Strategy::CasLoop => {
-            let chunks = plan.section_chunks(stream, rows.len());
-            let spans = split_span(rows, chunks);
-            let reads = spans
-                .iter()
-                .map(|chunk| {
-                    vec![
-                        ReadAccess::plain(ReadSpace::Input, chunk.clone()),
-                        ReadAccess::plain(ReadSpace::MatrixRows, chunk.clone()),
-                        ReadAccess::atomic(ReadSpace::Section(wave1), 0..section_len),
-                    ]
-                })
-                .collect();
-            out.push(
-                SectionModel::new(
-                    wave1,
-                    WriteAccess::Atomic,
-                    section_len,
-                    vec![0..section_len; spans.len()],
-                )
-                .with_reads(reads),
-            );
-        }
-        Aprod2Strategy::Replicated => {
-            let chunks = plan.section_chunks(stream, rows.len());
-            let spans = split_span(rows, chunks);
-            let reads = spans
-                .iter()
-                .map(|chunk| {
-                    vec![
-                        ReadAccess::plain(ReadSpace::Input, chunk.clone()),
-                        ReadAccess::plain(ReadSpace::MatrixRows, chunk.clone()),
-                    ]
-                })
-                .collect();
-            out.push(
-                SectionModel::new(
-                    wave1,
-                    WriteAccess::Private,
-                    section_len,
-                    vec![0..section_len; spans.len()],
-                )
-                .with_reads(reads),
-            );
-            // Wave 2: column-parallel owned reduction over the privates
-            // (the single caller-side combine, for the global slot).
-            let red_writes = if glob_stream {
-                vec![0..section_len; 1]
-            } else {
-                split_ranges(section_len, plan.tuning.chunk_count(section_len))
+/// Fold a launch's job list into its access model: one [`SectionModel`]
+/// per section the jobs write, in [`SectionId`] order, with one write
+/// range per job. Each write brings the read its discipline implies: an
+/// owned range is read plain (the job accumulates into it), an atomic or a
+/// locked section whole under its atomics or its locks, and a private
+/// buffer not at all.
+pub fn section_models(jobs: &[JobSpec], dims: &PlanDims) -> Vec<SectionModel> {
+    let mut models: Vec<SectionModel> = Vec::new();
+    for job in jobs {
+        for &(section, ref range, access) in &job.writes {
+            let len = dims.section_len(section);
+            let read = match access {
+                WriteAccess::Owned | WriteAccess::PlainShared => {
+                    Some((ReadSync::Plain, range.clone()))
+                }
+                WriteAccess::Atomic => Some((ReadSync::Atomic, 0..len)),
+                WriteAccess::Locked => Some((ReadSync::Locked, 0..len)),
+                WriteAccess::Private => None,
             };
-            let red_reads = red_writes
+            let at = models
                 .iter()
-                .map(|own| {
-                    vec![
-                        ReadAccess::plain(ReadSpace::Privates(wave1), own.clone()),
-                        ReadAccess::plain(ReadSpace::Section(wave2), own.clone()),
-                    ]
-                })
-                .collect();
-            out.push(
-                SectionModel::new(wave2, WriteAccess::Owned, section_len, red_writes)
-                    .with_wave(2)
-                    .with_reads(red_reads),
-            );
-        }
-        Aprod2Strategy::LockStriped { stripes } => {
-            let chunks = plan.section_chunks(stream, rows.len());
-            let spans = split_span(rows, chunks);
-            let reads = spans
-                .iter()
-                .map(|chunk| {
-                    vec![
-                        ReadAccess::plain(ReadSpace::Input, chunk.clone()),
-                        ReadAccess::plain(ReadSpace::MatrixRows, chunk.clone()),
-                        ReadAccess::locked(ReadSpace::Section(wave1), 0..section_len),
-                    ]
-                })
-                .collect();
-            out.push(
-                SectionModel::new(
-                    wave1,
-                    WriteAccess::Locked,
-                    section_len,
-                    vec![0..section_len; spans.len()],
-                )
-                .with_reads(reads),
-            );
-            // Wave 2 copies each stripe accumulator back into its owned
-            // slice of the section.
-            let n_stripes = stripes.max(1).min(section_len);
-            let red_writes = split_ranges(section_len, n_stripes);
-            let red_reads = red_writes
-                .iter()
-                .map(|own| {
-                    vec![
-                        ReadAccess::locked(ReadSpace::Privates(wave1), own.clone()),
-                        ReadAccess::plain(ReadSpace::Section(wave2), own.clone()),
-                    ]
-                })
-                .collect();
-            out.push(
-                SectionModel::new(wave2, WriteAccess::Owned, section_len, red_writes)
-                    .with_wave(2)
-                    .with_reads(red_reads),
-            );
+                .position(|m| m.id == section)
+                .unwrap_or_else(|| {
+                    let model = SectionModel::new(section, access, len, Vec::new());
+                    models.push(model.with_wave(job.wave));
+                    models.len() - 1
+                });
+            models[at].writes.push(range.clone());
+            let read = read.map(|(sync, range)| ReadAccess {
+                section,
+                range,
+                sync,
+            });
+            models[at].reads.push(read.into_iter().collect());
         }
     }
+    models.sort_by_key(|m| m.id);
+    models
 }
 
-/// Lower `plan` against `dims` to the symbolic access model `aprod1` +
-/// `aprod2` execute: one [`SectionModel`] per output section and deferred
-/// reduction, in launch order. Attitude sees every row, instrumental and
-/// global stop at the observation rows, astrometric work is star-aligned.
+/// The access model of `plan`'s two products against `dims`: the
+/// [`section_models`] of the `aprod1` and `aprod2` job lists, with each
+/// deferred reduction its own wave-2 model.
 pub fn write_model(plan: &LaunchPlan, dims: &PlanDims) -> Vec<SectionModel> {
-    let mut out = Vec::new();
-
-    let att_rows = 0..dims.n_rows;
-    let obs_rows = 0..dims.n_obs_rows;
-
-    // aprod1: row-range ownership over the output rows. The kernels gather
-    // from the whole input vector (column-scattered nonzeros).
-    let a1_writes = split_ranges(dims.n_rows, plan.aprod1_chunks(dims.n_rows));
-    let a1_reads = a1_writes
-        .iter()
-        .map(|r| {
-            vec![
-                ReadAccess::plain(ReadSpace::Input, 0..dims.n_cols()),
-                ReadAccess::plain(ReadSpace::MatrixRows, r.clone()),
-                ReadAccess::plain(ReadSpace::Section(SectionId::Aprod1), r.clone()),
-            ]
-        })
-        .collect();
-    out.push(
-        SectionModel::new(
-            SectionId::Aprod1,
-            WriteAccess::Owned,
-            dims.n_rows,
-            a1_writes,
-        )
-        .with_reads(a1_reads),
-    );
-
-    // Astrometric stream: star chunks own matching ×5 column slices and
-    // read their stars' rows (canonical shapes need not divide evenly, so
-    // a chunk's rows are its share of the observation rows).
-    let n_stars = dims.n_stars;
-    let star_spans = split_ranges(n_stars, plan.section_chunks(Stream::Astro, n_stars));
-    let astro_reads = star_spans
-        .iter()
-        .map(|chunk| {
-            let rows = chunk.start * dims.n_obs_rows / n_stars.max(1)
-                ..chunk.end * dims.n_obs_rows / n_stars.max(1);
-            vec![
-                ReadAccess::plain(ReadSpace::Input, rows.clone()),
-                ReadAccess::plain(ReadSpace::MatrixRows, rows),
-                ReadAccess::plain(
-                    ReadSpace::Section(SectionId::Astro),
-                    chunk.start * 5..chunk.end * 5,
-                ),
-            ]
-        })
-        .collect();
-    out.push(
-        SectionModel::new(
-            SectionId::Astro,
-            WriteAccess::Owned,
-            n_stars * 5,
-            star_spans
-                .into_iter()
-                .map(|stars| stars.start * 5..stars.end * 5)
-                .collect(),
-        )
-        .with_reads(astro_reads),
-    );
-
-    lower_section(
-        plan,
-        Stream::Att,
-        SectionId::Att,
-        SectionId::AttReduction,
-        att_rows,
-        dims.n_att,
-        plan.spec.att,
-        &mut out,
-    );
-    lower_section(
-        plan,
-        Stream::Instr,
-        SectionId::Instr,
-        SectionId::InstrReduction,
-        obs_rows.clone(),
-        dims.n_instr,
-        plan.spec.instr,
-        &mut out,
-    );
-    if dims.n_glob > 0 {
-        lower_section(
-            plan,
-            Stream::Glob,
-            SectionId::Glob,
-            SectionId::GlobCombine,
-            obs_rows,
-            dims.n_glob,
-            plan.spec.glob,
-            &mut out,
-        );
-    }
-
-    out
+    let mut jobs = plan.jobs(dims, Launch::Aprod1);
+    jobs.extend(plan.jobs(dims, Launch::Aprod2));
+    section_models(&jobs, dims)
 }
 
-/// Verify `plan` against `dims`: lower to the access model, prove every
-/// section sound (write disjointness *and* read/write race freedom), and
-/// prove the streamed budget conserves the thread budget. Records an
-/// `analyze` telemetry cell entry either way.
+/// Verify `plan` against `dims`: fold its launches' job lists into access
+/// models — the two products, and the one-launch pass when
+/// [`LaunchPlan::gk_in_one_launch`] holds — prove each sound (write
+/// disjointness *and* read/write race freedom), and prove the streamed
+/// budget conserves the thread budget. Records an `analyze` telemetry cell
+/// entry either way.
 pub fn analyze_plan(plan: &LaunchPlan, dims: &PlanDims) -> Result<PlanProof, PlanError> {
-    let model = write_model(plan, dims);
-    let mut result = check_sections(&model);
+    let mut models = vec![write_model(plan, dims)];
+    if plan.gk_in_one_launch() {
+        models.push(section_models(&plan.jobs(dims, Launch::Pass), dims));
+    }
+    let mut proof = PlanProof {
+        sections: 0,
+        jobs: 0,
+        reads: 0,
+    };
+    let mut violations = Vec::new();
+    for model in &models {
+        match check_sections(model) {
+            Ok(p) => {
+                proof.sections += p.sections;
+                proof.jobs += p.jobs;
+                proof.reads += p.reads;
+            }
+            Err(e) => violations.extend(e.violations),
+        }
+    }
 
     if plan.spec.budget == WorkerBudget::Streamed {
         let threads = plan.tuning.threads;
         let (astro, att, instr) = stream_worker_budget(threads);
         let effective = threads.max(4);
-        let mut extra = Vec::new();
         if astro + att + instr > effective {
-            extra.push(PlanViolation::BudgetOversubscribed {
+            violations.push(PlanViolation::BudgetOversubscribed {
                 threads,
                 effective,
                 shares: (astro, att, instr),
@@ -968,35 +710,28 @@ pub fn analyze_plan(plan: &LaunchPlan, dims: &PlanDims) -> Result<PlanProof, Pla
         }
         for (stream, share) in [("astro", astro), ("att", att), ("instr", instr)] {
             if share == 0 {
-                extra.push(PlanViolation::StarvedStream { stream });
+                violations.push(PlanViolation::StarvedStream { stream });
             }
-        }
-        if !extra.is_empty() {
-            let mut violations = match result {
-                Ok(_) => Vec::new(),
-                Err(e) => e.violations,
-            };
-            violations.extend(extra);
-            result = Err(PlanError { violations });
         }
     }
 
-    let violation_count = match &result {
-        Ok(_) => 0,
-        Err(e) => e.violations.len(),
-    } as u64;
+    let sections_checked = models.iter().map(Vec::len).sum::<usize>() as u64;
     gaia_telemetry::record(|t| {
         t.analyze.plans_checked += 1;
-        t.analyze.sections_checked += model.len() as u64;
-        t.analyze.plan_violations += violation_count;
+        t.analyze.sections_checked += sections_checked;
+        t.analyze.plan_violations += violations.len() as u64;
     });
-    result
+    if violations.is_empty() {
+        Ok(proof)
+    } else {
+        Err(PlanError { violations })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::launch::Aprod2Spec;
+    use crate::launch::{Aprod2Spec, Aprod2Strategy};
     use crate::tuning::Tuning;
 
     fn plan(strategy: Aprod2Strategy, streamed: bool) -> LaunchPlan {
@@ -1035,7 +770,8 @@ mod tests {
     }
 
     /// Every job carries a read-set in the full model: the access model is
-    /// total, not just patched onto some strategies.
+    /// total, not just patched onto some strategies. Only a write into a
+    /// private buffer reads nothing shared.
     #[test]
     fn every_job_in_every_strategy_model_carries_reads() {
         for strategy in STRATEGIES {
@@ -1051,14 +787,58 @@ mod tests {
                         );
                         for (job, reads) in s.reads.iter().enumerate() {
                             assert!(
-                                !reads.is_empty(),
-                                "[{}] {strategy:?} job {job} has no reads",
-                                s.id
+                                reads.is_empty() == (s.access == WriteAccess::Private),
+                                "[{}] {strategy:?} job {job} reads {reads:?} under {} writes",
+                                s.id,
+                                s.access
                             );
                         }
                     }
                 }
             }
+        }
+    }
+
+    /// The pass is checked from the list it runs, so a broken lowering of
+    /// it is caught naming its section: a last chunk that drops the
+    /// constraint rows leaves them unwritten in `u`, and a star chunk that
+    /// reaches into the next one claims its astrometric columns twice.
+    #[test]
+    fn broken_pass_lowerings_are_rejected_naming_their_section() {
+        let p = plan(Aprod2Strategy::Atomic, false);
+        let has = |jobs: &[JobSpec], dims: &PlanDims, want: &dyn Fn(&PlanViolation) -> bool| {
+            let err = check_sections(&section_models(jobs, dims)).unwrap_err();
+            assert!(err.violations.iter().any(want), "{err}");
+        };
+        for dims in PlanDims::canonical() {
+            let jobs = p.jobs(&dims, Launch::Pass);
+            check_sections(&section_models(&jobs, &dims)).expect("the pass is sound");
+
+            if dims.n_rows > dims.n_obs_rows() {
+                let mut short = jobs.clone();
+                let last = short.last_mut().unwrap();
+                last.rows.end = dims.n_obs_rows();
+                last.writes[0].1.end = dims.n_obs_rows();
+                has(&short, &dims, &|v| {
+                    matches!(v, PlanViolation::Gap { section: SectionId::Aprod1, missing }
+                        if *missing == (dims.n_obs_rows()..dims.n_rows))
+                });
+            }
+
+            let mut overlapping = jobs.clone();
+            let first = &mut overlapping[0];
+            first.rows.end += dims.obs_per_star;
+            first.writes[0].1.end += dims.obs_per_star;
+            first.writes[1].1.end += 5;
+            has(&overlapping, &dims, &|v| {
+                matches!(
+                    v,
+                    PlanViolation::Overlap {
+                        section: SectionId::Astro,
+                        ..
+                    }
+                )
+            });
         }
     }
 
@@ -1154,13 +934,7 @@ mod tests {
         // The canary's read half: every lane plain-reads the whole section
         // other lanes plain-write (read slot → preempt → store back).
         let s = SectionModel::new(SectionId::Att, WriteAccess::PlainShared, 90, vec![0..90; 8])
-            .with_reads(vec![
-                vec![ReadAccess::plain(
-                    ReadSpace::Section(SectionId::Att),
-                    0..90
-                )];
-                8
-            ]);
+            .with_reads(vec![vec![ReadAccess::plain(SectionId::Att, 0..90)]; 8]);
         let err = check_sections(&[s]).unwrap_err();
         assert!(err.has_read_violation(), "{err}");
         assert!(err.has_write_violation(), "{err}");
@@ -1184,8 +958,8 @@ mod tests {
         let reader =
             SectionModel::new(SectionId::Instr, WriteAccess::Owned, 10, whole).with_reads(vec![
                 vec![
-                    ReadAccess::plain(ReadSpace::Section(SectionId::Att), 30..60),
-                    ReadAccess::plain(ReadSpace::Section(SectionId::Instr), 0..10),
+                    ReadAccess::plain(SectionId::Att, 30..60),
+                    ReadAccess::plain(SectionId::Instr, 0..10),
                 ],
             ]);
         let err = check_sections(&[writer, reader]).unwrap_err();
@@ -1207,10 +981,10 @@ mod tests {
         // Atomic reads of an atomic section pair up.
         let atomic = SectionModel::new(SectionId::Att, WriteAccess::Atomic, 90, vec![0..90; 4])
             .with_reads(vec![
-                vec![ReadAccess::atomic(
-                    ReadSpace::Section(SectionId::Att),
-                    0..90
-                )];
+                vec![ReadAccess {
+                    sync: ReadSync::Atomic,
+                    ..ReadAccess::plain(SectionId::Att, 0..90)
+                }];
                 4
             ]);
         check_sections(&[atomic]).expect("atomic read/write pairs are sound");
@@ -1218,10 +992,10 @@ mod tests {
         // Locked reads of a locked section pair up.
         let locked = SectionModel::new(SectionId::Att, WriteAccess::Locked, 90, vec![0..90; 4])
             .with_reads(vec![
-                vec![ReadAccess::locked(
-                    ReadSpace::Section(SectionId::Att),
-                    0..90
-                )];
+                vec![ReadAccess {
+                    sync: ReadSync::Locked,
+                    ..ReadAccess::plain(SectionId::Att, 0..90)
+                }];
                 4
             ]);
         check_sections(&[locked]).expect("locked read/write pairs are sound");
@@ -1236,13 +1010,7 @@ mod tests {
             vec![0..45, 45..90],
         )
         .with_wave(2)
-        .with_reads(vec![
-            vec![ReadAccess::plain(
-                ReadSpace::Section(SectionId::Att),
-                0..90
-            )];
-            2
-        ]);
+        .with_reads(vec![vec![ReadAccess::plain(SectionId::Att, 0..90)]; 2]);
         check_sections(&[wave1, wave2]).expect("cross-wave reads are barrier-ordered");
     }
 
@@ -1250,11 +1018,8 @@ mod tests {
     fn a_jobs_read_of_its_own_exclusive_range_is_not_a_race() {
         let s = SectionModel::new(SectionId::Att, WriteAccess::Owned, 90, vec![0..45, 45..90])
             .with_reads(vec![
-                vec![ReadAccess::plain(ReadSpace::Section(SectionId::Att), 0..45)],
-                vec![ReadAccess::plain(
-                    ReadSpace::Section(SectionId::Att),
-                    45..90,
-                )],
+                vec![ReadAccess::plain(SectionId::Att, 0..45)],
+                vec![ReadAccess::plain(SectionId::Att, 45..90)],
             ]);
         check_sections(&[s]).expect("own-range accumulation reads are sound");
     }
@@ -1282,8 +1047,8 @@ mod tests {
         let p = plan(Aprod2Strategy::Replicated, false);
         let dims = PlanDims {
             n_rows: 230,
-            n_obs_rows: 200,
             n_stars: 40,
+            obs_per_star: 5,
             n_att: 90,
             n_instr: 24,
             n_glob: 1,
@@ -1320,8 +1085,8 @@ mod tests {
         let p = plan(Aprod2Strategy::Atomic, true);
         let dims = PlanDims {
             n_rows: 64,
-            n_obs_rows: 64,
-            n_stars: 12,
+            n_stars: 16,
+            obs_per_star: 4,
             n_att: 0,
             n_instr: 0,
             n_glob: 0,

@@ -46,6 +46,10 @@ fn owner_computes(tuning: Tuning) -> LaunchPlan {
     uniform(tuning, Aprod2Strategy::OwnerComputes)
 }
 
+fn atomic(tuning: Tuning) -> LaunchPlan {
+    uniform(tuning, Aprod2Strategy::Atomic)
+}
+
 /// Every registered strategy, in report order. What sets the paper's
 /// frameworks apart — kernel tuning, atomics code generation, streams —
 /// is the plan column; everything else about a policy is its name.
@@ -70,7 +74,7 @@ static TABLE: [Row; 14] = [
         name: "atomic",
         description:
             "row-parallel, job-combined atomic f64 RMW adds into the shared sections (CUDA/HIP analogue); every job zeroes and publishes its own copy of the shared sections, so a fine -c costs: at T = 2, -c64 measured 12-16 % and -c1024 3-6x slower than -c1",
-        build: Build::Plan(|t| uniform(t, Aprod2Strategy::Atomic)),
+        build: Build::Plan(atomic),
     },
     // The CAS loop some compilers emit instead of an RMW (§V-B, MI250X):
     // `atomic`'s shape, publishing with the fully fenced retry loop.
@@ -150,8 +154,8 @@ static TABLE: [Row; 14] = [
     },
     Row {
         name: "tuned",
-        description: "persisted tuner winner per layout (falls back to owner-computes)",
-        build: Build::Tuned(owner_computes),
+        description: "persisted tuner winner per layout (falls back to atomic, the fastest plan measured where no profile exists)",
+        build: Build::Tuned(atomic),
     },
 ];
 
@@ -295,8 +299,8 @@ mod tests {
 
     /// Which of the 14 names run the Golub–Kahan pass as one launch:
     /// exactly the two whose colliding sections all publish inside wave 1.
-    /// `tiled`'s plan is owner-computes, and `tuned` decides per shape
-    /// (its fallback is owner-computes), so neither does here.
+    /// `tiled`'s plan is owner-computes, and `tuned` decides per shape, so
+    /// neither does here.
     #[test]
     fn only_atomic_and_casloop_run_the_pass_in_one_launch() {
         assert_eq!(backend_names().len(), 14);
@@ -304,6 +308,28 @@ mod tests {
             let one_launch = fixed_plan(name, 2).is_some_and(|p| p.gk_in_one_launch());
             assert_eq!(one_launch, matches!(name, "atomic" | "casloop"), "{name}");
         }
+    }
+
+    /// On a shape no profile covers, `tuned` runs `atomic`'s plan at its
+    /// own tuning.
+    #[test]
+    fn tuned_falls_back_to_atomic_on_an_unseen_shape() {
+        use gaia_sparse::{Generator, GeneratorConfig, SystemLayout};
+        let b = backend_by_name("tuned-t2", 2).unwrap();
+        assert_eq!(b.launch_plan(), fixed_plan("atomic-t2", 2));
+        let layout = SystemLayout {
+            n_stars: 7,
+            ..SystemLayout::tiny()
+        };
+        let sys = Generator::new(GeneratorConfig::new(layout).seed(3)).generate();
+        let x: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.21).cos()).collect();
+        let pass = |b: &dyn Backend| {
+            let (mut u, mut out) = (sys.known_terms().to_vec(), x.clone());
+            b.gk_products(&sys, &x, 0.5, &mut u, &mut out);
+            u.into_iter().chain(out).collect::<Vec<f64>>()
+        };
+        let (got, want) = (pass(b.as_ref()), pass(&SeqBackend));
+        assert!(got.iter().zip(&want).all(|(g, w)| (g - w).abs() < 1e-10));
     }
 
     #[test]

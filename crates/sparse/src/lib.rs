@@ -64,8 +64,8 @@ pub use layout::{BlockKind, ColumnBlocks, SystemLayout};
 pub use partition::{RowPartition, RowRange};
 pub use system::{RowBlock, SparseSystem};
 pub use tiled::{
-    resolve_tiles_dir, source_fingerprint, write_tiles, CapacityBudget, TileAccess, TileCache,
-    TileCacheStats, TileError, TileManifest, TileMeta, TiledSystem, TILES_DIR_ENV,
+    resolve_tiles_dir, write_tiles, CapacityBudget, TileAccess, TileCache, TileCacheStats,
+    TileError, TileManifest, TileMeta, TiledSystem, TILES_DIR_ENV,
 };
 
 /// Number of astrometric parameters solved per star (right ascension,

@@ -30,10 +30,10 @@
 //! * **Tamper evidence.** Every tile file carries a four-lane FNV-1a
 //!   checksum in the manifest, verified on **every** load; a corrupted
 //!   tile is a hard error naming the tile path.
-//!   The manifest also records a fingerprint of the *source* arrays, so a
-//!   mutate-after-tile-write ([`SparseSystem::scale_column`] and friends)
-//!   is detected by [`TileManifest::verify_matches`] instead of silently
-//!   solving stale data.
+//!   A mutate-after-tile-write ([`SparseSystem::scale_column`] and
+//!   friends) is detected by [`TileManifest::verify_matches`], which
+//!   checksums what spilling the system again would write and compares it
+//!   with the manifest, instead of silently solving stale data.
 //! * **The budget binds.** The cache evicts *before* loading, so its
 //!   ledger never exceeds the budget at any instant; a budget smaller
 //!   than a single tile is a typed error
@@ -271,10 +271,6 @@ impl Fnv {
         self.write(&v.to_le_bytes());
     }
 
-    fn write_f64(&mut self, v: f64) {
-        self.write(&v.to_bits().to_le_bytes());
-    }
-
     fn finish(self) -> u64 {
         self.0
     }
@@ -394,73 +390,6 @@ fn hash_bytes(bytes: &[u8]) -> u64 {
     let mut h = TileHasher::new();
     h.write(bytes);
     h.finish()
-}
-
-// ---------------------------------------------------------------------------
-// Source fingerprint
-// ---------------------------------------------------------------------------
-
-/// Per-array hashers combined into one source fingerprint. Streamed
-/// generation feeds these incrementally (its phases are array-major, so
-/// each array is visited in exactly the in-memory order); the in-memory
-/// path feeds whole arrays. Both yield the same digest for the same data.
-#[derive(Default)]
-pub(crate) struct SourceHasher {
-    /// Indexed by [`Coeffs`].
-    coeffs: [Fnv; 4],
-    /// Indexed by [`Index`].
-    index: [Fnv; 2],
-    known: Fnv,
-}
-
-impl SourceHasher {
-    fn feed_f64(h: &mut Fnv, vals: &[f64]) {
-        for &v in vals {
-            h.write_f64(v);
-        }
-    }
-
-    fn feed_u32(h: &mut Fnv, vals: &[u32]) {
-        for &v in vals {
-            h.write(&v.to_le_bytes());
-        }
-    }
-
-    fn finish(self, layout: &SystemLayout) -> u64 {
-        let mut h = Fnv::default();
-        h.write_u64(layout.n_stars);
-        h.write_u64(layout.obs_per_star);
-        h.write_u64(layout.n_deg_freedom_att);
-        h.write_u64(layout.n_instr_params);
-        h.write_u64(u64::from(layout.n_glob_params));
-        h.write_u64(layout.n_constraint_rows);
-        let arrays = self.coeffs.into_iter().chain(self.index);
-        for digest in arrays.chain([self.known]).map(Fnv::finish) {
-            h.write_u64(digest);
-        }
-        h.finish()
-    }
-}
-
-/// Fingerprint of a system's full content (layout + every array,
-/// including the known terms), independent of the tiling.
-pub fn source_fingerprint(sys: &SparseSystem) -> String {
-    let mut src = SourceHasher::default();
-    let coeffs = [
-        sys.values_astro(),
-        sys.values_att(),
-        sys.values_instr(),
-        sys.values_glob(),
-    ];
-    for (h, vals) in src.coeffs.iter_mut().zip(coeffs) {
-        SourceHasher::feed_f64(h, vals);
-    }
-    let index = [sys.matrix_index_att(), sys.instr_col()];
-    for (h, vals) in src.index.iter_mut().zip(index) {
-        SourceHasher::feed_u32(h, vals);
-    }
-    SourceHasher::feed_f64(&mut src.known, sys.known_terms());
-    hex(src.finish(sys.layout()))
 }
 
 // ---------------------------------------------------------------------------
@@ -755,26 +684,45 @@ pub struct TileManifest {
     /// Combined fingerprint of all tile checksums + known terms — the
     /// identity of the on-disk matrix, recorded in checkpoints.
     pub matrix_fingerprint: String,
-    /// Fingerprint of the source arrays (see [`source_fingerprint`]);
-    /// lets [`TileManifest::verify_matches`] detect a source system that
-    /// mutated after the tiles were written.
-    pub source_fingerprint: String,
 }
 
 impl TileManifest {
     /// Check that `sys` still matches the arrays these tiles were written
-    /// from; a mutated source (scaled column, permuted rows, replaced
-    /// known terms) yields [`TileError::StaleManifest`].
+    /// from: its layout is the recorded one, and spilling it again at
+    /// `tile_stars` — through the tile writer into a hash-only sink, no
+    /// files — gives every recorded tile and known-terms checksum. A
+    /// mutated source (scaled column, permuted rows, replaced known terms)
+    /// yields [`TileError::StaleManifest`].
     pub fn verify_matches(&self, sys: &SparseSystem) -> Result<(), TileError> {
-        let now = source_fingerprint(sys);
-        if now != self.source_fingerprint {
-            return Err(TileError::StaleManifest {
-                message: format!(
-                    "source system fingerprint {now} != recorded {} — \
-                     the system was mutated after the tiles were written",
-                    self.source_fingerprint
-                ),
-            });
+        let stale = |what: String| TileError::StaleManifest {
+            message: format!("{what} — the system was mutated after the tiles were written"),
+        };
+        if *sys.layout() != self.layout {
+            let (now, recorded) = (sys.layout(), &self.layout);
+            return Err(stale(format!(
+                "source layout {now:?} != recorded {recorded:?}"
+            )));
+        }
+        let mut sink =
+            TileSink::with_writers(Path::new(""), self.layout, self.tile_stars, |span| {
+                let name = TileManifest::tile_file_name(span.index);
+                TileFileWriter::new(PathBuf::from(name), io::sink(), span)
+            })?;
+        spill(&mut sink, sys)?;
+        for (now, recorded) in sink.metas.iter().zip(&self.tiles) {
+            if now.checksum != recorded.checksum {
+                let (i, now, recorded) = (now.index, &now.checksum, &recorded.checksum);
+                return Err(stale(format!(
+                    "tile {i} checksum {now} != recorded {recorded}"
+                )));
+            }
+        }
+        let known = hash_known_terms(Path::new(KNOWN_TERMS_NAME), io::sink(), sys.known_terms())?;
+        if known != self.known_terms_checksum {
+            let recorded = &self.known_terms_checksum;
+            return Err(stale(format!(
+                "known-terms checksum {known} != recorded {recorded}"
+            )));
         }
         Ok(())
     }
@@ -844,20 +792,29 @@ fn local_layout(parent: &SystemLayout, meta: &TileMeta) -> SystemLayout {
 // Tile file I/O
 // ---------------------------------------------------------------------------
 
-/// Writer of one tile file; shared by [`write_tiles`] and streamed
-/// generation so both produce byte-identical files. Sections are
-/// appended across generation phases (the file section order *is* the
-/// phase order), hashing incrementally — no seeks, no rewrites.
-struct TileFileWriter {
+/// Writer of one tile file; shared by [`write_tiles`], streamed
+/// generation and [`TileManifest::verify_matches`] so all three produce
+/// byte-identical tiles. Sections are appended across generation phases
+/// (the file section order *is* the phase order), hashing incrementally —
+/// no seeks, no rewrites.
+struct TileFileWriter<W: Write = io::BufWriter<std::fs::File>> {
     path: PathBuf,
-    w: HashingWriter<io::BufWriter<std::fs::File>>,
+    w: HashingWriter<W>,
 }
 
 impl TileFileWriter {
     fn create(dir: &Path, span: &TileSpan) -> Result<Self, TileError> {
         let path = dir.join(TileManifest::tile_file_name(span.index));
         let file = std::fs::File::create(&path).map_err(io_err(&path))?;
-        let mut w = HashingWriter::new(io::BufWriter::new(file));
+        TileFileWriter::new(path, io::BufWriter::new(file), span)
+    }
+}
+
+impl<W: Write> TileFileWriter<W> {
+    /// Write the header of `span`'s tile into `inner`; `path` names the
+    /// tile in errors.
+    fn new(path: PathBuf, inner: W, span: &TileSpan) -> Result<Self, TileError> {
+        let mut w = HashingWriter::new(inner);
         (|| -> io::Result<()> {
             w.write_all(&TILE_MAGIC)?;
             write_u32(&mut w, TILE_VERSION)?;
@@ -980,14 +937,19 @@ fn read_tile(dir: &Path, parent: &SystemLayout, meta: &TileMeta) -> Result<RowBl
 fn write_known_terms(dir: &Path, b: &[f64]) -> Result<String, TileError> {
     let path = dir.join(KNOWN_TERMS_NAME);
     let file = std::fs::File::create(&path).map_err(io_err(&path))?;
-    let mut w = HashingWriter::new(io::BufWriter::new(file));
+    hash_known_terms(&path, io::BufWriter::new(file), b)
+}
+
+/// Write the known-terms file `b` into `inner`; its checksum, hex-encoded.
+fn hash_known_terms<W: Write>(path: &Path, inner: W, b: &[f64]) -> Result<String, TileError> {
+    let mut w = HashingWriter::new(inner);
     (|| -> io::Result<()> {
         w.write_all(&KNOWN_MAGIC)?;
         write_u32(&mut w, TILE_VERSION)?;
         write_f64_array(&mut w, b)
     })()
-    .map_err(io_err(&path))?;
-    w.flush().map_err(io_err(&path))?;
+    .map_err(io_err(path))?;
+    w.flush().map_err(io_err(path))?;
     Ok(hex(w.hash.finish()))
 }
 
@@ -1090,12 +1052,17 @@ pub fn write_tiles(
     tile_stars: u64,
 ) -> Result<TileManifest, TileError> {
     let mut sink = TileSink::create(dir, *sys.layout(), tile_stars)?;
+    spill(&mut sink, sys)?;
+    sink.finish(None, sys.known_terms())
+}
+
+/// Replay every tile of `sys` into `sink` and seal it.
+fn spill<W: Write>(sink: &mut TileSink<'_, W>, sys: &SparseSystem) -> Result<(), TileError> {
     for span in sink.spans.clone() {
         let block = sys.row_block(span.star0..span.star1, span.constraint_rows > 0);
-        replay(&mut sink, &span, &block.system)?;
+        replay(sink, &span, &block.system)?;
     }
-    sink.seal()?;
-    sink.finish(None, sys.known_terms())
+    sink.seal()
 }
 
 // ---------------------------------------------------------------------------
@@ -1103,21 +1070,42 @@ pub fn write_tiles(
 // ---------------------------------------------------------------------------
 
 /// A spill being written: one open file per tile, each section appended
-/// to its tile and hashed into the source fingerprint; once sealed, its
-/// tiles are read back (checksum-verified) for the right-hand side.
-/// [`write_tiles`] fills it from a resident system, streamed generation
-/// from the generator's phase walker: the same system, the same bytes.
-pub(crate) struct TileSink<'a> {
+/// to its tile; once sealed, its tiles are read back (checksum-verified)
+/// for the right-hand side. [`write_tiles`] fills it from a resident
+/// system, streamed generation from the generator's phase walker: the
+/// same system, the same bytes. Over [`io::Sink`] writers it writes no
+/// files and keeps only the checksums.
+pub(crate) struct TileSink<'a, W: Write = io::BufWriter<std::fs::File>> {
     dir: &'a Path,
     layout: SystemLayout,
     tile_stars: u64,
     pub(crate) spans: Vec<TileSpan>,
-    writers: Vec<TileFileWriter>,
+    writers: Vec<TileFileWriter<W>>,
     metas: Vec<TileMeta>,
-    src: SourceHasher,
     /// The section being filled, reused section after section.
     f64s: Vec<f64>,
     u32s: Vec<u32>,
+}
+
+impl<'a, W: Write> TileSink<'a, W> {
+    fn with_writers(
+        dir: &'a Path,
+        layout: SystemLayout,
+        tile_stars: u64,
+        open: impl FnMut(&TileSpan) -> Result<TileFileWriter<W>, TileError>,
+    ) -> Result<Self, TileError> {
+        let spans = tile_spans(&layout, tile_stars);
+        Ok(TileSink {
+            dir,
+            layout,
+            tile_stars,
+            writers: spans.iter().map(open).collect::<Result<_, _>>()?,
+            spans,
+            metas: Vec::new(),
+            f64s: Vec::new(),
+            u32s: Vec::new(),
+        })
+    }
 }
 
 impl<'a> TileSink<'a> {
@@ -1127,28 +1115,13 @@ impl<'a> TileSink<'a> {
         tile_stars: u64,
     ) -> Result<Self, TileError> {
         std::fs::create_dir_all(dir).map_err(io_err(dir))?;
-        let spans = tile_spans(&layout, tile_stars);
-        let writers = spans.iter().map(|span| TileFileWriter::create(dir, span));
-        Ok(TileSink {
-            dir,
-            layout,
-            tile_stars,
-            writers: writers.collect::<Result<_, _>>()?,
-            spans,
-            metas: Vec::new(),
-            src: SourceHasher::default(),
-            f64s: Vec::new(),
-            u32s: Vec::new(),
+        TileSink::with_writers(dir, layout, tile_stars, |span| {
+            TileFileWriter::create(dir, span)
         })
     }
 
     /// Write the known terms `b` and the manifest of the sealed spill.
-    pub(crate) fn finish(
-        mut self,
-        seed: Option<u64>,
-        b: &[f64],
-    ) -> Result<TileManifest, TileError> {
-        SourceHasher::feed_f64(&mut self.src.known, b);
+    pub(crate) fn finish(self, seed: Option<u64>, b: &[f64]) -> Result<TileManifest, TileError> {
         let known_checksum = write_known_terms(self.dir, b)?;
         let matrix_fingerprint =
             combine_fingerprint(&self.metas, parse_hex_or_zero(&known_checksum));
@@ -1159,7 +1132,6 @@ impl<'a> TileSink<'a> {
             tile_stars: self.tile_stars,
             n_tiles: self.metas.len(),
             matrix_fingerprint,
-            source_fingerprint: hex(self.src.finish(&self.layout)),
             tiles: self.metas,
             known_terms_checksum: known_checksum,
         };
@@ -1168,20 +1140,18 @@ impl<'a> TileSink<'a> {
     }
 }
 
-impl Sink for TileSink<'_> {
+impl<W: Write> Sink for TileSink<'_, W> {
     type Error = TileError;
 
-    fn coeffs(&mut self, span: &TileSpan, part: Coeffs, fill: Fill<f64>) -> Result<(), TileError> {
+    fn coeffs(&mut self, span: &TileSpan, _: Coeffs, fill: Fill<f64>) -> Result<(), TileError> {
         self.f64s.clear();
         fill(&mut self.f64s);
-        SourceHasher::feed_f64(&mut self.src.coeffs[part as usize], &self.f64s);
         self.writers[span.index].write_f64s(&self.f64s)
     }
 
-    fn index(&mut self, span: &TileSpan, part: Index, fill: Fill<u32>) -> Result<(), TileError> {
+    fn index(&mut self, span: &TileSpan, _: Index, fill: Fill<u32>) -> Result<(), TileError> {
         self.u32s.clear();
         fill(&mut self.u32s);
-        SourceHasher::feed_u32(&mut self.src.index[part as usize], &self.u32s);
         self.writers[span.index].write_u32s(&self.u32s)
     }
 
@@ -1447,7 +1417,6 @@ mod tests {
             }
             assert_eq!(m_mem.known_terms_checksum, m_str.known_terms_checksum);
             assert_eq!(m_mem.matrix_fingerprint, m_str.matrix_fingerprint);
-            assert_eq!(m_mem.source_fingerprint, m_str.source_fingerprint);
             // And the assembled streamed system equals the in-memory one.
             let back = TiledSystem::open(&dir_str).unwrap().assemble().unwrap();
             assert_eq!(back.values_astro(), sys.values_astro());

@@ -152,7 +152,6 @@ fn streamed_generation_equals_in_memory_for_every_pattern() {
                 "{case}"
             );
             assert_eq!(m_mem.matrix_fingerprint, m_str.matrix_fingerprint, "{case}");
-            assert_eq!(m_mem.source_fingerprint, m_str.source_fingerprint, "{case}");
             let back = TiledSystem::open(&dir_str).unwrap().assemble().unwrap();
             assert_eq!(digest(&back, None), digest(&sys, None), "{case}");
             std::fs::remove_dir_all(&dir_mem).ok();

@@ -29,7 +29,7 @@ use gaia_backends::launch::{PROBE_ATT_ATOMIC, PROBE_INSTR_ATOMIC};
 use gaia_backends::{atomicf64, kernels};
 use gaia_backends::{
     check_sections, Aprod2Spec, Aprod2Strategy, Backend, LaunchPlan, PlanDims, PlanError,
-    ReadAccess, ReadSpace, SectionId, SectionModel, SeqBackend, Tuning, WriteAccess,
+    ReadAccess, SectionId, SectionModel, SeqBackend, Tuning, WriteAccess,
 };
 use gaia_sparse::{AttitudePattern, Generator, GeneratorConfig, Rhs, SparseSystem, SystemLayout};
 use serde::Serialize;
@@ -178,10 +178,7 @@ pub fn broken_write_model(n_att: usize, lanes: usize) -> SectionModel {
         vec![0..n_att; lanes],
     )
     .with_reads(vec![
-        vec![ReadAccess::plain(
-            ReadSpace::Section(SectionId::Att),
-            0..n_att
-        )];
+        vec![ReadAccess::plain(SectionId::Att, 0..n_att)];
         lanes
     ])
 }
