@@ -152,7 +152,7 @@ impl AtomicFlavor {
 
 /// Conflict-resolution strategy for the colliding `aprod2` blocks
 /// (attitude / instrumental / global) — the paper's framework column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Aprod2Strategy {
     /// Each job owns a contiguous column range and rescans all rows
     /// (OpenMP-teams analogue: redundant reads, zero synchronization).
@@ -177,7 +177,7 @@ pub enum Aprod2Strategy {
 }
 
 /// How the thread budget is divided across the four `aprod2` streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkerBudget {
     /// Every section gets the full `Tuning::chunk_count` worth of chunks —
     /// the sections run back-to-back over the whole pool.
@@ -203,7 +203,7 @@ pub enum Stream {
 
 /// Per-block strategy mix plus the stream budget — what distinguishes one
 /// backend policy from another.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Aprod2Spec {
     /// Strategy for the attitude block.
     pub att: Aprod2Strategy,
@@ -237,7 +237,7 @@ impl Aprod2Spec {
 
 /// A backend's launch configuration: tuning + strategy spec. Owns all
 /// range computation and output partitioning for both products.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LaunchPlan {
     /// Thread count and chunk granularity.
     pub tuning: Tuning,

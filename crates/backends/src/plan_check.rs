@@ -35,8 +35,10 @@
 //! unsound plan is rejected at lookup time with a diagnostic naming the
 //! offending ranges, not discovered as a wrong solve.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use gaia_sparse::SparseSystem;
 
@@ -45,7 +47,7 @@ use crate::launch::{stream_worker_budget, JobSpec, Launch, LaunchPlan, WorkerBud
 /// The problem-shape parameters a plan's lowering depends on. Decouples the
 /// checker from a live [`SparseSystem`] so hand-built shapes (degenerate,
 /// empty-block, oversized) can be verified without generating data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanDims {
     /// Total rows (observation + constraint) seen by `aprod1` and the
     /// attitude stream.
@@ -673,9 +675,30 @@ pub fn write_model(plan: &LaunchPlan, dims: &PlanDims) -> Vec<SectionModel> {
 /// models — the two products, and the one-launch pass when
 /// [`LaunchPlan::gk_in_one_launch`] holds — prove each sound (write
 /// disjointness *and* read/write race freedom), and prove the streamed
-/// budget conserves the thread budget. Records an `analyze` telemetry cell
-/// entry either way.
+/// budget conserves the thread budget. A plan's lowering is a pure
+/// function of `(plan, dims)`, so a proof holds for the life of the
+/// process: each pair is proven once, like the pool of
+/// [`crate::ExecutorPool::shared`], and a rejected pair is checked again
+/// on every call. Each proof run records an `analyze` telemetry cell
+/// entry.
 pub fn analyze_plan(plan: &LaunchPlan, dims: &PlanDims) -> Result<PlanProof, PlanError> {
+    type Proofs = Mutex<HashMap<(LaunchPlan, PlanDims), PlanProof>>;
+    static PROOFS: OnceLock<Proofs> = OnceLock::new();
+    let proofs = PROOFS.get_or_init(Proofs::default);
+    let key = (*plan, *dims);
+    // Every update is one insert of a finished proof, so a poisoned map
+    // is still a valid one.
+    let proofs = || proofs.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(proof) = proofs().get(&key).copied() {
+        return Ok(proof);
+    }
+    let proof = prove(plan, dims)?;
+    proofs().insert(key, proof);
+    Ok(proof)
+}
+
+/// [`analyze_plan`] without the memo.
+fn prove(plan: &LaunchPlan, dims: &PlanDims) -> Result<PlanProof, PlanError> {
     let mut models = vec![write_model(plan, dims)];
     if plan.gk_in_one_launch() {
         models.push(section_models(&plan.jobs(dims, Launch::Pass), dims));

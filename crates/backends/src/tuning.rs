@@ -8,7 +8,7 @@
 //! ignore it.
 
 /// Thread count and chunking for a backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tuning {
     /// Worker threads to use.
     pub threads: usize,

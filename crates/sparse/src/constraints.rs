@@ -10,8 +10,9 @@
 //! the `aprod` attitude kernels process observations and constraints
 //! uniformly.
 
-use rand::Rng;
+use rand::RngCore;
 
+use crate::generator::below;
 use crate::layout::SystemLayout;
 use crate::system::ATT_NNZ_PER_ROW;
 use crate::{ATT_AXES, ATT_PARAMS_PER_AXIS};
@@ -24,7 +25,10 @@ use crate::{ATT_AXES, ATT_PARAMS_PER_AXIS};
 /// this axis is zero" equation), while the other two axes' slots hold zero.
 /// Offsets sweep the axis segment so that successive constraint rows pin
 /// different regions of the attitude spline.
-pub fn build_constraint_rows<R: Rng>(layout: &SystemLayout, rng: &mut R) -> (Vec<f64>, Vec<u32>) {
+pub fn build_constraint_rows<R: RngCore>(
+    layout: &SystemLayout,
+    rng: &mut R,
+) -> (Vec<f64>, Vec<u32>) {
     let n = layout.n_constraint_rows as usize;
     let mut values = vec![0.0f64; n * ATT_NNZ_PER_ROW];
     let mut offsets = vec![0u32; n];
@@ -38,7 +42,7 @@ pub fn build_constraint_rows<R: Rng>(layout: &SystemLayout, rng: &mut R) -> (Vec
         } else {
             (i as u64 * max_off) / (n as u64 - 1).max(1)
         };
-        let jitter = rng.gen_range(0..=ATT_PARAMS_PER_AXIS as u64);
+        let jitter = below(rng, ATT_PARAMS_PER_AXIS as u64 + 1);
         offsets[i] = u32::try_from((base + jitter).min(max_off))
             .expect("a valid layout keeps attitude offsets inside u32");
         let w = 1.0 / (ATT_PARAMS_PER_AXIS as f64).sqrt();

@@ -12,21 +12,13 @@
 //! time pattern, instrument table width and pattern, presence of the global
 //! parameter, and the number of constraint rows.
 
-use crate::generator::{AttitudePattern, Generator, GeneratorConfig, InstrumentPattern, Rhs};
+use crate::generator::{mix, AttitudePattern, Generator, GeneratorConfig, InstrumentPattern, Rhs};
 use crate::layout::SystemLayout;
 use crate::system::SparseSystem;
 
-/// SplitMix64 — the same finalizer the schedule-exploration controller
-/// uses; one call per decision keeps every draw independent of ordering.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Draw from `lo..=hi` using an independent stream of `seed` labeled by
-/// `stream`.
+/// `stream`, through the generator's SplitMix64 finalizer: one call per
+/// decision keeps every draw independent of ordering.
 fn draw(seed: u64, stream: u64, lo: u64, hi: u64) -> u64 {
     debug_assert!(lo <= hi);
     lo + mix(seed ^ mix(stream)) % (hi - lo + 1)

@@ -20,18 +20,29 @@
 //! solution-validation experiments (paper §V-C, Fig. 6) are meaningful, or
 //! uniformly at random ([`Rhs::Random`]) when only iteration timing matters
 //! (paper §V-B runs 100 iterations without requiring convergence).
+//!
+//! Every draw comes from a stream keyed by what it fills, never by when it
+//! is drawn: star `s`'s rows draw each phase (coefficients, attitude
+//! jitter, instrument columns, right-hand-side noise or values) from the
+//! stream of (seed, phase, `s`), `x_true` one stream per block of columns,
+//! and the constraint rows one stream of their own. Any span of stars
+//! therefore generates alone — as a rank-local or tile-local system would —
+//! and the spans generate in parallel: [`Generator::generate`] fills
+//! contiguous star runs of the arrays in place on one worker thread per
+//! core, and [`Generator::generate_tiled`] writes one tile per job, with
+//! the same bits at any worker count and any tile size.
 
+use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::path::Path;
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::constraints::build_constraint_rows;
 use crate::layout::SystemLayout;
-use crate::system::{
-    RowBlock, SparseSystem, SystemError, ASTRO_NNZ_PER_ROW, ATT_NNZ_PER_ROW, INSTR_NNZ_PER_ROW,
-};
-use crate::tiled::{tile_spans, TileError, TileManifest, TileSink, TileSpan};
+use crate::system::{SparseSystem, ASTRO_NNZ_PER_ROW, ATT_NNZ_PER_ROW, INSTR_NNZ_PER_ROW};
+use crate::tiled::{spill, TileError, TileManifest};
 use crate::ATT_PARAMS_PER_AXIS;
 
 /// How the known terms `b` are synthesized.
@@ -150,167 +161,211 @@ impl Generator {
     }
 
     /// Generate the system together with the true solution used to build
-    /// the right-hand side (`None` for [`Rhs::Random`]).
+    /// the right-hand side (`None` for [`Rhs::Random`]), on up to one
+    /// worker thread per core.
     pub fn generate_with_truth(&self) -> (SparseSystem, Option<Vec<f64>>) {
-        let layout = self.config.layout;
-        let mut arrays = Arrays::new(layout);
-        let spans = tile_spans(&layout, layout.n_stars);
-        let (b, truth) = walk(&self.config, &spans, &mut arrays).expect("invalid generated system");
-        let mut system = arrays.system.expect("the walker seals its sink");
-        system.set_known_terms(b);
+        self.generate_on(workers(self.config.layout.n_rows()))
+    }
+
+    /// [`Generator::generate_with_truth`] on `workers` threads, each
+    /// drawing a contiguous run of stars in place.
+    pub(crate) fn generate_on(&self, workers: usize) -> (SparseSystem, Option<Vec<f64>>) {
+        let truth = truth(&self.config);
+        let stars = 0..self.config.layout.n_stars;
+        let system = draw_rows(&self.config, stars, truth.as_deref(), workers);
         (system, truth)
     }
 
-    /// Streamed (chunk-at-a-time) generation straight to a `gaia-tiles/v3`
-    /// spill directory with `tile_stars` stars per tile: the phase walker
-    /// over the tile spans, each tile section written straight to disk, so
-    /// the full system is never materialized in memory, yet the tiles are
-    /// bit-identical to tiling the in-memory [`Generator::generate`] output
-    /// (same seed ⇒ same bytes): the walker draws every array span by span
-    /// in star order, and the tile file section order is its phase order.
-    /// The capacity budget applies when the directory is *opened* for
-    /// solving ([`crate::tiled::TiledSystem::open_with_budget`]), not at
-    /// generation time — generation is inherently streaming.
+    /// Streamed generation straight to a `gaia-tiles/v3` spill directory
+    /// with `tile_stars` stars per tile: the tiles are drawn on the calling
+    /// thread and written a wave at a time, one tile per job on up to one
+    /// worker thread per core, so the full system is never in memory. The tiles are
+    /// byte-identical to tiling the in-memory [`Generator::generate`]
+    /// output (same seed ⇒ same bytes), since every draw is keyed by the
+    /// star it fills. The capacity budget applies when the directory is
+    /// *opened* for solving ([`crate::tiled::TiledSystem::open_with_budget`]),
+    /// not at generation time.
     pub fn generate_tiled(&self, dir: &Path, tile_stars: u64) -> Result<TileManifest, TileError> {
-        let mut sink = TileSink::create(dir, self.config.layout, tile_stars)?;
-        let spans = sink.spans.clone();
-        let (b, _) = walk(&self.config, &spans, &mut sink)?;
-        sink.finish(Some(self.config.seed), &b)
+        let workers = workers(self.config.layout.n_rows());
+        self.generate_tiled_on(dir, tile_stars, workers)
+    }
+
+    /// [`Generator::generate_tiled`] with waves of `workers` tiles. The
+    /// draws stay on the calling thread: split a wave's few thousand rows
+    /// further and the spawns cost what the second thread saves.
+    pub(crate) fn generate_tiled_on(
+        &self,
+        dir: &Path,
+        tile_stars: u64,
+        workers: usize,
+    ) -> Result<TileManifest, TileError> {
+        let (config, layout) = (&self.config, self.config.layout);
+        let truth = truth(config);
+        let seed = Some(config.seed);
+        spill(dir, layout, tile_stars, seed, workers, |stars| {
+            draw_rows(config, stars, truth.as_deref(), 1)
+        })
     }
 }
 
-/// The coefficient arrays, in the order the walker draws them.
+/// What a stream draws. With the seed and a star (a column block for
+/// [`Phase::Truth`], 0 for [`Phase::Constraints`]) it keys the stream.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Coeffs {
+enum Phase {
     Astro,
     Att,
     Instr,
     Glob,
-}
-
-/// The index arrays, in the order the walker draws them.
-pub(crate) enum Index {
-    /// `matrixIndexAtt`: each row's attitude axis-segment offset.
     AttOffset,
-    /// `instrCol`: each observation row's 6 instrument columns.
     InstrCol,
+    Constraints,
+    Truth,
+    Noise,
+    Random,
 }
 
-/// How the phase walker hands a section to a [`Sink`]: it appends the
-/// section to the vector it is given — a tile writer's buffer, or the
-/// whole array of an in-memory system.
-pub(crate) type Fill<'f, T> = &'f mut dyn FnMut(&mut Vec<T>);
-
-/// Where the phase walker puts what it draws: one section of one span's
-/// rows at a time, in the section order of a tile file.
-pub(crate) trait Sink {
-    type Error;
-    /// Coefficients `part` of the rows of `span`.
-    fn coeffs(&mut self, span: &TileSpan, part: Coeffs, fill: Fill<f64>)
-        -> Result<(), Self::Error>;
-    /// Indices `part` of the rows of `span`.
-    fn index(&mut self, span: &TileSpan, part: Index, fill: Fill<u32>) -> Result<(), Self::Error>;
-    /// Every matrix section is in.
-    fn seal(&mut self) -> Result<(), Self::Error>;
-    /// The rows of `span` after [`Sink::seal`], for the right-hand side.
-    fn rows(&mut self, span: &TileSpan) -> Result<RowBlock, Self::Error>;
+/// The stream of `phase` at `key`: a [`SmallRng`] seeded through the
+/// SplitMix64 finalizer of (seed, phase, key). No key depends on who
+/// draws the stream or when, so any span of stars generates alone.
+fn stream(seed: u64, phase: Phase, key: u64) -> SmallRng {
+    SmallRng::seed_from_u64(mix(seed ^ mix((phase as u64) << 56 ^ key)))
 }
 
-/// The in-memory sink: the six matrix arrays of one system, sized for its
-/// layout up front, sealed with zero known terms.
-pub(crate) struct Arrays {
-    layout: SystemLayout,
-    coeffs: [Vec<f64>; 4],
-    index: [Vec<u32>; 2],
-    pub(crate) system: Option<SparseSystem>,
+/// SplitMix64 finalizer: a well-mixed bijection of `u64`.
+pub(crate) fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
-impl Arrays {
-    pub(crate) fn new(layout: SystemLayout) -> Self {
-        let (obs, rows) = (layout.n_obs_rows() as usize, layout.n_rows() as usize);
-        let (att, instr) = (rows * ATT_NNZ_PER_ROW, obs * INSTR_NNZ_PER_ROW);
-        let glob = obs * layout.n_glob_params as usize;
-        Arrays {
-            layout,
-            coeffs: [obs * ASTRO_NNZ_PER_ROW, att, instr, glob].map(Vec::with_capacity),
-            index: [rows, instr].map(Vec::with_capacity),
-            system: None,
+/// A uniform draw from `0..n`: Lemire's widening multiply, which rejects
+/// exactly the `2^64 mod n` low products that would bias it (arXiv
+/// 1805.10941) and computes that threshold only when a low product falls
+/// under `n`. A power-of-two `n` rejects nothing.
+pub(crate) fn below<R: RngCore>(rng: &mut R, n: u64) -> u64 {
+    debug_assert!(n > 0, "below(0)");
+    let mut m = u128::from(rng.next_u64()) * u128::from(n);
+    if (m as u64) < n {
+        let threshold = n.wrapping_neg() % n;
+        while (m as u64) < threshold {
+            m = u128::from(rng.next_u64()) * u128::from(n);
         }
     }
-
-    /// The system of the arrays filled so far, with zero known terms.
-    pub(crate) fn build(&mut self) -> Result<SparseSystem, SystemError> {
-        let [astro, att, instr, glob] = std::mem::take(&mut self.coeffs);
-        let [offs, cols] = std::mem::take(&mut self.index);
-        let b = vec![0.0f64; self.layout.n_rows() as usize];
-        SparseSystem::from_parts(self.layout, astro, att, instr, glob, offs, cols, b)
-    }
+    (m >> 64) as u64
 }
 
-impl Sink for Arrays {
-    type Error = SystemError;
+/// Rows a worker thread must draw to pay for its spawn: a row takes about
+/// half a microsecond, a spawn tens of them.
+const MIN_WORKER_ROWS: u64 = 8192;
 
-    fn coeffs(&mut self, _: &TileSpan, part: Coeffs, fill: Fill<f64>) -> Result<(), SystemError> {
-        fill(&mut self.coeffs[part as usize]);
-        Ok(())
-    }
-
-    fn index(&mut self, _: &TileSpan, part: Index, fill: Fill<u32>) -> Result<(), SystemError> {
-        fill(&mut self.index[part as usize]);
-        Ok(())
-    }
-
-    fn seal(&mut self) -> Result<(), SystemError> {
-        self.system = Some(self.build()?);
-        Ok(())
-    }
-
-    fn rows(&mut self, span: &TileSpan) -> Result<RowBlock, SystemError> {
-        let system = self.system.as_ref().expect("sealed");
-        Ok(system.row_block(span.star0..span.star1, span.constraint_rows > 0))
-    }
+/// Worker threads for `rows` rows: one per core this process may run on,
+/// fewer when the rows are few.
+fn workers(rows: u64) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let affordable = usize::try_from(rows / MIN_WORKER_ROWS).unwrap_or(usize::MAX);
+    cores.min(affordable).max(1)
 }
 
-/// The known terms `b` and, for [`Rhs::FromTrueSolution`], the `x_true`
-/// they were drawn from.
-type KnownTerms = (Vec<f64>, Option<Vec<f64>>);
+/// `job` over `items`, results in item order: contiguous runs of items go
+/// to up to `workers` scoped threads, the caller's own among them.
+pub(crate) fn par_map<T: Send, R: Send>(
+    items: Vec<T>,
+    workers: usize,
+    job: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let per_run = items.len().div_ceil(workers.max(1)).max(1);
+    let mut items = items.into_iter();
+    let mut runs = std::iter::from_fn(|| {
+        Some(items.by_ref().take(per_run).collect::<Vec<_>>()).filter(|run| !run.is_empty())
+    });
+    let (first, job) = (runs.next().unwrap_or_default(), &job);
+    // gaia-analyze: allow(thread-spawn): the executor pool lives in
+    // gaia-backends, which depends on this crate; generation is set-up
+    // work whose scoped workers all end before it returns.
+    std::thread::scope(|s| {
+        let others: Vec<_> = runs
+            .map(|run| s.spawn(move || run.into_iter().map(job).collect::<Vec<_>>()))
+            .collect();
+        let mut out: Vec<R> = first.into_iter().map(job).collect();
+        for other in others {
+            out.extend(other.join().expect("a generator worker panicked"));
+        }
+        out
+    })
+}
 
-/// The generation phases, in the order they draw from the one RNG stream:
-/// the coefficients (astrometric, attitude, instrumental, global), the
-/// attitude offsets, the instrument columns, the constraint rows, then
-/// `x_true` and the right-hand side. Each phase goes over `spans` in star
-/// order, so the spans' sections together are the arrays of one system
-/// whatever the spans are: one span of every star for
-/// [`Generator::generate_with_truth`], the tiles for
-/// [`Generator::generate_tiled`]. Returns the known terms and `x_true`.
-pub(crate) fn walk<S: Sink>(
+/// `job(star, entries)` over the `per_star` entries of each star in
+/// `vals`, star `star0` first, on `workers` threads that each take a
+/// contiguous run of stars. Entries past the last star's (the constraint
+/// rows') go as the stars after it.
+fn par_stars<T: Send>(
+    vals: &mut [T],
+    per_star: usize,
+    star0: u64,
+    workers: usize,
+    job: impl Fn(u64, &mut [T]) + Sync,
+) {
+    if per_star == 0 {
+        return;
+    }
+    let stars = vals.len().div_ceil(per_star).max(1);
+    let per_run = stars.div_ceil(workers.max(1)) * per_star;
+    let runs = vals.chunks_mut(per_run).enumerate().collect();
+    par_map(runs, workers, |(run, vals)| {
+        let first = star0 + (run * per_run / per_star) as u64;
+        for (star, vals) in (first..).zip(vals.chunks_mut(per_star)) {
+            job(star, vals);
+        }
+    });
+}
+
+/// The rows of `stars` — and the constraint rows when these stars end the
+/// system — as a system in the generated system's column space, known
+/// terms from `truth` included, drawn by `workers` threads: for each
+/// phase, star `s` fills its rows from the stream (seed, phase, `s`). The
+/// arrays are pre-sized with zeros, which the allocator hands out as
+/// untouched pages for the workers to fault in.
+fn draw_rows(
     config: &GeneratorConfig,
-    spans: &[TileSpan],
-    sink: &mut S,
-) -> Result<KnownTerms, S::Error> {
-    let layout = config.layout;
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let obs = layout.obs_per_star as usize;
-    let rows_of = |span: &TileSpan| span.star0 as usize * obs..span.star1 as usize * obs;
-
-    for (part, width) in [
-        (Coeffs::Astro, ASTRO_NNZ_PER_ROW),
-        (Coeffs::Att, ATT_NNZ_PER_ROW),
-        (Coeffs::Instr, INSTR_NNZ_PER_ROW),
-        (Coeffs::Glob, layout.n_glob_params as usize),
-    ] {
-        for span in spans {
-            let n = rows_of(span).len() * width;
-            let draws = &mut |v: &mut Vec<f64>| v.extend((0..n).map(|_| draw_coeff(&mut rng)));
-            sink.coeffs(span, part, draws)?;
-        }
+    stars: Range<u64>,
+    truth: Option<&[f64]>,
+    workers: usize,
+) -> SparseSystem {
+    let (layout, seed, star0) = (config.layout, config.seed, stars.start);
+    let ends = stars.end == layout.n_stars;
+    let local = SystemLayout {
+        n_stars: stars.end - star0,
+        n_constraint_rows: if ends { layout.n_constraint_rows } else { 0 },
+        ..layout
+    };
+    let (obs, rows) = (local.n_obs_rows() as usize, local.n_rows() as usize);
+    let per_star = layout.obs_per_star as usize;
+    let glob = layout.n_glob_params as usize;
+    let widths = [ASTRO_NNZ_PER_ROW, ATT_NNZ_PER_ROW, INSTR_NNZ_PER_ROW, glob];
+    let phases = [Phase::Astro, Phase::Att, Phase::Instr, Phase::Glob];
+    // The attitude coefficients hold the constraint rows' too.
+    let mut sizes = widths.map(|width| obs * width);
+    sizes[1] += (rows - obs) * ATT_NNZ_PER_ROW;
+    let mut coeffs = sizes.map(|n| vec![0.0; n]);
+    for ((vals, width), phase) in coeffs.iter_mut().zip(widths).zip(phases) {
+        par_stars(
+            &mut vals[..obs * width],
+            per_star * width,
+            star0,
+            workers,
+            |star, vals| {
+                let mut rng = stream(seed, phase, star);
+                vals.fill_with(|| draw_coeff(&mut rng));
+            },
+        );
     }
 
     // matrixIndexAtt: time-ordered traversal of the axis segment with
     // small jitter — consecutive observations see nearby attitude
     // parameters. The traversal shape depends on the attitude pattern.
     let max_off = layout.n_deg_freedom_att - ATT_PARAMS_PER_AXIS as u64;
-    let sweep = |row: usize| -> u64 {
+    let sweep = |row: u64| -> u64 {
         // 0 for a single observation (no `0 / 0`).
         let t = row as f64 / (layout.n_obs_rows() as f64 - 1.0).max(1.0);
         match config.attitude {
@@ -325,15 +380,14 @@ pub(crate) fn walk<S: Sink>(
             }
         }
     };
-    for span in spans {
-        sink.index(span, Index::AttOffset, &mut |v| {
-            v.extend(rows_of(span).map(|row| {
-                let jitter = rng.gen_range(0..=2u64);
-                // At most `max_off`, which the validated layout keeps in u32.
-                (sweep(row) + jitter).min(max_off) as u32
-            }))
-        })?;
-    }
+    let mut offs = vec![0u32; rows];
+    par_stars(&mut offs[..obs], per_star, star0, workers, |star, offs| {
+        let mut rng = stream(seed, Phase::AttOffset, star);
+        for (row, off) in (star * layout.obs_per_star..).zip(offs) {
+            // At most `max_off`, which the validated layout keeps in u32.
+            *off = (sweep(row) + below(&mut rng, 3)).min(max_off) as u32;
+        }
+    });
 
     // instrCol: 6 distinct, sorted columns per row. Grouped draws one
     // column from each of 6 near-equal contiguous groups, so its columns
@@ -342,56 +396,105 @@ pub(crate) fn walk<S: Sink>(
     let bound = |g: usize| g as u64 * n_instr / INSTR_NNZ_PER_ROW as u64;
     let groups: [_; INSTR_NNZ_PER_ROW] =
         std::array::from_fn(|g| (bound(g), bound(g + 1).max(bound(g) + 1)));
-    for span in spans {
-        sink.index(span, Index::InstrCol, &mut |v| {
-            for _ in rows_of(span) {
+    let mut cols = vec![0u32; obs * INSTR_NNZ_PER_ROW];
+    par_stars(
+        &mut cols,
+        per_star * INSTR_NNZ_PER_ROW,
+        star0,
+        workers,
+        |star, cols| {
+            let mut rng = stream(seed, Phase::InstrCol, star);
+            for row in cols.chunks_exact_mut(INSTR_NNZ_PER_ROW) {
                 // Columns fit u32: the validated layout has at most 2^32.
-                v.extend(match config.instrument {
+                row.copy_from_slice(&match config.instrument {
                     InstrumentPattern::Uniform => sample_distinct_sorted(&mut rng, n_instr),
-                    InstrumentPattern::Grouped => groups.map(|(a, b)| rng.gen_range(a..b) as u32),
+                    InstrumentPattern::Grouped => {
+                        groups.map(|(a, b)| (a + below(&mut rng, b - a)) as u32)
+                    }
                 });
             }
-        })?;
-    }
+        },
+    );
 
-    // Constraint rows: attitude-only, after the last span's observations
-    // (every other span gets empty constraint sections).
-    let constraints = build_constraint_rows(&layout, &mut rng);
-    let sections = std::iter::repeat_with(Default::default)
-        .take(spans.len() - 1)
-        .chain([constraints]);
-    for (span, (vals, offs)) in spans.iter().zip(sections) {
-        sink.coeffs(span, Coeffs::Att, &mut |v| v.extend_from_slice(&vals))?;
-        sink.index(span, Index::AttOffset, &mut |v| v.extend_from_slice(&offs))?;
+    // Constraint rows: attitude-only, after the last star's observations.
+    if local.n_constraint_rows > 0 {
+        let rng = &mut stream(seed, Phase::Constraints, 0);
+        let (vals, constraint_offs) = build_constraint_rows(&layout, rng);
+        coeffs[1][obs * ATT_NNZ_PER_ROW..].copy_from_slice(&vals);
+        offs[obs..].copy_from_slice(&constraint_offs);
     }
-    sink.seal()?;
+    let [astro, att, instr, glob] = coeffs;
+    let b = vec![0.0; rows];
+    let mut block = SparseSystem::from_parts_at(
+        layout.columns(),
+        star0,
+        local,
+        astro,
+        att,
+        instr,
+        glob,
+        offs,
+        cols,
+        b,
+    )
+    .expect("invalid generated system");
+    block.set_known_terms(known_terms(config, &block, truth, workers));
+    block
+}
 
-    let n_rows = layout.n_rows() as usize;
-    let mut uniform = |n| {
-        (0..n)
-            .map(|_| rng.gen_range(-1.0..1.0))
-            .collect::<Vec<f64>>()
+/// Columns of `x_true` drawn from one stream.
+const TRUTH_BLOCK: usize = 4096;
+
+/// `x_true ∈ [-1, 1)^n` for [`Rhs::FromTrueSolution`], `None` for
+/// [`Rhs::Random`]: block `k` of [`TRUTH_BLOCK`] columns draws from the
+/// stream (seed, truth, `k`).
+fn truth(config: &GeneratorConfig) -> Option<Vec<f64>> {
+    let Rhs::FromTrueSolution { .. } = config.rhs else {
+        return None;
     };
-    Ok(match config.rhs {
-        Rhs::Random => (uniform(n_rows), None),
-        Rhs::FromTrueSolution { noise_sigma } => {
-            let x_true = uniform(layout.n_cols() as usize);
-            let mut noise = || {
-                if noise_sigma > 0.0 {
-                    noise_sigma * gaussian(&mut rng)
-                } else {
-                    0.0
+    let mut x = vec![0.0; config.layout.n_cols() as usize];
+    for (k, block) in x.chunks_mut(TRUTH_BLOCK).enumerate() {
+        let mut rng = stream(config.seed, Phase::Truth, k as u64);
+        block.fill_with(|| rng.gen_range(-1.0..1.0));
+    }
+    Some(x)
+}
+
+/// The known terms `b` of `block` — the generated system, or one tile's
+/// rows — as `A x_true + ε` from `truth`, or uniform in `[-1, 1)` without
+/// one, on `workers` threads. Star `s` draws its rows' noise or values from
+/// the stream (seed, phase, `s`); the constraint rows, which follow the
+/// last star's, draw as the stars after it.
+fn known_terms(
+    config: &GeneratorConfig,
+    block: &SparseSystem,
+    truth: Option<&[f64]>,
+    workers: usize,
+) -> Vec<f64> {
+    let (phase, sigma) = match config.rhs {
+        Rhs::Random => (Phase::Random, 0.0),
+        Rhs::FromTrueSolution { noise_sigma } => (Phase::Noise, noise_sigma),
+    };
+    let obs = config.layout.obs_per_star as usize;
+    let star0 = block.star0();
+    let mut b = vec![0.0; block.n_rows()];
+    par_stars(&mut b, obs, star0, workers, |star, b| {
+        let mut rng = stream(config.seed, phase, star);
+        for (row, b) in ((star - star0) as usize * obs..).zip(b) {
+            *b = match truth {
+                None => rng.gen_range(-1.0..1.0),
+                Some(x) => {
+                    let dot = block.row_dot_direct(row, x);
+                    dot + if sigma > 0.0 {
+                        sigma * gaussian(&mut rng)
+                    } else {
+                        0.0
+                    }
                 }
             };
-            let mut b = Vec::with_capacity(n_rows);
-            for span in spans {
-                let block = sink.rows(span)?.system;
-                let rows = 0..block.n_rows();
-                b.extend(rows.map(|row| block.row_dot_direct(row, &x_true) + noise()));
-            }
-            (b, Some(x_true))
         }
-    })
+    });
+    b
 }
 
 /// Coefficient values: uniform in [-1, 1), excluding near-zero values
@@ -410,12 +513,12 @@ fn draw_coeff<R: Rng>(rng: &mut R) -> f64 {
 /// drawn is drawn again, so `n` may be as small as 6 (tests use 8). The
 /// values are distinct, so the fixed sorting network below orders them
 /// exactly as any sort would.
-fn sample_distinct_sorted<R: Rng>(rng: &mut R, n: u64) -> [u32; INSTR_NNZ_PER_ROW] {
+fn sample_distinct_sorted<R: RngCore>(rng: &mut R, n: u64) -> [u32; INSTR_NNZ_PER_ROW] {
     debug_assert!(n >= INSTR_NNZ_PER_ROW as u64);
     let mut out = [0u32; INSTR_NNZ_PER_ROW];
     let mut len = 0;
     while len < out.len() {
-        let c = rng.gen_range(0..n) as u32;
+        let c = below(rng, n) as u32;
         if !out[..len].contains(&c) {
             out[len] = c;
             len += 1;
@@ -600,6 +703,115 @@ mod tests {
             sort6(&mut v);
             assert!(v.is_sorted(), "{bits:06b} -> {v:?}");
         }
+    }
+
+    /// Every array and the known terms, bit for bit.
+    fn bits(sys: &SparseSystem) -> Vec<u64> {
+        let f64s = [
+            sys.values_astro(),
+            sys.values_att(),
+            sys.values_instr(),
+            sys.values_glob(),
+            sys.known_terms(),
+        ];
+        let u32s = [sys.matrix_index_att(), sys.instr_col()];
+        let f64s = f64s.into_iter().flatten().map(|v| v.to_bits());
+        f64s.chain(u32s.into_iter().flatten().map(|&v| u64::from(v)))
+            .collect()
+    }
+
+    /// The same system — arrays, known terms, `x_true` and spill bytes —
+    /// whatever the worker count and the tile size, for every attitude ×
+    /// instrument × right-hand-side case: no draw depends on who draws it.
+    #[test]
+    fn generation_is_bitwise_independent_of_workers_and_tiles() {
+        let layout = SystemLayout {
+            n_stars: 11,
+            n_instr_params: 13,
+            ..SystemLayout::tiny()
+        };
+        let dir = std::env::temp_dir().join(format!("gaia-gen-workers-{}", std::process::id()));
+        let attitudes = [
+            AttitudePattern::LinearSweep,
+            AttitudePattern::ScanLaw { revolutions: 3 },
+        ];
+        let instruments = [InstrumentPattern::Uniform, InstrumentPattern::Grouped];
+        let rhss = [
+            Rhs::Random,
+            Rhs::FromTrueSolution { noise_sigma: 0.0 },
+            Rhs::FromTrueSolution { noise_sigma: 1e-6 },
+        ];
+        for (attitude, instrument, rhs) in attitudes.into_iter().flat_map(|a| {
+            instruments
+                .into_iter()
+                .flat_map(move |i| rhss.into_iter().map(move |r| (a, i, r)))
+        }) {
+            let cfg = GeneratorConfig::new(layout)
+                .seed(31)
+                .attitude(attitude)
+                .instrument(instrument)
+                .rhs(rhs);
+            let case = format!("{attitude:?} × {instrument:?} × {rhs:?}");
+            let generator = Generator::new(cfg);
+            let (sys, truth) = generator.generate_on(1);
+            for workers in [2, 3, 8] {
+                let (other, other_truth) = generator.generate_on(workers);
+                assert!(bits(&other) == bits(&sys), "{case}: {workers} workers");
+                assert_eq!(other_truth, truth, "{case}: {workers} workers");
+            }
+            for tile_stars in [1, 4, 11] {
+                let want = crate::write_tiles(&sys, &dir, tile_stars).unwrap();
+                for workers in [1, 2, 3, 8] {
+                    let got = generator
+                        .generate_tiled_on(&dir, tile_stars, workers)
+                        .unwrap();
+                    assert_eq!(
+                        got.matrix_fingerprint, want.matrix_fingerprint,
+                        "{case}: {tile_stars} stars a tile, {workers} workers"
+                    );
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Hands `below` the words it is given, and no more.
+    struct Words<'a>(std::slice::Iter<'a, u64>);
+
+    impl RngCore for Words<'_> {
+        fn next_u64(&mut self) -> u64 {
+            *self.0.next().expect("below drew one word too many")
+        }
+    }
+
+    fn below_words(n: u64, words: &[u64]) -> u64 {
+        let mut rng = Words(words.iter());
+        let got = below(&mut rng, n);
+        assert_eq!(rng.0.len(), 0, "below({n}) left words undrawn");
+        got
+    }
+
+    #[test]
+    fn below_rejects_exactly_the_biased_low_products() {
+        // A power-of-two range rejects nothing: one word, whatever it is.
+        for n in (0..64).map(|k| 1u64 << k) {
+            for word in [0, 1, n.wrapping_neg(), u64::MAX] {
+                let want = ((u128::from(word) * u128::from(n)) >> 64) as u64;
+                assert_eq!(below_words(n, &[word]), want, "n = {n}, word {word:#x}");
+            }
+        }
+        // n = 3: both endpoints are reachable, and 2^64 mod 3 = 1 rejects
+        // only the word whose low product is 0.
+        assert_eq!(below_words(3, &[1]), 0);
+        assert_eq!(below_words(3, &[u64::MAX]), 2);
+        assert_eq!(below_words(3, &[0, u64::MAX]), 2);
+        // n = 6: 2^64 mod 6 = 4, so a low product of 2 is rejected and one
+        // of 4 — the threshold itself — is kept.
+        assert_eq!(below_words(6, &[0x5555_5555_5555_5556]), 2);
+        assert_eq!(
+            below_words(6, &[0x2aaa_aaaa_aaaa_aaab, 0x5555_5555_5555_5556]),
+            2
+        );
     }
 
     proptest! {

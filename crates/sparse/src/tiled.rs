@@ -44,13 +44,14 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
 use crate::footprint::resident_bytes;
-use crate::generator::{Arrays, Coeffs, Fill, Index, Sink};
+use crate::generator::par_map;
 use crate::io::{
     read_f64_array, read_f64_array_into, read_u32, read_u32_array, read_u32_array_into, read_u64,
     write_f64_array, write_u32, write_u32_array, write_u64,
@@ -703,15 +704,19 @@ impl TileManifest {
                 "source layout {now:?} != recorded {recorded:?}"
             )));
         }
-        let mut sink =
-            TileSink::with_writers(Path::new(""), self.layout, self.tile_stars, |span| {
-                let name = TileManifest::tile_file_name(span.index);
-                TileFileWriter::new(PathBuf::from(name), io::sink(), span)
-            })?;
-        spill(&mut sink, sys)?;
-        for (now, recorded) in sink.metas.iter().zip(&self.tiles) {
+        for (span, recorded) in tile_spans(&self.layout, self.tile_stars)
+            .iter()
+            .zip(&self.tiles)
+        {
+            let block = sys.row_block(span.star0..span.star1, span.constraint_rows > 0);
+            let name = PathBuf::from(TileManifest::tile_file_name(span.index));
+            let now = write_tile(
+                TileFileWriter::new(name, io::sink(), span)?,
+                span,
+                &block.system,
+            )?;
             if now.checksum != recorded.checksum {
-                let (i, now, recorded) = (now.index, &now.checksum, &recorded.checksum);
+                let (i, now, recorded) = (span.index, &now.checksum, &recorded.checksum);
                 return Err(stale(format!(
                     "tile {i} checksum {now} != recorded {recorded}"
                 )));
@@ -792,11 +797,11 @@ fn local_layout(parent: &SystemLayout, meta: &TileMeta) -> SystemLayout {
 // Tile file I/O
 // ---------------------------------------------------------------------------
 
-/// Writer of one tile file; shared by [`write_tiles`], streamed
-/// generation and [`TileManifest::verify_matches`] so all three produce
-/// byte-identical tiles. Sections are appended across generation phases
-/// (the file section order *is* the phase order), hashing incrementally —
-/// no seeks, no rewrites.
+/// Writer of one tile file; [`write_tile`] writes every tile through it
+/// ([`write_tiles`], streamed generation and
+/// [`TileManifest::verify_matches`] alike), so all three produce
+/// byte-identical tiles. Sections are appended in file order, hashing
+/// incrementally — no seeks, no rewrites.
 struct TileFileWriter<W: Write = io::BufWriter<std::fs::File>> {
     path: PathBuf,
     w: HashingWriter<W>,
@@ -1016,29 +1021,34 @@ fn read_manifest(dir: &Path) -> Result<TileManifest, TileError> {
     Ok(manifest)
 }
 
-/// Hand the arrays of `block`, the rows of `span`, to `sink` as a tile
-/// file's sections: the arrays of the row block it will be read back as,
-/// the attitude arrays in two pieces, the constraint tail last (empty on
-/// every tile but the last).
-fn replay<S: Sink>(sink: &mut S, span: &TileSpan, block: &SparseSystem) -> Result<(), S::Error> {
-    fn copy<T: Copy>(vals: &[T]) -> impl FnMut(&mut Vec<T>) + '_ {
-        move |v| v.extend_from_slice(vals)
-    }
+/// Write `block`, the rows of `span`, as a tile file through `w`: the
+/// arrays of the row block it will be read back as, the attitude arrays in
+/// two pieces, the constraint tail last (empty on every tile but the last).
+fn write_tile<W: Write>(
+    mut w: TileFileWriter<W>,
+    span: &TileSpan,
+    block: &SparseSystem,
+) -> Result<TileMeta, TileError> {
     let n_obs = block.n_obs_rows();
     let (att_obs, att_constr) = block.values_att().split_at(n_obs * ATT_NNZ_PER_ROW);
     let (idx_obs, idx_constr) = block.matrix_index_att().split_at(n_obs);
-    sink.coeffs(span, Coeffs::Astro, &mut copy(block.values_astro()))?;
-    sink.coeffs(span, Coeffs::Att, &mut copy(att_obs))?;
-    sink.coeffs(span, Coeffs::Instr, &mut copy(block.values_instr()))?;
-    sink.coeffs(span, Coeffs::Glob, &mut copy(block.values_glob()))?;
-    sink.index(span, Index::AttOffset, &mut copy(idx_obs))?;
-    sink.index(span, Index::InstrCol, &mut copy(block.instr_col()))?;
-    sink.coeffs(span, Coeffs::Att, &mut copy(att_constr))?;
-    sink.index(span, Index::AttOffset, &mut copy(idx_constr))
+    for vals in [
+        block.values_astro(),
+        att_obs,
+        block.values_instr(),
+        block.values_glob(),
+    ] {
+        w.write_f64s(vals)?;
+    }
+    w.write_u32s(idx_obs)?;
+    w.write_u32s(block.instr_col())?;
+    w.write_f64s(att_constr)?;
+    w.write_u32s(idx_constr)?;
+    w.finish(span)
 }
 
 // ---------------------------------------------------------------------------
-// Writing tiles from an in-memory system
+// Writing a spill
 // ---------------------------------------------------------------------------
 
 /// Spill an in-memory system into a `gaia-tiles/v3` directory with
@@ -1051,121 +1061,54 @@ pub fn write_tiles(
     dir: &Path,
     tile_stars: u64,
 ) -> Result<TileManifest, TileError> {
-    let mut sink = TileSink::create(dir, *sys.layout(), tile_stars)?;
-    spill(&mut sink, sys)?;
-    sink.finish(None, sys.known_terms())
+    let n_stars = sys.layout().n_stars;
+    spill(dir, *sys.layout(), tile_stars, None, 1, |stars| {
+        sys.row_block(stars.clone(), stars.end == n_stars).system
+    })
 }
 
-/// Replay every tile of `sys` into `sink` and seal it.
-fn spill<W: Write>(sink: &mut TileSink<'_, W>, sys: &SparseSystem) -> Result<(), TileError> {
-    for span in sink.spans.clone() {
-        let block = sys.row_block(span.star0..span.star1, span.constraint_rows > 0);
-        replay(sink, &span, &block.system)?;
-    }
-    sink.seal()
-}
-
-// ---------------------------------------------------------------------------
-// Streamed generation
-// ---------------------------------------------------------------------------
-
-/// A spill being written: one open file per tile, each section appended
-/// to its tile; once sealed, its tiles are read back (checksum-verified)
-/// for the right-hand side. [`write_tiles`] fills it from a resident
-/// system, streamed generation from the generator's phase walker: the
-/// same system, the same bytes. Over [`io::Sink`] writers it writes no
-/// files and keeps only the checksums.
-pub(crate) struct TileSink<'a, W: Write = io::BufWriter<std::fs::File>> {
-    dir: &'a Path,
+/// Write a `gaia-tiles/v3` spill of `layout` with `tile_stars` stars per
+/// tile into `dir`, in waves of `workers` tiles: `rows` gives the rows of
+/// a wave's stars — and of the constraint rows when they end the system —
+/// as a system in the parent's column space with its known terms, and
+/// `workers` threads write the wave's tiles, one per job. The calling
+/// thread owns every large buffer, so no worker's allocator keeps a
+/// tile's worth of freed memory. The known terms and the manifest follow.
+pub(crate) fn spill(
+    dir: &Path,
     layout: SystemLayout,
     tile_stars: u64,
-    pub(crate) spans: Vec<TileSpan>,
-    writers: Vec<TileFileWriter<W>>,
-    metas: Vec<TileMeta>,
-    /// The section being filled, reused section after section.
-    f64s: Vec<f64>,
-    u32s: Vec<u32>,
-}
-
-impl<'a, W: Write> TileSink<'a, W> {
-    fn with_writers(
-        dir: &'a Path,
-        layout: SystemLayout,
-        tile_stars: u64,
-        open: impl FnMut(&TileSpan) -> Result<TileFileWriter<W>, TileError>,
-    ) -> Result<Self, TileError> {
-        let spans = tile_spans(&layout, tile_stars);
-        Ok(TileSink {
-            dir,
-            layout,
-            tile_stars,
-            writers: spans.iter().map(open).collect::<Result<_, _>>()?,
-            spans,
-            metas: Vec::new(),
-            f64s: Vec::new(),
-            u32s: Vec::new(),
-        })
+    seed: Option<u64>,
+    workers: usize,
+    mut rows: impl FnMut(Range<u64>) -> SparseSystem,
+) -> Result<TileManifest, TileError> {
+    std::fs::create_dir_all(dir).map_err(io_err(dir))?;
+    let (mut tiles, mut b) = (Vec::new(), Vec::new());
+    for wave in tile_spans(&layout, tile_stars).chunks(workers.max(1)) {
+        let (first, last) = (wave[0], wave[wave.len() - 1]);
+        let block = rows(first.star0..last.star1);
+        b.extend_from_slice(block.known_terms());
+        let written = par_map(wave.to_vec(), workers, |span| {
+            let stars = span.star0 - first.star0..span.star1 - first.star0;
+            let view = block.row_block(stars, span.constraint_rows > 0);
+            write_tile(TileFileWriter::create(dir, &span)?, &span, &view.system)
+        });
+        tiles.extend(written.into_iter().collect::<Result<Vec<_>, _>>()?);
     }
-}
-
-impl<'a> TileSink<'a> {
-    pub(crate) fn create(
-        dir: &'a Path,
-        layout: SystemLayout,
-        tile_stars: u64,
-    ) -> Result<Self, TileError> {
-        std::fs::create_dir_all(dir).map_err(io_err(dir))?;
-        TileSink::with_writers(dir, layout, tile_stars, |span| {
-            TileFileWriter::create(dir, span)
-        })
-    }
-
-    /// Write the known terms `b` and the manifest of the sealed spill.
-    pub(crate) fn finish(self, seed: Option<u64>, b: &[f64]) -> Result<TileManifest, TileError> {
-        let known_checksum = write_known_terms(self.dir, b)?;
-        let matrix_fingerprint =
-            combine_fingerprint(&self.metas, parse_hex_or_zero(&known_checksum));
-        let manifest = TileManifest {
-            format: TILE_FORMAT.to_string(),
-            layout: self.layout,
-            seed,
-            tile_stars: self.tile_stars,
-            n_tiles: self.metas.len(),
-            matrix_fingerprint,
-            tiles: self.metas,
-            known_terms_checksum: known_checksum,
-        };
-        write_manifest(self.dir, &manifest)?;
-        Ok(manifest)
-    }
-}
-
-impl<W: Write> Sink for TileSink<'_, W> {
-    type Error = TileError;
-
-    fn coeffs(&mut self, span: &TileSpan, _: Coeffs, fill: Fill<f64>) -> Result<(), TileError> {
-        self.f64s.clear();
-        fill(&mut self.f64s);
-        self.writers[span.index].write_f64s(&self.f64s)
-    }
-
-    fn index(&mut self, span: &TileSpan, _: Index, fill: Fill<u32>) -> Result<(), TileError> {
-        self.u32s.clear();
-        fill(&mut self.u32s);
-        self.writers[span.index].write_u32s(&self.u32s)
-    }
-
-    fn seal(&mut self) -> Result<(), TileError> {
-        let writers = self.writers.drain(..).zip(&self.spans);
-        self.metas = writers
-            .map(|(w, span)| w.finish(span))
-            .collect::<Result<_, _>>()?;
-        Ok(())
-    }
-
-    fn rows(&mut self, span: &TileSpan) -> Result<RowBlock, TileError> {
-        read_tile(self.dir, &self.layout, &self.metas[span.index])
-    }
+    let known_terms_checksum = write_known_terms(dir, &b)?;
+    let matrix_fingerprint = combine_fingerprint(&tiles, parse_hex_or_zero(&known_terms_checksum));
+    let manifest = TileManifest {
+        format: TILE_FORMAT.to_string(),
+        layout,
+        seed,
+        tile_stars,
+        n_tiles: tiles.len(),
+        matrix_fingerprint,
+        tiles,
+        known_terms_checksum,
+    };
+    write_manifest(dir, &manifest)?;
+    Ok(manifest)
 }
 
 // ---------------------------------------------------------------------------
@@ -1336,14 +1279,29 @@ impl TiledSystem {
         let invalid = |e| TileError::InvalidShape {
             message: format!("assembled system invalid: {e}"),
         };
-        let layout = self.manifest.layout;
-        let mut arrays = Arrays::new(layout);
-        for span in tile_spans(&layout, self.manifest.tile_stars) {
-            replay(&mut arrays, &span, &self.tile(span.index)?.0.system).map_err(invalid)?;
+        let mut f64s: [Vec<f64>; 4] = Default::default();
+        let mut u32s: [Vec<u32>; 2] = Default::default();
+        for t in 0..self.n_tiles() {
+            let (block, _) = self.tile(t)?;
+            let s = &block.system;
+            let parts = [
+                s.values_astro(),
+                s.values_att(),
+                s.values_instr(),
+                s.values_glob(),
+            ];
+            f64s.iter_mut()
+                .zip(parts)
+                .for_each(|(all, part)| all.extend_from_slice(part));
+            let parts = [s.matrix_index_att(), s.instr_col()];
+            u32s.iter_mut()
+                .zip(parts)
+                .for_each(|(all, part)| all.extend_from_slice(part));
         }
-        let mut system = arrays.build().map_err(invalid)?;
-        system.set_known_terms(self.known_terms.clone());
-        Ok(system)
+        let ([astro, att, instr, glob], [offs, cols]) = (f64s, u32s);
+        let b = self.known_terms.clone();
+        SparseSystem::from_parts(self.manifest.layout, astro, att, instr, glob, offs, cols, b)
+            .map_err(invalid)
     }
 }
 
@@ -1762,11 +1720,12 @@ mod tests {
     }
 
     /// The spill bytes of a fixed system, recorded with `gaia-tiles/v3`
-    /// (no astrometric index, u32 attitude offsets): streamed generation
-    /// and `write_tiles` must keep writing exactly these files.
+    /// (no astrometric index, u32 attitude offsets) and the star-keyed
+    /// draws: streamed generation and `write_tiles` must keep writing
+    /// exactly these files.
     #[test]
     fn spill_fingerprints_are_pinned() {
-        const PINNED: &str = "d68399df3b9f75d9";
+        const PINNED: &str = "f3b3a8a1590168c6";
         let cfg = GeneratorConfig::new(SystemLayout::tiny()).seed(2024);
         let (dir_str, dir_mem) = (tmp_dir("pin-streamed"), tmp_dir("pin-mem"));
         let streamed = Generator::new(cfg).generate_tiled(&dir_str, 2).unwrap();

@@ -1,8 +1,8 @@
 //! The generator's output, pinned and cross-checked.
 //!
 //! * FNV-1a digests of the seven arrays of two generated systems (and of
-//!   the true solution behind their known terms): any change to the RNG
-//!   stream, the phase order or the rounding of the right-hand side moves
+//!   the true solution behind their known terms): any change to a
+//!   stream's key, a draw or the rounding of the right-hand side moves
 //!   them.
 //! * Streamed generation ([`Generator::generate_tiled`]) equals the
 //!   in-memory generator byte for byte for every attitude pattern ×
@@ -75,7 +75,7 @@ fn generator_pin_medium_1000_stars_default_config() {
     let got = pinned(GeneratorConfig::new(layout).seed(7));
     assert_eq!(
         got,
-        (0x461c_d608_c73a_5bc3, 0x74ef_5b55_7a62_fc3f),
+        (0x0df7_b10f_d50a_e38b, 0x0d8e_af41_d087_6626),
         "{got:x?}"
     );
 }
@@ -89,7 +89,7 @@ fn generator_pin_small_scan_law_grouped() {
     let got = pinned(cfg);
     assert_eq!(
         got,
-        (0xdee6_1c1f_ddea_0f62, 0x6821_d1d3_ca05_4812),
+        (0x4e5b_587f_f00f_62b9, 0x0070_a144_336f_fc23),
         "{got:x?}"
     );
 }

@@ -51,11 +51,15 @@ pub const CONVERGED_TOLERANCE: f64 = 1e-5;
 pub const RESIDUAL_TOLERANCE: f64 = 1e-6;
 
 /// Relative residual-norm agreement between an interrupted-and-resumed
-/// solve and an uninterrupted one on a *nondeterministic* backend. The two
-/// runs sample independent reduction orders, which at a fixed iteration
-/// count shifts the convergence phase slightly; measured run-to-run
-/// differences over the corpus reach ~3e-5, while actual resume corruption
-/// (stale vector, wrong iteration) lands orders of magnitude higher.
+/// solve and an uninterrupted one on a *nondeterministic* backend at
+/// [`THREADS`] workers. The two runs sample independent reduction orders,
+/// which at the iteration limit shifts the convergence phase: measured
+/// differences between two *uninterrupted* solves of one corpus system
+/// reach 1.8e-3 (`striped`, 40 pairs a seed), past this bound, so the
+/// check fails now and then on the barely overdetermined seeds without
+/// any fault in the resume path. It is a check of that spread, not of
+/// resume; [`check_checkpoint_resume_single_thread`] holds resume bitwise
+/// on every registry name.
 pub const RESUME_RNORM_TOLERANCE: f64 = 1e-3;
 
 /// Whether `backend` reduces in a fixed order, making whole runs
@@ -272,9 +276,33 @@ pub fn check_known_solution(seed: u64, backend_name: &str) -> PropertyOutcome {
 /// flat-direction drift in `x`), which must agree to
 /// [`RESUME_RNORM_TOLERANCE`] relative.
 pub fn check_checkpoint_resume(seed: u64, backend_name: &str) -> PropertyOutcome {
+    let bitwise = is_deterministic(backend_name);
+    resume("checkpoint-resume", seed, backend_name, THREADS, bitwise)
+}
+
+/// **Checkpoint/resume identity at one thread**: with one worker every
+/// registry name sums in one fixed order, so on every name — the
+/// nondeterministic ones included — the resumed solve must equal the
+/// uninterrupted one bitwise, in iterate, iteration count and stop.
+pub fn check_checkpoint_resume_single_thread(seed: u64, backend_name: &str) -> PropertyOutcome {
+    resume("checkpoint-resume-t1", seed, backend_name, 1, true)
+}
+
+/// Interrupt a solve of corpus system `seed` on `backend_name` at
+/// `threads` workers after 7 steps, round-trip its state through a
+/// checkpoint, resume it to the limit and compare with an uninterrupted
+/// solve: bitwise when `bitwise`, else by [`RESUME_RNORM_TOLERANCE`].
+fn resume(
+    property: &str,
+    seed: u64,
+    backend_name: &str,
+    threads: usize,
+    bitwise: bool,
+) -> PropertyOutcome {
     let sys = fuzz::system_from_seed(seed);
     let cfg = LsqrConfig::new().compute_var(false).max_iters(60);
-    let be = backend(backend_name);
+    let be = backend_by_name(backend_name, threads)
+        .unwrap_or_else(|| panic!("unknown backend {backend_name:?}"));
     let solver = Lsqr::new(&sys, &be, cfg);
     let direct = solver.run();
 
@@ -296,7 +324,7 @@ pub fn check_checkpoint_resume(seed: u64, backend_name: &str) -> PropertyOutcome
     let state_round_trip = restored == state;
     let resumed = solver.run_from(restored);
 
-    let (passed, detail) = if is_deterministic(backend_name) {
+    let (passed, detail) = if bitwise {
         (
             state_round_trip
                 && bitwise_eq(&resumed.x, &direct.x)
@@ -314,7 +342,7 @@ pub fn check_checkpoint_resume(seed: u64, backend_name: &str) -> PropertyOutcome
             format!("state round-trip {state_round_trip}, relative |Δrnorm| = {rdiff:.3e}"),
         )
     };
-    outcome("checkpoint-resume", backend_name, seed, passed, detail)
+    outcome(property, backend_name, seed, passed, detail)
 }
 
 /// Every property checker, with its name (drives the CLI and the suites).

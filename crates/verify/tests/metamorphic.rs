@@ -99,6 +99,19 @@ fn checkpoint_resume_agrees_with_uninterrupted_solves() {
 }
 
 #[test]
+fn checkpoint_resume_is_bitwise_at_one_thread_for_every_registry_name() {
+    let mut outcomes = Vec::new();
+    for backend in gaia_backends::backend_names() {
+        for &seed in &full_corpus() {
+            outcomes.push(metamorphic::check_checkpoint_resume_single_thread(
+                seed, backend,
+            ));
+        }
+    }
+    assert_all_passed(outcomes);
+}
+
+#[test]
 fn lsqr_trajectories_stay_within_the_ulp_budget_on_every_backend() {
     let mut failures = Vec::new();
     for backend in BACKENDS.iter().filter(|b| **b != "seq") {
