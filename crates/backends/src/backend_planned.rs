@@ -153,7 +153,7 @@ impl PlannedBackend {
 }
 
 /// Star-aligned row-block views covering `sys`, constraint rows folded
-/// into the last — the same split `gaia-tiles/v3` spills to disk. A valid
+/// into the last — the same split `gaia-tiles/v4` spills to disk. A valid
 /// layout has at least one star, so there is always one tile.
 fn row_tiles(sys: &SparseSystem, tile_stars: usize) -> impl Iterator<Item = RowBlock> + '_ {
     let n_stars = sys.layout().n_stars;

@@ -4,7 +4,7 @@
 //! problem size; this harness asks the follow-up the out-of-core path
 //! exists to answer: what does a solve cost when the observation matrix
 //! does **not** fit, and does the tile cache actually respect its budget?
-//! For each layout it spills the system to a `gaia-tiles/v3` directory,
+//! For each layout it spills the system to a `gaia-tiles/v4` directory,
 //! then solves it at budgets {unbounded, 2×, 1.25×, 0.75×} of the
 //! resident matrix bytes, recording per-iteration time, tile
 //! loads/hits/evictions, and the measured peak resident bytes.

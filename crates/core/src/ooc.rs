@@ -3,7 +3,7 @@
 //! Paper-scale AVU-GSR observation matrices (10/30/60 GB in §V-B, up to
 //! `O(10^{11})` coefficients in production) exceed the memory of any
 //! single node the paper benchmarks. [`TiledOperator`] implements
-//! [`Operator`] by streaming star-aligned row tiles from a `gaia-tiles/v3`
+//! [`Operator`] by streaming star-aligned row tiles from a `gaia-tiles/v4`
 //! spill directory through an ordinary [`Backend`], holding at most
 //! `budget / tile_bytes` tiles resident via the scan-aware cache inside
 //! [`TiledSystem`]. A resident tile is a [`gaia_sparse::RowBlock`] — the

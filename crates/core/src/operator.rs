@@ -123,7 +123,7 @@ pub trait Operator {
     }
 
     /// Tile-set provenance, when the matrix is backed by an on-disk
-    /// `gaia-tiles/v3` spill directory — recorded into checkpoints so a
+    /// `gaia-tiles/v4` spill directory — recorded into checkpoints so a
     /// resume can verify it is reading the same matrix.
     fn provenance(&self) -> Option<TileProvenance> {
         None

@@ -8,9 +8,16 @@
 //! star, which changed the system itself.
 
 use gaia_backends::SeqBackend;
-use gaia_lsqr::checkpoint::rhs_fingerprint as fingerprint;
 use gaia_lsqr::{solve, solve_lsmr, LsqrConfig, StopReason};
 use gaia_sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
+
+/// Byte-wise 64-bit FNV-1a over the little-endian bits of `v`.
+fn fingerprint(v: &[f64]) -> u64 {
+    let bytes = v.iter().flat_map(|x| x.to_bits().to_le_bytes());
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 #[test]
 fn lsqr_and_lsmr_solution_bits_are_pinned() {

@@ -55,7 +55,7 @@ fn crash_at_every_iteration_resumes_bit_identically() {
     let mut state = solver.init_state();
     for cut in 1..=direct.iterations {
         assert!(solver.step(&mut state).is_none() || cut == direct.iterations);
-        // Round-trip through the JSON envelope, as a real restart would.
+        // Round-trip through the checkpoint container, as a real restart would.
         let ckpt = gaia_lsqr::Checkpoint::capture(&sys, &cfg, &state);
         let mut buf = Vec::new();
         ckpt.write_to(&mut buf).unwrap();

@@ -45,7 +45,7 @@ proptest! {
             }
             solver.step(&mut state);
         }
-        // Round-trip through the JSON envelope.
+        // Round-trip through the checkpoint container.
         let mut buf = Vec::new();
         Checkpoint::capture(&sys, &cfg, &state)
             .write_to(&mut buf)

@@ -176,7 +176,7 @@ impl Generator {
         (system, truth)
     }
 
-    /// Streamed generation straight to a `gaia-tiles/v3` spill directory
+    /// Streamed generation straight to a `gaia-tiles/v4` spill directory
     /// with `tile_stars` stars per tile: the tiles are drawn on the calling
     /// thread and written a wave at a time, one tile per job on up to one
     /// worker thread per core, so the full system is never in memory. The tiles are

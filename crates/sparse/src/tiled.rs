@@ -6,7 +6,7 @@
 //! capacity gating). This module adds the storage layer that makes that
 //! regime measurable on any machine: the observation matrix is split into
 //! fixed-size **row tiles** spilled to an on-disk directory
-//! (`gaia-tiles/v3`), and solves stream tiles through a bounded,
+//! (`gaia-tiles/v4`), and solves stream tiles through a bounded,
 //! scan-aware cache ([`TileCache`]) whose every load and evict is
 //! accounted by a [`CapacityBudget`].
 //!
@@ -22,17 +22,23 @@
 //!   here over storage read from the tile file instead of shared with a
 //!   resident parent. A tile file stores no astrometric columns: the tile
 //!   derives them from its `star0`, as every row block does.
+//! * **One container.** A tile file is a GAVU container holding one span
+//!   (`io::write_span`), read back through the same function as
+//!   a dataset; the known terms are a known-terms container. The manifest
+//!   lists exactly the layout's tiles at `tile_stars`, and nothing else
+//!   opens.
 //! * **Bit-exact round trips.** Tile files store raw IEEE-754 bits; a
 //!   [`TiledSystem::assemble`] of the tiles equals the source system
 //!   array-for-array, and streamed generation
 //!   ([`crate::Generator::generate_tiled`]) writes byte-identical files
 //!   to [`write_tiles`] over the in-memory generator's output.
-//! * **Tamper evidence.** Every tile file carries a four-lane FNV-1a
-//!   checksum in the manifest, verified on **every** load; a corrupted
-//!   tile is a hard error naming the tile path.
+//! * **Tamper evidence.** Every section of a tile file carries its own
+//!   digest, verified on **every** load, and the manifest records the fold
+//!   of them; a corrupted tile is a hard error naming the tile path and
+//!   the section.
 //!   A mutate-after-tile-write ([`SparseSystem::scale_column`] and
 //!   friends) is detected by [`TileManifest::verify_matches`], which
-//!   checksums what spilling the system again would write and compares it
+//!   digests what spilling the system again would write and compares it
 //!   with the manifest, instead of silently solving stale data.
 //! * **The budget binds.** The cache evicts *before* loading, so its
 //!   ledger never exceeds the budget at any instant; a budget smaller
@@ -43,7 +49,7 @@
 //!   tile `t` — which every scan in this workspace does.
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -53,20 +59,13 @@ use serde::{Deserialize, Serialize};
 use crate::footprint::resident_bytes;
 use crate::generator::par_map;
 use crate::io::{
-    read_f64_array, read_f64_array_into, read_u32, read_u32_array, read_u32_array_into, read_u64,
-    write_f64_array, write_u32, write_u32_array, write_u64,
+    fnv, read_span, write_span, ContainerReader, ContainerWriter, IoError, Kind, FNV_OFFSET,
 };
 use crate::layout::SystemLayout;
-use crate::system::{RowBlock, SparseSystem, ATT_NNZ_PER_ROW};
+use crate::system::{RowBlock, SparseSystem};
 
 /// On-disk format identifier recorded in every manifest.
-pub const TILE_FORMAT: &str = "gaia-tiles/v3";
-/// Magic of a tile file.
-pub const TILE_MAGIC: [u8; 4] = *b"GTIL";
-/// Magic of the known-terms file.
-pub const KNOWN_MAGIC: [u8; 4] = *b"GTKB";
-/// Version of the tile container format.
-pub const TILE_VERSION: u32 = 3;
+pub const TILE_FORMAT: &str = "gaia-tiles/v4";
 /// Name of the manifest file inside a tile directory.
 pub const MANIFEST_NAME: &str = "manifest.json";
 /// Name of the known-terms file inside a tile directory.
@@ -107,13 +106,16 @@ pub enum TileError {
         /// What went wrong.
         message: String,
     },
-    /// A tile file's bytes do not match the manifest checksum.
+    /// A file's bytes do not match a recorded digest: a section's own, or
+    /// (section `digest fold`) the manifest's for the whole file.
     ChecksumMismatch {
-        /// The corrupted tile file.
+        /// The corrupted file.
         path: PathBuf,
-        /// Checksum recorded in the manifest.
+        /// The section whose bytes disagree.
+        section: String,
+        /// Digest recorded in the file or the manifest.
         expected: String,
-        /// Checksum of the bytes actually on disk.
+        /// Digest of the bytes actually on disk.
         actual: String,
     },
     /// The capacity budget cannot hold even one tile.
@@ -157,11 +159,13 @@ impl std::fmt::Display for TileError {
             }
             TileError::ChecksumMismatch {
                 path,
+                section,
                 expected,
                 actual,
             } => write!(
                 f,
-                "tile checksum mismatch at {}: manifest says {expected}, file hashes to {actual}",
+                "tile checksum mismatch at {}, section `{section}`: recorded {expected}, \
+                 bytes hash to {actual}",
                 path.display()
             ),
             TileError::BudgetTooSmall { limit, tile_bytes } => write!(
@@ -202,195 +206,31 @@ fn io_err(path: &Path) -> impl Fn(io::Error) -> TileError + '_ {
     }
 }
 
-/// An older spill is refused, not read: spill directories are regenerable
-/// (and a checkpoint taken against one is already rejected by its matrix
-/// fingerprint), so there is exactly one reader.
-fn stale_format(
-    path: PathBuf,
-    found: impl std::fmt::Debug,
-    expected: impl std::fmt::Debug,
-) -> TileError {
-    TileError::Format {
-        path,
-        message: format!(
-            "format {found:?} (expected {expected:?}): spill directories are \
-             regenerable — delete this one and regenerate it"
-        ),
-    }
+fn format_error(path: PathBuf, message: String) -> TileError {
+    TileError::Format { path, message }
 }
 
-fn from_io_error(path: &Path, e: crate::io::IoError) -> TileError {
+fn from_io_error(path: &Path, e: IoError) -> TileError {
+    let path = path.to_path_buf();
     match e {
-        crate::io::IoError::Io(source) => TileError::Io {
-            path: path.to_path_buf(),
-            source,
+        IoError::Io(source) => TileError::Io { path, source },
+        IoError::Format(message) | IoError::Invalid(message) => TileError::Format { path, message },
+        IoError::Checksum {
+            section,
+            stored,
+            computed,
+        } => TileError::ChecksumMismatch {
+            path,
+            section,
+            expected: hex(stored),
+            actual: hex(computed),
         },
-        crate::io::IoError::Format(message) | crate::io::IoError::Invalid(message) => {
-            TileError::Format {
-                path: path.to_path_buf(),
-                message,
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FNV-1a hashing
-// ---------------------------------------------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a hasher (same flavor as the checkpoint RHS
-/// fingerprint in `gaia-lsqr`).
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-}
-
-impl Fnv {
-    /// One xor-then-multiply step over a whole word. The multiplier is
-    /// odd, so for a fixed state the step is a bijection of `word` (and
-    /// for a fixed word, of the state): two inputs that differ in one
-    /// word can never meet again.
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0 ^ word).wrapping_mul(FNV_PRIME);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.mix(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn finish(self) -> u64 {
-        self.0
+        IoError::File { path, source } => from_io_error(&path, *source),
     }
 }
 
 fn hex(h: u64) -> String {
     format!("{h:016x}")
-}
-
-/// Bytes per checksum block: one little-endian `u64` word for each lane.
-const BLOCK: usize = 32;
-
-/// The tile file checksum (since `gaia-tiles/v2`). Byte-at-a-time FNV-1a
-/// is one serial multiply chain (0.8 GB/s measured); this runs four
-/// independent chains, lane `k` taking word `k` of every 32-byte block, so
-/// the multiplies overlap and a file hashes at memory speed.
-/// [`TileHasher::finish`] folds the four lane digests word-wise, then the
-/// `< 32`-byte tail byte-wise, into one [`Fnv`]. Every step on the way is
-/// [`Fnv::mix`], so a file that differs from the recorded one in any single
-/// word (hence any single bit or byte) always hashes differently — the
-/// detection v1 gave per byte. Bytes may arrive in any split: a partial block waits in
-/// `carry`.
-#[derive(Debug, Clone, Copy)]
-struct TileHasher {
-    lanes: [Fnv; 4],
-    carry: [u8; BLOCK],
-    carried: usize,
-}
-
-impl TileHasher {
-    fn new() -> Self {
-        TileHasher {
-            lanes: [Fnv::default(); 4],
-            carry: [0; BLOCK],
-            carried: 0,
-        }
-    }
-
-    fn write(&mut self, mut bytes: &[u8]) {
-        if self.carried > 0 {
-            let take = bytes.len().min(BLOCK - self.carried);
-            self.carry[self.carried..self.carried + take].copy_from_slice(&bytes[..take]);
-            self.carried += take;
-            bytes = &bytes[take..];
-            if self.carried < BLOCK {
-                return;
-            }
-            Self::mix_blocks(&mut self.lanes, &self.carry);
-        }
-        let tail = Self::mix_blocks(&mut self.lanes, bytes);
-        self.carry[..tail.len()].copy_from_slice(tail);
-        self.carried = tail.len();
-    }
-
-    /// Mix every whole block of `bytes` into the lanes; returns the rest.
-    fn mix_blocks<'a>(lanes: &mut [Fnv; 4], bytes: &'a [u8]) -> &'a [u8] {
-        // The lanes enter and leave the loop through `black_box`, one
-        // scalar at a time. Left alone, LLVM sees four identical chains
-        // between a 32-byte load and a 32-byte store and emits SSE2 vector
-        // code, where each 64-bit multiply is three `pmuludq` plus shifts:
-        // 9 GB/s measured, against 26 GB/s for four scalar `imul` chains.
-        // Only speed depends on the hint.
-        let mut local = lanes.map(std::hint::black_box);
-        let mut blocks = bytes.chunks_exact(BLOCK);
-        for block in &mut blocks {
-            for (lane, word) in local.iter_mut().zip(block.chunks_exact(8)) {
-                let mut raw = [0u8; 8];
-                raw.copy_from_slice(word);
-                lane.mix(u64::from_le_bytes(raw));
-            }
-        }
-        *lanes = local.map(std::hint::black_box);
-        blocks.remainder()
-    }
-
-    fn finish(self) -> u64 {
-        let mut h = Fnv::default();
-        for lane in self.lanes {
-            h.mix(lane.finish());
-        }
-        h.write(&self.carry[..self.carried]);
-        h.finish()
-    }
-}
-
-/// A `Write` adapter that hashes and counts everything written through it.
-struct HashingWriter<W: Write> {
-    inner: W,
-    hash: TileHasher,
-    bytes: u64,
-}
-
-impl<W: Write> HashingWriter<W> {
-    fn new(inner: W) -> Self {
-        HashingWriter {
-            inner,
-            hash: TileHasher::new(),
-            bytes: 0,
-        }
-    }
-}
-
-impl<W: Write> Write for HashingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.hash.write(&buf[..n]);
-        self.bytes += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = TileHasher::new();
-    h.write(bytes);
-    h.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -660,12 +500,13 @@ pub struct TileMeta {
     pub constraint_rows: u64,
     /// Size of the tile file in bytes.
     pub bytes: u64,
-    /// Four-lane FNV-1a checksum of the tile file bytes, hex-encoded.
+    /// Digest of the tile container (the fold of its section digests),
+    /// hex-encoded.
     pub checksum: String,
 }
 
-/// The `gaia-tiles/v3` manifest: shape, provenance, and checksums of a
-/// tile directory.
+/// The `gaia-tiles/v4` manifest: shape, provenance, and digests of a
+/// tile directory. Its tiles are exactly the layout's at `tile_stars`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TileManifest {
     /// Format identifier, always [`TILE_FORMAT`].
@@ -676,13 +517,11 @@ pub struct TileManifest {
     pub seed: Option<u64>,
     /// Stars per tile (the last tile may cover fewer).
     pub tile_stars: u64,
-    /// Number of tiles.
-    pub n_tiles: usize,
     /// Per-tile metadata in tile order.
     pub tiles: Vec<TileMeta>,
-    /// Four-lane FNV-1a checksum of the known-terms file, hex-encoded.
+    /// Digest of the known-terms container, hex-encoded.
     pub known_terms_checksum: String,
-    /// Combined fingerprint of all tile checksums + known terms — the
+    /// Fold of every tile digest and the known-terms digest — the
     /// identity of the on-disk matrix, recorded in checkpoints.
     pub matrix_fingerprint: String,
 }
@@ -691,9 +530,9 @@ impl TileManifest {
     /// Check that `sys` still matches the arrays these tiles were written
     /// from: its layout is the recorded one, and spilling it again at
     /// `tile_stars` — through the tile writer into a hash-only sink, no
-    /// files — gives every recorded tile and known-terms checksum. A
-    /// mutated source (scaled column, permuted rows, replaced known terms)
-    /// yields [`TileError::StaleManifest`].
+    /// files — gives every recorded tile and known-terms digest. A mutated
+    /// source (scaled column, permuted rows, replaced known terms) yields
+    /// [`TileError::StaleManifest`].
     pub fn verify_matches(&self, sys: &SparseSystem) -> Result<(), TileError> {
         let stale = |what: String| TileError::StaleManifest {
             message: format!("{what} — the system was mutated after the tiles were written"),
@@ -710,11 +549,8 @@ impl TileManifest {
         {
             let block = sys.row_block(span.star0..span.star1, span.constraint_rows > 0);
             let name = PathBuf::from(TileManifest::tile_file_name(span.index));
-            let now = write_tile(
-                TileFileWriter::new(name, io::sink(), span)?,
-                span,
-                &block.system,
-            )?;
+            let now =
+                write_tile(io::sink(), &self.layout, span, &block.system).map_err(io_err(&name))?;
             if now.checksum != recorded.checksum {
                 let (i, now, recorded) = (span.index, &now.checksum, &recorded.checksum);
                 return Err(stale(format!(
@@ -722,7 +558,7 @@ impl TileManifest {
                 )));
             }
         }
-        let known = hash_known_terms(Path::new(KNOWN_TERMS_NAME), io::sink(), sys.known_terms())?;
+        let known = hex(crate::io::known_terms_digest(sys.known_terms()));
         if known != self.known_terms_checksum {
             let recorded = &self.known_terms_checksum;
             return Err(stale(format!(
@@ -738,13 +574,11 @@ impl TileManifest {
     }
 }
 
+/// The matrix fingerprint: the tile digests, then the known-terms digest,
+/// folded as a container folds its sections.
 fn combine_fingerprint(tiles: &[TileMeta], known_checksum: u64) -> String {
-    let mut h = Fnv::default();
-    for t in tiles {
-        h.write_u64(parse_hex_or_zero(&t.checksum));
-    }
-    h.write_u64(known_checksum);
-    hex(h.finish())
+    let tiles = tiles.iter().map(|t| parse_hex_or_zero(&t.checksum));
+    hex(tiles.chain([known_checksum]).fold(FNV_OFFSET, fnv))
 }
 
 fn parse_hex_or_zero(s: &str) -> u64 {
@@ -755,31 +589,22 @@ fn parse_hex_or_zero(s: &str) -> u64 {
 // Tile geometry
 // ---------------------------------------------------------------------------
 
-/// Geometry of one tile within a parent layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct TileSpan {
-    pub(crate) index: usize,
-    pub(crate) star0: u64,
-    pub(crate) star1: u64,
-    pub(crate) constraint_rows: u64,
-}
-
-pub(crate) fn tile_spans(layout: &SystemLayout, tile_stars: u64) -> Vec<TileSpan> {
+/// The tiles of `layout` at `tile_stars` stars each, not yet written (no
+/// size, no digest): the only tile list a manifest may hold.
+pub(crate) fn tile_spans(layout: &SystemLayout, tile_stars: u64) -> Vec<TileMeta> {
     assert!(tile_stars >= 1, "tile_stars must be at least 1");
     let n_tiles = layout.n_stars.div_ceil(tile_stars) as usize;
     (0..n_tiles)
         .map(|index| {
             let star0 = index as u64 * tile_stars;
-            let star1 = (star0 + tile_stars).min(layout.n_stars);
-            TileSpan {
+            let last = index + 1 == n_tiles;
+            TileMeta {
                 index,
                 star0,
-                star1,
-                constraint_rows: if index + 1 == n_tiles {
-                    layout.n_constraint_rows
-                } else {
-                    0
-                },
+                star1: (star0 + tile_stars).min(layout.n_stars),
+                constraint_rows: if last { layout.n_constraint_rows } else { 0 },
+                bytes: 0,
+                checksum: String::new(),
             }
         })
         .collect()
@@ -797,263 +622,140 @@ fn local_layout(parent: &SystemLayout, meta: &TileMeta) -> SystemLayout {
 // Tile file I/O
 // ---------------------------------------------------------------------------
 
-/// Writer of one tile file; [`write_tile`] writes every tile through it
-/// ([`write_tiles`], streamed generation and
-/// [`TileManifest::verify_matches`] alike), so all three produce
-/// byte-identical tiles. Sections are appended in file order, hashing
-/// incrementally — no seeks, no rewrites.
-struct TileFileWriter<W: Write = io::BufWriter<std::fs::File>> {
-    path: PathBuf,
-    w: HashingWriter<W>,
+/// Write `block`, the rows of `span` in `parent`, as a tile container
+/// into `w`. [`write_tiles`], streamed generation and
+/// [`TileManifest::verify_matches`] all write through it, so all three
+/// produce byte-identical tiles.
+fn write_tile<W: Write>(
+    w: W,
+    parent: &SystemLayout,
+    span: &TileMeta,
+    block: &SparseSystem,
+) -> io::Result<TileMeta> {
+    let mut w = ContainerWriter::new(w, Kind::Tile)?;
+    write_span(&mut w, parent, span.star0, block)?;
+    let (bytes, digest) = w.finish()?;
+    Ok(TileMeta {
+        bytes,
+        checksum: hex(digest),
+        ..span.clone()
+    })
 }
 
-impl TileFileWriter {
-    fn create(dir: &Path, span: &TileSpan) -> Result<Self, TileError> {
-        let path = dir.join(TileManifest::tile_file_name(span.index));
-        let file = std::fs::File::create(&path).map_err(io_err(&path))?;
-        TileFileWriter::new(path, io::BufWriter::new(file), span)
+/// Decode and verify a tile container: every section against its own
+/// digest, the span against the manifest entry, and the fold of the
+/// digests against the manifest's. The tile is a block in the parent's
+/// column space.
+fn decode_tile(
+    path: &Path,
+    bytes: &[u8],
+    parent: &SystemLayout,
+    meta: &TileMeta,
+) -> Result<RowBlock, TileError> {
+    let bad = |e| from_io_error(path, e);
+    let mut r = ContainerReader::open(bytes, Kind::Tile).map_err(bad)?;
+    let (span_parent, system) = read_span(&mut r, None).map_err(bad)?;
+    let digest = r.finish().map_err(bad)?;
+    // The tile's stars must be the parent's: its astrometric columns are
+    // derived from them.
+    let place = (span_parent, system.star0(), *system.layout());
+    if place != (*parent, meta.star0, local_layout(parent, meta)) {
+        let message = format!("tile span {place:?} disagrees with the manifest entry {meta:?}");
+        return Err(format_error(path.to_path_buf(), message));
     }
+    recorded(path, &meta.checksum, digest)?;
+    let row0 = (meta.star0 * parent.obs_per_star) as usize;
+    Ok(RowBlock {
+        rows: row0..row0 + system.n_rows(),
+        system,
+    })
 }
 
-impl<W: Write> TileFileWriter<W> {
-    /// Write the header of `span`'s tile into `inner`; `path` names the
-    /// tile in errors.
-    fn new(path: PathBuf, inner: W, span: &TileSpan) -> Result<Self, TileError> {
-        let mut w = HashingWriter::new(inner);
-        (|| -> io::Result<()> {
-            w.write_all(&TILE_MAGIC)?;
-            write_u32(&mut w, TILE_VERSION)?;
-            write_u64(&mut w, span.index as u64)?;
-            write_u64(&mut w, span.star0)?;
-            write_u64(&mut w, span.star1)?;
-            write_u64(&mut w, span.constraint_rows)?;
-            Ok(())
-        })()
-        .map_err(io_err(&path))?;
-        Ok(TileFileWriter { path, w })
-    }
-
-    fn write_f64s(&mut self, vals: &[f64]) -> Result<(), TileError> {
-        write_f64_array(&mut self.w, vals).map_err(io_err(&self.path))
-    }
-
-    fn write_u32s(&mut self, vals: &[u32]) -> Result<(), TileError> {
-        write_u32_array(&mut self.w, vals).map_err(io_err(&self.path))
-    }
-
-    fn finish(mut self, span: &TileSpan) -> Result<TileMeta, TileError> {
-        self.w.flush().map_err(io_err(&self.path))?;
-        Ok(TileMeta {
-            index: span.index,
-            star0: span.star0,
-            star1: span.star1,
-            constraint_rows: span.constraint_rows,
-            bytes: self.w.bytes,
-            checksum: hex(self.w.hash.finish()),
-        })
-    }
-}
-
-/// Read and checksum-verify one tile file, assembling the tile as a block
-/// in the parent's column space. A checksum mismatch is a hard error
-/// naming the tile path.
 fn read_tile(dir: &Path, parent: &SystemLayout, meta: &TileMeta) -> Result<RowBlock, TileError> {
     let path = dir.join(TileManifest::tile_file_name(meta.index));
     let bytes = std::fs::read(&path).map_err(io_err(&path))?;
-    let actual = hex(hash_bytes(&bytes));
-    if actual != meta.checksum {
-        return Err(TileError::ChecksumMismatch {
-            path,
-            expected: meta.checksum.clone(),
-            actual,
-        });
-    }
-
-    let mut r: &[u8] = &bytes;
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic).map_err(io_err(&path))?;
-    if magic != TILE_MAGIC {
-        return Err(TileError::Format {
-            path,
-            message: "bad magic (not a GTIL tile)".into(),
-        });
-    }
-    let version = read_u32(&mut r).map_err(io_err(&path))?;
-    if version != TILE_VERSION {
-        return Err(stale_format(path, version, TILE_VERSION));
-    }
-    let index = read_u64(&mut r).map_err(io_err(&path))?;
-    let star0 = read_u64(&mut r).map_err(io_err(&path))?;
-    let star1 = read_u64(&mut r).map_err(io_err(&path))?;
-    let constraint_rows = read_u64(&mut r).map_err(io_err(&path))?;
-    // The tile's stars must be the parent's: its astrometric columns are
-    // derived from them.
-    if index != meta.index as u64
-        || star0 != meta.star0
-        || star1 != meta.star1
-        || constraint_rows != meta.constraint_rows
-        || star0 >= star1
-        || star1 > parent.n_stars
-    {
-        return Err(TileError::Format {
-            path,
-            message: "tile header disagrees with the manifest entry or layout".into(),
-        });
-    }
-
-    let local = local_layout(parent, meta);
-    let n_rows_local = local.n_rows() as usize;
-    // The attitude arrays sit in two sections of the file (observation
-    // rows, then the constraint tail): sized once here, filled by both.
-    let mut values_att = Vec::with_capacity(n_rows_local * ATT_NNZ_PER_ROW);
-    let mut idx_att = Vec::with_capacity(n_rows_local);
-    let bad = |e| from_io_error(&path, e);
-    let values_astro = read_f64_array(&mut r).map_err(bad)?;
-    read_f64_array_into(&mut r, &mut values_att).map_err(bad)?;
-    let values_instr = read_f64_array(&mut r).map_err(bad)?;
-    let values_glob = read_f64_array(&mut r).map_err(bad)?;
-    read_u32_array_into(&mut r, &mut idx_att).map_err(bad)?;
-    let instr_col = read_u32_array(&mut r).map_err(bad)?;
-    read_f64_array_into(&mut r, &mut values_att).map_err(bad)?;
-    read_u32_array_into(&mut r, &mut idx_att).map_err(bad)?;
-    let system = SparseSystem::from_parts_at(
-        parent.columns(),
-        star0,
-        local,
-        values_astro,
-        values_att,
-        values_instr,
-        values_glob,
-        idx_att,
-        instr_col,
-        vec![0.0; n_rows_local],
-    )
-    .map_err(|e| TileError::InvalidShape {
-        message: format!("tile {} at {}: {e}", meta.index, path.display()),
-    })?;
-
-    let row0 = (star0 * parent.obs_per_star) as usize;
-    Ok(RowBlock {
-        rows: row0..row0 + n_rows_local,
-        system,
-    })
+    decode_tile(&path, &bytes, parent, meta)
 }
 
 fn write_known_terms(dir: &Path, b: &[f64]) -> Result<String, TileError> {
     let path = dir.join(KNOWN_TERMS_NAME);
     let file = std::fs::File::create(&path).map_err(io_err(&path))?;
-    hash_known_terms(&path, io::BufWriter::new(file), b)
-}
-
-/// Write the known-terms file `b` into `inner`; its checksum, hex-encoded.
-fn hash_known_terms<W: Write>(path: &Path, inner: W, b: &[f64]) -> Result<String, TileError> {
-    let mut w = HashingWriter::new(inner);
-    (|| -> io::Result<()> {
-        w.write_all(&KNOWN_MAGIC)?;
-        write_u32(&mut w, TILE_VERSION)?;
-        write_f64_array(&mut w, b)
-    })()
-    .map_err(io_err(path))?;
-    w.flush().map_err(io_err(path))?;
-    Ok(hex(w.hash.finish()))
+    let (_, digest) =
+        crate::io::write_known_terms(io::BufWriter::new(file), b).map_err(io_err(&path))?;
+    Ok(hex(digest))
 }
 
 fn read_known_terms(dir: &Path, expected_checksum: &str) -> Result<Vec<f64>, TileError> {
     let path = dir.join(KNOWN_TERMS_NAME);
     let bytes = std::fs::read(&path).map_err(io_err(&path))?;
-    let actual = hex(hash_bytes(&bytes));
-    if actual != expected_checksum {
-        return Err(TileError::ChecksumMismatch {
-            path,
-            expected: expected_checksum.to_string(),
-            actual,
-        });
+    let (b, digest) = crate::io::read_known_terms(&bytes).map_err(|e| from_io_error(&path, e))?;
+    recorded(&path, expected_checksum, digest)?;
+    Ok(b)
+}
+
+/// Every section of a file checked out: its digest must be the one the
+/// manifest recorded, or it is some other valid file.
+fn recorded(path: &Path, expected: &str, digest: u64) -> Result<(), TileError> {
+    if hex(digest) == expected {
+        return Ok(());
     }
-    let mut r: &[u8] = &bytes;
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic).map_err(io_err(&path))?;
-    if magic != KNOWN_MAGIC {
-        return Err(TileError::Format {
-            path,
-            message: "bad magic (not a GTKB known-terms file)".into(),
-        });
-    }
-    let version = read_u32(&mut r).map_err(io_err(&path))?;
-    if version != TILE_VERSION {
-        return Err(stale_format(path, version, TILE_VERSION));
-    }
-    read_f64_array(&mut r).map_err(|e| from_io_error(&path, e))
+    Err(TileError::ChecksumMismatch {
+        path: path.to_path_buf(),
+        section: "digest fold".into(),
+        expected: expected.to_string(),
+        actual: hex(digest),
+    })
 }
 
 fn write_manifest(dir: &Path, manifest: &TileManifest) -> Result<(), TileError> {
     let path = dir.join(MANIFEST_NAME);
-    let json = serde_json::to_string_pretty(manifest).map_err(|e| TileError::Format {
-        path: path.clone(),
-        message: format!("cannot serialize manifest: {e}"),
-    })?;
+    let json = serde_json::to_string_pretty(manifest)
+        .map_err(|e| format_error(path.clone(), format!("cannot serialize manifest: {e}")))?;
     std::fs::write(&path, json).map_err(io_err(&path))
 }
 
+/// An older spill is refused, not read: spill directories are regenerable
+/// (and a checkpoint taken against one is already rejected by its matrix
+/// fingerprint), so there is exactly one reader. A manifest must list
+/// exactly its layout's tiles at `tile_stars`, in order.
 fn read_manifest(dir: &Path) -> Result<TileManifest, TileError> {
     let path = dir.join(MANIFEST_NAME);
     let json = std::fs::read_to_string(&path).map_err(io_err(&path))?;
-    let manifest: TileManifest = serde_json::from_str(&json).map_err(|e| TileError::Format {
-        path: path.clone(),
-        message: format!("cannot parse manifest: {e}"),
-    })?;
+    let manifest: TileManifest = serde_json::from_str(&json)
+        .map_err(|e| format_error(path.clone(), format!("cannot parse manifest: {e}")))?;
     if manifest.format != TILE_FORMAT {
-        return Err(stale_format(path, manifest.format, TILE_FORMAT));
-    }
-    if manifest.tiles.len() != manifest.n_tiles {
-        return Err(TileError::Format {
+        let found = &manifest.format;
+        return Err(format_error(
             path,
-            message: format!(
-                "manifest lists {} tiles but declares {}",
-                manifest.tiles.len(),
-                manifest.n_tiles
+            format!(
+                "format {found:?} (expected {TILE_FORMAT:?}): spill directories are \
+                 regenerable — delete this one and regenerate it"
             ),
-        });
+        ));
     }
-    manifest.layout.validate().map_err(|e| TileError::Format {
-        path,
-        message: format!("manifest layout invalid: {e}"),
-    })?;
+    let layout = &manifest.layout;
+    layout
+        .validate()
+        .map_err(|e| format_error(path.clone(), format!("manifest layout invalid: {e}")))?;
+    let place = |m: &TileMeta| (m.index, m.star0, m.star1, m.constraint_rows);
+    let (listed, stars) = (manifest.tiles.len(), manifest.tile_stars);
+    let own = stars > 0
+        && layout.n_stars.div_ceil(stars) == listed as u64
+        && (manifest.tiles.iter().map(place)).eq(tile_spans(layout, stars).iter().map(place));
+    if !own {
+        let msg = format!("{listed} tile entries are not the layout's tiles of {stars} stars");
+        return Err(format_error(path, msg));
+    }
     Ok(manifest)
-}
-
-/// Write `block`, the rows of `span`, as a tile file through `w`: the
-/// arrays of the row block it will be read back as, the attitude arrays in
-/// two pieces, the constraint tail last (empty on every tile but the last).
-fn write_tile<W: Write>(
-    mut w: TileFileWriter<W>,
-    span: &TileSpan,
-    block: &SparseSystem,
-) -> Result<TileMeta, TileError> {
-    let n_obs = block.n_obs_rows();
-    let (att_obs, att_constr) = block.values_att().split_at(n_obs * ATT_NNZ_PER_ROW);
-    let (idx_obs, idx_constr) = block.matrix_index_att().split_at(n_obs);
-    for vals in [
-        block.values_astro(),
-        att_obs,
-        block.values_instr(),
-        block.values_glob(),
-    ] {
-        w.write_f64s(vals)?;
-    }
-    w.write_u32s(idx_obs)?;
-    w.write_u32s(block.instr_col())?;
-    w.write_f64s(att_constr)?;
-    w.write_u32s(idx_constr)?;
-    w.finish(span)
 }
 
 // ---------------------------------------------------------------------------
 // Writing a spill
 // ---------------------------------------------------------------------------
 
-/// Spill an in-memory system into a `gaia-tiles/v3` directory with
+/// Spill an in-memory system into a `gaia-tiles/v4` directory with
 /// `tile_stars` stars per tile. Uses the same writer as streamed
-/// generation, so the tile files (and their checksums) are byte-identical
+/// generation, so the tile files (and their digests) are byte-identical
 /// to what [`crate::Generator::generate_tiled`] would produce for the
 /// same system.
 pub fn write_tiles(
@@ -1067,7 +769,7 @@ pub fn write_tiles(
     })
 }
 
-/// Write a `gaia-tiles/v3` spill of `layout` with `tile_stars` stars per
+/// Write a `gaia-tiles/v4` spill of `layout` with `tile_stars` stars per
 /// tile into `dir`, in waves of `workers` tiles: `rows` gives the rows of
 /// a wave's stars — and of the constraint rows when they end the system —
 /// as a system in the parent's column space with its known terms, and
@@ -1085,13 +787,16 @@ pub(crate) fn spill(
     std::fs::create_dir_all(dir).map_err(io_err(dir))?;
     let (mut tiles, mut b) = (Vec::new(), Vec::new());
     for wave in tile_spans(&layout, tile_stars).chunks(workers.max(1)) {
-        let (first, last) = (wave[0], wave[wave.len() - 1]);
-        let block = rows(first.star0..last.star1);
+        let (first, last) = (wave[0].star0, wave[wave.len() - 1].star1);
+        let block = rows(first..last);
         b.extend_from_slice(block.known_terms());
         let written = par_map(wave.to_vec(), workers, |span| {
-            let stars = span.star0 - first.star0..span.star1 - first.star0;
+            let stars = span.star0 - first..span.star1 - first;
             let view = block.row_block(stars, span.constraint_rows > 0);
-            write_tile(TileFileWriter::create(dir, &span)?, &span, &view.system)
+            let path = dir.join(TileManifest::tile_file_name(span.index));
+            let file = std::fs::File::create(&path).map_err(io_err(&path))?;
+            write_tile(io::BufWriter::new(file), &layout, &span, &view.system)
+                .map_err(io_err(&path))
         });
         tiles.extend(written.into_iter().collect::<Result<Vec<_>, _>>()?);
     }
@@ -1102,7 +807,6 @@ pub(crate) fn spill(
         layout,
         seed,
         tile_stars,
-        n_tiles: tiles.len(),
         matrix_fingerprint,
         tiles,
         known_terms_checksum,
@@ -1207,7 +911,7 @@ impl TiledSystem {
 
     /// Number of tiles.
     pub fn n_tiles(&self) -> usize {
-        self.manifest.n_tiles
+        self.manifest.tiles.len()
     }
 
     /// Known terms `b` (held in memory — vectors are `O(rows)`, only the
@@ -1330,7 +1034,7 @@ mod tests {
         let dir = tmp_dir("round-trip");
         let sys = tiny_sys(11);
         let manifest = write_tiles(&sys, &dir, 2).unwrap();
-        assert_eq!(manifest.n_tiles, 3);
+        assert_eq!(manifest.tiles.len(), 3);
         let tiled = TiledSystem::open(&dir).unwrap();
         let back = tiled.assemble().unwrap();
         assert_eq!(back.values_astro(), sys.values_astro());
@@ -1349,7 +1053,7 @@ mod tests {
         let sys = tiny_sys(12);
         // 6 stars into tiles of 4: tiles of 4 and 2 stars.
         let manifest = write_tiles(&sys, &dir, 4).unwrap();
-        assert_eq!(manifest.n_tiles, 2);
+        assert_eq!(manifest.tiles.len(), 2);
         assert_eq!(manifest.tiles[0].star1 - manifest.tiles[0].star0, 4);
         assert_eq!(manifest.tiles[1].star1 - manifest.tiles[1].star0, 2);
         assert_eq!(manifest.tiles[1].constraint_rows, 3);
@@ -1409,82 +1113,179 @@ mod tests {
         err.expect_err("a flipped bit must not load")
     }
 
+    /// Bytes to flip in a container: two in the header, then the name,
+    /// type code, count, mid-payload and last digest byte of every
+    /// section, each with the section it belongs to.
+    fn targets(bytes: &[u8]) -> Vec<(String, &'static str, usize)> {
+        let mut targets = vec![("header".into(), "magic", 0), ("header".into(), "kind", 9)];
+        for (name, at) in crate::io::tests::sections(bytes) {
+            let parts = [
+                ("name", 0),
+                ("type", 8),
+                ("count", 12),
+                ("payload", at.len() / 2),
+            ];
+            for (what, offset) in parts {
+                targets.push((name.clone(), what, at.start + offset));
+            }
+            targets.push((name, "digest", at.end - 1));
+        }
+        targets
+    }
+
+    /// A flipped bit in a dataset, a tile or the known terms is a typed
+    /// error naming the file and the section: a checksum mismatch unless
+    /// it hits the header, or makes a length run past the end of the file.
+    /// (The checkpoint kind has the same test in `gaia-lsqr`.)
     #[test]
     fn a_flipped_bit_anywhere_in_a_tile_file_is_a_checksum_mismatch_naming_the_path() {
         let dir = tmp_dir("corrupt");
         let sys = tiny_sys(13);
         let manifest = write_tiles(&sys, &dir, 2).unwrap();
-        // The last tile carries the constraint rows, so none of its eight
-        // array sections is empty.
-        let last = manifest.n_tiles - 1;
-        let victim = dir.join(TileManifest::tile_file_name(last));
-        let bytes = std::fs::read(&victim).unwrap();
-        let tail = bytes.len() % BLOCK;
-        assert!(tail > 0, "fixture must end in a partial checksum block");
-
-        // One byte in the header, then the length prefix and the middle
-        // of the payload of every array section, found by walking the file.
-        let header = 4 + 4 + 4 * 8;
-        let mut targets = vec![("header", 9)];
-        let mut at = header;
-        for (section, width) in [8, 8, 8, 8, 4, 4, 8, 4].into_iter().enumerate() {
-            let mut len = [0u8; 8];
-            len.copy_from_slice(&bytes[at..at + 8]);
-            let payload = u64::from_le_bytes(len) as usize * width;
-            assert!(payload > 0, "section {section} of the last tile is empty");
-            targets.push(("length prefix", at));
-            targets.push(("payload", at + 8 + payload / 2));
-            at += 8 + payload;
-        }
-        assert_eq!(
-            at,
-            bytes.len(),
-            "section walk must end at the end of the file"
-        );
-        targets.push(("tail block", bytes.len() - tail));
-        targets.push(("last byte", bytes.len() - 1));
-
-        for (what, byte) in targets {
-            let err = load_with_flipped_bit(&dir, &victim, byte, last);
-            match &err {
-                TileError::ChecksumMismatch { path, .. } => {
-                    assert_eq!(path, &victim, "{what}: error must name the corrupted tile");
+        // The last tile carries the constraint rows, so none of its array
+        // sections is empty.
+        let last = manifest.tiles.len() - 1;
+        let tile = dir.join(TileManifest::tile_file_name(last));
+        let known = dir.join(KNOWN_TERMS_NAME);
+        for victim in [&tile, &known] {
+            let bytes = std::fs::read(victim).unwrap();
+            for (section, what, byte) in targets(&bytes) {
+                let err = load_with_flipped_bit(&dir, victim, byte, last);
+                let msg = err.to_string();
+                for needle in [victim.display().to_string(), section.clone()] {
+                    assert!(
+                        msg.contains(&needle),
+                        "{what} of {section}: {msg:?} lacks {needle:?}"
+                    );
                 }
-                other => panic!("{what} (byte {byte}): expected ChecksumMismatch, got {other}"),
+                if section != "header" && what != "count" {
+                    match &err {
+                        TileError::ChecksumMismatch {
+                            path, section: s, ..
+                        } => {
+                            assert_eq!((path, s), (victim, &section), "{what}");
+                        }
+                        other => {
+                            panic!("{what} of {section}: expected ChecksumMismatch, got {other}")
+                        }
+                    }
+                }
             }
-            assert!(err
-                .to_string()
-                .contains(&TileManifest::tile_file_name(last)));
         }
-        // The file was restored after every flip: it loads again.
+        // The files were restored after every flip: they load again.
         TiledSystem::open(&dir).unwrap().tile(last).unwrap();
+
+        let dataset = dir.join("sys.gavu");
+        crate::io::save_system(&sys, &dataset).unwrap();
+        let good = std::fs::read(&dataset).unwrap();
+        for (section, what, byte) in targets(&good) {
+            let mut bad = good.clone();
+            bad[byte] ^= 0x10;
+            std::fs::write(&dataset, &bad).unwrap();
+            let msg = crate::io::load_system(&dataset).unwrap_err().to_string();
+            for needle in [dataset.display().to_string(), section.clone()] {
+                assert!(
+                    msg.contains(&needle),
+                    "{what} of {section}: {msg:?} lacks {needle:?}"
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every single-bit flip of a tile and of the known terms is refused,
+    /// by an error that names the section the bit is in. The dataset is
+    /// made of the same sections, read by the same functions; it gets
+    /// every bit of its header, section heads and digests, and one bit in
+    /// every seventh payload byte (all of them take ~40 s unoptimized).
     #[test]
     fn every_single_bit_flip_of_a_tile_file_changes_the_checksum() {
         let dir = tmp_dir("every-bit");
-        write_tiles(&tiny_sys(19), &dir, 2).unwrap();
-        let mut bytes = std::fs::read(dir.join(TileManifest::tile_file_name(0))).unwrap();
-        // Both code paths of the hasher: whole blocks and a byte-wise tail.
-        bytes.truncate(bytes.len() - bytes.len() % BLOCK + 7);
-        let clean = hash_bytes(&bytes);
-        for bit in 0..bytes.len() * 8 {
-            bytes[bit / 8] ^= 1 << (bit % 8);
-            assert_ne!(
-                hash_bytes(&bytes),
-                clean,
-                "flipping bit {bit} went unnoticed"
-            );
-            bytes[bit / 8] ^= 1 << (bit % 8);
+        let sys = tiny_sys(19);
+        let manifest = write_tiles(&sys, &dir, 2).unwrap();
+        let tile = dir.join(TileManifest::tile_file_name(0));
+        let mut dataset = Vec::new();
+        crate::io::write_system(&sys, &mut dataset).unwrap();
+        type Refuse<'a> = &'a dyn Fn(&[u8]) -> Result<(), String>;
+        let kinds: [(Vec<u8>, usize, Refuse); 3] = [
+            (std::fs::read(&tile).unwrap(), 1, &|b| {
+                let (layout, meta) = (&manifest.layout, &manifest.tiles[0]);
+                decode_tile(&tile, b, layout, meta)
+                    .map(drop)
+                    .map_err(|e| e.to_string())
+            }),
+            (
+                std::fs::read(dir.join(KNOWN_TERMS_NAME)).unwrap(),
+                1,
+                &|b| {
+                    crate::io::read_known_terms(b)
+                        .map(drop)
+                        .map_err(|e| e.to_string())
+                },
+            ),
+            (dataset, 7, &|b| {
+                crate::io::read_system(b)
+                    .map(drop)
+                    .map_err(|e| e.to_string())
+            }),
+        ];
+        for (mut bytes, stride, refuse) in kinds {
+            // Each byte's section, and whether it is payload.
+            let mut owner = vec![("header".to_string(), false); crate::io::HEADER];
+            for (name, at) in crate::io::tests::sections(&bytes) {
+                let payload = at.start + crate::io::SECTION_HEAD..at.end - 8;
+                owner.extend(at.map(|i| (format!("`{name}`"), payload.contains(&i))));
+            }
+            assert_eq!(owner.len(), bytes.len(), "the sections cover the file");
+            for bit in 0..bytes.len() * 8 {
+                let (section, payload) = &owner[bit / 8];
+                if *payload && (bit / 8 % stride != 0 || (stride > 1 && bit % 8 != bit / 8 % 8)) {
+                    continue;
+                }
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                match refuse(&bytes) {
+                    Ok(()) => panic!("flipping bit {bit} went unnoticed"),
+                    Err(msg) => assert!(msg.contains(section.as_str()), "bit {bit}: {msg}"),
+                }
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A manifest lists exactly its layout's tiles at `tile_stars`: one
+    /// that lists tile 0 twice opened at the previous format and assembled
+    /// stars 0–1 in place of 2–3; one with `tile_stars: 0` opened and then
+    /// panicked on the first check against a system.
+    #[test]
+    fn a_manifest_that_does_not_list_its_own_tiles_is_refused() {
+        let dir = tmp_dir("own-tiles");
+        let manifest = write_tiles(&tiny_sys(22), &dir, 2).unwrap();
+        let mut twice = manifest.clone();
+        twice.tiles[1] = TileMeta {
+            index: 1,
+            ..twice.tiles[0].clone()
+        };
+        let zero = TileManifest {
+            tile_stars: 0,
+            ..manifest.clone()
+        };
+        for bad in [twice, zero] {
+            write_manifest(&dir, &bad).unwrap();
+            match TiledSystem::open(&dir).unwrap_err() {
+                TileError::Format { path, .. } => assert_eq!(path, dir.join(MANIFEST_NAME)),
+                other => panic!("expected a Format error naming the manifest, got {other}"),
+            }
+        }
+        write_manifest(&dir, &manifest).unwrap();
+        TiledSystem::open(&dir).unwrap().assemble().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
     /// What a `gaia-tiles/v1` writer left behind: same manifest shape,
     /// older format string, byte-wise FNV-1a checksums. A `gaia-tiles/v2`
-    /// manifest differs only in its format string (and in its tiles,
-    /// which still hold `matrixIndexAstro` and u64 attitude offsets).
+    /// or `/v3` manifest differs only in its format string (and in its
+    /// tiles: `GTIL` containers, with `matrixIndexAstro` up to v2).
     const V1_MANIFEST: &str = r#"{
   "format": "gaia-tiles/v1",
   "layout": {"n_stars": 6, "obs_per_star": 8, "n_deg_freedom_att": 16,
@@ -1515,7 +1316,7 @@ mod tests {
     fn a_v1_manifest_is_refused_with_a_regenerate_hint() {
         let dir = tmp_dir("v1-manifest");
         let manifest_path = dir.join(MANIFEST_NAME);
-        for old in ["gaia-tiles/v1", "gaia-tiles/v2"] {
+        for old in ["gaia-tiles/v1", "gaia-tiles/v2", "gaia-tiles/v3"] {
             let json = V1_MANIFEST.replace("gaia-tiles/v1", old);
             std::fs::write(&manifest_path, &json).unwrap();
             let err = TiledSystem::open(&dir).unwrap_err();
@@ -1531,29 +1332,32 @@ mod tests {
 
     #[test]
     fn version_1_tile_and_known_terms_files_are_refused_by_version() {
-        // A current manifest pointing at older containers whose checksums
-        // match: the version field, not the checksum, must refuse them.
-        fn downgrade(path: &Path, version: u32) -> String {
+        // A current manifest pointing at older containers: the header, not
+        // a digest, must refuse them — GAVU versions 1 and 2, and the
+        // `GTIL`/`GTKB` magics of the previous tile and known-terms files.
+        fn downgrade(path: &Path, magic: &[u8; 4], version: u32) {
             let mut bytes = std::fs::read(path).unwrap();
+            bytes[..4].copy_from_slice(magic);
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
             std::fs::write(path, &bytes).unwrap();
-            hex(hash_bytes(&bytes))
         }
-        let expected = TILE_VERSION.to_string();
-        for version in [1u32, 2] {
-            let dir = tmp_dir(&format!("v{version}-files"));
-            let mut manifest = write_tiles(&tiny_sys(20), &dir, 2).unwrap();
+        let expected = crate::io::FORMAT_VERSION.to_string();
+        for (magic, version) in [(b"GAVU", 1u32), (b"GAVU", 2), (b"GTIL", 3), (b"GTKB", 3)] {
+            let found = match magic {
+                b"GAVU" => version.to_string(),
+                _ => String::from_utf8_lossy(magic).into_owned(),
+            };
+            let dir = tmp_dir(&format!("{found}-files"));
+            write_tiles(&tiny_sys(20), &dir, 2).unwrap();
             let tile_path = dir.join(TileManifest::tile_file_name(0));
-            manifest.tiles[0].checksum = downgrade(&tile_path, version);
-            write_manifest(&dir, &manifest).unwrap();
+            downgrade(&tile_path, magic, version);
             let err = TiledSystem::open(&dir).unwrap().tile(0).unwrap_err();
-            assert_refused_as_stale(&err, &tile_path, &version.to_string(), &expected);
+            assert_refused_as_stale(&err, &tile_path, &found, &expected);
 
             let known_path = dir.join(KNOWN_TERMS_NAME);
-            manifest.known_terms_checksum = downgrade(&known_path, version);
-            write_manifest(&dir, &manifest).unwrap();
+            downgrade(&known_path, magic, version);
             let err = TiledSystem::open(&dir).unwrap_err();
-            assert_refused_as_stale(&err, &known_path, &version.to_string(), &expected);
+            assert_refused_as_stale(&err, &known_path, &found, &expected);
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -1568,8 +1372,7 @@ mod tests {
         let b = vec![0.0; manifest.layout.n_rows() as usize];
         manifest.known_terms_checksum = write_known_terms(&dir, &b).unwrap();
         write_manifest(&dir, &manifest).unwrap();
-        let tiled = TiledSystem::open(&dir).unwrap();
-        let err = tiled.tile(manifest.n_tiles - 1).unwrap_err();
+        let err = TiledSystem::open(&dir).unwrap_err();
         assert!(matches!(err, TileError::Format { .. }), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1719,13 +1522,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The spill bytes of a fixed system, recorded with `gaia-tiles/v3`
-    /// (no astrometric index, u32 attitude offsets) and the star-keyed
-    /// draws: streamed generation and `write_tiles` must keep writing
-    /// exactly these files.
+    /// The spill bytes of a fixed system, recorded with `gaia-tiles/v4`
+    /// (GAVU v3 containers: per-section digests, no astrometric index,
+    /// u32 attitude offsets) and the star-keyed draws: streamed generation
+    /// and `write_tiles` must keep writing exactly these files.
     #[test]
     fn spill_fingerprints_are_pinned() {
-        const PINNED: &str = "f3b3a8a1590168c6";
+        const PINNED: &str = "07074c70f1eec8c2";
         let cfg = GeneratorConfig::new(SystemLayout::tiny()).seed(2024);
         let (dir_str, dir_mem) = (tmp_dir("pin-streamed"), tmp_dir("pin-mem"));
         let streamed = Generator::new(cfg).generate_tiled(&dir_str, 2).unwrap();
@@ -1748,17 +1551,17 @@ mod tests {
             bytes in proptest::collection::vec(0u8..=255, 0..600),
             cuts in proptest::collection::vec(0usize..80, 0..40),
         ) {
-            let mut w = HashingWriter::new(Vec::new());
+            let mut pieces = crate::io::TileHasher::new();
             let mut rest: &[u8] = &bytes;
             for cut in cuts {
                 let (piece, tail) = rest.split_at(cut.min(rest.len()));
-                w.write_all(piece).unwrap();
+                pieces.write(piece);
                 rest = tail;
             }
-            w.write_all(rest).unwrap();
-            proptest::prop_assert_eq!(w.bytes, bytes.len() as u64);
-            proptest::prop_assert_eq!(w.hash.finish(), hash_bytes(&bytes));
-            proptest::prop_assert_eq!(&w.inner, &bytes);
+            pieces.write(rest);
+            let mut whole = crate::io::TileHasher::new();
+            whole.write(&bytes);
+            proptest::prop_assert_eq!(pieces.finish(), whole.finish());
         }
     }
 }

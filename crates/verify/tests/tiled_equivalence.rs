@@ -1,5 +1,5 @@
 //! Out-of-core equivalence over the committed seed corpus: solving
-//! through a `gaia-tiles/v3` spill directory must be indistinguishable
+//! through a `gaia-tiles/v4` spill directory must be indistinguishable
 //! from solving the resident system.
 //!
 //! Determinism classes mirror the kernel-equivalence suite:

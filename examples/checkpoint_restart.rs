@@ -37,7 +37,7 @@ fn main() {
     for _ in 0..budget {
         solver.step(&mut state);
     }
-    let path = std::env::temp_dir().join("gaia_avugsr_restart.json");
+    let path = std::env::temp_dir().join("gaia_avugsr_restart.ckpt");
     Checkpoint::capture(&sys, &cfg, &state)
         .save(&path)
         .expect("write checkpoint");

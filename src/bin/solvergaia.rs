@@ -15,7 +15,7 @@
 //! ```
 //!
 //! `--tiles DIR` switches to the out-of-core path of §V-B capacity
-//! framing: if `DIR` holds a `gaia-tiles/v3` spill (a manifest plus
+//! framing: if `DIR` holds a `gaia-tiles/v4` spill (a manifest plus
 //! per-tile binaries) it is opened as-is; otherwise the preset/seed
 //! system is *stream-generated* into it — bit-identical to the in-memory
 //! generator without ever materializing the full matrix. `--tile-stars`
@@ -460,7 +460,7 @@ fn run_serve() -> ! {
     exit(if faulted > 0 { 1 } else { 0 })
 }
 
-/// The out-of-core path (`--tiles DIR`): open an existing `gaia-tiles/v3`
+/// The out-of-core path (`--tiles DIR`): open an existing `gaia-tiles/v4`
 /// spill directory — or stream-generate the preset/seed system into it —
 /// and run LSQR through the tiled operator under the requested capacity
 /// budget. Checkpoints taken here carry tile provenance (the spill
@@ -519,7 +519,7 @@ fn run_tiled(args: &Args, cfg: &LsqrConfig) -> Solution {
         gaia_avugsr::telemetry::record(|t| t.tile.spilled_bytes += disk_bytes);
         println!(
             "streamed {} tile(s), {disk_bytes} bytes into {}",
-            manifest.n_tiles,
+            manifest.tiles.len(),
             dir.display()
         );
     }

@@ -145,7 +145,7 @@ fn solvergaia_refuses_an_old_spill_directory_and_leaves_it_untouched() {
     for needle in [
         "manifest.json",
         "gaia-tiles/v1",
-        "gaia-tiles/v3",
+        "gaia-tiles/v4",
         "regenerate",
     ] {
         assert!(stderr.contains(needle), "stderr lacks {needle:?}: {stderr}");
@@ -157,6 +157,38 @@ fn solvergaia_refuses_an_old_spill_directory_and_leaves_it_untouched() {
         1,
         "nothing may be written next to the old manifest"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint in the JSON envelope of earlier versions (every `f64` as
+/// its `u64` bits, the shape of the `tiny` preset) is refused by the one
+/// container reader: exit 1 with the `--force-fresh` hint, and the file
+/// is left as it was rather than overwritten by a fresh run.
+#[test]
+fn solvergaia_refuses_a_json_checkpoint_and_leaves_it_untouched() {
+    let dir = std::env::temp_dir().join(format!("gaia-cli-json-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("run.ckpt");
+    let bits = |n: usize| format!("[{}]", vec![0.5f64.to_bits().to_string(); n].join(","));
+    let (x, u, scalars) = (bits(63), bits(99), bits(16));
+    let json = format!(
+        r#"{{"version":2,"n_rows":99,"n_cols":63,"rhs_fingerprint":16555435707155818549,"preconditioned":true,"state":{{"itn":2,"x":{x},"v":{x},"w":{x},"u":{u},"var":{x},"scalars":{scalars},"stopped":"IterationLimit","history":[]}},"tiles":null}}"#
+    );
+    std::fs::write(&path, &json).unwrap();
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_solvergaia"))
+        .args(["--preset", "tiny", "--iterations", "4", "--backend", "seq"])
+        .arg("--checkpoint")
+        .arg(&path)
+        .output()
+        .expect("run solvergaia");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for needle in ["run.ckpt", "header", "regenerate", "--force-fresh"] {
+        assert!(stderr.contains(needle), "stderr lacks {needle:?}: {stderr}");
+    }
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), json);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
