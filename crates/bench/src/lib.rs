@@ -232,6 +232,55 @@ pub fn measured_run(
     report
 }
 
+/// One cell of the measured CPU portability study: a backend on a
+/// thread budget (the platform `threads-<budget>`).
+#[derive(Debug, Clone, serde::Serialize)]
+pub struct PortabilityCell {
+    /// Registry name of the backend.
+    pub backend: String,
+    /// `threads-<budget>`.
+    pub platform: String,
+    /// Seconds per LSQR iteration over the interleaved rounds.
+    pub summary: stats::Summary,
+}
+
+/// The measured CPU portability study's timing: at each thread budget,
+/// every backend of `strategies` runs `iterations` LSQR iterations on
+/// `sys`, the budget's backends timed as one batch in `rounds`
+/// interleaved rounds. Returns the cells and the measurement set of their
+/// medians, which the Pennycook analysis reads.
+pub fn measure_portability(
+    sys: &SparseSystem,
+    budgets: &[usize],
+    strategies: &[&str],
+    iterations: usize,
+    rounds: usize,
+) -> (MeasurementSet, Vec<PortabilityCell>) {
+    let cfg = gaia_lsqr::LsqrConfig::fixed_iterations(iterations);
+    let (mut set, mut cells) = (MeasurementSet::new(), Vec::new());
+    for &budget in budgets {
+        let platform = format!("threads-{budget}");
+        let backends: Vec<_> = strategies
+            .iter()
+            .map(|name| gaia_backends::backend_by_name(name, budget).expect("registry name"))
+            .collect();
+        let summaries = stats::interleaved(backends.len(), rounds, |i| {
+            let sol = gaia_lsqr::solve(sys, &backends[i], &cfg);
+            assert_eq!(sol.iterations, iterations);
+        });
+        for (name, summary) in strategies.iter().zip(summaries) {
+            let summary = summary.per(iterations);
+            set.record(name, &platform, summary.median_s);
+            cells.push(PortabilityCell {
+                backend: name.to_string(),
+                platform: platform.clone(),
+                summary,
+            });
+        }
+    }
+    (set, cells)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,28 +7,18 @@
 //! thread count but scales poorly (e.g. lock-striped) gets a low `P`,
 //! while a uniformly-close strategy (privatize + reduce) scores high —
 //! the CPU mirror of the HIP/SYCL-vs-PSTL story.
+//!
+//! [`gaia_bench::measure_portability`] times each thread budget's backends
+//! as one batch in interleaved rounds; every cell reports its median and
+//! IQR per iteration, and `P` is computed from the medians.
 
-use std::time::Instant;
-
-use gaia_backends::{backend_by_name, Backend, Tuning};
-use gaia_lsqr::{solve, LsqrConfig};
-use gaia_p3::{report, Cascade, MeasurementSet, Normalization};
+use gaia_backends::Tuning;
+use gaia_bench::measure_portability;
+use gaia_bench::stats::ROUNDS;
+use gaia_p3::{report, Cascade, Normalization};
 use gaia_sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
 
 const ITERATIONS: usize = 20;
-
-fn measure(backend: &dyn Backend, sys: &gaia_sparse::SparseSystem) -> f64 {
-    // Warm-up solve, then the timed fixed-iteration run, as in the
-    // artifact's 100-iteration timing protocol (scaled down for CI).
-    let cfg = LsqrConfig::fixed_iterations(ITERATIONS);
-    let _ = solve(sys, backend, &cfg);
-    // gaia-analyze: allow(timing): end-to-end wall-clock is this
-    // benchmark's deliverable; telemetry scopes time kernels, not runs.
-    let start = Instant::now();
-    let sol = solve(sys, backend, &cfg);
-    assert_eq!(sol.iterations, ITERATIONS);
-    start.elapsed().as_secs_f64() / ITERATIONS as f64
-}
 
 pub fn run(_: gaia_bench::Flags) {
     let layout = SystemLayout::medium();
@@ -39,10 +29,13 @@ pub fn run(_: gaia_bench::Flags) {
     )
     .generate();
     println!(
-        "measured CPU portability study: {} rows x {} cols, {} LSQR iterations per cell\n",
+        "measured CPU portability study: {} rows x {} cols, {} LSQR iterations per run, \
+         each budget's backends timed in {} interleaved rounds, telemetry probes in: {}\n",
         sys.n_rows(),
         sys.n_cols(),
-        ITERATIONS
+        ITERATIONS,
+        ROUNDS,
+        gaia_telemetry::is_enabled(),
     );
 
     // Platforms are thread budgets the host can actually run side by
@@ -72,15 +65,15 @@ pub fn run(_: gaia_bench::Flags) {
         "hybrid",
     ];
 
-    let mut set = MeasurementSet::new();
-    for budget in &budgets {
-        let platform = format!("threads-{budget}");
-        for name in strategies {
-            let backend = backend_by_name(name, *budget).expect("registry");
-            let secs = measure(&backend, &sys);
-            set.record(name, &platform, secs);
-            println!("  {name:<11} on {platform:<11} {secs:.6} s/iter");
-        }
+    let (set, cells) = measure_portability(&sys, &budgets, &strategies, ITERATIONS, ROUNDS);
+    for c in &cells {
+        println!(
+            "  {:<11} on {:<11} median {:.3} ms/iter, IQR {:.3} ms",
+            c.backend,
+            c.platform,
+            c.summary.median_s * 1e3,
+            c.summary.iqr_s * 1e3,
+        );
     }
 
     let platforms: Vec<String> = budgets.iter().map(|b| format!("threads-{b}")).collect();
@@ -96,6 +89,9 @@ pub fn run(_: gaia_bench::Flags) {
         "cpu_portability.json",
         &serde_json::json!({
             "iterations": ITERATIONS,
+            "rounds": ROUNDS,
+            "telemetry_probes": gaia_telemetry::is_enabled(),
+            "cells": cells,
             "available_parallelism": max_threads,
             "budgets": budgets,
             "pp": matrix.apps().iter().map(|a| {

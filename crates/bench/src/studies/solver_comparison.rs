@@ -4,11 +4,11 @@
 //! identical two sparse products per iteration, so the paper's entire
 //! portability analysis transfers to LSMR unchanged; what differs is the
 //! numerics (LSMR's monotone ‖Aᵀr‖ makes early stopping safer on noisy
-//! astrometric data).
-
-use std::time::Instant;
+//! astrometric data). Each noise level times LSQR and LSMR as one batch
+//! of interleaved rounds; the table reports each solve's median.
 
 use gaia_backends::backend_by_name;
+use gaia_bench::stats::{interleaved, ROUNDS};
 use gaia_lsqr::{solve, solve_lsmr, LsqrConfig};
 use gaia_sparse::{Generator, GeneratorConfig, Rhs, SystemLayout};
 
@@ -26,16 +26,15 @@ pub fn run(_: gaia_bench::Flags) {
         let (sys, _) = Generator::new(cfg).generate_with_truth();
         let solver_cfg = LsqrConfig::new().max_iters(20_000);
 
-        // gaia-analyze: allow(timing): end-to-end wall-clock is this
-        // benchmark's deliverable; telemetry scopes time kernels, not runs.
-        let t0 = Instant::now();
-        let a = solve(&sys, &backend, &solver_cfg);
-        let t_lsqr = t0.elapsed().as_secs_f64();
-        // gaia-analyze: allow(timing): same wall-clock protocol for the
-        // LSMR leg so the two solvers are compared like for like.
-        let t0 = Instant::now();
-        let b = solve_lsmr(&sys, &backend, &solver_cfg);
-        let t_lsmr = t0.elapsed().as_secs_f64();
+        // LSQR and LSMR are timed as one batch, so the two solvers are
+        // compared like for like; the solutions come from the last round.
+        let (mut a, mut b) = (None, None);
+        let times = interleaved(2, ROUNDS, |i| match i {
+            0 => a = Some(solve(&sys, &backend, &solver_cfg)),
+            _ => b = Some(solve_lsmr(&sys, &backend, &solver_cfg)),
+        });
+        let (a, b) = (a.expect("timed"), b.expect("timed"));
+        let (t_lsqr, t_lsmr) = (times[0].median_s, times[1].median_s);
 
         let max_diff =
             a.x.iter()

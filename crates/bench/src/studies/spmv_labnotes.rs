@@ -66,29 +66,25 @@ pub fn run(_: gaia_bench::Flags) {
     // real CSR mirror, same matrix, same kernels-per-iteration budget.
     use gaia_backends::{Backend, CsrBackend, SeqBackend};
     use gaia_sparse::{Generator, GeneratorConfig};
-    use std::time::Instant;
+    use gaia_bench::stats::{interleaved, ROUNDS};
     let small = SystemLayout::medium();
     let sys = Generator::new(GeneratorConfig::new(small).seed(3)).generate();
     let csr = CsrBackend::for_system(&sys, 1);
     let x: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.01).sin()).collect();
     let mut out = vec![0.0f64; sys.n_rows()];
+    // Both layouts' aprod1 timed as one batch; each round runs 20 calls.
     let reps = 20;
-    let time_it = |backend: &dyn Backend, out: &mut Vec<f64>| {
-        // Warm-up call, then the timed loop.
-        backend.aprod1(&sys, &x, out);
-        // gaia-analyze: allow(timing): end-to-end wall-clock is this
-        // benchmark's deliverable; telemetry scopes time kernels, not runs.
-        let t0 = Instant::now();
+    let backends: [&dyn Backend; 2] = [&SeqBackend, &csr];
+    let times = interleaved(2, ROUNDS, |i| {
         for _ in 0..reps {
-            backend.aprod1(&sys, &x, out);
+            backends[i].aprod1(&sys, &x, &mut out);
         }
-        t0.elapsed().as_secs_f64() / reps as f64
-    };
-    let t_structured = time_it(&SeqBackend, &mut out);
-    let t_csr = time_it(&csr, &mut out);
+    });
+    let (t_structured, t_csr) = (times[0].per(reps).median_s, times[1].per(reps).median_s);
     let structured_bytes = gaia_sparse::footprint::device_bytes(&sys.layout().clone());
     println!(
-        "\nmeasured on this CPU ({} rows): structured aprod1 {:.3} ms, CSR {:.3} ms ({:.2}x)\n\
+        "\nmeasured on this CPU ({} rows, median of {ROUNDS} interleaved rounds): \
+         structured aprod1 {:.3} ms, CSR {:.3} ms ({:.2}x)\n\
          storage: structured {:.1} MB vs CSR {:.1} MB ({:.2}x more metadata)",
         sys.n_rows(),
         1e3 * t_structured,

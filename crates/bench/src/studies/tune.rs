@@ -12,15 +12,19 @@
 //!   --smoke            CI smoke: tiny layout only, trimmed strategy axes
 //!   --layouts a,b      subset of tiny,small,medium (default: all three)
 //!   --threads N        thread budget (capped by available_parallelism; default: all)
-//!   --repeats K        timing repeats per candidate (default 5, smoke 3)
 //!   --check PATH...    no measurement: load + schema-validate profile files,
 //!                      exit 1 when any is invalid
 //!
+//! Every candidate is timed through the harness's one timing routine, in
+//! `gaia_bench::stats::ROUNDS` interleaved rounds, smoke mode included.
+//!
 //! Artifacts (under `results/tuning/`): `<layout>.json` — the winning
 //! profile, loadable by the `tuned` backend; `search/<layout>.json` — the
-//! full search log with every measured configuration.
+//! search log, every timed batch with its incumbent, the plan it kept and
+//! each configuration's summary.
 
 use gaia_backends::profile::load_profile_file;
+use gaia_bench::stats::ROUNDS;
 use gaia_bench::tune::{tune_layout, TuneSpec};
 use gaia_bench::{fatal, must_write_artifact, Flags};
 
@@ -55,7 +59,6 @@ pub fn run(mut args: Flags) {
     let mut smoke = false;
     let mut layouts: Vec<String> = Vec::new();
     let mut threads = available;
-    let mut repeats: Option<usize> = None;
     let mut check_paths: Vec<String> = Vec::new();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -69,7 +72,6 @@ pub fn run(mut args: Flags) {
                     .collect();
             }
             "--threads" => threads = args.parse::<usize>("--threads").max(1),
-            "--repeats" => repeats = Some(args.parse("--repeats")),
             "--check" => {
                 check_paths.push(args.value("--check"));
                 // Everything after --check's first value is more paths.
@@ -88,20 +90,16 @@ pub fn run(mut args: Flags) {
             vec!["tiny".to_owned(), "small".to_owned(), "medium".to_owned()]
         };
     }
-    let repeats = repeats.unwrap_or(if smoke { 3 } else { 5 });
-    if repeats == 0 {
-        fatal("--repeats needs a positive integer");
-    }
     if !check_paths.is_empty() {
         check(&check_paths);
         return;
     }
 
     println!(
-        "tune: {} layout(s), {} thread(s), median-of-{}{}",
+        "tune: {} layout(s), {} thread(s), {} interleaved rounds{}",
         layouts.join(","),
         threads,
-        repeats,
+        ROUNDS,
         if smoke { ", smoke" } else { "" },
     );
 
@@ -110,21 +108,15 @@ pub fn run(mut args: Flags) {
         let spec = TuneSpec {
             layout: layout.clone(),
             threads,
-            repeats,
             smoke,
         };
         let outcome = tune_layout(&spec).unwrap_or_else(|e| fatal(&e));
         let p = &outcome.profile;
+        // The final batch keeps the winner.
+        let winner = outcome.batches.last().map_or("", |b| b.kept.as_str());
         println!(
-            "tune: {layout}: {} configs explored ({} unsound skipped), \
-             winner att={} instr={} glob={} budget={} c={}",
-            outcome.telemetry.configs_explored,
-            outcome.skipped_unsound,
-            p.att,
-            p.instr,
-            p.glob,
-            p.budget,
-            p.chunks_per_thread,
+            "tune: {layout}: {} configs explored ({} unsound skipped), winner {winner}",
+            outcome.telemetry.configs_explored, outcome.skipped_unsound,
         );
         println!(
             "tune: {layout}: baseline {:.3} ms/pass -> tuned {:.3} ms/pass \
@@ -151,24 +143,22 @@ pub fn run(mut args: Flags) {
             ));
         }
         let search_json = serde_json::json!({
-            "schema": "gaia-tune-search/v1",
+            "schema": "gaia-tune-search/v2",
             "layout": layout,
             "threads": threads,
-            "repeats": repeats,
+            "rounds": ROUNDS,
             "smoke": smoke,
             "configs_explored": outcome.telemetry.configs_explored,
             "skipped_unsound": outcome.skipped_unsound,
             "winner": profile_json,
-            "explored": serde_json::to_value(&outcome.explored)
+            "batches": serde_json::to_value(&outcome.batches)
                 .unwrap_or(serde_json::Value::Null),
         });
         // Search logs live one level down so the profile loader's scan
         // of `results/tuning/*.json` only ever sees real profiles.
         must_write_artifact(&format!("tuning/search/{layout}.json"), &search_json);
 
-        telemetry.configs_explored += outcome.telemetry.configs_explored;
-        telemetry.measurements += outcome.telemetry.measurements;
-        telemetry.measure_seconds += outcome.telemetry.measure_seconds;
+        telemetry.merge(&outcome.telemetry);
         telemetry.profiles_persisted += 1;
     }
     gaia_telemetry::record(|t| t.tune.merge(&telemetry));

@@ -7,25 +7,28 @@
 //! conflict strategy (`att`/`instr`/`glob`), the worker budget
 //! (uniform/streamed) and the chunk granularity. A candidate is scored by
 //! what a solve runs: one Golub–Kahan pass, [`LaunchPlan::gk_products`],
-//! in one launch or two as the plan allows. [`tune_layout`] first measures
-//! the fixed plan of every plan-driven registry name and takes the fastest
-//! as the incumbent, then runs deterministic coordinate descent over the
-//! axes — measure every candidate value of one axis with the others held
-//! at the incumbent, adopt the best, move to the next axis, repeat until a
-//! full pass improves nothing — and returns the winner as a persistable
-//! [`LaunchProfile`]. Starting from the registry means `tuned` never loses
-//! to a fixed name because of the path the descent took: a one-launch
-//! plan needs all three shared sections atomic at once, which one axis
-//! move at a time from owner-computes does not reach.
+//! in one launch or two as the plan allows.
+//!
+//! [`tune_layout`] times plans in batches, each through the harness's one
+//! timing routine ([`crate::stats::interleaved`]), and every batch holds
+//! its incumbent. A batch adopts its fastest plan only when that plan's
+//! median beats the incumbent's median by more than the incumbent's IQR.
+//! The first batch is the fixed plan of every plan-driven registry name,
+//! against `chunked`. Then deterministic coordinate descent runs over the
+//! axes: one batch per axis, with the other axes held at the incumbent,
+//! until a full pass adopts nothing. A last batch times the winner
+//! against `chunked` once more for the profile's medians, and keeps
+//! `chunked` if the winner does not beat it by the same rule. Starting
+//! from the registry means `tuned` never loses to a fixed name because of
+//! the path the descent took: a one-launch plan needs all three shared
+//! sections atomic at once, which one axis move at a time from
+//! owner-computes does not reach.
 //!
 //! Every candidate plan is proven sound by the static checker
 //! ([`LaunchPlan::analyze_canonical`]) *before* it is timed; an unsound
-//! combination is skipped, never measured, never pinned. Each candidate
-//! is timed as the median of K repeats on one system generated from a
-//! fixed seed, on the tuner's own pool.
-
-use std::collections::HashMap;
-use std::time::Instant;
+//! combination is skipped, never measured, never pinned. All candidates
+//! run on one system generated from a fixed seed, on the tuner's own
+//! pool.
 
 use gaia_backends::profile::{budget_name, strategy_name};
 use gaia_backends::registry::fixed_plan;
@@ -35,14 +38,10 @@ use gaia_backends::{
 use gaia_sparse::{Generator, GeneratorConfig, SparseSystem, SystemLayout};
 use gaia_telemetry::TuneCell;
 
-use crate::stats::Summary;
+use crate::stats::{interleaved, Summary, ROUNDS};
 
 /// Fixed generator seed: every run tunes against the same system.
 pub const TUNE_SEED: u64 = 7;
-
-/// Fractional improvement a candidate must show over the incumbent to be
-/// adopted; keeps run-to-run noise from flapping the winner.
-const ADOPT_MARGIN: f64 = 0.005;
 
 /// Maximum coordinate-descent passes over the axis set.
 const MAX_PASSES: usize = 3;
@@ -51,31 +50,29 @@ const MAX_PASSES: usize = 3;
 /// `improvement` is measured against.
 const BASELINE: &str = "chunked";
 
-/// What to tune and how hard.
+/// What to tune.
 #[derive(Debug, Clone)]
 pub struct TuneSpec {
     /// Layout preset name (`tiny`/`small`/`medium`).
     pub layout: String,
     /// Worker thread budget for every candidate.
     pub threads: usize,
-    /// Timing repeats per candidate (the K of median-of-K).
-    pub repeats: usize,
-    /// Shrink the axis set and iteration counts (CI smoke).
+    /// Shrink the axis set and pass counts (CI smoke).
     pub smoke: bool,
 }
 
-/// Warmup and per-repeat pass counts for a layout. Smoke mode trims
-/// iterations, never repeats: K is what the median rests on.
-fn iterations_for(layout: &str, smoke: bool) -> (usize, usize) {
-    let (warmup, iters) = match layout {
-        "tiny" => (3, 40),
-        "small" => (2, 16),
-        _ => (1, 6),
+/// Golub–Kahan passes in one timed run of a candidate. Smoke mode trims
+/// passes, never rounds: the rounds are what the median rests on.
+fn passes_for(layout: &str, smoke: bool) -> usize {
+    let passes = match layout {
+        "tiny" => 40,
+        "small" => 16,
+        _ => 6,
     };
     if smoke {
-        (warmup.min(2), (iters / 2).max(4))
+        (passes / 2).max(4)
     } else {
-        (warmup, iters)
+        passes
     }
 }
 
@@ -84,8 +81,22 @@ fn iterations_for(layout: &str, smoke: bool) -> (usize, usize) {
 pub struct Explored {
     /// Human-readable configuration label.
     pub config: String,
-    /// Median-of-K summary of mean seconds per pass.
+    /// Seconds per pass over the batch's rounds.
     pub summary: Summary,
+}
+
+/// One timed batch, for the search log artifact.
+#[derive(Debug, Clone, serde::Serialize)]
+pub struct Batch {
+    /// What the batch decides: `registry`, an axis name, or `final`.
+    pub step: &'static str,
+    /// Label of the incumbent, which the batch times too.
+    pub incumbent: String,
+    /// Label of the plan the batch keeps: the incumbent unless a
+    /// candidate beat it.
+    pub kept: String,
+    /// Every configuration timed, the incumbent first.
+    pub measured: Vec<Explored>,
 }
 
 /// The result of tuning one layout.
@@ -93,8 +104,8 @@ pub struct Explored {
 pub struct TuneOutcome {
     /// The pinned winner, measurement fields filled in.
     pub profile: LaunchProfile,
-    /// Every configuration measured, in search order.
-    pub explored: Vec<Explored>,
+    /// Every timed batch, in search order.
+    pub batches: Vec<Batch>,
     /// Telemetry totals for the run (the caller records them).
     pub telemetry: TuneCell,
     /// Candidate plans skipped because the static checker rejected them.
@@ -115,159 +126,139 @@ fn label(plan: &LaunchPlan) -> String {
     )
 }
 
-/// `plan` with one axis moved.
-fn with(mut plan: LaunchPlan, change: impl FnOnce(&mut LaunchPlan)) -> LaunchPlan {
-    change(&mut plan);
-    plan
+/// Shared-section strategies the attitude and instrumental axes propose.
+/// They never propose owner-computes: at T ≥ 2 each of its column jobs
+/// rescans every row of the section, and it measured slower than `seq`
+/// (EXPERIMENTS.md, "Tune the pass; delete ELL"). The registry's fixed
+/// plans still put it in the first batch.
+const SHARED: [Aprod2Strategy; 4] = [
+    Aprod2Strategy::Atomic,
+    Aprod2Strategy::CasLoop,
+    Aprod2Strategy::Replicated,
+    Aprod2Strategy::LockStriped { stripes: 16 },
+];
+const GLOB: [Aprod2Strategy; 3] = [
+    Aprod2Strategy::OwnerComputes,
+    Aprod2Strategy::Atomic,
+    Aprod2Strategy::Replicated,
+];
+const BUDGETS: [WorkerBudget; 2] = [WorkerBudget::Uniform, WorkerBudget::Streamed];
+const CHUNKS: [usize; 4] = [1, 2, 4, 8];
+
+/// One axis of the descent: its name, how many of its values a full and
+/// a smoke search try (smoke keeps the cheap head of each list), and the
+/// move of a plan to its value `i`.
+type Axis = (&'static str, [usize; 2], fn(&mut LaunchPlan, usize));
+
+const AXES: [Axis; 5] = [
+    ("att", [4, 1], |p, i| p.spec.att = SHARED[i]),
+    ("instr", [4, 1], |p, i| p.spec.instr = SHARED[i]),
+    ("glob", [3, 2], |p, i| p.spec.glob = GLOB[i]),
+    ("budget", [2, 1], |p, i| p.spec.budget = BUDGETS[i]),
+    ("chunks", [4, 2], |p, i| {
+        p.tuning.chunks_per_thread = CHUNKS[i]
+    }),
+];
+
+/// The plans `axis` proposes from `plan`, the other axes held.
+fn moves(axis: &Axis, plan: LaunchPlan, smoke: bool) -> impl Iterator<Item = LaunchPlan> + '_ {
+    (0..axis.1[usize::from(smoke)]).map(move |i| {
+        let mut moved = plan;
+        (axis.2)(&mut moved, i);
+        moved
+    })
 }
 
-/// The candidate values per axis. Smoke mode trims the strategy axes to
-/// the cheap representatives. The attitude and instrumental axes never
-/// propose owner-computes: at T ≥ 2 each of its column jobs rescans every
-/// row of the section, and it measured slower than `seq` (EXPERIMENTS.md,
-/// "Tune the pass; delete ELL"). The registry's fixed plans still put it
-/// in the first round.
-struct Axes {
-    att: Vec<Aprod2Strategy>,
-    instr: Vec<Aprod2Strategy>,
-    glob: Vec<Aprod2Strategy>,
-    budget: Vec<WorkerBudget>,
-    chunks_per_thread: Vec<usize>,
-}
-
-impl Axes {
-    fn new(smoke: bool) -> Axes {
-        if smoke {
-            Axes {
-                att: vec![Aprod2Strategy::Atomic],
-                instr: vec![Aprod2Strategy::Atomic],
-                glob: vec![Aprod2Strategy::OwnerComputes, Aprod2Strategy::Atomic],
-                budget: vec![WorkerBudget::Uniform],
-                chunks_per_thread: vec![1, 2],
-            }
-        } else {
-            let shared = vec![
-                Aprod2Strategy::Atomic,
-                Aprod2Strategy::CasLoop,
-                Aprod2Strategy::Replicated,
-                Aprod2Strategy::LockStriped { stripes: 16 },
-            ];
-            Axes {
-                att: shared.clone(),
-                instr: shared,
-                glob: vec![
-                    Aprod2Strategy::OwnerComputes,
-                    Aprod2Strategy::Atomic,
-                    Aprod2Strategy::Replicated,
-                ],
-                budget: vec![WorkerBudget::Uniform, WorkerBudget::Streamed],
-                chunks_per_thread: vec![1, 2, 4, 8],
-            }
-        }
-    }
-}
-
-/// Clock-touching half of the search: measures candidate plans against
-/// one generated system on its own pool, caching by label so coordinate
-/// descent never re-times a point it already visited.
+/// The timed half of the search: batches of candidate plans against one
+/// generated system on its own pool.
 struct Search<'a> {
     sys: &'a SparseSystem,
     pool: ExecutorPool,
-    warmup: usize,
-    iters: usize,
-    repeats: usize,
-    cache: HashMap<String, f64>,
-    explored: Vec<Explored>,
+    passes: usize,
+    batches: Vec<Batch>,
     telemetry: TuneCell,
     skipped_unsound: u64,
 }
 
 impl<'a> Search<'a> {
     fn new(sys: &'a SparseSystem, pool: ExecutorPool, spec: &TuneSpec) -> Self {
-        let (warmup, iters) = iterations_for(&spec.layout, spec.smoke);
         Search {
             sys,
             pool,
-            warmup,
-            iters,
-            repeats: spec.repeats,
-            cache: HashMap::new(),
-            explored: Vec::new(),
+            passes: passes_for(&spec.layout, spec.smoke),
+            batches: Vec::new(),
             telemetry: TuneCell::default(),
             skipped_unsound: 0,
         }
     }
 
-    /// Mean seconds of one Golub–Kahan pass — `u ← A x − α u`, then
-    /// `out += Aᵀu` — over `iters` passes, exactly as a solve calls it.
-    fn time_once(&self, plan: &LaunchPlan, iters: usize) -> f64 {
+    /// Time `incumbent` with every sound, distinct plan of `candidates`
+    /// in one batch, log it, and return the plan it keeps with the kept
+    /// plan's and the incumbent's median seconds per pass. The fastest
+    /// candidate is kept when its median beats the incumbent's by more
+    /// than the incumbent's IQR; otherwise the incumbent is.
+    fn batch(
+        &mut self,
+        step: &'static str,
+        incumbent: LaunchPlan,
+        candidates: impl IntoIterator<Item = LaunchPlan>,
+    ) -> (LaunchPlan, f64, f64) {
+        let mut plans = vec![incumbent];
+        for plan in candidates {
+            if plans.contains(&plan) {
+                continue;
+            }
+            if plan.analyze_canonical().is_err() {
+                self.skipped_unsound += 1;
+                continue;
+            }
+            plans.push(plan);
+        }
+        // One timed run is `passes` Golub–Kahan passes — `u ← A x − α u`,
+        // then `out += Aᵀu` — exactly as a solve calls them.
         let sys = self.sys;
         let x: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.13).sin()).collect();
         let mut u: Vec<f64> = (0..sys.n_rows()).map(|i| (i as f64 * 0.17).cos()).collect();
         let mut out = vec![0.0; sys.n_cols()];
-        // gaia-analyze: allow(timing): candidate wall clock *is* the
-        // tuner's selection criterion.
-        let t = Instant::now();
-        for _ in 0..iters {
-            plan.gk_products(&self.pool, sys, &x, 0.5, &mut u, &mut out);
-        }
-        let elapsed = t.elapsed().as_secs_f64();
-        assert!(u.iter().chain(out.iter()).all(|v| v.is_finite()));
-        elapsed / iters.max(1) as f64
-    }
-
-    /// Median-of-K seconds for a plan, or `None` when the static checker
-    /// rejects it (skipped, never timed). Cached by label.
-    fn median(&mut self, plan: LaunchPlan) -> Option<f64> {
-        let label = label(&plan);
-        if let Some(&m) = self.cache.get(&label) {
-            return Some(m);
-        }
-        if plan.analyze_canonical().is_err() {
-            self.skipped_unsound += 1;
-            return None;
-        }
-        let _ = self.time_once(&plan, self.warmup.max(1));
-        let mut samples = Vec::with_capacity(self.repeats);
-        for _ in 0..self.repeats {
-            let s = self.time_once(&plan, self.iters);
-            self.telemetry.measure_seconds += s * self.iters as f64;
-            samples.push(s);
-        }
-        let summary = Summary::from_samples(&samples);
-        let m = summary.median_s;
-        self.telemetry.configs_explored += 1;
-        self.telemetry.measurements += self.repeats as u64;
-        self.explored.push(Explored {
-            config: label.clone(),
-            summary,
-        });
-        self.cache.insert(label, m);
-        Some(m)
-    }
-
-    /// Measure `candidate`; adopt it as the incumbent when it improves
-    /// the incumbent median by more than the noise margin.
-    fn consider(&mut self, candidate: LaunchPlan, best: &mut LaunchPlan, best_m: &mut f64) -> bool {
-        if candidate == *best {
-            return false;
-        }
-        match self.median(candidate) {
-            Some(m) if m < *best_m * (1.0 - ADOPT_MARGIN) => {
-                *best = candidate;
-                *best_m = m;
-                true
+        let raw = interleaved(plans.len(), ROUNDS, |i| {
+            for _ in 0..self.passes {
+                plans[i].gk_products(&self.pool, sys, &x, 0.5, &mut u, &mut out);
             }
-            _ => false,
-        }
+        });
+        assert!(u.iter().chain(&out).all(|v| v.is_finite()));
+
+        let summaries: Vec<Summary> = raw.iter().map(|s| s.per(self.passes)).collect();
+        let inc = summaries[0];
+        let fastest = (1..plans.len())
+            .min_by(|&a, &b| summaries[a].median_s.total_cmp(&summaries[b].median_s))
+            .filter(|&i| summaries[i].median_s < inc.median_s - inc.iqr_s)
+            .unwrap_or(0);
+
+        self.telemetry.configs_explored += plans.len() as u64;
+        self.telemetry.measurements += (plans.len() * ROUNDS) as u64;
+        self.telemetry.measure_seconds += raw.iter().map(|s| s.mean_s * ROUNDS as f64).sum::<f64>();
+        self.batches.push(Batch {
+            step,
+            incumbent: label(&incumbent),
+            kept: label(&plans[fastest]),
+            measured: plans
+                .iter()
+                .zip(summaries.iter())
+                .map(|(plan, &summary)| Explored {
+                    config: label(plan),
+                    summary,
+                })
+                .collect(),
+        });
+        (plans[fastest], summaries[fastest].median_s, inc.median_s)
     }
 }
 
-/// Tune one layout: the fastest registry plan, then coordinate descent
-/// from it, returning the winning profile with `tuned_median_s` /
-/// `baseline_median_s` (the `chunked` plan's) / `improvement` filled in.
-/// Errors are user input (unknown layout name) or a baseline plan that
-/// failed to measure — both render as one line.
+/// Tune one layout: the registry batch, then coordinate descent from its
+/// winner, then the final batch against `chunked`, returning the winning
+/// profile with `tuned_median_s` / `baseline_median_s` (the `chunked`
+/// plan's) / `improvement` filled in. Errors are user input (unknown
+/// layout name, zero threads) and render as one line.
 pub fn tune_layout(spec: &TuneSpec) -> Result<TuneOutcome, String> {
     let Some(layout) = SystemLayout::preset(&spec.layout) else {
         return Err(format!(
@@ -275,52 +266,36 @@ pub fn tune_layout(spec: &TuneSpec) -> Result<TuneOutcome, String> {
             spec.layout
         ));
     };
-    if spec.threads == 0 || spec.repeats == 0 {
-        return Err("threads and repeats must be positive".to_string());
+    if spec.threads == 0 {
+        return Err("threads must be positive".to_string());
     }
     let sys = Generator::new(GeneratorConfig::new(layout).seed(TUNE_SEED)).generate();
-    let axes = Axes::new(spec.smoke);
     let mut search = Search::new(&sys, ExecutorPool::new(spec.threads), spec);
 
-    let measured = fixed_plan(BASELINE, spec.threads).and_then(|p| Some((p, search.median(p)?)));
-    let Some((baseline, baseline_m)) = measured else {
-        return Err("the baseline plan failed the static checker (registry bug)".to_string());
-    };
-    let (mut best, mut best_m) = (baseline, baseline_m);
-    for name in backend_names() {
-        if let Some(plan) = fixed_plan(name, spec.threads) {
-            search.consider(plan, &mut best, &mut best_m);
-        }
-    }
+    let baseline = fixed_plan(BASELINE, spec.threads).ok_or("`chunked` has no plan")?;
+    let registry = backend_names()
+        .iter()
+        .filter_map(|name| fixed_plan(name, spec.threads));
+    let (mut best, _, _) = search.batch("registry", baseline, registry);
 
     for _pass in 0..MAX_PASSES {
         let mut improved = false;
-        for &s in &axes.att {
-            improved |= search.consider(with(best, |p| p.spec.att = s), &mut best, &mut best_m);
-        }
-        for &s in &axes.instr {
-            improved |= search.consider(with(best, |p| p.spec.instr = s), &mut best, &mut best_m);
-        }
-        for &s in &axes.glob {
-            improved |= search.consider(with(best, |p| p.spec.glob = s), &mut best, &mut best_m);
-        }
-        for &b in &axes.budget {
-            improved |= search.consider(with(best, |p| p.spec.budget = b), &mut best, &mut best_m);
-        }
-        for &c in &axes.chunks_per_thread {
-            let candidate = with(best, |p| p.tuning.chunks_per_thread = c);
-            improved |= search.consider(candidate, &mut best, &mut best_m);
+        for axis in &AXES {
+            let (kept, _, _) = search.batch(axis.0, best, moves(axis, best, spec.smoke));
+            improved |= kept != best;
+            best = kept;
         }
         if !improved {
             break;
         }
     }
 
+    let (best, tuned_m, baseline_m) = search.batch("final", baseline, [best]);
     let mut profile = LaunchProfile::from_plan(&spec.layout, layout, &best);
-    profile.tuned_median_s = best_m;
+    profile.tuned_median_s = tuned_m;
     profile.baseline_median_s = baseline_m;
     profile.improvement = if baseline_m > 0.0 {
-        (baseline_m - best_m) / baseline_m
+        (baseline_m - tuned_m) / baseline_m
     } else {
         0.0
     };
@@ -328,7 +303,7 @@ pub fn tune_layout(spec: &TuneSpec) -> Result<TuneOutcome, String> {
 
     Ok(TuneOutcome {
         profile,
-        explored: search.explored,
+        batches: search.batches,
         telemetry: search.telemetry,
         skipped_unsound: search.skipped_unsound,
     })
@@ -343,7 +318,6 @@ mod tests {
         let outcome = tune_layout(&TuneSpec {
             layout: "tiny".into(),
             threads: 2,
-            repeats: 2,
             smoke: true,
         })
         .unwrap();
@@ -355,10 +329,18 @@ mod tests {
         assert!(outcome.profile.tuned_median_s > 0.0);
         assert!(outcome.profile.tuned_median_s <= outcome.profile.baseline_median_s);
         assert!(outcome.telemetry.configs_explored >= 2);
-        assert_eq!(
-            outcome.explored.len() as u64,
-            outcome.telemetry.configs_explored
-        );
+        let measured = outcome.batches.iter().map(|b| b.measured.len() as u64);
+        assert_eq!(measured.sum::<u64>(), outcome.telemetry.configs_explored);
+        // Every batch times its incumbent first, every candidate over
+        // the same rounds; the last one is the winner against `chunked`.
+        for b in &outcome.batches {
+            assert_eq!(b.measured[0].config, b.incumbent, "{}", b.step);
+            assert!(b.measured.iter().all(|e| e.summary.rounds == ROUNDS as u64));
+        }
+        let last = outcome.batches.last().unwrap();
+        assert_eq!(last.step, "final");
+        assert_eq!(last.incumbent, label(&fixed_plan(BASELINE, 2).unwrap()));
+        assert_eq!(last.kept, label(&plan));
     }
 
     #[test]
@@ -366,7 +348,6 @@ mod tests {
         let err = tune_layout(&TuneSpec {
             layout: "huge".into(),
             threads: 2,
-            repeats: 2,
             smoke: true,
         })
         .unwrap_err();
@@ -375,39 +356,38 @@ mod tests {
 
     #[test]
     fn config_labels_are_unique_across_the_smoke_axes() {
-        let axes = Axes::new(true);
         let mut labels = std::collections::HashSet::new();
         let base = fixed_plan(BASELINE, 2).unwrap();
-        for &g in &axes.glob {
-            for &c in &axes.chunks_per_thread {
-                let cfg = with(base, |p| {
-                    p.spec.glob = g;
-                    p.tuning.chunks_per_thread = c;
-                });
+        for glob in moves(&AXES[2], base, true) {
+            for cfg in moves(&AXES[4], glob, true) {
                 assert!(labels.insert(label(&cfg)), "{}", label(&cfg));
             }
         }
+        assert_eq!(labels.len(), 4);
     }
 
-    /// A timed iteration is one pass as a solve runs it: one pool launch
+    /// A timed run is passes as a solve runs them: one pool launch a pass
     /// for a uniform `Atomic` plan, two (`aprod1`, then `aprod2`) for an
-    /// owner-computes one.
+    /// owner-computes one, in the warm-up round and in every timed round.
     #[test]
     fn a_timed_iteration_is_one_pass_in_one_launch_or_two() {
         let spec = TuneSpec {
             layout: "tiny".into(),
             threads: 2,
-            repeats: 1,
             smoke: true,
         };
         let sys =
             Generator::new(GeneratorConfig::new(SystemLayout::tiny()).seed(TUNE_SEED)).generate();
-        let search = Search::new(&sys, ExecutorPool::new(2), &spec);
+        let mut search = Search::new(&sys, ExecutorPool::new(2), &spec);
         for (name, launches) in [("atomic", 1), ("chunked", 2)] {
-            let plan = fixed_plan(name, 2).unwrap();
             let before = search.pool.launch_count();
-            search.time_once(&plan, 5);
-            assert_eq!(search.pool.launch_count() - before, 5 * launches, "{name}");
+            search.batch("one plan", fixed_plan(name, 2).unwrap(), []);
+            let ran = search.pool.launch_count() - before;
+            assert_eq!(
+                ran,
+                ((ROUNDS + 1) * search.passes * launches) as u64,
+                "{name}"
+            );
         }
     }
 }

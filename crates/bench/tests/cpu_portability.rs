@@ -1,27 +1,21 @@
 //! Integration: the measured CPU portability study (real backends, real
-//! wall clock) produces a well-formed Pennycook analysis.
+//! wall clock) produces a well-formed Pennycook analysis. It runs the
+//! study's own timing, [`gaia_bench::measure_portability`], with few
+//! rounds on a small system.
 
-use std::time::Instant;
-
-use gaia_avugsr::backends::backend_by_name;
-use gaia_avugsr::lsqr::{solve, LsqrConfig};
-use gaia_avugsr::p3::{MeasurementSet, Normalization};
-use gaia_avugsr::sparse::{Generator, GeneratorConfig, SystemLayout};
+use gaia_bench::measure_portability;
+use gaia_p3::Normalization;
+use gaia_sparse::{Generator, GeneratorConfig, SystemLayout};
 
 #[test]
 fn measured_backend_portability_analysis_is_well_formed() {
     let sys = Generator::new(GeneratorConfig::new(SystemLayout::small()).seed(5)).generate();
-    let cfg = LsqrConfig::fixed_iterations(3);
-    let mut set = MeasurementSet::new();
-    for budget in [1usize, 4] {
-        for name in ["seq", "atomic", "replicated", "streamed"] {
-            let backend = backend_by_name(name, budget).unwrap();
-            let start = Instant::now();
-            let sol = solve(&sys, &backend, &cfg);
-            assert_eq!(sol.iterations, 3);
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
-            set.record(name, &format!("threads-{budget}"), secs);
-        }
+    let strategies = ["seq", "atomic", "replicated", "streamed"];
+    let (set, cells) = measure_portability(&sys, &[1, 4], &strategies, 3, 3);
+    assert_eq!(cells.len(), 2 * strategies.len());
+    for c in &cells {
+        assert_eq!(c.summary.rounds, 3, "{} on {}", c.backend, c.platform);
+        assert_eq!(set.time(&c.backend, &c.platform), Some(c.summary.median_s));
     }
     let platforms = set.platforms();
     let matrix = set.efficiencies(Normalization::PlatformBest);

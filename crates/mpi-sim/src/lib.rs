@@ -28,7 +28,6 @@
 pub mod collectives;
 pub mod comm;
 pub mod fault;
-pub mod p2p;
 
 pub use collectives::ReduceOp;
 pub use comm::{
@@ -36,4 +35,3 @@ pub use comm::{
     WorldOptions,
 };
 pub use fault::{install_quiet_panic_hook, FaultEvent, FaultKind, FaultPlan, FaultSpec};
-pub use p2p::{ring_allreduce, Mesh};

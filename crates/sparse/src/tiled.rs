@@ -784,6 +784,11 @@ pub(crate) fn spill(
     workers: usize,
     mut rows: impl FnMut(Range<u64>) -> SparseSystem,
 ) -> Result<TileManifest, TileError> {
+    if tile_stars == 0 {
+        return Err(TileError::InvalidShape {
+            message: "tile_stars must be at least 1".to_string(),
+        });
+    }
     std::fs::create_dir_all(dir).map_err(io_err(dir))?;
     let (mut tiles, mut b) = (Vec::new(), Vec::new());
     for wave in tile_spans(&layout, tile_stars).chunks(workers.max(1)) {
@@ -1045,6 +1050,28 @@ mod tests {
         assert_eq!(back.instr_col(), sys.instr_col());
         assert_eq!(back.known_terms(), sys.known_terms());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A zero tile height is a typed error from both spill writers, and
+    /// it comes before the directory is created.
+    #[test]
+    fn a_zero_tile_height_is_refused_before_anything_is_created() {
+        let root = tmp_dir("zero-height");
+        let (mem, streamed) = (root.join("mem"), root.join("streamed"));
+        let refused = [
+            write_tiles(&tiny_sys(1), &mem, 0),
+            Generator::new(GeneratorConfig::new(SystemLayout::tiny())).generate_tiled(&streamed, 0),
+        ];
+        for (result, dir) in refused.into_iter().zip([&mem, &streamed]) {
+            match result {
+                Err(TileError::InvalidShape { message }) => {
+                    assert!(message.contains("tile_stars"), "{message}")
+                }
+                other => panic!("expected InvalidShape, got {other:?}"),
+            }
+            assert!(!dir.exists(), "{} was created", dir.display());
+        }
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

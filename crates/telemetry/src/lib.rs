@@ -258,7 +258,7 @@ impl AnalyzeCell {
 pub struct TuneCell {
     /// Launch configurations the search measured.
     pub configs_explored: u64,
-    /// Total timing repeats executed across configurations.
+    /// Timed rounds executed across configurations.
     pub measurements: u64,
     /// Wall-clock spent inside the tuner's timed kernel sections.
     pub measure_seconds: f64,

@@ -11,8 +11,12 @@
 //!            [--save-dataset FILE] [--checkpoint FILE] [--force-fresh]
 //!            [--checkpoint-every N] [--chaos-seed S] [--max-retries K]
 //!            [--tiles DIR] [--tile-stars N] [--budget-bytes B]
-//!            [--telemetry] [--list-backends]
+//!            [--lsmr] [--telemetry] [--list-backends]
 //! ```
+//!
+//! `--ranks N` runs the named backend on every rank. `--lsmr` runs LSMR
+//! instead of LSQR on one rank; LSMR has no resumable state, so it
+//! refuses `--ranks`, `--checkpoint` and the fault-tolerance flags.
 //!
 //! `--tiles DIR` switches to the out-of-core path of §V-B capacity
 //! framing: if `DIR` holds a `gaia-tiles/v4` spill (a manifest plus
@@ -62,7 +66,7 @@ use std::time::Duration;
 use gaia_avugsr::backends::{backend_by_name, backend_names, instrumented_by_name};
 use gaia_avugsr::lsqr::analysis::{convergence_profile, profile_text};
 use gaia_avugsr::lsqr::checkpoint::{Checkpoint, CheckpointRotation};
-use gaia_avugsr::lsqr::distributed::solve_distributed;
+use gaia_avugsr::lsqr::distributed::solve_hybrid;
 use gaia_avugsr::lsqr::resilient::{OnUnrecoverable, RecoveryPolicy, ResilienceOptions};
 use gaia_avugsr::lsqr::{
     solve_lsmr, solve_resilient, LsqrConfig, Operator, OperatorLsqr, Solution, SystemOperator,
@@ -698,6 +702,22 @@ fn main() {
 /// the resilient supervisor, on simulated ranks, with LSMR, or with LSQR.
 /// Returns the solution and its label in the run report.
 fn run_resident(args: &Args, cfg: &LsqrConfig) -> (Solution, &'static str) {
+    // LSMR has no resumable state, so nothing that checkpoints or
+    // restarts a solve can run it.
+    if args.lsmr
+        && (args.ranks > 1
+            || args.checkpoint.is_some()
+            || args.checkpoint_every > 0
+            || args.chaos_seed.is_some()
+            || args.max_retries.is_some())
+    {
+        eprintln!(
+            "--lsmr runs a single-rank solve without resumable state; it cannot \
+             be combined with --ranks, --checkpoint, --checkpoint-every, \
+             --chaos-seed, or --max-retries"
+        );
+        exit(2)
+    }
     // Obtain the system: load a dataset or synthesize one, as in the
     // artifact ("it randomly generates, given a certain seed, a dataset
     // with the specified size").
@@ -751,10 +771,6 @@ fn run_resident(args: &Args, cfg: &LsqrConfig) -> (Solution, &'static str) {
     {
         return (run_resilient(&sys, cfg, args), "lsqr-resilient");
     }
-    if args.ranks > 1 {
-        println!("distributed solve on {} ranks", args.ranks);
-        return (solve_distributed(&sys, args.ranks, cfg), "lsqr-distributed");
-    }
     // Under --telemetry, wrap the backend so whole-call aprod1/aprod2
     // cells are recorded alongside the per-block kernel cells.
     let lookup = if args.telemetry {
@@ -766,6 +782,18 @@ fn run_resident(args: &Args, cfg: &LsqrConfig) -> (Solution, &'static str) {
         eprintln!("unknown backend {} (try --list-backends)", args.backend);
         exit(1)
     };
+    if args.ranks > 1 {
+        println!(
+            "distributed solve on {} ranks, backend: {} ({} threads per rank)",
+            args.ranks,
+            backend.name(),
+            args.threads
+        );
+        let solution = solve_hybrid(&sys, args.ranks, cfg, |_| {
+            lookup(&args.backend, args.threads).expect("validated above")
+        });
+        return (solution, "lsqr-distributed");
+    }
     if args.lsmr {
         println!(
             "solver: LSMR, backend: {} ({} threads)",

@@ -278,3 +278,82 @@ fn solvergaia_extends_a_checkpointed_run_to_a_larger_iteration_limit() {
     }
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// `--ranks N` runs the backend `--backend` names on every rank, under
+/// `--telemetry` wrapped like a single-rank solve: an unknown name exits
+/// 1, and `atomic` is named in the output and, with the probes compiled
+/// in, records atomic updates and whole-pass call cells.
+#[test]
+fn solvergaia_ranks_run_the_named_backend() {
+    let results = std::env::temp_dir().join(format!("gaia-cli-ranks-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&results);
+    let run = |backend: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_solvergaia"))
+            .args(["--preset", "tiny", "--iterations", "3", "--ranks", "2"])
+            .args(["--threads", "2", "--telemetry", "--backend", backend])
+            .env("GAIA_RESULTS_DIR", &results)
+            .output()
+            .expect("run solvergaia")
+    };
+    let out = run("no-such-backend");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown backend no-such-backend"),
+        "{stderr}"
+    );
+
+    let out = run("atomic");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("distributed solve on 2 ranks, backend: atomic-t2"),
+        "{stdout}"
+    );
+    let text = std::fs::read_to_string(results.join("telemetry").join("solvergaia.json"))
+        .expect("run report");
+    let report: serde_json::Value = serde_json::from_str(&text).expect("report parses");
+    assert_eq!(report["solver"].as_str(), Some("lsqr-distributed"));
+    let telemetry = &report["telemetry"];
+    if telemetry["enabled"].as_bool() == Some(true) {
+        let kernels = telemetry["kernels"].as_array().expect("kernel cells");
+        assert!(
+            kernels.iter().any(|k| k["atomic_rmws"].as_u64() > Some(0)),
+            "no atomic updates: {kernels:?}"
+        );
+        let calls = telemetry["calls"].as_array().expect("call cells");
+        assert!(!calls.is_empty(), "the backend was not instrumented");
+    }
+    let _ = std::fs::remove_dir_all(&results);
+}
+
+/// LSMR has no resumable state: `--lsmr` with `--ranks` or with
+/// `--checkpoint` exits 2 naming the conflict, and writes no checkpoint.
+#[test]
+fn solvergaia_refuses_lsmr_with_ranks_or_a_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("gaia-cli-lsmr-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("lsmr.ckpt");
+    let conflicts: [&[&std::ffi::OsStr]; 2] = [
+        &["--ranks".as_ref(), "2".as_ref()],
+        &["--checkpoint".as_ref(), ckpt.as_os_str()],
+    ];
+    for extra in conflicts {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_solvergaia"))
+            .args(["--preset", "tiny", "--iterations", "3", "--lsmr"])
+            .args(extra)
+            .output()
+            .expect("run solvergaia");
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for needle in ["--lsmr", extra[0].to_str().unwrap()] {
+            assert!(
+                stderr.contains(needle),
+                "{extra:?}: no {needle:?} in {stderr}"
+            );
+        }
+    }
+    assert!(!ckpt.exists(), "a refused run wrote {}", ckpt.display());
+    let _ = std::fs::remove_dir_all(&dir);
+}
