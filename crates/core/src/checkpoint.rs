@@ -499,6 +499,16 @@ impl CheckpointRotation {
         None
     }
 
+    /// The newest snapshot in the chain with its path, as it loads: a
+    /// resume that must continue from where the chain ends refuses a
+    /// corrupt newest snapshot instead of falling back past it, as
+    /// [`CheckpointRotation::latest`] does. `None` for an empty chain.
+    pub fn newest(&self) -> Option<(std::path::PathBuf, Result<Checkpoint, CheckpointError>)> {
+        let (_, path) = self.slots().pop()?;
+        let ckpt = Checkpoint::load(&path);
+        Some((path, ckpt))
+    }
+
     /// Remove every snapshot in the chain.
     pub fn clear(&self) {
         for (_, path) in self.slots() {
@@ -659,11 +669,15 @@ mod tests {
         let (k, ckpt) = rot.latest().unwrap();
         assert_eq!(k, 4);
         assert_eq!(ckpt.restore(&sys, &cfg).unwrap().itn, 4);
-        // ...unless corrupt, in which case the chain falls back.
+        // ...unless corrupt, in which case the chain falls back...
         std::fs::write(&slots[1].1, b"garbage").unwrap();
         let (k, ckpt) = rot.latest().unwrap();
         assert_eq!(k, 3);
         assert_eq!(ckpt.restore(&sys, &cfg).unwrap().itn, 3);
+        // ...while `newest` names the corrupt slot instead of skipping it.
+        let (path, loaded) = rot.newest().unwrap();
+        assert_eq!(path, slots[1].1);
+        assert!(loaded.is_err());
 
         rot.clear();
         assert!(rot.latest().is_none());

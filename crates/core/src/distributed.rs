@@ -80,8 +80,9 @@ pub struct DistOptions<'a> {
     /// (use [`crate::checkpoint::Checkpoint::restore`] to enforce that).
     pub resume: Option<&'a LsqrState>,
     /// Assemble the replicated state (plus an allgather of the sharded
-    /// `u`) every this many iterations and hand it to `checkpoint_sink`
-    /// on rank 0. `0` disables periodic checkpointing.
+    /// `u`) every this many iterations and at the stop (except a
+    /// `NumericalBreakdown`), and hand it to `checkpoint_sink` on rank 0.
+    /// `0` disables checkpointing.
     pub checkpoint_every: usize,
     /// Receiver of the periodic snapshots (rank 0 only).
     pub checkpoint_sink: Option<CheckpointSink<'a>>,
@@ -89,8 +90,7 @@ pub struct DistOptions<'a> {
     /// the token locally, but the stop decision is collective: the
     /// cancel flag rides the per-iteration Max-allreduce, so every rank
     /// stops at the same iteration with identical replicated state. When
-    /// periodic checkpointing is on, a final checkpoint is taken at the
-    /// cancellation iteration before returning.
+    /// checkpointing is on, the stop's snapshot is the cancelled state.
     pub cancel: Option<CancellationToken>,
 }
 

@@ -20,9 +20,10 @@
 //! serializable [`LsqrState`], advanced one iteration at a time by
 //! [`OperatorLsqr::try_step`]. [`OperatorLsqr::try_drive`] is the one
 //! solve loop on top: it starts or resumes a state, steps it to a stop
-//! and hands a checkpoint sink a snapshot every `every` iterations. Every
-//! solve — [`Lsqr::run`], [`solve_operator`], each distributed rank, the
-//! resilient supervisor's single-rank floor and the CLI — runs it;
+//! and hands a checkpoint sink a snapshot every `every` iterations and at
+//! the stop. Every solve — [`Lsqr::run`], [`solve_operator`], each
+//! distributed rank, the resilient supervisor's single-rank floor and the
+//! CLI — runs it;
 //! [`crate::checkpoint`] persists/restores the state, mirroring the
 //! production pipeline's restart files (long AVU-GSR runs at CINECA are
 //! checkpointed between job allocations). [`crate::lsmr`] runs the same
@@ -532,10 +533,13 @@ impl<O: Operator> OperatorLsqr<O> {
 
     /// The solve loop every entry point runs: start fresh (`start` is
     /// `None`) or resume a given state, and step until a stopping rule
-    /// fires or `itn` reaches `max_iters`. `sink` receives the state after
-    /// every `every`-th iteration that goes on, and at a `Cancelled` stop,
-    /// so that a resume continues exactly where a deadline struck
-    /// (`every = 0`: never).
+    /// fires or `itn` reaches `max_iters`. With `every > 0`, `sink`
+    /// receives the state after every `every`-th iteration and once more
+    /// at the stop — whatever stopped it except `NumericalBreakdown`, whose
+    /// poisoned state must never reach a sink — so the newest snapshot is
+    /// always the state the solve ended on, and a resume continues exactly
+    /// where the limit or a deadline struck. A stop on a multiple of
+    /// `every` is handed over once. `every = 0`: never.
     ///
     /// A resumed state stopped by `IterationLimit` or `Cancelled` goes on
     /// while `itn < max_iters`, so a run can be extended by resuming it
@@ -563,7 +567,7 @@ impl<O: Operator> OperatorLsqr<O> {
             let due = every > 0
                 && match stop {
                     None => state.itn % every == 0,
-                    Some(reason) => reason == StopReason::Cancelled,
+                    Some(reason) => reason != StopReason::NumericalBreakdown,
                 };
             if due {
                 sink(&state);
@@ -945,6 +949,43 @@ mod tests {
         let sol = solver.finish(state);
         assert_eq!(sol.stop, StopReason::Cancelled);
         assert!(!sol.stop.converged());
+    }
+
+    /// The sink sees every `every`-th state and the state at the stop,
+    /// once even when the stop falls on the cadence.
+    #[test]
+    fn drive_hands_the_sink_the_stop_once() {
+        let (sys, _) = consistent_system(116);
+        let drive = |max_iters: usize, every: usize| {
+            let cfg = LsqrConfig::fixed_iterations(max_iters);
+            let solver = OperatorLsqr::new(SystemOperator::new(&sys, &SeqBackend), cfg).unwrap();
+            let mut seen = Vec::new();
+            solver
+                .try_drive(None, every, |s| seen.push((s.itn, s.stopped)))
+                .unwrap();
+            seen
+        };
+        let limit = Some(StopReason::IterationLimit);
+        assert_eq!(drive(6, 3), vec![(3, None), (6, limit)]);
+        assert_eq!(drive(5, 2), vec![(2, None), (4, None), (5, limit)]);
+        assert!(drive(5, 0).is_empty());
+    }
+
+    /// A state stopped by `NumericalBreakdown` never reaches the sink, not
+    /// even on the cadence.
+    #[test]
+    fn drive_hands_the_sink_no_broken_down_state() {
+        let (mut sys, _) = consistent_system(117);
+        let mut b = sys.known_terms().to_vec();
+        b[0] = f64::NAN;
+        sys.set_known_terms(b);
+        let cfg = LsqrConfig::fixed_iterations(5).health(crate::health::HealthConfig::default_on());
+        let solver = OperatorLsqr::new(SystemOperator::new(&sys, &SeqBackend), cfg).unwrap();
+        let mut seen = 0;
+        let state = solver.try_drive(None, 1, |_| seen += 1).unwrap();
+        assert_eq!(state.stopped, Some(StopReason::NumericalBreakdown));
+        assert_eq!(state.itn, 1, "the breakdown is a step's stop");
+        assert_eq!(seen, 0);
     }
 
     #[test]

@@ -78,8 +78,9 @@ pub struct RecoveryPolicy {
     /// a fixed seed keeps chaos sweeps reproducible.
     pub jitter_seed: u64,
     /// Assemble and store a recovery checkpoint every this many
-    /// iterations; `0` disables periodic checkpointing (recovery then
-    /// restarts from the beginning, or from [`ResilienceOptions::resume`]).
+    /// iterations and at the stop; `0` disables checkpointing (recovery
+    /// then restarts from the beginning, or from
+    /// [`ResilienceOptions::resume`]).
     pub checkpoint_every: usize,
     /// Tier-exhaustion behaviour.
     pub on_unrecoverable: OnUnrecoverable,
@@ -113,8 +114,9 @@ pub struct ResilienceOptions<'a> {
     /// Start from a previously checkpointed state (e.g. restored from
     /// disk by the CLI) instead of from scratch.
     pub resume: Option<LsqrState>,
-    /// Also persist every periodic checkpoint to this on-disk rotation,
-    /// so recovery survives process death, not just rank death.
+    /// Also persist every checkpoint to this on-disk rotation, so recovery
+    /// survives process death, not just rank death, and a later run
+    /// resumes where this one stopped.
     pub persist: Option<&'a CheckpointRotation>,
     /// Cooperative cancellation (deadline or explicit), threaded into
     /// every launch — distributed attempts and the single-rank floor

@@ -33,7 +33,9 @@ pub struct RunReport {
     pub run: String,
     /// Backend registry name (e.g. `atomic-t4`).
     pub backend: String,
-    /// `lsqr`, `lsmr`, `lsqr-distributed`, `lsqr-resilient`, or `lsqr-tiled`.
+    /// What `solvergaia` ran: `lsqr` (one rank), `lsqr-tiled` (one rank,
+    /// out of core), `lsmr`, or the supervisor — `lsqr-distributed` for
+    /// `--ranks` above 1, `lsqr-resilient` with a fault flag.
     pub solver: String,
     /// System rows.
     pub n_rows: u64,

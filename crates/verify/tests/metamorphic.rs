@@ -163,11 +163,11 @@ fn distributed_trajectories_stay_within_the_ulp_budget_at_every_rank_count() {
             };
             let backend_for = |_| backend_by_name(name, 2).expect("a registry name");
             try_solve_hybrid(&sys, ranks, &cfg, backend_for, &opts).unwrap();
-            // No checkpoint follows the iteration that stops the solve.
+            // The iteration that stops the solve is checkpointed too.
             let got = got.into_inner().unwrap();
-            assert_eq!(got.len(), iters - 1, "seed {seed}, {name} on {ranks} ranks");
+            assert_eq!(got.len(), iters, "seed {seed}, {name} on {ranks} ranks");
             let subject = format!("distributed-{name}-r{ranks}");
-            let t = trajectory::divergence(&subject, seed, &reference[1..iters], &got);
+            let t = trajectory::divergence(&subject, seed, &reference[1..=iters], &got);
             if !t.within_budget() {
                 failures.push(format!(
                     "{} / seed {}: {} ulp on {} at iteration {}",

@@ -2,7 +2,8 @@
 # Non-test Rust source lines per crate: every `crates/*/src/**/*.rs`, and
 # the root package's `src/**/*.rs` (library and CLI) as `root`, blank
 # and comment-only lines left out, `#[cfg(test)]` items left out (the tree
-# is rustfmt-formatted, so a test module ends at the next `}` in column 0).
+# is rustfmt-formatted, so a test module ends at the next line that is `}`
+# alone; a raw string that ends `}"#;` in column 0 does not end it).
 # ROADMAP item 3 tracks size the way the benchmark tracks time: CI prints
 # this table at the end of the build job, EXPERIMENTS.md keeps the points.
 #
@@ -13,7 +14,7 @@ cd "${1:-$(dirname "$0")/..}"
 count() {
     find "$1" -name '*.rs' -print0 | xargs -0 awk '
         FNR == 1              { pending = 0; skipping = 0 }
-        skipping              { if (/^}/) skipping = 0; next }
+        skipping              { if (/^}[[:space:]]*$/) skipping = 0; next }
         /^#\[cfg\(test\)\]/   { pending = 1; next }
         pending               { pending = 0; if (/^(pub )?mod .*\{$/) skipping = 1; next }
         /^[[:space:]]*(\/\/|$)/ { next }

@@ -11,12 +11,36 @@
 //!            [--save-dataset FILE] [--checkpoint FILE] [--force-fresh]
 //!            [--checkpoint-every N] [--chaos-seed S] [--max-retries K]
 //!            [--tiles DIR] [--tile-stars N] [--budget-bytes B]
-//!            [--lsmr] [--telemetry] [--list-backends]
+//!            [--lsmr] [--profile] [--telemetry] [--list-backends]
 //! ```
 //!
-//! `--ranks N` runs the named backend on every rank. `--lsmr` runs LSMR
-//! instead of LSQR on one rank; LSMR has no resumable state, so it
-//! refuses `--ranks`, `--checkpoint` and the fault-tolerance flags.
+//! Every input is checked before anything is generated, loaded or
+//! written: the preset, the LSQR configuration (`--iterations`) and the
+//! flags that `--lsmr` or `--tiles` exclude exit 2, an unknown backend
+//! exits 1. The run then goes to one of three engines:
+//!
+//! * `--lsmr`: LSMR on one rank. It has no resumable state, so it refuses
+//!   `--ranks`, `--checkpoint`, `--checkpoint-every` and the fault flags.
+//! * One rank and no fault flag: LSQR over the resident system or, with
+//!   `--tiles`, over the tiled operator.
+//! * `--ranks N` above 1, `--chaos-seed S` or `--max-retries K`: the
+//!   resilient supervisor. It runs the named backend on every rank,
+//!   relaunches a failed world up to `K` times per rank-count tier
+//!   (default 3), then halves the ranks; a world with more ranks than
+//!   stars is degraded at once. `--chaos-seed` injects a deterministic
+//!   fault schedule into the simulated MPI world.
+//!
+//! Checkpoint/restart is the same on every LSQR engine. `--checkpoint
+//! FILE` names a restart chain of the newest three snapshots,
+//! `FILE.<iteration>.ckpt`; `FILE` itself is never read or written. A
+//! snapshot is taken every `--checkpoint-every N` iterations (10 when
+//! `FILE` is given without it) and at the stop. A run resumes from the
+//! chain's newest snapshot, which must load and match the system and the
+//! configuration — otherwise the run exits 1 naming the file rather than
+//! discard the iterations it holds. A chain written on one rank count
+//! resumes on any other, and a run stopped by its iteration limit goes on
+//! under a larger `--iterations`. `--force-fresh` clears the chain and
+//! starts over.
 //!
 //! `--tiles DIR` switches to the out-of-core path of §V-B capacity
 //! framing: if `DIR` holds a `gaia-tiles/v4` spill (a manifest plus
@@ -48,31 +72,54 @@
 //!
 //! `--telemetry` prints the per-kernel breakdown and writes a JSON run
 //! report under `results/telemetry/`; build with `--features telemetry`
-//! for real counts (the probes compile to no-ops otherwise).
-//!
-//! Fault tolerance: `--chaos-seed S` injects a deterministic fault
-//! schedule into the simulated MPI world, `--checkpoint-every N` takes a
-//! recovery snapshot every N iterations (kept in a retain-last-3 rotation
-//! next to `--checkpoint`'s path when given), and `--max-retries K`
-//! bounds the supervisor's relaunches per rank-count tier. A corrupt or
-//! mismatched checkpoint is a hard error; pass `--force-fresh` to
-//! discard it and start over.
+//! for real counts (the probes compile to no-ops otherwise). `--profile`
+//! prints the per-iteration convergence profile and its tail rate.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use gaia_avugsr::backends::{backend_by_name, backend_names, instrumented_by_name};
+use gaia_avugsr::backends::{backend_by_name, backend_names, instrumented_by_name, Backend};
 use gaia_avugsr::lsqr::analysis::{convergence_profile, profile_text};
 use gaia_avugsr::lsqr::checkpoint::{Checkpoint, CheckpointRotation};
-use gaia_avugsr::lsqr::distributed::solve_hybrid;
+use gaia_avugsr::lsqr::lsqr::LsqrState;
 use gaia_avugsr::lsqr::resilient::{OnUnrecoverable, RecoveryPolicy, ResilienceOptions};
 use gaia_avugsr::lsqr::{
     solve_lsmr, solve_resilient, LsqrConfig, Operator, OperatorLsqr, Solution, SystemOperator,
+    TiledOperator,
 };
-use gaia_avugsr::mpi::{install_quiet_panic_hook, FaultPlan, FaultSpec};
-use gaia_avugsr::sparse::{io, Generator, GeneratorConfig, Rhs, SystemLayout};
+use gaia_avugsr::mpi::{install_quiet_panic_hook, FaultKind, FaultPlan, FaultSpec};
+use gaia_avugsr::sparse::tiled::MANIFEST_NAME;
+use gaia_avugsr::sparse::{
+    io, CapacityBudget, Generator, GeneratorConfig, Rhs, SparseSystem, SystemLayout, TiledSystem,
+};
+
+const USAGE: &str = "solvergaia [--preset tiny|small|medium] [--seed N] \
+     [--iterations N] [--converge] [--backend NAME] [--threads N] \
+     [--ranks N] [--dataset FILE] [--save-dataset FILE] \
+     [--checkpoint FILE] [--force-fresh] [--checkpoint-every N] \
+     [--chaos-seed S] [--max-retries K] [--tiles DIR] [--tile-stars N] \
+     [--budget-bytes B] [--lsmr] [--profile] [--telemetry] [--list-backends]";
+
+const SERVE_USAGE: &str = "solvergaia serve [--tenants N] [--requests N] [--workers N] \
+     [--preset tiny|small|medium] [--seed S] [--backend NAME] [--ranks N] \
+     [--deadline-ms D] [--queue N] [--quota N] [--chaos]";
+
+/// The flags `--lsmr` and `--tiles` cannot be combined with, and why.
+const CONFLICTS: [(&str, &str, &str); 2] = [
+    (
+        "--lsmr",
+        "runs a single-rank solve without resumable state",
+        "--ranks --checkpoint --checkpoint-every --chaos-seed --max-retries",
+    ),
+    (
+        "--tiles",
+        "drives the single-rank out-of-core LSQR path",
+        "--dataset --lsmr --ranks --chaos-seed --max-retries",
+    ),
+];
 
 struct Args {
     preset: String,
@@ -97,17 +144,67 @@ struct Args {
     budget_bytes: Option<u64>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: solvergaia [--preset tiny|small|medium] [--seed N] \
-         [--iterations N] [--converge] [--backend NAME] [--threads N] \
-         [--ranks N] [--dataset FILE] [--save-dataset FILE] \
-         [--checkpoint FILE] [--force-fresh] [--checkpoint-every N] \
-         [--chaos-seed S] [--max-retries K] [--tiles DIR] [--tile-stars N] \
-         [--budget-bytes B] [--lsmr] [--profile] \
-         [--telemetry] [--list-backends]"
-    );
+impl Args {
+    /// Whether a flag of [`CONFLICTS`] was given (`--ranks`: above 1).
+    fn given(&self, flag: &str) -> bool {
+        match flag {
+            "--lsmr" => self.lsmr,
+            "--tiles" => self.tiles.is_some(),
+            "--ranks" => self.ranks > 1,
+            "--dataset" => self.dataset.is_some(),
+            "--checkpoint" => self.checkpoint.is_some(),
+            "--checkpoint-every" => self.checkpoint_every > 0,
+            "--chaos-seed" => self.chaos_seed.is_some(),
+            "--max-retries" => self.max_retries.is_some(),
+            _ => unreachable!("{flag} is not in the conflict table"),
+        }
+    }
+}
+
+/// Print `usage` and exit 2, the answer to every malformed command line.
+fn usage(usage: &str) -> ! {
+    eprintln!("usage: {usage}");
     exit(2)
+}
+
+/// The one flag reader of both subcommands: the arguments after the
+/// first `skip`, each value parsed to the type of the field it sets.
+struct Flags {
+    argv: std::iter::Skip<std::env::Args>,
+    usage: &'static str,
+}
+
+impl Flags {
+    fn new(skip: usize, usage: &'static str) -> Self {
+        Flags {
+            argv: std::env::args().skip(skip),
+            usage,
+        }
+    }
+
+    fn flag(&mut self) -> Option<String> {
+        self.argv.next()
+    }
+
+    /// The value after `flag`; a missing or malformed one is a usage error.
+    fn value<T: FromStr>(&mut self, flag: &str) -> T {
+        let Some(raw) = self.argv.next() else {
+            eprintln!("{flag} requires a value");
+            usage(self.usage)
+        };
+        raw.parse().unwrap_or_else(|_| {
+            eprintln!("{flag}: cannot parse {raw:?}");
+            usage(self.usage)
+        })
+    }
+
+    /// A flag no arm took: `--help`, or an unknown one.
+    fn reject(&self, flag: &str) -> ! {
+        if !matches!(flag, "--help" | "-h") {
+            eprintln!("unknown flag {flag}");
+        }
+        usage(self.usage)
+    }
 }
 
 fn parse_args() -> Args {
@@ -135,166 +232,54 @@ fn parse_args() -> Args {
         tile_stars: 0, // 0 = derive from the layout at generation time
         budget_bytes: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{name} requires a value");
-                usage()
-            })
-        };
+    let mut f = Flags::new(1, USAGE);
+    while let Some(flag) = f.flag() {
         match flag.as_str() {
-            "--preset" => args.preset = val("--preset"),
-            "--seed" => args.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
-            "--iterations" => {
-                args.iterations = val("--iterations").parse().unwrap_or_else(|_| usage())
-            }
+            "--preset" => args.preset = f.value(&flag),
+            "--seed" => args.seed = f.value(&flag),
+            "--iterations" => args.iterations = f.value(&flag),
             "--converge" => args.converge = true,
             "--lsmr" => args.lsmr = true,
             "--profile" => args.profile = true,
             "--telemetry" => args.telemetry = true,
-            "--backend" => args.backend = val("--backend"),
-            "--threads" => args.threads = val("--threads").parse().unwrap_or_else(|_| usage()),
-            "--ranks" => args.ranks = val("--ranks").parse().unwrap_or_else(|_| usage()),
-            "--dataset" => args.dataset = Some(PathBuf::from(val("--dataset"))),
-            "--save-dataset" => args.save_dataset = Some(PathBuf::from(val("--save-dataset"))),
-            "--checkpoint" => args.checkpoint = Some(PathBuf::from(val("--checkpoint"))),
-            "--checkpoint-every" => {
-                args.checkpoint_every = val("--checkpoint-every")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--chaos-seed" => {
-                args.chaos_seed = Some(val("--chaos-seed").parse().unwrap_or_else(|_| usage()))
-            }
-            "--max-retries" => {
-                args.max_retries = Some(val("--max-retries").parse().unwrap_or_else(|_| usage()))
-            }
+            "--backend" => args.backend = f.value(&flag),
+            "--threads" => args.threads = f.value(&flag),
+            "--ranks" => args.ranks = f.value(&flag),
+            "--dataset" => args.dataset = Some(f.value(&flag)),
+            "--save-dataset" => args.save_dataset = Some(f.value(&flag)),
+            "--checkpoint" => args.checkpoint = Some(f.value(&flag)),
+            "--checkpoint-every" => args.checkpoint_every = f.value(&flag),
+            "--chaos-seed" => args.chaos_seed = Some(f.value(&flag)),
+            "--max-retries" => args.max_retries = Some(f.value(&flag)),
             "--force-fresh" => args.force_fresh = true,
-            "--tiles" => args.tiles = Some(PathBuf::from(val("--tiles"))),
-            "--tile-stars" => {
-                args.tile_stars = val("--tile-stars").parse().unwrap_or_else(|_| usage())
-            }
-            "--budget-bytes" => {
-                args.budget_bytes = Some(val("--budget-bytes").parse().unwrap_or_else(|_| usage()))
-            }
+            "--tiles" => args.tiles = Some(f.value(&flag)),
+            "--tile-stars" => args.tile_stars = f.value(&flag),
+            "--budget-bytes" => args.budget_bytes = Some(f.value(&flag)),
             "--list-backends" => {
                 for name in backend_names() {
                     println!("{name}");
                 }
                 exit(0)
             }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
+            _ => f.reject(&flag),
         }
     }
     args
 }
 
-/// Drive the resilient supervisor: restore the newest rotation snapshot
-/// (hard error on corruption unless `--force-fresh`), inject the chaos
-/// schedule when asked, and report the recovery story next to the
-/// solution.
-fn run_resilient(
-    sys: &gaia_avugsr::sparse::SparseSystem,
-    cfg: &LsqrConfig,
-    args: &Args,
-) -> Solution {
-    install_quiet_panic_hook();
-    let backend_name = args.backend.clone();
-    let threads = args.threads;
-    if backend_by_name(&backend_name, threads).is_none() {
-        eprintln!("unknown backend {backend_name} (try --list-backends)");
+/// The one backend lookup: registry name `name` at `threads` threads,
+/// wrapped under `--telemetry` so whole-call cells are recorded next to
+/// the per-block kernel cells. An unknown name exits 1.
+fn resolve_backend(name: &str, threads: usize, telemetry: bool) -> Box<dyn Backend> {
+    let lookup = if telemetry {
+        instrumented_by_name
+    } else {
+        backend_by_name
+    };
+    lookup(name, threads).unwrap_or_else(|| {
+        eprintln!("unknown backend {name} (try --list-backends)");
         exit(1)
-    }
-    let rotation = args
-        .checkpoint
-        .as_ref()
-        .map(|p| CheckpointRotation::new(p.clone(), 3));
-    let resume = match (&rotation, args.force_fresh) {
-        (Some(rot), false) => match rot.latest() {
-            Some((itn, ckpt)) => match ckpt.restore(sys, cfg) {
-                Ok(state) => {
-                    println!("resumed from checkpoint rotation at iteration {itn}");
-                    Some(state)
-                }
-                Err(e) => {
-                    eprintln!("cannot resume checkpoint: {e} (pass --force-fresh to discard)");
-                    exit(1)
-                }
-            },
-            None => None,
-        },
-        (Some(_), true) => {
-            println!("--force-fresh: ignoring any existing checkpoint rotation");
-            None
-        }
-        _ => None,
-    };
-    let plan = args
-        .chaos_seed
-        .map(|s| Arc::new(FaultPlan::new(s, FaultSpec::light())));
-    if let Some(seed) = args.chaos_seed {
-        println!("chaos: light fault schedule, seed {seed}");
-    }
-    let policy = RecoveryPolicy {
-        max_retries: args.max_retries.unwrap_or(3),
-        backoff: Duration::from_millis(10),
-        // A checkpoint path without an explicit cadence still deserves
-        // periodic snapshots — recovery is the point of the path.
-        checkpoint_every: match (args.checkpoint_every, &args.checkpoint) {
-            (0, Some(_)) => 10,
-            (n, _) => n,
-        },
-        on_unrecoverable: OnUnrecoverable::Degrade,
-        ..RecoveryPolicy::default()
-    };
-    println!(
-        "resilient solve on {} rank(s), backend {} ({} threads), \
-         checkpoint every {} iteration(s), up to {} retries per tier",
-        args.ranks.max(1),
-        backend_name,
-        threads,
-        policy.checkpoint_every,
-        policy.max_retries
-    );
-    let opts = ResilienceOptions {
-        policy,
-        faults: plan,
-        collective_timeout: Some(Duration::from_secs(30)),
-        resume,
-        persist: rotation.as_ref(),
-        cancel: None,
-    };
-    match solve_resilient(
-        sys,
-        args.ranks.max(1),
-        cfg,
-        |_| backend_by_name(&backend_name, threads).expect("validated above"),
-        &opts,
-    ) {
-        Ok(report) => {
-            if report.attempts.len() > 1 || !report.fault_events.is_empty() {
-                println!(
-                    "recovery: {} attempt(s), {} fault(s) injected, {} restore(s), \
-                     {} degradation(s), finished on {} rank(s)",
-                    report.attempts.len(),
-                    report.fault_events.len(),
-                    report.telemetry.checkpoint_restores,
-                    report.telemetry.degradations,
-                    report.final_ranks
-                );
-            }
-            report.solution
-        }
-        Err(e) => {
-            eprintln!("resilient solve failed: {e}");
-            exit(1)
-        }
-    }
+    })
 }
 
 /// Flags of the `serve` subcommand.
@@ -312,15 +297,6 @@ struct ServeArgs {
     chaos: bool,
 }
 
-fn serve_usage() -> ! {
-    eprintln!(
-        "usage: solvergaia serve [--tenants N] [--requests N] [--workers N] \
-         [--preset tiny|small|medium] [--seed S] [--backend NAME] [--ranks N] \
-         [--deadline-ms D] [--queue N] [--quota N] [--chaos]"
-    );
-    exit(2)
-}
-
 fn parse_serve_args() -> ServeArgs {
     let mut args = ServeArgs {
         tenants: 4,
@@ -335,43 +311,21 @@ fn parse_serve_args() -> ServeArgs {
         quota: 8,
         chaos: false,
     };
-    let mut it = std::env::args().skip(2);
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{name} requires a value");
-                serve_usage()
-            })
-        };
+    let mut f = Flags::new(2, SERVE_USAGE);
+    while let Some(flag) = f.flag() {
         match flag.as_str() {
-            "--tenants" => {
-                args.tenants = val("--tenants").parse().unwrap_or_else(|_| serve_usage())
-            }
-            "--requests" => {
-                args.requests = val("--requests").parse().unwrap_or_else(|_| serve_usage())
-            }
-            "--workers" => {
-                args.workers = val("--workers").parse().unwrap_or_else(|_| serve_usage())
-            }
-            "--preset" => args.preset = val("--preset"),
-            "--seed" => args.seed = val("--seed").parse().unwrap_or_else(|_| serve_usage()),
-            "--backend" => args.backend = val("--backend"),
-            "--ranks" => args.ranks = val("--ranks").parse().unwrap_or_else(|_| serve_usage()),
-            "--deadline-ms" => {
-                args.deadline_ms = Some(
-                    val("--deadline-ms")
-                        .parse()
-                        .unwrap_or_else(|_| serve_usage()),
-                )
-            }
-            "--queue" => args.queue = val("--queue").parse().unwrap_or_else(|_| serve_usage()),
-            "--quota" => args.quota = val("--quota").parse().unwrap_or_else(|_| serve_usage()),
+            "--tenants" => args.tenants = f.value(&flag),
+            "--requests" => args.requests = f.value(&flag),
+            "--workers" => args.workers = f.value(&flag),
+            "--preset" => args.preset = f.value(&flag),
+            "--seed" => args.seed = f.value(&flag),
+            "--backend" => args.backend = f.value(&flag),
+            "--ranks" => args.ranks = f.value(&flag),
+            "--deadline-ms" => args.deadline_ms = Some(f.value(&flag)),
+            "--queue" => args.queue = f.value(&flag),
+            "--quota" => args.quota = f.value(&flag),
             "--chaos" => args.chaos = true,
-            "--help" | "-h" => serve_usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                serve_usage()
-            }
+            _ => f.reject(&flag),
         }
     }
     args
@@ -386,12 +340,9 @@ fn run_serve() -> ! {
     let args = parse_serve_args();
     let Some(layout) = SystemLayout::preset(&args.preset) else {
         eprintln!("unknown preset {}", args.preset);
-        serve_usage()
+        usage(SERVE_USAGE)
     };
-    if backend_by_name(&args.backend, 2).is_none() {
-        eprintln!("unknown backend {} (try --list-backends)", args.backend);
-        exit(1)
-    }
+    resolve_backend(&args.backend, 2, false);
 
     let service = SolveService::start(ServiceConfig {
         workers: args.workers.max(1),
@@ -432,7 +383,7 @@ fn run_serve() -> ! {
                     0,
                     1,
                     2,
-                    gaia_avugsr::mpi::FaultKind::RankPanic,
+                    FaultKind::RankPanic,
                 )));
                 println!("chaos: {tenant} request 0 carries a scripted rank panic");
             }
@@ -467,29 +418,14 @@ fn run_serve() -> ! {
 /// The out-of-core path (`--tiles DIR`): open an existing `gaia-tiles/v4`
 /// spill directory — or stream-generate the preset/seed system into it —
 /// and run LSQR through the tiled operator under the requested capacity
-/// budget. Checkpoints taken here carry tile provenance (the spill
-/// directory and matrix fingerprint), so resumes validate they replay
-/// the same matrix, and `GAIA_TILES_DIR` can redirect a relocated spill.
-fn run_tiled(args: &Args, cfg: &LsqrConfig) -> Solution {
-    use gaia_avugsr::lsqr::TiledOperator;
-    use gaia_avugsr::sparse::tiled::MANIFEST_NAME;
-    use gaia_avugsr::sparse::{CapacityBudget, TiledSystem};
-
-    if args.dataset.is_some()
-        || args.lsmr
-        || args.ranks > 1
-        || args.chaos_seed.is_some()
-        || args.max_retries.is_some()
-    {
-        eprintln!(
-            "--tiles drives the single-rank out-of-core LSQR path; it cannot \
-             be combined with --dataset, --lsmr, --ranks, --chaos-seed, or \
-             --max-retries"
-        );
-        exit(2)
-    }
-    let dir = args.tiles.as_ref().expect("caller checked --tiles");
-
+/// budget.
+fn run_tiled(
+    args: &Args,
+    cfg: &LsqrConfig,
+    layout: SystemLayout,
+    dir: &Path,
+    backend: &dyn Backend,
+) -> Solution {
     // An existing spill directory is authoritative (its manifest fixes
     // shape and seed); otherwise stream the preset/seed system into it.
     if dir.join(MANIFEST_NAME).exists() {
@@ -500,10 +436,6 @@ fn run_tiled(args: &Args, cfg: &LsqrConfig) -> Solution {
             );
         }
     } else {
-        let Some(layout) = SystemLayout::preset(&args.preset) else {
-            eprintln!("unknown preset {}", args.preset);
-            usage()
-        };
         let tile_stars = if args.tile_stars > 0 {
             args.tile_stars
         } else {
@@ -545,13 +477,8 @@ fn run_tiled(args: &Args, cfg: &LsqrConfig) -> Solution {
         args.budget_bytes
             .map_or("unbounded".to_string(), |b| format!("{b} bytes")),
     );
-
-    let Some(backend) = backend_by_name(&args.backend, args.threads) else {
-        eprintln!("unknown backend {} (try --list-backends)", args.backend);
-        exit(1)
-    };
     println!("backend: {} ({} threads)", backend.name(), args.threads);
-    let solution = run_lsqr(TiledOperator::new(&tiles, backend.as_ref()), cfg, args);
+    let solution = run_lsqr(TiledOperator::new(&tiles, backend), None, cfg, args);
     let stats = tiles.stats();
     println!(
         "tile cache: {} load(s), {} hit(s), {} eviction(s), peak resident {} bytes",
@@ -560,63 +487,189 @@ fn run_tiled(args: &Args, cfg: &LsqrConfig) -> Solution {
     solution
 }
 
-/// Run LSQR over `op`, resident or tiled alike. Resume from
-/// `--checkpoint` when it exists, else start fresh; keep periodic
-/// snapshots (`--checkpoint-every`) in a retain-last-3 rotation next to
-/// it, so a killed job costs one interval at most; always write the
-/// final state back. A corrupt or mismatched checkpoint is a hard error
-/// — silently restarting would discard wall-clock the user paid for —
-/// unless `--force-fresh` explicitly discards it.
-fn run_lsqr<O: Operator>(op: O, cfg: &LsqrConfig, args: &Args) -> Solution {
+/// The in-memory path: load or synthesize the system, then solve it with
+/// LSMR, or with LSQR on one rank or under the supervisor. Returns the
+/// solution and its label in the run report.
+fn run_resident(
+    args: &Args,
+    cfg: &LsqrConfig,
+    layout: SystemLayout,
+    backend: &dyn Backend,
+) -> (Solution, &'static str) {
+    // Obtain the system: load a dataset or synthesize one, as in the
+    // artifact ("it randomly generates, given a certain seed, a dataset
+    // with the specified size").
+    let sys = match &args.dataset {
+        Some(path) => match io::load_system(path) {
+            Ok(sys) => {
+                println!("loaded dataset {} ({} rows)", path.display(), sys.n_rows());
+                sys
+            }
+            Err(e) => {
+                eprintln!("cannot load dataset: {e}");
+                exit(1)
+            }
+        },
+        None => Generator::new(
+            GeneratorConfig::new(layout)
+                .seed(args.seed)
+                .rhs(Rhs::FromTrueSolution { noise_sigma: 1e-8 }),
+        )
+        .generate(),
+    };
+    println!(
+        "system: {} rows x {} cols ({} stars)",
+        sys.n_rows(),
+        sys.n_cols(),
+        sys.layout().n_stars
+    );
+    if let Some(path) = &args.save_dataset {
+        if let Err(e) = io::save_system(&sys, path) {
+            eprintln!("cannot save dataset: {e}");
+            exit(1)
+        }
+        println!("dataset saved to {}", path.display());
+    }
+
+    let (name, threads) = (backend.name(), args.threads);
+    if args.lsmr {
+        println!("solver: LSMR, backend: {name} ({threads} threads)");
+        return (solve_lsmr(&sys, backend, cfg), "lsmr");
+    }
+    let op = SystemOperator::new(&sys, backend);
+    let faults = args.chaos_seed.is_some() || args.max_retries.is_some();
+    if args.ranks <= 1 && !faults {
+        println!("backend: {name} ({threads} threads)");
+        return (run_lsqr(op, None, cfg, args), "lsqr");
+    }
+    let ranks = args.ranks.max(1);
+    let plural = if ranks == 1 { "" } else { "s" };
+    println!(
+        "distributed solve on {ranks} rank{plural}, backend: {name} ({threads} threads per rank)"
+    );
+    let label = if faults {
+        "lsqr-resilient"
+    } else {
+        "lsqr-distributed"
+    };
+    (run_lsqr(op, Some(&sys), cfg, args), label)
+}
+
+/// Every LSQR run — resident, tiled or supervised — on one restart chain:
+/// resume from its newest snapshot (validated against `op`), then drive
+/// `op` on one rank, or hand `supervised`, the system `op` reads, to the
+/// resilient supervisor. Both engines feed the chain through the same
+/// sink of [`OperatorLsqr::try_drive`]: every `every`-th state and the
+/// state at the stop.
+fn run_lsqr<O: Operator>(
+    op: O,
+    supervised: Option<&SparseSystem>,
+    cfg: &LsqrConfig,
+    args: &Args,
+) -> Solution {
+    let chain = args
+        .checkpoint
+        .as_ref()
+        .map(|file| CheckpointRotation::new(file, 3));
+    let every = match (args.checkpoint_every, &chain) {
+        (0, Some(_)) => 10,
+        (n, _) => n,
+    };
+    let start = match &chain {
+        Some(chain) if args.force_fresh => {
+            chain.clear();
+            println!("--force-fresh: cleared the checkpoint chain");
+            None
+        }
+        Some(chain) => chain.newest().map(|(path, ckpt)| {
+            match ckpt.and_then(|c| c.restore_operator(&op, cfg)) {
+                Ok(state) => {
+                    println!("resumed from {} at iteration {}", path.display(), state.itn);
+                    state
+                }
+                Err(e) => {
+                    eprintln!(
+                        "cannot resume checkpoint {}: {e} (pass --force-fresh to discard)",
+                        path.display()
+                    );
+                    exit(1)
+                }
+            }
+        }),
+        None => None,
+    };
+    if let Some(sys) = supervised {
+        return supervise(sys, start, every, chain.as_ref(), cfg, args);
+    }
     let solver = OperatorLsqr::new(op, *cfg).unwrap_or_else(|e| {
         eprintln!("cannot start solve: {e}");
         exit(1)
     });
     let op = solver.operator();
-    let start = match &args.checkpoint {
-        Some(path) if path.exists() && args.force_fresh => {
-            println!(
-                "--force-fresh: ignoring existing checkpoint {}",
-                path.display()
-            );
-            None
-        }
-        Some(path) if path.exists() => {
-            match Checkpoint::load(path).and_then(|c| c.restore_operator(op, cfg)) {
-                Ok(state) => {
-                    println!("resumed from {} at iteration {}", path.display(), state.itn);
-                    Some(state)
-                }
-                Err(e) => {
-                    eprintln!("cannot resume checkpoint: {e} (pass --force-fresh to discard)");
-                    exit(1)
-                }
-            }
-        }
-        _ => None,
-    };
-    let rotation = args
-        .checkpoint
-        .as_ref()
-        .map(|p| CheckpointRotation::new(p.clone(), 3));
     let state = solver
-        .try_drive(start, args.checkpoint_every, |state| {
-            let Some(rot) = &rotation else { return };
-            if let Err(e) = rot.save(state.itn, &Checkpoint::capture_operator(op, cfg, state)) {
-                eprintln!("warning: cannot write periodic checkpoint: {e}");
+        .try_drive(start, every, |state| {
+            let Some(chain) = &chain else { return };
+            if let Err(e) = chain.save(state.itn, &Checkpoint::capture_operator(op, cfg, state)) {
+                eprintln!("warning: cannot write checkpoint: {e}");
             }
         })
         .unwrap_or_else(|e| {
             eprintln!("solve failed: {e}");
             exit(1)
         });
-    if let Some(path) = &args.checkpoint {
-        match Checkpoint::capture_operator(op, cfg, &state).save(path) {
-            Ok(()) => println!("checkpoint written to {}", path.display()),
-            Err(e) => eprintln!("warning: cannot write checkpoint: {e}"),
+    solver.finish(state)
+}
+
+/// The resilient supervisor over `--ranks` ranks, each running the named
+/// backend: inject the chaos schedule when asked, and report the recovery
+/// story next to the solution.
+fn supervise(
+    sys: &SparseSystem,
+    resume: Option<LsqrState>,
+    every: usize,
+    chain: Option<&CheckpointRotation>,
+    cfg: &LsqrConfig,
+    args: &Args,
+) -> Solution {
+    let faults = args.chaos_seed.map(|seed| {
+        println!("chaos: light fault schedule, seed {seed}");
+        Arc::new(FaultPlan::new(seed, FaultSpec::light()))
+    });
+    let opts = ResilienceOptions {
+        policy: RecoveryPolicy {
+            max_retries: args.max_retries.unwrap_or(3),
+            backoff: Duration::from_millis(10),
+            checkpoint_every: every,
+            on_unrecoverable: OnUnrecoverable::Degrade,
+            ..RecoveryPolicy::default()
+        },
+        faults,
+        collective_timeout: Some(Duration::from_secs(30)),
+        resume,
+        persist: chain,
+        cancel: None,
+    };
+    let backend_for = |_| resolve_backend(&args.backend, args.threads, args.telemetry);
+    match solve_resilient(sys, args.ranks, cfg, backend_for, &opts) {
+        Ok(report) => {
+            if report.attempts.len() > 1 || !report.fault_events.is_empty() {
+                println!(
+                    "recovery: {} attempt(s), {} fault(s) injected, {} restore(s), \
+                     {} degradation(s), finished on {} rank(s)",
+                    report.attempts.len(),
+                    report.fault_events.len(),
+                    report.telemetry.checkpoint_restores,
+                    report.telemetry.degradations,
+                    report.final_ranks
+                );
+            }
+            report.solution
+        }
+        Err(e) => {
+            eprintln!("resilient solve failed: {e}");
+            exit(1)
         }
     }
-    solver.finish(state)
 }
 
 /// Print the per-kernel table of a `--telemetry` run and write its report
@@ -644,6 +697,23 @@ fn main() {
     } else {
         LsqrConfig::fixed_iterations(args.iterations)
     };
+    // Every input is checked before anything is generated, loaded or
+    // written.
+    let Some(layout) = SystemLayout::preset(&args.preset) else {
+        eprintln!("unknown preset {}", args.preset);
+        usage(USAGE)
+    };
+    if let Err(e) = cfg.validate() {
+        eprintln!("--iterations {}: {e}", args.iterations);
+        exit(2)
+    }
+    for (flag, why, excluded) in CONFLICTS.iter().filter(|c| args.given(c.0)) {
+        if let Some(other) = excluded.split(' ').find(|o| args.given(o)) {
+            eprintln!("{flag} {why}; it cannot be combined with {other}");
+            exit(2)
+        }
+    }
+    let backend = resolve_backend(&args.backend, args.threads, args.telemetry);
     if args.telemetry {
         if !gaia_avugsr::telemetry::is_enabled() {
             eprintln!(
@@ -653,10 +723,12 @@ fn main() {
         }
         gaia_avugsr::telemetry::reset();
     }
-    let (solution, solver_label) = if args.tiles.is_some() {
-        (run_tiled(&args, &cfg), "lsqr-tiled")
-    } else {
-        run_resident(&args, &cfg)
+    let (solution, solver_label) = match &args.tiles {
+        Some(dir) => (
+            run_tiled(&args, &cfg, layout, dir, backend.as_ref()),
+            "lsqr-tiled",
+        ),
+        None => run_resident(&args, &cfg, layout, backend.as_ref()),
     };
 
     println!(
@@ -696,115 +768,4 @@ fn main() {
             }
         }
     }
-}
-
-/// The in-memory path: load or synthesize the system, then solve it on
-/// the resilient supervisor, on simulated ranks, with LSMR, or with LSQR.
-/// Returns the solution and its label in the run report.
-fn run_resident(args: &Args, cfg: &LsqrConfig) -> (Solution, &'static str) {
-    // LSMR has no resumable state, so nothing that checkpoints or
-    // restarts a solve can run it.
-    if args.lsmr
-        && (args.ranks > 1
-            || args.checkpoint.is_some()
-            || args.checkpoint_every > 0
-            || args.chaos_seed.is_some()
-            || args.max_retries.is_some())
-    {
-        eprintln!(
-            "--lsmr runs a single-rank solve without resumable state; it cannot \
-             be combined with --ranks, --checkpoint, --checkpoint-every, \
-             --chaos-seed, or --max-retries"
-        );
-        exit(2)
-    }
-    // Obtain the system: load a dataset or synthesize one, as in the
-    // artifact ("it randomly generates, given a certain seed, a dataset
-    // with the specified size").
-    let sys = match &args.dataset {
-        Some(path) => match io::load_system(path) {
-            Ok(sys) => {
-                println!("loaded dataset {} ({} rows)", path.display(), sys.n_rows());
-                sys
-            }
-            Err(e) => {
-                eprintln!("cannot load dataset: {e}");
-                exit(1)
-            }
-        },
-        None => {
-            let Some(layout) = SystemLayout::preset(&args.preset) else {
-                eprintln!("unknown preset {}", args.preset);
-                usage()
-            };
-            Generator::new(
-                GeneratorConfig::new(layout)
-                    .seed(args.seed)
-                    .rhs(Rhs::FromTrueSolution { noise_sigma: 1e-8 }),
-            )
-            .generate()
-        }
-    };
-    println!(
-        "system: {} rows x {} cols ({} stars)",
-        sys.n_rows(),
-        sys.n_cols(),
-        sys.layout().n_stars
-    );
-
-    if let Some(path) = &args.save_dataset {
-        match io::save_system(&sys, path) {
-            Ok(()) => println!("dataset saved to {}", path.display()),
-            Err(e) => {
-                eprintln!("cannot save dataset: {e}");
-                exit(1)
-            }
-        }
-    }
-
-    // The resilient supervisor takes over whenever fault tolerance is
-    // asked for: chaos injection, a retry budget, or distributed
-    // checkpointing. Plain runs keep the original paths.
-    if args.chaos_seed.is_some()
-        || args.max_retries.is_some()
-        || (args.ranks > 1 && (args.checkpoint_every > 0 || args.checkpoint.is_some()))
-    {
-        return (run_resilient(&sys, cfg, args), "lsqr-resilient");
-    }
-    // Under --telemetry, wrap the backend so whole-call aprod1/aprod2
-    // cells are recorded alongside the per-block kernel cells.
-    let lookup = if args.telemetry {
-        instrumented_by_name
-    } else {
-        backend_by_name
-    };
-    let Some(backend) = lookup(&args.backend, args.threads) else {
-        eprintln!("unknown backend {} (try --list-backends)", args.backend);
-        exit(1)
-    };
-    if args.ranks > 1 {
-        println!(
-            "distributed solve on {} ranks, backend: {} ({} threads per rank)",
-            args.ranks,
-            backend.name(),
-            args.threads
-        );
-        let solution = solve_hybrid(&sys, args.ranks, cfg, |_| {
-            lookup(&args.backend, args.threads).expect("validated above")
-        });
-        return (solution, "lsqr-distributed");
-    }
-    if args.lsmr {
-        println!(
-            "solver: LSMR, backend: {} ({} threads)",
-            backend.name(),
-            args.threads
-        );
-        return (solve_lsmr(&sys, &backend, cfg), "lsmr");
-    }
-    println!("backend: {} ({} threads)", backend.name(), args.threads);
-    (
-        run_lsqr(SystemOperator::new(&sys, &backend), cfg, args),
-        "lsqr",
-    )
 }

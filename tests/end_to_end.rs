@@ -161,15 +161,16 @@ fn solvergaia_refuses_an_old_spill_directory_and_leaves_it_untouched() {
 }
 
 /// A checkpoint in the JSON envelope of earlier versions (every `f64` as
-/// its `u64` bits, the shape of the `tiny` preset) is refused by the one
-/// container reader: exit 1 with the `--force-fresh` hint, and the file
-/// is left as it was rather than overwritten by a fresh run.
+/// its `u64` bits, the shape of the `tiny` preset), found as the newest
+/// snapshot of the `--checkpoint` chain, is refused by the one container
+/// reader: exit 1 with the `--force-fresh` hint, and the file is left as
+/// it was rather than overwritten by a fresh run.
 #[test]
 fn solvergaia_refuses_a_json_checkpoint_and_leaves_it_untouched() {
     let dir = std::env::temp_dir().join(format!("gaia-cli-json-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("run.ckpt");
+    let path = dir.join("run.ckpt.00000002.ckpt");
     let bits = |n: usize| format!("[{}]", vec![0.5f64.to_bits().to_string(); n].join(","));
     let (x, u, scalars) = (bits(63), bits(99), bits(16));
     let json = format!(
@@ -180,7 +181,7 @@ fn solvergaia_refuses_a_json_checkpoint_and_leaves_it_untouched() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_solvergaia"))
         .args(["--preset", "tiny", "--iterations", "4", "--backend", "seq"])
         .arg("--checkpoint")
-        .arg(&path)
+        .arg(dir.join("run.ckpt"))
         .output()
         .expect("run solvergaia");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
@@ -230,72 +231,197 @@ fn solvergaia_tiled_telemetry_writes_a_run_report() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A run stopped at its iteration limit resumes from its checkpoint under
-/// a larger `--iterations` and goes on: 5 iterations, then 10 from the
-/// checkpoint, print the same residual as 10 without a break — resident
-/// and out-of-core alike.
+/// Run `solvergaia` on the `tiny` preset, seed 0, with the `seq` backend
+/// and `args`; it must exit 0. Returns its `|r|` line and its stdout.
+fn solvergaia_tiny(args: &[&std::ffi::OsStr]) -> (String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_solvergaia"))
+        .args(["--preset", "tiny", "--seed", "0", "--backend", "seq"])
+        .args(args)
+        .output()
+        .expect("run solvergaia");
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let line = stdout.lines().find(|l| l.starts_with("|r| = "));
+    let line = line.unwrap_or_else(|| panic!("no |r| line in {stdout}"));
+    (line.to_owned(), stdout)
+}
+
+/// Whether `stdout` reports a resume from the chain at `iteration`.
+fn resumed_at(stdout: &str, iteration: usize) -> bool {
+    stdout.lines().any(|l| {
+        l.starts_with("resumed from ") && l.ends_with(&format!(" at iteration {iteration}"))
+    })
+}
+
+/// A run stopped at its iteration limit resumes from its checkpoint chain
+/// under a larger `--iterations` and goes on: 5 iterations, then 10 from
+/// the snapshot taken at the stop, print the same residual as 10 without a
+/// break — resident, out-of-core and on two ranks alike.
 #[test]
 fn solvergaia_extends_a_checkpointed_run_to_a_larger_iteration_limit() {
     let root = std::env::temp_dir().join(format!("gaia-cli-extend-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).unwrap();
-    let residual = |iterations: &str, extra: &[&std::ffi::OsStr]| -> String {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_solvergaia"))
-            .args([
-                "--preset",
-                "tiny",
-                "--seed",
-                "0",
-                "--backend",
-                "seq",
-                "--iterations",
-                iterations,
-            ])
-            .args(extra)
-            .output()
-            .expect("run solvergaia");
-        assert_eq!(out.status.code(), Some(0), "{out:?}");
-        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-        let line = stdout.lines().find(|l| l.starts_with("|r| = "));
-        line.unwrap_or_else(|| panic!("no |r| line in {stdout}"))
-            .to_owned()
-    };
-    for tiles in [None, Some(root.join("spill"))] {
-        let ckpt = root.join(format!("ck-{}.json", tiles.is_some()));
-        let mut extra = vec![std::ffi::OsStr::new("--checkpoint"), ckpt.as_os_str()];
-        if let Some(dir) = &tiles {
-            extra.extend([std::ffi::OsStr::new("--tiles"), dir.as_os_str()]);
-        }
-        let straight = residual("10", &extra[2..]);
-        assert!(straight.contains("3.493954e-1"), "{straight}");
-        let first = residual("5", &extra);
+    let spill = root.join("spill");
+    let cases: [(&str, &[&std::ffi::OsStr]); 3] = [
+        ("resident", &[]),
+        ("tiles", &["--tiles".as_ref(), spill.as_os_str()]),
+        ("ranks", &["--ranks".as_ref(), "2".as_ref()]),
+    ];
+    for (case, extra) in cases {
+        let ckpt = root.join(format!("ck-{case}"));
+        let run = |iterations: &str, chain: bool| {
+            let mut args = vec!["--iterations".as_ref(), iterations.as_ref()];
+            if chain {
+                args.extend(["--checkpoint".as_ref(), ckpt.as_os_str()]);
+            }
+            args.extend(extra);
+            solvergaia_tiny(&args)
+        };
+        let (straight, _) = run("10", false);
+        assert!(straight.contains("3.493954e-1"), "{case}: {straight}");
+        let (first, _) = run("5", true);
         assert_ne!(
             first, straight,
             "5 iterations must not reach the 10-iteration residual"
         );
-        let extended = residual("10", &extra);
-        assert_eq!(extended, straight, "tiles: {tiles:?}");
+        let (extended, stdout) = run("10", true);
+        assert!(resumed_at(&stdout, 5), "{case}: {stdout}");
+        assert_eq!(extended, straight, "{case}");
     }
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A job killed after iteration 15 leaves the chain's snapshots up to 15:
+/// the rerun resumes from the newest of them and ends on the residual of
+/// an uninterrupted run.
+#[test]
+fn solvergaia_resumes_a_killed_run_from_the_chains_newest_snapshot() {
+    let dir = std::env::temp_dir().join(format!("gaia-cli-killed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("run");
+    let chain = ["--checkpoint".as_ref(), ckpt.as_os_str()];
+    let every = ["--checkpoint-every".as_ref(), "5".as_ref()];
+    solvergaia_tiny(
+        &[
+            &["--iterations".as_ref(), "20".as_ref()],
+            &chain[..],
+            &every[..],
+        ]
+        .concat(),
+    );
+    let kept = dir.join("run.00000015.ckpt");
+    assert!(kept.exists(), "no iteration-15 snapshot");
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path != kept {
+            std::fs::remove_file(path).unwrap();
+        }
+    }
+    let thirty = ["--iterations".as_ref(), "30".as_ref()];
+    let (resumed, stdout) = solvergaia_tiny(&[&thirty[..], &chain[..]].concat());
+    assert!(resumed_at(&stdout, 15), "{stdout}");
+    assert_eq!(resumed, solvergaia_tiny(&thirty).0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A chain written on two ranks resumes on one, and one written on one
+/// rank resumes on two: every LSQR engine writes and reads the same
+/// snapshots of the whole system's state.
+#[test]
+fn solvergaia_resumes_a_chain_on_another_rank_count() {
+    let dir = std::env::temp_dir().join(format!("gaia-cli-cross-rank-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (writer, reader) in [("2", "1"), ("1", "2")] {
+        let ckpt = dir.join(format!("from-{writer}"));
+        let chain = ["--checkpoint".as_ref(), ckpt.as_os_str()];
+        let ranks = |n: &'static str| ["--ranks".as_ref(), n.as_ref()];
+        let ten = [
+            "--iterations".as_ref(),
+            "10".as_ref(),
+            "--checkpoint-every".as_ref(),
+            "5".as_ref(),
+        ];
+        solvergaia_tiny(&[&ten[..], &chain[..], &ranks(writer)[..]].concat());
+        let fifteen = ["--iterations".as_ref(), "15".as_ref()];
+        let (resumed, stdout) =
+            solvergaia_tiny(&[&fifteen[..], &chain[..], &ranks(reader)[..]].concat());
+        assert!(resumed_at(&stdout, 10), "{writer} -> {reader}: {stdout}");
+        let (straight, _) = solvergaia_tiny(&[&fifteen[..], &ranks(reader)[..]].concat());
+        assert_eq!(resumed, straight, "{writer} -> {reader}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every input is checked before anything is written: `--iterations 0`
+/// exits 2 naming the flag, and an unknown backend exits 1 before
+/// `--save-dataset` writes its file or `--tiles` streams into a new
+/// directory.
+#[test]
+fn solvergaia_checks_every_input_before_writing_anything() {
+    let dir = std::env::temp_dir().join(format!("gaia-cli-validate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |args: &[&std::ffi::OsStr]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_solvergaia"))
+            .args(["--preset", "tiny"])
+            .args(args)
+            .output()
+            .expect("run solvergaia")
+    };
+    let out = run(&["--iterations".as_ref(), "0".as_ref()]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--iterations"),
+        "{out:?}"
+    );
+
+    let (dataset, tiles) = (dir.join("saved.gavu"), dir.join("spill"));
+    let bogus: [&std::ffi::OsStr; 2] = ["--backend".as_ref(), "bogus".as_ref()];
+    for (flag, path) in [("--save-dataset", &dataset), ("--tiles", &tiles)] {
+        let out = run(&[bogus[0], bogus[1], flag.as_ref(), path.as_os_str()]);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown backend bogus"));
+        assert!(!path.exists(), "{flag}: {} was written", path.display());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// More ranks than the system has stars goes through the supervisor like
+/// any other rank count: the world is refused, and the run finishes on
+/// fewer ranks.
+#[test]
+fn solvergaia_degrades_more_ranks_than_stars() {
+    let (_, stdout) = solvergaia_tiny(&[
+        "--ranks".as_ref(),
+        "7".as_ref(),
+        "--iterations".as_ref(),
+        "5".as_ref(),
+    ]);
+    assert!(stdout.contains("finished on 3 rank(s)"), "{stdout}");
 }
 
 /// `--ranks N` runs the backend `--backend` names on every rank, under
 /// `--telemetry` wrapped like a single-rank solve: an unknown name exits
 /// 1, and `atomic` is named in the output and, with the probes compiled
-/// in, records atomic updates and whole-pass call cells.
+/// in, records atomic updates and whole-pass call cells, with periodic
+/// checkpoints or without.
 #[test]
 fn solvergaia_ranks_run_the_named_backend() {
     let results = std::env::temp_dir().join(format!("gaia-cli-ranks-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&results);
-    let run = |backend: &str| {
+    let run = |backend: &str, extra: &[&str]| {
         std::process::Command::new(env!("CARGO_BIN_EXE_solvergaia"))
             .args(["--preset", "tiny", "--iterations", "3", "--ranks", "2"])
             .args(["--threads", "2", "--telemetry", "--backend", backend])
+            .args(extra)
             .env("GAIA_RESULTS_DIR", &results)
             .output()
             .expect("run solvergaia")
     };
-    let out = run("no-such-backend");
+    let out = run("no-such-backend", &[]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -303,26 +429,33 @@ fn solvergaia_ranks_run_the_named_backend() {
         "{stderr}"
     );
 
-    let out = run("atomic");
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("distributed solve on 2 ranks, backend: atomic-t2"),
-        "{stdout}"
-    );
-    let text = std::fs::read_to_string(results.join("telemetry").join("solvergaia.json"))
-        .expect("run report");
-    let report: serde_json::Value = serde_json::from_str(&text).expect("report parses");
-    assert_eq!(report["solver"].as_str(), Some("lsqr-distributed"));
-    let telemetry = &report["telemetry"];
-    if telemetry["enabled"].as_bool() == Some(true) {
-        let kernels = telemetry["kernels"].as_array().expect("kernel cells");
+    // Checkpointing or not, the run goes through the supervisor, and
+    // every rank's backend is wrapped.
+    for extra in [&[][..], &["--checkpoint-every", "2"]] {
+        let out = run("atomic", extra);
+        assert_eq!(out.status.code(), Some(0), "{extra:?}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(
-            kernels.iter().any(|k| k["atomic_rmws"].as_u64() > Some(0)),
-            "no atomic updates: {kernels:?}"
+            stdout.contains("distributed solve on 2 ranks, backend: atomic-t2"),
+            "{stdout}"
         );
-        let calls = telemetry["calls"].as_array().expect("call cells");
-        assert!(!calls.is_empty(), "the backend was not instrumented");
+        let text = std::fs::read_to_string(results.join("telemetry").join("solvergaia.json"))
+            .expect("run report");
+        let report: serde_json::Value = serde_json::from_str(&text).expect("report parses");
+        assert_eq!(report["solver"].as_str(), Some("lsqr-distributed"));
+        let telemetry = &report["telemetry"];
+        if telemetry["enabled"].as_bool() == Some(true) {
+            let kernels = telemetry["kernels"].as_array().expect("kernel cells");
+            assert!(
+                kernels.iter().any(|k| k["atomic_rmws"].as_u64() > Some(0)),
+                "{extra:?}: no atomic updates: {kernels:?}"
+            );
+            let calls = telemetry["calls"].as_array().expect("call cells");
+            assert!(
+                !calls.is_empty(),
+                "{extra:?}: the backend was not instrumented"
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&results);
 }
