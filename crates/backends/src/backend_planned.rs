@@ -2,9 +2,11 @@
 //!
 //! The paper carries one solver source across frameworks that differ only
 //! in launch configuration — tuning, atomics code generation, streams.
-//! Here that difference is data: every registry policy except `seq` and
-//! `rayon` is a [`PlannedBackend`] over a different [`LaunchPlan`] (see the
-//! table in [`crate::registry`]). Two policies add data on top of the plan:
+//! Here that difference is data: every registry policy except `seq`, the
+//! oracle, is a [`PlannedBackend`] over a different [`LaunchPlan`] (see the
+//! table in [`crate::registry`]); `rayon`, the untunable C++ PSTL analogue,
+//! is `replicated`'s plan with its chunking frozen by its row. Two
+//! policies add data on top of the plan:
 //!
 //! * `tiled` runs the plan on star-aligned [`SparseSystem::row_block`]
 //!   views, one tile at a time — the traversal the out-of-core
@@ -97,6 +99,12 @@ impl PlannedBackend {
         gaia_telemetry::record(|t| t.tune.profiles_rejected += rejected);
         self.shape_plans = Some(plans);
         self
+    }
+
+    /// The shared pool this backend launches on.
+    #[cfg(test)]
+    pub(crate) fn pool(&self) -> &ExecutorPool {
+        &self.pool
     }
 
     /// How many profiles were handed over and lowered to a sound plan.

@@ -356,7 +356,7 @@ impl LaunchPlan {
                     Stream::Glob => return 1,
                 };
                 // Saturating: a pathological `chunks_per_thread` must clamp
-                // to the work count, not overflow (see Tuning::effective_chunks).
+                // to the work count, not overflow (see Tuning::chunk_count).
                 workers
                     .saturating_mul(self.tuning.chunks_per_thread)
                     .clamp(1, work.max(1))

@@ -18,16 +18,17 @@
 //! | `casloop` | compilers that emit CAS loops instead of RMW (§V-B, MI250X discussion) | as `atomic`, publishing with SeqCst compare-and-swap retry loops |
 //! | `replicated` | privatization + reduction | per-chunk buffers kept across a barrier, summed in fixed order in a second wave |
 //! | `striped` | lock-based fallback | striped mutexes |
-//! | `rayon` | C++ PSTL (tuning-oblivious runtime) | star-chunk split + fold/reduce |
+//! | `rayon` | C++ PSTL (the runtime picks the chunking; only the thread count is set) | as `replicated`, frozen at 4 chunks per thread: a `-t` suffix and no `-c` |
 //! | `streamed` | CUDA streams overlapping the four `aprod2` kernels | disjoint block sections on concurrent threads |
 //! | `hybrid` | the production composition: per-block strategy mix in streams | star-chunks + privatized attitude + owner-computes instrumental |
 //! | `unrolled` / `blocked` / `ell` | aliases of `chunked`, kept for the names of a deleted kernel-interior axis and of the deleted slot-major (ELL) value layout | as `chunked` |
 //! | `tiled` | the out-of-core launch shape, one row tile at a time | as `chunked` |
 //! | `tuned` | the launch configuration pinned per platform after the §V-B search | whatever the persisted profile for the system's shape says; `atomic`'s where none does |
 //!
-//! Every name but `seq` ([`SeqBackend`]) and `rayon` ([`RayonBackend`]) is
-//! one [`PlannedBackend`] over the [`LaunchPlan`] in its row of the
-//! [`registry`] table; [`backend_by_name`] builds them.
+//! Every name but `seq` ([`SeqBackend`], the oracle) is one
+//! [`PlannedBackend`] over the [`LaunchPlan`] in its row of the
+//! [`registry`] table, run on the shared [`ExecutorPool`];
+//! [`backend_by_name`] builds them.
 //!
 //! All backends implement [`Backend`] and are validated against each other
 //! and against a dense oracle; the astrometric part of `aprod2` is always
@@ -51,14 +52,10 @@ pub mod registry;
 pub mod traits;
 pub mod tuning;
 
-mod backend_csr;
 mod backend_planned;
-mod backend_rayon;
 mod backend_seq;
 
-pub use backend_csr::CsrBackend;
 pub use backend_planned::PlannedBackend;
-pub use backend_rayon::RayonBackend;
 pub use backend_seq::SeqBackend;
 pub use chaos::{ChaosBackend, ChaosMode, ChaosTarget};
 pub use exec::ExecutorPool;

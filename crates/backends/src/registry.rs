@@ -2,7 +2,9 @@
 //! harness selects a framework per run.
 //!
 //! Names follow the grammar `<policy>[-t<threads>[-c<chunks>]]`, e.g.
-//! `chunked`, `atomic-t8`, `striped-t4-c2`. Tuned names — exactly what
+//! `chunked`, `atomic-t8`, `striped-t4-c2`; the `-c` suffix exists only
+//! on rows whose plan takes its chunking from it, so `seq` and `rayon`
+//! take `-t` alone. Tuned names — exactly what
 //! [`crate::traits::Backend::name`] emits into telemetry reports — parse
 //! back to an equivalent backend, so every reported name round-trips.
 
@@ -12,7 +14,7 @@ use crate::instrumented::InstrumentedBackend;
 use crate::launch::{Aprod2Spec, Aprod2Strategy, LaunchPlan};
 use crate::traits::Backend;
 use crate::tuning::Tuning;
-use crate::{profile, PlannedBackend, RayonBackend, SeqBackend};
+use crate::{profile, PlannedBackend, SeqBackend};
 
 /// A plan column: the launch plan a policy lowers to at a given tuning.
 type PlanFn = fn(Tuning) -> LaunchPlan;
@@ -23,12 +25,22 @@ enum Build {
     Oblivious(fn() -> Box<dyn Backend>),
     /// A [`PlannedBackend`] over the plan.
     Plan(PlanFn),
+    /// The same, with a chunking the plan fixes itself: the name takes
+    /// `-t` but no `-c`, and emits none.
+    Frozen(PlanFn),
     /// The same, walked over star-aligned row tiles
     /// ([`PlannedBackend::with_tile_stars`], a quarter of the stars each).
     Tiled(PlanFn),
     /// The same, overridden per system shape by the persisted tuning
     /// profiles ([`PlannedBackend::with_profiles`]).
     Tuned(PlanFn),
+}
+
+impl Build {
+    /// Whether the row's plan takes its chunking from a `-c` suffix.
+    fn takes_chunks(&self) -> bool {
+        !matches!(self, Build::Oblivious(_) | Build::Frozen(_))
+    }
 }
 
 /// One registered strategy. Adding a plan-driven policy is one row.
@@ -101,10 +113,19 @@ static TABLE: [Row; 14] = [
             uniform(t, Aprod2Strategy::LockStriped { stripes })
         }),
     },
+    // C++ PSTL: the runtime picks the chunking and only the thread count
+    // is set from outside (§IV-e), so `replicated` with its split frozen
+    // at four chunks per thread and no `-c` to change it.
     Row {
         name: "rayon",
-        description: "parallel iterators on vendor/rayon: contiguous batches on scoped threads, no work stealing (C++ PSTL analogue)",
-        build: Build::Oblivious(|| Box::new(RayonBackend)),
+        description: "untunable replicated plan: per-chunk private buffers + reduction, frozen at 4 chunks per thread, -t sets only the thread count (C++ PSTL analogue)",
+        build: Build::Frozen(|t| {
+            let frozen = Tuning {
+                chunks_per_thread: 4,
+                ..t
+            };
+            uniform(frozen, Aprod2Strategy::Replicated)
+        }),
     },
     // CUDA streams (§IV): the four `aprod2` block kernels write disjoint
     // sections of x̃, so they launch together with per-stream worker shares.
@@ -166,18 +187,23 @@ pub fn backend_names() -> &'static [&'static str] {
     &NAMES
 }
 
-/// Names of the plan-driven policies: the ones that take a tuning.
+/// Names of the tunable policies: the ones that take a whole tuning,
+/// `-c` included.
 fn planned_names() -> impl Iterator<Item = &'static str> {
     TABLE
         .iter()
-        .filter(|row| !matches!(row.build, Build::Oblivious(_)))
+        .filter(|row| row.build.takes_chunks())
         .map(|row| row.name)
 }
 
 /// The canonical tuned name for a policy: `<policy>-t<threads>` with a
-/// `-c<chunks>` suffix only when `chunks_per_thread > 1`.
+/// `-c<chunks>` suffix only when `chunks_per_thread > 1` and the policy's
+/// row takes one.
 pub fn tuned_name(policy: &str, tuning: Tuning) -> String {
-    if tuning.chunks_per_thread > 1 {
+    let frozen = TABLE
+        .iter()
+        .any(|row| row.name == policy && !row.build.takes_chunks());
+    if tuning.chunks_per_thread > 1 && !frozen {
         format!("{policy}-t{}-c{}", tuning.threads, tuning.chunks_per_thread)
     } else {
         format!("{policy}-t{}", tuning.threads)
@@ -187,9 +213,10 @@ pub fn tuned_name(policy: &str, tuning: Tuning) -> String {
 /// Parse `<policy>[-t<threads>[-c<chunks>]]` into its table row and
 /// tuning; `threads` fills in for a missing `-t` suffix. Returns `None`
 /// for an unknown policy and for malformed suffixes: wrong marker, empty
-/// or non-numeric digits, trailing segments, and a zero — which the
-/// profile loader rejects too, and which would come back under the name
-/// of a different tuning if it were clamped.
+/// or non-numeric digits, trailing segments, a `-c` on a row that does
+/// not take one, and a zero — which the profile loader rejects too, and
+/// which would come back under the name of a different tuning if it were
+/// clamped.
 fn parse_name(name: &str, threads: usize) -> Option<(&'static Row, Tuning)> {
     fn count(seg: &str, marker: char) -> Option<usize> {
         seg.strip_prefix(marker)?.parse().ok().filter(|&n| n > 0)
@@ -201,6 +228,9 @@ fn parse_name(name: &str, threads: usize) -> Option<(&'static Row, Tuning)> {
     if let Some(seg) = parts.next() {
         tuning.threads = count(seg, 't')?;
         if let Some(seg) = parts.next() {
+            if !row.build.takes_chunks() {
+                return None;
+            }
             tuning.chunks_per_thread = count(seg, 'c')?;
             if parts.next().is_some() {
                 return None;
@@ -218,8 +248,8 @@ pub fn all_backends(threads: usize) -> Vec<Box<dyn Backend>> {
         .collect()
 }
 
-/// The full policy × tuning grid: every tuned (non-oblivious) policy at
-/// every `(threads, chunks_per_thread)` combination.
+/// The full policy × tuning grid: every tunable policy at every
+/// `(threads, chunks_per_thread)` combination.
 pub fn grid_backends(threads: &[usize], chunks_per_thread: &[usize]) -> Vec<Box<dyn Backend>> {
     let mut grid = Vec::new();
     for &t in threads {
@@ -240,38 +270,48 @@ pub fn grid_backends(threads: &[usize], chunks_per_thread: &[usize]) -> Vec<Box<
 }
 
 /// The one plan `name` always executes: `None` for an unknown name, for
-/// the tuning-oblivious engines, which have no plan, and for `tuned`,
-/// whose plan is chosen per system shape.
+/// `seq`, which has no plan, and for `tuned`, whose plan is chosen per
+/// system shape.
 pub fn fixed_plan(name: &str, threads: usize) -> Option<LaunchPlan> {
     let (row, tuning) = parse_name(name, threads)?;
     match row.build {
-        Build::Plan(plan) | Build::Tiled(plan) => Some(plan(tuning)),
+        Build::Plan(plan) | Build::Frozen(plan) | Build::Tiled(plan) => Some(plan(tuning)),
         Build::Oblivious(_) | Build::Tuned(_) => None,
     }
 }
 
+/// The [`PlannedBackend`] a row builds at `tuning`, its plan statically
+/// verified against the canonical shape battery first (see
+/// [`crate::plan_check`]): an unsound plan is a registry bug and panics
+/// with the checker's diagnostic rather than returning a backend that
+/// would race or drop output columns at solve time. `None` for `seq`.
+fn planned(row: &Row, tuning: Tuning) -> Option<PlannedBackend> {
+    let plan = match row.build {
+        Build::Oblivious(_) => return None,
+        Build::Plan(plan) | Build::Frozen(plan) | Build::Tiled(plan) | Build::Tuned(plan) => {
+            plan(tuning)
+        }
+    };
+    if let Err(e) = plan.analyze_canonical() {
+        let name = tuned_name(row.name, tuning);
+        panic!("registry produced an unsound launch plan for `{name}`: {e}");
+    }
+    let backend = PlannedBackend::new(row.name, row.description, plan);
+    Some(match row.build {
+        Build::Tiled(_) => backend.with_tile_stars(0),
+        Build::Tuned(_) => backend.with_profiles(&profile::load_profiles().0),
+        _ => backend,
+    })
+}
+
 /// Instantiate a backend by name. `threads` is the default thread budget,
-/// used when the name carries no `-t<threads>` suffix.
-///
-/// Every plan-driven backend's [`crate::LaunchPlan`] is statically
-/// verified against the canonical shape battery before it is handed out
-/// (see [`crate::plan_check`]); an unsound plan is a registry bug and
-/// panics with the checker's diagnostic rather than returning a backend
-/// that would race or drop output columns at solve time.
+/// used when the name carries no `-t<threads>` suffix. Every name but
+/// `seq` builds a [`PlannedBackend`] whose plan the checker has proven.
 pub fn backend_by_name(name: &str, threads: usize) -> Option<Box<dyn Backend>> {
     let (row, tuning) = parse_name(name, threads)?;
-    let planned = |plan: PlanFn| {
-        let plan = plan(tuning);
-        if let Err(e) = plan.analyze_canonical() {
-            panic!("registry produced an unsound launch plan for `{name}`: {e}");
-        }
-        PlannedBackend::new(row.name, row.description, plan)
-    };
     Some(match row.build {
         Build::Oblivious(build) => build(),
-        Build::Plan(plan) => Box::new(planned(plan)),
-        Build::Tiled(plan) => Box::new(planned(plan).with_tile_stars(0)),
-        Build::Tuned(plan) => Box::new(planned(plan).with_profiles(&profile::load_profiles().0)),
+        _ => Box::new(planned(row, tuning)?),
     })
 }
 
@@ -353,6 +393,10 @@ mod tests {
             // them, not clamped to a differently named backend.
             "chunked-t0",
             "chunked-t4-c0",
+            // Rows whose plan takes no chunking take no `-c`.
+            "rayon-t2-c3",
+            "rayon-t1-c4",
+            "seq-t2-c3",
         ] {
             assert!(backend_by_name(name, 2).is_none(), "{name}");
         }
@@ -450,12 +494,32 @@ mod tests {
             );
         }
         assert_eq!(fixed_plan("seq", 2), None);
-        assert_eq!(fixed_plan("rayon", 2), None);
+    }
+
+    /// `rayon` is `replicated` with its split frozen at four chunks per
+    /// thread: the thread count comes from `-t` alone, and its pool has
+    /// exactly that many lanes.
+    #[test]
+    fn rayon_is_replicated_frozen_at_four_chunks_per_thread() {
+        for t in [1usize, 3, 8] {
+            let frozen = fixed_plan(&format!("rayon-t{t}"), 2);
+            assert_eq!(
+                frozen,
+                fixed_plan(&format!("replicated-t{t}-c4"), 2),
+                "t={t}"
+            );
+        }
+        let b = backend_by_name("rayon-t1", 2).unwrap();
+        assert_eq!(b.name(), "rayon-t1");
+        assert_eq!(b.launch_plan().unwrap().tuning.threads, 1);
+        let (row, tuning) = parse_name("rayon-t1", 2).unwrap();
+        assert_eq!(planned(row, tuning).unwrap().pool().threads(), 1);
+        assert!(!planned_names().any(|name| name == "rayon"));
     }
 
     /// Every plan-driven backend the registry hands out must carry a plan
-    /// the static checker accepts — and every policy struct except seq /
-    /// rayon is plan-driven (including the alias names and the
+    /// the static checker accepts — and every name but seq is
+    /// plan-driven (including the alias names, the frozen `rayon` and the
     /// profile-driven `tuned` backend, whose default plan is checked here
     /// and whose per-shape profile plans are checked at load time).
     #[test]
@@ -469,7 +533,7 @@ mod tests {
                         .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
                 }
             }
-            assert_eq!(with_plan, planned_names().count(), "threads={threads}");
+            assert_eq!(with_plan, backend_names().len() - 1, "threads={threads}");
         }
         // Wrappers forward the inner plan.
         let wrapped = instrumented_by_name("hybrid", 3).unwrap();
@@ -486,7 +550,7 @@ mod tests {
         }
     }
 
-    /// Boundary audit for `Tuning::effective_chunks` across every tuned
+    /// Boundary audit for `Tuning::chunk_count` across every tunable
     /// policy: a registry `-c` suffix of `usize::MAX` used to overflow the
     /// raw `threads × chunks_per_thread` multiply (panic in debug, tiny
     /// wrapped chunk count in release); the saturating clamp must instead

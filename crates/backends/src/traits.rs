@@ -54,8 +54,8 @@ pub trait Backend: Send + Sync {
 
     /// The launch plan this backend executes, when it is plan-driven.
     /// Registry construction statically verifies the returned plan via
-    /// [`LaunchPlan::analyze_canonical`]; ad-hoc backends (sequential,
-    /// rayon, CSR) return `None` and skip the check.
+    /// [`LaunchPlan::analyze_canonical`]; `seq`, the oracle, and wrappers
+    /// around no plan return `None` and skip the check.
     fn launch_plan(&self) -> Option<LaunchPlan> {
         None
     }

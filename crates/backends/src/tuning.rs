@@ -4,8 +4,8 @@
 //! threads per block for each kernel, and the paper reports "up to 40 %
 //! reduction in iteration time" from such tuning (§V-B). The CPU analogue
 //! is the thread count and the row-chunk granularity, which [`Tuning`]
-//! captures. Backends that model tuning-oblivious frameworks (rayon / PSTL)
-//! ignore it.
+//! captures. `rayon`, the C++ PSTL analogue, takes only the thread count:
+//! its registry row fixes the chunking.
 
 /// Thread count and chunking for a backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,17 +37,12 @@ impl Tuning {
     }
 
     /// Total chunk count for a work size of `n` items (never exceeds `n`).
+    /// The raw budget is `threads × chunks_per_thread`, saturating — a
+    /// registry suffix like `-c18446744073709551615` must clamp to the
+    /// work count, not overflow (the old `*` panicked in debug builds and
+    /// wrapped to a tiny chunk count in release) — and the result always
+    /// lies in `1..=n.max(1)` so empty work still yields one (empty) chunk.
     pub fn chunk_count(&self, n: usize) -> usize {
-        self.effective_chunks(n)
-    }
-
-    /// The clamp behind [`Tuning::chunk_count`], spelled out: the raw
-    /// budget is `threads × chunks_per_thread`, saturating — a registry
-    /// suffix like `-c18446744073709551615` must clamp to the work count,
-    /// not overflow (the old `*` panicked in debug builds and wrapped to
-    /// a tiny chunk count in release) — and the result always lies in
-    /// `1..=n.max(1)` so empty work still yields one (empty) chunk.
-    pub fn effective_chunks(&self, n: usize) -> usize {
         self.threads
             .max(1)
             .saturating_mul(self.chunks_per_thread.max(1))
@@ -92,7 +87,7 @@ mod tests {
                     threads: t,
                     chunks_per_thread: c,
                 };
-                assert_eq!(tuning.effective_chunks(0), 1, "t={t} c={c}");
+                assert_eq!(tuning.chunk_count(0), 1, "t={t} c={c}");
             }
         }
         // n < threads: clamp to n.
@@ -100,23 +95,21 @@ mod tests {
             threads: 16,
             chunks_per_thread: 1,
         };
-        assert_eq!(t.effective_chunks(5), 5);
-        assert_eq!(t.effective_chunks(1), 1);
+        assert_eq!(t.chunk_count(5), 5);
+        assert_eq!(t.chunk_count(1), 1);
         // Huge chunks_per_thread: saturate, then clamp to the work count
         // (the old unchecked multiply overflowed here).
         let huge = Tuning {
             threads: 8,
             chunks_per_thread: usize::MAX,
         };
-        assert_eq!(huge.effective_chunks(1000), 1000);
-        assert_eq!(huge.effective_chunks(1), 1);
+        assert_eq!(huge.chunk_count(1000), 1000);
+        assert_eq!(huge.chunk_count(1), 1);
         // Degenerate zero fields behave like 1.
         let zeroed = Tuning {
             threads: 0,
             chunks_per_thread: 0,
         };
-        assert_eq!(zeroed.effective_chunks(10), 1);
-        // chunk_count stays an alias of effective_chunks.
-        assert_eq!(huge.chunk_count(42), huge.effective_chunks(42));
+        assert_eq!(zeroed.chunk_count(10), 1);
     }
 }

@@ -27,15 +27,16 @@ fn layouts() -> impl Strategy<Value = SystemLayout> {
         .prop_filter("overdetermined", |l| l.validate().is_ok())
 }
 
-/// The plan-driven policies — every registry name whose backend carries a
-/// launch plan, so a new table row enters the sweep without being listed —
-/// and the (threads, chunks_per_thread) grid the sweep covers. This is the
-/// one matches-seq test for all of them.
+/// The tunable policies — every registry name that takes a `-c` suffix,
+/// so a new table row enters the sweep without being listed — and the
+/// (threads, chunks_per_thread) grid the sweep covers. This is the one
+/// matches-seq test for all of them; `rayon`, which takes no `-c`, is
+/// `replicated-t<T>-c4` by its row.
 static POLICIES: LazyLock<Vec<&'static str>> = LazyLock::new(|| {
     backend_names()
         .iter()
         .copied()
-        .filter(|n| backend_by_name(n, 1).is_some_and(|b| b.launch_plan().is_some()))
+        .filter(|n| backend_by_name(&format!("{n}-t1-c1"), 1).is_some())
         .collect()
 });
 const THREAD_GRID: &[usize] = &[1, 3, 8];

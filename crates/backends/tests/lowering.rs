@@ -47,7 +47,7 @@ fn each_launch_runs_the_waves_and_jobs_of_its_list() {
     let systems = [system(7, 5), parent.row_block(4..13, true).system, parent];
     for threads in [1usize, 2, 3, 8] {
         let plans = registry_plans(threads);
-        assert_eq!(plans.len(), 12, "every name but seq and rayon has a plan");
+        assert_eq!(plans.len(), 13, "every name but seq has a plan");
         let pool = ExecutorPool::new(threads);
         for (name, plan) in &plans {
             for sys in &systems {

@@ -50,9 +50,9 @@ pub fn run(_: gaia_bench::Flags) {
     }
     println!("host parallelism {max_threads}: thread budgets {budgets:?}\n");
 
-    // rayon's global pool is fixed at startup, so the tuning-oblivious
-    // backend (like PSTL) uses whatever the runtime decides — we still
-    // record it per budget, which is exactly its handicap in this study.
+    // `rayon` stands for PSTL: it takes the budget's thread count, but its
+    // chunking is frozen by its registry row, which is exactly its
+    // handicap in this study.
     let strategies = [
         "seq",
         "chunked",

@@ -63,21 +63,24 @@ pub fn run(_: gaia_bench::Flags) {
     );
 
     // Measured counterpart on this machine's CPU: structured storage vs a
-    // real CSR mirror, same matrix, same kernels-per-iteration budget.
-    use gaia_backends::{Backend, CsrBackend, SeqBackend};
-    use gaia_sparse::{Generator, GeneratorConfig};
+    // real CSR mirror, same matrix, one thread each, aprod1 alone.
+    use gaia_backends::{Backend, SeqBackend};
     use gaia_bench::stats::{interleaved, ROUNDS};
+    use gaia_sparse::csr::CsrMatrix;
+    use gaia_sparse::{Generator, GeneratorConfig};
     let small = SystemLayout::medium();
     let sys = Generator::new(GeneratorConfig::new(small).seed(3)).generate();
-    let csr = CsrBackend::for_system(&sys, 1);
+    let csr = CsrMatrix::from_system(&sys);
     let x: Vec<f64> = (0..sys.n_cols()).map(|i| (i as f64 * 0.01).sin()).collect();
     let mut out = vec![0.0f64; sys.n_rows()];
     // Both layouts' aprod1 timed as one batch; each round runs 20 calls.
     let reps = 20;
-    let backends: [&dyn Backend; 2] = [&SeqBackend, &csr];
     let times = interleaved(2, ROUNDS, |i| {
         for _ in 0..reps {
-            backends[i].aprod1(&sys, &x, &mut out);
+            match i {
+                0 => SeqBackend.aprod1(&sys, &x, &mut out),
+                _ => csr.spmv_range(&x, 0..sys.n_rows(), &mut out),
+            }
         }
     });
     let (t_structured, t_csr) = (times[0].per(reps).median_s, times[1].per(reps).median_s);

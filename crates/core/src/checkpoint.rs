@@ -503,9 +503,12 @@ impl CheckpointRotation {
     /// resume that must continue from where the chain ends refuses a
     /// corrupt newest snapshot instead of falling back past it, as
     /// [`CheckpointRotation::latest`] does. `None` for an empty chain.
+    /// The error does not name the file: its path comes back beside it.
     pub fn newest(&self) -> Option<(std::path::PathBuf, Result<Checkpoint, CheckpointError>)> {
         let (_, path) = self.slots().pop()?;
-        let ckpt = Checkpoint::load(&path);
+        let ckpt = std::fs::read(&path)
+            .map_err(CheckpointError::from)
+            .and_then(|bytes| Checkpoint::decode(&bytes));
         Some((path, ckpt))
     }
 

@@ -42,7 +42,7 @@ use gaia_sparse::SparseSystem;
 use gaia_telemetry::ResilienceCell;
 
 use crate::cancel::CancellationToken;
-use crate::checkpoint::{Checkpoint, CheckpointRotation};
+use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointRotation};
 use crate::config::LsqrConfig;
 use crate::distributed::{try_solve_hybrid, DistOptions};
 use crate::lsqr::{Lsqr, LsqrState, OperatorLsqr};
@@ -172,6 +172,10 @@ pub struct RecoveryReport {
     pub telemetry: ResilienceCell,
     /// Every injected fault, from the plan's event log.
     pub fault_events: Vec<FaultEvent>,
+    /// Every periodic snapshot [`ResilienceOptions::persist`] failed to
+    /// write, in order. Persistence is best-effort, so these never fail
+    /// the solve; the caller decides how loudly to say so.
+    pub checkpoint_errors: Vec<CheckpointError>,
 }
 
 /// The supervisor ran out of options under [`OnUnrecoverable::Fail`].
@@ -228,9 +232,10 @@ pub fn jittered_backoff(base: Duration, cap: Duration, retry_index: u32, seed: u
 
 const RESIDENT: &str = "resident operator cannot fail";
 
-fn lock_state(slot: &Mutex<Option<LsqrState>>) -> std::sync::MutexGuard<'_, Option<LsqrState>> {
+fn lock<T>(slot: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     // A rank that panics while rank 0 holds the sink lock poisons it;
-    // the stored state is always a complete snapshot, so keep using it.
+    // the stored value is always complete (a whole snapshot, a whole
+    // error), so keep using it.
     slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
@@ -254,13 +259,17 @@ where
     }
     let policy = opts.policy;
     let last_good: Mutex<Option<LsqrState>> = Mutex::new(opts.resume.clone());
+    let write_errors: Mutex<Vec<CheckpointError>> = Mutex::new(Vec::new());
     let sink = |st: &LsqrState| {
         if let Some(rot) = opts.persist {
             // Persistence is best-effort: losing a disk snapshot costs
-            // process-death recovery, not rank-death recovery.
-            let _ = rot.save(st.itn, &Checkpoint::capture(sys, config, st));
+            // process-death recovery, not rank-death recovery. The error
+            // goes back to the caller in the report.
+            if let Err(e) = rot.save(st.itn, &Checkpoint::capture(sys, config, st)) {
+                lock(&write_errors).push(e);
+            }
         }
-        *lock_state(&last_good) = Some(st.clone());
+        *lock(&last_good) = Some(st.clone());
     };
 
     let mut attempts: Vec<AttemptRecord> = Vec::new();
@@ -276,7 +285,7 @@ where
         // Cancelled partial solve instead of burning another attempt.
         if opts.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
             let solver = Lsqr::new(sys, &SeqBackend, *config);
-            let mut st = lock_state(&last_good)
+            let mut st = lock(&last_good)
                 .clone()
                 .unwrap_or_else(|| solver.init_state());
             st.stopped = Some(StopReason::Cancelled);
@@ -288,12 +297,13 @@ where
                 cell,
                 recovery_seconds,
                 opts.faults.as_deref(),
+                std::mem::take(&mut *lock(&write_errors)),
             ));
         }
         if let Some(plan) = &opts.faults {
             plan.set_attempt(attempt_no);
         }
-        let resume = lock_state(&last_good).clone();
+        let resume = lock(&last_good).clone();
         let resumed_from = resume.as_ref().map(|s| s.itn);
         let dist = DistOptions {
             world: WorldOptions {
@@ -327,6 +337,7 @@ where
                     cell,
                     recovery_seconds,
                     opts.faults.as_deref(),
+                    std::mem::take(&mut *lock(&write_errors)),
                 ));
             }
             Ok(sol) => {
@@ -369,7 +380,7 @@ where
             let retry_index = (policy.max_retries - retries_left) as u32;
             retries_left -= 1;
             cell.retries += 1;
-            if lock_state(&last_good).is_some() {
+            if lock(&last_good).is_some() {
                 cell.checkpoint_restores += 1;
             }
             let pause = jittered_backoff(
@@ -407,7 +418,7 @@ where
                 // backend — no simulated world, so nothing left to kill.
                 cell.degradations += 1;
                 attempt_no += 1;
-                let resume = lock_state(&last_good).clone();
+                let resume = lock(&last_good).clone();
                 let resumed_from = resume.as_ref().map(|s| s.itn);
                 if resume.is_some() {
                     cell.checkpoint_restores += 1;
@@ -438,6 +449,7 @@ where
                     cell,
                     recovery_seconds,
                     opts.faults.as_deref(),
+                    std::mem::take(&mut *lock(&write_errors)),
                 ));
             }
         }
@@ -453,6 +465,7 @@ fn finalize(
     mut cell: ResilienceCell,
     recovery_seconds: f64,
     plan: Option<&FaultPlan>,
+    checkpoint_errors: Vec<CheckpointError>,
 ) -> RecoveryReport {
     let fault_events = record_on_failure(&mut cell, recovery_seconds, plan);
     RecoveryReport {
@@ -461,6 +474,7 @@ fn finalize(
         attempts,
         telemetry: cell,
         fault_events,
+        checkpoint_errors,
     }
 }
 

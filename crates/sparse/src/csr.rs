@@ -5,8 +5,9 @@
 //! column indices with two per-row indices for 17 of its 24 entries,
 //! which is both a memory and a bandwidth saving over CSR. This module
 //! materializes the CSR form of a [`SparseSystem`] so the claim can be
-//! *measured* on real hardware (see the `csr` backend and the
-//! `spmv_labnotes` harness) and the footprint difference quantified.
+//! *measured* on real hardware (`gaia-bench spmv_labnotes` times
+//! [`CsrMatrix::spmv_range`] against the structured `aprod1`) and the
+//! footprint difference quantified.
 
 use serde::{Deserialize, Serialize};
 
@@ -96,22 +97,6 @@ impl CsrMatrix {
             out[i] += acc;
         }
     }
-
-    /// `out += Aᵀ y` over a row range, scattering into the full column
-    /// space (exclusive access required).
-    pub fn spmv_t_range(&self, y: &[f64], rows: std::ops::Range<usize>, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.n_cols);
-        for r in rows {
-            let yr = y[r];
-            if yr == 0.0 {
-                continue;
-            }
-            let (cols, vals) = self.row(r);
-            for (c, v) in cols.iter().zip(vals) {
-                out[*c as usize] += v * yr;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -136,15 +121,6 @@ mod tests {
         let mut got = vec![0.0; s.n_rows()];
         csr.spmv_range(&x, 0..s.n_rows(), &mut got);
         for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-10);
-        }
-
-        let y: Vec<f64> = (0..s.n_rows()).map(|i| (i as f64 * 0.23).cos()).collect();
-        let mut want_t = vec![0.0; s.n_cols()];
-        d.mat_t_vec_acc(&y, &mut want_t);
-        let mut got_t = vec![0.0; s.n_cols()];
-        csr.spmv_t_range(&y, 0..s.n_rows(), &mut got_t);
-        for (g, w) in got_t.iter().zip(&want_t) {
             assert!((g - w).abs() < 1e-10);
         }
     }

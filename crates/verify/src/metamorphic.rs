@@ -379,13 +379,15 @@ mod tests {
         for name in ["cuda", "chunked-t0", "chunked-x4"] {
             assert!(!is_deterministic(name), "{name}");
         }
-        // Bare names answer as the literal list did.
+        // Bare names answer as the literal list did, plus `rayon`, a
+        // `replicated` plan since it left its own engine.
         let fixed_order = [
             "seq",
             "chunked",
             "replicated",
             "streamed",
             "hybrid",
+            "rayon",
             "unrolled",
             "blocked",
             "ell",

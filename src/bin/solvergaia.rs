@@ -40,7 +40,9 @@
 //! discard the iterations it holds. A chain written on one rank count
 //! resumes on any other, and a run stopped by its iteration limit goes on
 //! under a larger `--iterations`. `--force-fresh` clears the chain and
-//! starts over.
+//! starts over. Writing a snapshot is best-effort on every engine: one
+//! that fails prints `warning: cannot write checkpoint: …` and the solve
+//! goes on.
 //!
 //! `--tiles DIR` switches to the out-of-core path of §V-B capacity
 //! framing: if `DIR` holds a `gaia-tiles/v4` spill (a manifest plus
@@ -652,6 +654,9 @@ fn supervise(
     let backend_for = |_| resolve_backend(&args.backend, args.threads, args.telemetry);
     match solve_resilient(sys, args.ranks, cfg, backend_for, &opts) {
         Ok(report) => {
+            for e in &report.checkpoint_errors {
+                eprintln!("warning: cannot write checkpoint: {e}");
+            }
             if report.attempts.len() > 1 || !report.fault_events.is_empty() {
                 println!(
                     "recovery: {} attempt(s), {} fault(s) injected, {} restore(s), \

@@ -189,6 +189,8 @@ fn solvergaia_refuses_a_json_checkpoint_and_leaves_it_untouched() {
     for needle in ["run.ckpt", "header", "regenerate", "--force-fresh"] {
         assert!(stderr.contains(needle), "stderr lacks {needle:?}: {stderr}");
     }
+    let named = stderr.matches(&*path.display().to_string()).count();
+    assert_eq!(named, 1, "the snapshot is named once: {stderr}");
     assert_eq!(std::fs::read_to_string(&path).unwrap(), json);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -401,6 +403,45 @@ fn solvergaia_degrades_more_ranks_than_stars() {
         "5".as_ref(),
     ]);
     assert!(stdout.contains("finished on 3 rank(s)"), "{stdout}");
+}
+
+/// A chain that cannot be written warns on every engine alike, and the
+/// run still exits 0 with its solution: persistence is best-effort.
+#[test]
+fn solvergaia_warns_when_the_chain_cannot_be_written() {
+    let gone = std::env::temp_dir().join(format!("gaia-cli-no-dir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&gone);
+    let ckpt = gone.join("ck");
+    let iterations: [&std::ffi::OsStr; 4] = [
+        "--iterations".as_ref(),
+        "5".as_ref(),
+        "--checkpoint-every".as_ref(),
+        "2".as_ref(),
+    ];
+    let mut warnings = Vec::new();
+    for ranks in ["1", "2"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_solvergaia"))
+            .args(["--preset", "tiny", "--seed", "0", "--backend", "seq"])
+            .args(iterations)
+            .args(["--ranks", ranks, "--checkpoint"])
+            .arg(&ckpt)
+            .output()
+            .expect("run solvergaia");
+        assert_eq!(out.status.code(), Some(0), "--ranks {ranks}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let warned = stderr
+            .lines()
+            .filter(|l| l.starts_with("warning: cannot write checkpoint: "))
+            .count();
+        assert!(warned > 0, "--ranks {ranks}: {stderr}");
+        warnings.push(warned);
+        assert!(String::from_utf8_lossy(&out.stdout).contains("|r| = "));
+    }
+    assert_eq!(
+        warnings[0], warnings[1],
+        "one warning per snapshot on each path"
+    );
+    assert!(!gone.exists());
 }
 
 /// `--ranks N` runs the backend `--backend` names on every rank, under
